@@ -39,15 +39,18 @@ inline std::vector<std::uint8_t> hashed_bytes(std::size_t n) {
 /// code the figures assume), then hands argv to google-benchmark. An
 /// optional epilogue runs after the benchmarks while the manifest is
 /// still open (e.g. the scalar-vs-SIMD A/B that writes BENCH_kernels.json).
+/// Returns nonzero when no benchmark matched the filter.
 inline int run_gbench(const char* name, int argc, char** argv,
                       const std::function<void()>& epilogue = {}) {
   BenchMain bm(name, /*telemetry=*/false);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  // A filter that matches nothing is an error, so smoke runs that select
+  // rows by filter cannot pass without running them.
+  const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
   if (epilogue) epilogue();
   benchmark::Shutdown();
-  return 0;
+  return ran > 0 ? 0 : 1;
 }
 
 }  // namespace w4k::bench

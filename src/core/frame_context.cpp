@@ -10,8 +10,9 @@ FrameContext make_frame_context(video::Frame frame,
                                 std::size_t symbols_per_unit) {
   FrameContext ctx;
   ctx.encoded = video::encode(frame);
+  quality::reference_sums_into(frame.y, ctx.reference);
   const quality::ContentFeatures f =
-      quality::content_features(frame, ctx.encoded);
+      quality::content_features(frame.y, ctx.reference, ctx.encoded);
   ctx.units = sched::frame_units(frame.width(), frame.height(), symbol_size,
                                  symbols_per_unit);
   // Layer caps are the symbol-padded transmission sizes (sum of whole
@@ -27,10 +28,10 @@ FrameContext make_frame_context(video::Frame frame,
     ctx.content.layer_bytes[u.id.layer] +=
         static_cast<double>(u.k_symbols * symbol_size);
   ctx.content.blank_ssim = f.blank;
-  ctx.blank_psnr = quality::psnr(
-      frame, video::Frame::blank(frame.width(), frame.height()));
+  ctx.blank_psnr = f.blank_psnr;
   if (previous != nullptr)
-    ctx.prev_frame_ssim = quality::ssim(frame, *previous);
+    ctx.prev_frame_ssim =
+        quality::scores(frame.y, ctx.reference, previous->y).ssim;
   ctx.original = std::move(frame);
   return ctx;
 }
@@ -65,6 +66,28 @@ void reconstruct_from_units_into(const FrameContext& ctx,
              u.source_bytes);
   }
   ws.finish(out);
+}
+
+void reconstruct_luma_from_units_into(const FrameContext& ctx,
+                                      const std::vector<bool>& unit_decoded,
+                                      video::ReconstructWorkspace& ws,
+                                      video::Plane& out) {
+  const int w = ctx.encoded.width;
+  const int h = ctx.encoded.height;
+  ws.begin(w, h);
+  for (std::size_t i = 0; i < ctx.units.size() && i < unit_decoded.size();
+       ++i) {
+    if (!unit_decoded[i]) continue;
+    const sched::UnitSpec& u = ctx.units[i];
+    // Units past the luma slice carry only chroma.
+    const std::size_t luma = video::sublayer_luma_bytes(u.id.layer, w, h);
+    if (u.offset >= luma) continue;
+    const auto& src =
+        ctx.encoded.layers[u.id.layer][static_cast<std::size_t>(u.sublayer_k)];
+    ws.write(u.id.layer, u.sublayer_k, u.offset, src.data() + u.offset,
+             std::min(u.source_bytes, luma - u.offset));
+  }
+  ws.finish_luma(out);
 }
 
 video::Frame reconstruct_from_units(const FrameContext& ctx,

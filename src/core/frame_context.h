@@ -1,10 +1,11 @@
 // Pre-computed per-frame state shared by the sender and the evaluation
-// harness: the layered encoding, the quality-model content features, and
-// the coding-unit layout. Building a context is the expensive part of a
-// streaming step (encode + four reconstructions + five SSIMs), so sessions
-// cycle through a small pool of contexts instead of re-encoding every
-// simulated frame — the paper's clips are long, but their per-frame
-// content features vary slowly.
+// harness: the layered encoding, the quality-model content features, the
+// coding-unit layout, and the original luma's SSIM/PSNR reference sums.
+// Building a context is the expensive part of a streaming step (encode,
+// the reference sums, and four luma-only reconstructions each scored
+// against those sums), so sessions cycle through a small pool of contexts
+// instead of re-encoding every simulated frame — the paper's clips are
+// long, but their per-frame content features vary slowly.
 #pragma once
 
 #include "quality/metrics.h"
@@ -22,6 +23,10 @@ struct FrameContext {
   video::EncodedFrame encoded;
   sched::FrameContent content;        ///< layer sizes + SSIM features
   std::vector<sched::UnitSpec> units; ///< coding-unit layout
+  /// Σx/Σx² window sums of original.y: every score against this frame
+  /// (features, blank, previous frame, each user's reconstruction) reads
+  /// the reference side from here instead of recomputing it.
+  quality::ReferenceSums reference;
   /// SSIM between this frame and the previous one in the clip (1.0 for the
   /// first frame); used by the ABR baselines' freeze model.
   double prev_frame_ssim = 1.0;
@@ -57,6 +62,14 @@ void reconstruct_from_units_into(const FrameContext& ctx,
                                  const std::vector<bool>& unit_decoded,
                                  video::ReconstructWorkspace& ws,
                                  video::Frame& out);
+
+/// Luma-only variant for scoring: splices only the luma slice of each
+/// decoded unit and decodes only Y into `out`. Bit-identical to
+/// reconstruct_from_units(ctx, unit_decoded).y.
+void reconstruct_luma_from_units_into(const FrameContext& ctx,
+                                      const std::vector<bool>& unit_decoded,
+                                      video::ReconstructWorkspace& ws,
+                                      video::Plane& out);
 
 /// The rate-scale that maps Table 2 throughputs onto reduced-resolution
 /// frames: rates are multiplied by frame_bytes / bytes-of-a-4K-frame so

@@ -813,18 +813,35 @@ void MulticastSession::step_into(
     out.ssim.assign(n_users, 0.0);
     out.psnr.assign(n_users, 0.0);
     out.decoded_fraction.assign(n_users, 0.0);
+    const auto& decoded_sets = tx_result_.user_decoded;
     for (std::size_t u = 0; u < n_users; ++u) {
       if (!active(u)) continue;  // departed: placeholder sample
-      reconstruct_from_units_into(ctx, tx_result_.user_decoded[u], recon_ws_,
-                                  recon_frame_);
-      out.ssim[u] = quality::ssim(ctx.original, recon_frame_);
-      out.psnr[u] = quality::psnr(ctx.original, recon_frame_);
       std::size_t decoded = 0;
-      for (bool b : tx_result_.user_decoded[u]) decoded += b ? 1 : 0;
+      for (bool b : decoded_sets[u]) decoded += b ? 1 : 0;
       out.decoded_fraction[u] =
           ctx.units.empty() ? 0.0
                             : static_cast<double>(decoded) /
                                   static_cast<double>(ctx.units.size());
+      // Scores are a pure function of the decoded set, and group members
+      // usually decode identical sets: reuse an earlier user's scores
+      // (equal fractions first, as a cheap filter) instead of decoding
+      // and scoring the same frame again.
+      std::size_t twin = u;
+      for (std::size_t v = 0; v < u && twin == u; ++v)
+        if (active(v) && out.decoded_fraction[v] == out.decoded_fraction[u] &&
+            decoded_sets[v] == decoded_sets[u])
+          twin = v;
+      if (twin != u) {
+        out.ssim[u] = out.ssim[twin];
+        out.psnr[u] = out.psnr[twin];
+        continue;
+      }
+      reconstruct_luma_from_units_into(ctx, decoded_sets[u], recon_ws_,
+                                       recon_luma_);
+      const quality::Scores q =
+          quality::scores(ctx.original.y, ctx.reference, recon_luma_);
+      out.ssim[u] = q.ssim;
+      out.psnr[u] = q.psnr;
     }
   }
   fill_presence();

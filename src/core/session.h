@@ -345,7 +345,7 @@ class MulticastSession {
   emu::FrameTxResult tx_result_;          ///< engine result rows
   std::vector<std::uint8_t> attempted_;   ///< quarantine bookkeeping
   video::ReconstructWorkspace recon_ws_;  ///< per-user reconstruction
-  video::Frame recon_frame_;
+  video::Plane recon_luma_;               ///< luma only: all SSIM/PSNR read
   Decision decision_;                     ///< adapt-mode decision storage
 
   // --- Fault-recovery state (all deterministic, no rng) -----------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 namespace w4k::video {
 namespace {
@@ -106,6 +107,38 @@ struct PlaneEncoder {
   }
 };
 
+/// One decoder stage: every parent value spawns a 2x2 child block, child
+/// (2py+dy, 2px+dx) = parent + difference from sublayer k = dy*2+dx.
+/// Walking child rows in pairs of sublayers keeps the inner loop free of
+/// the per-pixel index arithmetic. The final stage clamps to a byte; the
+/// mean planes stay unclamped ints, as the encoder chained them.
+template <typename Parent, typename Child>
+void upsample_stage(const Parent* parent, std::size_t pw, std::size_t ph,
+                    const std::array<const std::uint8_t*, 4>& diffs,
+                    Child* child) {
+  const std::size_t cw = 2 * pw;
+  for (std::size_t py = 0; py < ph; ++py) {
+    const Parent* prow = parent + py * pw;
+    for (std::size_t dy = 0; dy < 2; ++dy) {
+      const std::uint8_t* d0 = diffs[dy * 2] + py * pw;
+      const std::uint8_t* d1 = diffs[dy * 2 + 1] + py * pw;
+      Child* crow = child + (2 * py + dy) * cw;
+      for (std::size_t px = 0; px < pw; ++px) {
+        const int p = prow[px];
+        const int c0 = p + dequantize_diff(d0[px]);
+        const int c1 = p + dequantize_diff(d1[px]);
+        if constexpr (std::is_same_v<Child, std::uint8_t>) {
+          crow[2 * px] = static_cast<std::uint8_t>(clamp_byte(c0));
+          crow[2 * px + 1] = static_cast<std::uint8_t>(clamp_byte(c1));
+        } else {
+          crow[2 * px] = c0;
+          crow[2 * px + 1] = c1;
+        }
+      }
+    }
+  }
+}
+
 /// Reconstructs one plane from assembled sublayer buffers (missing bytes
 /// already defaulted to "no information": 128).
 struct PlaneDecoder {
@@ -118,45 +151,20 @@ struct PlaneDecoder {
   std::vector<int>& m2;
 
   void run() const {
-    const int w8 = plane.width / 8;
-    const int h8 = plane.height / 8;
-    const int w4 = w8 * 2;
-    const int w2 = w8 * 4;
-    m4.resize(static_cast<std::size_t>(w4) * (h8 * 2));
-    m2.resize(static_cast<std::size_t>(w2) * (h8 * 4));
-
-    for (int by = 0; by < h8 * 2; ++by) {
-      for (int bx = 0; bx < w4; ++bx) {
-        const int parent =
-            bufs[0][0][base[0][0] + static_cast<std::size_t>(by / 2) * w8 +
-                       bx / 2];
-        const int k = (by % 2) * 2 + (bx % 2);
-        const int d = dequantize_diff(
-            bufs[1][k][base[1][k] + static_cast<std::size_t>(by / 2) * w8 +
-                       bx / 2]);
-        m4[static_cast<std::size_t>(by) * w4 + bx] = parent + d;
-      }
-    }
-    for (int by = 0; by < h8 * 4; ++by) {
-      for (int bx = 0; bx < w2; ++bx) {
-        const int parent = m4[static_cast<std::size_t>(by / 2) * w4 + bx / 2];
-        const int k = (by % 2) * 2 + (bx % 2);
-        const int d = dequantize_diff(
-            bufs[2][k][base[2][k] + static_cast<std::size_t>(by / 2) * w4 +
-                       bx / 2]);
-        m2[static_cast<std::size_t>(by) * w2 + bx] = parent + d;
-      }
-    }
-    for (int y = 0; y < plane.height; ++y) {
-      for (int x = 0; x < plane.width; ++x) {
-        const int parent = m2[static_cast<std::size_t>(y / 2) * w2 + x / 2];
-        const int k = (y % 2) * 2 + (x % 2);
-        const int d = dequantize_diff(
-            bufs[3][k][base[3][k] + static_cast<std::size_t>(y / 2) * w2 +
-                       x / 2]);
-        plane.at(x, y) = static_cast<std::uint8_t>(clamp_byte(parent + d));
-      }
-    }
+    const auto w8 = static_cast<std::size_t>(plane.width / 8);
+    const auto h8 = static_cast<std::size_t>(plane.height / 8);
+    m4.resize(w8 * 2 * h8 * 2);
+    m2.resize(w8 * 4 * h8 * 4);
+    const auto diffs = [&](int l) {
+      std::array<const std::uint8_t*, 4> d{};
+      for (std::size_t k = 0; k < 4; ++k)
+        d[k] = bufs[l][k].data() + base[l][k];
+      return d;
+    };
+    upsample_stage(bufs[0][0].data() + base[0][0], w8, h8, diffs(1),
+                   m4.data());
+    upsample_stage(m4.data(), w8 * 2, h8 * 2, diffs(2), m2.data());
+    upsample_stage(m2.data(), w8 * 4, h8 * 4, diffs(3), plane.pix.data());
   }
 };
 
@@ -193,6 +201,11 @@ std::size_t sublayer_bytes(int layer, int width, int height) {
   check_dims(width, height);
   return plane_elems(layer, width, height) +
          2 * plane_elems(layer, width / 2, height / 2);
+}
+
+std::size_t sublayer_luma_bytes(int layer, int width, int height) {
+  check_dims(width, height);
+  return plane_elems(layer, width, height);
 }
 
 std::size_t layer_bytes(int layer, int width, int height) {
@@ -303,6 +316,11 @@ void ReconstructWorkspace::finish(Frame& out) {
   PlaneDecoder{out.y, bufs_, bases.y, m4_, m2_}.run();
   PlaneDecoder{out.u, bufs_, bases.u, m4_, m2_}.run();
   PlaneDecoder{out.v, bufs_, bases.v, m4_, m2_}.run();
+}
+
+void ReconstructWorkspace::finish_luma(Plane& out) {
+  resize_plane(out, width_, height_);
+  PlaneDecoder{out, bufs_, plane_bases(width_, height_).y, m4_, m2_}.run();
 }
 
 void reconstruct_into(const PartialFrame& partial, ReconstructWorkspace& ws,

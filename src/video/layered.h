@@ -41,6 +41,10 @@ constexpr int sublayer_count(int layer) {
 /// luma dimensions (includes all three planes).
 std::size_t sublayer_bytes(int layer, int width, int height);
 
+/// Byte size of the luma (Y) slice that leads every sublayer buffer of
+/// `layer` — all the luma-only decoder reads.
+std::size_t sublayer_luma_bytes(int layer, int width, int height);
+
 /// Total byte size of a layer (all its sublayers).
 std::size_t layer_bytes(int layer, int width, int height);
 
@@ -111,6 +115,10 @@ class ReconstructWorkspace {
   /// Decodes the assembled buffers into `out` (planes resized in place,
   /// capacity reused). Must follow a begin().
   void finish(Frame& out);
+
+  /// Decodes only the luma plane into `out` (resized in place). SSIM and
+  /// PSNR read nothing else. Bit-identical to finish()'s out.y.
+  void finish_luma(Plane& out);
 
  private:
   int width_ = 0;

@@ -1,5 +1,6 @@
 #include "core/frame_context.h"
 
+#include "common/rng.h"
 #include "quality/metrics.h"
 
 #include <gtest/gtest.h>
@@ -72,6 +73,31 @@ TEST(FrameContext, PrevFrameSsimComputed) {
   EXPECT_DOUBLE_EQ(first.prev_frame_ssim, 1.0);
 }
 
+// The context scores everything against its cached reference sums and
+// luma-only reconstructions; each value must equal the plain metric on
+// explicit frames bit for bit.
+TEST(FrameContext, CachedScoresMatchExplicitFramesBitForBit) {
+  const auto clip = small_clip();
+  const video::Frame f0 = clip.frame(0);
+  const video::Frame f1 = clip.frame(1);
+  const FrameContext ctx = make_frame_context(f1, &f0, 100);
+  const video::Frame blank = video::Frame::blank(f1.width(), f1.height());
+  EXPECT_EQ(ctx.content.blank_ssim, quality::ssim(f1, blank));
+  EXPECT_EQ(ctx.blank_psnr, quality::psnr(f1, blank));
+  EXPECT_EQ(ctx.prev_frame_ssim, quality::ssim(f1, f0));
+  for (int l = 0; l < video::kNumLayers; ++l)
+    EXPECT_EQ(ctx.content.up_to_layer_ssim[static_cast<std::size_t>(l)],
+              quality::ssim(f1, video::reconstruct(video::PartialFrame::up_to_layer(
+                                    ctx.encoded, l))))
+        << "layer " << l;
+  const quality::ContentFeatures f = quality::content_features(f1, ctx.encoded);
+  EXPECT_EQ(f.blank, ctx.content.blank_ssim);
+  EXPECT_EQ(f.blank_psnr, ctx.blank_psnr);
+  for (int l = 0; l < video::kNumLayers; ++l)
+    EXPECT_EQ(f.up_to_layer[static_cast<std::size_t>(l)],
+              ctx.content.up_to_layer_ssim[static_cast<std::size_t>(l)]);
+}
+
 TEST(MakeContexts, CountAndChaining) {
   const auto clip = small_clip(5);
   const auto ctxs = make_contexts(clip, 3, 100);
@@ -111,6 +137,33 @@ TEST(ReconstructFromUnits, QualityMonotoneInPrefixLength) {
     const double s = quality::ssim(original, reconstruct_from_units(ctx, decoded));
     EXPECT_GE(s, prev - 1e-9) << frac;
     prev = s;
+  }
+}
+
+TEST(ReconstructFromUnits, LumaOnlyMatchesFullReconstruction) {
+  const auto clip = small_clip();
+  const FrameContext ctx = make_frame_context(clip.frame(0), nullptr, 100);
+  const std::size_t n = ctx.units.size();
+  std::vector<std::vector<bool>> sets = {std::vector<bool>(n, true),
+                                         std::vector<bool>(n, false),
+                                         std::vector<bool>(3, true)};
+  Rng rng(11);
+  for (double density : {0.1, 0.5, 0.9}) {
+    for (int i = 0; i < 4; ++i) {
+      std::vector<bool> set(n);
+      for (std::size_t u = 0; u < n; ++u) set[u] = rng.chance(density);
+      sets.push_back(std::move(set));
+    }
+  }
+  // One workspace and plane across all sets: reuse must not leak state.
+  video::ReconstructWorkspace ws;
+  video::Plane luma;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    reconstruct_luma_from_units_into(ctx, sets[i], ws, luma);
+    const video::Frame full = reconstruct_from_units(ctx, sets[i]);
+    EXPECT_EQ(luma.width, full.y.width) << "set " << i;
+    EXPECT_EQ(luma.height, full.y.height) << "set " << i;
+    EXPECT_EQ(luma.pix, full.y.pix) << "set " << i;
   }
 }
 

@@ -6,7 +6,9 @@
 // a broken manifest writer fails tier-1 instead of silently producing
 // unreadable BENCH_* artifacts.
 //
-// Usage: manifest_smoke <path-to-bench-binary> <manifest-name>
+// Usage: manifest_smoke <path-to-bench-binary> <manifest-name> [bench-args...]
+// (any further arguments are passed to the bench, e.g. a google-benchmark
+// --benchmark_filter that keeps the run short).
 #include "obs/jsonlite.h"
 
 #include <cstdio>
@@ -25,21 +27,26 @@ int fail(const std::string& msg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 3)
-    return fail("usage: manifest_smoke <bench-binary> <manifest-name>");
+  if (argc < 3)
+    return fail(
+        "usage: manifest_smoke <bench-binary> <manifest-name> "
+        "[bench-args...]");
   const std::string binary = argv[1];
   const std::string manifest = std::string(argv[2]) + ".manifest.json";
+  const std::string log = std::string(argv[2]) + "_smoke.log";
 
   // Write the manifest into the ctest working directory.
   if (setenv("W4K_MANIFEST_DIR", ".", /*overwrite=*/1) != 0)
     return fail("setenv failed");
   std::remove(manifest.c_str());
 
-  const std::string cmd = "\"" + binary + "\" > manifest_smoke_bench.log 2>&1";
+  std::string cmd = "\"" + binary + "\"";
+  for (int i = 3; i < argc; ++i) cmd += std::string(" \"") + argv[i] + "\"";
+  cmd += " > \"" + log + "\" 2>&1";
   const int rc = std::system(cmd.c_str());
   if (rc != 0)
     return fail("bench exited with status " + std::to_string(rc) +
-                " (see manifest_smoke_bench.log)");
+                " (see " + log + ")");
 
   std::ifstream in(manifest);
   if (!in) return fail("bench did not write " + manifest);
