@@ -1,6 +1,7 @@
 #include "sched/groups.h"
 
 #include "channel/mcs.h"
+#include "gf256/gf256.h"
 #include "linalg/decompose.h"
 #include "obs/metrics.h"
 #include "sched/hierarchy.h"
@@ -62,6 +63,19 @@ struct MaskFilter {
 
 std::size_t popcount(GroupMask mask) {
   return static_cast<std::size_t>(__builtin_popcountll(mask));
+}
+
+/// Bumps the sched.beamform.* counters for one subset-kernel batch (no-op
+/// with telemetry disabled): power iterations run, and subsets that
+/// finished on SIMD lanes rather than the scalar path.
+void note_beamform(const linalg::SubsetBatchStats& stats) {
+  if (!obs::enabled()) return;
+  auto& reg = obs::MetricsRegistry::global();
+  static obs::Counter& c_iterations =
+      reg.counter("sched.beamform.power_iterations");
+  static obs::Counter& c_lanes = reg.counter("sched.beamform.lane_subsets");
+  c_iterations.add(stats.iterations);
+  c_lanes.add(stats.lane_subsets);
 }
 
 /// The rate upper bound behind candidate pruning: a unit-norm beam can
@@ -263,6 +277,120 @@ beamforming::GroupBeam subset_beam(
                                  subset_seed(beam_seed, mask));
 }
 
+namespace {
+
+/// Normalizes every user's channel once into ws.unit and builds their one
+/// N x N Gram (ws.user_gram), shared by every subset of the enumeration.
+/// A user with a dead (zero) channel or a channel of the wrong length gets
+/// a zero row and is left out of every stack, as group_beam_into leaves it
+/// out. Only kOptimizedMulticast uses them, and only with masks to beamform.
+void prepare_units(beamforming::Scheme scheme,
+                   const std::vector<linalg::CVector>& user_channels,
+                   std::span<const GroupMask> masks, SchedWorkspace& ws) {
+  if (scheme != beamforming::Scheme::kOptimizedMulticast || masks.empty())
+    return;
+  const std::size_t n = user_channels.size();
+  const std::size_t cols = n > 0 ? user_channels[0].size() : 0;
+  if (ws.unit.size() < n) ws.unit.resize(n);  // slot pool: never shrinks
+  ws.usable = 0;
+  ws.mixed = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const linalg::CVector& h = user_channels[u];
+    const double nn = h.norm();
+    if (h.size() != cols || nn <= 0.0) {
+      if (h.size() != cols && nn > 0.0) ws.mixed |= GroupMask{1} << u;
+      ws.unit[u].resize_zero(cols);
+      continue;
+    }
+    ws.usable |= GroupMask{1} << u;
+    // normalized() without the temporary: copy-assign into the slot
+    // (capacity reused), then the same element-wise divide.
+    ws.unit[u] = h;
+    for (std::size_t i = 0; i < ws.unit[u].size(); ++i) ws.unit[u][i] /= nn;
+  }
+  linalg::row_gram_into({ws.unit.data(), n}, ws.user_gram);
+}
+
+/// beamform_subsets after prepare_units. Multi-member kOptimizedMulticast
+/// subsets become problems of the subset-lane kernel over the normalized
+/// rows; everything else (singletons, dead groups, the other schemes, a
+/// member of the wrong length) routes through group_beam_into unchanged.
+void beamform_prepared(beamforming::Scheme scheme,
+                       const std::vector<linalg::CVector>& user_channels,
+                       std::span<const GroupMask> masks,
+                       const beamforming::Codebook& codebook,
+                       std::uint64_t beam_seed, ThreadPool* pool,
+                       SchedWorkspace& ws,
+                       std::span<beamforming::GroupBeam> out) {
+  const std::size_t n = user_channels.size();
+  const std::size_t cols = n > 0 ? user_channels[0].size() : 0;
+  if (out.size() < masks.size())
+    throw std::invalid_argument("beamform_subsets: output span too small");
+
+  ws.subsets.clear();
+  ws.first_subset.resize(masks.size() + 1);
+  const bool lanes =
+      scheme == beamforming::Scheme::kOptimizedMulticast && cols > 0;
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    ws.first_subset[i] = ws.subsets.size();
+    const GroupMask mask = masks[i];
+    if (!lanes || popcount(mask) < 2 || (mask & ws.mixed) ||
+        !(mask & ws.usable))
+      continue;
+    ws.subsets.push_back({mask & ws.usable, subset_seed(beam_seed, mask)});
+  }
+  ws.first_subset[masks.size()] = ws.subsets.size();
+  if (ws.svd.size() < ws.subsets.size()) ws.svd.resize(ws.subsets.size());
+
+  const bool parallel = pool != nullptr && pool->size() > 1 && masks.size() > 1;
+  // Chunks big enough to fill the lanes with subsets of one size, small
+  // enough to spread over the pool. Each chunk owns a scratch slot.
+  const std::size_t grain =
+      parallel ? std::clamp<std::size_t>(masks.size() / (4 * pool->size()),
+                                         8, 64)
+               : std::max<std::size_t>(masks.size(), 1);
+  const std::size_t chunks = (masks.size() + grain - 1) / grain;
+  if (ws.chunks.size() < chunks) ws.chunks.resize(chunks);
+  const gf256::Tier tier = gf256::active_tier();
+  const std::span<const linalg::CVector> rows(ws.unit.data(), n);
+
+  const auto compute = [&](std::size_t lo, std::size_t hi) {
+    BeamformChunk& chunk = ws.chunks[lo / grain];
+    const std::size_t p_lo = ws.first_subset[lo];
+    const std::size_t p_hi = ws.first_subset[hi];
+    if (p_hi > p_lo) {
+      const linalg::SubsetBatchStats stats =
+          linalg::subset_dominant_right_singular_into(
+              rows, ws.user_gram,
+              std::span<const linalg::SubsetProblem>(ws.subsets).subspan(
+                  p_lo, p_hi - p_lo),
+              tier, chunk.lanes,
+              std::span<linalg::DominantSVD>(ws.svd).subspan(p_lo,
+                                                             p_hi - p_lo));
+      note_beamform(stats);
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto members =
+          gather_members(user_channels, masks[i], chunk.gather);
+      if (ws.first_subset[i + 1] > ws.first_subset[i]) {
+        beamforming::evaluate_beam_into(
+            ws.svd[ws.first_subset[i]].right_singular, members, out[i]);
+      } else {
+        beamforming::group_beam_into(scheme, members, codebook,
+                                     subset_seed(beam_seed, masks[i]),
+                                     out[i]);
+      }
+    }
+  };
+  if (parallel) {
+    pool->parallel_for(0, masks.size(), grain, compute);
+  } else if (!masks.empty()) {
+    compute(0, masks.size());
+  }
+}
+
+}  // namespace
+
 void beamform_subsets(beamforming::Scheme scheme,
                       const std::vector<linalg::CVector>& user_channels,
                       std::span<const GroupMask> masks,
@@ -270,88 +398,9 @@ void beamform_subsets(beamforming::Scheme scheme,
                       std::uint64_t beam_seed, ThreadPool* pool,
                       SchedWorkspace& ws,
                       std::span<beamforming::GroupBeam> out) {
-  const std::size_t n = user_channels.size();
-  if (out.size() < masks.size())
-    throw std::invalid_argument("beamform_subsets: output span too small");
-
-  // SoA pack for the multi-member kOptimizedMulticast subsets: each user's
-  // channel is normalized once per call (not once per subset) and the
-  // member rows land contiguously, so the Gram iterations stream through
-  // one flat buffer. Everything else (singletons, dead groups, the other
-  // schemes) routes through group_beam_into unchanged. All pack and index
-  // buffers belong to the workspace and keep their capacity across frames.
-  linalg::PackedStacks& pack = ws.pack;
-  pack.rows.clear();
-  pack.offsets.clear();
-  pack.cols = 0;
-  ws.problem.assign(masks.size(), -1);
-  if (scheme == beamforming::Scheme::kOptimizedMulticast && !masks.empty()) {
-    const std::size_t cols = n > 0 ? user_channels[0].size() : 0;
-    if (ws.unit.size() < n) ws.unit.resize(n);  // slot pool: never shrinks
-    ws.usable.assign(n, 0);
-    for (std::size_t u = 0; u < n; ++u) {
-      if (user_channels[u].size() != cols) continue;
-      if (user_channels[u].norm() <= 0.0) continue;
-      ws.usable[u] = 1;
-      // normalized() without the temporary: copy-assign into the slot
-      // (capacity reused), then the same element-wise divide.
-      ws.unit[u] = user_channels[u];
-      const double nn = user_channels[u].norm();
-      for (std::size_t i = 0; i < ws.unit[u].size(); ++i) ws.unit[u][i] /= nn;
-    }
-    pack.cols = cols;
-    pack.offsets.push_back(0);
-    for (std::size_t i = 0; i < masks.size(); ++i) {
-      if (popcount(masks[i]) < 2 || cols == 0) continue;
-      std::size_t m_usable = 0;
-      bool mixed = false;
-      for (std::size_t u = 0; u < n; ++u) {
-        if (!(masks[i] & (GroupMask{1} << u))) continue;
-        if (user_channels[u].size() != cols &&
-            user_channels[u].norm() > 0.0)
-          mixed = true;
-        if (ws.usable[u]) ++m_usable;
-      }
-      if (mixed || m_usable == 0) continue;  // scalar fallback path
-      ws.problem[i] = static_cast<std::ptrdiff_t>(pack.problems());
-      for (std::size_t u = 0; u < n; ++u)
-        if ((masks[i] & (GroupMask{1} << u)) && ws.usable[u])
-          pack.rows.insert(pack.rows.end(), ws.unit[u].raw().begin(),
-                           ws.unit[u].raw().end());
-      pack.offsets.push_back(pack.rows.size() / cols);
-    }
-  }
-
-  const auto compute = [&](std::size_t lo, std::size_t hi) {
-    // Per-worker scratch, declared *inside* the worker-executed body so
-    // each pool thread owns its own instance (thread_local variables are
-    // not captured by lambdas; declaring them outside and touching them
-    // here would dereference the worker's empty copy).
-    thread_local std::vector<linalg::CVector> gather_tls;
-    thread_local linalg::DominantSVD svd_tls;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (ws.problem[i] >= 0) {
-        Rng rng(subset_seed(beam_seed, masks[i]));
-        linalg::packed_dominant_right_singular_into(
-            pack, static_cast<std::size_t>(ws.problem[i]), rng, svd_tls);
-        const auto members =
-            gather_members(user_channels, masks[i], gather_tls);
-        beamforming::evaluate_beam_into(svd_tls.right_singular, members,
-                                        out[i]);
-      } else {
-        const auto members =
-            gather_members(user_channels, masks[i], gather_tls);
-        beamforming::group_beam_into(scheme, members, codebook,
-                                     subset_seed(beam_seed, masks[i]),
-                                     out[i]);
-      }
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && masks.size() > 1) {
-    pool->parallel_for(0, masks.size(), /*grain=*/8, compute);
-  } else {
-    compute(0, masks.size());
-  }
+  prepare_units(scheme, user_channels, masks, ws);
+  beamform_prepared(scheme, user_channels, masks, codebook, beam_seed, pool,
+                    ws, out);
 }
 
 std::vector<beamforming::GroupBeam> beamform_subsets(
@@ -384,11 +433,13 @@ void beamform_priority_into(
   ws.done.assign(masks.size(), 0);
   ws.deferred = 0;
 
+  // One set of normalized rows and one user Gram for every batch.
+  prepare_units(scheme, user_channels, masks, ws);
   const auto run = [&](std::size_t lo, std::size_t hi) {
-    beamform_subsets(scheme, user_channels, masks.subspan(lo, hi - lo),
-                     codebook, beam_seed, pool, ws,
-                     std::span<beamforming::GroupBeam>(ws.beams.data() + lo,
-                                                       hi - lo));
+    beamform_prepared(scheme, user_channels, masks.subspan(lo, hi - lo),
+                      codebook, beam_seed, pool, ws,
+                      std::span<beamforming::GroupBeam>(ws.beams.data() + lo,
+                                                        hi - lo));
     for (std::size_t i = lo; i < hi; ++i) ws.done[i] = 1;
   };
 

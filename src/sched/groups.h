@@ -24,9 +24,9 @@
 // generator shared across subsets. Changing the filter knobs
 // (rate_threshold / max_group_size / exclude) therefore cannot perturb the
 // beams of unrelated surviving subsets, and per-subset caching
-// (sched::BeamCache), ThreadPool-parallel enumeration, and the SoA-packed
-// batch path (linalg::packed_dominant_right_singular) are bit-identical
-// to the serial full enumeration.
+// (sched::BeamCache), ThreadPool-parallel enumeration, and the batched
+// subset-lane path (linalg::subset_dominant_right_singular_into) are
+// bit-identical to the serial full enumeration.
 #pragma once
 
 #include "beamforming/multicast.h"
@@ -147,15 +147,17 @@ beamforming::GroupBeam subset_beam(
     const std::vector<linalg::CVector>& user_channels, GroupMask mask,
     const beamforming::Codebook& codebook, std::uint64_t beam_seed);
 
-/// Beamforms every mask in `masks` (optionally on `pool`). Multi-member
-/// kOptimizedMulticast subsets run their Gram power iterations against one
-/// SoA-packed block of pre-normalized channel rows — each user is
-/// normalized once instead of once per subset, and the pack is dispatched
-/// as a single ThreadPool batch. Bit-identical to subset_beam per mask
-/// (asserted by the system tests). The pack, the per-user normalized rows,
-/// and all index scratch live in `ws` and keep their capacity across
-/// frames; results are written into `out` (out.size() >= masks.size()),
-/// whose GroupBeams likewise reuse their buffers.
+/// Beamforms every mask in `masks` (optionally on `pool`). Each user is
+/// normalized once and one user Gram is built from those rows; the
+/// multi-member kOptimizedMulticast subsets then run their power
+/// iterations on the subset-lane kernel
+/// (linalg::subset_dominant_right_singular_into), each gathering its Gram
+/// from the user Gram, within the pool's chunks. Bit-identical to
+/// subset_beam per mask (asserted by the system and property tests). The
+/// normalized rows, the Gram, the kernel's per-chunk scratch and all index
+/// buffers live in `ws` and keep their capacity across frames; results are
+/// written into `out` (out.size() >= masks.size()), whose GroupBeams
+/// likewise reuse their buffers.
 void beamform_subsets(beamforming::Scheme scheme,
                       const std::vector<linalg::CVector>& user_channels,
                       std::span<const GroupMask> masks,

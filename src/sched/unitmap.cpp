@@ -76,6 +76,19 @@ void map_to_units_into(std::span<const GroupSpec> groups,
   for (auto& row : res.user_symbols) row.assign(units.size(), 0);
   for (auto& row : res.user_decodes) row.assign(units.size(), false);
 
+  // Only groups with some budget can send or count toward completing a
+  // unit: a zero-budget group adds 0 to every potential and is skipped by
+  // `remaining == 0`. Listing the others once (ascending, so the greedy's
+  // group order is kept) spares the two per-unit scans over all groups;
+  // typically only a handful of the candidate groups get airtime.
+  thread_local std::vector<std::size_t> active_tls;
+  std::vector<std::size_t>& active = active_tls;
+  active.clear();
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    if (std::any_of(budget[g].begin(), budget[g].end(),
+                    [](double b) { return b > 0.0; }))
+      active.push_back(g);
+
   // Units are already ordered layer-asc then unit-asc by construction.
   for (std::size_t i = 0; i < units.size(); ++i) {
     const UnitSpec& unit = units[i];
@@ -89,14 +102,14 @@ void map_to_units_into(std::span<const GroupSpec> groups,
     bool completable = false;
     for (std::size_t u = 0; u < n_users && !completable; ++u) {
       std::size_t potential = res.user_symbols[u][i];
-      for (std::size_t g = 0; g < groups.size(); ++g)
+      for (std::size_t g : active)
         if (groups[g].contains(u))
           potential += static_cast<std::size_t>(budget[g][layer]);
       completable = potential >= unit.k_symbols;
     }
     if (!completable) continue;
 
-    for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t g : active) {
       auto remaining = static_cast<std::size_t>(budget[g][layer]);
       if (remaining == 0) continue;
       // Symbols needed to complete this unit for *every* member: the

@@ -1,9 +1,10 @@
 // Per-session scheduler workspace (DESIGN.md Sec. 4g).
 //
 // Every buffer the per-frame enumeration path touches lives here and only
-// ever grows: candidate plans, the SoA channel pack fed to the batched
-// Gram iteration, beam/done scratch for the deadline batcher, and the
-// GroupSpec output pool that enumerate_groups_into returns a span over.
+// ever grows: candidate plans, the normalized user rows with their Gram
+// and the subset-lane kernel's problems, results and per-chunk scratch,
+// beam/done scratch for the deadline batcher, and the GroupSpec output
+// pool that enumerate_groups_into returns a span over.
 // After a few warmup frames every vector has reached its steady-state
 // capacity and the whole enumerate -> beamform -> emit pipeline performs
 // zero heap allocations (asserted by the W4K_COUNT_ALLOCS tier-1 gate).
@@ -31,6 +32,14 @@ struct ScoredCandidate {
   double ub = 0.0;
 };
 
+/// Scratch of one beamform_subsets chunk. Chunk k of the pool's
+/// parallel_for always uses slot k, whichever thread runs it, so the
+/// buffers warm up the same way at any pool size.
+struct BeamformChunk {
+  linalg::SubsetLaneScratch lanes;        ///< subset-lane kernel buffers
+  std::vector<linalg::CVector> gather;    ///< one subset's member channels
+};
+
 struct SchedWorkspace {
   // --- plan_candidates_into ---------------------------------------------
   CandidatePlan plan;                  ///< the current frame's plan
@@ -39,12 +48,18 @@ struct SchedWorkspace {
   std::vector<ScoredCandidate> scored; ///< bound-pruning survivors
   std::vector<std::uint8_t> active;    ///< hierarchical generator's mask
 
-  // --- beamform_subsets_into --------------------------------------------
-  linalg::PackedStacks pack;           ///< SoA rows for the Gram batch
-  std::vector<std::ptrdiff_t> problem; ///< mask index -> pack problem (-1)
-  std::vector<linalg::CVector> unit;   ///< per-user normalized channels;
+  // --- beamform_subsets --------------------------------------------------
+  std::vector<linalg::CVector> unit;   ///< per-user normalized channels
+                                       ///< (zero rows for unusable users);
                                        ///< never shrunk (inner capacity)
-  std::vector<std::uint8_t> usable;    ///< unit[u] valid this call
+  linalg::CMatrix user_gram;           ///< row Gram of `unit`, N x N
+  GroupMask usable = 0;                ///< users with a unit row
+  GroupMask mixed = 0;                 ///< live users of the wrong length
+  std::vector<linalg::SubsetProblem> subsets;  ///< lane-kernel problems
+  std::vector<std::size_t> first_subset;  ///< mask i -> first problem index
+                                          ///< at or after i (size masks+1)
+  std::vector<linalg::DominantSVD> svd;   ///< per-problem results
+  std::vector<BeamformChunk> chunks;      ///< slot k serves pool chunk k
 
   // --- beamform_priority_into -------------------------------------------
   std::vector<GroupMask> ordered;      ///< masks in beamforming order

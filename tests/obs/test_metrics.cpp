@@ -5,6 +5,7 @@
 
 #include "channel/propagation.h"
 #include "common/thread_pool.h"
+#include "linalg/decompose.h"
 #include "obs/export.h"
 #include "obs/span.h"
 #include "sched/groups.h"
@@ -148,6 +149,55 @@ TEST_F(ObsMetricsTest, AnytimeSchedulerCountersReachSnapshots) {
     EXPECT_NE(chrome.find(name), std::string::npos)
         << name << " missing from the Chrome trace export";
   }
+}
+
+TEST_F(ObsMetricsTest, BeamformKernelCountersReachSnapshots) {
+  // The subset-lane beamformer's counters: power iterations run, and the
+  // subsets that finished on SIMD lanes (all multi-member subsets on a
+  // SIMD tier, none on the scalar tier). Off by default: with telemetry
+  // disabled the same pass moves neither.
+  channel::PropagationConfig prop;
+  std::vector<linalg::CVector> users;
+  for (int i = 0; i < 4; ++i)
+    users.push_back(channel::make_channel(
+        prop, channel::Position::from_polar(4.0, -0.45 + 0.3 * i)));
+  std::vector<sched::GroupMask> masks;
+  std::uint64_t multi = 0;
+  for (sched::GroupMask m = 1; m < 16; ++m) {
+    masks.push_back(m);
+    if (__builtin_popcountll(m) > 1) ++multi;
+  }
+  sched::SchedWorkspace ws;
+  std::vector<beamforming::GroupBeam> beams(masks.size());
+  auto& reg = MetricsRegistry::global();
+  Counter& iterations = reg.counter("sched.beamform.power_iterations");
+  Counter& lanes = reg.counter("sched.beamform.lane_subsets");
+
+  set_enabled(false);
+  sched::beamform_subsets(beamforming::Scheme::kOptimizedMulticast, users,
+                          masks, beamforming::Codebook{}, 9, nullptr, ws,
+                          beams);
+  EXPECT_EQ(iterations.value(), 0u);
+  EXPECT_EQ(lanes.value(), 0u);
+
+  set_enabled(true);
+  sched::beamform_subsets(beamforming::Scheme::kOptimizedMulticast, users,
+                          masks, beamforming::Codebook{}, 9, nullptr, ws,
+                          beams);
+  // Every multi-member power iteration runs at least two steps (the first
+  // never tests convergence).
+  EXPECT_GE(iterations.value(), 2 * multi);
+  const bool simd =
+      linalg::subset_lane_width(gf256::active_tier()) > 1;
+  EXPECT_EQ(lanes.value(), simd ? multi : 0u);
+
+  std::ostringstream os;
+  write_json_snapshot(os, reg);
+  const std::string json = os.str();
+  for (const char* name :
+       {"sched.beamform.power_iterations", "sched.beamform.lane_subsets"})
+    EXPECT_NE(json.find(name), std::string::npos)
+        << name << " missing from the metrics snapshot";
 }
 
 TEST_F(ObsMetricsTest, SnapshotsAreSortedByName) {

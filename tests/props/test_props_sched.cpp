@@ -1,8 +1,10 @@
 // Property suite: scheduler feasibility — simplex projection and unit
-// mapping never exceed their budgets and conserve symbols.
+// mapping never exceed their budgets and conserve symbols — and the unit
+// map's active-group list against the full-scan oracle.
 #include "sched/allocate.h"
 #include "sched/unitmap.h"
 #include "support/proptest.h"
+#include "support/unitmap_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -109,6 +111,66 @@ TEST(PropsSched, UnitMapRespectsBudgetsAndConservesSymbols) {
                         (res.user_symbols[u][i] >= units[i].k_symbols),
                     "decode flag inconsistent with k");
       }
+  });
+}
+
+TEST(PropsSched, UnitMapActiveGroupsMatchFullScanOracle) {
+  // Many candidate groups, most of them without any budget (as in a
+  // 12-user frame, where only a few of ~1k groups get airtime), some with
+  // budget in a single layer only. One result object is reused across
+  // calls, as the session reuses it.
+  sched::UnitMapResult res;
+  W4K_PROP("sched.unitmap-active-oracle", [&](Rng& rng) {
+    const std::size_t n_users = 1 + rng.below(12);
+    const std::size_t symbol_size = 64 << rng.below(3);
+    const int width = 16 * static_cast<int>(2 + rng.below(4));
+    const int height = 16 * static_cast<int>(2 + rng.below(4));
+    const auto units = sched::frame_units(width, height, symbol_size,
+                                          1 + rng.below(16));
+
+    const std::size_t n_groups = 1 + rng.below(80);
+    const double p_budget = rng.uniform(0.0, 0.3);
+    std::vector<sched::GroupSpec> groups(n_groups);
+    std::vector<sched::LayerArray> bytes(n_groups, sched::LayerArray{});
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      for (std::size_t u = 0; u < n_users; ++u)
+        if (rng.chance(0.4)) groups[g].members.push_back(u);
+      if (groups[g].members.empty())
+        groups[g].members.push_back(rng.below(n_users));
+      if (!rng.chance(p_budget)) {
+        // Zero budget, or bytes below one symbol (floors to zero).
+        if (rng.chance(0.5))
+          for (auto& b : bytes[g])
+            b = rng.uniform(0.0, static_cast<double>(symbol_size) - 1.0);
+        continue;
+      }
+      const bool one_layer = rng.chance(0.3);
+      const std::size_t only = rng.below(bytes[g].size());
+      for (std::size_t l = 0; l < bytes[g].size(); ++l)
+        if (!one_layer || l == only)
+          bytes[g][l] = rng.uniform(0.0, 60.0 * static_cast<double>(symbol_size));
+    }
+
+    sched::map_to_units_into(groups, bytes, units, n_users, symbol_size, res);
+    const auto want = oracle::map_to_units_full_scan(groups, bytes, units,
+                                                     n_users, symbol_size);
+    prop_assert(res.assignments.size() == want.assignments.size(),
+                "assignment count " + std::to_string(res.assignments.size()) +
+                    " != oracle " + std::to_string(want.assignments.size()));
+    for (std::size_t a = 0; a < want.assignments.size(); ++a) {
+      const auto& got = res.assignments[a];
+      const auto& exp = want.assignments[a];
+      prop_assert(got.group == exp.group && got.unit_index == exp.unit_index &&
+                      got.symbols == exp.symbols,
+                  "assignment " + std::to_string(a) + " differs from oracle");
+    }
+    prop_assert(res.user_symbols == want.user_symbols,
+                "user_symbols differ from oracle");
+    prop_assert(res.user_decodes == want.user_decodes,
+                "user_decodes differ from oracle");
+    prop_assert(res.leftover_symbols == want.leftover_symbols,
+                "leftover_symbols " + std::to_string(res.leftover_symbols) +
+                    " != oracle " + std::to_string(want.leftover_symbols));
   });
 }
 

@@ -15,6 +15,8 @@
 #include "core/runner.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
+#include "linalg/decompose.h"
+#include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -133,6 +135,65 @@ TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
       }
     }
   }
+}
+
+// Crowd scenario: 12 users (the hierarchy threshold, so the exhaustive
+// lattice of ~3.8k subsets runs), two of them walking. Each beacon
+// re-beamforms every subset holding a walker through the subset-lane
+// kernel — lanes bucketed by member count, refilled as they converge —
+// and that must stay off the heap too. As the walkers move, the number of
+// groups that clear the rate filter reaches new highs, and the group pool,
+// beam cache and allocator grow to each new high. So warmup here is one
+// pass over the walk, and the gate measures a second pass of the same
+// walk: every beacon again re-beamforms the walkers' subsets. Telemetry is
+// on (aggregation only) so the sched.beamform.lane_subsets counter can
+// show that the measured beacons really ran on lanes.
+TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
+  if (!alloc_count::counting_available())
+    GTEST_SKIP() << "W4K_COUNT_ALLOCS is off in this build";
+
+  channel::MovingReceiverConfig mc;
+  mc.n_users = 12;
+  mc.moving.assign(mc.n_users, false);
+  mc.moving[0] = mc.moving[1] = true;
+  mc.min_distance = 2.5;
+  mc.max_distance = 7.5;
+  mc.duration = 0.4;  // 4 beacons -> 12 frames at 3 frames/beacon
+  mc.seed = 4;
+  const channel::CsiTrace trace = channel::moving_receiver_trace(mc);
+  ASSERT_GT(trace.steps(), 3u);
+
+  obs::set_enabled(true);
+  obs::Counter& lanes =
+      obs::MetricsRegistry::global().counter("sched.beamform.lane_subsets");
+  MulticastSession session(SessionConfig::scaled(kW, kH), *quality_,
+                           beamforming::Codebook{});
+  const fault::FrameFaults no_faults;
+  FrameOutcome outcome;
+  int frame = 0;
+  std::uint64_t measured_lanes = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t t = 0; t < trace.steps(); ++t) {
+      const auto& truth = trace.snapshots[t];
+      const auto& decision = trace.snapshots[t > 0 ? t - 1 : 0];
+      for (int k = 0; k < 3; ++k, ++frame) {
+        const FrameContext& ctx =
+            (*contexts_)[static_cast<std::size_t>(frame) % contexts_->size()];
+        const std::uint64_t lanes_before = lanes.value();
+        const alloc_count::Scope scope;
+        session.step_into(decision, truth, ctx, no_faults, outcome);
+        if (pass == 1) {
+          EXPECT_EQ(scope.taken(), 0u)
+              << "frame " << frame << " of the crowd scenario hit the heap";
+          measured_lanes += lanes.value() - lanes_before;
+        }
+      }
+    }
+  }
+  obs::set_enabled(false);
+  if (linalg::subset_lane_width(gf256::active_tier()) > 1)
+    EXPECT_GT(measured_lanes, 0u)
+        << "no measured beacon ran on the subset lanes; gate is vacuous";
 }
 
 // Multi-AP + relay scenario: 2-AP stacks through step_multi_into, with a
