@@ -1,6 +1,7 @@
 // Scheduler scaling bench (the PR 5 fast path): wall-clock latency of
-// MulticastSession::decide() — group beamforming + Eq. 1 allocation +
-// Eq. 4 unit mapping — swept over user counts, static vs mobility CSI,
+// MulticastSession::decide_into() — group beamforming + Eq. 1 allocation
+// + Eq. 4 unit mapping, into one reused Decision as step_into runs it —
+// swept over user counts, static vs mobility CSI,
 // and fast path (beam cache + warm start) vs baseline (stateless
 // re-enumeration + cold multi-start every frame).
 //
@@ -21,8 +22,8 @@
 // N=12-mobility speedup headline). Rows whose baseline sweep is skipped
 // carry an explicit "baseline": "skipped" marker so downstream tooling
 // never mistakes absence for measurement. `--smoke` runs only the tier-1
-// gate: p99 decide() latency at N=32 mobile (deadline on) must stay under
-// 16.6 ms (half the frame budget); set W4K_SKIP_PERF_SMOKE=1 to skip
+// gate: p99 decide_into() latency at N=32 mobile (deadline on) must stay
+// under 16.6 ms (half the frame budget); set W4K_SKIP_PERF_SMOKE=1 to skip
 // (exit 77) on machines where wall-clock gates are meaningless (e.g.
 // heavily shared CI).
 #include "common.h"
@@ -67,7 +68,7 @@ struct MeasureSpec {
   std::size_t n_users = 4;
   bool mobile = false;
   bool fast = true;   ///< beam cache + warm start on
-  int n_frames = 30;  ///< measured decide() calls
+  int n_frames = 30;  ///< measured decide_into() calls
   /// Cold-start frames excluded from the stats: the first beacon pays the
   /// one-off full enumeration that every later frame amortizes (a real
   /// session pays it once at association, not per frame).
@@ -127,10 +128,11 @@ Latency measure(const MeasureSpec& spec) {
 
   std::vector<double> ms;
   ms.reserve(static_cast<std::size_t>(spec.n_frames));
+  core::MulticastSession::Decision d;
   for (std::size_t f = 0; f < per_frame.size(); ++f) {
     const auto& ctx = contexts[f % contexts.size()];
     const auto t0 = std::chrono::steady_clock::now();
-    const auto d = session.decide(per_frame[f], ctx, exclude);
+    session.decide_into(per_frame[f], ctx, exclude, d);
     const auto t1 = std::chrono::steady_clock::now();
     if (d.groups.empty()) {
       std::fprintf(stderr, "unexpected outage at frame %zu\n", f);
@@ -176,7 +178,8 @@ int run_smoke() {
   const Latency l = measure(spec);
   print_latency("N=32 mobile fast (ddl=14)", l);
   const bool ok = l.p99_ms < kBudgetMs;
-  std::printf("perf_smoke: decide() p99 %.3f ms %s %.1f ms budget: %s\n",
+  std::printf("perf_smoke: decide_into() p99 %.3f ms %s %.1f ms budget: "
+              "%s\n",
               l.p99_ms, ok ? "<" : ">=", kBudgetMs, ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }
@@ -190,7 +193,7 @@ int main(int argc, char** argv) {
   // Telemetry off: this binary measures the decision path itself.
   bench::BenchMain bm("bench_sched_scale", /*telemetry=*/false);
   bench::print_header(
-      "Scheduler scaling: decide() latency",
+      "Scheduler scaling: decide_into() latency",
       "the sender's per-frame decision must fit the 33.3 ms frame budget");
   bm.set("pool_threads",
          static_cast<std::int64_t>(ThreadPool::shared().size()));

@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
     cfg.engine.source_coding = !args.has("no-source-coding");
     cfg.adapt = !args.has("no-adapt");
     cfg.use_estimated_csi = args.has("estimated-csi");
-    // Anytime decision budget (ms). 0 (default) keeps decide() a pure
+    // Anytime decision budget (ms). 0 (default) keeps decide_into() a pure
     // function of its inputs; > 0 bounds the per-frame decision wall clock
     // (see SessionConfig::decide_deadline_ms).
     cfg.decide_deadline_ms = args.get("decide-deadline-ms", 0.0);

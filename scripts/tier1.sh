@@ -22,10 +22,14 @@
 #          property input, and every mutated parser input also executes
 #          under sanitizers.
 # Stage 3: rebuild with W4K_COUNT_ALLOCS=ON (counted operator new/delete)
-#          and run the zero-allocation frame-path gate: after warmup the
-#          pinned static4 and mobile scenarios (step_into) and a faulted
-#          2-AP handoff+relay scenario (step_multi_into) must perform
-#          zero heap allocations per frame (DESIGN.md Sec. 4g).
+#          and run the zero-allocation gates: the counter's own contract
+#          (AllocCount.*), then after warmup the pinned static4 and mobile
+#          scenarios (step_into) and a faulted 2-AP handoff+relay scenario
+#          (step_multi_into) must perform zero heap allocations per frame
+#          (DESIGN.md Sec. 4g), and so must the serving daemon's
+#          steady-state fan-out (ServeAllocGate.*, DESIGN.md Sec. 4j).
+#          Only tests_system and tests_serve hold gate suites, so only
+#          they are built there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,12 +63,10 @@ ctest --test-dir build-asan --output-on-failure -j"$jobs" -L fuzz-smoke
 ctest --test-dir build-asan --output-on-failure -L serve
 
 cmake -B build-alloc -S . -DW4K_COUNT_ALLOCS=ON
-cmake --build build-alloc -j"$jobs" \
-      --target tests_foundation tests_system tests_serve
+cmake --build build-alloc -j"$jobs" --target tests_system tests_serve
 # Run the gate suites directly (no ctest discovery pass for the side
-# build): the arena contract plus the per-frame zero-allocation gate,
+# build): the counter contract plus the per-frame zero-allocation gate,
 # which skip themselves everywhere except this counting build.
-./build-alloc/tests/tests_foundation --gtest_filter='FrameArena.*'
 ./build-alloc/tests/tests_system \
     --gtest_filter='AllocCount.*:AllocGateTest.*'
 # The daemon's steady-state fan-out (encode -> publish -> sendmmsg ->

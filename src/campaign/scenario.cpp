@@ -171,9 +171,9 @@ core::SessionConfig make_config(const ScenarioSpec& spec) {
   cfg.mcs_margin_db = spec.mcs_margin_db;
   cfg.quarantine_after = spec.quarantine_after;
   cfg.quarantine_reprobe_period = spec.quarantine_reprobe_period;
-  // decide_deadline_ms stays 0: a deadline makes decide() clock-dependent,
-  // and campaign summaries must be byte-stable across machines and worker
-  // partitions.
+  // decide_deadline_ms stays 0: a deadline makes decide_into()
+  // clock-dependent, and campaign summaries must be byte-stable across
+  // machines and worker partitions.
   if (spec.kind == CellKind::kMultiAp) {
     cfg.handoff.n_aps = spec.n_aps;
     cfg.handoff.enabled = true;

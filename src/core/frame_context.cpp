@@ -51,23 +51,6 @@ std::vector<FrameContext> make_contexts(const video::SyntheticVideo& clip,
   return out;
 }
 
-void reconstruct_from_units_into(const FrameContext& ctx,
-                                 const std::vector<bool>& unit_decoded,
-                                 video::ReconstructWorkspace& ws,
-                                 video::Frame& out) {
-  ws.begin(ctx.encoded.width, ctx.encoded.height);
-  for (std::size_t i = 0; i < ctx.units.size() && i < unit_decoded.size();
-       ++i) {
-    if (!unit_decoded[i]) continue;
-    const sched::UnitSpec& u = ctx.units[i];
-    const auto& src =
-        ctx.encoded.layers[u.id.layer][static_cast<std::size_t>(u.sublayer_k)];
-    ws.write(u.id.layer, u.sublayer_k, u.offset, src.data() + u.offset,
-             u.source_bytes);
-  }
-  ws.finish(out);
-}
-
 void reconstruct_luma_from_units_into(const FrameContext& ctx,
                                       const std::vector<bool>& unit_decoded,
                                       video::ReconstructWorkspace& ws,
@@ -93,8 +76,18 @@ void reconstruct_luma_from_units_into(const FrameContext& ctx,
 video::Frame reconstruct_from_units(const FrameContext& ctx,
                                     const std::vector<bool>& unit_decoded) {
   video::ReconstructWorkspace ws;
+  ws.begin(ctx.encoded.width, ctx.encoded.height);
+  for (std::size_t i = 0; i < ctx.units.size() && i < unit_decoded.size();
+       ++i) {
+    if (!unit_decoded[i]) continue;
+    const sched::UnitSpec& u = ctx.units[i];
+    const auto& src =
+        ctx.encoded.layers[u.id.layer][static_cast<std::size_t>(u.sublayer_k)];
+    ws.write(u.id.layer, u.sublayer_k, u.offset, src.data() + u.offset,
+             u.source_bytes);
+  }
   video::Frame out;
-  reconstruct_from_units_into(ctx, unit_decoded, ws, out);
+  ws.finish(out);
   return out;
 }
 

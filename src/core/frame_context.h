@@ -51,17 +51,10 @@ std::vector<FrameContext> make_contexts(const video::SyntheticVideo& clip,
                                             fec::kDefaultSymbolSize);
 
 /// Reconstructs the frame a user decoded: every decoded unit contributes
-/// its byte range of its sublayer.
+/// its byte range of its sublayer, spliced straight from ctx.encoded (no
+/// PartialFrame / Segment copies).
 video::Frame reconstruct_from_units(const FrameContext& ctx,
                                     const std::vector<bool>& unit_decoded);
-
-/// Allocation-free variant: splices each decoded unit's byte range straight
-/// from ctx.encoded into the workspace (no PartialFrame / Segment copies)
-/// and decodes into `out`. Bit-identical to reconstruct_from_units().
-void reconstruct_from_units_into(const FrameContext& ctx,
-                                 const std::vector<bool>& unit_decoded,
-                                 video::ReconstructWorkspace& ws,
-                                 video::Frame& out);
 
 /// Luma-only variant for scoring: splices only the luma slice of each
 /// decoded unit and decodes only Y into `out`. Bit-identical to

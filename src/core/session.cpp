@@ -219,21 +219,13 @@ bool all_finite(const std::vector<linalg::CVector>& channels) {
 
 }  // namespace
 
-MulticastSession::Decision MulticastSession::decide(
-    const std::vector<linalg::CVector>& channels, const FrameContext& ctx,
-    const std::vector<std::uint8_t>& exclude) {
-  Decision d;
-  decide_into(channels, ctx, exclude, d);
-  return d;
-}
-
 void MulticastSession::decide_into(
     const std::vector<linalg::CVector>& channels, const FrameContext& ctx,
     const std::vector<std::uint8_t>& exclude, Decision& d) {
   // Anytime budget: beamforming may defer optional merge candidates past
   // ~45% of the budget, the allocator returns best-so-far past ~90%, and
   // the remaining slack absorbs unit mapping. A zero deadline arms
-  // nothing — decide() then never reads the clock, which is what keeps
+  // nothing — decide_into() then never reads the clock, which is what keeps
   // its output a pure function of the inputs.
   sched::OptimizerConfig opt_cfg = cfg_.optimizer;
   std::optional<std::chrono::steady_clock::time_point> beam_deadline;
@@ -392,22 +384,6 @@ void MulticastSession::decide_into(
   }
 }
 
-FrameOutcome MulticastSession::step(
-    const std::vector<linalg::CVector>& decision_channels,
-    const std::vector<linalg::CVector>& true_channels,
-    const FrameContext& ctx) {
-  return step(decision_channels, true_channels, ctx, fault::FrameFaults{});
-}
-
-FrameOutcome MulticastSession::step(
-    const std::vector<linalg::CVector>& decision_channels,
-    const std::vector<linalg::CVector>& true_channels,
-    const FrameContext& ctx, const fault::FrameFaults& faults) {
-  FrameOutcome out;
-  step_into(decision_channels, true_channels, ctx, faults, out);
-  return out;
-}
-
 void MulticastSession::step_into(
     const std::vector<linalg::CVector>& decision_channels,
     const std::vector<linalg::CVector>& true_channels,
@@ -550,7 +526,11 @@ void MulticastSession::step_into(
 
   const Decision* decision = nullptr;
   if (!cfg_.adapt) {
-    if (!frozen_) frozen_ = decide(*decision_csi, ctx, exclude_);
+    if (!frozen_) {
+      Decision first;
+      decide_into(*decision_csi, ctx, exclude_, first);
+      frozen_ = std::move(first);
+    }
     decision = &*frozen_;
   } else {
     decide_into(*decision_csi, ctx, exclude_, decision_);

@@ -66,9 +66,9 @@ struct SessionConfig {
   emu::EngineConfig engine;
   sched::GroupEnumConfig group_enum;
   sched::OptimizerConfig optimizer;
-  /// Anytime wall-clock budget for decide(), in milliseconds. 0 (the
-  /// default) disables the deadline entirely: decide() reads no clock and
-  /// its output is a pure function of the inputs (the golden/purity
+  /// Anytime wall-clock budget for decide_into(), in milliseconds. 0 (the
+  /// default) disables the deadline entirely: decide_into() reads no clock
+  /// and its output is a pure function of the inputs (the golden/purity
   /// determinism contract). When > 0, candidate beamforming stops
   /// deferring optional merge subsets at ~45% of the budget and the Eq. 1
   /// optimizer returns its best plan so far at ~90%, so the whole
@@ -202,34 +202,26 @@ class MulticastSession {
 
   const SessionConfig& config() const { return cfg_; }
 
-  /// Streams one frame. `decision_channels` is the CSI the sender acts on
-  /// (last beacon); `true_channels` is the channel during transmission.
-  /// In No-Update mode the decision made on the first call is reused
-  /// forever (matching the paper's baseline).
-  FrameOutcome step(const std::vector<linalg::CVector>& decision_channels,
-                    const std::vector<linalg::CVector>& true_channels,
-                    const FrameContext& ctx);
-
-  /// Fault-aware variant: `faults` is this frame's resolved fault state
+  /// Streams one frame into a caller-owned outcome whose vectors reuse
+  /// their capacity across frames. `decision_channels` is the CSI the
+  /// sender acts on (last beacon); `true_channels` is the channel during
+  /// transmission. In No-Update mode the decision made on the first call is
+  /// reused forever (matching the paper's baseline).
+  ///
+  /// `faults` is this frame's resolved fault state
   /// (fault::FaultInjector::at). The session walks the degradation ladder
   /// instead of assuming the fault never happens: lost feedback → blind
   /// makeup with capped backoff; stale/corrupt CSI → hold the last good
   /// beamweights and back the MCS off; persistent per-user outage →
   /// quarantine from the group optimizer with periodic re-probe; collapsed
   /// budget → shed enhancement layers, always attempting the base layer;
-  /// churn → departed users drop out of the optimizer and the report.
-  /// A default-constructed FrameFaults reproduces the 3-argument overload
-  /// bit-identically.
-  FrameOutcome step(const std::vector<linalg::CVector>& decision_channels,
-                    const std::vector<linalg::CVector>& true_channels,
-                    const FrameContext& ctx, const fault::FrameFaults& faults);
-
-  /// The frame path proper, writing into a caller-owned outcome whose
-  /// vectors reuse their capacity across frames. Together with the
-  /// session's internal workspaces (scheduler enumeration buffers, engine
-  /// scratch, reconstruction workspace) a steady-state frame performs zero
-  /// heap allocations (the W4K_COUNT_ALLOCS tier-1 gate). Bit-identical to
-  /// step(); both step overloads are thin wrappers over this.
+  /// churn → departed users drop out of the optimizer and the report. A
+  /// default-constructed FrameFaults is the fault-free frame.
+  ///
+  /// Together with the session's internal workspaces (scheduler
+  /// enumeration buffers, engine scratch, reconstruction workspace) a
+  /// steady-state frame performs zero heap allocations (the
+  /// W4K_COUNT_ALLOCS tier-1 gate).
   void step_into(const std::vector<linalg::CVector>& decision_channels,
                  const std::vector<linalg::CVector>& true_channels,
                  const FrameContext& ctx, const fault::FrameFaults& faults,
@@ -263,17 +255,13 @@ class MulticastSession {
   };
 
   /// Runs the per-frame decision pipeline (group beamforming -> Eq. 1 time
-  /// allocation -> Eq. 4 unit mapping) without transmitting. Public so the
-  /// scheduler-scaling bench can time exactly this path; step() calls it
-  /// internally. Mutates the beam cache and warm-start state.
-  Decision decide(const std::vector<linalg::CVector>& channels,
-                  const FrameContext& ctx,
-                  const std::vector<std::uint8_t>& exclude);
-
-  /// decide() writing into a caller-owned Decision. Reused decisions
-  /// copy-assign the emitted groups / allocation / unit map over the
-  /// previous frame's containers, so the whole decision pipeline reuses
-  /// capacity in steady state. Bit-identical to decide().
+  /// allocation -> Eq. 4 unit mapping) without transmitting, writing into
+  /// a caller-owned Decision. Public so the scheduler-scaling bench can
+  /// time exactly this path; step_into() calls it internally. Mutates the
+  /// beam cache and warm-start state. A reused Decision copy-assigns the
+  /// emitted groups / allocation / unit map over the previous frame's
+  /// containers, so the whole decision pipeline reuses capacity in steady
+  /// state.
   void decide_into(const std::vector<linalg::CVector>& channels,
                    const FrameContext& ctx,
                    const std::vector<std::uint8_t>& exclude, Decision& d);

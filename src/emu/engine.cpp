@@ -17,26 +17,6 @@ TxEngine::TxEngine(const EngineConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument("TxEngine: zero queue capacity");
 }
 
-FrameTxResult TxEngine::run_frame(
-    const std::vector<sched::UnitSpec>& units,
-    const std::vector<sched::UnitAssignment>& assignments,
-    const std::vector<GroupTx>& groups, std::size_t n_users, Rng& rng,
-    const FrameFaultState& faults) {
-  FrameTxResult res;
-  run_frame_into(units, assignments, groups, n_users, rng, faults, res);
-  return res;
-}
-
-void TxEngine::run_frame_into(
-    const std::vector<sched::UnitSpec>& units,
-    const std::vector<sched::UnitAssignment>& assignments,
-    const std::vector<GroupTx>& groups, std::size_t n_users, Rng& rng,
-    const FrameFaultState& faults, FrameTxResult& res) {
-  static const std::vector<RelayLink> kNoRelays;
-  run_frame_into(units, assignments, groups, n_users, rng, faults, kNoRelays,
-                 res);
-}
-
 void TxEngine::run_frame_into(
     const std::vector<sched::UnitSpec>& units,
     const std::vector<sched::UnitAssignment>& assignments,
@@ -45,7 +25,8 @@ void TxEngine::run_frame_into(
     FrameTxResult& res) {
   const std::size_t wire = cfg_.header_bytes + cfg_.symbol_size;
   if (!(faults.budget_scale > 0.0 && faults.budget_scale <= 1.0))
-    throw std::invalid_argument("run_frame: budget_scale outside (0, 1]");
+    throw std::invalid_argument(
+        "run_frame_into: budget_scale outside (0, 1]");
   // A collapsed transmit budget shrinks the whole frame deadline: the
   // radio simply is not available past this point.
   const Seconds budget = cfg_.frame_budget * faults.budget_scale;
@@ -242,7 +223,7 @@ void TxEngine::run_frame_into(
     obs::StageSpan span(st);
     for (const auto& a : assignments) {
       if (a.group >= groups.size())
-        throw std::invalid_argument("run_frame: assignment references "
+        throw std::invalid_argument("run_frame_into: assignment references "
                                     "unknown group");
       for (std::size_t s = 0; s < a.symbols && budget_left; ++s)
         budget_left = send_packet(a.group, a.unit_index, /*makeup=*/false);
@@ -337,7 +318,7 @@ void TxEngine::run_frame_into(
     for (const auto& rl : relays) {
       if (rl.relayer >= n_users || rl.target >= n_users ||
           rl.relayer == rl.target)
-        throw std::invalid_argument("run_frame: bad relay link");
+        throw std::invalid_argument("run_frame_into: bad relay link");
       if (rl.rate.value <= 0.0) continue;
       const Seconds air = rl.rate.seconds_for(static_cast<double>(wire));
       for (std::size_t ui = 0; ui < units.size(); ++ui) {

@@ -102,10 +102,10 @@ struct RelayLink {
   double loss = 0.0;  ///< per-symbol delivery loss on the side link
 };
 
-/// Per-frame fault state handed to run_frame by the hardened session: a
-/// collapsed transmit budget and the set of users whose feedback report
+/// Per-frame fault state handed to run_frame_into by the hardened session:
+/// a collapsed transmit budget and the set of users whose feedback report
 /// never reached the sender this frame. Default-constructed = no faults,
-/// and run_frame with the defaults is bit-identical to the pre-fault
+/// and run_frame_into with the defaults is bit-identical to the pre-fault
 /// engine.
 struct FrameFaultState {
   std::uint32_t frame_id = 0;
@@ -127,31 +127,17 @@ class TxEngine {
 
   const EngineConfig& config() const { return cfg_; }
 
-  /// Simulates one frame. `units` and `assignments` come from
-  /// sched::frame_units / sched::map_to_units; `groups` must cover every
-  /// group index referenced by the assignments. `faults` (optional)
-  /// collapses the budget and silences per-user feedback for this frame.
-  FrameTxResult run_frame(const std::vector<sched::UnitSpec>& units,
-                          const std::vector<sched::UnitAssignment>& assignments,
-                          const std::vector<GroupTx>& groups,
-                          std::size_t n_users, Rng& rng,
-                          const FrameFaultState& faults = {});
-
-  /// Same simulation writing into a caller-owned result. Both the result's
-  /// per-user rows and the engine's internal scratch (reception state,
-  /// packet queue, buckets, feedback collector) reuse their capacity
-  /// across frames, so a steady-state frame performs zero heap
-  /// allocations. Bit-identical to run_frame().
-  void run_frame_into(const std::vector<sched::UnitSpec>& units,
-                      const std::vector<sched::UnitAssignment>& assignments,
-                      const std::vector<GroupTx>& groups, std::size_t n_users,
-                      Rng& rng, const FrameFaultState& faults,
-                      FrameTxResult& res);
-
-  /// Relay-aware variant: after the makeup rounds, each RelayLink forwards
-  /// the target's base-layer deficit (re-encoded by the relayer) within
-  /// whatever frame budget remains. With `relays` empty this is
-  /// bit-identical to the overload above — same RNG stream, same output.
+  /// Simulates one frame into a caller-owned result. `units` and
+  /// `assignments` come from sched::frame_units / sched::map_to_units;
+  /// `groups` must cover every group index referenced by the assignments.
+  /// `faults` collapses the budget and silences per-user feedback for this
+  /// frame (default-constructed = no faults). After the makeup rounds, each
+  /// RelayLink in `relays` (usually empty) forwards the target's base-layer
+  /// deficit, re-encoded by the relayer, within whatever frame budget
+  /// remains. Both the result's per-user rows and the engine's internal
+  /// scratch (reception state, packet queue, buckets, feedback collector)
+  /// reuse their capacity across frames, so a steady-state frame performs
+  /// zero heap allocations.
   void run_frame_into(const std::vector<sched::UnitSpec>& units,
                       const std::vector<sched::UnitAssignment>& assignments,
                       const std::vector<GroupTx>& groups, std::size_t n_users,

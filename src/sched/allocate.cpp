@@ -10,7 +10,7 @@
 #include <numeric>
 #include <stdexcept>
 
-// The optimizer runs on the session's decide() thread (never on the
+// The optimizer runs on the session's decide_into() thread (never on the
 // ThreadPool), so its working sets live in thread_local never-shrinking
 // buffers: after a few warmup frames every evaluate/gradient/refine pass
 // reuses capacity and the whole optimization performs zero heap

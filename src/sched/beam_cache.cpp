@@ -127,13 +127,4 @@ std::span<const GroupSpec> BeamCache::enumerate_into(
   return ws.emitted();
 }
 
-std::vector<GroupSpec> BeamCache::enumerate(
-    const std::vector<linalg::CVector>& channels,
-    const beamforming::Codebook& codebook, const GroupEnumConfig& cfg,
-    ThreadPool* pool) {
-  SchedWorkspace ws;
-  const auto emitted = enumerate_into(channels, codebook, cfg, pool, ws);
-  return {emitted.begin(), emitted.end()};
-}
-
 }  // namespace w4k::sched

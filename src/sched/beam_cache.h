@@ -44,9 +44,9 @@ class BeamCache {
   BeamCache(beamforming::Scheme scheme, std::uint64_t beam_seed)
       : scheme_(scheme), beam_seed_(beam_seed) {}
 
-  /// Enumerates candidate groups exactly like
-  /// enumerate_groups(scheme, channels, codebook, beam_seed, cfg) —
-  /// bit-identical output, asserted by the property suite — but reuses
+  /// Enumerates candidate groups exactly like the stateless
+  /// enumerate_groups(scheme, channels, codebook, beam_seed, cfg, pool, ws)
+  /// — bit-identical output, asserted by the property suite — but reuses
   /// cached beams for every subset whose members' channels are unchanged
   /// since the previous call. `pool` (optional) parallelizes the misses,
   /// which are beamformed in the candidate plan's priority order so a
@@ -60,15 +60,6 @@ class BeamCache {
       const std::vector<linalg::CVector>& channels,
       const beamforming::Codebook& codebook, const GroupEnumConfig& cfg,
       ThreadPool* pool, SchedWorkspace& ws);
-
-  /// Allocating forwarder kept for source compatibility; builds a private
-  /// workspace per call and copies the emitted groups out.
-  [[deprecated("use enumerate_into with a SchedWorkspace; this forwarder "
-               "allocates a fresh workspace and result vector every call")]]
-  std::vector<GroupSpec> enumerate(
-      const std::vector<linalg::CVector>& channels,
-      const beamforming::Codebook& codebook, const GroupEnumConfig& cfg,
-      ThreadPool* pool = nullptr);
 
   /// Drops every cached beam and the remembered channels (session reset).
   void clear();

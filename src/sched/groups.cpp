@@ -403,19 +403,6 @@ void beamform_subsets(beamforming::Scheme scheme,
                     ws, out);
 }
 
-std::vector<beamforming::GroupBeam> beamform_subsets(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const std::vector<GroupMask>& masks,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    ThreadPool* pool) {
-  SchedWorkspace ws;
-  std::vector<beamforming::GroupBeam> beams(masks.size());
-  beamform_subsets(scheme, user_channels, masks, codebook, beam_seed, pool,
-                   ws, beams);
-  return beams;
-}
-
 void beamform_priority_into(
     beamforming::Scheme scheme,
     const std::vector<linalg::CVector>& user_channels,
@@ -464,25 +451,6 @@ void beamform_priority_into(
     }
   }
   ws.deferred = masks.size() - pos;
-}
-
-BatchResult beamform_priority(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const std::vector<GroupMask>& masks, std::size_t mandatory,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    ThreadPool* pool) {
-  SchedWorkspace ws;
-  beamform_priority_into(scheme, user_channels, masks, mandatory, deadline,
-                         codebook, beam_seed, pool, ws);
-  BatchResult res;
-  res.beams.resize(masks.size());
-  for (std::size_t i = 0; i < masks.size(); ++i)
-    res.beams[i] = std::move(ws.beams[i]);
-  res.done.assign(ws.done.begin(), ws.done.begin() + masks.size());
-  res.deferred = ws.deferred;
-  return res;
 }
 
 void note_anytime(const CandidatePlan& plan, std::size_t beamformed,
@@ -540,28 +508,6 @@ std::span<const GroupSpec> enumerate_groups(
     g.beam = *beam;
   }
   return ws.emitted();
-}
-
-std::vector<GroupSpec> enumerate_groups(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    const GroupEnumConfig& cfg, ThreadPool* pool) {
-  SchedWorkspace ws;
-  const auto emitted = enumerate_groups(scheme, user_channels, codebook,
-                                        beam_seed, cfg, pool, ws);
-  return {emitted.begin(), emitted.end()};
-}
-
-std::vector<GroupSpec> enumerate_groups(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const beamforming::Codebook& codebook, Rng& rng,
-    const GroupEnumConfig& cfg) {
-  SchedWorkspace ws;
-  const auto emitted = enumerate_groups(scheme, user_channels, codebook,
-                                        rng.next(), cfg, nullptr, ws);
-  return {emitted.begin(), emitted.end()};
 }
 
 }  // namespace w4k::sched

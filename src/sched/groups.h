@@ -30,7 +30,6 @@
 #pragma once
 
 #include "beamforming/multicast.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 
 #include <chrono>
@@ -114,8 +113,8 @@ std::vector<GroupMask> admissible_masks(beamforming::Scheme scheme,
                                         std::size_t n,
                                         const GroupEnumConfig& cfg);
 
-/// The candidate set decide() will consider this frame, bound-pruned and
-/// ordered for the anytime loop.
+/// The candidate set decide_into() will consider this frame, bound-pruned
+/// and ordered for the anytime loop.
 struct CandidatePlan {
   /// Bound-surviving candidate masks, ascending (the emission order).
   std::vector<GroupMask> masks;
@@ -166,38 +165,13 @@ void beamform_subsets(beamforming::Scheme scheme,
                       SchedWorkspace& ws,
                       std::span<beamforming::GroupBeam> out);
 
-/// Allocating forwarder kept for source compatibility; builds a private
-/// workspace per call.
-[[deprecated("use the SchedWorkspace overload; this forwarder allocates a "
-             "fresh workspace and result vector every call")]]
-std::vector<beamforming::GroupBeam> beamform_subsets(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const std::vector<GroupMask>& masks,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    ThreadPool* pool);
-
 /// Deadline-aware batch driver shared by enumerate_groups and BeamCache:
 /// beamforms `masks` front to back (they must already be in beamforming
 /// priority order). The first `mandatory` entries always run; the rest run
 /// in small batches with a clock check between batches once `deadline` is
-/// set. done[i] == 0 marks a deferred subset.
-struct BatchResult {
-  std::vector<beamforming::GroupBeam> beams;
-  std::vector<std::uint8_t> done;
-  std::size_t deferred = 0;
-};
-BatchResult beamform_priority(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const std::vector<GroupMask>& masks, std::size_t mandatory,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    ThreadPool* pool);
-
-/// Workspace form of beamform_priority: results land in ws.beams /
-/// ws.done / ws.deferred (never-shrinking), and each batch is handed to
-/// beamform_subsets as a subspan — no per-batch mask copies.
+/// set. Results land in ws.beams / ws.done / ws.deferred (never-shrinking;
+/// ws.done[i] == 0 marks a deferred subset), and each batch is handed to
+/// the beamformer as a subspan — no per-batch mask copies.
 void beamform_priority_into(
     beamforming::Scheme scheme,
     const std::vector<linalg::CVector>& user_channels,
@@ -233,26 +207,5 @@ std::span<const GroupSpec> enumerate_groups(
     const std::vector<linalg::CVector>& user_channels,
     const beamforming::Codebook& codebook, std::uint64_t beam_seed,
     const GroupEnumConfig& cfg, ThreadPool* pool, SchedWorkspace& ws);
-
-/// Allocating forwarder kept for source compatibility; builds a private
-/// workspace per call and copies the emitted groups out.
-[[deprecated("use the SchedWorkspace overload; this forwarder allocates a "
-             "fresh workspace and result vector every call")]]
-std::vector<GroupSpec> enumerate_groups(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    const GroupEnumConfig& cfg = {}, ThreadPool* pool = nullptr);
-
-/// Legacy entry point: draws a beam seed from `rng` (one next() call) and
-/// delegates to the seed-based overload above, so existing callers keep
-/// their shape while still getting decoupled per-subset streams.
-[[deprecated("use the SchedWorkspace overload; this forwarder allocates a "
-             "fresh workspace and result vector every call")]]
-std::vector<GroupSpec> enumerate_groups(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const beamforming::Codebook& codebook, Rng& rng,
-    const GroupEnumConfig& cfg = {});
 
 }  // namespace w4k::sched

@@ -4,15 +4,15 @@
 // ever grows: candidate plans, the normalized user rows with their Gram
 // and the subset-lane kernel's problems, results and per-chunk scratch,
 // beam/done scratch for the deadline batcher, and the GroupSpec output
-// pool that enumerate_groups_into returns a span over.
+// pool that enumerate_groups returns a span over.
 // After a few warmup frames every vector has reached its steady-state
 // capacity and the whole enumerate -> beamform -> emit pipeline performs
 // zero heap allocations (asserted by the W4K_COUNT_ALLOCS tier-1 gate).
 //
 // Ownership rule: the workspace belongs to the session (or bench/test
-// driver) that owns the frame loop, one per concurrent decide() caller —
+// driver) that owns the frame loop, one per concurrent decide_into() caller —
 // it is NOT thread-safe and must not be shared across sessions. Spans
-// returned by the _into functions point into the workspace and are
+// returned by the enumeration functions point into the workspace and are
 // invalidated by the next call that takes the same workspace.
 #pragma once
 
@@ -73,7 +73,7 @@ struct SchedWorkspace {
   std::vector<GroupSpec> groups;       ///< emitted-group pool, never shrunk
   std::size_t group_count = 0;         ///< live prefix of `groups`
 
-  /// The groups emitted by the last enumerate_groups_into /
+  /// The groups emitted by the last enumerate_groups /
   /// BeamCache::enumerate_into call on this workspace.
   std::span<const GroupSpec> emitted() const {
     return {groups.data(), group_count};

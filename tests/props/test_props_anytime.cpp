@@ -1,7 +1,7 @@
 // Property suite: the anytime scheduler's two contracts.
 //
 // (a) Feasibility under any deadline: with decide_deadline_ms set to
-//     anything >= 1 ms, decide() still returns a plan in which every
+//     anything >= 1 ms, decide_into() still yields a plan in which every
 //     reachable user is a member of some candidate group AND receives
 //     positive airtime — the singleton prefix and coverage repair
 //     guarantee base-layer service no matter how hard the clock cuts.
@@ -149,8 +149,8 @@ TEST_F(AnytimeSessionTest, DeadlineBoundedDecideAlwaysServesEveryUser) {
     core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
     const auto channels = random_channels(rng, n);
     const std::vector<std::uint8_t> exclude(n, 0);
-    const auto d =
-        session.decide(channels, contexts_->front(), exclude);
+    core::MulticastSession::Decision d;
+    session.decide_into(channels, contexts_->front(), exclude, d);
 
     prop_assert(!d.groups.empty(), "deadline produced an empty plan");
     double total_time = 0.0;

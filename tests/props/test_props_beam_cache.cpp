@@ -7,21 +7,17 @@
 //     stateless enumeration exactly.
 // (b) At the session level, beam_cache on/off and W4K_THREADS 1/4 produce
 //     byte-identical SessionReport JSON on a mobility trace.
-//
-// The suite deliberately drives the deprecated allocating overloads (and
-// BeamCache::enumerate): they are the compat surface whose bit-identity to
-// the SchedWorkspace path these properties pin down.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
+
 #include "channel/mobility.h"
 #include "core/pretrained.h"
 #include "core/runner.h"
 #include "sched/beam_cache.h"
+#include "sched/workspace.h"
 #include "support/proptest.h"
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -64,8 +60,8 @@ bool same_beam(const beamforming::GroupBeam& a,
   return true;
 }
 
-void expect_same_groups(const std::vector<sched::GroupSpec>& a,
-                        const std::vector<sched::GroupSpec>& b,
+void expect_same_groups(std::span<const sched::GroupSpec> a,
+                        std::span<const sched::GroupSpec> b,
                         const std::string& what) {
   prop_assert(a.size() == b.size(),
               what + ": group count " + std::to_string(a.size()) + " vs " +
@@ -85,11 +81,14 @@ TEST(PropsBeamCache, FilterKnobsNeverPerturbSurvivingBeams) {
     const auto channels = random_channels(rng, n);
     const std::uint64_t seed = rng.next();
     const auto scheme = beamforming::Scheme::kOptimizedMulticast;
-    const auto full = sched::enumerate_groups(scheme, channels,
-                                              beamforming::Codebook{}, seed);
+    sched::SchedWorkspace ws_full, ws_filtered;
+    const auto full =
+        sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
+                                seed, {}, nullptr, ws_full);
     const auto cfg = random_filter(rng, n);
-    const auto filtered = sched::enumerate_groups(
-        scheme, channels, beamforming::Codebook{}, seed, cfg);
+    const auto filtered =
+        sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
+                                seed, cfg, nullptr, ws_filtered);
     for (const auto& g : filtered) {
       const sched::GroupSpec* match = nullptr;
       for (const auto& f : full)
@@ -111,6 +110,8 @@ TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
     const auto scheme = beamforming::Scheme::kOptimizedMulticast;
     sched::BeamCache cache(scheme, seed);
     ThreadPool pool(3);
+    // One workspace per side, reused across steps like a session's.
+    sched::SchedWorkspace ws_cached, ws_fresh;
     auto channels = random_channels(rng, n);
     for (int step = 0; step < 4; ++step) {
       // Perturb a random subset of users (possibly none: the all-hit case).
@@ -123,10 +124,11 @@ TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
         }
       const auto cfg = random_filter(rng, n);
       ThreadPool* p = rng.chance(0.5) ? &pool : nullptr;
-      const auto cached =
-          cache.enumerate(channels, beamforming::Codebook{}, cfg, p);
-      const auto fresh = sched::enumerate_groups(
-          scheme, channels, beamforming::Codebook{}, seed, cfg);
+      const auto cached = cache.enumerate_into(
+          channels, beamforming::Codebook{}, cfg, p, ws_cached);
+      const auto fresh =
+          sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
+                                  seed, cfg, nullptr, ws_fresh);
       expect_same_groups(cached, fresh,
                          "step " + std::to_string(step));
     }

@@ -1,14 +1,15 @@
 // Property suite: the zero-allocation frame path is an implementation
 // detail, not a behavior change.
 //
-// The workspace-reusing surface (step_into / decide_into, one FrameOutcome
-// and one set of session workspaces reused across every frame) must produce
-// a byte-identical SessionReport to the allocating wrappers (step / decide
-// constructing fresh objects per call), for any placement, across
-// W4K_THREADS 1 and 4, and with the decide deadline off (single-batch
-// enumeration, zero clock reads) and on (batched enumeration with clock
-// checks between batches; the bound is generous so no candidate is ever
-// cut and the output stays deterministic).
+// Reusing one FrameOutcome across every frame (as the session's own frame
+// loop does, together with its internal workspaces) must produce a
+// byte-identical SessionReport to handing step_into a fresh FrameOutcome
+// every frame — i.e. a reused outcome carries nothing over from the
+// previous frame — for any placement, across W4K_THREADS 1 and 4, and
+// with the decide deadline off (single-batch enumeration, zero clock
+// reads) and on (batched enumeration with clock checks between batches;
+// the bound is generous so no candidate is ever cut and the output stays
+// deterministic).
 #include "common/thread_pool.h"
 #include "core/pretrained.h"
 #include "core/runner.h"
@@ -26,7 +27,7 @@ namespace {
 
 using proptest::prop_assert;
 
-class ArenaEquivalenceTest : public ::testing::Test {
+class WorkspaceEquivalenceTest : public ::testing::Test {
  protected:
   static constexpr int kW = 256;
   static constexpr int kH = 144;
@@ -55,8 +56,8 @@ class ArenaEquivalenceTest : public ::testing::Test {
   static std::vector<core::FrameContext>* contexts_;
 };
 
-model::QualityModel* ArenaEquivalenceTest::quality_ = nullptr;
-std::vector<core::FrameContext>* ArenaEquivalenceTest::contexts_ = nullptr;
+model::QualityModel* WorkspaceEquivalenceTest::quality_ = nullptr;
+std::vector<core::FrameContext>* WorkspaceEquivalenceTest::contexts_ = nullptr;
 
 constexpr int kFrames = 4;
 
@@ -81,8 +82,8 @@ std::string run_reused(model::QualityModel& quality,
   return os.str();
 }
 
-// Allocating path: the compat wrappers construct a fresh FrameOutcome (and
-// a fresh Decision inside decide()) on every call.
+// Fresh path: step_into writes every frame into a newly constructed
+// FrameOutcome, so nothing can leak from the previous frame's outcome.
 std::string run_fresh(model::QualityModel& quality,
                       const std::vector<core::FrameContext>& contexts,
                       const std::vector<linalg::CVector>& channels,
@@ -92,7 +93,8 @@ std::string run_fresh(model::QualityModel& quality,
   for (int f = 0; f < kFrames; ++f) {
     const core::FrameContext& ctx =
         contexts[static_cast<std::size_t>(f) % contexts.size()];
-    const core::FrameOutcome out = session.step(channels, channels, ctx);
+    core::FrameOutcome out;
+    session.step_into(channels, channels, ctx, fault::FrameFaults{}, out);
     report.add(out);
   }
   std::ostringstream os;
@@ -100,15 +102,15 @@ std::string run_fresh(model::QualityModel& quality,
   return os.str();
 }
 
-TEST_F(ArenaEquivalenceTest, ReusedAndFreshPathsByteIdentical) {
+TEST_F(WorkspaceEquivalenceTest, ReusedAndFreshPathsByteIdentical) {
   // Each iteration runs eight full sessions (2 deadlines x 2 thread counts
-  // x 2 API styles), so scale the iteration count down by 10x from the
+  // x reused/fresh outcome), so scale the iteration count down by 10x from the
   // W4K_PROP_ITERS baseline — the env knob still raises it proportionally.
   proptest::Options opts = proptest::options_from_env();
   if (!opts.has_replay_seed)
     opts.iterations = std::max(3, opts.iterations / 10);
   const auto res = proptest::check_property(
-      "core.arena.report-equivalence",
+      "core.workspace.report-equivalence",
       [](Rng& rng) {
         const std::size_t n = 2 + rng.below(4);  // 2..5 users
         const std::uint64_t seed = rng.next();
@@ -134,11 +136,11 @@ TEST_F(ArenaEquivalenceTest, ReusedAndFreshPathsByteIdentical) {
           const std::string what =
               deadline_ms > 0.0 ? " (deadline on)" : " (deadline off)";
           prop_assert(reused_1t == fresh_1t,
-                      "workspace path diverged from the allocating "
-                      "wrappers at 1 thread" + what);
+                      "reused outcome diverged from fresh outcomes "
+                      "at 1 thread" + what);
           prop_assert(reused_4t == fresh_4t,
-                      "workspace path diverged from the allocating "
-                      "wrappers at 4 threads" + what);
+                      "reused outcome diverged from fresh outcomes "
+                      "at 4 threads" + what);
           prop_assert(reused_1t == reused_4t,
                       "thread count changed the workspace-path report" +
                           what);

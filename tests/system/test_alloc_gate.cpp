@@ -2,10 +2,10 @@
 //
 // Under `cmake -DW4K_COUNT_ALLOCS=ON` the global operator new/delete are
 // counted (all threads, including ThreadPool workers). These tests pin the
-// tentpole contract: after a 3-frame warmup has sized every workspace and
-// arena page, MulticastSession::step_into performs ZERO heap allocations
-// per frame — on the pinned static 4-user placement and on a mobility
-// trace whose channels churn every beacon. In a normal build the counters
+// contract: after a 3-frame warmup has sized every workspace,
+// MulticastSession::step_into performs ZERO heap allocations per frame —
+// on the pinned static 4-user placement and on a mobility trace whose
+// channels churn every beacon. In a normal build the counters
 // are inert, so the gate skips instead of reporting a vacuous pass.
 #include "common/alloc_count.h"
 
@@ -101,9 +101,10 @@ TEST_F(AllocGateTest, StaticFourUsersZeroAllocsPerFrameAfterWarmup) {
   }
 }
 
-// Mobility scenario: two walkers, CSI changing every beacon — the decide()
-// path re-enumerates groups and re-optimizes each frame, and the engine
-// sees different loss patterns. Still zero heap traffic after warmup.
+// Mobility scenario: two walkers, CSI changing every beacon — the
+// decide_into() path re-enumerates groups and re-optimizes each frame, and
+// the engine sees different loss patterns. Still zero heap traffic after
+// warmup.
 TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
   if (!alloc_count::counting_available())
     GTEST_SKIP() << "W4K_COUNT_ALLOCS is off in this build";

@@ -53,8 +53,9 @@ TEST(Engine, PerfectLinkDeliversEverything) {
   const auto units = make_units(10, 20);
   TxEngine engine(fast_config());
   Rng rng(1);
-  const auto res = engine.run_frame(units, full_assignments(units),
-                                    {perfect_group({0, 1})}, 2, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units), {perfect_group({0, 1})},
+                        2, rng, {}, {}, res);
   for (std::size_t u = 0; u < 2; ++u)
     for (std::size_t i = 0; i < units.size(); ++i)
       EXPECT_TRUE(res.user_decoded[u][i]) << u << "," << i;
@@ -70,8 +71,9 @@ TEST(Engine, LossRecoveredByMakeupRounds) {
   GroupTx g = perfect_group({0, 1});
   g.member_loss = {0.1, 0.15};  // heavy but recoverable
   Rng rng(2);
-  const auto res =
-      engine.run_frame(units, full_assignments(units), {g}, 2, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units), {g}, 2, rng, {}, {},
+                        res);
   EXPECT_GT(res.stats.makeup_packets, 0u);
   std::size_t decoded = 0;
   for (std::size_t u = 0; u < 2; ++u)
@@ -88,8 +90,9 @@ TEST(Engine, NoFeedbackMeansLossesStick) {
   GroupTx g = perfect_group({0});
   g.member_loss = {0.2};
   Rng rng(3);
-  const auto res =
-      engine.run_frame(units, full_assignments(units), {g}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units), {g}, 1, rng, {}, {},
+                        res);
   std::size_t decoded = 0;
   for (std::size_t i = 0; i < units.size(); ++i)
     decoded += res.user_decoded[0][i] ? 1 : 0;
@@ -102,8 +105,9 @@ TEST(Engine, BudgetLimitsDelivery) {
   const auto units = make_units(100, 20);
   TxEngine engine(fast_config());
   Rng rng(4);
-  const auto res = engine.run_frame(units, full_assignments(units),
-                                    {perfect_group({0}, 10.0)}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units),
+                        {perfect_group({0}, 10.0)}, 1, rng, {}, {}, res);
   std::size_t decoded = 0;
   for (std::size_t i = 0; i < units.size(); ++i)
     decoded += res.user_decoded[0][i] ? 1 : 0;
@@ -129,10 +133,11 @@ TEST(Engine, SourceCodingOffDuplicatesAcrossGroups) {
   without.source_coding = false;
 
   Rng rng1(5), rng2(5);
-  const auto res_with =
-      TxEngine(with).run_frame(units, a, groups, 3, rng1);
-  const auto res_without =
-      TxEngine(without).run_frame(units, a, groups, 3, rng2);
+  FrameTxResult res_with;
+  TxEngine(with).run_frame_into(units, a, groups, 3, rng1, {}, {}, res_with);
+  FrameTxResult res_without;
+  TxEngine(without).run_frame_into(units, a, groups, 3, rng2, {}, {},
+                                   res_without);
 
   EXPECT_TRUE(res_with.user_decoded[0][0]);
   EXPECT_FALSE(res_without.user_decoded[0][0]);
@@ -148,8 +153,9 @@ TEST(Engine, SourceCodingOffStillDecodesDisjointIndices) {
   cfg.source_coding = false;
   TxEngine engine(cfg);
   Rng rng(6);
-  const auto res = engine.run_frame(units, full_assignments(units),
-                                    {perfect_group({0})}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units), {perfect_group({0})}, 1,
+                        rng, {}, {}, res);
   for (std::size_t i = 0; i < units.size(); ++i)
     EXPECT_TRUE(res.user_decoded[0][i]);
 }
@@ -162,8 +168,9 @@ TEST(Engine, RateControlOffOverflowsQueueOnHugeBurst) {
   cfg.queue_capacity_bytes = 100'000;
   TxEngine engine(cfg);
   Rng rng(7);
-  const auto res = engine.run_frame(units, full_assignments(units),
-                                    {perfect_group({0}, 50.0)}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units),
+                        {perfect_group({0}, 50.0)}, 1, rng, {}, {}, res);
   EXPECT_GT(res.stats.packets_dropped_queue, 0u);
 }
 
@@ -173,8 +180,9 @@ TEST(Engine, RateControlOnAvoidsQueueDrops) {
   cfg.queue_capacity_bytes = 100'000;
   TxEngine engine(cfg);
   Rng rng(8);
-  const auto res = engine.run_frame(units, full_assignments(units),
-                                    {perfect_group({0}, 50.0)}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units),
+                        {perfect_group({0}, 50.0)}, 1, rng, {}, {}, res);
   EXPECT_EQ(res.stats.packets_dropped_queue, 0u);
 }
 
@@ -185,14 +193,16 @@ TEST(Engine, BacklogCarriesAcrossFramesWithoutRateControl) {
   cfg.queue_capacity_bytes = 10'000'000;
   TxEngine engine(cfg);
   Rng rng(9);
-  const auto res1 = engine.run_frame(units, full_assignments(units),
-                                     {perfect_group({0}, 50.0)}, 1, rng);
+  FrameTxResult res1;
+  engine.run_frame_into(units, full_assignments(units),
+                        {perfect_group({0}, 50.0)}, 1, rng, {}, {}, res1);
   EXPECT_GT(engine.backlog_bytes(), 0.0);
   EXPECT_GT(res1.stats.backlog_packets_after, 0u);
   // Second frame: stale backlog eats into the budget, so fewer fresh
   // packets make it than in frame 1.
-  const auto res2 = engine.run_frame(units, full_assignments(units),
-                                     {perfect_group({0}, 50.0)}, 1, rng);
+  FrameTxResult res2;
+  engine.run_frame_into(units, full_assignments(units),
+                        {perfect_group({0}, 50.0)}, 1, rng, {}, {}, res2);
   EXPECT_LT(res2.stats.packets_sent, res1.stats.packets_sent);
 }
 
@@ -202,8 +212,9 @@ TEST(Engine, ClearBacklogResets) {
   cfg.rate_control = false;
   TxEngine engine(cfg);
   Rng rng(10);
-  engine.run_frame(units, full_assignments(units),
-                   {perfect_group({0}, 50.0)}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units),
+                        {perfect_group({0}, 50.0)}, 1, rng, {}, {}, res);
   ASSERT_GT(engine.backlog_bytes(), 0.0);
   engine.clear_backlog();
   EXPECT_DOUBLE_EQ(engine.backlog_bytes(), 0.0);
@@ -215,8 +226,9 @@ TEST(Engine, MeasuredRateReflectsWorstMemberLoss) {
   GroupTx g = perfect_group({0, 1}, 40.0);
   g.member_loss = {0.0, 0.25};
   Rng rng(11);
-  const auto res =
-      engine.run_frame(units, full_assignments(units), {g}, 2, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units), {g}, 2, rng, {}, {},
+                        res);
   ASSERT_EQ(res.measured_rate.size(), 1u);
   EXPECT_NEAR(res.measured_rate[0].value, 40.0 * 0.75, 40.0 * 0.07);
 }
@@ -228,8 +240,9 @@ TEST(Engine, ZeroRateGroupDropsItsPackets) {
   dead.members = {0};
   dead.member_loss = {0.0};  // drain_rate stays 0
   Rng rng(12);
-  const auto res =
-      engine.run_frame(units, full_assignments(units), {dead}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units), {dead}, 1, rng, {}, {},
+                        res);
   EXPECT_EQ(res.stats.packets_sent, 0u);
   EXPECT_EQ(res.stats.packets_dropped_queue, 60u);
   for (std::size_t i = 0; i < units.size(); ++i)
@@ -241,7 +254,9 @@ TEST(Engine, UnknownGroupIndexThrows) {
   TxEngine engine(fast_config());
   std::vector<sched::UnitAssignment> a{{5, 0, 2}};  // group 5 doesn't exist
   Rng rng(13);
-  EXPECT_THROW(engine.run_frame(units, a, {perfect_group({0})}, 1, rng),
+  FrameTxResult res;
+  EXPECT_THROW(engine.run_frame_into(units, a, {perfect_group({0})}, 1, rng,
+                                     {}, {}, res),
                std::invalid_argument);
 }
 
@@ -252,8 +267,9 @@ TEST(Engine, ResidualDecodeFailureRecoveredByFeedback) {
   EngineConfig cfg = fast_config();
   TxEngine engine(cfg);
   Rng rng(14);
-  const auto res = engine.run_frame(units, full_assignments(units),
-                                    {perfect_group({0}, 10000.0)}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units),
+                        {perfect_group({0}, 10000.0)}, 1, rng, {}, {}, res);
   for (std::size_t i = 0; i < units.size(); ++i)
     EXPECT_TRUE(res.user_decoded[0][i]) << i;
 }
@@ -264,8 +280,9 @@ TEST(Engine, StatsAreInternallyConsistent) {
   GroupTx g = perfect_group({0}, 30.0);
   g.member_loss = {0.05};
   Rng rng(15);
-  const auto res =
-      engine.run_frame(units, full_assignments(units), {g}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, full_assignments(units), {g}, 1, rng, {}, {},
+                        res);
   EXPECT_GE(res.stats.packets_offered,
             res.stats.packets_sent + res.stats.packets_dropped_queue);
   EXPECT_GT(res.stats.airtime, 0.0);

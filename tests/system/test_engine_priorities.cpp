@@ -50,8 +50,9 @@ TEST(EnginePriorities, BudgetExhaustionDropsHighestLayersFirst) {
   TxEngine engine(cfg_100b());
   Rng rng(1);
   // Budget for roughly half the frame.
-  const auto res = engine.run_frame(units, assignments,
-                                    {group(2.5, 0.0)}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, assignments, {group(2.5, 0.0)}, 1, rng, {}, {},
+                        res);
   // Whatever was decoded must be a prefix in layer order: no decoded unit
   // may come after an undecoded one.
   bool seen_undecoded = false;
@@ -75,8 +76,9 @@ TEST(EnginePriorities, MakeupRepairsLowLayersBeforeHighOnes) {
   cfg.feedback_rounds = 3;  // makeup budget binds before repairs finish
   TxEngine engine(cfg);
   Rng rng(2);
-  const auto res = engine.run_frame(units, assignments,
-                                    {group(6.0, 0.25)}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, assignments, {group(6.0, 0.25)}, 1, rng, {}, {},
+                        res);
   // With 25% loss and a binding budget, some units stay broken — count
   // per layer and require monotone non-increasing counts.
   std::array<int, video::kNumLayers> decoded{};
@@ -96,8 +98,9 @@ TEST(EnginePriorities, AssignmentOrderIsTransmissionOrder) {
     reversed.push_back({0, i, units[i].k_symbols});
   TxEngine engine(cfg_100b());
   Rng rng(3);
-  const auto res =
-      engine.run_frame(units, reversed, {group(2.5, 0.0)}, 1, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, reversed, {group(2.5, 0.0)}, 1, rng, {}, {},
+                        res);
   EXPECT_TRUE(res.user_decoded[0][19]);   // last unit now goes first
   EXPECT_FALSE(res.user_decoded[0][0]);
 }

@@ -57,8 +57,8 @@ TEST_P(EngineProperty, InvariantsHold) {
   g.member_loss = {c.loss, c.loss / 2.0, c.loss * 1.5};
 
   Rng rng(1234);
-  const FrameTxResult res =
-      engine.run_frame(units, assignments, {g}, 3, rng);
+  FrameTxResult res;
+  engine.run_frame_into(units, assignments, {g}, 3, rng, {}, {}, res);
 
   // Conservation: every offered packet is sent, queued into backlog, or
   // dropped; never duplicated or lost silently.
@@ -120,7 +120,8 @@ TEST(EngineProperty, LowerLossNeverWorseOnAverage) {
       g.bucket_rate = Mbps{10.0};
       g.member_loss = {loss};
       Rng rng(seed);
-      const auto res = engine.run_frame(units, assignments, {g}, 1, rng);
+      FrameTxResult res;
+      engine.run_frame_into(units, assignments, {g}, 1, rng, {}, {}, res);
       for (bool b : res.user_decoded[0]) total += b ? 1.0 : 0.0;
     }
     return total;
@@ -156,7 +157,8 @@ TEST(EngineProperty, MoreFeedbackRoundsNeverHurt) {
       g.bucket_rate = Mbps{40.0};
       g.member_loss = {0.15, 0.25};
       Rng rng(seed);
-      const auto res = engine.run_frame(units, assignments, {g}, 2, rng);
+      FrameTxResult res;
+      engine.run_frame_into(units, assignments, {g}, 2, rng, {}, {}, res);
       for (std::size_t u = 0; u < 2; ++u)
         for (bool b : res.user_decoded[u]) total += b ? 1.0 : 0.0;
     }

@@ -58,12 +58,12 @@ TEST_F(FailureInjectionTest, ChannelCollapseBetweenBeaconAndFrame) {
   const auto good = channels_at(3.0);
   const auto collapsed = channels_at(25.0);
 
-  const FrameOutcome crashed =
-      session.step(good, collapsed, contexts_->front());
+  FrameOutcome crashed;
+  session.step_into(good, collapsed, contexts_->front(), {}, crashed);
   EXPECT_LT(crashed.ssim[0], 0.9);
 
-  const FrameOutcome recovered =
-      session.step(collapsed, collapsed, contexts_->front());
+  FrameOutcome recovered;
+  session.step_into(collapsed, collapsed, contexts_->front(), {}, recovered);
   EXPECT_GE(recovered.ssim[0], crashed.ssim[0]);
 }
 
@@ -128,7 +128,8 @@ TEST_F(FailureInjectionTest, ZeroFrameBudget) {
   cfg.engine.frame_budget = 1e-9;  // effectively no airtime
   MulticastSession session(cfg, *quality_, beamforming::Codebook{});
   const auto chans = channels_at(3.0);
-  const FrameOutcome out = session.step(chans, chans, contexts_->front());
+  FrameOutcome out;
+  session.step_into(chans, chans, contexts_->front(), {}, out);
   EXPECT_LE(out.stats.packets_sent, 1u);
   EXPECT_NEAR(out.ssim[0], contexts_->front().content.blank_ssim, 0.05);
 }

@@ -159,7 +159,9 @@ class EngineFeedbackFaultTest : public ::testing::Test {
     a.unit_index = 0;
     a.symbols = 8;
     Rng rng(seed);
-    return engine.run_frame(units(), {a}, {g}, 2, rng, faults);
+    FrameTxResult res;
+    engine.run_frame_into(units(), {a}, {g}, 2, rng, faults, {}, res);
+    return res;
   }
 };
 

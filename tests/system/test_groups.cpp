@@ -2,13 +2,7 @@
 
 #include "channel/propagation.h"
 #include "common/thread_pool.h"
-
-// This suite is the compat contract for the allocating enumerate_groups /
-// beamform_subsets forwarders: it pins that the deprecated overloads stay
-// bit-identical to the SchedWorkspace surface, so it calls them on purpose.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
+#include "sched/workspace.h"
 
 #include <gtest/gtest.h>
 
@@ -29,28 +23,30 @@ std::vector<linalg::CVector> make_users(int n, double distance = 4.0) {
 }
 
 TEST(EnumerateGroups, MulticastEnumeratesAllSubsets) {
-  Rng rng(1);
+  SchedWorkspace ws;
   const auto groups =
       enumerate_groups(beamforming::Scheme::kOptimizedMulticast,
-                       make_users(3), beamforming::Codebook{}, rng);
+                       make_users(3), beamforming::Codebook{}, 1, {}, nullptr,
+                       ws);
   // 2^3 - 1 = 7 subsets, all viable at 4 m.
   EXPECT_EQ(groups.size(), 7u);
 }
 
 TEST(EnumerateGroups, UnicastOnlySingletons) {
-  Rng rng(2);
+  SchedWorkspace ws;
   const auto groups =
       enumerate_groups(beamforming::Scheme::kOptimizedUnicast, make_users(4),
-                       beamforming::Codebook{}, rng);
+                       beamforming::Codebook{}, 2, {}, nullptr, ws);
   EXPECT_EQ(groups.size(), 4u);
   for (const auto& g : groups) EXPECT_EQ(g.members.size(), 1u);
 }
 
 TEST(EnumerateGroups, MembersAscendingAndMaskOrdered) {
-  Rng rng(3);
+  SchedWorkspace ws;
   const auto groups =
       enumerate_groups(beamforming::Scheme::kOptimizedMulticast,
-                       make_users(3), beamforming::Codebook{}, rng);
+                       make_users(3), beamforming::Codebook{}, 3, {}, nullptr,
+                       ws);
   // Bitmask order: {0}, {1}, {0,1}, {2}, {0,2}, {1,2}, {0,1,2}.
   EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0}));
   EXPECT_EQ(groups[2].members, (std::vector<std::size_t>{0, 1}));
@@ -61,51 +57,54 @@ TEST(EnumerateGroups, MembersAscendingAndMaskOrdered) {
 }
 
 TEST(EnumerateGroups, RateThresholdPrunes) {
-  Rng rng(4);
+  SchedWorkspace ws;
   GroupEnumConfig cfg;
   cfg.rate_threshold = Mbps{10000.0};  // nothing is this fast
   const auto groups =
       enumerate_groups(beamforming::Scheme::kOptimizedMulticast,
-                       make_users(2), beamforming::Codebook{}, rng, cfg);
+                       make_users(2), beamforming::Codebook{}, 4, cfg, nullptr,
+                       ws);
   EXPECT_TRUE(groups.empty());
 }
 
 TEST(EnumerateGroups, MaxGroupSizeCaps) {
-  Rng rng(5);
+  SchedWorkspace ws;
   GroupEnumConfig cfg;
   cfg.max_group_size = 1;
   const auto groups =
       enumerate_groups(beamforming::Scheme::kOptimizedMulticast,
-                       make_users(3), beamforming::Codebook{}, rng, cfg);
+                       make_users(3), beamforming::Codebook{}, 5, cfg, nullptr,
+                       ws);
   EXPECT_EQ(groups.size(), 3u);
 }
 
 TEST(EnumerateGroups, UnreachableUserDropped) {
-  Rng rng(6);
+  SchedWorkspace ws;
   channel::PropagationConfig prop;
   std::vector<linalg::CVector> users = make_users(2);
   users.push_back(channel::make_channel(
       prop, channel::Position::from_polar(500.0, 0.0)));  // far away
   const auto groups =
       enumerate_groups(beamforming::Scheme::kOptimizedMulticast, users,
-                       beamforming::Codebook{}, rng);
+                       beamforming::Codebook{}, 6, {}, nullptr, ws);
   // Any group containing user 2 has zero rate and is pruned.
   for (const auto& g : groups) EXPECT_FALSE(g.contains(2));
   EXPECT_EQ(groups.size(), 3u);  // subsets of {0, 1}
 }
 
 TEST(EnumerateGroups, EmptyUsersThrow) {
-  Rng rng(7);
+  SchedWorkspace ws;
   EXPECT_THROW(enumerate_groups(beamforming::Scheme::kOptimizedMulticast, {},
-                                beamforming::Codebook{}, rng),
+                                beamforming::Codebook{}, 7, {}, nullptr, ws),
                std::invalid_argument);
 }
 
 TEST(EnumerateGroups, TooManyUsersThrow) {
   // The hierarchical generator serves up to 64 users; 65 still throws.
-  Rng rng(8);
+  SchedWorkspace ws;
   EXPECT_THROW(enumerate_groups(beamforming::Scheme::kOptimizedMulticast,
-                                make_users(65), beamforming::Codebook{}, rng),
+                                make_users(65), beamforming::Codebook{}, 8, {},
+                                nullptr, ws),
                std::invalid_argument);
 }
 
@@ -115,9 +114,10 @@ TEST(EnumerateGroups, SeventeenUsersUseTheClusterTree) {
   // masks stay ascending, and the candidate count is far below 2^17.
   const int n = 17;
   const auto users = make_users(n, 8.0);
+  SchedWorkspace ws;
   const auto groups = enumerate_groups(
       beamforming::Scheme::kOptimizedMulticast, users,
-      beamforming::Codebook{}, 31);
+      beamforming::Codebook{}, 31, {}, nullptr, ws);
   EXPECT_FALSE(groups.empty());
   EXPECT_LE(groups.size(), 256u);
   for (int u = 0; u < n; ++u) {
@@ -136,7 +136,7 @@ TEST(EnumerateGroups, SeventeenUsersUseTheClusterTree) {
 }
 
 TEST(EnumerateGroups, GroupRatesReflectBottleneck) {
-  Rng rng(9);
+  SchedWorkspace ws;
   channel::PropagationConfig prop;
   std::vector<linalg::CVector> users;
   users.push_back(channel::make_channel(
@@ -145,7 +145,7 @@ TEST(EnumerateGroups, GroupRatesReflectBottleneck) {
       prop, channel::Position::from_polar(16.0, 0.5)));  // weak
   const auto groups =
       enumerate_groups(beamforming::Scheme::kOptimizedMulticast, users,
-                       beamforming::Codebook{}, rng);
+                       beamforming::Codebook{}, 9, {}, nullptr, ws);
   const GroupSpec *solo0 = nullptr, *pair = nullptr;
   for (const auto& g : groups) {
     if (g.members == std::vector<std::size_t>{0}) solo0 = &g;
@@ -163,10 +163,11 @@ TEST(GroupSpec, ContainsWorks) {
 }
 
 TEST(EnumerateGroups, EightUsersEnumerationCompletes) {
-  Rng rng(10);
+  SchedWorkspace ws;
   const auto groups =
       enumerate_groups(beamforming::Scheme::kOptimizedMulticast,
-                       make_users(8, 8.0), beamforming::Codebook{}, rng);
+                       make_users(8, 8.0), beamforming::Codebook{}, 10, {},
+                       nullptr, ws);
   EXPECT_GT(groups.size(), 120u);  // large subsets split power 8-way and
                                    // some fall below MCS 1; most survive
   EXPECT_LE(groups.size(), 255u);
@@ -192,10 +193,13 @@ std::uint32_t mask_of(const GroupSpec& g) {
 
 TEST(EnumerateGroups, SeedOverloadIsDeterministic) {
   const auto users = make_users(4);
+  SchedWorkspace ws_a, ws_b;
   const auto a = enumerate_groups(beamforming::Scheme::kOptimizedMulticast,
-                                  users, beamforming::Codebook{}, 77);
+                                  users, beamforming::Codebook{}, 77, {},
+                                  nullptr, ws_a);
   const auto b = enumerate_groups(beamforming::Scheme::kOptimizedMulticast,
-                                  users, beamforming::Codebook{}, 77);
+                                  users, beamforming::Codebook{}, 77, {},
+                                  nullptr, ws_b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].members, b[i].members);
@@ -211,8 +215,10 @@ TEST(EnumerateGroups, FilterKnobsDoNotPerturbSurvivingBeams) {
   // beams must be bit-identical under any filter combination.
   const auto users = make_users(5);
   const std::uint64_t seed = 13;
+  SchedWorkspace ws_full, ws_filtered;
   const auto full = enumerate_groups(beamforming::Scheme::kOptimizedMulticast,
-                                     users, beamforming::Codebook{}, seed);
+                                     users, beamforming::Codebook{}, seed, {},
+                                     nullptr, ws_full);
 
   std::vector<GroupEnumConfig> cfgs(4);
   cfgs[1].max_group_size = 2;
@@ -223,7 +229,7 @@ TEST(EnumerateGroups, FilterKnobsDoNotPerturbSurvivingBeams) {
   for (const auto& cfg : cfgs) {
     const auto filtered = enumerate_groups(
         beamforming::Scheme::kOptimizedMulticast, users,
-        beamforming::Codebook{}, seed, cfg);
+        beamforming::Codebook{}, seed, cfg, nullptr, ws_filtered);
     for (const auto& g : filtered) {
       const GroupSpec* match = nullptr;
       for (const auto& f : full)
@@ -237,36 +243,19 @@ TEST(EnumerateGroups, FilterKnobsDoNotPerturbSurvivingBeams) {
 
 TEST(EnumerateGroups, ParallelEnumerationBitIdenticalToSerial) {
   const auto users = make_users(6);
+  SchedWorkspace ws_serial, ws_parallel;
   const auto serial = enumerate_groups(
       beamforming::Scheme::kOptimizedMulticast, users,
-      beamforming::Codebook{}, 21, {}, nullptr);
+      beamforming::Codebook{}, 21, {}, nullptr, ws_serial);
   ThreadPool pool(4);
   const auto parallel = enumerate_groups(
       beamforming::Scheme::kOptimizedMulticast, users,
-      beamforming::Codebook{}, 21, {}, &pool);
+      beamforming::Codebook{}, 21, {}, &pool, ws_parallel);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].members, parallel[i].members);
     EXPECT_TRUE(same_beam(serial[i].beam, parallel[i].beam));
   }
-}
-
-TEST(EnumerateGroups, LegacyRngOverloadMatchesSeedOverload) {
-  // The Rng& overload draws one value for the whole enumeration and
-  // delegates — so it shares the per-subset decoupling.
-  const auto users = make_users(3);
-  Rng rng(99);
-  Rng probe(99);
-  const std::uint64_t drawn = probe.next();
-  const auto via_rng = enumerate_groups(
-      beamforming::Scheme::kOptimizedMulticast, users,
-      beamforming::Codebook{}, rng);
-  const auto via_seed = enumerate_groups(
-      beamforming::Scheme::kOptimizedMulticast, users,
-      beamforming::Codebook{}, drawn);
-  ASSERT_EQ(via_rng.size(), via_seed.size());
-  for (std::size_t i = 0; i < via_rng.size(); ++i)
-    EXPECT_TRUE(same_beam(via_rng[i].beam, via_seed[i].beam));
 }
 
 TEST(SubsetSeed, MixesMaskAndSeed) {
@@ -292,10 +281,10 @@ TEST(BeamformSubsets, BatchedPathBitIdenticalToSubsetBeam) {
   std::vector<GroupMask> masks;
   for (GroupMask mask = 1; mask < (GroupMask{1} << users.size()); ++mask)
     masks.push_back(mask);
-  const auto batched =
-      beamform_subsets(beamforming::Scheme::kOptimizedMulticast, users,
-                       masks, beamforming::Codebook{}, seed, nullptr);
-  ASSERT_EQ(batched.size(), masks.size());
+  SchedWorkspace ws;
+  std::vector<beamforming::GroupBeam> batched(masks.size());
+  beamform_subsets(beamforming::Scheme::kOptimizedMulticast, users, masks,
+                   beamforming::Codebook{}, seed, nullptr, ws, batched);
   for (std::size_t i = 0; i < masks.size(); ++i) {
     const auto direct =
         subset_beam(beamforming::Scheme::kOptimizedMulticast, users,
@@ -317,9 +306,10 @@ TEST(PlanCandidates, BoundPruningIsExactOnTheExhaustivePath) {
   const auto plan = plan_candidates(
       beamforming::Scheme::kOptimizedMulticast, users, cfg);
   EXPECT_GT(plan.pruned, 0u);  // the far user's subsets never beamform
+  SchedWorkspace ws;
   const auto groups = enumerate_groups(
       beamforming::Scheme::kOptimizedMulticast, users,
-      beamforming::Codebook{}, 5, cfg);
+      beamforming::Codebook{}, 5, cfg, nullptr, ws);
   for (const auto& g : groups) {
     EXPECT_FALSE(g.contains(4));
     EXPECT_GE(g.beam.rate.value, 700.0);

@@ -71,7 +71,8 @@ TEST_F(SessionTest, PerUserOutputsShapedCorrectly) {
   auto session = make_session();
   const auto& ctx = contexts_->front();
   const auto chans = channels(3);
-  const FrameOutcome out = session.step(chans, chans, ctx);
+  FrameOutcome out;
+  session.step_into(chans, chans, ctx, {}, out);
   EXPECT_EQ(out.ssim.size(), 3u);
   EXPECT_EQ(out.psnr.size(), 3u);
   EXPECT_EQ(out.decoded_fraction.size(), 3u);
@@ -118,8 +119,8 @@ TEST_F(SessionTest, SourceCodingOnBeatsOff) {
 TEST_F(SessionTest, OutageRendersBlankFrame) {
   auto session = make_session();
   const auto chans = channels(1, 500.0);  // unreachable
-  const FrameOutcome out =
-      session.step(chans, chans, contexts_->front());
+  FrameOutcome out;
+  session.step_into(chans, chans, contexts_->front(), {}, out);
   EXPECT_NEAR(out.ssim[0], contexts_->front().content.blank_ssim, 1e-9);
   EXPECT_DOUBLE_EQ(out.decoded_fraction[0], 0.0);
 }
@@ -133,18 +134,19 @@ TEST_F(SessionTest, NoUpdateFreezesDecision) {
   // Decide on the good channel, then the true channel degrades: the
   // frozen decision keeps the old MCS, which the degraded channel cannot
   // sustain -> severe loss.
-  const FrameOutcome first =
-      session.step(good, good, contexts_->front());
-  const FrameOutcome degraded =
-      session.step(good, bad, contexts_->front());
+  FrameOutcome first;
+  session.step_into(good, good, contexts_->front(), {}, first);
+  FrameOutcome degraded;
+  session.step_into(good, bad, contexts_->front(), {}, degraded);
   EXPECT_LT(degraded.ssim[0], first.ssim[0] - 0.05);
 
   // An adapting session re-decides on the (now bad) CSI and does better.
   SessionConfig adapt_cfg = SessionConfig::scaled(kW, kH);
   auto adaptive = make_session(adapt_cfg);
-  adaptive.step(good, good, contexts_->front());
-  const FrameOutcome adapted =
-      adaptive.step(bad, bad, contexts_->front());
+  FrameOutcome warm;
+  adaptive.step_into(good, good, contexts_->front(), {}, warm);
+  FrameOutcome adapted;
+  adaptive.step_into(bad, bad, contexts_->front(), {}, adapted);
   EXPECT_GT(adapted.ssim[0], degraded.ssim[0]);
 }
 
@@ -180,7 +182,7 @@ TEST_F(SessionTest, UserCountChangePreservesSurvivingQuarantineState) {
   }
   FrameOutcome out;
   for (int f = 0; f < 5; ++f)
-    out = session.step(decision3, true3, contexts_->front());
+    session.step_into(decision3, true3, contexts_->front(), {}, out);
   ASSERT_EQ(out.user_quarantined.size(), 3u);
   EXPECT_TRUE(out.user_quarantined[1]);
 
@@ -194,20 +196,22 @@ TEST_F(SessionTest, UserCountChangePreservesSurvivingQuarantineState) {
     decision4.push_back(extra);
     true4.push_back(extra);
   }
-  out = session.step(decision4, true4, contexts_->front());
+  session.step_into(decision4, true4, contexts_->front(), {}, out);
   ASSERT_EQ(out.user_quarantined.size(), 4u);
   EXPECT_TRUE(out.user_quarantined[1]) << "join reset quarantine state";
   EXPECT_FALSE(out.user_quarantined[3]);
 
   // Shrinking back keeps the surviving prefix too.
-  out = session.step(decision3, true3, contexts_->front());
+  session.step_into(decision3, true3, contexts_->front(), {}, out);
   ASSERT_EQ(out.user_quarantined.size(), 3u);
   EXPECT_TRUE(out.user_quarantined[1]) << "leave reset quarantine state";
 }
 
 TEST_F(SessionTest, MismatchedChannelVectorsThrow) {
   auto session = make_session();
-  EXPECT_THROW(session.step(channels(2), channels(3), contexts_->front()),
+  FrameOutcome out;
+  EXPECT_THROW(session.step_into(channels(2), channels(3), contexts_->front(),
+                                 {}, out),
                std::invalid_argument);
 }
 

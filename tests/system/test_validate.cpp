@@ -107,7 +107,7 @@ TEST(SessionConfigValidate, RejectsAssociatedUserOutOfRange) {
                 "associated_user"),
             std::string::npos);
   EXPECT_EQ(rejection(cfg, SessionConfig::kUnknown, 4), "");
-  // Without a user count the check defers to step().
+  // Without a user count the check defers to step_into().
   EXPECT_EQ(rejection(cfg), "");
 }
 

@@ -6,7 +6,7 @@
 // decide_deadline_ms cutoff). The invariants come from the shared chaos
 // harness (tests/support/chaos_harness.h): no crash/throw, monotonic frame
 // ids, well-formed per-user outputs, finite aggregates. Determinism is
-// deliberately NOT asserted here — the deadline makes decide()
+// deliberately NOT asserted here — the deadline makes decide_into()
 // clock-dependent by design; the purity suites cover the deadline-off
 // path. Standalone binary (no gtest) so scripts/tier1.sh can run it as one
 // fast stage; exits non-zero on the first violated invariant.
