@@ -37,11 +37,12 @@
 //                        for a seeded random plan covering the whole run
 //                        (multi-AP runs draw AP outages, handoff-beacon
 //                        losses, and relay churn too)
-//   --aps N              access points serving the room [1]; N > 1 runs
-//                        the multi-AP static path: per-user attachment,
-//                        mid-session handoff, AP-partitioned groups
+//   --aps N              access points serving the room [1]; N > 1 adds
+//                        per-user attachment, mid-session handoff and
+//                        AP-partitioned groups (static runs only)
 //   --geometry FILE      AP geometry file (see channel/multi_ap.h format);
-//                        sets the AP count, which must match --aps when
+//                        its room and AP poses shape every static run, and
+//                        it sets the AP count, which must match --aps when
 //                        both are given. Without it, --aps N uses the
 //                        deterministic default wall layout
 //   --relay on|off       peer relay of base-layer symbols from LoS users
@@ -75,6 +76,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 namespace {
@@ -90,15 +92,14 @@ beamforming::Scheme parse_scheme(const std::string& s) {
 }
 
 /// Resolves --fault-plan: a file path, or "random:SEED" for a seeded plan
-/// sized to the run. Returns an empty plan when the flag is absent. Multi-AP
-/// runs (n_aps > 1) extend random plans with AP outages, handoff-beacon
-/// losses, and (with relay on) relay churn; with one AP the generated plan
-/// is bit-identical to the pre-multi-AP generator.
+/// sized to the run. Multi-AP runs (n_aps > 1) extend random plans with AP
+/// outages, handoff-beacon losses, and (with relay on) relay churn; with
+/// one AP the generated plan is bit-identical to the pre-multi-AP
+/// generator.
 fault::FaultPlan resolve_fault_plan(const std::string& arg,
                                     std::uint32_t n_frames,
                                     std::size_t n_users, std::size_t n_aps,
                                     bool relay_on) {
-  if (arg.empty()) return {};
   if (arg.rfind("random:", 0) == 0) {
     std::uint64_t fseed = 0;
     std::size_t used = 0;
@@ -245,19 +246,25 @@ int main(int argc, char** argv) {
                                         1.06);
     core::MulticastSession session(cfg, quality, codebook);
 
+    // --fault-plan resolves into an injector sized to the run; without the
+    // flag there is no injector and the run streams fault-free.
     const std::string fault_arg = args.get("fault-plan", std::string{});
-    const auto stream_with_faults =
-        [&](const fault::FaultPlan& plan, std::size_t run_users,
-            std::uint32_t run_frames) {
-          std::printf(
-              "fault plan: %zu feedback, %zu csi, %zu blockage, %zu budget, "
-              "%zu churn, %zu ap-outage, %zu handoff-beacon, %zu relay-churn "
-              "events over %u frames\n",
-              plan.feedback.size(), plan.csi.size(), plan.blockage.size(),
-              plan.budget.size(), plan.churn.size(), plan.ap_outage.size(),
-              plan.handoff_beacon.size(), plan.relay_churn.size(), run_frames);
-          return fault::FaultInjector(plan, run_users, n_aps);
-        };
+    const auto make_injector = [&](std::size_t run_users,
+                                   std::uint32_t run_frames) {
+      std::optional<fault::FaultInjector> injector;
+      if (fault_arg.empty()) return injector;
+      const fault::FaultPlan plan =
+          resolve_fault_plan(fault_arg, run_frames, run_users, n_aps, relay_on);
+      std::printf(
+          "fault plan: %zu feedback, %zu csi, %zu blockage, %zu budget, "
+          "%zu churn, %zu ap-outage, %zu handoff-beacon, %zu relay-churn "
+          "events over %u frames\n",
+          plan.feedback.size(), plan.csi.size(), plan.blockage.size(),
+          plan.budget.size(), plan.churn.size(), plan.ap_outage.size(),
+          plan.handoff_beacon.size(), plan.relay_churn.size(), run_frames);
+      injector.emplace(plan, run_users, n_aps);
+      return injector;
+    };
 
     core::SessionReport report;
     if (n_aps > 1 && (!trace_path.empty() || !mobile.empty()))
@@ -299,19 +306,12 @@ int main(int argc, char** argv) {
           std::printf("saved trace to %s\n", record.c_str());
         }
       }
-      if (!fault_arg.empty()) {
-        const auto run_frames = static_cast<std::uint32_t>(trace.steps() * 3);
-        const auto plan = resolve_fault_plan(fault_arg, run_frames,
-                                             trace.users(), 1, relay_on);
-        report = core::run_trace(
-            session, trace, contexts,
-            stream_with_faults(plan, trace.users(), run_frames));
-      } else {
-        report = core::run_trace(session, trace, contexts);
-      }
+      const auto injector = make_injector(
+          trace.users(), static_cast<std::uint32_t>(trace.steps() * 3));
+      report = core::run_trace(session, trace, contexts, 3,
+                               injector ? &*injector : nullptr);
     } else {
       Rng prng(seed);
-      channel::PropagationConfig prop;
       const double distance = args.get("distance", 3.0);
       const double mas = args.get("mas-deg", 60.0) * 0.0174533;
       const auto users =
@@ -327,32 +327,16 @@ int main(int argc, char** argv) {
                     u.azimuth() * 57.2958);
       std::printf("\n");
       const int n_frames = args.get("frames", 60);
-      if (n_aps > 1) {
-        // Multi-AP static path: per-AP channel stacks, AP-level faults,
-        // attachment/handoff inside the session.
-        geometry.prop = prop;
-        const auto stacks = channel::ap_channel_stacks(geometry, users);
-        const auto azimuths = channel::ap_user_azimuths(geometry, users);
-        const auto plan = resolve_fault_plan(
-            fault_arg, static_cast<std::uint32_t>(n_frames), users.size(),
-            n_aps, relay_on);
-        report = core::run_static_multi_ap(
-            session, stacks, contexts, n_frames,
-            stream_with_faults(plan, users.size(),
-                               static_cast<std::uint32_t>(n_frames)),
-            azimuths);
-      } else if (!fault_arg.empty()) {
-        const auto plan = resolve_fault_plan(
-            fault_arg, static_cast<std::uint32_t>(n_frames), users.size(), 1,
-            relay_on);
-        report = core::run_static(
-            session, core::channels_for(prop, users), contexts, n_frames,
-            stream_with_faults(plan, users.size(),
-                               static_cast<std::uint32_t>(n_frames)));
-      } else {
-        report = core::run_static(session, core::channels_for(prop, users),
-                                  contexts, n_frames);
-      }
+      // Per-AP channel stacks for every AP count: the geometry's room and
+      // AP poses (one AP at the origin by default) shape every ray, and the
+      // session runs attachment/handoff when there are several APs.
+      const auto injector =
+          make_injector(users.size(), static_cast<std::uint32_t>(n_frames));
+      report = core::run_static(session,
+                                channel::ap_channel_stacks(geometry, users),
+                                contexts, n_frames,
+                                injector ? &*injector : nullptr,
+                                channel::ap_user_azimuths(geometry, users));
     }
 
     // --- Report --------------------------------------------------------------

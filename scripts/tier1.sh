@@ -23,10 +23,10 @@
 #          under sanitizers.
 # Stage 3: rebuild with W4K_COUNT_ALLOCS=ON (counted operator new/delete)
 #          and run the zero-allocation gates: the counter's own contract
-#          (AllocCount.*), then after warmup the pinned static4 and mobile
-#          scenarios (step_into) and a faulted 2-AP handoff+relay scenario
-#          (step_multi_into) must perform zero heap allocations per frame
-#          (DESIGN.md Sec. 4g), and so must the serving daemon's
+#          (AllocCount.*), then after warmup the pinned static4, mobile
+#          and crowd scenarios and a faulted 2-AP handoff+relay scenario
+#          (all through step_into) must perform zero heap allocations per
+#          frame (DESIGN.md Sec. 4g), and so must the serving daemon's
 #          steady-state fan-out (ServeAllocGate.*, DESIGN.md Sec. 4j).
 #          Only tests_system and tests_serve hold gate suites, so only
 #          they are built there.

@@ -52,19 +52,17 @@ core::SessionReport stream_cell(const ScenarioSpec& spec,
   const std::vector<core::FrameContext>& ctx =
       contexts.get(spec.richness, spec.video_seed);
   const fault::FaultInjector injector(make_fault_plan(spec), spec.n_users,
-                                      spec.kind == CellKind::kMultiAp
-                                          ? spec.n_aps
-                                          : 1);
+                                      spec.n_aps);
   switch (spec.kind) {
-    case CellKind::kStatic: {
+    case CellKind::kStatic:
+    case CellKind::kMultiAp: {
+      const channel::MultiApGeometry geo = make_geometry(spec);
       Rng rng(spec.placement_seed);
-      channel::PropagationConfig prop;
-      prop.room.length = spec.room_length_m;
-      prop.room.width = spec.room_width_m;
       const auto users = core::place_users_fixed(
           spec.n_users, spec.distance_m, spec.mas_rad, rng);
-      return core::run_static(session, core::channels_for(prop, users), ctx,
-                              spec.frames(), injector);
+      return core::run_static(session, channel::ap_channel_stacks(geo, users),
+                              ctx, spec.frames(), &injector,
+                              channel::ap_user_azimuths(geo, users));
     }
     case CellKind::kMobile: {
       channel::MovingReceiverConfig mc;
@@ -76,16 +74,7 @@ core::SessionReport stream_cell(const ScenarioSpec& spec,
       mc.walk_speed = spec.walk_speed_mps;
       mc.seed = spec.placement_seed;
       return core::run_trace(session, channel::moving_receiver_trace(mc),
-                             ctx, injector);
-    }
-    case CellKind::kMultiAp: {
-      const channel::MultiApGeometry geo = make_geometry(spec);
-      Rng rng(spec.placement_seed);
-      const auto users = core::place_users_fixed(
-          spec.n_users, spec.distance_m, spec.mas_rad, rng);
-      return core::run_static_multi_ap(
-          session, channel::ap_channel_stacks(geo, users), ctx,
-          spec.frames(), injector, channel::ap_user_azimuths(geo, users));
+                             ctx, 3, &injector);
     }
   }
   throw std::logic_error("unreachable cell kind");

@@ -194,8 +194,8 @@ fault::FaultPlan make_fault_plan(const ScenarioSpec& spec) {
 }
 
 channel::MultiApGeometry make_geometry(const ScenarioSpec& spec) {
-  if (spec.kind != CellKind::kMultiAp)
-    throw std::logic_error("make_geometry: not a multi-AP cell");
+  if (spec.kind == CellKind::kMobile)
+    throw std::logic_error("make_geometry: mobile cells have no static room");
   channel::MultiApGeometry geo;
   geo.prop.room.length = spec.room_length_m;
   geo.prop.room.width = spec.room_width_m;

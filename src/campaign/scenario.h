@@ -35,7 +35,7 @@ inline constexpr int kCellHeight = 112;
 enum class CellKind : std::uint8_t {
   kStatic = 0,   ///< single AP, static users (run_static)
   kMobile = 1,   ///< single AP, random-waypoint walkers (run_trace)
-  kMultiAp = 2,  ///< 2-4 APs, handoff (+ optional relay), run_static_multi_ap
+  kMultiAp = 2,  ///< 2-4 APs, handoff (+ optional relay), run_static
 };
 
 const char* to_string(CellKind k);
@@ -108,8 +108,9 @@ core::SessionConfig make_config(const ScenarioSpec& spec);
 /// the cell's user and AP counts.
 fault::FaultPlan make_fault_plan(const ScenarioSpec& spec);
 
-/// Multi-AP room geometry for a kMultiAp cell (default wall layout in the
-/// cell's room), validated. Throws std::logic_error for other kinds.
+/// Room geometry for a static or multi-AP cell: the default wall layout of
+/// `n_aps` APs in the cell's room (a static cell's one AP is the legacy
+/// pose), validated. Throws std::logic_error for mobile cells.
 channel::MultiApGeometry make_geometry(const ScenarioSpec& spec);
 
 }  // namespace w4k::campaign

@@ -4,7 +4,7 @@
 // header generalises that to a small set of wall-mounted APs, each with its
 // own position and boresight. Every user then has a *per-AP channel
 // stack* — one synthesized channel vector per AP-user ray — and blockage /
-// outage faults attenuate individual rays (see FaultInjector::apply_aps).
+// outage faults attenuate individual rays (see FaultInjector::apply).
 //
 // Modeling note: make_channel's image-method reflections assume the AP at
 // the origin of its own room frame, so each AP sees the shared room through
@@ -70,7 +70,7 @@ std::vector<std::vector<linalg::CVector>> ap_channel_stacks(
     const MultiApGeometry& geo, const std::vector<Position>& users);
 
 /// AP-local azimuth table for a set of static users: result[ap][user].
-/// This is what FaultInjector::apply_aps consumes for sector outages.
+/// This is what FaultInjector::apply consumes for sector outages.
 std::vector<std::vector<double>> ap_user_azimuths(
     const MultiApGeometry& geo, const std::vector<Position>& users);
 

@@ -71,20 +71,16 @@ SessionReport Experiment::run_static(int n_frames) {
     throw std::invalid_argument(
         "Experiment::run_static: no users placed (call place_fixed / "
         "place_random / channels first)");
-  if (fault_plan_.empty())
-    return core::run_static(session(), channels_, contexts_, n_frames);
   const fault::FaultInjector injector(fault_plan_, channels_.size());
-  return core::run_static(session(), channels_, contexts_, n_frames,
-                          injector);
+  return core::run_static(session(), {channels_}, contexts_, n_frames,
+                          &injector);
 }
 
 SessionReport Experiment::run_trace(const channel::CsiTrace& trace,
                                     int frames_per_snapshot) {
-  if (fault_plan_.empty())
-    return core::run_trace(session(), trace, contexts_, frames_per_snapshot);
   const fault::FaultInjector injector(fault_plan_, trace.users());
-  return core::run_trace(session(), trace, contexts_, injector,
-                         frames_per_snapshot);
+  return core::run_trace(session(), trace, contexts_, frames_per_snapshot,
+                         &injector);
 }
 
 }  // namespace w4k::core

@@ -59,101 +59,35 @@ void channels_for_into(const channel::PropagationConfig& prop,
     out[i] = channel::make_channel(prop, users[i]);
 }
 
-SessionReport run_static(MulticastSession& session,
-                         const std::vector<linalg::CVector>& channels,
-                         const std::vector<FrameContext>& contexts,
-                         int n_frames) {
-  if (contexts.empty())
-    throw std::invalid_argument("run_static: no frame contexts");
-  SessionReport report;
-  const fault::FrameFaults no_faults;
-  FrameOutcome outcome;
-  for (int f = 0; f < n_frames; ++f) {
-    const FrameContext& ctx =
-        contexts[static_cast<std::size_t>(f) % contexts.size()];
-    session.step_into(channels, channels, ctx, no_faults, outcome);
-    report.add(outcome);
-  }
-  return report;
-}
-
-SessionReport run_static(MulticastSession& session,
-                         const std::vector<linalg::CVector>& channels,
-                         const std::vector<FrameContext>& contexts,
-                         int n_frames, const fault::FaultInjector& injector) {
+SessionReport run_static(
+    MulticastSession& session,
+    const std::vector<std::vector<linalg::CVector>>& stacks,
+    const std::vector<FrameContext>& contexts, int n_frames,
+    const fault::FaultInjector* injector,
+    const std::vector<std::vector<double>>& azimuths) {
   if (contexts.empty())
     throw std::invalid_argument("run_static: no frame contexts");
   SessionReport report;
   FrameOutcome outcome;
   // Channel-level faults mutate per-frame copies; the placement itself
-  // stays pristine for the frames the burst does not cover. The copies are
+  // stays pristine for the frames a burst does not cover. The copies are
   // hoisted out of the loop: copy-assignment reuses each channel vector's
   // buffer instead of reallocating every frame.
-  std::vector<linalg::CVector> decision;
-  std::vector<linalg::CVector> truth;
-  for (int f = 0; f < n_frames; ++f) {
-    const FrameContext& ctx =
-        contexts[static_cast<std::size_t>(f) % contexts.size()];
-    const auto frame_id = static_cast<std::uint32_t>(f);
-    const fault::FrameFaults faults = injector.at(frame_id);
-    decision = channels;
-    truth = channels;
-    injector.apply(frame_id, decision, truth);
-    session.step_into(decision, truth, ctx, faults, outcome);
-    report.add(outcome);
-  }
-  return report;
-}
-
-SessionReport run_trace(MulticastSession& session,
-                        const channel::CsiTrace& trace,
-                        const std::vector<FrameContext>& contexts,
-                        int frames_per_snapshot) {
-  if (contexts.empty())
-    throw std::invalid_argument("run_trace: no frame contexts");
-  if (trace.steps() == 0)
-    throw std::invalid_argument("run_trace: empty trace");
-  SessionReport report;
-  const fault::FrameFaults no_faults;
-  FrameOutcome outcome;
-  int frame = 0;
-  for (std::size_t t = 0; t < trace.steps(); ++t) {
-    const auto& truth = trace.snapshots[t];
-    const auto& decision = trace.snapshots[t > 0 ? t - 1 : 0];
-    for (int k = 0; k < frames_per_snapshot; ++k, ++frame) {
-      const FrameContext& ctx =
-          contexts[static_cast<std::size_t>(frame) % contexts.size()];
-      session.step_into(decision, truth, ctx, no_faults, outcome);
-      report.add(outcome);
-    }
-  }
-  return report;
-}
-
-SessionReport run_static_multi_ap(
-    MulticastSession& session,
-    const std::vector<std::vector<linalg::CVector>>& stacks,
-    const std::vector<FrameContext>& contexts, int n_frames,
-    const fault::FaultInjector& injector,
-    const std::vector<std::vector<double>>& azimuths) {
-  if (contexts.empty())
-    throw std::invalid_argument("run_static_multi_ap: no frame contexts");
-  if (stacks.empty())
-    throw std::invalid_argument("run_static_multi_ap: no AP stacks");
-  SessionReport report;
-  FrameOutcome outcome;
-  // Per-frame faulted copies, hoisted so the nested buffers are reused.
   std::vector<std::vector<linalg::CVector>> decision;
   std::vector<std::vector<linalg::CVector>> truth;
   for (int f = 0; f < n_frames; ++f) {
     const FrameContext& ctx =
         contexts[static_cast<std::size_t>(f) % contexts.size()];
     const auto frame_id = static_cast<std::uint32_t>(f);
-    const fault::FrameFaults faults = injector.at(frame_id);
-    decision = stacks;
-    truth = stacks;
-    injector.apply_aps(frame_id, decision, truth, azimuths);
-    session.step_multi_into(decision, truth, ctx, faults, outcome);
+    if (injector == nullptr) {
+      session.step_into(stacks, stacks, ctx, {}, outcome);
+    } else {
+      decision = stacks;
+      truth = stacks;
+      injector->apply(frame_id, decision, truth, azimuths);
+      session.step_into(decision, truth, ctx, injector->at(frame_id),
+                        outcome);
+    }
     report.add(outcome);
   }
   return report;
@@ -162,26 +96,30 @@ SessionReport run_static_multi_ap(
 SessionReport run_trace(MulticastSession& session,
                         const channel::CsiTrace& trace,
                         const std::vector<FrameContext>& contexts,
-                        const fault::FaultInjector& injector,
-                        int frames_per_snapshot) {
+                        int frames_per_snapshot,
+                        const fault::FaultInjector* injector) {
   if (contexts.empty())
     throw std::invalid_argument("run_trace: no frame contexts");
   if (trace.steps() == 0)
     throw std::invalid_argument("run_trace: empty trace");
   SessionReport report;
   FrameOutcome outcome;
-  std::vector<linalg::CVector> decision;
-  std::vector<linalg::CVector> truth;
+  std::vector<std::vector<linalg::CVector>> decision(1);
+  std::vector<std::vector<linalg::CVector>> truth(1);
   std::uint32_t frame = 0;
   for (std::size_t t = 0; t < trace.steps(); ++t) {
+    const auto& now = trace.snapshots[t];
+    const auto& beacon = trace.snapshots[t > 0 ? t - 1 : 0];
     for (int k = 0; k < frames_per_snapshot; ++k, ++frame) {
-      const FrameContext& ctx =
-          contexts[frame % contexts.size()];
-      const fault::FrameFaults faults = injector.at(frame);
-      truth = trace.snapshots[t];
-      decision = trace.snapshots[t > 0 ? t - 1 : 0];
-      injector.apply(frame, decision, truth);
-      session.step_into(decision, truth, ctx, faults, outcome);
+      const FrameContext& ctx = contexts[frame % contexts.size()];
+      if (injector == nullptr) {
+        session.step_into(beacon, now, ctx, {}, outcome);
+      } else {
+        decision[0] = beacon;
+        truth[0] = now;
+        injector->apply(frame, decision, truth);
+        session.step_into(decision, truth, ctx, injector->at(frame), outcome);
+      }
       report.add(outcome);
     }
   }

@@ -37,53 +37,37 @@ void channels_for_into(const channel::PropagationConfig& prop,
                        const std::vector<channel::Position>& users,
                        std::vector<linalg::CVector>& out);
 
-/// Streams `n_frames` over a static channel, cycling through `contexts`.
-/// Decision CSI equals the true channel (static case: beacons are fresh).
-/// Returns the accumulated per-frame outcomes with all the aggregation
-/// helpers of SessionReport (per-(frame,user) quality via all_ssim(), raw
-/// outcomes via frame_outcomes()).
-SessionReport run_static(MulticastSession& session,
-                         const std::vector<linalg::CVector>& channels,
-                         const std::vector<FrameContext>& contexts,
-                         int n_frames);
-
-/// Streams over a CSI trace at 30 FPS (3 frames per 100 ms beacon): the
-/// sender acts on the previous beacon's CSI while the true channel is the
-/// current snapshot — the one-beacon staleness of real 802.11ad.
-SessionReport run_trace(MulticastSession& session,
-                        const channel::CsiTrace& trace,
-                        const std::vector<FrameContext>& contexts,
-                        int frames_per_snapshot = 3);
-
-/// Fault-injecting variants: each frame's FrameFaults come from
-/// `injector.at(frame)`, and the injector's channel-level faults (blockage
-/// bursts, CSI corruption) are applied to per-frame copies of the decision
-/// and true channels before stepping. An empty FaultPlan reproduces the
-/// fault-free overload bit-identically — the chaos suite asserts this.
-SessionReport run_static(MulticastSession& session,
-                         const std::vector<linalg::CVector>& channels,
-                         const std::vector<FrameContext>& contexts,
-                         int n_frames, const fault::FaultInjector& injector);
-
-SessionReport run_trace(MulticastSession& session,
-                        const channel::CsiTrace& trace,
-                        const std::vector<FrameContext>& contexts,
-                        const fault::FaultInjector& injector,
-                        int frames_per_snapshot = 3);
-
-/// Multi-AP static loop: per-frame copies of the per-AP channel stacks
-/// ([ap][user], channel::ap_channel_stacks) take the injector's channel-
-/// level and AP-level faults (blockage with AP scoping, total and sector
-/// outages) via apply_aps, then stream through session.step_multi_into.
-/// `azimuths[a][u]` (channel::ap_user_azimuths) feeds the sector-outage
-/// geometry; pass {} to degrade sector outages to total ones. With one AP
-/// stack and a plan with no AP-level faults this is bit-identical to the
-/// single-AP run_static overload.
-SessionReport run_static_multi_ap(
+/// Streams `n_frames` over static per-AP channel stacks ([ap][user],
+/// channel::ap_channel_stacks; a single-AP run passes `{channels}`),
+/// cycling through `contexts`. Decision CSI equals the true channel
+/// (static case: beacons are fresh). Returns the accumulated per-frame
+/// outcomes with all the aggregation helpers of SessionReport
+/// (per-(frame,user) quality via all_ssim(), raw outcomes via
+/// frame_outcomes()).
+///
+/// With an `injector`, each frame's FrameFaults come from
+/// `injector->at(frame)`, and its channel-level faults (blockage bursts,
+/// AP outages, CSI corruption) are applied to per-frame copies of the
+/// stacks before stepping. `azimuths[a][u]` (channel::ap_user_azimuths)
+/// feeds the sector-outage geometry; leave it empty to degrade sector
+/// outages to total ones. An empty FaultPlan reproduces the run without an
+/// injector bit-identically (the chaos suite asserts this); without one no
+/// channel is copied.
+SessionReport run_static(
     MulticastSession& session,
     const std::vector<std::vector<linalg::CVector>>& stacks,
     const std::vector<FrameContext>& contexts, int n_frames,
-    const fault::FaultInjector& injector,
+    const fault::FaultInjector* injector = nullptr,
     const std::vector<std::vector<double>>& azimuths = {});
+
+/// Streams over a single-AP CSI trace at 30 FPS (3 frames per 100 ms
+/// beacon): the sender acts on the previous beacon's CSI while the true
+/// channel is the current snapshot — the one-beacon staleness of real
+/// 802.11ad. An `injector` works as in run_static.
+SessionReport run_trace(MulticastSession& session,
+                        const channel::CsiTrace& trace,
+                        const std::vector<FrameContext>& contexts,
+                        int frames_per_snapshot = 3,
+                        const fault::FaultInjector* injector = nullptr);
 
 }  // namespace w4k::core

@@ -153,7 +153,6 @@ void MulticastSession::reset() {
   dwell_until_.clear();
   handoff_streak_.clear();
   last_handoff_frame_.clear();
-  partition_.clear();
   relays_.clear();
   group_pool_.clear();
   tx_pool_.clear();
@@ -249,11 +248,10 @@ void MulticastSession::decide_into(
     // once warm.
     enum_cfg_ = cfg_.group_enum;
     enum_cfg_.exclude.assign(exclude.begin(), exclude.end());
-    // Multi-AP sessions own the partition: step_multi_into stamps each
-    // user's serving AP into partition_ so groups never span APs. Empty on
-    // the single-AP path — and then the enumerator is bit-identical to the
-    // pre-partition code.
-    enum_cfg_.partition.assign(partition_.begin(), partition_.end());
+    // Each user's serving AP partitions the groups so none spans APs. With
+    // one AP every id is 0 and the filter admits every subset; a session
+    // that has never stepped has no attachments and no partition.
+    enum_cfg_.partition.assign(serving_ap_.begin(), serving_ap_.end());
     enum_cfg_.deadline = beam_deadline;
     ThreadPool* pool = &ThreadPool::shared();
     const std::span<const sched::GroupSpec> emitted =
@@ -285,17 +283,18 @@ void MulticastSession::decide_into(
                       });
     // Groups must never span APs: one radio serves one beam, and a member
     // attached elsewhere would hear nothing while dragging the group MCS.
-    if (!partition_.empty()) {
+    const auto& partition = enum_cfg_.partition;
+    if (!partition.empty()) {
       for (std::size_t g = 0; g < d.groups.size(); ++g) {
         const auto& members = d.groups[g].members;
         for (std::size_t u : members)
           verify::check(
-              u < partition_.size() &&
-                  partition_[u] == partition_[members.front()],
+              u < partition.size() &&
+                  partition[u] == partition[members.front()],
               "session.group-spans-aps", [&] {
                 return "group " + std::to_string(g) + " mixes AP " +
-                       std::to_string(partition_[members.front()]) +
-                       " and AP " + std::to_string(partition_[u]) +
+                       std::to_string(partition[members.front()]) +
+                       " and AP " + std::to_string(partition[u]) +
                        " (user " + std::to_string(u) + ")";
               });
       }
@@ -385,8 +384,8 @@ void MulticastSession::decide_into(
 }
 
 void MulticastSession::step_into(
-    const std::vector<linalg::CVector>& decision_channels,
-    const std::vector<linalg::CVector>& true_channels,
+    std::span<const std::vector<linalg::CVector>> decision_stacks,
+    std::span<const std::vector<linalg::CVector>> true_stacks,
     const FrameContext& ctx, const fault::FrameFaults& faults,
     FrameOutcome& out) {
   // Field-by-field reset (not `out = {}`) so a reused outcome's vectors
@@ -405,9 +404,21 @@ void MulticastSession::step_into(
   out.handoffs = 0;
   out.relayed_symbols = 0;
 
-  if (decision_channels.size() != true_channels.size())
-    throw std::invalid_argument("step: channel vector count mismatch");
-  const std::size_t n_users = true_channels.size();
+  // --- Inputs: every shape, the config and every fault mask are checked
+  // before any state changes, so a rejected call leaves the session as it
+  // was. -------------------------------------------------------------------
+  const std::size_t n_aps = true_stacks.size();
+  if (n_aps == 0 || decision_stacks.size() != n_aps)
+    throw std::invalid_argument("step: AP stack count mismatch");
+  if (n_aps != cfg_.handoff.n_aps)
+    throw std::invalid_argument("step: got " + std::to_string(n_aps) +
+                                " AP stacks but cfg.handoff.n_aps = " +
+                                std::to_string(cfg_.handoff.n_aps));
+  const std::size_t n_users = true_stacks[0].size();
+  for (std::size_t a = 0; a < n_aps; ++a)
+    if (decision_stacks[a].size() != n_users ||
+        true_stacks[a].size() != n_users)
+      throw std::invalid_argument("step: channel vector count mismatch");
   cfg_.validate(SessionConfig::kUnknown, n_users);
   const auto check_mask = [&](std::size_t got, const char* name) {
     if (got != 0 && got != n_users)
@@ -415,15 +426,67 @@ void MulticastSession::step_into(
                                   " size mismatch");
   };
   check_mask(faults.feedback_lost.size(), "feedback_lost");
+  check_mask(faults.feedback_delayed.size(), "feedback_delayed");
   check_mask(faults.user_active.size(), "user_active");
   check_mask(faults.relay_down.size(), "relay_down");
   if (!(faults.budget_scale > 0.0 && faults.budget_scale <= 1.0))
     throw std::invalid_argument("step: faults.budget_scale outside (0, 1]");
+  if (cfg_.use_estimated_csi &&
+      codebook_.size() <
+          (n_users == 0 ? 1 : decision_stacks[0].front().size()))
+    throw std::invalid_argument(
+        "step: CSI estimation needs codebook size >= antenna count");
   ensure_user_state(n_users);
   const std::uint32_t frame_id = next_frame_id_++;
 
   static obs::Stage& st_frame = obs::stage("session.frame");
   obs::StageSpan frame_span(st_frame);
+
+  // --- AP attachment: best-case beacon RSS per (ap, user) — the same
+  // beacon-time signal the degradation ladder runs on; non-finite
+  // (corrupt-beacon) entries count as unreachable, so a poisoned beacon can
+  // never look attractive. Handoff beacons share the fate of CSI beacons:
+  // either fault freezes the attachment machine for the frame (streaming
+  // continues on the serving AP — that is what make-before-break buys). --
+  ap_rss_mw_.assign(n_aps * n_users, 0.0);
+  for (std::size_t a = 0; a < n_aps; ++a)
+    for (std::size_t u = 0; u < n_users; ++u) {
+      const double mw = decision_stacks[a][u].norm_sq();
+      if (std::isfinite(mw)) ap_rss_mw_[a * n_users + u] = mw;
+    }
+  const bool beacon_ok = !faults.handoff_beacon_lost && !faults.csi_stale;
+  out.handoffs =
+      advance_attachments(n_users, n_aps, ap_rss_mw_, frame_id, beacon_ok);
+
+  // Serving-AP view of the room: the rest of the frame path (CSI hold,
+  // ladder, scheduler, engine) sees each user through their serving ray
+  // only, and the partition keeps the enumerator from grouping across APs.
+  // With one AP everyone is on AP 0 and the stack is the view.
+  const std::vector<linalg::CVector>* decision_view = &decision_stacks[0];
+  const std::vector<linalg::CVector>* truth_view = &true_stacks[0];
+  if (n_aps > 1) {
+    eff_decision_.resize(n_users);
+    eff_truth_.resize(n_users);
+    for (std::size_t u = 0; u < n_users; ++u) {
+      eff_decision_[u] = decision_stacks[serving_ap_[u]][u];
+      eff_truth_[u] = true_stacks[serving_ap_[u]][u];
+    }
+    decision_view = &eff_decision_;
+    truth_view = &eff_truth_;
+    out.user_ap.assign(serving_ap_.begin(), serving_ap_.end());
+    if (obs::enabled()) {
+      auto& reg = obs::MetricsRegistry::global();
+      static obs::Counter& c_ho = reg.counter("session.handoffs");
+      static obs::Counter& c_probe = reg.counter("session.handoff_probes");
+      if (out.handoffs > 0) c_ho.add(out.handoffs);
+      std::uint64_t probing = 0;
+      for (std::size_t u = 0; u < n_users; ++u)
+        probing += attach_state_[u] == ApAttachState::kProbing ? 1 : 0;
+      c_probe.add(probing);
+    }
+  }
+  const std::vector<linalg::CVector>& decision_channels = *decision_view;
+  const std::vector<linalg::CVector>& true_channels = *truth_view;
 
   // --- CSI health: hold the last good beamweights over a missed or
   // corrupt beacon instead of deciding on garbage. ------------------------
@@ -510,11 +573,6 @@ void MulticastSession::step_into(
   if (cfg_.use_estimated_csi) {
     static obs::Stage& st = obs::stage("session.csi_estimate");
     obs::StageSpan span(st);
-    if (codebook_.size() < (decision_base->empty()
-                                ? 1
-                                : decision_base->front().size()))
-      throw std::invalid_argument(
-          "step: CSI estimation needs codebook size >= antenna count");
     estimated.reserve(decision_base->size());
     for (const auto& h : *decision_base) {
       const beamforming::SweepResult sweep =
@@ -937,7 +995,6 @@ std::size_t MulticastSession::advance_attachments(
       continue;
     }
     if (!hc.enabled) continue;
-    if (serving_ap_[u] >= n_aps) serving_ap_[u] = 0;  // shrunk geometry
     const std::size_t serving = serving_ap_[u];
     const double serving_dbm = dbm(mw(serving, u));
     const bool weak = serving_dbm < hc.degrade_floor_dbm;
@@ -982,10 +1039,6 @@ std::size_t MulticastSession::advance_attachments(
         // while the alternate trains. A lost beacon pauses the probe clock
         // rather than committing on stale information.
         if (!beacon_ok) break;
-        if (probe_target_[u] >= n_aps) {  // shrunk geometry mid-probe
-          attach_state_[u] = ApAttachState::kDegraded;
-          break;
-        }
         const double tgt_dbm = dbm(mw(probe_target_[u], u));
         if (tgt_dbm < serving_dbm + 0.5 * hc.hysteresis_db) {
           // Target fell below half the bar mid-probe: abort, no flap.
@@ -1022,83 +1075,6 @@ std::size_t MulticastSession::advance_attachments(
     }
   }
   return handoffs;
-}
-
-void MulticastSession::step_multi_into(
-    const std::vector<std::vector<linalg::CVector>>& decision_stacks,
-    const std::vector<std::vector<linalg::CVector>>& true_stacks,
-    const FrameContext& ctx, const fault::FrameFaults& faults,
-    FrameOutcome& out) {
-  const std::size_t n_aps = true_stacks.size();
-  if (n_aps == 0 || decision_stacks.size() != n_aps)
-    throw std::invalid_argument("step_multi: AP stack count mismatch");
-  if (n_aps != cfg_.handoff.n_aps)
-    throw std::invalid_argument("step_multi: got " + std::to_string(n_aps) +
-                                " AP stacks but cfg.handoff.n_aps = " +
-                                std::to_string(cfg_.handoff.n_aps));
-  const std::size_t n_users = true_stacks[0].size();
-  for (std::size_t a = 0; a < n_aps; ++a)
-    if (decision_stacks[a].size() != n_users ||
-        true_stacks[a].size() != n_users)
-      throw std::invalid_argument("step_multi: per-AP user count mismatch");
-
-  if (n_aps == 1) {
-    // One AP: exactly the legacy path (no partition, no attachment
-    // machinery) — bit-identical to step_into by construction.
-    partition_.clear();
-    step_into(decision_stacks[0], true_stacks[0], ctx, faults, out);
-    return;
-  }
-
-  ensure_user_state(n_users);
-
-  // Best-case beacon RSS per (ap, user) — the same beacon-time signal the
-  // degradation ladder runs on; non-finite (corrupt-beacon) entries count
-  // as unreachable, so a poisoned beacon can never look attractive.
-  ap_rss_mw_.assign(n_aps * n_users, 0.0);
-  for (std::size_t a = 0; a < n_aps; ++a)
-    for (std::size_t u = 0; u < n_users; ++u) {
-      const double mw = decision_stacks[a][u].norm_sq();
-      if (std::isfinite(mw)) ap_rss_mw_[a * n_users + u] = mw;
-    }
-
-  // Handoff beacons share the fate of CSI beacons: either fault freezes
-  // the attachment machine for the frame (streaming continues on the
-  // serving AP — that is what make-before-break buys).
-  const bool beacon_ok = !faults.handoff_beacon_lost && !faults.csi_stale;
-  const std::size_t handoffs = advance_attachments(
-      n_users, n_aps, ap_rss_mw_, next_frame_id_, beacon_ok);
-
-  // Serving-AP view of the room: the rest of the frame path (CSI hold,
-  // ladder, scheduler, engine) sees each user through their serving ray
-  // only, and the partition keeps the enumerator from grouping across APs.
-  if (eff_decision_.size() != n_users) eff_decision_.resize(n_users);
-  if (eff_truth_.size() != n_users) eff_truth_.resize(n_users);
-  partition_.assign(n_users, 0);
-  for (std::size_t u = 0; u < n_users; ++u) {
-    const std::size_t a = serving_ap_[u];
-    eff_decision_[u] = decision_stacks[a][u];
-    eff_truth_[u] = true_stacks[a][u];
-    partition_[u] = serving_ap_[u];
-  }
-
-  step_into(eff_decision_, eff_truth_, ctx, faults, out);
-  partition_.clear();
-
-  out.user_ap.assign(n_users, 0);
-  for (std::size_t u = 0; u < n_users; ++u) out.user_ap[u] = serving_ap_[u];
-  out.handoffs = handoffs;
-
-  if (obs::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    static obs::Counter& c_ho = reg.counter("session.handoffs");
-    static obs::Counter& c_probe = reg.counter("session.handoff_probes");
-    if (handoffs > 0) c_ho.add(handoffs);
-    std::uint64_t probing = 0;
-    for (std::size_t u = 0; u < n_users; ++u)
-      probing += attach_state_[u] == ApAttachState::kProbing ? 1 : 0;
-    c_probe.add(probing);
-  }
 }
 
 }  // namespace w4k::core

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace w4k::core {
@@ -114,9 +115,8 @@ struct SessionConfig {
   /// user's initial AP but nobody ever moves, and the SessionReport is
   /// byte-identical for any knob values (the property suite pins this).
   struct HandoffConfig {
-    /// APs this session streams across. step_multi_into requires its
-    /// channel stacks to match; 1 (the default) is the legacy single-AP
-    /// session.
+    /// APs this session streams across. step_into requires its channel
+    /// stacks to match; 1 (the default) is the paper's single-AP session.
     std::size_t n_aps = 1;
     bool enabled = false;
     /// An alternate AP must beat the serving AP by this much (dB) before a
@@ -203,10 +203,26 @@ class MulticastSession {
   const SessionConfig& config() const { return cfg_; }
 
   /// Streams one frame into a caller-owned outcome whose vectors reuse
-  /// their capacity across frames. `decision_channels` is the CSI the
-  /// sender acts on (last beacon); `true_channels` is the channel during
-  /// transmission. In No-Update mode the decision made on the first call is
-  /// reused forever (matching the paper's baseline).
+  /// their capacity across frames. `decision_stacks` / `true_stacks` are
+  /// per-AP channel stacks indexed [ap][user] (channel::ap_channel_stacks;
+  /// a single-AP session passes one stack): the decision CSI is what the
+  /// sender acts on (last beacon), the true channel is the channel during
+  /// transmission. The stack count must equal cfg.handoff.n_aps. In
+  /// No-Update mode the decision made on the first call is reused forever
+  /// (matching the paper's baseline).
+  ///
+  /// Each user is served by exactly one AP per frame. The per-user
+  /// ApAttachment state machine (attached -> degraded -> probing-alternate
+  /// -> handing-off -> attached) moves users between APs when
+  /// cfg.handoff.enabled, driven by the same beacon-time CSI the
+  /// degradation ladder uses, with hysteresis plus capped dwell backoff
+  /// against flapping. Handoff is make-before-break: the user keeps
+  /// streaming from the old AP through the probe, and quarantine /
+  /// feedback-streak / warm-start state survives the switch untouched.
+  /// Groups never span APs (the enumerator enforces partition purity).
+  /// With one AP everyone attaches to AP 0 and never hands off, so the
+  /// stack itself is the serving view. `out.user_ap` is filled only when
+  /// there is more than one AP.
   ///
   /// `faults` is this frame's resolved fault state
   /// (fault::FaultInjector::at). The session walks the degradation ladder
@@ -218,31 +234,28 @@ class MulticastSession {
   /// churn → departed users drop out of the optimizer and the report. A
   /// default-constructed FrameFaults is the fault-free frame.
   ///
+  /// Every input (stack shapes, the config, each FrameFaults mask size) is
+  /// checked before any session state changes, so a rejected call leaves
+  /// the session exactly as it was.
+  ///
   /// Together with the session's internal workspaces (scheduler
   /// enumeration buffers, engine scratch, reconstruction workspace) a
   /// steady-state frame performs zero heap allocations (the
   /// W4K_COUNT_ALLOCS tier-1 gate).
-  void step_into(const std::vector<linalg::CVector>& decision_channels,
-                 const std::vector<linalg::CVector>& true_channels,
+  void step_into(std::span<const std::vector<linalg::CVector>> decision_stacks,
+                 std::span<const std::vector<linalg::CVector>> true_stacks,
                  const FrameContext& ctx, const fault::FrameFaults& faults,
                  FrameOutcome& out);
 
-  /// Multi-AP variant: `decision_stacks` / `true_stacks` are per-AP channel
-  /// stacks indexed [ap][user] (channel::ap_channel_stacks). Each user is
-  /// served by exactly one AP per frame; the per-user ApAttachment state
-  /// machine (attached -> degraded -> probing-alternate -> handing-off ->
-  /// attached) moves users between APs when cfg.handoff.enabled, driven by
-  /// the same beacon-time CSI the degradation ladder uses, with hysteresis
-  /// plus capped dwell backoff against flapping. Handoff is make-before-
-  /// break: the user keeps streaming from the old AP through the probe, and
-  /// quarantine / feedback-streak / warm-start state survives the switch
-  /// untouched. Groups never span APs (the enumerator enforces partition
-  /// purity). With one AP stack this is bit-identical to step_into.
-  void step_multi_into(
-      const std::vector<std::vector<linalg::CVector>>& decision_stacks,
-      const std::vector<std::vector<linalg::CVector>>& true_stacks,
-      const FrameContext& ctx, const fault::FrameFaults& faults,
-      FrameOutcome& out);
+  /// Single-AP form: the two channel vectors are passed as one-element
+  /// stacks, without a copy. Throws unless cfg.handoff.n_aps == 1.
+  void step_into(const std::vector<linalg::CVector>& decision_channels,
+                 const std::vector<linalg::CVector>& true_channels,
+                 const FrameContext& ctx, const fault::FrameFaults& faults,
+                 FrameOutcome& out) {
+    step_into(std::span(&decision_channels, 1), std::span(&true_channels, 1),
+              ctx, faults, out);
+  }
 
   /// Drops cached decisions, backlog, and fault-recovery state (e.g.
   /// between independent runs).
@@ -257,8 +270,10 @@ class MulticastSession {
   /// Runs the per-frame decision pipeline (group beamforming -> Eq. 1 time
   /// allocation -> Eq. 4 unit mapping) without transmitting, writing into
   /// a caller-owned Decision. Public so the scheduler-scaling bench can
-  /// time exactly this path; step_into() calls it internally. Mutates the
-  /// beam cache and warm-start state. A reused Decision copy-assigns the
+  /// time exactly this path; step_into() calls it internally. Groups are
+  /// partitioned by the users' serving APs from the last step (a session
+  /// that has never stepped has none, so nothing is partitioned). Mutates
+  /// the beam cache and warm-start state. A reused Decision copy-assigns the
   /// emitted groups / allocation / unit map over the previous frame's
   /// containers, so the whole decision pipeline reuses capacity in steady
   /// state.
@@ -365,13 +380,11 @@ class MulticastSession {
   std::vector<std::uint32_t> dwell_until_;    ///< no probes before this frame
   std::vector<int> handoff_streak_;           ///< back-to-back handoffs
   std::vector<std::uint32_t> last_handoff_frame_;
-  /// Serving-AP channels assembled per frame from the per-AP stacks.
+  /// Serving-AP channels gathered per frame from the per-AP stacks (only
+  /// with several APs; one AP's stack is its own serving view).
   std::vector<linalg::CVector> eff_decision_;
   std::vector<linalg::CVector> eff_truth_;
   std::vector<double> ap_rss_mw_;             ///< flat [ap * n_users + u]
-  /// Per-user serving AP handed to the group enumerator (groups must not
-  /// span APs). Empty on the single-AP path — bit-identical legacy output.
-  std::vector<std::uint8_t> partition_;
   std::vector<emu::RelayLink> relays_;        ///< this frame's relay plan
 };
 

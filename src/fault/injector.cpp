@@ -6,22 +6,6 @@
 
 namespace w4k::fault {
 
-bool FrameFaults::any() const {
-  if (csi_stale || csi_corrupt || budget_scale < 1.0) return true;
-  if (handoff_beacon_lost) return true;
-  for (auto v : feedback_lost)
-    if (v) return true;
-  for (double db : blockage_db)
-    if (db > 0.0) return true;
-  for (auto v : user_active)
-    if (!v) return true;
-  for (auto v : ap_down)
-    if (v) return true;
-  for (auto v : relay_down)
-    if (v) return true;
-  return false;
-}
-
 FaultInjector::FaultInjector(FaultPlan plan, std::size_t n_users,
                              std::size_t n_aps)
     : plan_(std::move(plan)), n_users_(n_users), n_aps_(n_aps) {
@@ -32,20 +16,6 @@ FaultInjector::FaultInjector(FaultPlan plan, std::size_t n_users,
                    [](const ChurnEvent& a, const ChurnEvent& b) {
                      return a.frame < b.frame;
                    });
-}
-
-double FaultInjector::blockage_at(std::uint32_t frame,
-                                  std::size_t user) const {
-  // Overlapping bursts on the same user stack additively (two people in
-  // the ray block more than one).
-  double db = 0.0;
-  for (const auto& b : plan_.blockage) {
-    if (b.user != user) continue;
-    if (b.ap > 0) continue;  // pinned to a non-primary AP's ray
-    if (frame >= b.start_frame && frame < b.start_frame + b.n_frames)
-      db += b.extra_loss_db;
-  }
-  return db;
 }
 
 double FaultInjector::ray_loss_at(
@@ -88,7 +58,6 @@ FrameFaults FaultInjector::at(std::uint32_t frame) const {
   f.frame = frame;
   f.feedback_lost.assign(n_users_, 0);
   f.feedback_delayed.assign(n_users_, 0);
-  f.blockage_db.assign(n_users_, 0.0);
   f.user_active.assign(n_users_, 1);
 
   for (const auto& fb : plan_.feedback) {
@@ -96,13 +65,8 @@ FrameFaults FaultInjector::at(std::uint32_t frame) const {
     f.feedback_lost[fb.user] = 1;
     if (fb.delay_frames > 0) f.feedback_delayed[fb.user] = 1;
   }
-  for (const auto& c : plan_.csi) {
-    if (c.frame != frame) continue;
-    if (c.corrupt) f.csi_corrupt = true;
-    else f.csi_stale = true;
-  }
-  for (std::size_t u = 0; u < n_users_; ++u)
-    f.blockage_db[u] = blockage_at(frame, u);
+  for (const auto& c : plan_.csi)
+    if (c.frame == frame && !c.corrupt) f.csi_stale = true;
   for (const auto& b : plan_.budget) {
     if (frame >= b.start_frame && frame < b.start_frame + b.n_frames)
       f.budget_scale = std::min(f.budget_scale, b.budget_scale);
@@ -115,14 +79,6 @@ FrameFaults FaultInjector::at(std::uint32_t frame) const {
   }
   for (const auto& h : plan_.handoff_beacon)
     if (h.frame == frame) f.handoff_beacon_lost = true;
-  if (!plan_.ap_outage.empty() || n_aps_ > 1) {
-    f.ap_down.assign(n_aps_, 0);
-    for (const auto& o : plan_.ap_outage) {
-      if (!o.total || o.ap >= n_aps_) continue;
-      if (frame >= o.start_frame && frame < o.start_frame + o.n_frames)
-        f.ap_down[o.ap] = 1;
-    }
-  }
   if (!plan_.relay_churn.empty()) {
     f.relay_down.assign(n_users_, 0);
     for (const auto& r : plan_.relay_churn) {
@@ -134,34 +90,7 @@ FrameFaults FaultInjector::at(std::uint32_t frame) const {
   return f;
 }
 
-void FaultInjector::apply(std::uint32_t frame,
-                          std::vector<linalg::CVector>& decision,
-                          std::vector<linalg::CVector>& truth) const {
-  const auto attenuate = [](linalg::CVector& h, double db) {
-    if (db <= 0.0) return;
-    const double amp = std::pow(10.0, -db / 20.0);
-    for (std::size_t n = 0; n < h.size(); ++n) h[n] *= amp;
-  };
-  for (std::size_t u = 0; u < truth.size() && u < n_users_; ++u)
-    attenuate(truth[u], blockage_at(frame, u));
-  // The sender's CSI is one beacon old: it sees the bursts that were
-  // already active on the previous frame, not one that just started.
-  const std::uint32_t prev = frame > 0 ? frame - 1 : frame;
-  for (std::size_t u = 0; u < decision.size() && u < n_users_; ++u)
-    attenuate(decision[u], frame > 0 ? blockage_at(prev, u) : 0.0);
-
-  bool corrupt = false;
-  for (const auto& c : plan_.csi)
-    if (c.frame == frame && c.corrupt) corrupt = true;
-  if (corrupt) {
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    for (auto& h : decision)
-      for (std::size_t n = 0; n < h.size(); ++n)
-        h[n] = linalg::Complex(nan, nan);
-  }
-}
-
-void FaultInjector::apply_aps(
+void FaultInjector::apply(
     std::uint32_t frame, std::vector<std::vector<linalg::CVector>>& decision,
     std::vector<std::vector<linalg::CVector>>& truth,
     const std::vector<std::vector<double>>& ap_user_azimuth) const {
@@ -181,8 +110,9 @@ void FaultInjector::apply_aps(
   for (std::size_t a = 0; a < truth.size() && a < n_aps_; ++a)
     for (std::size_t u = 0; u < truth[a].size() && u < n_users_; ++u)
       fault_ray(truth[a][u], frame, a, u);
-  // Same staleness convention as apply(): the sender acts on last beacon's
-  // picture, so the decision stacks see the previous frame's faults.
+  // The sender's CSI is one beacon old: the decision stacks see the faults
+  // that were already active on the previous frame, not one that just
+  // started.
   const std::uint32_t prev = frame > 0 ? frame - 1 : frame;
   if (frame > 0)
     for (std::size_t a = 0; a < decision.size() && a < n_aps_; ++a)

@@ -14,26 +14,20 @@ namespace w4k::fault {
 
 /// Everything the control loop must survive on one frame. Vectors are
 /// sized n_users; `user_active` reflects churn (empty plans yield all-true).
+/// Channel-level faults (blockage, AP outages, corrupt beacons) are not
+/// listed here: they act only through FaultInjector::apply.
 struct FrameFaults {
   std::uint32_t frame = 0;
   bool csi_stale = false;    ///< beacon missed: reuse last beamweights
-  bool csi_corrupt = false;  ///< beacon garbage: apply() poisons decision CSI
   double budget_scale = 1.0; ///< < 1: NIC stall / bucket starvation
   std::vector<std::uint8_t> feedback_lost;     ///< report never arrives
   std::vector<std::uint8_t> feedback_delayed;  ///< arrives next beacon(s)
-  std::vector<double> blockage_db;             ///< extra true-channel loss
   std::vector<std::uint8_t> user_active;       ///< churn state
   /// Cross-AP assist beacon lost: the session must not probe alternates or
   /// commit a handoff on this frame.
   bool handoff_beacon_lost = false;
-  /// Per-AP *total*-outage flags, sized n_aps (empty when n_aps == 1 and
-  /// the plan has no outages). Sector outages are geometric — they only
-  /// manifest through apply_aps(), which knows each user's azimuth.
-  std::vector<std::uint8_t> ap_down;
   /// Per-user relay-unavailability flags (relay churn), sized n_users.
   std::vector<std::uint8_t> relay_down;
-
-  bool any() const;
 };
 
 class FaultInjector {
@@ -49,30 +43,23 @@ class FaultInjector {
   /// The resolved fault state for `frame`.
   FrameFaults at(std::uint32_t frame) const;
 
-  /// Applies the physical faults of `frame` in place: blockage bursts
-  /// attenuate `truth` with the bursts active *now* and `decision` with the
-  /// bursts active at the previous beacon (the sender's knowledge is one
-  /// beacon stale); a corrupt beacon overwrites `decision` with NaN so the
-  /// session's CSI sanity check must catch it.
-  void apply(std::uint32_t frame, std::vector<linalg::CVector>& decision,
-             std::vector<linalg::CVector>& truth) const;
-
-  /// Multi-AP variant of apply(): `decision`/`truth` are per-AP channel
-  /// stacks indexed [ap][user]. Blockage bursts attenuate the rays they
-  /// name (every AP's ray when the burst has no `ap`), AP outages silence
-  /// the affected rays outright — totally, or only for users whose AP-local
+  /// Applies the physical faults of `frame` in place to per-AP channel
+  /// stacks indexed [ap][user] (one stack for a single-AP run). Blockage
+  /// bursts attenuate the rays they name (every AP's ray when the burst
+  /// has no `ap`, additively when bursts overlap); AP outages silence the
+  /// affected rays outright — totally, or only for users whose AP-local
   /// azimuth (radians, from `ap_user_azimuth[ap][user]`) falls inside the
   /// failed sector. Without an azimuth table a sector outage degrades to a
-  /// total one (conservative). The same one-beacon staleness convention as
-  /// apply() holds: `truth` sees faults active now, `decision` sees the
-  /// previous frame's, and a corrupt beacon NaN-poisons every decision ray.
-  void apply_aps(
+  /// total one (conservative). `truth` sees the faults active *now*,
+  /// `decision` those active at the previous frame (the sender's
+  /// knowledge is one beacon stale), and a corrupt beacon overwrites every
+  /// decision ray with NaN so the session's CSI sanity check must catch it.
+  void apply(
       std::uint32_t frame, std::vector<std::vector<linalg::CVector>>& decision,
       std::vector<std::vector<linalg::CVector>>& truth,
       const std::vector<std::vector<double>>& ap_user_azimuth = {}) const;
 
  private:
-  double blockage_at(std::uint32_t frame, std::size_t user) const;
   double ray_loss_at(std::uint32_t frame, std::size_t ap, std::size_t user,
                      const std::vector<std::vector<double>>& azimuth,
                      bool* silenced) const;

@@ -59,7 +59,7 @@ std::vector<linalg::CVector> static_channels(std::size_t n) {
 core::SessionReport run_static4(model::QualityModel& quality) {
   auto s = session(quality);
   const auto ctx = contexts();
-  return core::run_static(s, static_channels(4), ctx, 12);
+  return core::run_static(s, {static_channels(4)}, ctx, 12);
 }
 
 core::SessionReport run_faulted(model::QualityModel& quality) {
@@ -69,8 +69,8 @@ core::SessionReport run_faulted(model::QualityModel& quality) {
   const auto ctx = contexts();
   const fault::FaultInjector injector(
       fault::FaultPlan::random(/*seed=*/20240801, kFrames, kUsers), kUsers);
-  return core::run_static(s, static_channels(kUsers), ctx, kFrames,
-                          injector);
+  return core::run_static(s, {static_channels(kUsers)}, ctx, kFrames,
+                          &injector);
 }
 
 // Two APs on opposite walls, four users, a pinned AP-outage + handoff-
@@ -109,9 +109,9 @@ core::SessionReport run_multiap(model::QualityModel& quality) {
   outage.total = true;
   plan.ap_outage.push_back(outage);
   const fault::FaultInjector injector(plan, kUsers, 2);
-  return core::run_static_multi_ap(s, channel::ap_channel_stacks(geo, users),
-                                   ctx, kFrames, injector,
-                                   channel::ap_user_azimuths(geo, users));
+  return core::run_static(s, channel::ap_channel_stacks(geo, users), ctx,
+                          kFrames, &injector,
+                          channel::ap_user_azimuths(geo, users));
 }
 
 // Single AP, persistent blockage drives one user into quarantine, then the
@@ -140,7 +140,8 @@ core::SessionReport run_relay(model::QualityModel& quality) {
   for (std::uint32_t f = 2; f < 20; ++f)
     plan.csi.push_back({f, /*corrupt=*/false});
   const fault::FaultInjector injector(plan, kUsers);
-  return core::run_static(s, static_channels(kUsers), ctx, kFrames, injector);
+  return core::run_static(s, {static_channels(kUsers)}, ctx, kFrames,
+                          &injector);
 }
 
 core::SessionReport run_mobile(model::QualityModel& quality) {

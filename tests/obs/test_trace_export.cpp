@@ -155,7 +155,7 @@ TEST_F(TraceExportTest, EventsAreWellNestedPerThread) {
       prop, core::place_users_fixed(1, 3.0, 0.5, rng));
   core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
   core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
-  (void)core::run_static(session, chans, *contexts_, 2);
+  (void)core::run_static(session, {chans}, *contexts_, 2);
 
   std::ostringstream os;
   write_chrome_trace(os);

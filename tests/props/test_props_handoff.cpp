@@ -101,8 +101,8 @@ std::string run_json(model::QualityModel& quality,
                      const fault::FaultPlan& plan, std::size_t n_users) {
   core::MulticastSession session(cfg, quality, beamforming::Codebook{});
   const fault::FaultInjector injector(plan, n_users, room.geo.n_aps());
-  const core::SessionReport report = core::run_static_multi_ap(
-      session, room.stacks, contexts, kFrames, injector, room.azimuths);
+  const core::SessionReport report = core::run_static(
+      session, room.stacks, contexts, kFrames, &injector, room.azimuths);
   std::ostringstream os;
   report.write_json(os);
   return os.str();
@@ -190,7 +190,7 @@ TEST_F(HandoffPropertyTest, InvariantsHoldAtAnyKnobSetting) {
         randomize_knobs(cfg, rng);
         // kThrow is the test-build default: any invariant violation
         // (airtime budget, cross-AP group, scheduled-while-excluded)
-        // throws out of run_static_multi_ap and fails the property.
+        // throws out of run_static and fails the property.
         ThreadPool::reset_shared(1);
         const std::string got_1t =
             run_json(*quality_, *contexts_, room, cfg, plan, n);

@@ -108,7 +108,7 @@ core::SessionReport run_report(model::QualityModel& quality,
                                std::size_t n_users) {
   core::MulticastSession session(cfg, quality, beamforming::Codebook{});
   const fault::FaultInjector injector(plan, n_users);
-  return core::run_static(session, channels, contexts, kFrames, injector);
+  return core::run_static(session, {channels}, contexts, kFrames, &injector);
 }
 
 std::string to_json(const core::SessionReport& report) {

@@ -76,7 +76,7 @@ std::string run_reused(model::QualityModel& quality,
                        const core::SessionConfig& cfg) {
   core::MulticastSession session(cfg, quality, beamforming::Codebook{});
   const core::SessionReport report =
-      core::run_static(session, channels, contexts, kFrames);
+      core::run_static(session, {channels}, contexts, kFrames);
   std::ostringstream os;
   report.write_json(os);
   return os.str();

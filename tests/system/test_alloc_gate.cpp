@@ -197,7 +197,7 @@ TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
         << "no measured beacon ran on the subset lanes; gate is vacuous";
 }
 
-// Multi-AP + relay scenario: 2-AP stacks through step_multi_into, with a
+// Multi-AP + relay scenario: 2-AP stacks through step_into, with a
 // fault plan that lights up every new subsystem inside the warmup window
 // and the measured window — a persistent unseen blockage quarantines user
 // 3 (peer relay starts forwarding base-layer symbols by frame ~4), then a
@@ -267,9 +267,9 @@ TEST_F(AllocGateTest, MultiApRelayZeroAllocsPerFrameAfterWarmup) {
     const fault::FrameFaults faults = injector.at(frame_id);
     decision = stacks;
     truth = stacks;
-    injector.apply_aps(frame_id, decision, truth, azimuths);
+    injector.apply(frame_id, decision, truth, azimuths);
     const alloc_count::Scope scope;
-    session.step_multi_into(decision, truth, ctx, faults, outcome);
+    session.step_into(decision, truth, ctx, faults, outcome);
     if (f >= kMultiWarmup) {
       EXPECT_EQ(scope.taken(), 0u)
           << "frame " << f << " of the multi-AP relay scenario hit the heap";

@@ -64,8 +64,8 @@ class ChaosTest : public ::testing::Test {
     SessionConfig cfg = chaos_config(session_seed);
     MulticastSession session(cfg, *quality_, beamforming::Codebook{});
     const fault::FaultInjector injector(plan, kUsers);
-    return run_static(session, channels_at(3.0), *contexts_, n_frames,
-                      injector);
+    return run_static(session, {channels_at(3.0)}, *contexts_, n_frames,
+                      &injector);
   }
 
   static std::string joined(const chaos::Violations& violations) {
@@ -131,12 +131,12 @@ TEST_F(ChaosTest, FaultFreePlanReproducesPlainRunBitIdentically) {
   SessionConfig cfg = chaos_config(9);
   const auto chans = channels_at(3.0);
   MulticastSession plain(cfg, *quality_, beamforming::Codebook{});
-  const SessionReport a = run_static(plain, chans, *contexts_, kFrames);
+  const SessionReport a = run_static(plain, {chans}, *contexts_, kFrames);
 
   MulticastSession faulted(cfg, *quality_, beamforming::Codebook{});
   const fault::FaultInjector injector(fault::FaultPlan{}, kUsers);
   const SessionReport b =
-      run_static(faulted, chans, *contexts_, kFrames, injector);
+      run_static(faulted, {chans}, *contexts_, kFrames, &injector);
   expect_identical(a, b);
 }
 
@@ -203,7 +203,7 @@ TEST_F(ChaosTest, PersistentOutageQuarantinesAndReleases) {
   const fault::FaultInjector injector(plan, kUsers);
   const int n_frames = 16;
   const SessionReport report =
-      run_static(session, channels_at(3.0), *contexts_, n_frames, injector);
+      run_static(session, {channels_at(3.0)}, *contexts_, n_frames, &injector);
   check_invariants(report, n_frames);
 
   bool ever_quarantined = false;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
 #include <tuple>
 
 namespace w4k::emu {
@@ -17,6 +19,17 @@ struct EngineCase {
   bool source_coding;
   bool rate_control;
 };
+
+/// Printed field by field: the struct has padding, and gtest's default byte
+/// dump would put those uninitialized bytes into the test names that
+/// gtest_discover_tests builds from the printed parameter (ctest names such
+/// as `Sweep/EngineProperty.InvariantsHold/loss5pct_40mbps_2rounds_coding_ratectl`).
+void PrintTo(const EngineCase& c, std::ostream* os) {
+  *os << "loss" << std::lround(c.loss * 100) << "pct_" << std::lround(c.mbps)
+      << "mbps_" << c.feedback_rounds << "rounds_"
+      << (c.source_coding ? "coding" : "nocoding") << "_"
+      << (c.rate_control ? "ratectl" : "noratectl");
+}
 
 std::vector<sched::UnitSpec> make_units(std::size_t n, std::size_t k) {
   std::vector<sched::UnitSpec> units;

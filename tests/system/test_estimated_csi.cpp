@@ -59,12 +59,12 @@ TEST_F(EstimatedCsiTest, NearPerfectCsiQuality) {
 
   SessionConfig perfect_cfg = SessionConfig::scaled(kW, kH);
   MulticastSession perfect(perfect_cfg, *quality_, *codebook_);
-  const auto perfect_run = run_static(perfect, channels, *contexts_, 5);
+  const auto perfect_run = run_static(perfect, {channels}, *contexts_, 5);
 
   SessionConfig est_cfg = SessionConfig::scaled(kW, kH);
   est_cfg.use_estimated_csi = true;
   MulticastSession estimated(est_cfg, *quality_, *codebook_);
-  const auto est_run = run_static(estimated, channels, *contexts_, 5);
+  const auto est_run = run_static(estimated, {channels}, *contexts_, 5);
 
   EXPECT_GT(est_run.ssim_summary().mean, perfect_run.ssim_summary().mean - 0.02);
 }
@@ -95,12 +95,12 @@ TEST_F(EstimatedCsiTest, NoisySweepsDegradeGracefully) {
   clean_cfg.use_estimated_csi = true;
   clean_cfg.sls_noise_db = 0.1;
   MulticastSession clean(clean_cfg, *quality_, *codebook_);
-  const auto clean_run = run_static(clean, channels, *contexts_, 4);
+  const auto clean_run = run_static(clean, {channels}, *contexts_, 4);
 
   SessionConfig noisy_cfg = clean_cfg;
   noisy_cfg.sls_noise_db = 3.0;
   MulticastSession noisy(noisy_cfg, *quality_, *codebook_);
-  const auto noisy_run = run_static(noisy, channels, *contexts_, 4);
+  const auto noisy_run = run_static(noisy, {channels}, *contexts_, 4);
 
   // Noise hurts (or at least never helps beyond jitter), but the system
   // keeps working — no outage collapse.

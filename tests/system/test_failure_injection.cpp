@@ -5,8 +5,11 @@
 #include "common/stats.h"
 #include "core/pretrained.h"
 #include "core/runner.h"
+#include "fault/plan.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 namespace w4k::core {
 namespace {
@@ -93,7 +96,7 @@ TEST_F(FailureInjectionTest, NoFeedbackChannel) {
   cfg.loss.at_zero_margin = 0.2;  // hostile channel, no repair possible
   MulticastSession session(cfg, *quality_, beamforming::Codebook{});
   const auto chans = channels_at(6.0);
-  const SessionReport run = run_static(session, chans, *contexts_, 5);
+  const SessionReport run = run_static(session, {chans}, *contexts_, 5);
   // Quality suffers but every frame completes with sane outputs.
   for (double s : run.all_ssim()) {
     EXPECT_GT(s, 0.3);
@@ -107,7 +110,7 @@ TEST_F(FailureInjectionTest, PathologicalQueueOfOnePacket) {
   cfg.engine.rate_control = false;  // dump the burst at the tiny queue
   MulticastSession session(cfg, *quality_, beamforming::Codebook{});
   const auto chans = channels_at(3.0);
-  const SessionReport run = run_static(session, chans, *contexts_, 4);
+  const SessionReport run = run_static(session, {chans}, *contexts_, 4);
   // Nearly everything drops; the receiver sees ~blank frames. No crash.
   for (const auto& f : run.frame_outcomes())
     EXPECT_GT(f.stats.packets_dropped_queue, 0u);
@@ -118,7 +121,7 @@ TEST_F(FailureInjectionTest, NearTotalLoss) {
   cfg.loss.floor = 0.95;  // 95% of packets vanish
   MulticastSession session(cfg, *quality_, beamforming::Codebook{});
   const auto chans = channels_at(3.0);
-  const SessionReport run = run_static(session, chans, *contexts_, 3);
+  const SessionReport run = run_static(session, {chans}, *contexts_, 3);
   const double blank = contexts_->front().content.blank_ssim;
   for (double s : run.all_ssim()) EXPECT_GE(s, blank - 0.05);
 }
@@ -141,10 +144,37 @@ TEST_F(FailureInjectionTest, BacklogStormWithoutRateControlDrains) {
   cfg.engine.rate_control = false;
   MulticastSession session(cfg, *quality_, beamforming::Codebook{});
   const auto chans = channels_at(16.0);  // slow link, big frames
-  const SessionReport run = run_static(session, chans, *contexts_, 8);
+  const SessionReport run = run_static(session, {chans}, *contexts_, 8);
   for (const auto& f : run.frame_outcomes())
     EXPECT_LE(f.stats.backlog_packets_after,
               cfg.engine.queue_capacity_bytes / cfg.engine.symbol_size + 1);
+}
+
+TEST_F(FailureInjectionTest, SingleApOutageSilencesTheOnlyAp) {
+  // `ap_outage S N 0 total` on a one-AP run: the AP's rays go dark on
+  // frames [S, S+N) and the one-beacon-stale decision CSI sees it from
+  // S+1, so on [S+1, S+N) nothing can be scheduled and nothing decodes.
+  // Before and after the outage the link delivers.
+  constexpr std::uint32_t kStart = 2;
+  constexpr std::uint32_t kLen = 4;
+  std::istringstream text("ap_outage 2 4 0 total\n");
+  const fault::FaultPlan plan = fault::parse_fault_plan(text);
+  const auto chans = channels_at(3.0);
+  const fault::FaultInjector injector(plan, chans.size());
+  SessionConfig cfg = SessionConfig::scaled(kW, kH);
+  MulticastSession session(cfg, *quality_, beamforming::Codebook{});
+  const SessionReport run =
+      run_static(session, {chans}, *contexts_, 10, &injector);
+  ASSERT_EQ(run.frames(), 10u);
+  for (std::uint32_t f = 0; f < run.frames(); ++f) {
+    const auto& decoded = run.frame(f).decoded_fraction;
+    double total = 0.0;
+    for (double d : decoded) total += d;
+    if (f > kStart && f < kStart + kLen)
+      EXPECT_EQ(total, 0.0) << "frame " << f << " decoded through the outage";
+    else if (f < kStart || f > kStart + kLen)
+      EXPECT_GT(total, 0.0) << "frame " << f;
+  }
 }
 
 }  // namespace

@@ -287,6 +287,17 @@ TEST(FaultPlanRandom, NeverChurnsOutUserZero) {
 
 // --- FrameFaults resolution ----------------------------------------------
 
+using Stacks = std::vector<std::vector<linalg::CVector>>;
+
+/// One AP stack of unit channels (amplitude 1 on one antenna), so an
+/// applied blockage of `db` reads back as amplitude 10^(-db/20).
+Stacks unit_stack(std::size_t n_users) {
+  return Stacks{std::vector<linalg::CVector>(n_users,
+                                             linalg::CVector{{1.0, 0.0}})};
+}
+
+double blockage_amplitude(double db) { return std::pow(10.0, -db / 20.0); }
+
 TEST(FaultInjectorTest, ResolvesPerFrameState) {
   FaultPlan plan;
   plan.feedback.push_back({2, 1, -1});
@@ -298,28 +309,48 @@ TEST(FaultInjectorTest, ResolvesPerFrameState) {
   plan.churn.push_back({3, 2, true});
   const FaultInjector inj(plan, 3);
 
+  // Frame 0: nothing resolves, and apply leaves the channels untouched.
   const FrameFaults f0 = inj.at(0);
-  EXPECT_FALSE(f0.any());
+  EXPECT_FALSE(f0.csi_stale);
+  EXPECT_FALSE(f0.handoff_beacon_lost);
   EXPECT_DOUBLE_EQ(f0.budget_scale, 1.0);
+  EXPECT_EQ(f0.feedback_lost, std::vector<std::uint8_t>(3, 0));
+  EXPECT_EQ(f0.feedback_delayed, std::vector<std::uint8_t>(3, 0));
+  EXPECT_EQ(f0.user_active, std::vector<std::uint8_t>(3, 1));
+  EXPECT_TRUE(f0.relay_down.empty());
+  Stacks decision = unit_stack(3);
+  Stacks truth = unit_stack(3);
+  inj.apply(0, decision, truth);
+  for (std::size_t u = 0; u < 3; ++u) {
+    EXPECT_EQ(decision[0][u][0], linalg::Complex(1.0, 0.0)) << "user " << u;
+    EXPECT_EQ(truth[0][u][0], linalg::Complex(1.0, 0.0)) << "user " << u;
+  }
 
   const FrameFaults f2 = inj.at(2);
-  EXPECT_TRUE(f2.any());
   EXPECT_TRUE(f2.csi_stale);
-  EXPECT_FALSE(f2.csi_corrupt);
   EXPECT_DOUBLE_EQ(f2.budget_scale, 0.4);
   EXPECT_EQ(f2.feedback_lost[1], 1);
   EXPECT_EQ(f2.feedback_lost[0], 1);       // delayed = missing this frame
   EXPECT_EQ(f2.feedback_delayed[0], 1);    // ...but known-alive
   EXPECT_EQ(f2.feedback_delayed[1], 0);
-  EXPECT_DOUBLE_EQ(f2.blockage_db[1], 12.0);
-  EXPECT_DOUBLE_EQ(f2.blockage_db[0], 0.0);
   EXPECT_EQ(f2.user_active[2], 0);         // left at frame 1
   EXPECT_EQ(f2.user_active[0], 1);
+  // The burst on user 1 starts at frame 2: its true ray loses 12 dB, user
+  // 0's does not, and a missed (not corrupt) beacon poisons nothing.
+  decision = unit_stack(3);
+  truth = unit_stack(3);
+  inj.apply(2, decision, truth);
+  EXPECT_DOUBLE_EQ(truth[0][1][0].real(), blockage_amplitude(12.0));
+  EXPECT_DOUBLE_EQ(truth[0][0][0].real(), 1.0);
+  for (const auto& h : decision[0]) EXPECT_FALSE(std::isnan(h[0].real()));
 
   const FrameFaults f4 = inj.at(4);
   EXPECT_EQ(f4.user_active[2], 1);         // rejoined at frame 3
   EXPECT_DOUBLE_EQ(f4.budget_scale, 1.0);  // collapse covered frames 1-3
-  EXPECT_DOUBLE_EQ(f4.blockage_db[1], 0.0);
+  decision = unit_stack(3);
+  truth = unit_stack(3);
+  inj.apply(4, decision, truth);
+  EXPECT_DOUBLE_EQ(truth[0][1][0].real(), 1.0);  // burst covered 2-3
 }
 
 TEST(FaultInjectorTest, OverlappingBurstsStackAndCollapseTakesMin) {
@@ -329,8 +360,15 @@ TEST(FaultInjectorTest, OverlappingBurstsStackAndCollapseTakesMin) {
   plan.budget.push_back({0, 4, 0.5});
   plan.budget.push_back({2, 4, 0.2});
   const FaultInjector inj(plan, 1);
-  EXPECT_DOUBLE_EQ(inj.at(1).blockage_db[0], 10.0);
-  EXPECT_DOUBLE_EQ(inj.at(3).blockage_db[0], 15.0);  // additive overlap
+  Stacks decision = unit_stack(1);
+  Stacks truth = unit_stack(1);
+  inj.apply(1, decision, truth);
+  EXPECT_DOUBLE_EQ(truth[0][0][0].real(), blockage_amplitude(10.0));
+  decision = unit_stack(1);
+  truth = unit_stack(1);
+  inj.apply(3, decision, truth);
+  EXPECT_DOUBLE_EQ(truth[0][0][0].real(),
+                   blockage_amplitude(15.0));  // additive overlap
   EXPECT_DOUBLE_EQ(inj.at(1).budget_scale, 0.5);
   EXPECT_DOUBLE_EQ(inj.at(3).budget_scale, 0.2);     // worst stall wins
 }
@@ -344,26 +382,27 @@ TEST(FaultInjectorTest, ApplyAttenuatesTruthNowAndDecisionLate) {
 
   // First burst frame: the truth is attenuated 20 dB (x0.1 amplitude),
   // the decision CSI still looks clean (beacon predates the burst).
-  std::vector<linalg::CVector> decision{h}, truth{h};
+  Stacks decision{{h}};
+  Stacks truth{{h}};
   inj.apply(5, decision, truth);
-  EXPECT_DOUBLE_EQ(truth[0][0].real(), 0.1);
-  EXPECT_DOUBLE_EQ(truth[0][1].imag(), -0.2);
-  EXPECT_DOUBLE_EQ(decision[0][0].real(), 1.0);
+  EXPECT_DOUBLE_EQ(truth[0][0][0].real(), 0.1);
+  EXPECT_DOUBLE_EQ(truth[0][0][1].imag(), -0.2);
+  EXPECT_DOUBLE_EQ(decision[0][0][0].real(), 1.0);
 
   // Next frame the beacon has caught up: both are attenuated.
-  decision = {h};
-  truth = {h};
+  decision = Stacks{{h}};
+  truth = Stacks{{h}};
   inj.apply(6, decision, truth);
-  EXPECT_DOUBLE_EQ(truth[0][0].real(), 0.1);
-  EXPECT_DOUBLE_EQ(decision[0][0].real(), 0.1);
+  EXPECT_DOUBLE_EQ(truth[0][0][0].real(), 0.1);
+  EXPECT_DOUBLE_EQ(decision[0][0][0].real(), 0.1);
 
   // One frame past the burst: truth is clean again, the decision still
   // sees the last burst frame.
-  decision = {h};
-  truth = {h};
+  decision = Stacks{{h}};
+  truth = Stacks{{h}};
   inj.apply(7, decision, truth);
-  EXPECT_DOUBLE_EQ(truth[0][0].real(), 1.0);
-  EXPECT_DOUBLE_EQ(decision[0][0].real(), 0.1);
+  EXPECT_DOUBLE_EQ(truth[0][0][0].real(), 1.0);
+  EXPECT_DOUBLE_EQ(decision[0][0][0].real(), 0.1);
 }
 
 TEST(FaultInjectorTest, CorruptBeaconPoisonsDecisionOnly) {
@@ -371,10 +410,14 @@ TEST(FaultInjectorTest, CorruptBeaconPoisonsDecisionOnly) {
   plan.csi.push_back({3, /*corrupt=*/true});
   const FaultInjector inj(plan, 1);
   const linalg::CVector h{{1.0, 0.5}};
-  std::vector<linalg::CVector> decision{h}, truth{h};
+  Stacks decision{{h}};
+  Stacks truth{{h}};
   inj.apply(3, decision, truth);
-  EXPECT_TRUE(std::isnan(decision[0][0].real()));
-  EXPECT_DOUBLE_EQ(truth[0][0].real(), 1.0);
+  EXPECT_TRUE(std::isnan(decision[0][0][0].real()));
+  EXPECT_DOUBLE_EQ(truth[0][0][0].real(), 1.0);
+  // A corrupt beacon is not a missed one: the session detects it from the
+  // NaN decision CSI, not from the resolved fault state.
+  EXPECT_FALSE(inj.at(3).csi_stale);
 }
 
 TEST(FaultInjectorTest, ConstructionValidatesAgainstUserCount) {

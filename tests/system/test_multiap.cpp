@@ -1,11 +1,13 @@
 // Multi-AP attachment, handoff, and peer-relay behavior against the full
-// session loop: the single-AP compatibility contract (step_multi_into
-// with one AP stack is exactly step_into), the attachment state machine
-// walking degraded -> probing -> handing-off -> attached under a total AP
-// outage, partition-pure grouping, config/stack shape validation, and the
-// headline robustness claim — a quarantined-but-relayable user's
-// base-layer delivery is strictly better with peer relay on than off,
-// averaged over many seeded blockage patterns.
+// session loop: the single-AP case of the one step (the attachment
+// machine stays inert at one AP, and one default-layout AP stack is
+// exactly channels_for), the attachment state machine walking degraded ->
+// probing -> handing-off -> attached under a total AP outage,
+// partition-pure grouping, config/stack shape validation (a rejected call
+// changes nothing), and the headline robustness claim — a
+// quarantined-but-relayable user's base-layer delivery is strictly better
+// with peer relay on than off, averaged over many seeded blockage
+// patterns.
 #include "channel/multi_ap.h"
 #include "core/pretrained.h"
 #include "core/runner.h"
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,9 +82,40 @@ Room two_ap_room(std::size_t n_users) {
   return room;
 }
 
-// --- Single-AP compatibility contract ---------------------------------
+// --- Single AP: the n_aps = 1 case of the one step ---------------------
 
-TEST_F(MultiApTest, SingleApStackBitIdenticalToStepInto) {
+TEST(MultiAp, OneLegacyApStackMatchesChannelsFor) {
+  // A one-AP default layout is the legacy pose, so its only stack is
+  // channels_for, bit for bit: plain single-AP runs that now build their
+  // channels through the geometry see the same numbers.
+  Rng rng(5);
+  channel::PropagationConfig prop;
+  prop.room.length = 9.0;
+  prop.room.width = 7.0;
+  const auto users = core::place_users_random(6, 1.5, 8.0, 2.5, rng);
+  channel::MultiApGeometry geo;
+  geo.prop = prop;
+  geo.aps = channel::default_ap_layout(1, prop.room);
+  const auto stacks = channel::ap_channel_stacks(geo, users);
+  const auto channels = core::channels_for(prop, users);
+  ASSERT_EQ(stacks.size(), 1u);
+  ASSERT_EQ(stacks[0].size(), channels.size());
+  for (std::size_t u = 0; u < channels.size(); ++u) {
+    const auto& got = stacks[0][u].raw();
+    const auto& want = channels[u].raw();
+    ASSERT_EQ(got.size(), want.size()) << "user " << u;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(want[0])),
+              0)
+        << "user " << u;
+  }
+}
+
+TEST_F(MultiApTest, SingleApHandoffKnobsAreInert) {
+  // With one AP the attachment machine runs every frame, but there is no
+  // alternate to probe: handoff on with aggressive knobs (every user
+  // weak, instant degrade, no hysteresis) is byte-identical to handoff
+  // off, and the report carries no attachment columns.
   Rng rng(5);
   channel::PropagationConfig prop;
   const auto channels = core::channels_for(
@@ -89,18 +123,27 @@ TEST_F(MultiApTest, SingleApStackBitIdenticalToStepInto) {
 
   core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
   cfg.seed = 7;
+  core::MulticastSession plain(cfg, *quality_, beamforming::Codebook{});
+  const core::SessionReport want_report =
+      core::run_static(plain, {channels}, *contexts_, kFrames);
 
-  core::MulticastSession legacy(cfg, *quality_, beamforming::Codebook{});
-  const std::string want = report_json(
-      core::run_static(legacy, channels, *contexts_, kFrames));
+  cfg.handoff.enabled = true;
+  cfg.handoff.hysteresis_db = 0.0;
+  cfg.handoff.degrade_floor_dbm = 0.0;
+  cfg.handoff.degrade_after = 1;
+  cfg.handoff.probe_frames = 1;
+  cfg.handoff.min_dwell_frames = 1;
+  cfg.handoff.backoff_cap = 0;
+  core::MulticastSession knobs(cfg, *quality_, beamforming::Codebook{});
+  const core::SessionReport got_report =
+      core::run_static(knobs, {channels}, *contexts_, kFrames);
 
-  core::MulticastSession multi(cfg, *quality_, beamforming::Codebook{});
-  const fault::FaultInjector no_faults(fault::FaultPlan{}, kUsers, 1);
-  const std::string got = report_json(core::run_static_multi_ap(
-      multi, {channels}, *contexts_, kFrames, no_faults));
-
-  EXPECT_EQ(want, got)
-      << "1-AP step_multi_into diverged from the legacy step_into path";
+  EXPECT_EQ(report_json(want_report), report_json(got_report))
+      << "the one-AP attachment machine changed the stream";
+  for (std::size_t f = 0; f < got_report.frames(); ++f) {
+    EXPECT_TRUE(got_report.frame(f).user_ap.empty()) << "frame " << f;
+    EXPECT_EQ(got_report.frame(f).handoffs, 0u) << "frame " << f;
+  }
 }
 
 // --- Shape / config validation ----------------------------------------
@@ -111,10 +154,79 @@ TEST_F(MultiApTest, MismatchedStackCountThrows) {
   cfg.handoff.n_aps = 2;  // but pass 1 stack below
   cfg.handoff.enabled = true;
   core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
-  const fault::FaultInjector injector(fault::FaultPlan{}, kUsers, 1);
-  EXPECT_THROW(core::run_static_multi_ap(session, {room.stacks[0]},
-                                         *contexts_, 2, injector),
+  EXPECT_THROW(core::run_static(session, {room.stacks[0]}, *contexts_, 2),
                std::invalid_argument);
+  // The single-AP form is the same one-stack call.
+  core::FrameOutcome out;
+  EXPECT_THROW(session.step_into(room.stacks[0], room.stacks[0],
+                                 contexts_->front(), {}, out),
+               std::invalid_argument);
+}
+
+TEST_F(MultiApTest, RejectedCallLeavesSessionUntouched) {
+  // The 2-AP total-outage scenario below walks every user through
+  // degraded -> probing -> handing-off. Before each of its frames (the
+  // probe frames included) the session also gets one malformed call,
+  // which must be rejected before anything moves: no weak streak, probe
+  // countdown, frame id or quarantine state may advance, so every frame
+  // matches a session that never saw the bad calls.
+  Room room = two_ap_room(kUsers);
+  core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
+  cfg.seed = 7;
+  cfg.handoff.n_aps = 2;
+  cfg.handoff.enabled = true;
+  cfg.handoff.min_dwell_frames = 4;
+  fault::FaultPlan plan;
+  fault::ApOutage outage;
+  outage.start_frame = 3;
+  outage.n_frames = 10;
+  outage.ap = 0;
+  outage.total = true;
+  plan.ap_outage.push_back(outage);
+  const fault::FaultInjector injector(plan, kUsers, 2);
+
+  core::MulticastSession clean(cfg, *quality_, beamforming::Codebook{});
+  core::MulticastSession poked(cfg, *quality_, beamforming::Codebook{});
+  core::SessionReport want;
+  core::SessionReport got;
+  core::FrameOutcome out;
+  std::vector<std::vector<linalg::CVector>> decision;
+  std::vector<std::vector<linalg::CVector>> truth;
+  for (int f = 0; f < kFrames; ++f) {
+    const core::FrameContext& ctx =
+        (*contexts_)[static_cast<std::size_t>(f) % contexts_->size()];
+    const auto frame_id = static_cast<std::uint32_t>(f);
+    const fault::FrameFaults faults = injector.at(frame_id);
+    decision = room.stacks;
+    truth = room.stacks;
+    injector.apply(frame_id, decision, truth, room.azimuths);
+    clean.step_into(decision, truth, ctx, faults, out);
+    want.add(out);
+
+    // One malformed input per frame, rotating through every check.
+    fault::FrameFaults bad = faults;
+    switch (f % 6) {
+      case 0: bad.feedback_lost.assign(kUsers + 1, 0); break;
+      case 1: bad.feedback_delayed.assign(kUsers - 1, 0); break;
+      case 2: bad.user_active.assign(kUsers + 2, 1); break;
+      case 3: bad.relay_down.assign(1, 0); break;
+      case 4: bad.budget_scale = 0.0; break;
+      default: break;
+    }
+    std::vector<std::vector<linalg::CVector>> bad_truth = truth;
+    if (f % 6 == 5) bad_truth[1].pop_back();  // ragged per-AP user count
+    EXPECT_THROW(poked.step_into(decision, bad_truth, ctx, bad, out),
+                 std::invalid_argument)
+        << "frame " << f;
+    poked.step_into(decision, truth, ctx, faults, out);
+    got.add(out);
+  }
+
+  std::size_t handoffs = 0;
+  for (std::size_t f = 0; f < want.frames(); ++f)
+    handoffs += want.frame(f).handoffs;
+  ASSERT_EQ(handoffs, kUsers) << "the scenario never probed; test is vacuous";
+  EXPECT_EQ(report_json(want), report_json(got));
 }
 
 TEST_F(MultiApTest, RelayWithoutTargetsRejectedAtValidate) {
@@ -145,8 +257,8 @@ TEST_F(MultiApTest, TotalOutageDrivesHandoffAndSticks) {
   outage.total = true;
   plan.ap_outage.push_back(outage);
   const fault::FaultInjector injector(plan, kUsers, 2);
-  const core::SessionReport report = core::run_static_multi_ap(
-      session, room.stacks, *contexts_, kFrames, injector, room.azimuths);
+  const core::SessionReport report = core::run_static(
+      session, room.stacks, *contexts_, kFrames, &injector, room.azimuths);
 
   // Everyone starts on the stronger AP 0 and the outage pushes them all
   // to AP 1 exactly once; the dwell window keeps them there even after
@@ -178,8 +290,8 @@ TEST_F(MultiApTest, HandoffDisabledNeverMoves) {
   outage.total = true;
   plan.ap_outage.push_back(outage);
   const fault::FaultInjector injector(plan, kUsers, 2);
-  const core::SessionReport report = core::run_static_multi_ap(
-      session, room.stacks, *contexts_, kFrames, injector, room.azimuths);
+  const core::SessionReport report = core::run_static(
+      session, room.stacks, *contexts_, kFrames, &injector, room.azimuths);
 
   for (std::size_t f = 0; f < report.frames(); ++f) {
     EXPECT_EQ(report.frame(f).handoffs, 0u) << "frame " << f;
@@ -211,8 +323,8 @@ TEST_F(MultiApTest, SectorOutageOnlySilencesCoveredUsers) {
   miss_plan.ap_outage.push_back(sector);
   core::MulticastSession missed(cfg, *quality_, beamforming::Codebook{});
   const fault::FaultInjector miss_inj(miss_plan, kUsers, 2);
-  const core::SessionReport miss_report = core::run_static_multi_ap(
-      missed, room.stacks, *contexts_, kFrames, miss_inj, room.azimuths);
+  const core::SessionReport miss_report = core::run_static(
+      missed, room.stacks, *contexts_, kFrames, &miss_inj, room.azimuths);
   std::size_t miss_handoffs = 0;
   for (std::size_t f = 0; f < miss_report.frames(); ++f)
     miss_handoffs += miss_report.frame(f).handoffs;
@@ -224,8 +336,8 @@ TEST_F(MultiApTest, SectorOutageOnlySilencesCoveredUsers) {
   hit_plan.ap_outage.push_back(sector);
   core::MulticastSession hit(cfg, *quality_, beamforming::Codebook{});
   const fault::FaultInjector hit_inj(hit_plan, kUsers, 2);
-  const core::SessionReport hit_report = core::run_static_multi_ap(
-      hit, room.stacks, *contexts_, kFrames, hit_inj, room.azimuths);
+  const core::SessionReport hit_report = core::run_static(
+      hit, room.stacks, *contexts_, kFrames, &hit_inj, room.azimuths);
   std::size_t hit_handoffs = 0;
   for (std::size_t f = 0; f < hit_report.frames(); ++f)
     hit_handoffs += hit_report.frame(f).handoffs;
@@ -268,7 +380,7 @@ double quarantined_delivery(model::QualityModel& quality,
   core::MulticastSession session(cfg, quality, beamforming::Codebook{});
   const fault::FaultInjector injector(plan, kUsers);
   const core::SessionReport report =
-      core::run_static(session, channels, contexts, kFrames, injector);
+      core::run_static(session, {channels}, contexts, kFrames, &injector);
 
   double sum = 0.0;
   std::size_t n = 0;

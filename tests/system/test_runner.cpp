@@ -46,7 +46,7 @@ TEST_F(RunnerTest, StaticRunShapesAndCycling) {
   const auto channels =
       channels_for(prop, place_users_fixed(2, 3.0, 0.5, rng));
   // 9 frames over 4 contexts: cycles 4,4,1.
-  const SessionReport run = run_static(session, channels, *contexts_, 9);
+  const SessionReport run = run_static(session, {channels}, *contexts_, 9);
   EXPECT_EQ(run.frames(), 9u);
   EXPECT_EQ(run.all_ssim().size(), 18u);  // frames x users
   EXPECT_EQ(run.all_psnr().size(), 18u);
@@ -59,7 +59,7 @@ TEST_F(RunnerTest, StaticRunRequiresContexts) {
   channel::PropagationConfig prop;
   const auto channels =
       channels_for(prop, place_users_fixed(1, 3.0, 0.5, rng));
-  EXPECT_THROW(run_static(session, channels, {}, 3), std::invalid_argument);
+  EXPECT_THROW(run_static(session, {channels}, {}, 3), std::invalid_argument);
 }
 
 TEST_F(RunnerTest, TraceRunUsesStaleDecisionCsi) {

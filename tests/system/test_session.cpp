@@ -59,7 +59,7 @@ std::vector<FrameContext>* SessionTest::contexts_ = nullptr;
 
 TEST_F(SessionTest, TwoUsersAtThreeMetersHitPaperQuality) {
   auto session = make_session();
-  const auto run = run_static(session, channels(2), *contexts_, 10);
+  const auto run = run_static(session, {channels(2)}, *contexts_, 10);
   const w4k::Summary s = run.ssim_summary();
   EXPECT_GT(s.mean, 0.94);   // paper: ~0.975 at 3 m / 2 users
   EXPECT_GT(s.min, 0.85);
@@ -86,9 +86,9 @@ TEST_F(SessionTest, QualityDegradesWithDistance) {
   auto near_session = make_session();
   auto far_session = make_session();
   const auto near_run =
-      run_static(near_session, channels(2, 3.0), *contexts_, 6);
+      run_static(near_session, {channels(2, 3.0)}, *contexts_, 6);
   const auto far_run =
-      run_static(far_session, channels(2, 14.0), *contexts_, 6);
+      run_static(far_session, {channels(2, 14.0)}, *contexts_, 6);
   EXPECT_GT(near_run.ssim_summary().mean, far_run.ssim_summary().mean);
 }
 
@@ -99,8 +99,8 @@ TEST_F(SessionTest, MulticastSchemeBeatsUnicastWithThreeUsers) {
   auto multi = make_session(multi_cfg);
   auto uni = make_session(uni_cfg);
   const auto chans = channels(3, 6.0);
-  const auto multi_run = run_static(multi, chans, *contexts_, 8);
-  const auto uni_run = run_static(uni, chans, *contexts_, 8);
+  const auto multi_run = run_static(multi, {chans}, *contexts_, 8);
+  const auto uni_run = run_static(uni, {chans}, *contexts_, 8);
   EXPECT_GT(multi_run.ssim_summary().mean, uni_run.ssim_summary().mean);
 }
 
@@ -111,8 +111,8 @@ TEST_F(SessionTest, SourceCodingOnBeatsOff) {
   auto on = make_session(on_cfg);
   auto off = make_session(off_cfg);
   const auto chans = channels(3, 6.0);
-  const auto on_run = run_static(on, chans, *contexts_, 8);
-  const auto off_run = run_static(off, chans, *contexts_, 8);
+  const auto on_run = run_static(on, {chans}, *contexts_, 8);
+  const auto off_run = run_static(off, {chans}, *contexts_, 8);
   EXPECT_GE(on_run.ssim_summary().mean, off_run.ssim_summary().mean);
 }
 
@@ -153,9 +153,9 @@ TEST_F(SessionTest, NoUpdateFreezesDecision) {
 TEST_F(SessionTest, ResetRestoresDeterminism) {
   auto session = make_session();
   const auto chans = channels(2);
-  const auto r1 = run_static(session, chans, *contexts_, 4);
+  const auto r1 = run_static(session, {chans}, *contexts_, 4);
   session.reset();
-  const auto r2 = run_static(session, chans, *contexts_, 4);
+  const auto r2 = run_static(session, {chans}, *contexts_, 4);
   const auto s1 = r1.all_ssim();
   const auto s2 = r2.all_ssim();
   ASSERT_EQ(s1.size(), s2.size());

@@ -78,8 +78,8 @@ int main() {
     try {
       core::MulticastSession session(cfg, quality, beamforming::Codebook{});
       const fault::FaultInjector injector(plan, kUsers, kAps);
-      const core::SessionReport report = core::run_static_multi_ap(
-          session, stacks, contexts, kFrames, injector, azimuths);
+      const core::SessionReport report = core::run_static(
+          session, stacks, contexts, kFrames, &injector, azimuths);
       failures += report_violations(
           chaos::check_report_invariants(report, kFrames, kUsers), seed);
       failures += report_violations(

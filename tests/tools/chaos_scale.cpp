@@ -58,7 +58,7 @@ int main() {
       core::MulticastSession session(cfg, quality, beamforming::Codebook{});
       const fault::FaultInjector injector(plan, kUsers);
       const core::SessionReport report =
-          core::run_static(session, channels, contexts, kFrames, injector);
+          core::run_static(session, {channels}, contexts, kFrames, &injector);
       failures += report_violations(
           chaos::check_report_invariants(report, kFrames, kUsers), seed);
     } catch (const std::exception& e) {
