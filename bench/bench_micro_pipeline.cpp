@@ -134,8 +134,11 @@ void BM_ScheduleOptimizer(benchmark::State& state) {
   p.n_users = n_users;
   p.content = bench::hr_contexts()[0].content;
   auto& model = bench::quality_model();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sched::optimize_allocation(p, model));
+  sched::Allocation out;
+  for (auto _ : state) {
+    sched::optimize_allocation_into(p, model, out);
+    benchmark::DoNotOptimize(out.objective);
+  }
   state.counters["groups"] = static_cast<double>(groups.size());
 }
 BENCHMARK(BM_ScheduleOptimizer)->Arg(2)->Arg(4)->Arg(8)

@@ -75,6 +75,7 @@ SessionReport run_static(
   // buffer instead of reallocating every frame.
   std::vector<std::vector<linalg::CVector>> decision;
   std::vector<std::vector<linalg::CVector>> truth;
+  fault::FrameFaults faults;
   for (int f = 0; f < n_frames; ++f) {
     const FrameContext& ctx =
         contexts[static_cast<std::size_t>(f) % contexts.size()];
@@ -85,8 +86,8 @@ SessionReport run_static(
       decision = stacks;
       truth = stacks;
       injector->apply(frame_id, decision, truth, azimuths);
-      session.step_into(decision, truth, ctx, injector->at(frame_id),
-                        outcome);
+      injector->at_into(frame_id, faults);
+      session.step_into(decision, truth, ctx, faults, outcome);
     }
     report.add(outcome);
   }
@@ -106,6 +107,7 @@ SessionReport run_trace(MulticastSession& session,
   FrameOutcome outcome;
   std::vector<std::vector<linalg::CVector>> decision(1);
   std::vector<std::vector<linalg::CVector>> truth(1);
+  fault::FrameFaults faults;
   std::uint32_t frame = 0;
   for (std::size_t t = 0; t < trace.steps(); ++t) {
     const auto& now = trace.snapshots[t];
@@ -118,7 +120,8 @@ SessionReport run_trace(MulticastSession& session,
         decision[0] = beacon;
         truth[0] = now;
         injector->apply(frame, decision, truth);
-        session.step_into(decision, truth, ctx, injector->at(frame), outcome);
+        injector->at_into(frame, faults);
+        session.step_into(decision, truth, ctx, faults, outcome);
       }
       report.add(outcome);
     }

@@ -46,13 +46,13 @@ void channels_for_into(const channel::PropagationConfig& prop,
 /// frame_outcomes()).
 ///
 /// With an `injector`, each frame's FrameFaults come from
-/// `injector->at(frame)`, and its channel-level faults (blockage bursts,
-/// AP outages, CSI corruption) are applied to per-frame copies of the
-/// stacks before stepping. `azimuths[a][u]` (channel::ap_user_azimuths)
-/// feeds the sector-outage geometry; leave it empty to degrade sector
-/// outages to total ones. An empty FaultPlan reproduces the run without an
-/// injector bit-identically (the chaos suite asserts this); without one no
-/// channel is copied.
+/// `injector->at_into(frame, faults)` into one reused record, and its
+/// channel-level faults (blockage bursts, AP outages, CSI corruption) are
+/// applied to per-frame copies of the stacks before stepping.
+/// `azimuths[a][u]` (channel::ap_user_azimuths) feeds the sector-outage
+/// geometry; leave it empty to degrade sector outages to total ones. An
+/// empty FaultPlan reproduces the run without an injector bit-identically
+/// (the chaos suite asserts this); without one no channel is copied.
 SessionReport run_static(
     MulticastSession& session,
     const std::vector<std::vector<linalg::CVector>>& stacks,

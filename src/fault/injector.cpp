@@ -53,9 +53,12 @@ double FaultInjector::ray_loss_at(
   return db;
 }
 
-FrameFaults FaultInjector::at(std::uint32_t frame) const {
-  FrameFaults f;
+void FaultInjector::at_into(std::uint32_t frame, FrameFaults& f) const {
   f.frame = frame;
+  f.csi_stale = false;
+  f.budget_scale = 1.0;
+  f.handoff_beacon_lost = false;
+  f.relay_down.clear();
   f.feedback_lost.assign(n_users_, 0);
   f.feedback_delayed.assign(n_users_, 0);
   f.user_active.assign(n_users_, 1);
@@ -87,7 +90,6 @@ FrameFaults FaultInjector::at(std::uint32_t frame) const {
         f.relay_down[r.user] = 1;
     }
   }
-  return f;
 }
 
 void FaultInjector::apply(

@@ -40,8 +40,10 @@ class FaultInjector {
   std::size_t n_users() const { return n_users_; }
   std::size_t n_aps() const { return n_aps_; }
 
-  /// The resolved fault state for `frame`.
-  FrameFaults at(std::uint32_t frame) const;
+  /// Resolves the fault state of `frame` into `out`, overwriting every
+  /// field; its per-user vectors keep their capacity, so a caller that
+  /// reuses one FrameFaults across frames allocates nothing.
+  void at_into(std::uint32_t frame, FrameFaults& out) const;
 
   /// Applies the physical faults of `frame` in place to per-AP channel
   /// stacks indexed [ap][user] (one stack for a single-AP run). Blockage

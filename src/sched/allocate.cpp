@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -21,13 +21,64 @@
 namespace w4k::sched {
 namespace {
 
+constexpr std::size_t kLayers = video::kNumLayers;
+constexpr std::size_t kNoGroup = ~std::size_t{0};
+
 struct Eval {
   double objective = 0.0;
   std::vector<LayerArray> user_bytes;
   std::vector<double> ssim;
 };
 
-/// Effective D_{i,j} for a flattened allocation t (g-major, layer-minor).
+/// Per-(user, layer) binding group: the group whose budget is the largest
+/// of the user's groups in that layer (kNoGroup when none sends bytes).
+using BindingGroups = std::vector<std::array<std::size_t, kLayers>>;
+
+/// Residual worth of non-binding (overlapping) bytes: they mostly repeat
+/// the binding group's prefix, but the extras do recover losses and top up
+/// units, so they are not worthless. effective = (1-k)*max + k*sum.
+inline constexpr double kOverlapValue = 0.25;
+
+/// Lookup tables built once per optimizer call and shared by everything
+/// it evaluates (the warm refine, the round-robin floor and all eight cold
+/// phases): each group's rate in bytes/s, each layer's cap, and a
+/// group x user membership bitmap.
+struct Tables {
+  std::vector<double> rate;             ///< R_g in bytes/s
+  LayerArray cap{};                     ///< max(1, layer bytes)
+  std::size_t words = 0;                ///< bitmap words per group
+  std::vector<std::uint64_t> members;   ///< [g * words + u / 64] bit u % 64
+
+  bool contains(std::size_t g, std::size_t u) const {
+    return ((members[g * words + u / 64] >> (u % 64)) & 1u) != 0;
+  }
+};
+
+void build_tables(const AllocProblem& p, Tables& tb) {
+  tb.rate.resize(p.groups.size());
+  for (std::size_t g = 0; g < p.groups.size(); ++g)
+    tb.rate[g] = p.groups[g].beam.rate.value * 1e6 / 8.0;
+  for (std::size_t j = 0; j < kLayers; ++j)
+    tb.cap[j] = std::max(1.0, p.content.layer_bytes[j]);
+  tb.words = (p.n_users + 63) / 64;
+  tb.members.assign(p.groups.size() * tb.words, 0);
+  for (std::size_t g = 0; g < p.groups.size(); ++g)
+    for (std::size_t u : p.groups[g].members)
+      tb.members[g * tb.words + u / 64] |= std::uint64_t{1} << (u % 64);
+}
+
+/// The support of t: its nonzero coordinates, ascending. A zero coordinate
+/// sends no bytes, and adding its +0.0 to a sum changes nothing, so every
+/// sum below walks only the support and still adds exactly the terms a
+/// walk over all coordinates adds, in the same order.
+void support_into(const std::vector<double>& t,
+                  std::vector<std::size_t>& support) {
+  support.clear();
+  for (std::size_t i = 0; i < t.size(); ++i)
+    if (t[i] != 0.0) support.push_back(i);
+}
+
+/// Effective D_{u,j} for a flattened allocation t (g-major, layer-minor).
 ///
 /// Eq. 1 writes D as the *sum* over a user's groups, but the Eq. 4 greedy
 /// makes every group spend its layer budget walking the same coding-unit
@@ -35,113 +86,87 @@ struct Eval {
 /// to several groups decodes the *longest* prefix any of them paid for —
 /// the max, not the sum. Using the sum would let the optimizer buy
 /// quality with phantom redundant bytes; the max matches what the packet
-/// scheduler actually delivers. `binding` (optional) receives, per
-/// (user, layer), the group whose budget is the binding one.
-using BindingGroups = std::vector<std::array<std::size_t, video::kNumLayers>>;
-
-/// Residual worth of non-binding (overlapping) bytes: they mostly repeat
-/// the binding group's prefix, but the extras do recover losses and top up
-/// units, so they are not worthless. effective = (1-k)*max + k*sum.
-inline constexpr double kOverlapValue = 0.25;
-
-void user_bytes_for_into(const AllocProblem& p, const std::vector<double>& t,
-                         std::vector<LayerArray>& d,
-                         BindingGroups* binding = nullptr) {
-  thread_local std::vector<LayerArray> max_d_tls, sum_d_tls;
-  std::vector<LayerArray>& max_d = max_d_tls;
-  std::vector<LayerArray>& sum_d = sum_d_tls;
-  max_d.assign(p.n_users, LayerArray{});
-  sum_d.assign(p.n_users, LayerArray{});
-  if (binding != nullptr)
-    binding->assign(p.n_users, {~std::size_t{0}, ~std::size_t{0},
-                                ~std::size_t{0}, ~std::size_t{0}});
-  for (std::size_t g = 0; g < p.groups.size(); ++g) {
-    const double rate_bytes_per_s = p.groups[g].beam.rate.value * 1e6 / 8.0;
-    for (int j = 0; j < video::kNumLayers; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      const double bytes = t[g * video::kNumLayers + js] * rate_bytes_per_s;
-      if (bytes <= 0.0) continue;
-      for (std::size_t u : p.groups[g].members) {
-        sum_d[u][js] += bytes;
-        if (bytes > max_d[u][js]) {
-          max_d[u][js] = bytes;
-          if (binding != nullptr) (*binding)[u][js] = g;
-        }
-      }
+/// scheduler actually delivers. `binding` receives the group whose budget
+/// is the binding one (the first to reach the max).
+///
+/// The walk visits u's loaded groups in ascending order (the support is
+/// sorted), so the adds happen in the same order whether one cell or the
+/// whole table is being computed: a cell recomputed alone is bit-identical
+/// to a full recompute.
+double effective_bytes(const Tables& tb, const std::vector<double>& t,
+                       std::span<const std::size_t> support, std::size_t u,
+                       std::size_t j, std::size_t& binding) {
+  double max_d = 0.0;
+  double sum_d = 0.0;
+  binding = kNoGroup;
+  for (std::size_t i : support) {
+    if (i % kLayers != j) continue;
+    const std::size_t g = i / kLayers;
+    if (!tb.contains(g, u)) continue;
+    const double bytes = t[i] * tb.rate[g];
+    if (bytes <= 0.0) continue;
+    sum_d += bytes;
+    if (bytes > max_d) {
+      max_d = bytes;
+      binding = g;
     }
   }
-  d.assign(p.n_users, LayerArray{});
-  for (std::size_t u = 0; u < p.n_users; ++u)
-    for (int j = 0; j < video::kNumLayers; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      d[u][js] = (1.0 - kOverlapValue) * max_d[u][js] +
-                 kOverlapValue * sum_d[u][js];
-    }
+  return (1.0 - kOverlapValue) * max_d + kOverlapValue * sum_d;
 }
 
-model::Features features_for(const AllocProblem& p, const LayerArray& d) {
+LayerArray fractions(const Tables& tb, const LayerArray& d) {
+  LayerArray f;
+  for (std::size_t j = 0; j < kLayers; ++j)
+    f[j] = std::min(1.0, d[j] / tb.cap[j]);
+  return f;
+}
+
+model::Features features_for(const AllocProblem& p,
+                             const LayerArray& fraction) {
   model::Features f;
-  for (int j = 0; j < video::kNumLayers; ++j) {
-    const auto js = static_cast<std::size_t>(j);
-    const double cap = std::max(1.0, p.content.layer_bytes[js]);
-    f.fraction[js] = std::min(1.0, d[js] / cap);
-  }
+  f.fraction = fraction;
   f.up_to_layer = p.content.up_to_layer_ssim;
   f.blank = p.content.blank_ssim;
   return f;
 }
 
-void evaluate_into(const AllocProblem& p, model::QualityModel& q,
-                   const std::vector<double>& t, Eval& e) {
-  user_bytes_for_into(p, t, e.user_bytes);
-  // Penalize *transmitted* traffic: with max-based effective reception,
-  // penalizing received bytes would make redundant transmissions free.
-  double traffic = 0.0;
-  for (std::size_t g = 0; g < p.groups.size(); ++g) {
-    const double rate_bytes_per_s = p.groups[g].beam.rate.value * 1e6 / 8.0;
-    for (int j = 0; j < video::kNumLayers; ++j)
-      traffic +=
-          t[g * video::kNumLayers + static_cast<std::size_t>(j)] *
-          rate_bytes_per_s;
-  }
-  e.ssim.clear();
-  for (std::size_t u = 0; u < p.n_users; ++u)
-    e.ssim.push_back(q.predict(features_for(p, e.user_bytes[u])));
-  e.objective = std::accumulate(e.ssim.begin(), e.ssim.end(), 0.0) -
-                p.lambda * traffic;
+/// Transmitted bytes, summed in g-major order. Penalize *transmitted*
+/// traffic: with max-based effective reception, penalizing received bytes
+/// would make redundant transmissions free.
+double traffic(const Tables& tb, const std::vector<double>& t,
+               std::span<const std::size_t> support) {
+  double sum = 0.0;
+  for (std::size_t i : support) sum += t[i] * tb.rate[i / kLayers];
+  return sum;
 }
 
-void gradient_into(const AllocProblem& p, model::QualityModel& q,
-                   const std::vector<double>& t, std::vector<double>& grad) {
-  thread_local BindingGroups binding_tls;
-  thread_local std::vector<LayerArray> d_tls, gfrac_tls;
-  BindingGroups& binding = binding_tls;
-  std::vector<LayerArray>& d = d_tls;
-  std::vector<LayerArray>& gfrac = gfrac_tls;
-  user_bytes_for_into(p, t, d, &binding);
-  // Per-user quality gradients w.r.t. reception fraction.
-  gfrac.assign(p.n_users, LayerArray{});
-  for (std::size_t u = 0; u < p.n_users; ++u)
-    gfrac[u] = q.fraction_gradient(features_for(p, d[u]));
-
-  grad.assign(t.size(), 0.0);
-  for (std::size_t g = 0; g < p.groups.size(); ++g) {
-    const double rate_bytes_per_s = p.groups[g].beam.rate.value * 1e6 / 8.0;
-    for (int j = 0; j < video::kNumLayers; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      const double cap = std::max(1.0, p.content.layer_bytes[js]);
-      double dq = -p.lambda;  // traffic penalty applies to every sent byte
-      for (std::size_t u : p.groups[g].members) {
-        if (d[u][js] >= cap) continue;  // saturated: extra bytes are waste
-        // d_eff = (1-k) max + k sum: the binding group carries the full
-        // marginal; overlapping groups keep the residual k.
-        const double weight =
-            binding[u][js] == g ? 1.0 : kOverlapValue;
-        dq += weight * gfrac[u][js] / cap;
-      }
-      grad[g * video::kNumLayers + js] = dq * rate_bytes_per_s;
-    }
+/// Full evaluation of t: every user's effective bytes and predicted SSIM,
+/// and the objective sum_u Q_u - lambda * traffic.
+void evaluate_into(const AllocProblem& p, const Tables& tb,
+                   model::QualityModel& q, const std::vector<double>& t,
+                   Eval& e) {
+  thread_local std::vector<std::size_t> support_tls;
+  std::vector<std::size_t>& support = support_tls;
+  support_into(t, support);
+  e.user_bytes.resize(p.n_users);
+  e.ssim.resize(p.n_users);
+  double quality = 0.0;
+  for (std::size_t u = 0; u < p.n_users; ++u) {
+    std::size_t binding = kNoGroup;
+    for (std::size_t j = 0; j < kLayers; ++j)
+      e.user_bytes[u][j] = effective_bytes(tb, t, support, u, j, binding);
+    e.ssim[u] = q.predict(features_for(p, fractions(tb, e.user_bytes[u])));
+    quality += e.ssim[u];
   }
+  e.objective = quality - p.lambda * traffic(tb, t, support);
+}
+
+bool same_bits(const LayerArray& a, const LayerArray& b) {
+  return std::memcmp(a.data(), b.data(), sizeof a) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 }  // namespace
@@ -193,8 +218,8 @@ void project_to_simplex(std::vector<double>& t, double budget) {
 
 namespace {
 
-/// Defined with round_robin_allocation below; also used as an optimizer
-/// starting point.
+/// Defined with round_robin_allocation_into below; also used as an
+/// optimizer starting point.
 void round_robin_times_into(const AllocProblem& p, Seconds slot,
                             const std::vector<std::size_t>* subset,
                             std::vector<double>& t);
@@ -297,41 +322,120 @@ void efficiency_cover_groups_into(const AllocProblem& p,
   if (chosen.empty()) chosen.push_back(0);
 }
 
-/// One local refinement pass (pairwise Frank-Wolfe style exchange): each
-/// iteration moves up to `step` seconds from a drainable coordinate to a
-/// high-marginal one, or claims unused budget. When `allowed` is non-null
-/// only flagged coordinates may receive budget — used to converge cleanly
-/// inside a start's own support before opening the full space.
+/// A plan, its evaluation and the exchange iterations that produced it.
 struct RefineResult {
   std::vector<double> t;
   Eval eval;
   int iters = 0;
 };
 
-/// In-place refine: r.t holds the init on entry and the refined plan on
-/// exit; r.eval its evaluation. Value-identical to refining a fresh copy
-/// (the candidate swap below replaces the historical vector move).
-void refine_inplace(const AllocProblem& p, model::QualityModel& quality,
-                    const OptimizerConfig& cfg, RefineResult& r,
-                    const std::vector<bool>* allowed) {
+/// One local refinement pass (pairwise Frank-Wolfe style exchange): each
+/// iteration moves up to `step` seconds from a drainable coordinate to a
+/// high-marginal one, or claims unused budget. When `allowed` is non-null
+/// only flagged coordinates may receive budget — used to converge cleanly
+/// inside a start's own support before opening the full space.
+///
+/// The refiner keeps exact incremental state, so a candidate costs what it
+/// changes rather than a full re-evaluation:
+///  - a candidate moves one or two coordinates of the plan in place; only
+///    the moved groups' members are rescanned, in the moved layers, and
+///    only users whose fraction vector changed bitwise are re-predicted.
+///    A rejected candidate is reverted from an undo log;
+///  - a rejected step leaves the plan as it was, so the gradient, the top
+///    targets and the drain ranking carry over to the next iteration;
+///  - an accepted step re-derives the quality gradient only for users
+///    whose fractions changed, and the per-coordinate gradient only for
+///    groups with a member whose bytes or binding group changed.
+/// Each cached value is recomputed with the same operations in the same
+/// order as a full pass, so the exchange sequence, and with it the plan,
+/// is bit-identical to re-evaluating from scratch. The objective's SSIM
+/// sum runs over all users in order and the traffic term stays a full
+/// ordered sum over the plan's support: an incrementally updated sum would
+/// round differently and could flip the `> objective + 1e-12` acceptance
+/// test.
+class Refiner {
+ public:
+  /// r.t holds the init on entry and the refined plan on exit; r.eval its
+  /// evaluation.
+  void run(const AllocProblem& p, const Tables& tb, model::QualityModel& q,
+           const OptimizerConfig& cfg, RefineResult& r,
+           const std::vector<bool>* allowed);
+
+ private:
+  static constexpr std::size_t kTargets = 6;
+
+  /// A rescanned (user, layer) cell's previous bytes and binding group.
+  struct CellUndo {
+    std::size_t u, j;
+    double bytes;
+    std::size_t binding;
+  };
+  /// A re-predicted user's previous fraction vector and SSIM.
+  struct UserUndo {
+    std::size_t u;
+    LayerArray fraction;
+    double ssim;
+  };
+
+  void load();
+  void set(std::size_t i, double value);
+  double rescan_moved(std::size_t ia, std::size_t ib);
+  void revert();
+  void accept();
+  void group_gradient(std::size_t g);
+  void pick_targets(const std::vector<bool>* allowed);
+  void rank_drains();
+  std::pair<std::size_t, double> drain_for(std::size_t imax);
+
+  const AllocProblem* p_ = nullptr;
+  const Tables* tb_ = nullptr;
+  model::QualityModel* q_ = nullptr;
+  std::vector<double>* t_ = nullptr;
+  Eval* e_ = nullptr;
+  std::size_t dims_ = 0;
+
+  std::vector<std::size_t> support_;  ///< nonzero coordinates, ascending
+  BindingGroups binding_;
+  std::vector<LayerArray> fraction_;
+  std::vector<LayerArray> gfrac_;  ///< dQ_u / d fraction_u
+  std::vector<double> grad_;       ///< d objective / d t
+  std::array<std::size_t, kTargets> targets_{};
+  /// Drain ranking at the current plan, two deep so that excluding the
+  /// target is O(1): the two largest strict-excess drains (first index
+  /// wins ties) and the two lowest-gradient loaded coordinates.
+  std::array<std::size_t, 2> excess_{};
+  std::array<double, 2> excess_time_{};
+  std::array<std::size_t, 2> lowest_{};
+  bool drains_ranked_ = false;
+
+  std::vector<CellUndo> cells_;
+  std::vector<UserUndo> users_;
+  std::vector<std::size_t> touched_;  ///< distinct users a candidate rescanned
+  /// User bitmaps laid out as one Tables::members row: the users a
+  /// candidate rescanned, and those whose bytes or binding it changed.
+  std::vector<std::uint64_t> seen_, changed_;
+};
+
+void Refiner::run(const AllocProblem& p, const Tables& tb,
+                  model::QualityModel& q, const OptimizerConfig& cfg,
+                  RefineResult& r, const std::vector<bool>* allowed) {
+  p_ = &p;
+  tb_ = &tb;
+  q_ = &q;
+  t_ = &r.t;
+  e_ = &r.eval;
+  dims_ = p.groups.size() * kLayers;
   std::vector<double>& t = r.t;
-  const std::size_t dims = p.groups.size() * video::kNumLayers;
-  evaluate_into(p, quality, t, r.eval);
+  load();
   double step = cfg.initial_step;
   int iters = 0;
   double total = 0.0;
   for (double x : t) total += x;
-  thread_local std::vector<double> grad_tls, cand_tls;
-  thread_local std::vector<LayerArray> d_tls;
-  thread_local Eval trial_tls;
-  std::vector<double>& grad = grad_tls;
-  std::vector<double>& cand = cand_tls;
-  std::vector<LayerArray>& d = d_tls;
-  Eval& trial = trial_tls;
+  bool targets_stale = true;
   // One exchange touches two coordinates; large group sets need a
   // proportionally larger budget to redistribute across them.
   const int max_iters =
-      std::max(cfg.max_iterations, static_cast<int>(2 * dims));
+      std::max(cfg.max_iterations, static_cast<int>(2 * dims_));
   for (; iters < max_iters && step >= cfg.min_step; ++iters) {
     // Anytime cutoff: r.eval always holds an evaluated feasible plan (the
     // init's evaluation before the first exchange), so breaking here at
@@ -339,89 +443,48 @@ void refine_inplace(const AllocProblem& p, model::QualityModel& quality,
     if (cfg.deadline &&
         std::chrono::steady_clock::now() >= *cfg.deadline)
       break;
-    gradient_into(p, quality, t, grad);
-    user_bytes_for_into(p, t, d);
-
-    // Top gradient coordinates, best first. Trying several before
-    // backtracking matters in large group sets: the single argmax can
-    // sit on a model kink where no step size improves, and halving the
-    // step on it alone would abandon genuinely good moves elsewhere.
-    constexpr std::size_t kTargets = 6;
-    std::array<std::size_t, kTargets> targets;
-    targets.fill(dims);
-    for (std::size_t i = 0; i < dims; ++i) {
-      if (allowed != nullptr && !(*allowed)[i]) continue;
-      for (std::size_t k = 0; k < kTargets; ++k) {
-        if (targets[k] == dims || grad[i] > grad[targets[k]]) {
-          for (std::size_t m = kTargets - 1; m > k; --m)
-            targets[m] = targets[m - 1];
-          targets[k] = i;
-          break;
-        }
-      }
+    if (targets_stale) {
+      pick_targets(allowed);
+      drains_ranked_ = false;
+      targets_stale = false;
     }
-
-    // Drain source for a given target: prefer a coordinate with strict
-    // byte *excess* — every member already holds more than the layer
-    // cap, so reducing it by up to the excess costs zero quality (the
-    // objective has a kink at fraction == 1; the upward gradient is not
-    // the downward one there). Fall back to the worst-gradient loaded
-    // coordinate.
-    const auto pick_drain = [&](std::size_t imax) {
-      std::pair<std::size_t, double> out{dims, 0.0};
-      for (std::size_t g = 0; g < p.groups.size(); ++g) {
-        const double rate_bytes_per_s =
-            p.groups[g].beam.rate.value * 1e6 / 8.0;
-        if (rate_bytes_per_s <= 0.0) continue;
-        for (int j = 0; j < video::kNumLayers; ++j) {
-          const auto js = static_cast<std::size_t>(j);
-          const std::size_t i = g * video::kNumLayers + js;
-          if (t[i] <= 1e-12 || i == imax) continue;
-          const double cap = std::max(1.0, p.content.layer_bytes[js]);
-          double excess = 1e300;
-          for (std::size_t u : p.groups[g].members)
-            excess = std::min(excess, d[u][js] - cap);
-          if (excess <= 0.0) continue;
-          const double dr = std::min(t[i], excess / rate_bytes_per_s);
-          if (dr > out.second) out = {i, dr};
-        }
-      }
-      if (out.first == dims) {
-        for (std::size_t i = 0; i < dims; ++i)
-          if (t[i] > 1e-12 && i != imax &&
-              (out.first == dims || grad[i] < grad[out.first]))
-            out.first = i;
-        if (out.first != dims) out.second = t[out.first];
-      }
-      return out;
-    };
 
     bool improved = false;
     const double slack = p.time_budget - total;
     for (std::size_t k = 0; k < kTargets && !improved; ++k) {
-      const std::size_t imax = targets[k];
-      if (imax == dims) break;
-      cand = t;  // copy-assign: capacity reused
+      const std::size_t imax = targets_[k];
+      if (imax == dims_) break;
+      const double old_max = t[imax];
+      std::size_t imin = dims_;
+      double old_min = 0.0;
       double cand_total = total;
-      if (slack > 1e-9 && grad[imax] > 0.0) {
+      if (slack > 1e-9 && grad_[imax] > 0.0) {
         const double add = std::min(step, slack);
-        cand[imax] += add;
+        set(imax, t[imax] + add);
         cand_total += add;
       } else {
-        const auto [imin, drainable] = pick_drain(imax);
-        if (imin == dims || grad[imax] <= grad[imin] || drainable <= 0.0)
+        const auto [drain, drainable] = drain_for(imax);
+        if (drain == dims_ || grad_[imax] <= grad_[drain] ||
+            drainable <= 0.0)
           continue;
         const double move = std::min(step, drainable);
-        cand[imin] -= move;
-        cand[imax] += move;
+        imin = drain;
+        old_min = t[imin];
+        set(imin, t[imin] - move);
+        set(imax, t[imax] + move);
       }
-      evaluate_into(p, quality, cand, trial);
-      if (trial.objective > r.eval.objective + 1e-12) {
-        t.swap(cand);
+      const double objective = rescan_moved(imax, imin);
+      if (objective > e_->objective + 1e-12) {
+        e_->objective = objective;
         total = cand_total;
-        r.eval = trial;  // copy-assign: capacity reused
+        accept();
+        targets_stale = true;
         step *= 1.3;
         improved = true;
+      } else {
+        set(imax, old_max);
+        if (imin != dims_) set(imin, old_min);
+        revert();
       }
     }
     if (!improved) step *= 0.5;  // all targets failed at this step size
@@ -429,20 +492,223 @@ void refine_inplace(const AllocProblem& p, model::QualityModel& quality,
   r.iters = iters;
 }
 
+/// Full state at the entry plan: evaluation, quality gradients and the
+/// per-coordinate gradient.
+void Refiner::load() {
+  const AllocProblem& p = *p_;
+  const std::vector<double>& t = *t_;
+  Eval& e = *e_;
+  support_.reserve(dims_);  // set() inserts without reallocating
+  support_into(t, support_);
+  e.user_bytes.resize(p.n_users);
+  e.ssim.resize(p.n_users);
+  binding_.resize(p.n_users);
+  fraction_.resize(p.n_users);
+  gfrac_.resize(p.n_users);
+  double quality = 0.0;
+  for (std::size_t u = 0; u < p.n_users; ++u) {
+    for (std::size_t j = 0; j < kLayers; ++j)
+      e.user_bytes[u][j] =
+          effective_bytes(*tb_, t, support_, u, j, binding_[u][j]);
+    fraction_[u] = fractions(*tb_, e.user_bytes[u]);
+    const model::Features f = features_for(p, fraction_[u]);
+    e.ssim[u] = q_->predict(f);
+    gfrac_[u] = q_->fraction_gradient(f);
+    quality += e.ssim[u];
+  }
+  e.objective = quality - p.lambda * traffic(*tb_, t, support_);
+  grad_.resize(dims_);
+  for (std::size_t g = 0; g < p.groups.size(); ++g) group_gradient(g);
+  seen_.resize(tb_->words);
+  changed_.resize(tb_->words);
+}
+
+/// t_i = value, keeping the support list in step.
+void Refiner::set(std::size_t i, double value) {
+  double& x = (*t_)[i];
+  const bool was = x != 0.0;
+  x = value;
+  if (was == (x != 0.0)) return;
+  const auto at = std::lower_bound(support_.begin(), support_.end(), i);
+  if (was)
+    support_.erase(at);
+  else
+    support_.insert(at, i);
+}
+
+/// Brings the state up to the plan after coordinates `ia` and `ib` (ib may
+/// be dims_: a one-coordinate move) changed, logging what it overwrites,
+/// and returns the new objective.
+double Refiner::rescan_moved(std::size_t ia, std::size_t ib) {
+  const std::vector<double>& t = *t_;
+  Eval& e = *e_;
+  cells_.clear();
+  users_.clear();
+  touched_.clear();
+  std::fill(seen_.begin(), seen_.end(), 0);
+  for (const std::size_t i : {ia, ib}) {
+    if (i == dims_) continue;
+    const std::size_t g = i / kLayers;
+    const std::size_t j = i % kLayers;
+    for (std::size_t u : p_->groups[g].members) {
+      double& bytes = e.user_bytes[u][j];
+      std::size_t& binding = binding_[u][j];
+      cells_.push_back({u, j, bytes, binding});
+      bytes = effective_bytes(*tb_, t, support_, u, j, binding);
+      const std::uint64_t bit = std::uint64_t{1} << (u % 64);
+      if ((seen_[u / 64] & bit) == 0) {
+        seen_[u / 64] |= bit;
+        touched_.push_back(u);
+      }
+    }
+  }
+  for (std::size_t u : touched_) {
+    const LayerArray f = fractions(*tb_, e.user_bytes[u]);
+    if (same_bits(f, fraction_[u])) continue;
+    users_.push_back({u, fraction_[u], e.ssim[u]});
+    fraction_[u] = f;
+    e.ssim[u] = q_->predict(features_for(*p_, f));
+  }
+  double quality = 0.0;
+  for (double s : e.ssim) quality += s;
+  return quality - p_->lambda * traffic(*tb_, t, support_);
+}
+
+/// Undoes the last rescan_moved (the caller restores the plan itself).
+void Refiner::revert() {
+  for (auto it = cells_.rbegin(); it != cells_.rend(); ++it) {
+    e_->user_bytes[it->u][it->j] = it->bytes;
+    binding_[it->u][it->j] = it->binding;
+  }
+  for (const UserUndo& w : users_) {
+    fraction_[w.u] = w.fraction;
+    e_->ssim[w.u] = w.ssim;
+  }
+}
+
+/// Re-derives the gradient after an accepted rescan_moved.
+void Refiner::accept() {
+  for (const UserUndo& w : users_)
+    gfrac_[w.u] = q_->fraction_gradient(features_for(*p_, fraction_[w.u]));
+  std::fill(changed_.begin(), changed_.end(), 0);
+  bool any = false;
+  for (const CellUndo& c : cells_) {
+    if (same_bits(c.bytes, e_->user_bytes[c.u][c.j]) &&
+        c.binding == binding_[c.u][c.j])
+      continue;
+    changed_[c.u / 64] |= std::uint64_t{1} << (c.u % 64);
+    any = true;
+  }
+  if (!any) return;
+  const std::size_t words = tb_->words;
+  for (std::size_t g = 0; g < p_->groups.size(); ++g)
+    for (std::size_t w = 0; w < words; ++w)
+      if ((tb_->members[g * words + w] & changed_[w]) != 0) {
+        group_gradient(g);
+        break;
+      }
+}
+
+void Refiner::group_gradient(std::size_t g) {
+  for (std::size_t j = 0; j < kLayers; ++j) {
+    const double cap = tb_->cap[j];
+    double dq = -p_->lambda;  // traffic penalty applies to every sent byte
+    for (std::size_t u : p_->groups[g].members) {
+      // Saturated: extra bytes are waste.
+      if (e_->user_bytes[u][j] >= cap) continue;
+      // d_eff = (1-k) max + k sum: the binding group carries the full
+      // marginal; overlapping groups keep the residual k.
+      const double weight = binding_[u][j] == g ? 1.0 : kOverlapValue;
+      dq += weight * gfrac_[u][j] / cap;
+    }
+    grad_[g * kLayers + j] = dq * tb_->rate[g];
+  }
+}
+
+/// Top gradient coordinates, best first. Trying several before
+/// backtracking matters in large group sets: the single argmax can sit on
+/// a model kink where no step size improves, and halving the step on it
+/// alone would abandon genuinely good moves elsewhere.
+void Refiner::pick_targets(const std::vector<bool>* allowed) {
+  targets_.fill(dims_);
+  for (std::size_t i = 0; i < dims_; ++i) {
+    if (allowed != nullptr && !(*allowed)[i]) continue;
+    for (std::size_t k = 0; k < kTargets; ++k) {
+      if (targets_[k] == dims_ || grad_[i] > grad_[targets_[k]]) {
+        for (std::size_t m = kTargets - 1; m > k; --m)
+          targets_[m] = targets_[m - 1];
+        targets_[k] = i;
+        break;
+      }
+    }
+  }
+}
+
+/// Drain sources: prefer a coordinate with strict byte *excess* — every
+/// member already holds more than the layer cap, so reducing it by up to
+/// the excess costs zero quality (the objective has a kink at
+/// fraction == 1; the upward gradient is not the downward one there).
+/// Fall back to the worst-gradient loaded coordinate. Only coordinates
+/// with t_i > 1e-12 qualify, so both scans walk the support.
+void Refiner::rank_drains() {
+  const std::vector<double>& t = *t_;
+  excess_ = {dims_, dims_};
+  excess_time_ = {0.0, 0.0};
+  lowest_ = {dims_, dims_};
+  for (std::size_t i : support_) {
+    if (t[i] <= 1e-12) continue;
+    if (lowest_[0] == dims_ || grad_[i] < grad_[lowest_[0]]) {
+      lowest_[1] = lowest_[0];
+      lowest_[0] = i;
+    } else if (lowest_[1] == dims_ || grad_[i] < grad_[lowest_[1]]) {
+      lowest_[1] = i;
+    }
+    const std::size_t g = i / kLayers;
+    const std::size_t j = i % kLayers;
+    const double rate = tb_->rate[g];
+    if (rate <= 0.0) continue;
+    double excess = 1e300;
+    for (std::size_t u : p_->groups[g].members)
+      excess = std::min(excess, e_->user_bytes[u][j] - tb_->cap[j]);
+    if (excess <= 0.0) continue;
+    const double drainable = std::min(t[i], excess / rate);
+    if (drainable > excess_time_[0]) {
+      excess_[1] = excess_[0];
+      excess_time_[1] = excess_time_[0];
+      excess_[0] = i;
+      excess_time_[0] = drainable;
+    } else if (drainable > excess_time_[1]) {
+      excess_[1] = i;
+      excess_time_[1] = drainable;
+    }
+  }
+  drains_ranked_ = true;
+}
+
+/// Drain source and drainable seconds for target `imax` (never imax
+/// itself); {dims_, 0} when nothing is loaded.
+std::pair<std::size_t, double> Refiner::drain_for(std::size_t imax) {
+  if (!drains_ranked_) rank_drains();
+  const std::size_t k = excess_[0] != imax ? 0 : 1;
+  if (excess_[k] != dims_) return {excess_[k], excess_time_[k]};
+  const std::size_t low = lowest_[0] != imax ? lowest_[0] : lowest_[1];
+  if (low != dims_) return {low, (*t_)[low]};
+  return {dims_, 0.0};
+}
+
 /// Packages a refined time vector and its evaluation into the caller's
 /// Allocation (store reshaped in place, capacity reused).
-void fill_allocation(const AllocProblem& p, const std::vector<double>& t,
-                     const Eval& e, int iters, Allocation& out) {
+void fill_allocation(const AllocProblem& p, const Tables& tb,
+                     const std::vector<double>& t, const Eval& e, int iters,
+                     Allocation& out) {
   out.reset(p.groups.size(), p.n_users);
   out.iterations = iters;
   out.objective = e.objective;
   out.predicted_ssim = e.ssim;
   for (std::size_t g = 0; g < p.groups.size(); ++g) {
-    const double rate_bytes_per_s = p.groups[g].beam.rate.value * 1e6 / 8.0;
-    for (int j = 0; j < video::kNumLayers; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      out.time(g)[js] = t[g * video::kNumLayers + js];
-      out.bytes(g)[js] = out.time(g)[js] * rate_bytes_per_s;
+    for (std::size_t j = 0; j < kLayers; ++j) {
+      out.time(g)[j] = t[g * kLayers + j];
+      out.bytes(g)[j] = out.time(g)[j] * tb.rate[g];
     }
   }
   for (std::size_t u = 0; u < e.user_bytes.size(); ++u)
@@ -455,18 +721,13 @@ void support_mask_into(const AllocProblem& p, const std::vector<double>& init,
   allowed.assign(init.size(), false);
   for (std::size_t g = 0; g < p.groups.size(); ++g) {
     bool loaded = false;
-    for (int j = 0; j < video::kNumLayers; ++j)
-      loaded |= init[g * video::kNumLayers + static_cast<std::size_t>(j)] >
-                1e-12;
+    for (std::size_t j = 0; j < kLayers; ++j)
+      loaded |= init[g * kLayers + j] > 1e-12;
     if (loaded)
-      for (int j = 0; j < video::kNumLayers; ++j)
-        allowed[g * video::kNumLayers + static_cast<std::size_t>(j)] = true;
+      for (std::size_t j = 0; j < kLayers; ++j)
+        allowed[g * kLayers + j] = true;
   }
 }
-
-}  // namespace
-
-namespace {
 
 /// Verify-layer invariant: whatever path produced the allocation, its time
 /// plan must stay inside the frame budget with no negative entries, and
@@ -511,8 +772,7 @@ void check_allocation(const AllocProblem& p, const Allocation& a,
 std::size_t repair_coverage(const AllocProblem& p, std::vector<double>& t) {
   const auto group_time = [&](std::size_t g) {
     double tg = 0.0;
-    for (std::size_t j = 0; j < video::kNumLayers; ++j)
-      tg += t[g * video::kNumLayers + j];
+    for (std::size_t j = 0; j < kLayers; ++j) tg += t[g * kLayers + j];
     return tg;
   };
   std::size_t repaired = 0;
@@ -548,7 +808,7 @@ std::size_t repair_coverage(const AllocProblem& p, std::vector<double>& t) {
       t[donor] -= grant;
     }
     // Base layer first: coverage means the base prefix above anything.
-    t[best_g * video::kNumLayers] += grant;
+    t[best_g * kLayers] += grant;
     ++repaired;
   }
   return repaired;
@@ -567,6 +827,12 @@ void optimize_allocation_into(const AllocProblem& p,
 
   static obs::Stage& st = obs::stage("sched.optimize");
   obs::StageSpan span(st);
+
+  thread_local Tables tables_tls;
+  thread_local Refiner refiner_tls;
+  Tables& tb = tables_tls;
+  Refiner& refiner = refiner_tls;
+  build_tables(p, tb);
 
   const auto finish = [&](const Allocation& result) {
     if (obs::enabled()) {
@@ -589,7 +855,7 @@ void optimize_allocation_into(const AllocProblem& p,
     if (cfg.deadline) {
       const std::size_t repaired = repair_coverage(p, t);
       if (repaired > 0) {
-        evaluate_into(p, quality, t, e);
+        evaluate_into(p, tb, quality, t, e);
         if (obs::enabled()) {
           static obs::Counter& c_repaired =
               obs::MetricsRegistry::global().counter(
@@ -598,19 +864,22 @@ void optimize_allocation_into(const AllocProblem& p,
         }
       }
     }
-    fill_allocation(p, t, e, iters, out);
+    fill_allocation(p, tb, t, e, iters, out);
     finish(out);
   };
 
   // --- Warm path: refine the previous frame's allocation directly. ------
   // The remapped plan is already a near-feasible near-optimum when the
   // group set and channels moved only a little (the common mobile case),
-  // so one full-space refine converges in a handful of step-halvings
-  // instead of the multi-start's thousands of exchange iterations. The
-  // evaluated round-robin init serves as the acceptance floor: a warm
+  // so one full-space refine from it replaces the multi-start's eight
+  // refine phases (a few hundred exchange iterations). Often no exchange
+  // improves the plan at all, and the refine stops after the ~11 rejected
+  // step halvings that take initial_step below min_step; each of those
+  // reuses the gradient and retries only its top targets.
+  // The evaluated round-robin init serves as the acceptance floor: a warm
   // result that cannot beat the weakest cold seed means the group set
   // changed too much, and the multi-start below runs as the fallback.
-  const std::size_t dims = p.groups.size() * video::kNumLayers;
+  const std::size_t dims = p.groups.size() * kLayers;
   if (warm_start != nullptr && warm_start->size() == dims) {
     thread_local RefineResult warm_tls;
     RefineResult& warm = warm_tls;
@@ -633,8 +902,7 @@ void optimize_allocation_into(const AllocProblem& p,
       served.assign(p.n_users, 0);
       for (std::size_t g = 0; g < p.groups.size(); ++g) {
         double tg = 0.0;
-        for (std::size_t j = 0; j < video::kNumLayers; ++j)
-          tg += warm.t[g * video::kNumLayers + j];
+        for (std::size_t j = 0; j < kLayers; ++j) tg += warm.t[g * kLayers + j];
         for (std::size_t u : p.groups[g].members) {
           grouped[u] = 1;
           if (tg > 0.0) served[u] = 1;
@@ -651,13 +919,13 @@ void optimize_allocation_into(const AllocProblem& p,
       }
       if (serves_all &&
           std::accumulate(warm.t.begin(), warm.t.end(), 0.0) > 0.0) {
-        refine_inplace(p, quality, cfg, warm, nullptr);
+        refiner.run(p, tb, quality, cfg, warm, nullptr);
         thread_local std::vector<double> floor_t_tls;
         thread_local Eval floor_tls;
         std::vector<double>& floor_t = floor_t_tls;
         Eval& floor = floor_tls;
         round_robin_times_into(p, 1e-3, nullptr, floor_t);
-        evaluate_into(p, quality, floor_t, floor);
+        evaluate_into(p, tb, quality, floor_t, floor);
         const bool accept = warm.eval.objective >= floor.objective;
         if (obs::enabled()) {
           auto& reg = obs::MetricsRegistry::global();
@@ -726,16 +994,9 @@ void optimize_allocation_into(const AllocProblem& p,
       break;
     support_mask_into(p, inits[s], allowed);
     phase.t = inits[s];  // copy-assign: capacity reused
-    refine_inplace(p, quality, cfg, phase, &allowed);
+    refiner.run(p, tb, quality, cfg, phase, &allowed);
     const int phase1_iters = phase.iters;
-#ifdef W4K_OPT_DEBUG
-    const double phase1_obj = phase.eval.objective;
-#endif
-    refine_inplace(p, quality, cfg, phase, nullptr);
-#ifdef W4K_OPT_DEBUG
-    std::fprintf(stderr, "start: phase1 obj=%.5f iters=%d phase2 obj=%.5f iters=%d\n",
-                 phase1_obj, phase1_iters, phase.eval.objective, phase.iters);
-#endif
+    refiner.run(p, tb, quality, cfg, phase, nullptr);
     total_iters += phase1_iters + phase.iters;
     if (!have_result || phase.eval.objective > best_eval.objective) {
       if (have_result && obs::enabled()) {
@@ -753,15 +1014,6 @@ void optimize_allocation_into(const AllocProblem& p,
   finalize(best_t, best_eval, total_iters);
 }
 
-Allocation optimize_allocation(const AllocProblem& p,
-                               model::QualityModel& quality,
-                               const OptimizerConfig& cfg,
-                               const std::vector<double>* warm_start) {
-  Allocation out;
-  optimize_allocation_into(p, quality, out, cfg, warm_start);
-  return out;
-}
-
 namespace {
 
 /// Round-robin time vector: 1 ms slots rotate over the groups (all of
@@ -770,7 +1022,7 @@ namespace {
 void round_robin_times_into(const AllocProblem& p, Seconds slot,
                             const std::vector<std::size_t>* subset,
                             std::vector<double>& t) {
-  t.assign(p.groups.size() * video::kNumLayers, 0.0);
+  t.assign(p.groups.size() * kLayers, 0.0);
   thread_local std::vector<std::size_t> order_tls;
   thread_local std::vector<LayerArray> delivered_tls;
   std::vector<std::size_t>& order = order_tls;
@@ -808,7 +1060,7 @@ void round_robin_times_into(const AllocProblem& p, Seconds slot,
       }
     }
     const auto ts = static_cast<std::size_t>(target);
-    t[g * video::kNumLayers + ts] += this_slot;
+    t[g * kLayers + ts] += this_slot;
     for (std::size_t u : group.members) delivered[u][ts] += bytes;
 
     remaining -= this_slot;
@@ -826,22 +1078,17 @@ void round_robin_allocation_into(const AllocProblem& p,
   if (!(slot > 0.0) || !std::isfinite(slot))
     throw std::invalid_argument("round_robin_allocation: slot must be a "
                                 "positive finite duration");
+  thread_local Tables tb_tls;
   thread_local std::vector<double> t_tls;
   thread_local Eval e_tls;
+  Tables& tb = tb_tls;
   std::vector<double>& t = t_tls;
   Eval& e = e_tls;
+  build_tables(p, tb);
   round_robin_times_into(p, slot, nullptr, t);
-  evaluate_into(p, quality, t, e);
-  fill_allocation(p, t, e, 0, out);
+  evaluate_into(p, tb, quality, t, e);
+  fill_allocation(p, tb, t, e, 0, out);
   check_allocation(p, out, "round_robin_allocation");
-}
-
-Allocation round_robin_allocation(const AllocProblem& p,
-                                  model::QualityModel& quality,
-                                  Seconds slot) {
-  Allocation out;
-  round_robin_allocation_into(p, quality, out, slot);
-  return out;
 }
 
 }  // namespace w4k::sched

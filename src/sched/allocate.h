@@ -127,21 +127,15 @@ struct OptimizerConfig {
 /// simplex), the optimizer refines it directly and, if the refined result
 /// at least matches the evaluated round-robin cold init, returns it
 /// without running the multi-start — the scheduler fast path that makes
-/// per-frame re-optimization real-time. On that warm path all working
-/// state lives in thread-local scratch: zero heap allocations in steady
-/// state. Otherwise it falls back to the full cold multi-start (which
-/// also keeps the warm candidate in the running).
+/// per-frame re-optimization real-time. Otherwise the warm result is
+/// discarded and the full cold multi-start runs from its own four seeds.
+/// Every path keeps its working state in thread-local scratch: zero heap
+/// allocations in steady state.
 /// Counters: sched.warm_start.{hits,fallbacks,iters_saved}.
 void optimize_allocation_into(
     const AllocProblem& problem, model::QualityModel& quality,
     Allocation& out, const OptimizerConfig& cfg = {},
     const std::vector<double>* warm_start = nullptr);
-
-/// Value-returning convenience wrapper over optimize_allocation_into.
-Allocation optimize_allocation(const AllocProblem& problem,
-                               model::QualityModel& quality,
-                               const OptimizerConfig& cfg = {},
-                               const std::vector<double>* warm_start = nullptr);
 
 /// Round-robin baseline: 1 ms slots rotate over all candidate groups; each
 /// slot's bytes go to the lowest layer that group's members still miss.
@@ -151,11 +145,6 @@ Allocation optimize_allocation(const AllocProblem& problem,
 void round_robin_allocation_into(const AllocProblem& problem,
                                  model::QualityModel& quality,
                                  Allocation& out, Seconds slot = 1e-3);
-
-/// Value-returning convenience wrapper over round_robin_allocation_into.
-Allocation round_robin_allocation(const AllocProblem& problem,
-                                  model::QualityModel& quality,
-                                  Seconds slot = 1e-3);
 
 /// Euclidean projection of `t` onto {t >= 0, sum t <= budget}; exposed for
 /// tests. Operates in place. Non-finite entries are reported through the

@@ -254,6 +254,7 @@ TEST_F(AllocGateTest, MultiApRelayZeroAllocsPerFrameAfterWarmup) {
   MulticastSession session(cfg, *quality_, beamforming::Codebook{});
 
   FrameOutcome outcome;
+  fault::FrameFaults faults;
   std::vector<std::vector<linalg::CVector>> decision;
   std::vector<std::vector<linalg::CVector>> truth;
   std::size_t relay_frames = 0;
@@ -261,14 +262,15 @@ TEST_F(AllocGateTest, MultiApRelayZeroAllocsPerFrameAfterWarmup) {
   for (int f = 0; f < kFrames; ++f) {
     const FrameContext& ctx =
         (*contexts_)[static_cast<std::size_t>(f) % contexts_->size()];
-    // The driver's per-frame work (fault resolution, stack copies) is
-    // outside the gate: the contract covers the session step itself.
+    // The driver's stack copies and channel faults are outside the gate:
+    // the contract covers resolving the frame's faults and the session
+    // step.
     const auto frame_id = static_cast<std::uint32_t>(f);
-    const fault::FrameFaults faults = injector.at(frame_id);
     decision = stacks;
     truth = stacks;
     injector.apply(frame_id, decision, truth, azimuths);
     const alloc_count::Scope scope;
+    injector.at_into(frame_id, faults);
     session.step_into(decision, truth, ctx, faults, outcome);
     if (f >= kMultiWarmup) {
       EXPECT_EQ(scope.taken(), 0u)

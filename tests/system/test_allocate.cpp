@@ -81,7 +81,8 @@ core::FrameContext* AllocateTest::ctx_ = nullptr;
 
 TEST_F(AllocateTest, RespectsTimeBudget) {
   auto p = problem({{{0}, 40.0}, {{1}, 40.0}, {{0, 1}, 40.0}}, 2);
-  const Allocation a = optimize_allocation(p, *quality_);
+  Allocation a;
+  optimize_allocation_into(p, *quality_, a);
   EXPECT_LE(total_time(a), p.time_budget + 1e-9);
   for (const auto& row : a.time_rows())
     for (double x : row) EXPECT_GE(x, 0.0);
@@ -91,7 +92,8 @@ TEST_F(AllocateTest, PrefersSharedGroupWhenRatesEqual) {
   // With equal rates, sending to {0,1} serves both users at once; the
   // optimizer should put (almost) everything there.
   auto p = problem({{{0}, 40.0}, {{1}, 40.0}, {{0, 1}, 40.0}}, 2);
-  const Allocation a = optimize_allocation(p, *quality_);
+  Allocation a;
+  optimize_allocation_into(p, *quality_, a);
   double shared = 0.0;
   for (double x : a.time(2)) shared += x;
   EXPECT_GT(shared, 0.9 * total_time(a));
@@ -99,7 +101,8 @@ TEST_F(AllocateTest, PrefersSharedGroupWhenRatesEqual) {
 
 TEST_F(AllocateTest, FillsLowerLayersFirst) {
   auto p = problem({{{0}, 40.0}}, 1);
-  const Allocation a = optimize_allocation(p, *quality_);
+  Allocation a;
+  optimize_allocation_into(p, *quality_, a);
   // Lower layers should be complete before upper layers get anything
   // substantial (capacity 40 Mbps can fill L0..L2 and part of L3).
   for (int l = 0; l < 3; ++l)
@@ -111,7 +114,8 @@ TEST_F(AllocateTest, FillsLowerLayersFirst) {
 
 TEST_F(AllocateTest, AvoidsGrossOverAllocation) {
   auto p = problem({{{0}, 40.0}}, 1);
-  const Allocation a = optimize_allocation(p, *quality_);
+  Allocation a;
+  optimize_allocation_into(p, *quality_, a);
   // No layer should receive more than ~a symbol or two beyond its cap.
   for (int l = 0; l < video::kNumLayers; ++l) {
     const auto ls = static_cast<std::size_t>(l);
@@ -123,8 +127,10 @@ TEST_F(AllocateTest, AvoidsGrossOverAllocation) {
 TEST_F(AllocateTest, HigherRateHigherQuality) {
   auto slow = problem({{{0}, 10.0}}, 1);
   auto fast = problem({{{0}, 40.0}}, 1);
-  const Allocation a_slow = optimize_allocation(slow, *quality_);
-  const Allocation a_fast = optimize_allocation(fast, *quality_);
+  Allocation a_slow;
+  optimize_allocation_into(slow, *quality_, a_slow);
+  Allocation a_fast;
+  optimize_allocation_into(fast, *quality_, a_fast);
   EXPECT_GT(a_fast.predicted_ssim[0], a_slow.predicted_ssim[0] + 0.01);
 }
 
@@ -132,7 +138,8 @@ TEST_F(AllocateTest, AsymmetricRatesFavorBottleneckViaSingletons) {
   // One strong user, one weak user: the optimizer should still deliver
   // the base layer to the weak user via some group containing it.
   auto p = problem({{{0}, 40.0}, {{1}, 8.0}, {{0, 1}, 8.0}}, 2);
-  const Allocation a = optimize_allocation(p, *quality_);
+  Allocation a;
+  optimize_allocation_into(p, *quality_, a);
   EXPECT_GT(a.user_bytes(1)[0], 0.9 * p.content.layer_bytes[0]);
   // And the strong user should end with more total bytes.
   const double s0 = std::accumulate(a.user_bytes(0).begin(),
@@ -145,15 +152,19 @@ TEST_F(AllocateTest, AsymmetricRatesFavorBottleneckViaSingletons) {
 TEST_F(AllocateTest, EmptyProblemsThrow) {
   AllocProblem p;
   p.n_users = 1;
-  EXPECT_THROW(optimize_allocation(p, *quality_), std::invalid_argument);
+  Allocation a;
+  EXPECT_THROW(optimize_allocation_into(p, *quality_, a),
+               std::invalid_argument);
   auto p2 = problem({{{0}, 40.0}}, 1);
   p2.n_users = 0;
-  EXPECT_THROW(optimize_allocation(p2, *quality_), std::invalid_argument);
+  EXPECT_THROW(optimize_allocation_into(p2, *quality_, a),
+               std::invalid_argument);
 }
 
 TEST_F(AllocateTest, BytesConsistentWithTimeAndRate) {
   auto p = problem({{{0}, 37.0}}, 1);
-  const Allocation a = optimize_allocation(p, *quality_);
+  Allocation a;
+  optimize_allocation_into(p, *quality_, a);
   for (int l = 0; l < video::kNumLayers; ++l) {
     const auto ls = static_cast<std::size_t>(l);
     EXPECT_NEAR(a.bytes(0)[ls], a.time(0)[ls] * 37.0 * 1e6 / 8.0, 1e-6);
@@ -162,7 +173,8 @@ TEST_F(AllocateTest, BytesConsistentWithTimeAndRate) {
 
 TEST_F(AllocateTest, RoundRobinUsesFullBudgetCyclically) {
   auto p = problem({{{0}, 40.0}, {{1}, 40.0}, {{0, 1}, 40.0}}, 2);
-  const Allocation a = round_robin_allocation(p, *quality_);
+  Allocation a;
+  round_robin_allocation_into(p, *quality_, a);
   EXPECT_NEAR(total_time(a), p.time_budget, 1e-9);
   // Round robin splits time equally across the three groups.
   for (std::size_t g = 0; g < 3; ++g) {
@@ -182,8 +194,10 @@ TEST_F(AllocateTest, OptimizedBeatsRoundRobinWithThreeUsers) {
                     {{1, 2}, 15.0},
                     {{0, 1, 2}, 15.0}},
                    3);
-  const Allocation opt = optimize_allocation(p, *quality_);
-  const Allocation rr = round_robin_allocation(p, *quality_);
+  Allocation opt;
+  optimize_allocation_into(p, *quality_, opt);
+  Allocation rr;
+  round_robin_allocation_into(p, *quality_, rr);
   double opt_sum = 0.0, rr_sum = 0.0;
   for (double s : opt.predicted_ssim) opt_sum += s;
   for (double s : rr.predicted_ssim) rr_sum += s;
@@ -195,8 +209,10 @@ TEST_F(AllocateTest, TwoUserSharedGroupMatchesRoundRobinClosely) {
   // users because there is only one multicast group" — when the only
   // group is {0,1}, both allocators serve it the whole budget.
   auto p = problem({{{0, 1}, 40.0}}, 2);
-  const Allocation opt = optimize_allocation(p, *quality_);
-  const Allocation rr = round_robin_allocation(p, *quality_);
+  Allocation opt;
+  optimize_allocation_into(p, *quality_, opt);
+  Allocation rr;
+  round_robin_allocation_into(p, *quality_, rr);
   EXPECT_NEAR(opt.predicted_ssim[0], rr.predicted_ssim[0], 0.02);
 }
 
@@ -282,7 +298,8 @@ TEST_F(AllocateTest, RoundRobinLandsExactlyOnAwkwardBudgets) {
   auto p = problem({{{0}, 40.0}, {{1}, 30.0}, {{0, 1}, 25.0}}, 2);
   for (double budget : {1.0 / 30.0, 0.0307, 1.0 / 3.0, 0.0100005, 2.5e-4}) {
     p.time_budget = budget;
-    const Allocation a = round_robin_allocation(p, *quality_);
+    Allocation a;
+    round_robin_allocation_into(p, *quality_, a);
     const double total = total_time(a);
     EXPECT_LE(total, budget * (1.0 + 1e-12)) << "budget " << budget;
     EXPECT_GE(total, budget - 1e-11) << "budget " << budget;
@@ -291,25 +308,28 @@ TEST_F(AllocateTest, RoundRobinLandsExactlyOnAwkwardBudgets) {
 
 TEST_F(AllocateTest, RoundRobinRejectsDegenerateSlots) {
   auto p = problem({{{0}, 40.0}}, 1);
-  EXPECT_THROW(round_robin_allocation(p, *quality_, 0.0),
+  Allocation a;
+  EXPECT_THROW(round_robin_allocation_into(p, *quality_, a, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(round_robin_allocation(p, *quality_, -1e-3),
+  EXPECT_THROW(round_robin_allocation_into(p, *quality_, a, -1e-3),
                std::invalid_argument);
-  EXPECT_THROW(round_robin_allocation(
-                   p, *quality_, std::numeric_limits<double>::quiet_NaN()),
+  EXPECT_THROW(round_robin_allocation_into(
+                   p, *quality_, a, std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
-  EXPECT_THROW(round_robin_allocation(
-                   p, *quality_, std::numeric_limits<double>::infinity()),
+  EXPECT_THROW(round_robin_allocation_into(
+                   p, *quality_, a, std::numeric_limits<double>::infinity()),
                std::invalid_argument);
 }
 
 TEST_F(AllocateTest, WarmStartMatchingPreviousOptimumIsAccepted) {
   auto p = problem({{{0}, 40.0}, {{1}, 30.0}, {{0, 1}, 25.0}}, 2);
-  const Allocation cold = optimize_allocation(p, *quality_);
+  Allocation cold;
+  optimize_allocation_into(p, *quality_, cold);
   std::vector<double> warm;
   for (const auto& row : cold.time_rows())
     warm.insert(warm.end(), row.begin(), row.end());
-  const Allocation warmed = optimize_allocation(p, *quality_, {}, &warm);
+  Allocation warmed;
+  optimize_allocation_into(p, *quality_, warmed, {}, &warm);
   // Restarting from the optimum must not lose objective, and converges in
   // far fewer iterations than the cold multi-start.
   EXPECT_GE(warmed.objective, cold.objective - 1e-9);
@@ -323,7 +343,8 @@ TEST_F(AllocateTest, WarmStartLeavingAUserUnservedFallsBackToMultiStart) {
   auto p = problem({{{0}, 40.0}, {{1}, 30.0}, {{0, 1}, 25.0}}, 2);
   std::vector<double> warm(p.groups.size() * video::kNumLayers, 0.0);
   warm[0] = p.time_budget;  // everything on user 0's singleton
-  const Allocation a = optimize_allocation(p, *quality_, {}, &warm);
+  Allocation a;
+  optimize_allocation_into(p, *quality_, a, {}, &warm);
   EXPECT_GT(a.user_bytes(1)[0], 0.9 * p.content.layer_bytes[0]);
 }
 
@@ -331,14 +352,16 @@ TEST_F(AllocateTest, UnusableWarmStartsReproduceColdBitIdentically) {
   // Wrong size, non-finite, or all-clipped warm vectors must be ignored
   // entirely — the cold multi-start runs and produces the exact cold plan.
   auto p = problem({{{0}, 40.0}, {{1}, 30.0}, {{0, 1}, 25.0}}, 2);
-  const Allocation cold = optimize_allocation(p, *quality_);
+  Allocation cold;
+  optimize_allocation_into(p, *quality_, cold);
   const std::vector<std::vector<double>> warms = {
       {},                             // wrong size: ignored
       std::vector<double>(12, -1.0),  // projects to the zero vector
       std::vector<double>(12, std::numeric_limits<double>::quiet_NaN()),
   };
   for (const auto& w : warms) {
-    const Allocation a = optimize_allocation(p, *quality_, {}, &w);
+    Allocation a;
+    optimize_allocation_into(p, *quality_, a, {}, &w);
     EXPECT_EQ(a.objective, cold.objective);
     ASSERT_EQ(a.group_count(), cold.group_count());
     for (std::size_t g = 0; g < a.group_count(); ++g)
@@ -349,8 +372,10 @@ TEST_F(AllocateTest, UnusableWarmStartsReproduceColdBitIdentically) {
   // only ever accepted if it beats the evaluated round-robin seed, so the
   // result can never fall below the round-robin baseline.
   const std::vector<double> absurd(12, 1e9);
-  const Allocation a = optimize_allocation(p, *quality_, {}, &absurd);
-  const Allocation rr = round_robin_allocation(p, *quality_);
+  Allocation a;
+  optimize_allocation_into(p, *quality_, a, {}, &absurd);
+  Allocation rr;
+  round_robin_allocation_into(p, *quality_, rr);
   EXPECT_GE(a.objective, rr.objective - 1e-9);
 }
 

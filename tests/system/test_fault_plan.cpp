@@ -310,14 +310,16 @@ TEST(FaultInjectorTest, ResolvesPerFrameState) {
   const FaultInjector inj(plan, 3);
 
   // Frame 0: nothing resolves, and apply leaves the channels untouched.
-  const FrameFaults f0 = inj.at(0);
-  EXPECT_FALSE(f0.csi_stale);
-  EXPECT_FALSE(f0.handoff_beacon_lost);
-  EXPECT_DOUBLE_EQ(f0.budget_scale, 1.0);
-  EXPECT_EQ(f0.feedback_lost, std::vector<std::uint8_t>(3, 0));
-  EXPECT_EQ(f0.feedback_delayed, std::vector<std::uint8_t>(3, 0));
-  EXPECT_EQ(f0.user_active, std::vector<std::uint8_t>(3, 1));
-  EXPECT_TRUE(f0.relay_down.empty());
+  // One FrameFaults is reused across the frames below, as the runner does.
+  FrameFaults f;
+  inj.at_into(0, f);
+  EXPECT_FALSE(f.csi_stale);
+  EXPECT_FALSE(f.handoff_beacon_lost);
+  EXPECT_DOUBLE_EQ(f.budget_scale, 1.0);
+  EXPECT_EQ(f.feedback_lost, std::vector<std::uint8_t>(3, 0));
+  EXPECT_EQ(f.feedback_delayed, std::vector<std::uint8_t>(3, 0));
+  EXPECT_EQ(f.user_active, std::vector<std::uint8_t>(3, 1));
+  EXPECT_TRUE(f.relay_down.empty());
   Stacks decision = unit_stack(3);
   Stacks truth = unit_stack(3);
   inj.apply(0, decision, truth);
@@ -326,15 +328,16 @@ TEST(FaultInjectorTest, ResolvesPerFrameState) {
     EXPECT_EQ(truth[0][u][0], linalg::Complex(1.0, 0.0)) << "user " << u;
   }
 
-  const FrameFaults f2 = inj.at(2);
-  EXPECT_TRUE(f2.csi_stale);
-  EXPECT_DOUBLE_EQ(f2.budget_scale, 0.4);
-  EXPECT_EQ(f2.feedback_lost[1], 1);
-  EXPECT_EQ(f2.feedback_lost[0], 1);       // delayed = missing this frame
-  EXPECT_EQ(f2.feedback_delayed[0], 1);    // ...but known-alive
-  EXPECT_EQ(f2.feedback_delayed[1], 0);
-  EXPECT_EQ(f2.user_active[2], 0);         // left at frame 1
-  EXPECT_EQ(f2.user_active[0], 1);
+  inj.at_into(2, f);
+  EXPECT_EQ(f.frame, 2u);
+  EXPECT_TRUE(f.csi_stale);
+  EXPECT_DOUBLE_EQ(f.budget_scale, 0.4);
+  EXPECT_EQ(f.feedback_lost[1], 1);
+  EXPECT_EQ(f.feedback_lost[0], 1);        // delayed = missing this frame
+  EXPECT_EQ(f.feedback_delayed[0], 1);     // ...but known-alive
+  EXPECT_EQ(f.feedback_delayed[1], 0);
+  EXPECT_EQ(f.user_active[2], 0);          // left at frame 1
+  EXPECT_EQ(f.user_active[0], 1);
   // The burst on user 1 starts at frame 2: its true ray loses 12 dB, user
   // 0's does not, and a missed (not corrupt) beacon poisons nothing.
   decision = unit_stack(3);
@@ -344,9 +347,13 @@ TEST(FaultInjectorTest, ResolvesPerFrameState) {
   EXPECT_DOUBLE_EQ(truth[0][0][0].real(), 1.0);
   for (const auto& h : decision[0]) EXPECT_FALSE(std::isnan(h[0].real()));
 
-  const FrameFaults f4 = inj.at(4);
-  EXPECT_EQ(f4.user_active[2], 1);         // rejoined at frame 3
-  EXPECT_DOUBLE_EQ(f4.budget_scale, 1.0);  // collapse covered frames 1-3
+  // Frame 4 overwrites everything frame 2 set.
+  inj.at_into(4, f);
+  EXPECT_EQ(f.user_active[2], 1);          // rejoined at frame 3
+  EXPECT_DOUBLE_EQ(f.budget_scale, 1.0);   // collapse covered frames 1-3
+  EXPECT_FALSE(f.csi_stale);
+  EXPECT_EQ(f.feedback_lost, std::vector<std::uint8_t>(3, 0));
+  EXPECT_EQ(f.feedback_delayed, std::vector<std::uint8_t>(3, 0));
   decision = unit_stack(3);
   truth = unit_stack(3);
   inj.apply(4, decision, truth);
@@ -369,8 +376,37 @@ TEST(FaultInjectorTest, OverlappingBurstsStackAndCollapseTakesMin) {
   inj.apply(3, decision, truth);
   EXPECT_DOUBLE_EQ(truth[0][0][0].real(),
                    blockage_amplitude(15.0));  // additive overlap
-  EXPECT_DOUBLE_EQ(inj.at(1).budget_scale, 0.5);
-  EXPECT_DOUBLE_EQ(inj.at(3).budget_scale, 0.2);     // worst stall wins
+  FrameFaults f;
+  inj.at_into(1, f);
+  EXPECT_DOUBLE_EQ(f.budget_scale, 0.5);
+  inj.at_into(3, f);
+  EXPECT_DOUBLE_EQ(f.budget_scale, 0.2);  // worst stall wins
+}
+
+TEST(FaultInjectorTest, AtIntoOverwritesAReusedRecord) {
+  // A record last filled by a busier plan (more users, relay churn, a lost
+  // handoff beacon) must read exactly as a fresh one after at_into.
+  FaultPlan busy;
+  busy.relay_churn.push_back({0, 4, 1});
+  busy.handoff_beacon.push_back({2});
+  busy.csi.push_back({2, false});
+  busy.budget.push_back({2, 1, 0.3});
+  FrameFaults f;
+  FaultInjector(busy, 5).at_into(2, f);
+  ASSERT_EQ(f.relay_down.size(), 5u);
+  ASSERT_TRUE(f.handoff_beacon_lost);
+
+  FaultPlan quiet;
+  quiet.churn.push_back({0, 1, false});
+  FaultInjector(quiet, 2).at_into(3, f);
+  EXPECT_EQ(f.frame, 3u);
+  EXPECT_FALSE(f.csi_stale);
+  EXPECT_FALSE(f.handoff_beacon_lost);
+  EXPECT_DOUBLE_EQ(f.budget_scale, 1.0);
+  EXPECT_EQ(f.feedback_lost, std::vector<std::uint8_t>(2, 0));
+  EXPECT_EQ(f.feedback_delayed, std::vector<std::uint8_t>(2, 0));
+  EXPECT_EQ(f.user_active, (std::vector<std::uint8_t>{1, 0}));
+  EXPECT_TRUE(f.relay_down.empty());
 }
 
 TEST(FaultInjectorTest, ApplyAttenuatesTruthNowAndDecisionLate) {
@@ -417,7 +453,9 @@ TEST(FaultInjectorTest, CorruptBeaconPoisonsDecisionOnly) {
   EXPECT_DOUBLE_EQ(truth[0][0][0].real(), 1.0);
   // A corrupt beacon is not a missed one: the session detects it from the
   // NaN decision CSI, not from the resolved fault state.
-  EXPECT_FALSE(inj.at(3).csi_stale);
+  FrameFaults f;
+  inj.at_into(3, f);
+  EXPECT_FALSE(f.csi_stale);
 }
 
 TEST(FaultInjectorTest, ConstructionValidatesAgainstUserCount) {

@@ -196,7 +196,8 @@ TEST_F(MultiApTest, RejectedCallLeavesSessionUntouched) {
     const core::FrameContext& ctx =
         (*contexts_)[static_cast<std::size_t>(f) % contexts_->size()];
     const auto frame_id = static_cast<std::uint32_t>(f);
-    const fault::FrameFaults faults = injector.at(frame_id);
+    fault::FrameFaults faults;
+    injector.at_into(frame_id, faults);
     decision = room.stacks;
     truth = room.stacks;
     injector.apply(frame_id, decision, truth, room.azimuths);
