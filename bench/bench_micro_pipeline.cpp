@@ -153,7 +153,7 @@ void BM_MulticastBeamSvd(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(beamforming::group_beam(
         beamforming::Scheme::kOptimizedMulticast, channels,
-        beamforming::Codebook{}, rng));
+        beamforming::Codebook{}, /*seed=*/8));
 }
 BENCHMARK(BM_MulticastBeamSvd)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);

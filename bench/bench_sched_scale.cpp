@@ -1,30 +1,26 @@
-// Scheduler scaling bench (the PR 5 fast path): wall-clock latency of
+// Scheduler scaling bench: wall-clock latency of
 // MulticastSession::decide_into() — group beamforming + Eq. 1 allocation
 // + Eq. 4 unit mapping, into one reused Decision as step_into runs it —
-// swept over user counts, static vs mobility CSI,
-// and fast path (beam cache + warm start) vs baseline (stateless
-// re-enumeration + cold multi-start every frame).
+// swept over user counts and static vs mobility CSI.
 //
 // The paper's sender must make this decision inside the 33.3 ms frame
-// budget. The fast path exploits two structural facts: (a) each subset's
+// budget. The session exploits two structural facts: (a) each subset's
 // beam is a pure function of (scheme, member channels, codebook, seed), so
 // only subsets containing a user whose CSI changed since the last beacon
-// need re-beamforming; (b) consecutive frames' optimal allocations are
-// near each other, so the previous frame's plan (remapped by member
-// bitmask) warm-starts the optimizer past the cold multi-start.
+// are re-beamformed (sched::BeamCache); (b) consecutive frames' optimal
+// allocations are near each other, so the previous frame's plan (remapped
+// by member bitmask) warm-starts the optimizer past the cold multi-start.
 //
-// Past the hierarchical threshold (N=32/64 rows) the anytime scheduler
+// Past the hierarchical threshold (N=16..64 rows) the anytime scheduler
 // takes over: cluster-tree candidate generation, rate-bound pruning, the
-// SoA-packed batch beamformer, and (at N=64) the decide_deadline_ms
-// cutoff that trades optional merge candidates for latency.
+// subset-lane beamformer, and (at N=32/64) the decide_deadline_ms cutoff
+// that trades optional merge candidates for latency.
 //
-// Outputs BENCH_sched.json (per-config mean/p50/p99 decide latency and the
-// N=12-mobility speedup headline). Rows whose baseline sweep is skipped
-// carry an explicit "baseline": "skipped" marker so downstream tooling
-// never mistakes absence for measurement. `--smoke` runs only the tier-1
-// gate: p99 decide_into() latency at N=32 mobile (deadline on) must stay
-// under 16.6 ms (half the frame budget); set W4K_SKIP_PERF_SMOKE=1 to skip
-// (exit 77) on machines where wall-clock gates are meaningless (e.g.
+// Outputs BENCH_sched.json (per-config mean/p50/p99/max decide latency
+// and a headline of the N=12/32/64 mobile tails). `--smoke` runs only the
+// tier-1 gate: p99 decide_into() latency at N=32 mobile (deadline on) must
+// stay under 16.6 ms (half the frame budget); set W4K_SKIP_PERF_SMOKE=1 to
+// skip (exit 77) on machines where wall-clock gates are meaningless (e.g.
 // heavily shared CI).
 #include "common.h"
 
@@ -67,7 +63,6 @@ Latency summarize_ms(std::vector<double> ms) {
 struct MeasureSpec {
   std::size_t n_users = 4;
   bool mobile = false;
-  bool fast = true;   ///< beam cache + warm start on
   int n_frames = 30;  ///< measured decide_into() calls
   /// Cold-start frames excluded from the stats: the first beacon pays the
   /// one-off full enumeration that every later frame amortizes (a real
@@ -116,8 +111,6 @@ Latency measure(const MeasureSpec& spec) {
       core::SessionConfig::scaled(bench::kWidth, bench::kHeight);
   cfg.seed = 4242;
   cfg.mcs_margin_db = 1.0;
-  cfg.beam_cache = spec.fast;
-  cfg.warm_start = spec.fast;
   cfg.group_enum.max_group_size = spec.max_group_size;
   cfg.decide_deadline_ms = spec.deadline_ms;
   core::MulticastSession session(cfg, bench::quality_model(),
@@ -166,17 +159,16 @@ int run_smoke() {
   MeasureSpec spec;
   spec.n_users = 32;
   spec.mobile = true;
-  spec.fast = true;
   spec.n_frames = 30;
   // N=32 runs the anytime scheduler end to end: the cluster-tree generator
   // (the exhaustive lattice at N=32 would be 2^32 subsets), the rate-bound
-  // pruner, the SoA batch path, and the deadline cutoff. The deadline is
-  // the production knob that holds the frame budget on slow or heavily
-  // shared boxes; the gate then checks the whole decision still lands
+  // pruner, the subset-lane beamformer, and the deadline cutoff. The
+  // deadline is the production knob that holds the frame budget on slow or
+  // heavily shared boxes; the gate then checks the whole decision still lands
   // inside half the 33.3 ms frame budget.
   spec.deadline_ms = 14.0;
   const Latency l = measure(spec);
-  print_latency("N=32 mobile fast (ddl=14)", l);
+  print_latency("N=32 mobile (ddl=14)", l);
   const bool ok = l.p99_ms < kBudgetMs;
   std::printf("perf_smoke: decide_into() p99 %.3f ms %s %.1f ms budget: "
               "%s\n",
@@ -198,8 +190,7 @@ int main(int argc, char** argv) {
   bm.set("pool_threads",
          static_cast<std::int64_t>(ThreadPool::shared().size()));
 
-  const std::vector<std::size_t> fast_n = {4, 8, 12, 16, 32, 64};
-  const std::vector<std::size_t> base_n = {4, 8, 12};  // baseline is slow
+  const std::vector<std::size_t> sweep_n = {4, 8, 12, 16, 32, 64};
   /// decide_deadline_ms per sweep row: past the hierarchical threshold a
   /// mobile beacon frame re-beamforms most of the candidate set and the
   /// pure path blows the frame budget, so the N=32/64 rows run the anytime
@@ -215,76 +206,46 @@ int main(int argc, char** argv) {
   os << "{\n  \"frame_budget_ms\": 33.333,\n  \"pool_threads\": "
      << ThreadPool::shared().size() << ",\n  \"sweep\": [\n";
 
-  double n12_mobile_speedup = 0.0;
-  double n12_mobile_fast_p99 = 0.0;
-  double n32_mobile_fast_p99 = 0.0;
-  double n64_mobile_fast_max = 0.0;
+  double n12_mobile_p99 = 0.0;
+  double n32_mobile_p99 = 0.0;
+  double n64_mobile_max = 0.0;
   bool first = true;
   for (const bool mobile : {false, true}) {
     std::printf("\n--- %s CSI (one walker) ---\n",
                 mobile ? "mobility" : "static");
-    for (const std::size_t n : fast_n) {
+    for (const std::size_t n : sweep_n) {
       MeasureSpec spec;
       spec.n_users = n;
       spec.mobile = mobile;
-      spec.fast = true;
       spec.n_frames = 30;
       spec.deadline_ms = deadline_for(n);
-      const Latency fast = measure(spec);
+      const Latency l = measure(spec);
       char label[64];
-      std::snprintf(label, sizeof label, "N=%-2zu fast%s", n,
+      std::snprintf(label, sizeof label, "N=%-2zu%s", n,
                     spec.deadline_ms > 0.0 ? " (ddl)" : "");
-      print_latency(label, fast);
-
-      bool have_base = false;
-      Latency base;
-      if (std::find(base_n.begin(), base_n.end(), n) != base_n.end()) {
-        spec.fast = false;
-        spec.n_frames = 9;  // full re-enumeration per frame: keep it short
-        base = measure(spec);
-        have_base = true;
-        std::snprintf(label, sizeof label, "N=%-2zu baseline", n);
-        print_latency(label, base);
-        std::printf("%-26s %.2fx mean speedup\n", "",
-                    base.mean_ms / fast.mean_ms);
-      }
+      print_latency(label, l);
 
       if (!first) os << ",\n";
       first = false;
       os << "    {\"n_users\":" << n << ",\"scenario\":\""
          << (mobile ? "mobile" : "static")
-         << "\",\"deadline_ms\":" << spec.deadline_ms << ",\"fast\":";
-      emit_json(fast, os);
-      if (have_base) {
-        os << ",\"baseline\":";
-        emit_json(base, os);
-        os << ",\"mean_speedup\":" << base.mean_ms / fast.mean_ms;
-      } else {
-        // Explicit marker: this baseline was skipped (too slow to sweep),
-        // not measured as absent.
-        os << ",\"baseline\":\"skipped\"";
-      }
+         << "\",\"deadline_ms\":" << spec.deadline_ms << ",\"decide\":";
+      emit_json(l, os);
       os << "}";
-      if (mobile && n == 12) {
-        n12_mobile_fast_p99 = fast.p99_ms;
-        if (have_base) n12_mobile_speedup = base.mean_ms / fast.mean_ms;
-      }
-      if (mobile && n == 32) n32_mobile_fast_p99 = fast.p99_ms;
-      if (mobile && n == 64) n64_mobile_fast_max = fast.max_ms;
+      if (mobile && n == 12) n12_mobile_p99 = l.p99_ms;
+      if (mobile && n == 32) n32_mobile_p99 = l.p99_ms;
+      if (mobile && n == 64) n64_mobile_max = l.max_ms;
     }
   }
-  os << "\n  ],\n  \"headline\": {\"n12_mobile_mean_speedup\": "
-     << n12_mobile_speedup << ", \"n12_mobile_fast_p99_ms\": "
-     << n12_mobile_fast_p99 << ", \"n32_mobile_fast_p99_ms\": "
-     << n32_mobile_fast_p99 << ", \"n64_mobile_deadline_max_ms\": "
-     << n64_mobile_fast_max << "}\n}\n";
+  os << "\n  ],\n  \"headline\": {\"n12_mobile_p99_ms\": "
+     << n12_mobile_p99 << ", \"n32_mobile_p99_ms\": " << n32_mobile_p99
+     << ", \"n64_mobile_deadline_max_ms\": " << n64_mobile_max << "}\n}\n";
   os.close();
-  std::printf("\n# wrote BENCH_sched.json (N=12 mobile: %.2fx mean speedup; "
+  std::printf("\n# wrote BENCH_sched.json (N=12 mobile p99 %.3f ms; "
               "N=32 p99 %.3f ms; N=64 max %.3f ms)\n",
-              n12_mobile_speedup, n32_mobile_fast_p99, n64_mobile_fast_max);
-  bm.set("n12_mobile_mean_speedup", n12_mobile_speedup);
-  bm.set("n12_mobile_fast_p99_ms", n12_mobile_fast_p99);
-  bm.set("n32_mobile_fast_p99_ms", n32_mobile_fast_p99);
-  bm.set("n64_mobile_deadline_max_ms", n64_mobile_fast_max);
+              n12_mobile_p99, n32_mobile_p99, n64_mobile_max);
+  bm.set("n12_mobile_p99_ms", n12_mobile_p99);
+  bm.set("n32_mobile_p99_ms", n32_mobile_p99);
+  bm.set("n64_mobile_deadline_max_ms", n64_mobile_max);
   return 0;
 }

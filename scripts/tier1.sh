@@ -26,7 +26,8 @@
 #          (AllocCount.*), then after warmup the pinned static4, mobile
 #          and crowd scenarios and a faulted 2-AP handoff+relay scenario
 #          (all through step_into) must perform zero heap allocations per
-#          frame (DESIGN.md Sec. 4g), and so must the serving daemon's
+#          frame (DESIGN.md Sec. 4g) under W4K_THREADS 1 and 4 x
+#          W4K_FORCE_SCALAR 0 and 1, and so must the serving daemon's
 #          steady-state fan-out (ServeAllocGate.*, DESIGN.md Sec. 4j).
 #          Only tests_system and tests_serve hold gate suites, so only
 #          they are built there.
@@ -66,9 +67,16 @@ cmake -B build-alloc -S . -DW4K_COUNT_ALLOCS=ON
 cmake --build build-alloc -j"$jobs" --target tests_system tests_serve
 # Run the gate suites directly (no ctest discovery pass for the side
 # build): the counter contract plus the per-frame zero-allocation gate,
-# which skip themselves everywhere except this counting build.
-./build-alloc/tests/tests_system \
-    --gtest_filter='AllocCount.*:AllocGateTest.*'
+# which skip themselves everywhere except this counting build. Every pool
+# size x SIMD tier combination must be allocation-free: 1 and 4 workers,
+# auto-dispatched and scalar-pinned kernels.
+for threads in 1 4; do
+  for scalar in 0 1; do
+    W4K_THREADS="$threads" W4K_FORCE_SCALAR="$scalar" \
+      ./build-alloc/tests/tests_system \
+        --gtest_filter='AllocCount.*:AllocGateTest.*'
+  done
+done
 # The daemon's steady-state fan-out (encode -> publish -> sendmmsg ->
 # release) must also be allocation-free per frame (DESIGN.md Sec. 4j).
 ./build-alloc/tests/tests_serve --gtest_filter='ServeAllocGate.*'

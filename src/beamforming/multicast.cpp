@@ -1,6 +1,7 @@
 #include "beamforming/multicast.h"
 
 #include "channel/array.h"
+#include "common/rng.h"
 #include "linalg/decompose.h"
 
 #include <algorithm>
@@ -37,30 +38,38 @@ void mrt_beam_into(const linalg::CVector& h, linalg::CVector& out) {
   }
 }
 
-void evaluate_into(const linalg::CVector& beam,
-                   std::span<const linalg::CVector> channels, GroupBeam& g) {
-  g.beam = beam;  // copy-assign: capacity reused
+/// Per-member RSS, bottleneck and rate of the beam already in g.beam.
+void score_into(std::span<const linalg::CVector> channels, GroupBeam& g) {
   g.member_rss.clear();
   g.min_rss = Dbm{1e300};
   for (const auto& h : channels) {
-    const Dbm rss = channel::beam_rss(h, beam);
+    const Dbm rss = channel::beam_rss(h, g.beam);
     g.member_rss.push_back(rss);
     g.min_rss = std::min(g.min_rss, rss);
   }
   g.rate = channel::rate_for_rss(g.min_rss);
 }
 
+/// The first sector with the highest min-member RSS, evaluated once. The
+/// min runs exactly as score_into's, so the winner's min_rss is the one
+/// the search compared.
 void best_codebook_beam_into(std::span<const linalg::CVector> channels,
-                             const Codebook& codebook, GroupBeam& best) {
+                             const Codebook& codebook, GroupBeam& out) {
   if (codebook.size() == 0)
     throw std::invalid_argument("pre-defined scheme needs a codebook");
-  thread_local GroupBeam cand;
-  best.min_rss = Dbm{-1e300};
-  best.rate = Mbps{0.0};
+  std::size_t best = 0;
+  Dbm best_min{-1e300};
   for (std::size_t k = 0; k < codebook.size(); ++k) {
-    evaluate_into(codebook[k], channels, cand);
-    if (cand.min_rss > best.min_rss) best = cand;
+    Dbm min_rss{1e300};
+    for (const auto& h : channels)
+      min_rss = std::min(min_rss, channel::beam_rss(h, codebook[k]));
+    if (min_rss > best_min) {
+      best_min = min_rss;
+      best = k;
+    }
   }
+  out.beam = codebook[best];  // copy-assign: capacity reused
+  score_into(channels, out);
 }
 
 }  // namespace
@@ -68,14 +77,8 @@ void best_codebook_beam_into(std::span<const linalg::CVector> channels,
 void evaluate_beam_into(const linalg::CVector& beam,
                         std::span<const linalg::CVector> member_channels,
                         GroupBeam& out) {
-  evaluate_into(beam, member_channels, out);
-}
-
-GroupBeam evaluate_beam(const linalg::CVector& beam,
-                        const std::vector<linalg::CVector>& member_channels) {
-  GroupBeam out;
-  evaluate_into(beam, member_channels, out);
-  return out;
+  out.beam = beam;  // copy-assign: capacity reused
+  score_into(member_channels, out);
 }
 
 bool allows_multicast(Scheme s) {
@@ -94,7 +97,8 @@ std::string to_string(Scheme s) {
 
 void group_beam_into(Scheme scheme,
                      std::span<const linalg::CVector> channels,
-                     const Codebook& codebook, Rng& rng, GroupBeam& out) {
+                     const Codebook& codebook, std::uint64_t seed,
+                     GroupBeam& out) {
   if (channels.empty())
     throw std::invalid_argument("group_beam: empty group");
   if (!allows_multicast(scheme) && channels.size() != 1)
@@ -102,22 +106,16 @@ void group_beam_into(Scheme scheme,
         "group_beam: unicast scheme with a multi-member group");
 
   switch (scheme) {
-    case Scheme::kOptimizedUnicast: {
-      // MRT: F = conj(h) / ||h|| maximizes |F . h|.
-      thread_local linalg::CVector f;
-      mrt_beam_into(channels[0], f);
-      evaluate_into(f, channels, out);
-      return;
-    }
     case Scheme::kPredefinedUnicast:
     case Scheme::kPredefinedMulticast:
       best_codebook_beam_into(channels, codebook, out);
       return;
+    case Scheme::kOptimizedUnicast:
     case Scheme::kOptimizedMulticast: {
       if (channels.size() == 1) {
-        thread_local linalg::CVector f;
-        mrt_beam_into(channels[0], f);
-        evaluate_into(f, channels, out);
+        // MRT: F = conj(h) / ||h|| maximizes |F . h|.
+        mrt_beam_into(channels[0], out.beam);
+        score_into(channels, out);
         return;
       }
       // Max-sum SVD heuristic for the NP-hard max-min problem: F is the
@@ -127,64 +125,31 @@ void group_beam_into(Scheme scheme,
       // starves the weak one — the opposite of the max-min intent. On
       // direction-only rows the SVD splits power across the members'
       // subspaces, which tracks min-RSS far better while keeping the
-      // same O(N_t^2 N) cost. The rows live in a thread-local one-problem
-      // pack and the iteration runs via packed_dominant_right_singular_into
-      // — bit-identical to the historical CMatrix::from_rows path.
-      thread_local linalg::PackedStacks pack;
-      thread_local linalg::DominantSVD svd;
-      pack.rows.clear();
-      pack.offsets.clear();
-      pack.cols = 0;
-      for (const auto& h : channels) {
-        const double n = h.norm();
-        if (n <= 0.0) continue;
-        if (pack.cols == 0) pack.cols = h.size();
-        if (h.size() != pack.cols)
-          throw std::invalid_argument("row size mismatch in set_row");
-        for (std::size_t i = 0; i < h.size(); ++i) {
-          linalg::Complex x = h[i];
-          x /= n;  // the same element-wise divide normalized() performs
-          pack.rows.push_back(x);
-        }
+      // same O(N_t^2 N) cost. Dead (zero) members drop out of the stack.
+      std::vector<linalg::CVector> rows;
+      rows.reserve(channels.size());
+      for (const auto& h : channels)
+        if (h.norm() > 0.0) rows.push_back(h.normalized());
+      if (rows.empty()) {
+        uniform_beam_into(channels[0].size(), out.beam);
+      } else {
+        Rng rng(seed);
+        out.beam = linalg::dominant_right_singular(
+                       linalg::CMatrix::from_rows(rows), rng)
+                       .right_singular;
       }
-      if (pack.rows.empty()) {
-        thread_local linalg::CVector uni;
-        uniform_beam_into(channels[0].size(), uni);
-        evaluate_into(uni, channels, out);
-        return;
-      }
-      pack.offsets.push_back(0);
-      pack.offsets.push_back(pack.rows.size() / pack.cols);
-      linalg::packed_dominant_right_singular_into(pack, 0, rng, svd);
-      evaluate_into(svd.right_singular, channels, out);
+      score_into(channels, out);
       return;
     }
   }
   throw std::logic_error("group_beam: unhandled scheme");
 }
 
-void group_beam_into(Scheme scheme,
-                     std::span<const linalg::CVector> member_channels,
-                     const Codebook& codebook, std::uint64_t seed,
-                     GroupBeam& out) {
-  Rng rng(seed);
-  group_beam_into(scheme, member_channels, codebook, rng, out);
-}
-
-GroupBeam group_beam(Scheme scheme,
-                     const std::vector<linalg::CVector>& channels,
-                     const Codebook& codebook, Rng& rng) {
-  GroupBeam out;
-  group_beam_into(scheme, channels, codebook, rng, out);
-  return out;
-}
-
 GroupBeam group_beam(Scheme scheme,
                      const std::vector<linalg::CVector>& channels,
                      const Codebook& codebook, std::uint64_t seed) {
-  Rng rng(seed);
   GroupBeam out;
-  group_beam_into(scheme, channels, codebook, rng, out);
+  group_beam_into(scheme, channels, codebook, seed, out);
   return out;
 }
 

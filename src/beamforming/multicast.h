@@ -16,7 +16,6 @@
 
 #include "beamforming/codebook.h"
 #include "channel/mcs.h"
-#include "common/rng.h"
 #include "common/units.h"
 #include "linalg/matrix.h"
 
@@ -47,55 +46,33 @@ struct GroupBeam {
   Mbps rate{0.0};                ///< Table 2 UDP rate at min_rss (0 = unusable)
 };
 
-/// Derives the beam and rate for a group with the given member channels.
-/// Unicast schemes require exactly one member (throws otherwise). `rng`
-/// seeds the SVD power iteration; `codebook` is consulted only by the
-/// pre-defined schemes (may be empty for the optimized ones).
-GroupBeam group_beam(Scheme scheme,
-                     const std::vector<linalg::CVector>& member_channels,
-                     const Codebook& codebook, Rng& rng);
-
 /// Evaluates an externally-derived unit-norm beam against member
-/// channels: per-member RSS, bottleneck RSS, and the Table 2 rate at the
-/// bottleneck. This is exactly the evaluation every scheme path performs
-/// internally; the scheduler's batched beamformer uses it to close the
-/// loop on beams produced by linalg::packed_dominant_right_singular.
-GroupBeam evaluate_beam(const linalg::CVector& beam,
-                        const std::vector<linalg::CVector>& member_channels);
-
-/// Seed-based variant: the SVD power iteration draws from a private
-/// Rng(seed), so the result is a pure function of (scheme, channels,
-/// codebook, seed) — independent of any shared generator's state. This is
-/// what makes per-subset caching and parallel group enumeration safe: two
-/// callers computing the same subset always get bit-identical beams.
-GroupBeam group_beam(Scheme scheme,
-                     const std::vector<linalg::CVector>& member_channels,
-                     const Codebook& codebook, std::uint64_t seed);
-
-// --- Span-based hot-loop surface (zero-alloc steady state) ----------------
-// The _into variants write into a caller-owned GroupBeam whose internal
-// buffers keep their capacity across calls, and take member channels as a
-// span so the scheduler can point at workspace storage instead of building
-// fresh vectors. Values are bit-identical to the vector-returning versions
-// (which now wrap these).
-
-/// evaluate_beam into a reusable GroupBeam.
+/// channels into a reusable GroupBeam (buffers keep their capacity):
+/// per-member RSS, bottleneck RSS, and the Table 2 rate at the bottleneck.
+/// This is the evaluation every scheme performs; the scheduler's
+/// subset-lane beamformer uses it to close the loop on its beams.
 void evaluate_beam_into(const linalg::CVector& beam,
                         std::span<const linalg::CVector> member_channels,
                         GroupBeam& out);
 
-/// Seed-based group_beam into a reusable GroupBeam. The optimized schemes
-/// (MRT, packed-SVD multicast) run allocation-free in steady state; the
-/// pre-defined codebook schemes reuse `out` but may still allocate inside
-/// the sector search on first use.
+/// Derives the beam and rate for a group with the given member channels
+/// into a reusable GroupBeam. The SVD power iteration draws from a private
+/// Rng(seed), so the result is a pure function of (scheme, channels,
+/// codebook, seed) — what makes per-subset caching and parallel group
+/// enumeration safe. Unicast schemes require exactly one member (throws
+/// otherwise); `codebook` is consulted only by the pre-defined schemes
+/// (may be empty for the optimized ones). MRT, uniform and codebook beams
+/// are allocation-free once `out` is warm; the multi-member SVD builds its
+/// stacked matrix (the scheduler sends those subsets to
+/// linalg::subset_dominant_right_singular_into instead).
 void group_beam_into(Scheme scheme,
                      std::span<const linalg::CVector> member_channels,
                      const Codebook& codebook, std::uint64_t seed,
                      GroupBeam& out);
 
-/// Rng-based core shared by every overload above.
-void group_beam_into(Scheme scheme,
-                     std::span<const linalg::CVector> member_channels,
-                     const Codebook& codebook, Rng& rng, GroupBeam& out);
+/// group_beam_into returning a fresh GroupBeam.
+GroupBeam group_beam(Scheme scheme,
+                     const std::vector<linalg::CVector>& member_channels,
+                     const Codebook& codebook, std::uint64_t seed);
 
 }  // namespace w4k::beamforming

@@ -57,9 +57,6 @@ class Experiment {
   const fault::FaultPlan& fault_plan() const { return fault_plan_; }
 
   const std::vector<channel::Position>& users() const { return users_; }
-  const std::vector<linalg::CVector>& channel_vectors() const {
-    return channels_;
-  }
   const std::vector<FrameContext>& contexts() const { return contexts_; }
 
   /// The lazily built session (constructing validates the config).

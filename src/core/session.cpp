@@ -240,7 +240,8 @@ void MulticastSession::decide_into(
     // Group beamforming. Every subset's beam derives its RNG from
     // (cfg_.seed, member bitmask), so the result is a pure function of the
     // CSI and config — the cache below and the ThreadPool-parallel miss
-    // computation are bit-identical to a serial, uncached enumeration.
+    // computation are bit-identical to a serial, uncached enumeration
+    // (sched::enumerate_groups, the property suites' reference).
     static obs::Stage& st = obs::stage("session.beamform");
     obs::StageSpan span(st);
     // enum_cfg_ is a member so the exclude vector's capacity survives
@@ -255,11 +256,8 @@ void MulticastSession::decide_into(
     enum_cfg_.deadline = beam_deadline;
     ThreadPool* pool = &ThreadPool::shared();
     const std::span<const sched::GroupSpec> emitted =
-        cfg_.beam_cache
-            ? beam_cache_.enumerate_into(channels, codebook_, enum_cfg_, pool,
-                                         sched_ws_)
-            : sched::enumerate_groups(cfg_.scheme, channels, codebook_,
-                                      cfg_.seed, enum_cfg_, pool, sched_ws_);
+        beam_cache_.enumerate_into(channels, codebook_, enum_cfg_, pool,
+                                   sched_ws_);
     // Copy out of the workspace pool through the recycling resize:
     // copy-assignment over reused GroupSpec elements keeps their member /
     // beam buffers' capacity across frames, and shrunk elements survive
@@ -327,15 +325,14 @@ void MulticastSession::decide_into(
   // member bitmask) to warm-start the optimizer. Only offered when at least
   // half of the previous airtime maps onto a still-existing group — past
   // that the landscape has shifted enough that the cold multi-start is the
-  // better bet. Note: this depends only on the previous *allocation*, never
-  // on the beam-cache flag, so cache on/off stays bit-identical.
+  // better bet.
   const auto group_mask = [](const sched::GroupSpec& g) {
     sched::GroupMask mask = 0;
     for (std::size_t u : g.members) mask |= sched::GroupMask{1} << u;
     return mask;
   };
   const std::vector<double>* warm = nullptr;
-  if (cfg_.optimized_schedule && cfg_.warm_start && prev_total_time_ > 0.0 &&
+  if (cfg_.optimized_schedule && prev_total_time_ > 0.0 &&
       prev_n_users_ == channels.size()) {
     warm_vec_.assign(d.groups.size() * video::kNumLayers, 0.0);
     double covered = 0.0;

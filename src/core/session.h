@@ -39,20 +39,6 @@ struct SessionConfig {
   beamforming::Scheme scheme = beamforming::Scheme::kOptimizedMulticast;
   bool optimized_schedule = true;  ///< false = round-robin baseline
   bool adapt = true;               ///< false = "No Update"
-  /// Reuse per-subset beams across frames (sched::BeamCache): only subsets
-  /// containing a user whose CSI changed are re-beamformed, in parallel on
-  /// the shared ThreadPool. Because every subset's beam is a pure function
-  /// of (scheme, member channels, codebook, seed), the output is
-  /// bit-identical with the cache on or off — this flag exists for A/B
-  /// benchmarking and for the property suite that asserts exactly that.
-  bool beam_cache = true;
-  /// Warm-start the Eq. 1 optimizer from the previous frame's allocation,
-  /// remapped by member bitmask onto the surviving group set. Falls back to
-  /// the full multi-start whenever the warm candidate is worse than the
-  /// evaluated round-robin init (or too little of the previous allocation
-  /// survived). Independent of `beam_cache`, so toggling the cache cannot
-  /// change the schedule.
-  bool warm_start = true;
   /// dB backed off the measured min-RSS before MCS selection. Mobile runs
   /// use 1-2 dB: the beacon-time CSI is up to 100 ms stale, and selecting
   /// at the exact sensitivity makes every fade a burst of losses.

@@ -128,7 +128,7 @@ class TxEngine {
   const EngineConfig& config() const { return cfg_; }
 
   /// Simulates one frame into a caller-owned result. `units` and
-  /// `assignments` come from sched::frame_units / sched::map_to_units;
+  /// `assignments` come from sched::frame_units / sched::map_to_units_into;
   /// `groups` must cover every group index referenced by the assignments.
   /// `faults` collapses the budget and silences per-user feedback for this
   /// frame (default-constructed = no faults). After the makeup rounds, each

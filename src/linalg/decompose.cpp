@@ -88,7 +88,8 @@ void tall_stack(RowAt row, std::size_t m, std::size_t cols, Rng& rng,
 /// Row-side Gram G = A A^H of the m rows row(0..m-1), accumulated exactly
 /// as CMatrix::operator* does for (a * a.hermitian()): r outer, k
 /// ascending with the zero-skip on a(r, k), c inner — so every G entry
-/// sums its terms in the same floating-point order as the unpacked path.
+/// sums its terms in the same floating-point order as
+/// dominant_right_singular.
 /// Entry (r, c) depends only on rows r and c, which is what makes a
 /// subset's Gram a gather of the whole set's (row_gram_into).
 template <class RowAt>
@@ -188,40 +189,6 @@ void recover(RowAt row, std::size_t m, std::size_t cols, const CVector& v,
 }
 
 }  // namespace
-
-DominantSVD packed_dominant_right_singular(const PackedStacks& pack,
-                                           std::size_t p, Rng& rng,
-                                           int max_iters, double tol) {
-  DominantSVD out;
-  packed_dominant_right_singular_into(pack, p, rng, out, max_iters, tol);
-  return out;
-}
-
-void packed_dominant_right_singular_into(const PackedStacks& pack,
-                                         std::size_t p, Rng& rng,
-                                         DominantSVD& out,
-                                         int max_iters, double tol) {
-  out.singular_value = 0.0;
-  out.iterations = 0;
-  const std::size_t m = pack.rows_of(p);
-  const std::size_t cols = pack.cols;
-  if (m == 0 || cols == 0) {
-    out.right_singular.resize_zero(0);
-    return;
-  }
-  const Complex* base = pack.rows.data() + pack.offsets[p] * cols;
-  const auto row = [&](std::size_t r) { return base + r * cols; };
-  if (m >= cols) {
-    tall_stack(row, m, cols, rng, out, max_iters, tol);
-    return;
-  }
-  thread_local CMatrix g;
-  thread_local CVector v, w;
-  stack_gram(row, m, cols, g);
-  start_vector(rng, m, v);
-  const PowerResult r = power_iterate(g, v, w, max_iters, tol);
-  recover(row, m, cols, v, r, out);
-}
 
 void row_gram_into(std::span<const CVector> rows, CMatrix& g) {
   const std::size_t cols = rows.empty() ? 0 : rows[0].size();

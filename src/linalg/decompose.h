@@ -37,53 +37,11 @@ struct DominantSVD {
 DominantSVD dominant_right_singular(const CMatrix& a, Rng& rng,
                                     int max_iters = 500, double tol = 1e-12);
 
-/// A batch of stacked-channel SVD problems packed row-major into one
-/// contiguous buffer. Problem p owns rows [offsets[p], offsets[p+1]) —
-/// each row is `cols` complex entries — so a batch driver (the
-/// scheduler's group beamformer) can run many small Gram iterations over
-/// pre-normalized channel rows without per-problem matrix allocations or
-/// re-normalization.
-struct PackedStacks {
-  std::vector<Complex> rows;         ///< concatenated rows, row-major
-  std::vector<std::size_t> offsets;  ///< P+1 row-index prefix sums
-  std::size_t cols = 0;              ///< entries (antennas) per row
-
-  std::size_t problems() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-  std::size_t rows_of(std::size_t p) const {
-    return offsets[p + 1] - offsets[p];
-  }
-};
-
-/// dominant_right_singular for problem `p` of a packed batch,
-/// bit-identical to calling the CMatrix overload on the same rows: the
-/// row-side Gram is accumulated in the exact order CMatrix::operator*
-/// uses (ascending k, zero-skip on a(r,k)), the power iteration is the
-/// same code, and the recovery matvec matches CMatrix::operator*(CVector)
-/// term for term. Stacks with rows >= cols fall back to the CMatrix path.
-DominantSVD packed_dominant_right_singular(const PackedStacks& pack,
-                                           std::size_t p, Rng& rng,
-                                           int max_iters = 500,
-                                           double tol = 1e-12);
-
-/// Allocation-free variant for the short-wide (rows < cols) case: the Gram
-/// matrix, iterates, and recovery vector live in thread-local scratch and
-/// `out.right_singular` reuses its capacity, so the per-frame beamforming
-/// path performs zero heap allocations in steady state. The rows >= cols
-/// fallback still delegates to the (allocating) CMatrix path. Values are
-/// bit-identical to packed_dominant_right_singular.
-void packed_dominant_right_singular_into(const PackedStacks& pack,
-                                         std::size_t p, Rng& rng,
-                                         DominantSVD& out,
-                                         int max_iters = 500,
-                                         double tol = 1e-12);
-
 /// Row-side Gram of a set of equal-length rows: g(u, v) = sum over k of
 /// rows[u][k] * conj(rows[v][k]), k ascending, skipping every k with
-/// rows[u][k] == 0. That is entry for entry the sum the stacked Gram of
-/// packed_dominant_right_singular_into forms for the same two rows, so the
-/// Gram of any stack of these rows is a gather of g, bit for bit. Throws
+/// rows[u][k] == 0. That is entry for entry the sum CMatrix's A * A^H
+/// forms for the same two rows, so the row-side Gram of any stack of these
+/// rows is a gather of g, bit for bit. Throws
 /// std::invalid_argument if the rows differ in length.
 void row_gram_into(std::span<const CVector> rows, CMatrix& g);
 
@@ -116,9 +74,9 @@ struct SubsetLaneScratch {
 std::size_t subset_lane_width(gf256::Tier tier);
 
 /// Dominant right singular vectors of many row subsets of one matrix.
-/// out[p] is bit-identical to packed_dominant_right_singular_into on a
-/// pack holding problem p's rows, with Rng(problems[p].seed): the same
-/// iterations, singular value and right singular vector.
+/// out[p] is bit-identical to dominant_right_singular on the CMatrix of
+/// problem p's rows, with Rng(problems[p].seed): the same iterations,
+/// singular value and right singular vector.
 ///
 /// `gram` must be row_gram_into(rows). Each problem's Gram is gathered
 /// from it; the starting iterate and the recovery A^H u1 are the scalar
@@ -129,8 +87,8 @@ std::size_t subset_lane_width(gf256::Tier tier);
 /// convergence and iteration cap, and takes the next problem of its size
 /// when it finishes. A problem whose gathered Gram holds a non-finite
 /// entry, or whose lane meets a non-finite value, runs on the scalar path
-/// from the start; so do stacks with rows >= cols (the allocating CMatrix
-/// path, as in the packed variant). Throws std::invalid_argument if
+/// from the start; stacks with rows >= cols run dominant_right_singular
+/// itself (allocating). Throws std::invalid_argument if
 /// `gram`, `rows`, `problems` and `out` disagree in size, or a problem
 /// names a row past rows.size().
 SubsetBatchStats subset_dominant_right_singular_into(

@@ -88,9 +88,6 @@ class Allocation {
   std::span<const LayerArray> bytes_rows() const {
     return {store_.data() + n_groups_, n_groups_};
   }
-  std::span<const LayerArray> user_bytes_rows() const {
-    return {store_.data() + 2 * n_groups_, n_users_};
-  }
 
   /// Per-user quality predicted by the model at this allocation.
   std::vector<double> predicted_ssim;

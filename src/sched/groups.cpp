@@ -14,7 +14,8 @@ namespace w4k::sched {
 namespace {
 
 /// Filters that decide whether a subset is even beamformed. Shared with
-/// BeamCache so cache-on and cache-off enumerate exactly the same masks.
+/// BeamCache so the cache and the stateless enumerate_groups enumerate
+/// exactly the same masks.
 struct MaskFilter {
   GroupMask excluded_mask = 0;
   std::size_t max_group_size = 0;
@@ -107,21 +108,6 @@ std::span<const linalg::CVector> gather_members(
 }
 
 }  // namespace
-
-std::vector<GroupMask> admissible_masks(beamforming::Scheme scheme,
-                                        std::size_t n,
-                                        const GroupEnumConfig& cfg) {
-  if (n == 0) throw std::invalid_argument("enumerate_groups: no users");
-  if (n > 16)
-    throw std::invalid_argument("enumerate_groups: subset enumeration "
-                                "limited to 16 users");
-  const MaskFilter filter(scheme, n, cfg);
-  std::vector<GroupMask> masks;
-  const GroupMask limit = GroupMask{1} << n;
-  for (GroupMask mask = 1; mask < limit; ++mask)
-    if (filter.admits(mask)) masks.push_back(mask);
-  return masks;
-}
 
 bool GroupSpec::contains(std::size_t user) const {
   return std::find(members.begin(), members.end(), user) != members.end();
@@ -255,14 +241,6 @@ void plan_candidates_into(beamforming::Scheme scheme,
   plan.mandatory = static_cast<std::size_t>(std::count_if(
       survivors.begin(), survivors.end(),
       [](const ScoredCandidate& s) { return popcount(s.mask) == 1; }));
-}
-
-CandidatePlan plan_candidates(beamforming::Scheme scheme,
-                              const std::vector<linalg::CVector>& channels,
-                              const GroupEnumConfig& cfg) {
-  SchedWorkspace ws;
-  plan_candidates_into(scheme, channels, cfg, ws);
-  return std::move(ws.plan);
 }
 
 beamforming::GroupBeam subset_beam(

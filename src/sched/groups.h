@@ -105,14 +105,6 @@ struct GroupEnumConfig {
 /// is enumerated in the same pass.
 std::uint64_t subset_seed(std::uint64_t beam_seed, GroupMask mask);
 
-/// The member bitmasks of the *exhaustive* lattice for `n` users under
-/// `cfg`, ascending. This is the paper's full enumeration; the anytime
-/// path only consults it below the hierarchical threshold. Throws
-/// std::invalid_argument for n == 0 or n > 16.
-std::vector<GroupMask> admissible_masks(beamforming::Scheme scheme,
-                                        std::size_t n,
-                                        const GroupEnumConfig& cfg);
-
 /// The candidate set decide_into() will consider this frame, bound-pruned
 /// and ordered for the anytime loop.
 struct CandidatePlan {
@@ -129,18 +121,9 @@ struct CandidatePlan {
   std::size_t capped = 0;     ///< dropped by the max_candidates budget
 };
 
-/// Builds the candidate plan for `channels` under `cfg`: the exhaustive
-/// lattice up to the hierarchical threshold, the cluster-tree generator
-/// above it (up to 64 users; throws past that). Pure function of its
-/// arguments — no clock, no RNG — so cache-on/off and any thread count see
-/// the same plan.
-CandidatePlan plan_candidates(beamforming::Scheme scheme,
-                              const std::vector<linalg::CVector>& channels,
-                              const GroupEnumConfig& cfg);
-
 /// The beam for one member subset (bits of `mask` index into
-/// `user_channels`). Pure function of its arguments; the building block
-/// shared by enumerate_groups and sched::BeamCache.
+/// `user_channels`) through beamforming::group_beam. Pure function of its
+/// arguments; the per-mask reference the batched beamformer must match.
 beamforming::GroupBeam subset_beam(
     beamforming::Scheme scheme,
     const std::vector<linalg::CVector>& user_channels, GroupMask mask,
@@ -180,8 +163,11 @@ void beamform_priority_into(
     const beamforming::Codebook& codebook, std::uint64_t beam_seed,
     ThreadPool* pool, SchedWorkspace& ws);
 
-/// plan_candidates into ws.plan, reusing its vectors and the workspace's
-/// pruning scratch. Same values as plan_candidates for the same inputs.
+/// Builds the candidate plan for `channels` under `cfg` into ws.plan,
+/// reusing its vectors and the workspace's pruning scratch: the exhaustive
+/// lattice up to the hierarchical threshold, the cluster-tree generator
+/// above it (up to 64 users; throws past that). Pure function of its
+/// arguments — no clock, no RNG — so any thread count sees the same plan.
 void plan_candidates_into(beamforming::Scheme scheme,
                           const std::vector<linalg::CVector>& channels,
                           const GroupEnumConfig& cfg, SchedWorkspace& ws);

@@ -36,17 +36,6 @@ std::vector<UnitSpec> frame_units(int width, int height,
   return units;
 }
 
-UnitMapResult map_to_units(std::span<const GroupSpec> groups,
-                           std::span<const LayerArray> group_layer_bytes,
-                           const std::vector<UnitSpec>& units,
-                           std::size_t n_users, std::size_t symbol_size) {
-  UnitMapResult res;
-  map_to_units_into(groups, group_layer_bytes, units, n_users, symbol_size,
-                    res);
-  return res;
-}
-
-
 void map_to_units_into(std::span<const GroupSpec> groups,
                        std::span<const LayerArray> group_layer_bytes,
                        const std::vector<UnitSpec>& units,

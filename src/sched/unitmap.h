@@ -60,17 +60,9 @@ struct UnitMapResult {
 
 /// Runs the Eq. 4 greedy. `group_layer_bytes[g][j]` is the optimizer's
 /// S(G, j) — typically Allocation::bytes_rows(); budgets are rounded down
-/// to whole symbols. Both spans accept a std::vector implicitly.
-UnitMapResult map_to_units(std::span<const GroupSpec> groups,
-                           std::span<const LayerArray> group_layer_bytes,
-                           const std::vector<UnitSpec>& units,
-                           std::size_t n_users,
-                           std::size_t symbol_size = fec::kDefaultSymbolSize);
-
-/// Same greedy writing into a caller-owned result whose per-user rows
-/// reuse their capacity across frames — the per-frame hot-loop variant
-/// (zero heap allocations in steady state). Bit-identical output to
-/// map_to_units().
+/// to whole symbols. Both spans accept a std::vector implicitly. Writes
+/// into a caller-owned result whose per-user rows reuse their capacity
+/// across frames (zero heap allocations in steady state).
 void map_to_units_into(std::span<const GroupSpec> groups,
                        std::span<const LayerArray> group_layer_bytes,
                        const std::vector<UnitSpec>& units,

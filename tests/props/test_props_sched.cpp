@@ -75,8 +75,8 @@ TEST(PropsSched, UnitMapRespectsBudgetsAndConservesSymbols) {
         b = rng.uniform(0.0, 40.0 * static_cast<double>(symbol_size));
     }
 
-    const auto res =
-        sched::map_to_units(groups, bytes, units, n_users, symbol_size);
+    sched::UnitMapResult res;
+    sched::map_to_units_into(groups, bytes, units, n_users, symbol_size, res);
 
     // Per-(group, layer) symbol spend within the byte budget.
     std::vector<sched::LayerArray> spent(n_groups, sched::LayerArray{});

@@ -1,9 +1,10 @@
 // Property suite: the subset-lane power-iteration kernel
 // (linalg::subset_dominant_right_singular_into) against the scalar
-// packed_dominant_right_singular_into, bit for bit, on every SIMD tier the
-// CPU supports; the user-Gram gather against each stack's own Gram; and
-// sched::beamform_subsets against subset_beam over a whole 12-user
-// lattice. ctest also runs this suite under W4K_THREADS=1/4 x
+// oracle, dominant_right_singular on each stack's own CMatrix, bit for bit
+// (iterations, singular value and right singular vector), on every SIMD
+// tier the CPU supports; the user-Gram gather against each stack's own
+// Gram; and sched::beamform_subsets against subset_beam over a whole
+// 12-user lattice. ctest also runs this suite under W4K_THREADS=1/4 x
 // W4K_FORCE_SCALAR=0/1 (tests/CMakeLists.txt).
 #include "channel/propagation.h"
 #include "common/thread_pool.h"
@@ -62,20 +63,13 @@ std::string svd_diff(const DominantSVD& got, const DominantSVD& want) {
   return os.str();
 }
 
-/// The scalar reference for one problem: its rows packed on their own.
+/// The scalar reference for one problem: the CMatrix of its rows.
 DominantSVD reference(std::span<const CVector> rows, const SubsetProblem& p) {
-  linalg::PackedStacks pack;
-  pack.cols = rows.empty() ? 0 : rows[0].size();
-  pack.offsets.push_back(0);
+  std::vector<CVector> stack;
   for (std::size_t u = 0; u < rows.size(); ++u)
-    if (p.rows & (std::uint64_t{1} << u))
-      pack.rows.insert(pack.rows.end(), rows[u].raw().begin(),
-                       rows[u].raw().end());
-  pack.offsets.push_back(pack.cols == 0 ? 0 : pack.rows.size() / pack.cols);
+    if (p.rows & (std::uint64_t{1} << u)) stack.push_back(rows[u]);
   Rng rng(p.seed);
-  DominantSVD out;
-  linalg::packed_dominant_right_singular_into(pack, 0, rng, out);
-  return out;
+  return linalg::dominant_right_singular(CMatrix::from_rows(stack), rng);
 }
 
 std::vector<gf256::Tier> supported_tiers() {

@@ -271,8 +271,8 @@ TEST(SubsetSeed, MixesMaskAndSeed) {
 }
 
 TEST(BeamformSubsets, BatchedPathBitIdenticalToSubsetBeam) {
-  // The SoA-packed batch path (pre-normalized rows + packed Gram power
-  // iteration) must reproduce subset_beam bit for bit on every mask shape:
+  // The subset-lane batch path (pre-normalized rows + one user Gram) must
+  // reproduce subset_beam bit for bit on every mask shape:
   // singletons, merges, and groups containing a dead (zero) channel.
   auto users = make_users(6);
   // Zero out user 4's channel to exercise the dead-member path.
@@ -303,10 +303,10 @@ TEST(PlanCandidates, BoundPruningIsExactOnTheExhaustivePath) {
       prop, channel::Position::from_polar(400.0, 0.2)));  // unreachable
   GroupEnumConfig cfg;
   cfg.rate_threshold = Mbps{700.0};
-  const auto plan = plan_candidates(
-      beamforming::Scheme::kOptimizedMulticast, users, cfg);
-  EXPECT_GT(plan.pruned, 0u);  // the far user's subsets never beamform
   SchedWorkspace ws;
+  plan_candidates_into(beamforming::Scheme::kOptimizedMulticast, users, cfg,
+                       ws);
+  EXPECT_GT(ws.plan.pruned, 0u);  // the far user's subsets never beamform
   const auto groups = enumerate_groups(
       beamforming::Scheme::kOptimizedMulticast, users,
       beamforming::Codebook{}, 5, cfg, nullptr, ws);

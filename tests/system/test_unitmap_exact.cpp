@@ -36,7 +36,8 @@ TEST(UnitMapExact, GreedyOptimalOnDisjointGroups) {
   std::vector<LayerArray> bytes(2);
   bytes[0][0] = 400.0;
   bytes[1][0] = 400.0;
-  const auto greedy = map_to_units(groups, bytes, units, 2, 100);
+  UnitMapResult greedy;
+  map_to_units_into(groups, bytes, units, 2, 100, greedy);
   EXPECT_EQ(decoded_bytes_objective(greedy, units),
             exact_unit_objective(groups, bytes, units, 2, 100));
 }
@@ -52,7 +53,8 @@ TEST(UnitMapExact, GreedySuboptimalityOnOverlapIsBoundedAndKnown) {
   std::vector<LayerArray> bytes(2);
   bytes[0][0] = 400.0;  // 4 symbols
   bytes[1][0] = 400.0;
-  const auto greedy = map_to_units(groups, bytes, units, 3, 100);
+  UnitMapResult greedy;
+  map_to_units_into(groups, bytes, units, 3, 100, greedy);
   const std::size_t exact = exact_unit_objective(groups, bytes, units, 3, 100);
   EXPECT_EQ(decoded_bytes_objective(greedy, units), 1200u);
   EXPECT_EQ(exact, 1400u);
@@ -87,7 +89,8 @@ TEST(UnitMapExact, GreedyWithinHalfOfOptimalOnAdversarialInstances) {
     std::vector<LayerArray> bytes(groups.size());
     for (auto& b : bytes) b[0] = static_cast<double>(rng.below(5)) * 100.0;
 
-    const auto greedy = map_to_units(groups, bytes, units, 3, 100);
+    UnitMapResult greedy;
+    map_to_units_into(groups, bytes, units, 3, 100, greedy);
     const std::size_t greedy_obj = decoded_bytes_objective(greedy, units);
     const std::size_t exact = exact_unit_objective(groups, bytes, units, 3, 100);
     ASSERT_LE(greedy_obj, exact) << "greedy cannot beat the optimum";

@@ -36,30 +36,30 @@ TEST(SchemeTraits, Names) {
 }
 
 TEST(GroupBeam, EmptyGroupThrows) {
-  Rng rng(1);
-  EXPECT_THROW(group_beam(Scheme::kOptimizedUnicast, {}, Codebook{}, rng),
+  const std::uint64_t seed = 1;
+  EXPECT_THROW(group_beam(Scheme::kOptimizedUnicast, {}, Codebook{}, seed),
                std::invalid_argument);
 }
 
 TEST(GroupBeam, UnicastSchemeRejectsMultiMemberGroups) {
-  Rng rng(2);
+  const std::uint64_t seed = 2;
   const auto chans = channels_at({{3.0, 0.1}, {3.0, -0.1}});
-  EXPECT_THROW(group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, rng),
+  EXPECT_THROW(group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed),
                std::invalid_argument);
 }
 
 TEST(GroupBeam, PredefinedSchemesNeedCodebook) {
-  Rng rng(3);
+  const std::uint64_t seed = 3;
   const auto chans = channels_at({{3.0, 0.1}});
-  EXPECT_THROW(group_beam(Scheme::kPredefinedUnicast, chans, Codebook{}, rng),
+  EXPECT_THROW(group_beam(Scheme::kPredefinedUnicast, chans, Codebook{}, seed),
                std::invalid_argument);
 }
 
 TEST(GroupBeam, OptimizedUnicastIsMrt) {
-  Rng rng(4);
+  const std::uint64_t seed = 4;
   const auto chans = channels_at({{3.0, 0.2}});
   const GroupBeam g =
-      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed);
   // MRT achieves ||h||^2 exactly.
   EXPECT_NEAR(g.min_rss.value,
               Dbm::from_milliwatts(chans[0].norm_sq()).value, 1e-9);
@@ -68,31 +68,32 @@ TEST(GroupBeam, OptimizedUnicastIsMrt) {
 }
 
 TEST(GroupBeam, OptimizedBeatsPredefinedUnicast) {
-  Rng rng(5);
+  const std::uint64_t seed = 5;
   const auto cb = default_codebook();
   const auto chans = channels_at({{3.0, 0.23}});
-  const auto opt = group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, rng);
-  const auto pre = group_beam(Scheme::kPredefinedUnicast, chans, cb, rng);
+  const auto opt =
+      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed);
+  const auto pre = group_beam(Scheme::kPredefinedUnicast, chans, cb, seed);
   EXPECT_GE(opt.min_rss.value, pre.min_rss.value);
 }
 
 TEST(GroupBeam, OptimizedMulticastBeatsPredefinedMulticast) {
-  Rng rng(6);
+  const std::uint64_t seed = 6;
   const auto cb = default_codebook();
   const auto chans = channels_at({{3.0, 0.5}, {3.0, -0.5}});
   const auto opt =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, rng);
-  const auto pre = group_beam(Scheme::kPredefinedMulticast, chans, cb, rng);
+      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
+  const auto pre = group_beam(Scheme::kPredefinedMulticast, chans, cb, seed);
   EXPECT_GE(opt.min_rss.value, pre.min_rss.value - 0.5);
 }
 
 TEST(GroupBeam, MulticastBeamReachesBothUsers) {
   // The headline property: a multi-lobe beam serves angularly separated
   // users far better than either user's unicast beam serves the other.
-  Rng rng(7);
+  const std::uint64_t seed = 7;
   const auto chans = channels_at({{3.0, 0.5}, {3.0, -0.5}});
   const auto multi =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
   ASSERT_EQ(multi.member_rss.size(), 2u);
   // Unicast beam for user 0 evaluated at user 1:
   const auto f0 = chans[0].conj().normalized();
@@ -103,32 +104,32 @@ TEST(GroupBeam, MulticastBeamReachesBothUsers) {
 TEST(GroupBeam, MulticastSplitsPowerVersusUnicast) {
   // Serving two users with one beam costs roughly 3 dB against a
   // dedicated beam per user (power split across two lobes).
-  Rng rng(8);
+  const std::uint64_t seed = 8;
   const auto chans = channels_at({{3.0, 0.5}, {3.0, -0.5}});
   const auto multi =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
   const auto uni =
-      group_beam(Scheme::kOptimizedUnicast, {chans[0]}, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedUnicast, {chans[0]}, Codebook{}, seed);
   const double split_loss = uni.min_rss.value - multi.min_rss.value;
   EXPECT_GT(split_loss, 1.0);
   EXPECT_LT(split_loss, 7.0);
 }
 
 TEST(GroupBeam, SingletonOptimizedMulticastEqualsMrt) {
-  Rng rng(9);
+  const std::uint64_t seed = 9;
   const auto chans = channels_at({{4.0, 0.3}});
   const auto multi =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
   const auto uni =
-      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed);
   EXPECT_NEAR(multi.min_rss.value, uni.min_rss.value, 1e-9);
 }
 
 TEST(GroupBeam, MinRssIsBottleneckMember) {
-  Rng rng(10);
+  const std::uint64_t seed = 10;
   const auto chans = channels_at({{3.0, 0.2}, {10.0, -0.4}});
   const auto g =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
   double min = 1e9;
   for (const auto& r : g.member_rss) min = std::min(min, r.value);
   EXPECT_DOUBLE_EQ(g.min_rss.value, min);
@@ -140,32 +141,57 @@ TEST(GroupBeam, MinRssIsBottleneckMember) {
 TEST(GroupBeam, CloseUsersMulticastNearlyFree) {
   // Users 3 degrees apart share one lobe: the multicast penalty vs
   // unicast should be far below the 3 dB split.
-  Rng rng(11);
+  const std::uint64_t seed = 11;
   const auto chans = channels_at({{3.0, 0.00}, {3.0, 0.05}});
   const auto multi =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
   const auto uni =
-      group_beam(Scheme::kOptimizedUnicast, {chans[0]}, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedUnicast, {chans[0]}, Codebook{}, seed);
   EXPECT_GT(multi.min_rss.value, uni.min_rss.value - 3.0);
 }
 
+TEST(GroupBeam, CodebookSearchTakesTheFirstOfTiedSectors) {
+  // Negating a sector leaves every |F . h| bit for bit unchanged, so a
+  // codebook {weak, -best, best} ties its last two sectors exactly; the
+  // search must keep the first of them.
+  const auto cb = default_codebook();
+  const auto chans = channels_at({{3.0, 0.3}, {3.0, 0.1}});
+  const std::uint64_t seed = 14;
+  const auto best = group_beam(Scheme::kPredefinedMulticast, chans, cb, seed);
+  linalg::CVector negated = best.beam;
+  for (std::size_t i = 0; i < negated.size(); ++i) negated[i] = -negated[i];
+  Codebook tied;
+  tied.beams = {cb[0], negated, best.beam};
+  ASSERT_NE(channel::beam_rss(chans[0], cb[0]).value,
+            best.member_rss[0].value);
+  const auto g = group_beam(Scheme::kPredefinedMulticast, chans, tied, seed);
+  ASSERT_EQ(g.beam.size(), negated.size());
+  for (std::size_t i = 0; i < negated.size(); ++i)
+    EXPECT_EQ(g.beam[i], negated[i]) << "element " << i;
+  EXPECT_EQ(g.min_rss.value, best.min_rss.value);
+  ASSERT_EQ(g.member_rss.size(), 2u);
+  for (std::size_t u = 0; u < 2; ++u)
+    EXPECT_EQ(g.member_rss[u].value, best.member_rss[u].value);
+  EXPECT_EQ(g.rate.value, best.rate.value);
+}
+
 TEST(GroupBeam, FarUserYieldsZeroRate) {
-  Rng rng(12);
+  const std::uint64_t seed = 12;
   const auto chans = channels_at({{200.0, 0.0}});
   const auto g =
-      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed);
   EXPECT_DOUBLE_EQ(g.rate.value, 0.0);
 }
 
 TEST(GroupBeam, EightUserGroupStillServed) {
-  Rng rng(13);
+  const std::uint64_t seed = 13;
   channel::PropagationConfig prop;
   std::vector<linalg::CVector> chans;
   for (int i = 0; i < 8; ++i)
     chans.push_back(channel::make_channel(
         prop, channel::Position::from_polar(6.0, -0.6 + 0.17 * i)));
   const auto g =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, rng);
+      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
   EXPECT_EQ(g.member_rss.size(), 8u);
   EXPECT_GT(g.rate.value, 0.0);
 }
