@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Golden-report regression gate.
 #
-# Runs the five pinned golden_report scenarios (static4, faulted, mobile,
-# multiap, relay)
-# under every combination of W4K_THREADS=1/4 and W4K_FORCE_SCALAR=0/1,
+# Runs the six pinned golden_report scenarios (static4, faulted, mobile,
+# multiap, relay, baselines) under every combination of W4K_THREADS=1/4 and W4K_FORCE_SCALAR=0/1,
 # asserts the canonical JSON is byte-identical across all combinations
 # (threading and SIMD dispatch must not change the numbers), and diffs the
 # result against the blessed files in tests/golden/data/.
@@ -44,7 +43,7 @@ cache="$workdir/golden_model.cache"
 W4K_THREADS=1 W4K_FORCE_SCALAR=0 \
   "$binary" static4 --model-cache "$cache" --out "$workdir/warmup.json"
 
-scenarios="static4 faulted mobile multiap relay"
+scenarios="static4 faulted mobile multiap relay baselines"
 status=0
 for scenario in $scenarios; do
   ref=""

@@ -1,12 +1,13 @@
-// Golden-report generator: runs three pinned end-to-end scenarios and
-// emits each SessionReport as canonical JSON (SessionReport::write_json).
+// Golden-report generator: runs one of six pinned end-to-end scenarios and
+// emits its SessionReport as canonical JSON (SessionReport::write_json).
 // scripts/golden.sh diffs the output against the blessed files in
 // tests/golden/data/ across W4K_THREADS and W4K_FORCE_SCALAR combinations
 // — any byte difference means the streaming pipeline's numbers moved, by
 // a real change or by lost determinism, and either way a human must look.
 //
-// Usage: golden_report <static4|faulted|mobile|multiap|relay> [--out FILE]
-//                      [--model-cache PATH]
+// Usage: golden_report <static4|faulted|mobile|multiap|relay|baselines>
+//                      [--out FILE] [--model-cache PATH]
+#include "beamforming/codebook.h"
 #include "channel/mobility.h"
 #include "channel/multi_ap.h"
 #include "core/experiment.h"
@@ -154,6 +155,44 @@ core::SessionReport run_mobile(model::QualityModel& quality) {
   return core::run_trace(s, channel::moving_receiver_trace(mc), ctx);
 }
 
+// The paper's baselines, which no other golden reaches, merged into one
+// report. First No-Update (Sec. 4.3.4) on estimated CSI over a walking
+// trace: the frozen decision rides the firmware-tracked codebook sector,
+// while lost feedback reports and a budget collapse exercise blind makeup
+// and shedding on top of it. Then round-robin scheduling (Sec. 4.2.2) over
+// pre-defined multicast sectors on the static 4-user placement.
+core::SessionReport run_baselines(model::QualityModel& quality) {
+  const auto ctx = contexts();
+  const beamforming::Codebook codebook = beamforming::make_sector_codebook(
+      beamforming::CodebookConfig{32, 96, 2, 1.2});
+
+  core::SessionConfig frozen = core::SessionConfig::scaled(kW, kH);
+  frozen.adapt = false;
+  frozen.use_estimated_csi = true;
+  core::MulticastSession no_update(frozen, quality, codebook);
+  channel::MovingReceiverConfig mc;
+  mc.n_users = 2;
+  mc.duration = 0.5;  // 5 beacons x 3 frames each
+  mc.seed = 9;
+  fault::FaultPlan plan;
+  plan.feedback.push_back({2, 0, -1});
+  plan.feedback.push_back({3, 0, -1});
+  plan.feedback.push_back({4, 0, -1});
+  plan.feedback.push_back({7, 1, -1});
+  plan.feedback.push_back({9, 1, /*delay_frames=*/2});
+  plan.budget.push_back({5, 3, 0.3});
+  const fault::FaultInjector injector(plan, mc.n_users);
+  core::SessionReport report = core::run_trace(
+      no_update, channel::moving_receiver_trace(mc), ctx, 3, &injector);
+
+  core::SessionConfig rr = core::SessionConfig::scaled(kW, kH);
+  rr.optimized_schedule = false;
+  rr.scheme = beamforming::Scheme::kPredefinedMulticast;
+  core::MulticastSession round_robin(rr, quality, codebook);
+  report.merge(core::run_static(round_robin, {static_channels(4)}, ctx, 12));
+  return report;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -180,7 +219,8 @@ int main(int argc, char** argv) {
   }
   if (scenario.empty()) {
     std::fprintf(stderr,
-                 "usage: golden_report <static4|faulted|mobile|multiap|relay> "
+                 "usage: golden_report "
+                 "<static4|faulted|mobile|multiap|relay|baselines> "
                  "[--out FILE] [--model-cache PATH]\n");
     return 2;
   }
@@ -196,6 +236,7 @@ int main(int argc, char** argv) {
   else if (scenario == "mobile") report = run_mobile(quality);
   else if (scenario == "multiap") report = run_multiap(quality);
   else if (scenario == "relay") report = run_relay(quality);
+  else if (scenario == "baselines") report = run_baselines(quality);
   else {
     std::fprintf(stderr, "golden_report: unknown scenario '%s'\n",
                  scenario.c_str());
