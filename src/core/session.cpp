@@ -36,68 +36,52 @@ void SessionConfig::validate(std::size_t codebook_beams,
   auto bad = [](const std::string& field, const std::string& msg) {
     throw std::invalid_argument("SessionConfig." + field + ": " + msg);
   };
-  // `!(x > 0)` style so NaN fails too.
-  if (!(rate_scale > 0.0))
-    bad("rate_scale", "must be > 0 (got " + std::to_string(rate_scale) + ")");
-  if (!(engine.frame_budget > 0.0))
-    bad("engine.frame_budget",
-        "must be > 0 s (got " + std::to_string(engine.frame_budget) + ")");
-  if (!(makeup_margin >= 0.0 && makeup_margin < 1.0))
-    bad("makeup_margin",
-        "must be in [0, 1) (got " + std::to_string(makeup_margin) + ")");
+  // `ok` is written `x > 0` style so NaN fails too. Runs every frame, so
+  // nothing is formatted unless the check fails.
+  auto need = [&](bool ok, const char* field, const char* rule, auto got) {
+    if (!ok) bad(field, rule + (" (got " + std::to_string(got) + ")"));
+  };
+  need(rate_scale > 0.0, "rate_scale", "must be > 0", rate_scale);
+  need(engine.frame_budget > 0.0, "engine.frame_budget", "must be > 0 s",
+       engine.frame_budget);
+  need(makeup_margin >= 0.0 && makeup_margin < 1.0, "makeup_margin",
+       "must be in [0, 1)", makeup_margin);
   if (engine.symbol_size == 0) bad("engine.symbol_size", "must be > 0");
   if (engine.queue_capacity_bytes == 0)
     bad("engine.queue_capacity_bytes", "must be > 0");
-  if (!(sls_noise_db >= 0.0))
-    bad("sls_noise_db",
-        "must be >= 0 dB (got " + std::to_string(sls_noise_db) + ")");
-  if (!(lambda >= 0.0))
-    bad("lambda", "must be >= 0 (got " + std::to_string(lambda) + ")");
-  if (!(decide_deadline_ms >= 0.0) || !std::isfinite(decide_deadline_ms))
-    bad("decide_deadline_ms",
-        "must be a finite value >= 0 ms (got " +
-            std::to_string(decide_deadline_ms) + ")");
-  if (!(stale_csi_backoff_db >= 0.0))
-    bad("stale_csi_backoff_db",
-        "must be >= 0 dB (got " + std::to_string(stale_csi_backoff_db) + ")");
-  if (!(blind_makeup_fraction >= 0.0 && blind_makeup_fraction <= 1.0))
-    bad("blind_makeup_fraction",
-        "must be in [0, 1] (got " + std::to_string(blind_makeup_fraction) +
-            ")");
-  if (blind_backoff_cap < 0 || blind_backoff_cap > 30)
-    bad("blind_backoff_cap",
-        "must be in [0, 30] (got " + std::to_string(blind_backoff_cap) + ")");
-  if (quarantine_after < 0)
-    bad("quarantine_after",
-        "must be >= 0 (got " + std::to_string(quarantine_after) + ")");
-  if (quarantine_reprobe_period < 1)
-    bad("quarantine_reprobe_period",
-        "must be >= 1 (got " + std::to_string(quarantine_reprobe_period) +
-            ")");
+  need(sls_noise_db >= 0.0, "sls_noise_db", "must be >= 0 dB", sls_noise_db);
+  need(lambda >= 0.0, "lambda", "must be >= 0", lambda);
+  need(decide_deadline_ms >= 0.0 && std::isfinite(decide_deadline_ms),
+       "decide_deadline_ms", "must be a finite value >= 0 ms",
+       decide_deadline_ms);
+  need(stale_csi_backoff_db >= 0.0, "stale_csi_backoff_db", "must be >= 0 dB",
+       stale_csi_backoff_db);
+  need(blind_makeup_fraction >= 0.0 && blind_makeup_fraction <= 1.0,
+       "blind_makeup_fraction", "must be in [0, 1]", blind_makeup_fraction);
+  need(blind_backoff_cap >= 0 && blind_backoff_cap <= 30, "blind_backoff_cap",
+       "must be in [0, 30]", blind_backoff_cap);
+  need(quarantine_after >= 0, "quarantine_after", "must be >= 0",
+       quarantine_after);
+  need(quarantine_reprobe_period >= 1, "quarantine_reprobe_period",
+       "must be >= 1", quarantine_reprobe_period);
   if (handoff.n_aps < 1 || handoff.n_aps > channel::kMaxAps)
     bad("handoff.n_aps",
         "must be in [1, " + std::to_string(channel::kMaxAps) + "] (got " +
             std::to_string(handoff.n_aps) + ")");
-  if (!(handoff.hysteresis_db >= 0.0))
-    bad("handoff.hysteresis_db",
-        "must be >= 0 dB (got " + std::to_string(handoff.hysteresis_db) + ")");
+  need(handoff.hysteresis_db >= 0.0, "handoff.hysteresis_db",
+       "must be >= 0 dB", handoff.hysteresis_db);
   if (!std::isfinite(handoff.degrade_floor_dbm))
     bad("handoff.degrade_floor_dbm", "must be finite");
-  if (handoff.degrade_after < 1)
-    bad("handoff.degrade_after",
-        "must be >= 1 (got " + std::to_string(handoff.degrade_after) + ")");
-  if (handoff.probe_frames < 1)
-    bad("handoff.probe_frames",
-        "must be >= 1 (got " + std::to_string(handoff.probe_frames) + ")");
-  if (handoff.min_dwell_frames < 1)
-    bad("handoff.min_dwell_frames",
-        "must be >= 1 (got " + std::to_string(handoff.min_dwell_frames) + ")");
-  if (handoff.backoff_cap < 0 || handoff.backoff_cap > 20)
-    bad("handoff.backoff_cap",
-        "must be in [0, 20] (got " + std::to_string(handoff.backoff_cap) + ")");
-  if (!(relay.loss >= 0.0 && relay.loss < 1.0))
-    bad("relay.loss",
-        "must be in [0, 1) (got " + std::to_string(relay.loss) + ")");
+  need(handoff.degrade_after >= 1, "handoff.degrade_after", "must be >= 1",
+       handoff.degrade_after);
+  need(handoff.probe_frames >= 1, "handoff.probe_frames", "must be >= 1",
+       handoff.probe_frames);
+  need(handoff.min_dwell_frames >= 1, "handoff.min_dwell_frames",
+       "must be >= 1", handoff.min_dwell_frames);
+  need(handoff.backoff_cap >= 0 && handoff.backoff_cap <= 20,
+       "handoff.backoff_cap", "must be in [0, 20]", handoff.backoff_cap);
+  need(relay.loss >= 0.0 && relay.loss < 1.0, "relay.loss",
+       "must be in [0, 1)", relay.loss);
   if (!std::isfinite(relay.min_relayer_rss_dbm))
     bad("relay.min_relayer_rss_dbm", "must be finite");
   if (relay.enabled && handoff.n_aps <= 1 && quarantine_after == 0)
@@ -142,39 +126,18 @@ void MulticastSession::reset() {
   rng_.reseed(cfg_.seed);
   next_frame_id_ = 0;
   held_csi_.clear();
-  feedback_silent_streak_.clear();
-  lost_frame_streak_.clear();
-  quarantined_.clear();
-  serving_ap_.clear();
-  attach_state_.clear();
-  weak_streak_.clear();
-  probe_target_.clear();
-  probe_countdown_.clear();
-  dwell_until_.clear();
-  handoff_streak_.clear();
-  last_handoff_frame_.clear();
-  relays_.clear();
+  users_.clear();
   group_pool_.clear();
   tx_pool_.clear();
 }
 
 void MulticastSession::ensure_user_state(std::size_t n_users) {
-  if (feedback_silent_streak_.size() == n_users) return;
+  if (users_.size() == n_users) return;
   // Churn: resize in place so surviving user indices keep their quarantine
-  // flag and silence/loss streaks — a user who was blocked before a
-  // neighbor joined is still blocked after. Only index-keyed caches whose
-  // meaning depends on the user count are dropped.
-  feedback_silent_streak_.resize(n_users, 0);
-  lost_frame_streak_.resize(n_users, 0);
-  quarantined_.resize(n_users, 0);
-  serving_ap_.resize(n_users, kUnattached);
-  attach_state_.resize(n_users, ApAttachState::kAttached);
-  weak_streak_.resize(n_users, 0);
-  probe_target_.resize(n_users, 0);
-  probe_countdown_.resize(n_users, 0);
-  dwell_until_.resize(n_users, 0);
-  handoff_streak_.resize(n_users, 0);
-  last_handoff_frame_.resize(n_users, kNeverHandedOff);
+  // flag, silence/loss streaks and attachment — a user who was blocked
+  // before a neighbor joined is still blocked after. Only index-keyed
+  // caches whose meaning depends on the user count are dropped.
+  users_.resize(n_users);
   held_csi_.clear();
   prev_alloc_.clear();
   prev_total_time_ = 0.0;
@@ -206,6 +169,24 @@ void resize_recycled(std::vector<T>& v, std::size_t n, std::vector<T>& pool) {
   // shrink-to-zero stays heap-free.
   if (pool.capacity() < v.size() + pool.size())
     pool.reserve(v.size() + pool.size());
+}
+
+/// Field-by-field reset (not `out = {}`) so a reused outcome's vectors keep
+/// their capacity.
+void reset_outcome(FrameOutcome& out) {
+  out.ssim.clear();
+  out.psnr.clear();
+  out.decoded_fraction.clear();
+  out.stats = emu::FrameTxStats{};
+  out.optimizer_objective = 0.0;
+  out.frame_id = 0;
+  out.user_present.clear();
+  out.user_quarantined.clear();
+  out.shed_symbols = 0;
+  out.csi_held = false;
+  out.user_ap.clear();
+  out.handoffs = 0;
+  out.relayed_symbols = 0;
 }
 
 bool all_finite(const std::vector<linalg::CVector>& channels) {
@@ -252,7 +233,9 @@ void MulticastSession::decide_into(
     // Each user's serving AP partitions the groups so none spans APs. With
     // one AP every id is 0 and the filter admits every subset; a session
     // that has never stepped has no attachments and no partition.
-    enum_cfg_.partition.assign(serving_ap_.begin(), serving_ap_.end());
+    enum_cfg_.partition.clear();
+    for (const UserState& s : users_)
+      enum_cfg_.partition.push_back(s.serving_ap);
     enum_cfg_.deadline = beam_deadline;
     ThreadPool* pool = &ThreadPool::shared();
     const std::span<const sched::GroupSpec> emitted =
@@ -270,31 +253,29 @@ void MulticastSession::decide_into(
   }
 
   if (verify::enabled()) {
-    // Quarantined/excluded users must never appear in a scheduled group —
-    // a single stale cache entry here would leak traffic to a silent user.
-    for (std::size_t g = 0; g < d.groups.size(); ++g)
-      for (std::size_t u : d.groups[g].members)
+    const auto& partition = enum_cfg_.partition;
+    for (std::size_t g = 0; g < d.groups.size(); ++g) {
+      const auto& members = d.groups[g].members;
+      for (std::size_t u : members) {
+        // Quarantined/excluded users must never appear in a scheduled
+        // group — one stale cache entry would leak traffic to a silent user.
         verify::check(u < exclude.size() && exclude[u] == 0,
                       "session.excluded-user-scheduled", [&] {
                         return "group " + std::to_string(g) +
                                " contains excluded user " + std::to_string(u);
                       });
-    // Groups must never span APs: one radio serves one beam, and a member
-    // attached elsewhere would hear nothing while dragging the group MCS.
-    const auto& partition = enum_cfg_.partition;
-    if (!partition.empty()) {
-      for (std::size_t g = 0; g < d.groups.size(); ++g) {
-        const auto& members = d.groups[g].members;
-        for (std::size_t u : members)
-          verify::check(
-              u < partition.size() &&
-                  partition[u] == partition[members.front()],
-              "session.group-spans-aps", [&] {
-                return "group " + std::to_string(g) + " mixes AP " +
-                       std::to_string(partition[members.front()]) +
-                       " and AP " + std::to_string(partition[u]) +
-                       " (user " + std::to_string(u) + ")";
-              });
+        // Groups must never span APs: one radio serves one beam, and a
+        // member attached elsewhere would hear nothing while dragging the
+        // group MCS.
+        verify::check(partition.empty() ||
+                          (u < partition.size() &&
+                           partition[u] == partition[members.front()]),
+                      "session.group-spans-aps", [&] {
+                        return "group " + std::to_string(g) + " mixes AP " +
+                               std::to_string(partition[members.front()]) +
+                               " and AP " + std::to_string(partition[u]) +
+                               " (user " + std::to_string(u) + ")";
+                      });
       }
     }
   }
@@ -385,25 +366,42 @@ void MulticastSession::step_into(
     std::span<const std::vector<linalg::CVector>> true_stacks,
     const FrameContext& ctx, const fault::FrameFaults& faults,
     FrameOutcome& out) {
-  // Field-by-field reset (not `out = {}`) so a reused outcome's vectors
-  // keep their capacity.
-  out.ssim.clear();
-  out.psnr.clear();
-  out.decoded_fraction.clear();
-  out.stats = emu::FrameTxStats{};
-  out.optimizer_objective = 0.0;
-  out.frame_id = 0;
-  out.user_present.clear();
-  out.user_quarantined.clear();
-  out.shed_symbols = 0;
-  out.csi_held = false;
-  out.user_ap.clear();
-  out.handoffs = 0;
-  out.relayed_symbols = 0;
+  reset_outcome(out);
+  Frame f;
+  f.n_users = check_inputs(decision_stacks, true_stacks, faults);
+  ensure_user_state(f.n_users);
+  f.id = next_frame_id_++;
+  out.frame_id = f.id;
 
-  // --- Inputs: every shape, the config and every fault mask are checked
-  // before any state changes, so a rejected call leaves the session as it
-  // was. -------------------------------------------------------------------
+  static obs::Stage& st_frame = obs::stage("session.frame");
+  obs::StageSpan frame_span(st_frame);
+  attach(f, decision_stacks, true_stacks, faults, out);
+  hold_csi(f, faults);
+  out.csi_held = f.csi_held;
+  admit(f, faults);
+  if (f.n_active == 0) {
+    // Everyone left: an idle frame, not an error. Frame ids keep counting.
+    score(f, ctx, out);
+    return;
+  }
+  decide(f, ctx);
+  out.optimizer_objective = f.plan->allocation.objective;
+  if (f.plan->groups.empty()) {
+    // Outage frame: receivers render the blank frame.
+    score(f, ctx, out);
+    return;
+  }
+  set_air_parameters(f);
+  shed(f, ctx, faults, out);
+  transmit(f, ctx, faults, out);
+  update_recovery(f, ctx, faults);
+  score(f, ctx, out);
+  flush_telemetry(f, out);
+}
+
+std::size_t MulticastSession::check_inputs(
+    Stacks decision_stacks, Stacks true_stacks,
+    const fault::FrameFaults& faults) const {
   const std::size_t n_aps = true_stacks.size();
   if (n_aps == 0 || decision_stacks.size() != n_aps)
     throw std::invalid_argument("step: AP stack count mismatch");
@@ -433,18 +431,21 @@ void MulticastSession::step_into(
           (n_users == 0 ? 1 : decision_stacks[0].front().size()))
     throw std::invalid_argument(
         "step: CSI estimation needs codebook size >= antenna count");
-  ensure_user_state(n_users);
-  const std::uint32_t frame_id = next_frame_id_++;
+  return n_users;
+}
 
-  static obs::Stage& st_frame = obs::stage("session.frame");
-  obs::StageSpan frame_span(st_frame);
-
-  // --- AP attachment: best-case beacon RSS per (ap, user) — the same
-  // beacon-time signal the degradation ladder runs on; non-finite
-  // (corrupt-beacon) entries count as unreachable, so a poisoned beacon can
-  // never look attractive. Handoff beacons share the fate of CSI beacons:
-  // either fault freezes the attachment machine for the frame (streaming
-  // continues on the serving AP — that is what make-before-break buys). --
+void MulticastSession::attach(Frame& f, Stacks decision_stacks,
+                              Stacks true_stacks,
+                              const fault::FrameFaults& faults,
+                              FrameOutcome& out) {
+  // Best-case beacon RSS per (ap, user) — the same beacon-time signal the
+  // degradation ladder runs on; non-finite (corrupt-beacon) entries count
+  // as unreachable, so a poisoned beacon can never look attractive.
+  // Handoff beacons share the fate of CSI beacons: either fault freezes the
+  // attachment machine for the frame (streaming continues on the serving
+  // AP — that is what make-before-break buys).
+  const std::size_t n_aps = true_stacks.size();
+  const std::size_t n_users = f.n_users;
   ap_rss_mw_.assign(n_aps * n_users, 0.0);
   for (std::size_t a = 0; a < n_aps; ++a)
     for (std::size_t u = 0; u < n_users; ++u) {
@@ -452,146 +453,135 @@ void MulticastSession::step_into(
       if (std::isfinite(mw)) ap_rss_mw_[a * n_users + u] = mw;
     }
   const bool beacon_ok = !faults.handoff_beacon_lost && !faults.csi_stale;
-  out.handoffs =
-      advance_attachments(n_users, n_aps, ap_rss_mw_, frame_id, beacon_ok);
+  for (std::size_t u = 0; u < n_users; ++u) {
+    UserState& s = users_[u];
+    if (s.serving_ap != kUnattached) {
+      if (cfg_.handoff.enabled)
+        out.handoffs += advance_attachment(u, n_aps, f.id, beacon_ok) ? 1 : 0;
+      continue;
+    }
+    // Initial AP selection: strongest beacon wins (ties to the lowest id).
+    // This runs even with handoff disabled — a multi-AP user always needs
+    // an attachment, it just never changes afterwards.
+    std::size_t best = 0;
+    for (std::size_t a = 1; a < n_aps; ++a)
+      if (ap_rss_mw_[a * n_users + u] > ap_rss_mw_[best * n_users + u])
+        best = a;
+    s.serving_ap = static_cast<std::uint8_t>(best);
+    s.attach_state = ApAttachState::kAttached;
+    s.weak_streak = 0;
+  }
 
   // Serving-AP view of the room: the rest of the frame path (CSI hold,
   // ladder, scheduler, engine) sees each user through their serving ray
   // only, and the partition keeps the enumerator from grouping across APs.
   // With one AP everyone is on AP 0 and the stack is the view.
-  const std::vector<linalg::CVector>* decision_view = &decision_stacks[0];
-  const std::vector<linalg::CVector>* truth_view = &true_stacks[0];
-  if (n_aps > 1) {
-    eff_decision_.resize(n_users);
-    eff_truth_.resize(n_users);
-    for (std::size_t u = 0; u < n_users; ++u) {
-      eff_decision_[u] = decision_stacks[serving_ap_[u]][u];
-      eff_truth_[u] = true_stacks[serving_ap_[u]][u];
-    }
-    decision_view = &eff_decision_;
-    truth_view = &eff_truth_;
-    out.user_ap.assign(serving_ap_.begin(), serving_ap_.end());
-    if (obs::enabled()) {
-      auto& reg = obs::MetricsRegistry::global();
-      static obs::Counter& c_ho = reg.counter("session.handoffs");
-      static obs::Counter& c_probe = reg.counter("session.handoff_probes");
-      if (out.handoffs > 0) c_ho.add(out.handoffs);
-      std::uint64_t probing = 0;
-      for (std::size_t u = 0; u < n_users; ++u)
-        probing += attach_state_[u] == ApAttachState::kProbing ? 1 : 0;
-      c_probe.add(probing);
-    }
+  f.beacon = &decision_stacks[0];
+  f.truth = &true_stacks[0];
+  if (n_aps == 1) return;
+  eff_decision_.resize(n_users);
+  eff_truth_.resize(n_users);
+  for (std::size_t u = 0; u < n_users; ++u) {
+    const std::uint8_t ap = users_[u].serving_ap;
+    eff_decision_[u] = decision_stacks[ap][u];
+    eff_truth_[u] = true_stacks[ap][u];
+    out.user_ap.push_back(ap);
   }
-  const std::vector<linalg::CVector>& decision_channels = *decision_view;
-  const std::vector<linalg::CVector>& true_channels = *truth_view;
+  f.beacon = &eff_decision_;
+  f.truth = &eff_truth_;
+  if (obs::enabled()) {
+    auto& reg = obs::MetricsRegistry::global();
+    static obs::Counter& c_ho = reg.counter("session.handoffs");
+    static obs::Counter& c_probe = reg.counter("session.handoff_probes");
+    if (out.handoffs > 0) c_ho.add(out.handoffs);
+    std::uint64_t probing = 0;
+    for (const UserState& s : users_)
+      probing += s.attach_state == ApAttachState::kProbing ? 1 : 0;
+    c_probe.add(probing);
+  }
+}
 
-  // --- CSI health: hold the last good beamweights over a missed or
-  // corrupt beacon instead of deciding on garbage. ------------------------
-  const bool csi_finite = all_finite(decision_channels);
-  const std::vector<linalg::CVector>* decision_base = &decision_channels;
-  std::vector<linalg::CVector> sanitized;
-  bool csi_held = false;
-  if (faults.csi_stale || !csi_finite) {
-    if (held_csi_.size() == n_users) {
-      decision_base = &held_csi_;
-      csi_held = true;
-    } else if (!csi_finite) {
+void MulticastSession::hold_csi(Frame& f, const fault::FrameFaults& faults) {
+  // Hold the last good beamweights over a missed or corrupt beacon instead
+  // of deciding on garbage.
+  const std::vector<linalg::CVector>& beacon = *f.beacon;
+  const bool finite = all_finite(beacon);
+  f.csi = &beacon;
+  if (faults.csi_stale || !finite) {
+    if (held_csi_.size() == f.n_users) {
+      f.csi = &held_csi_;
+      f.csi_held = true;
+    } else if (!finite) {
       // Nothing to fall back to: zero the poisoned entries. The affected
       // users enumerate as unreachable (outage) rather than NaN.
-      sanitized = decision_channels;
-      for (auto& h : sanitized)
+      sanitized_ = beacon;
+      for (auto& h : sanitized_)
         for (std::size_t n = 0; n < h.size(); ++n)
           if (!std::isfinite(h[n].real()) || !std::isfinite(h[n].imag()))
             h[n] = linalg::Complex(0.0, 0.0);
-      decision_base = &sanitized;
+      f.csi = &sanitized_;
     }
   } else {
-    held_csi_ = decision_channels;  // fresh and finite: new fallback point
+    held_csi_ = beacon;  // fresh and finite: new fallback point
   }
   // Stale beamweights deserve a conservative MCS.
-  const double mcs_margin_db =
-      cfg_.mcs_margin_db + (csi_held ? cfg_.stale_csi_backoff_db : 0.0);
+  f.mcs_margin_db =
+      cfg_.mcs_margin_db + (f.csi_held ? cfg_.stale_csi_backoff_db : 0.0);
+}
 
-  // --- Active / quarantine bookkeeping -> group-optimizer exclusions ----
-  const auto active = [&](std::size_t u) {
-    return faults.user_active.empty() || faults.user_active[u] != 0;
-  };
-  const bool reprobe_frame =
-      cfg_.quarantine_after > 0 &&
-      frame_id % static_cast<std::uint32_t>(cfg_.quarantine_reprobe_period) ==
-          0;
-  exclude_.assign(n_users, 0);
-  std::size_t n_included = 0;
-  std::size_t n_active = 0;
-  for (std::size_t u = 0; u < n_users; ++u) {
-    const bool act = active(u);
-    n_active += act ? 1 : 0;
-    const bool inc = act && (quarantined_[u] == 0 || reprobe_frame);
-    exclude_[u] = inc ? 0 : 1;
-    n_included += inc ? 1 : 0;
+void MulticastSession::admit(Frame& f, const fault::FrameFaults& faults) {
+  const auto period =
+      static_cast<std::uint32_t>(cfg_.quarantine_reprobe_period);
+  f.reprobe = cfg_.quarantine_after > 0 && f.id % period == 0;
+  exclude_.assign(f.n_users, 0);
+  for (std::size_t u = 0; u < f.n_users; ++u) {
+    UserState& s = users_[u];
+    s.active = faults.user_active.empty() || faults.user_active[u] != 0;
+    // Departed users cannot report either.
+    s.silent =
+        (u < faults.feedback_lost.size() && faults.feedback_lost[u] != 0) ||
+        !s.active;
+    const bool included = s.active && (!s.quarantined || f.reprobe);
+    exclude_[u] = included ? 0 : 1;
+    f.n_active += s.active ? 1 : 0;
+    f.n_silent += s.silent ? 1 : 0;
+    f.n_included += included ? 1 : 0;
   }
-  if (n_included == 0 && n_active > 0) {
+  if (f.n_included == 0 && f.n_active > 0) {
     // Every remaining user is quarantined: streaming to nobody serves no
     // one, so treat the frame as a forced re-probe of all of them.
-    for (std::size_t u = 0; u < n_users; ++u) exclude_[u] = active(u) ? 0 : 1;
-    n_included = n_active;
+    for (std::size_t u = 0; u < f.n_users; ++u)
+      exclude_[u] = users_[u].active ? 0 : 1;
+    f.n_included = f.n_active;
   }
+}
 
-  out.frame_id = frame_id;
-  out.csi_held = csi_held;
-  const auto fill_presence = [&] {
-    if (n_active < n_users) {
-      out.user_present.assign(n_users, false);
-      for (std::size_t u = 0; u < n_users; ++u) out.user_present[u] = active(u);
-    }
-    bool any_quarantined = false;
-    for (std::size_t u = 0; u < n_users; ++u)
-      any_quarantined |= quarantined_[u] != 0;
-    if (any_quarantined) {
-      out.user_quarantined.assign(n_users, false);
-      for (std::size_t u = 0; u < n_users; ++u)
-        out.user_quarantined[u] = quarantined_[u] != 0;
-    }
-  };
-
-  if (n_active == 0) {
-    // Everyone left: an idle frame, not an error. Frame ids keep counting.
-    out.ssim.assign(n_users, 0.0);
-    out.psnr.assign(n_users, 0.0);
-    out.decoded_fraction.assign(n_users, 0.0);
-    fill_presence();
-    return;
-  }
-
+void MulticastSession::decide(Frame& f, const FrameContext& ctx) {
   // Optionally estimate CSI the way the hardware does (SLS sweep + phase
   // retrieval) instead of taking the beacon channels as ground truth.
-  const std::vector<linalg::CVector>* decision_csi = decision_base;
-  std::vector<linalg::CVector> estimated;
+  const std::vector<linalg::CVector>* csi = f.csi;
   if (cfg_.use_estimated_csi) {
     static obs::Stage& st = obs::stage("session.csi_estimate");
     obs::StageSpan span(st);
-    estimated.reserve(decision_base->size());
-    for (const auto& h : *decision_base) {
-      const beamforming::SweepResult sweep =
-          beamforming::sector_sweep(h, codebook_, rng_, cfg_.sls_noise_db);
-      estimated.push_back(beamforming::estimate_csi(sweep, codebook_).h);
+    estimated_.resize(f.csi->size());
+    for (std::size_t u = 0; u < estimated_.size(); ++u) {
+      const beamforming::SweepResult sweep = beamforming::sector_sweep(
+          (*f.csi)[u], codebook_, rng_, cfg_.sls_noise_db);
+      estimated_[u] = beamforming::estimate_csi(sweep, codebook_).h;
     }
-    decision_csi = &estimated;
+    csi = &estimated_;
   }
-
-  const Decision* decision = nullptr;
-  if (!cfg_.adapt) {
-    if (!frozen_) {
-      Decision first;
-      decide_into(*decision_csi, ctx, exclude_, first);
-      frozen_ = std::move(first);
-    }
-    decision = &*frozen_;
-  } else {
-    decide_into(*decision_csi, ctx, exclude_, decision_);
-    decision = &decision_;
+  if (cfg_.adapt) {
+    decide_into(*csi, ctx, exclude_, decision_);
+    f.plan = &decision_;
+    return;
   }
+  if (!frozen_) decide_into(*csi, ctx, exclude_, frozen_.emplace());
+  f.plan = &*frozen_;
+}
 
+void MulticastSession::set_air_parameters(const Frame& f) {
+  const std::vector<sched::GroupSpec>& groups = f.plan->groups;
   // "No Update" freezes the app-level decision (groups, time allocation,
   // packet schedule), but the 802.11ad firmware keeps training beams and
   // adapting MCS on its own — the link stays alive on pre-defined sectors
@@ -599,258 +589,225 @@ void MulticastSession::step_into(
   // this, a walking receiver would simply leave the frozen beam, which is
   // not what happens on real hardware. The firmware's knowledge has the
   // same one-beacon staleness as everyone else's: it trains on the last
-  // sweep (decision channels), not on the in-flight channel.
-  std::vector<linalg::CVector> fallback_beams;
-  if (!cfg_.adapt && codebook_.size() > 0) {
-    fallback_beams.reserve(decision->groups.size());
-    for (const auto& spec : decision->groups) {
-      const linalg::CVector* best = nullptr;
-      double best_min = -1e300;
-      for (std::size_t k = 0; k < codebook_.size(); ++k) {
-        double min_rss = 1e300;
-        for (std::size_t u : spec.members)
-          min_rss = std::min(
-              min_rss,
-              channel::beam_rss((*decision_base)[u], codebook_[k]).value);
-        if (min_rss > best_min) {
-          best_min = min_rss;
-          best = &codebook_[k];
-        }
-      }
-      fallback_beams.push_back(best != nullptr ? *best : spec.beam.beam);
+  // sweep (decision CSI), not on the in-flight channel.
+  const bool firmware_sector = !cfg_.adapt && codebook_.size() > 0;
+  if (firmware_sector) {
+    firmware_beams_.resize(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::vector<std::size_t>& members = groups[g].members;
+      if (member_csi_.size() < members.size())
+        member_csi_.resize(members.size());
+      for (std::size_t i = 0; i < members.size(); ++i)
+        member_csi_[i] = (*f.csi)[members[i]];
+      beamforming::group_beam_into(
+          beamforming::Scheme::kPredefinedMulticast,
+          std::span(member_csi_.data(), members.size()), codebook_,
+          cfg_.seed, firmware_beams_[g]);
     }
-  }
-
-  out.optimizer_objective = decision->allocation.objective;
-
-  if (decision->groups.empty()) {
-    // Outage frame: receivers render the blank frame.
-    static obs::Stage& st = obs::stage("session.quality");
-    obs::StageSpan span(st);
-    // Both references were computed once at context-build time (the SSIM
-    // doubles as a quality-model feature), so a long outage stays
-    // allocation-free.
-    const double s = ctx.content.blank_ssim;
-    const double p = ctx.blank_psnr;
-    out.ssim.assign(n_users, 0.0);
-    out.psnr.assign(n_users, 0.0);
-    out.decoded_fraction.assign(n_users, 0.0);
-    for (std::size_t u = 0; u < n_users; ++u) {
-      if (!active(u)) continue;
-      out.ssim[u] = s;
-      out.psnr[u] = p;
-    }
-    fill_presence();
-    return;
   }
 
   // Assemble the per-group transmission parameters against the *current*
   // channel (the decision was made on beacon-time CSI). Indices must stay
-  // 1:1 with decision->groups because the assignments reference them; a
-  // group whose MCS lookup fails keeps a zero drain rate and the engine
+  // 1:1 with the decision's groups because the assignments reference them;
+  // a group whose MCS lookup fails keeps a zero drain rate and the engine
   // drops its packets.
-  resize_recycled(groups_tx_, decision->groups.size(), tx_pool_);
-  {
-    static obs::Stage& st = obs::stage("session.mcs");
-    obs::StageSpan span(st);
-    for (std::size_t g = 0; g < decision->groups.size(); ++g) {
-      const auto& spec = decision->groups[g];
-      // Per-entry reset of the reused slot: copy-assign / clear reuse the
-      // member vectors' capacity; the fields match a fresh GroupTx.
-      emu::GroupTx& tx = groups_tx_[g];
-      tx.members = spec.members;
-      tx.mcs = channel::McsEntry{};
-      tx.drain_rate = Mbps{0.0};
-      tx.bucket_rate = Mbps{0.0};
-      tx.member_loss.clear();
-      // Beam actually on the air: the decision's optimized beam, or the
-      // firmware-tracked fallback sector in No-Update mode.
-      const linalg::CVector& air_beam =
-          fallback_beams.empty() ? spec.beam.beam : fallback_beams[g];
-      // MCS from the freshest link knowledge available: in No-Update mode
-      // the firmware's own tracking (current channel, fallback beam);
-      // otherwise the beacon-time decision RSS, minus the mobility margin.
-      Dbm link_rss = spec.beam.min_rss;
-      if (!fallback_beams.empty()) {
-        link_rss = Dbm{1e300};
-        for (std::size_t u : spec.members)
-          link_rss = std::min(
-              link_rss, channel::beam_rss((*decision_base)[u], air_beam));
-      }
-      if (const auto mcs = channel::select_mcs(link_rss - mcs_margin_db)) {
-        tx.mcs = *mcs;
-        tx.drain_rate = Mbps{mcs->udp_throughput.value * cfg_.rate_scale};
-        tx.bucket_rate = (cfg_.adapt && g < last_measured_.size() &&
-                          last_measured_[g].value > 0.0)
-                             ? last_measured_[g]
-                             : tx.drain_rate;
-        for (std::size_t u : spec.members) {
-          const Dbm rss = channel::beam_rss(true_channels[u], air_beam);
-          tx.member_loss.push_back(
-              u == cfg_.associated_user
-                  ? emu::associated_loss(cfg_.loss, rss, *mcs)
-                  : emu::monitor_loss(cfg_.loss, rss, *mcs));
-        }
-      }
+  resize_recycled(groups_tx_, groups.size(), tx_pool_);
+  static obs::Stage& st = obs::stage("session.mcs");
+  obs::StageSpan span(st);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const sched::GroupSpec& spec = groups[g];
+    // Per-entry reset of the reused slot: copy-assign / clear reuse the
+    // member vectors' capacity; the fields match a fresh GroupTx.
+    emu::GroupTx& tx = groups_tx_[g];
+    tx.members = spec.members;
+    tx.mcs = channel::McsEntry{};
+    tx.drain_rate = Mbps{0.0};
+    tx.bucket_rate = Mbps{0.0};
+    tx.member_loss.clear();
+    // Beam actually on the air, and the link RSS its MCS comes from: the
+    // firmware's own sector and tracking in No-Update mode; otherwise the
+    // decision's beam at beacon-time RSS. Either way minus the margin.
+    const beamforming::GroupBeam& air =
+        firmware_sector ? firmware_beams_[g] : spec.beam;
+    const auto mcs = channel::select_mcs(air.min_rss - f.mcs_margin_db);
+    if (!mcs) continue;
+    tx.mcs = *mcs;
+    tx.drain_rate = Mbps{mcs->udp_throughput.value * cfg_.rate_scale};
+    tx.bucket_rate = (cfg_.adapt && g < last_measured_.size() &&
+                      last_measured_[g].value > 0.0)
+                         ? last_measured_[g]
+                         : tx.drain_rate;
+    for (std::size_t u : spec.members) {
+      const Dbm rss = channel::beam_rss((*f.truth)[u], air.beam);
+      tx.member_loss.push_back(
+          u == cfg_.associated_user
+              ? emu::associated_loss(cfg_.loss, rss, *mcs)
+              : emu::monitor_loss(cfg_.loss, rss, *mcs));
     }
+  }
+}
+
+void MulticastSession::shed(Frame& f, const FrameContext& ctx,
+                            const fault::FrameFaults& faults,
+                            FrameOutcome& out) {
+  // Budget collapse: shed enhancement layers, never the base. Assignments
+  // are in transmission-priority order (layer asc), so the airtime
+  // estimate fills the base layer first; everything past the collapsed
+  // budget is shed unless it is base-layer data, which is always attempted
+  // (the layered-coding rationale: a thumbnail beats a freeze).
+  const std::vector<sched::UnitAssignment>& scheduled =
+      f.plan->unit_map.assignments;
+  f.assignments = &scheduled;
+  if (faults.budget_scale >= 1.0) return;
+  static obs::Stage& st = obs::stage("session.shed");
+  obs::StageSpan span(st);
+  const Seconds cap = cfg_.engine.frame_budget * faults.budget_scale;
+  const double wire = static_cast<double>(cfg_.engine.header_bytes +
+                                          cfg_.engine.symbol_size);
+  Seconds est = 0.0;
+  shed_plan_.clear();
+  shed_plan_.reserve(scheduled.size());
+  for (const auto& a : scheduled) {
+    const Mbps rate = groups_tx_[a.group].drain_rate;
+    const Seconds air =
+        rate.value > 0.0
+            ? rate.seconds_for(wire * static_cast<double>(a.symbols))
+            : 0.0;
+    const bool base_layer = a.unit_index < ctx.units.size() &&
+                            ctx.units[a.unit_index].id.layer == 0;
+    if (base_layer || est + air <= cap) {
+      shed_plan_.push_back(a);
+      est += air;
+    } else {
+      out.shed_symbols += a.symbols;
+    }
+  }
+  f.assignments = &shed_plan_;
+  if (verify::enabled()) {
+    // Shedding must only re-partition the plan: every scheduled symbol is
+    // either kept for transmission or counted as shed, never both/neither.
+    std::size_t total = 0, kept = 0;
+    for (const auto& a : scheduled) total += a.symbols;
+    for (const auto& a : shed_plan_) kept += a.symbols;
+    verify::check(total == kept + out.shed_symbols,
+                  "session.shed-conservation", [&] {
+                    return "scheduled " + std::to_string(total) +
+                           " != kept " + std::to_string(kept) + " + shed " +
+                           std::to_string(out.shed_symbols);
+                  });
+  }
+}
+
+void MulticastSession::transmit(const Frame& f, const FrameContext& ctx,
+                                const fault::FrameFaults& faults,
+                                FrameOutcome& out) {
+  // Feedback faults -> engine fault state. Empty masks mean every report
+  // arrives; cleared, not reassigned, so they keep their capacity.
+  efs_.frame_id = f.id;
+  efs_.budget_scale = faults.budget_scale;
+  efs_.feedback_lost.clear();
+  efs_.blind_fraction.clear();
+  for (std::size_t u = 0; f.n_silent > 0 && u < f.n_users; ++u) {
+    // Capped exponential backoff: the first silent frame gets the full
+    // conservative budget, each further consecutive one half of it.
+    const UserState& s = users_[u];
+    const int halvings =
+        s.silent ? std::min(s.feedback_silent_streak, cfg_.blind_backoff_cap)
+                 : 0;
+    efs_.feedback_lost.push_back(s.silent ? 1 : 0);
+    efs_.blind_fraction.push_back(cfg_.blind_makeup_fraction /
+                                  static_cast<double>(1u << halvings));
   }
 
-  // --- Budget collapse: shed enhancement layers, never the base ----------
-  // Assignments are in transmission-priority order (layer asc), so the
-  // airtime estimate fills the base layer first; everything past the
-  // collapsed budget is shed unless it is base-layer data, which is always
-  // attempted (the layered-coding rationale: a thumbnail beats a freeze).
-  const std::vector<sched::UnitAssignment>* assignments =
-      &decision->unit_map.assignments;
-  std::vector<sched::UnitAssignment> shed_plan;
-  if (faults.budget_scale < 1.0) {
-    static obs::Stage& st = obs::stage("session.shed");
-    obs::StageSpan span(st);
-    const Seconds cap = cfg_.engine.frame_budget * faults.budget_scale;
-    const double wire = static_cast<double>(cfg_.engine.header_bytes +
-                                            cfg_.engine.symbol_size);
-    Seconds est = 0.0;
-    shed_plan.reserve(decision->unit_map.assignments.size());
-    for (const auto& a : decision->unit_map.assignments) {
-      const Mbps rate = groups_tx_[a.group].drain_rate;
-      const Seconds air =
-          rate.value > 0.0
-              ? rate.seconds_for(wire * static_cast<double>(a.symbols))
-              : 0.0;
-      const bool base_layer =
-          a.unit_index < ctx.units.size() &&
-          ctx.units[a.unit_index].id.layer == 0;
-      if (base_layer || est + air <= cap) {
-        shed_plan.push_back(a);
-        est += air;
-      } else {
-        out.shed_symbols += a.symbols;
-      }
-    }
-    assignments = &shed_plan;
-    if (verify::enabled()) {
-      // Shedding must only re-partition the plan: every scheduled symbol is
-      // either kept for transmission or counted as shed, never both/neither.
-      std::size_t scheduled = 0, kept = 0;
-      for (const auto& a : decision->unit_map.assignments)
-        scheduled += a.symbols;
-      for (const auto& a : shed_plan) kept += a.symbols;
-      verify::check(scheduled == kept + out.shed_symbols,
-                    "session.shed-conservation", [&] {
-                      return "scheduled " + std::to_string(scheduled) +
-                             " != kept " + std::to_string(kept) + " + shed " +
-                             std::to_string(out.shed_symbols);
-                    });
-    }
-  }
-
-  // --- Feedback faults -> engine fault state -----------------------------
-  emu::FrameFaultState efs;
-  efs.frame_id = frame_id;
-  efs.budget_scale = faults.budget_scale;
-  bool any_silent = false;
-  for (std::size_t u = 0; u < n_users; ++u) {
-    const bool lost =
-        (u < faults.feedback_lost.size() && faults.feedback_lost[u] != 0) ||
-        !active(u);  // departed users cannot report either
-    if (lost) any_silent = true;
-  }
-  if (any_silent) {
-    efs.feedback_lost.assign(n_users, 0);
-    efs.blind_fraction.assign(n_users, cfg_.blind_makeup_fraction);
-    for (std::size_t u = 0; u < n_users; ++u) {
-      const bool lost =
-          (u < faults.feedback_lost.size() && faults.feedback_lost[u] != 0) ||
-          !active(u);
-      if (!lost) continue;
-      efs.feedback_lost[u] = 1;
-      // Capped exponential backoff: the first silent frame gets the full
-      // conservative budget, each further consecutive one half of it.
-      const int halvings =
-          std::min(feedback_silent_streak_[u], cfg_.blind_backoff_cap);
-      efs.blind_fraction[u] =
-          cfg_.blind_makeup_fraction / static_cast<double>(1u << halvings);
-    }
-  }
-
-  // --- Peer relay: LoS users forward base-layer symbols to quarantined
-  // peers, charged against the same frame budget (DESIGN.md Sec. 4h) ------
-  plan_relays(*decision_base, n_users, mcs_margin_db, faults);
+  // Peer relay: LoS users forward base-layer symbols to quarantined peers,
+  // charged against the same frame budget (DESIGN.md Sec. 4h).
+  plan_relays(f, faults);
 
   {
     static obs::Stage& st = obs::stage("session.transmit");
     obs::StageSpan span(st);
-    engine_.run_frame_into(ctx.units, *assignments, groups_tx_, n_users,
-                           rng_, efs, relays_, tx_result_);
+    engine_.run_frame_into(ctx.units, *f.assignments, groups_tx_, f.n_users,
+                           rng_, efs_, relays_, tx_result_);
   }
-
   if (cfg_.adapt) last_measured_ = tx_result_.measured_rate;
+  out.stats = tx_result_.stats;
+  out.relayed_symbols = tx_result_.relayed_symbols;
+}
 
-  // --- Cross-frame recovery bookkeeping ---------------------------------
-  std::size_t quarantine_entered = 0;
-  std::size_t quarantine_exited = 0;
-  for (std::size_t u = 0; u < n_users; ++u) {
-    const bool lost =
-        (u < faults.feedback_lost.size() && faults.feedback_lost[u] != 0) &&
-        active(u);
+void MulticastSession::update_recovery(Frame& f, const FrameContext& ctx,
+                                       const fault::FrameFaults& faults) {
+  for (std::size_t u = 0; u < f.n_users; ++u) {
+    UserState& s = users_[u];
     const bool delayed =
         u < faults.feedback_delayed.size() && faults.feedback_delayed[u] != 0;
     // A delayed report proves the user alive once it lands, so it does not
-    // feed the persistent-silence streak; an outright loss does.
-    if (lost && !delayed) ++feedback_silent_streak_[u];
-    else feedback_silent_streak_[u] = 0;
+    // feed the persistent-silence streak; an outright loss does. Departure
+    // is not silence either: it resets the streak.
+    if (s.silent && s.active && !delayed) ++s.feedback_silent_streak;
+    else s.feedback_silent_streak = 0;
   }
-  if (cfg_.quarantine_after > 0) {
-    attempted_.assign(n_users, 0);
-    for (const auto& g : groups_tx_) {
-      if (g.drain_rate.value <= 0.0) continue;
-      for (std::size_t u : g.members) attempted_[u] = 1;
+  if (cfg_.quarantine_after == 0) return;
+  for (UserState& s : users_) s.attempted = false;
+  for (const auto& g : groups_tx_) {
+    if (g.drain_rate.value <= 0.0) continue;
+    for (std::size_t u : g.members) users_[u].attempted = true;
+  }
+  for (std::size_t u = 0; u < f.n_users; ++u) {
+    UserState& s = users_[u];
+    if (!s.active) {
+      s.lost_frame_streak = 0;  // churn is not blockage
+      continue;
     }
-    for (std::size_t u = 0; u < n_users; ++u) {
-      if (!active(u)) {
-        lost_frame_streak_[u] = 0;  // churn is not blockage
-        continue;
+    bool decoded_any = false;
+    for (bool b : tx_result_.user_decoded[u]) decoded_any |= b;
+    // A relay target's decodes came over the D2D side link, not its own AP
+    // ray — they prove the relay worked, not that the direct link
+    // recovered, so they must not release the quarantine (that would
+    // ping-pong the user between quarantine and dragging every group).
+    // Release still happens on re-probe frames, where the target is
+    // scheduled directly and never relayed to.
+    bool relayed_to = false;
+    for (const auto& rl : relays_) relayed_to |= rl.target == u;
+    if (decoded_any && !relayed_to) {
+      s.lost_frame_streak = 0;
+      if (s.quarantined) {
+        s.quarantined = false;
+        ++f.quarantine_exited;
       }
-      bool decoded_any = false;
-      for (bool b : tx_result_.user_decoded[u]) decoded_any |= b;
-      // A relay target's decodes came over the D2D side link, not its own
-      // AP ray — they prove the relay worked, not that the direct link
-      // recovered, so they must not release the quarantine (that would
-      // ping-pong the user between quarantine and dragging every group).
-      // Release still happens on re-probe frames, where the target is
-      // scheduled directly and never relayed to.
-      bool relayed_to = false;
-      for (const auto& rl : relays_) relayed_to |= rl.target == u;
-      if (decoded_any && !relayed_to) {
-        lost_frame_streak_[u] = 0;
-        if (quarantined_[u]) {
-          quarantined_[u] = 0;
-          ++quarantine_exited;
-        }
-      } else if (!decoded_any && attempted_[u] && faults.budget_scale >= 0.5 &&
-                 !ctx.units.empty()) {
-        // Only count frames where delivery was genuinely attempted over a
-        // healthy budget — a NIC stall must not quarantine the room.
-        if (++lost_frame_streak_[u] >= cfg_.quarantine_after &&
-            quarantined_[u] == 0) {
-          quarantined_[u] = 1;
-          ++quarantine_entered;
-        }
+    } else if (!decoded_any && s.attempted && faults.budget_scale >= 0.5 &&
+               !ctx.units.empty()) {
+      // Only count frames where delivery was genuinely attempted over a
+      // healthy budget — a NIC stall must not quarantine the room.
+      if (++s.lost_frame_streak >= cfg_.quarantine_after && !s.quarantined) {
+        s.quarantined = true;
+        ++f.quarantine_entered;
       }
     }
   }
+}
 
-  out.stats = tx_result_.stats;
-  out.relayed_symbols = tx_result_.relayed_symbols;
-  {
+void MulticastSession::score(const Frame& f, const FrameContext& ctx,
+                             FrameOutcome& out) {
+  const std::size_t n_users = f.n_users;
+  out.ssim.assign(n_users, 0.0);
+  out.psnr.assign(n_users, 0.0);
+  out.decoded_fraction.assign(n_users, 0.0);
+  if (f.n_active > 0) {  // an idle frame scores nobody
     static obs::Stage& st = obs::stage("session.quality");
     obs::StageSpan span(st);
-    out.ssim.assign(n_users, 0.0);
-    out.psnr.assign(n_users, 0.0);
-    out.decoded_fraction.assign(n_users, 0.0);
+    // An outage frame transmitted nothing: receivers render the blank
+    // frame, whose references were computed once at context-build time
+    // (the SSIM doubles as a quality-model feature), so a long outage
+    // stays allocation-free.
+    const bool outage = f.plan->groups.empty();
     const auto& decoded_sets = tx_result_.user_decoded;
     for (std::size_t u = 0; u < n_users; ++u) {
-      if (!active(u)) continue;  // departed: placeholder sample
+      if (!users_[u].active) continue;  // departed: placeholder sample
+      if (outage) {
+        out.ssim[u] = ctx.content.blank_ssim;
+        out.psnr[u] = ctx.blank_psnr;
+        continue;
+      }
       std::size_t decoded = 0;
       for (bool b : decoded_sets[u]) decoded += b ? 1 : 0;
       out.decoded_fraction[u] =
@@ -863,7 +820,8 @@ void MulticastSession::step_into(
       // and scoring the same frame again.
       std::size_t twin = u;
       for (std::size_t v = 0; v < u && twin == u; ++v)
-        if (active(v) && out.decoded_fraction[v] == out.decoded_fraction[u] &&
+        if (users_[v].active &&
+            out.decoded_fraction[v] == out.decoded_fraction[u] &&
             decoded_sets[v] == decoded_sets[u])
           twin = v;
       if (twin != u) {
@@ -879,51 +837,58 @@ void MulticastSession::step_into(
       out.psnr[u] = q.psnr;
     }
   }
-  fill_presence();
-
-  // One batched telemetry flush per frame: every fault seen and every
-  // degradation decision taken is visible in the metrics snapshot.
-  if (obs::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    static obs::Counter& c_held = reg.counter("session.csi_held_frames");
-    static obs::Counter& c_shed = reg.counter("session.shed_symbols");
-    static obs::Counter& c_shed_frames = reg.counter("session.shed_frames");
-    static obs::Counter& c_silent = reg.counter("session.feedback_silent_users");
-    static obs::Counter& c_q_in = reg.counter("session.quarantine_entered");
-    static obs::Counter& c_q_out = reg.counter("session.quarantine_exited");
-    static obs::Counter& c_q_probe = reg.counter("session.quarantine_reprobes");
-    static obs::Gauge& g_quarantined = reg.gauge("session.quarantined_users");
-    static obs::Gauge& g_active = reg.gauge("session.active_users");
-    static obs::Counter& c_relay_links = reg.counter("session.relay_links");
-    static obs::Counter& c_relayed = reg.counter("session.relayed_symbols");
-    c_relay_links.add(relays_.size());
-    c_relayed.add(out.relayed_symbols);
-    if (csi_held) c_held.add(1);
-    if (out.shed_symbols > 0) {
-      c_shed.add(out.shed_symbols);
-      c_shed_frames.add(1);
-    }
-    std::uint64_t silent = 0;
-    for (auto v : efs.feedback_lost) silent += v ? 1 : 0;
-    c_silent.add(silent);
-    c_q_in.add(quarantine_entered);
-    c_q_out.add(quarantine_exited);
-    if (reprobe_frame && n_included > 0) {
-      std::uint64_t probed = 0;
-      for (std::size_t u = 0; u < n_users; ++u)
-        probed += (quarantined_[u] != 0 && active(u)) ? 1 : 0;
-      c_q_probe.add(probed + quarantine_exited);
-    }
-    double quarantined = 0.0;
-    for (auto v : quarantined_) quarantined += v ? 1.0 : 0.0;
-    g_quarantined.set(quarantined);
-    g_active.set(static_cast<double>(n_active));
+  // Presence and quarantine columns stay empty when nobody is absent or
+  // quarantined (the common case).
+  const bool any_quarantined =
+      std::any_of(users_.begin(), users_.end(),
+                  [](const UserState& s) { return s.quarantined; });
+  for (const UserState& s : users_) {
+    if (f.n_active < n_users) out.user_present.push_back(s.active);
+    if (any_quarantined) out.user_quarantined.push_back(s.quarantined);
   }
 }
 
-void MulticastSession::plan_relays(
-    const std::vector<linalg::CVector>& decision_channels, std::size_t n_users,
-    double mcs_margin_db, const fault::FrameFaults& faults) {
+void MulticastSession::flush_telemetry(const Frame& f,
+                                       const FrameOutcome& out) const {
+  // One batched telemetry flush per frame: every fault seen and every
+  // degradation decision taken is visible in the metrics snapshot.
+  if (!obs::enabled()) return;
+  auto& reg = obs::MetricsRegistry::global();
+  static obs::Counter& c_held = reg.counter("session.csi_held_frames");
+  static obs::Counter& c_shed = reg.counter("session.shed_symbols");
+  static obs::Counter& c_shed_frames = reg.counter("session.shed_frames");
+  static obs::Counter& c_silent = reg.counter("session.feedback_silent_users");
+  static obs::Counter& c_q_in = reg.counter("session.quarantine_entered");
+  static obs::Counter& c_q_out = reg.counter("session.quarantine_exited");
+  static obs::Counter& c_q_probe = reg.counter("session.quarantine_reprobes");
+  static obs::Gauge& g_quarantined = reg.gauge("session.quarantined_users");
+  static obs::Gauge& g_active = reg.gauge("session.active_users");
+  static obs::Counter& c_relay_links = reg.counter("session.relay_links");
+  static obs::Counter& c_relayed = reg.counter("session.relayed_symbols");
+  c_relay_links.add(relays_.size());
+  c_relayed.add(out.relayed_symbols);
+  if (f.csi_held) c_held.add(1);
+  if (out.shed_symbols > 0) {
+    c_shed.add(out.shed_symbols);
+    c_shed_frames.add(1);
+  }
+  c_silent.add(f.n_silent);
+  c_q_in.add(f.quarantine_entered);
+  c_q_out.add(f.quarantine_exited);
+  std::uint64_t probed = 0;
+  double quarantined = 0.0;
+  for (const UserState& s : users_) {
+    probed += (s.quarantined && s.active) ? 1 : 0;
+    quarantined += s.quarantined ? 1.0 : 0.0;
+  }
+  if (f.reprobe && f.n_included > 0)
+    c_q_probe.add(probed + f.quarantine_exited);
+  g_quarantined.set(quarantined);
+  g_active.set(static_cast<double>(f.n_active));
+}
+
+void MulticastSession::plan_relays(const Frame& f,
+                                   const fault::FrameFaults& faults) {
   relays_.clear();
   // Relaying needs the rateless code: a systematic-mode relayer could only
   // repeat the exact indices it holds, which the engine's duplication math
@@ -932,146 +897,123 @@ void MulticastSession::plan_relays(
   const auto down = [&](std::size_t u) {
     return u < faults.relay_down.size() && faults.relay_down[u] != 0;
   };
-  const auto active = [&](std::size_t u) {
-    return faults.user_active.empty() || faults.user_active[u] != 0;
-  };
-  const auto rss_mw = [&](std::size_t u) {
-    const double mw = decision_channels[u].norm_sq();
-    return std::isfinite(mw) ? mw : 0.0;
-  };
-  for (std::size_t t = 0; t < n_users; ++t) {
+  for (std::size_t t = 0; t < f.n_users; ++t) {
     // Targets: quarantined users sitting out this frame (on re-probe
     // frames they are scheduled directly instead — exclude_[t] == 0).
-    if (!active(t) || quarantined_[t] == 0 || exclude_[t] == 0) continue;
+    if (!users_[t].active || !users_[t].quarantined || exclude_[t] == 0)
+      continue;
     // Quality-aware relayer pick: the strongest-RSS scheduled peer. Its own
     // AP link bounds the D2D budget we charge, so a marginal user never
     // burns airtime relaying.
-    std::size_t best = n_users;
+    std::size_t best = f.n_users;
     double best_mw = 0.0;
-    for (std::size_t r = 0; r < n_users; ++r) {
-      if (r == t || !active(r) || exclude_[r] != 0 || down(r)) continue;
-      const double mw = rss_mw(r);
-      if (mw > best_mw) {
+    for (std::size_t r = 0; r < f.n_users; ++r) {
+      if (r == t || !users_[r].active || exclude_[r] != 0 || down(r))
+        continue;
+      const double mw = (*f.csi)[r].norm_sq();
+      if (std::isfinite(mw) && mw > best_mw) {
         best_mw = mw;
         best = r;
       }
     }
-    if (best == n_users || best_mw <= 0.0) continue;
+    if (best == f.n_users || best_mw <= 0.0) continue;
     const Dbm rss = Dbm::from_milliwatts(best_mw);
     if (rss.value < cfg_.relay.min_relayer_rss_dbm) continue;
-    const auto mcs = channel::select_mcs(rss - mcs_margin_db);
+    const auto mcs = channel::select_mcs(rss - f.mcs_margin_db);
     if (!mcs) continue;
-    relays_.push_back(
-        emu::RelayLink{best, t, Mbps{mcs->udp_throughput.value * cfg_.rate_scale},
-                       cfg_.relay.loss});
+    relays_.push_back(emu::RelayLink{
+        best, t, Mbps{mcs->udp_throughput.value * cfg_.rate_scale},
+        cfg_.relay.loss});
   }
 }
 
-std::size_t MulticastSession::advance_attachments(
-    std::size_t n_users, std::size_t n_aps, const std::vector<double>& rss_mw,
-    std::uint32_t frame_id, bool beacon_ok) {
-  const auto mw = [&](std::size_t a, std::size_t u) {
-    return rss_mw[a * n_users + u];
+bool MulticastSession::advance_attachment(std::size_t u, std::size_t n_aps,
+                                          std::uint32_t frame_id,
+                                          bool beacon_ok) {
+  const auto mw = [&](std::size_t a) {
+    return ap_rss_mw_[a * users_.size() + u];
   };
   const auto dbm = [](double m) {
     return m > 0.0 ? 10.0 * std::log10(m) : -400.0;
   };
-  std::size_t handoffs = 0;
   const auto& hc = cfg_.handoff;
-  for (std::size_t u = 0; u < n_users; ++u) {
-    if (serving_ap_[u] == kUnattached) {
-      // Initial AP selection: strongest beacon wins (ties to the lowest
-      // id). This runs even with handoff disabled — a multi-AP user always
-      // needs an attachment, it just never changes afterwards.
-      std::size_t best = 0;
-      for (std::size_t a = 1; a < n_aps; ++a)
-        if (mw(a, u) > mw(best, u)) best = a;
-      serving_ap_[u] = static_cast<std::uint8_t>(best);
-      attach_state_[u] = ApAttachState::kAttached;
-      weak_streak_[u] = 0;
-      continue;
+  UserState& s = users_[u];
+  const std::size_t serving = s.serving_ap;
+  const double serving_dbm = dbm(mw(serving));
+  const bool weak = serving_dbm < hc.degrade_floor_dbm;
+  switch (s.attach_state) {
+    case ApAttachState::kAttached:
+      if (weak) {
+        if (++s.weak_streak >= hc.degrade_after)
+          s.attach_state = ApAttachState::kDegraded;
+      } else {
+        s.weak_streak = 0;
+      }
+      break;
+    case ApAttachState::kDegraded: {
+      if (!weak) {
+        s.attach_state = ApAttachState::kAttached;
+        s.weak_streak = 0;
+        break;
+      }
+      // A probe starts only off a healthy beacon, past the dwell window,
+      // and with an alternate clearing the full hysteresis bar. Serial
+      // comparison: dwell_until may sit across the u32 frame-id wrap.
+      if (!beacon_ok || transport::seq_less(frame_id, s.dwell_until))
+        break;
+      std::size_t alt = serving;
+      double alt_mw = 0.0;
+      for (std::size_t a = 0; a < n_aps; ++a) {
+        if (a == serving) continue;
+        if (mw(a) > alt_mw) {
+          alt_mw = mw(a);
+          alt = a;
+        }
+      }
+      if (alt != serving && dbm(alt_mw) >= serving_dbm + hc.hysteresis_db) {
+        s.attach_state = ApAttachState::kProbing;
+        s.probe_target = static_cast<std::uint8_t>(alt);
+        s.probe_countdown = hc.probe_frames;
+      }
+      break;
     }
-    if (!hc.enabled) continue;
-    const std::size_t serving = serving_ap_[u];
-    const double serving_dbm = dbm(mw(serving, u));
-    const bool weak = serving_dbm < hc.degrade_floor_dbm;
-    switch (attach_state_[u]) {
-      case ApAttachState::kAttached:
-        if (weak) {
-          if (++weak_streak_[u] >= hc.degrade_after)
-            attach_state_[u] = ApAttachState::kDegraded;
-        } else {
-          weak_streak_[u] = 0;
-        }
-        break;
-      case ApAttachState::kDegraded: {
-        if (!weak) {
-          attach_state_[u] = ApAttachState::kAttached;
-          weak_streak_[u] = 0;
-          break;
-        }
-        // A probe starts only off a healthy beacon, past the dwell window,
-        // and with an alternate clearing the full hysteresis bar. Serial
-        // comparison: dwell_until_ may sit across the u32 frame-id wrap.
-        if (!beacon_ok || transport::seq_less(frame_id, dwell_until_[u]))
-          break;
-        std::size_t alt = serving;
-        double alt_mw = 0.0;
-        for (std::size_t a = 0; a < n_aps; ++a) {
-          if (a == serving) continue;
-          if (mw(a, u) > alt_mw) {
-            alt_mw = mw(a, u);
-            alt = a;
-          }
-        }
-        if (alt != serving && dbm(alt_mw) >= serving_dbm + hc.hysteresis_db) {
-          attach_state_[u] = ApAttachState::kProbing;
-          probe_target_[u] = static_cast<std::uint8_t>(alt);
-          probe_countdown_[u] = hc.probe_frames;
-        }
+    case ApAttachState::kProbing: {
+      // Make-before-break: the user keeps streaming from the old AP
+      // while the alternate trains. A lost beacon pauses the probe clock
+      // rather than committing on stale information.
+      if (!beacon_ok) break;
+      const double tgt_dbm = dbm(mw(s.probe_target));
+      if (tgt_dbm < serving_dbm + 0.5 * hc.hysteresis_db) {
+        // Target fell below half the bar mid-probe: abort, no flap.
+        s.attach_state =
+            weak ? ApAttachState::kDegraded : ApAttachState::kAttached;
         break;
       }
-      case ApAttachState::kProbing: {
-        // Make-before-break: the user keeps streaming from the old AP
-        // while the alternate trains. A lost beacon pauses the probe clock
-        // rather than committing on stale information.
-        if (!beacon_ok) break;
-        const double tgt_dbm = dbm(mw(probe_target_[u], u));
-        if (tgt_dbm < serving_dbm + 0.5 * hc.hysteresis_db) {
-          // Target fell below half the bar mid-probe: abort, no flap.
-          attach_state_[u] =
-              weak ? ApAttachState::kDegraded : ApAttachState::kAttached;
-          break;
-        }
-        if (--probe_countdown_[u] <= 0)
-          attach_state_[u] = ApAttachState::kHandingOff;
-        break;
-      }
-      case ApAttachState::kHandingOff: {
-        // FST-style switch committed at the frame boundary. Quarantine,
-        // feedback streaks, and warm-start state all survive untouched.
-        serving_ap_[u] = probe_target_[u];
-        attach_state_[u] = ApAttachState::kAttached;
-        weak_streak_[u] = 0;
-        ++handoffs;
-        // Capped exponential dwell: back-to-back handoffs double the
-        // cooldown so a user on an AP coverage boundary cannot ping-pong.
-        const std::uint32_t base =
-            static_cast<std::uint32_t>(hc.min_dwell_frames);
-        if (last_handoff_frame_[u] != kNeverHandedOff &&
-            transport::seq_distance(last_handoff_frame_[u], frame_id) <
-                4 * base)
-          handoff_streak_[u] = std::min(handoff_streak_[u] + 1, hc.backoff_cap);
-        else
-          handoff_streak_[u] = 0;
-        dwell_until_[u] =
-            frame_id + (base << static_cast<unsigned>(handoff_streak_[u]));
-        last_handoff_frame_[u] = frame_id;
-        break;
-      }
+      if (--s.probe_countdown <= 0)
+        s.attach_state = ApAttachState::kHandingOff;
+      break;
+    }
+    case ApAttachState::kHandingOff: {
+      // FST-style switch committed at the frame boundary. Quarantine,
+      // feedback streaks, and warm-start state all survive untouched.
+      s.serving_ap = s.probe_target;
+      s.attach_state = ApAttachState::kAttached;
+      s.weak_streak = 0;
+      // Capped exponential dwell: back-to-back handoffs double the
+      // cooldown so a user on an AP coverage boundary cannot ping-pong.
+      const auto base = static_cast<std::uint32_t>(hc.min_dwell_frames);
+      if (s.last_handoff_frame != kNeverHandedOff &&
+          transport::seq_distance(s.last_handoff_frame, frame_id) < 4 * base)
+        s.handoff_streak = std::min(s.handoff_streak + 1, hc.backoff_cap);
+      else
+        s.handoff_streak = 0;
+      s.dwell_until =
+          frame_id + (base << static_cast<unsigned>(s.handoff_streak));
+      s.last_handoff_frame = frame_id;
+      return true;
     }
   }
-  return handoffs;
+  return false;
 }
 
 }  // namespace w4k::core

@@ -190,43 +190,32 @@ class MulticastSession {
 
   /// Streams one frame into a caller-owned outcome whose vectors reuse
   /// their capacity across frames. `decision_stacks` / `true_stacks` are
-  /// per-AP channel stacks indexed [ap][user] (channel::ap_channel_stacks;
-  /// a single-AP session passes one stack): the decision CSI is what the
-  /// sender acts on (last beacon), the true channel is the channel during
-  /// transmission. The stack count must equal cfg.handoff.n_aps. In
-  /// No-Update mode the decision made on the first call is reused forever
-  /// (matching the paper's baseline).
+  /// per-AP channel stacks indexed [ap][user], one per cfg.handoff.n_aps
+  /// (channel::ap_channel_stacks): the decision CSI is what the sender acts
+  /// on (last beacon), the true channel is the one during transmission.
+  /// `faults` is this frame's resolved fault state (fault::FaultInjector);
+  /// a default-constructed FrameFaults is the fault-free frame.
   ///
-  /// Each user is served by exactly one AP per frame. The per-user
-  /// ApAttachment state machine (attached -> degraded -> probing-alternate
-  /// -> handing-off -> attached) moves users between APs when
-  /// cfg.handoff.enabled, driven by the same beacon-time CSI the
-  /// degradation ladder uses, with hysteresis plus capped dwell backoff
-  /// against flapping. Handoff is make-before-break: the user keeps
-  /// streaming from the old AP through the probe, and quarantine /
-  /// feedback-streak / warm-start state survives the switch untouched.
-  /// Groups never span APs (the enumerator enforces partition purity).
-  /// With one AP everyone attaches to AP 0 and never hands off, so the
-  /// stack itself is the serving view. `out.user_ap` is filled only when
-  /// there is more than one AP.
-  ///
-  /// `faults` is this frame's resolved fault state
-  /// (fault::FaultInjector::at). The session walks the degradation ladder
-  /// instead of assuming the fault never happens: lost feedback → blind
-  /// makeup with capped backoff; stale/corrupt CSI → hold the last good
-  /// beamweights and back the MCS off; persistent per-user outage →
-  /// quarantine from the group optimizer with periodic re-probe; collapsed
-  /// budget → shed enhancement layers, always attempting the base layer;
-  /// churn → departed users drop out of the optimizer and the report. A
-  /// default-constructed FrameFaults is the fault-free frame.
-  ///
-  /// Every input (stack shapes, the config, each FrameFaults mask size) is
-  /// checked before any session state changes, so a rejected call leaves
-  /// the session exactly as it was.
-  ///
-  /// Together with the session's internal workspaces (scheduler
-  /// enumeration buffers, engine scratch, reconstruction workspace) a
-  /// steady-state frame performs zero heap allocations (the
+  /// The frame runs as named stages, in order (DESIGN.md Sec. 4g):
+  ///  1. input check: shapes, config and mask sizes, before any state
+  ///     changes, so a rejected call leaves the session as it was;
+  ///  2. AP attachment: each user is served by one AP; with
+  ///     cfg.handoff.enabled the attached -> degraded -> probing ->
+  ///     handing-off machine moves users make-before-break, with
+  ///     hysteresis and capped dwell backoff (`out.user_ap` is filled only
+  ///     with more than one AP);
+  ///  3. CSI hold: a stale or corrupt beacon falls back to the last good
+  ///     CSI and backs the MCS off;
+  ///  4. admission: departed users drop out; persistent outage quarantines
+  ///     a user from the optimizer, with periodic re-probe;
+  ///  5. decision: decide_into, or in No-Update mode the first frame's
+  ///     decision forever (the paper's baseline);
+  ///  6. air parameters: per-group MCS (No-Update: the firmware sector);
+  ///  7. shed: a collapsed budget sheds enhancement layers, never the base;
+  ///  8. transmit: blind makeup with capped backoff for lost feedback,
+  ///     peer relay to quarantined users, the engine;
+  ///  9. recovery bookkeeping, 10. scoring, 11. telemetry flush.
+  /// A steady-state frame performs zero heap allocations (the
   /// W4K_COUNT_ALLOCS tier-1 gate).
   void step_into(std::span<const std::vector<linalg::CVector>> decision_stacks,
                  std::span<const std::vector<linalg::CVector>> true_stacks,
@@ -268,26 +257,106 @@ class MulticastSession {
                    const std::vector<std::uint8_t>& exclude, Decision& d);
 
  private:
-  /// (Re)sizes the per-user recovery state when the user count changes.
-  /// State for surviving user indices (quarantine, feedback/loss streaks)
-  /// is preserved — only the resized tail starts fresh; index-keyed caches
-  /// that become meaningless (held CSI, previous allocation) are dropped.
+  enum class ApAttachState : std::uint8_t {
+    kAttached = 0,
+    kDegraded = 1,
+    kProbing = 2,
+    kHandingOff = 3,
+  };
+  static constexpr std::uint8_t kUnattached = 0xff;
+  static constexpr std::uint32_t kNeverHandedOff =
+      static_cast<std::uint32_t>(-1);
+
+  /// One user's session state. The recovery and attachment fields carry
+  /// across frames (deterministic, no rng) and survive churn by index; the
+  /// per-frame mask at the bottom is rewritten by admit() every frame.
+  struct UserState {
+    int feedback_silent_streak = 0;  ///< consecutive frames without a report
+    int lost_frame_streak = 0;  ///< consecutive attempted frames, no decode
+    bool quarantined = false;
+    std::uint8_t serving_ap = kUnattached;  ///< kUnattached before frame 0
+    ApAttachState attach_state = ApAttachState::kAttached;
+    int weak_streak = 0;             ///< consecutive weak frames
+    std::uint8_t probe_target = 0;   ///< alternate under probe
+    int probe_countdown = 0;
+    std::uint32_t dwell_until = 0;   ///< no probes before this frame
+    int handoff_streak = 0;          ///< back-to-back handoffs
+    std::uint32_t last_handoff_frame = kNeverHandedOff;
+    // This frame only:
+    bool active = true;     ///< present (not churned out)
+    bool silent = false;    ///< no feedback report: lost, or departed
+    bool attempted = false; ///< carried by a group with a drain rate
+  };
+
+  /// What one step_into call hands from stage to stage. A stack value: the
+  /// channel views point into the caller's stacks or session members.
+  struct Frame {
+    std::uint32_t id = 0;
+    std::size_t n_users = 0;
+    /// Serving-AP views of the beacon-time and in-flight channels.
+    const std::vector<linalg::CVector>* beacon = nullptr;
+    const std::vector<linalg::CVector>* truth = nullptr;
+    /// The beacon CSI after the hold/sanitize ladder: what the decision,
+    /// the No-Update sector and the relay plan act on.
+    const std::vector<linalg::CVector>* csi = nullptr;
+    bool csi_held = false;
+    double mcs_margin_db = 0.0;
+    bool reprobe = false;
+    std::size_t n_active = 0;
+    std::size_t n_included = 0;  ///< users the group optimizer sees
+    std::size_t n_silent = 0;
+    const Decision* plan = nullptr;
+    const std::vector<sched::UnitAssignment>* assignments = nullptr;
+    std::size_t quarantine_entered = 0;
+    std::size_t quarantine_exited = 0;
+  };
+
+  // --- The stages of step_into, in frame order --------------------------
+  using Stacks = std::span<const std::vector<linalg::CVector>>;
+  /// Checks stack shapes, the config and every fault mask; throws before
+  /// any state changes. Returns the user count.
+  std::size_t check_inputs(Stacks decision_stacks, Stacks true_stacks,
+                           const fault::FrameFaults& faults) const;
+  /// Advances the AP attachments and gathers the serving-AP views.
+  void attach(Frame& f, Stacks decision_stacks, Stacks true_stacks,
+              const fault::FrameFaults& faults, FrameOutcome& out);
+  /// Holds the last good CSI over a missed or corrupt beacon.
+  void hold_csi(Frame& f, const fault::FrameFaults& faults);
+  /// Per-user presence and silence mask, quarantine re-probe, exclusions.
+  void admit(Frame& f, const fault::FrameFaults& faults);
+  /// Optional CSI estimation, then the adaptive or frozen decision.
+  void decide(Frame& f, const FrameContext& ctx);
+  /// Per-group MCS, drain/bucket rates and member losses (the No-Update
+  /// firmware sector included) into groups_tx_.
+  void set_air_parameters(const Frame& f);
+  /// Sheds enhancement-layer assignments past a collapsed budget.
+  void shed(Frame& f, const FrameContext& ctx,
+            const fault::FrameFaults& faults, FrameOutcome& out);
+  /// Engine fault state, relay plan, and the engine's frame.
+  void transmit(const Frame& f, const FrameContext& ctx,
+                const fault::FrameFaults& faults, FrameOutcome& out);
+  /// Feedback-silence streaks, quarantine entry and release.
+  void update_recovery(Frame& f, const FrameContext& ctx,
+                       const fault::FrameFaults& faults);
+  /// The one ssim / psnr / decoded_fraction / presence fill: zeros on an
+  /// idle frame, the blank frame in an outage, reconstructions otherwise.
+  void score(const Frame& f, const FrameContext& ctx, FrameOutcome& out);
+  /// One batched metrics flush per transmitted frame.
+  void flush_telemetry(const Frame& f, const FrameOutcome& out) const;
+
+  /// Resizes users_ on a user-count change; survivors keep their state.
   void ensure_user_state(std::size_t n_users);
 
   /// Computes this frame's peer-relay plan into relays_ (empty unless
   /// cfg_.relay.enabled): for each active quarantined non-reprobing user,
   /// the best-RSS eligible line-of-sight peer gets one relay slot at the
   /// MCS its own link sustains. Deterministic, no rng.
-  void plan_relays(const std::vector<linalg::CVector>& decision_channels,
-                   std::size_t n_users, double mcs_margin_db,
-                   const fault::FrameFaults& faults);
+  void plan_relays(const Frame& f, const fault::FrameFaults& faults);
 
-  /// Advances the per-user ApAttachment state machines one frame and
-  /// returns the number of handoffs committed. `rss_mw[a * n_users + u]`
-  /// is user u's best-case beacon RSS from AP a in milliwatts.
-  std::size_t advance_attachments(std::size_t n_users, std::size_t n_aps,
-                                  const std::vector<double>& rss_mw,
-                                  std::uint32_t frame_id, bool beacon_ok);
+  /// Advances attached user u's handoff state machine one frame on the
+  /// RSS table in ap_rss_mw_; true when it commits a handoff.
+  bool advance_attachment(std::size_t u, std::size_t n_aps,
+                          std::uint32_t frame_id, bool beacon_ok);
 
   SessionConfig cfg_;
   model::QualityModel& quality_;
@@ -322,6 +391,17 @@ class MulticastSession {
   sched::GroupEnumConfig enum_cfg_;
   std::vector<double> warm_vec_;          ///< flattened warm-start vector
   std::vector<std::uint8_t> exclude_;     ///< per-user optimizer exclusion
+  std::vector<double> ap_rss_mw_;         ///< flat [ap * n_users + u]
+  /// Serving-AP channels gathered from the per-AP stacks (only with
+  /// several APs; one AP's stack is its own serving view).
+  std::vector<linalg::CVector> eff_decision_;
+  std::vector<linalg::CVector> eff_truth_;
+  std::vector<linalg::CVector> sanitized_;  ///< zeroed corrupt CSI
+  std::vector<linalg::CVector> estimated_;  ///< SLS + phase-retrieval CSI
+  /// No-Update firmware sector per group, and its members' CSI gathered
+  /// for the search (only ever grown, so the copies reuse their buffers).
+  std::vector<beamforming::GroupBeam> firmware_beams_;
+  std::vector<linalg::CVector> member_csi_;
   std::vector<emu::GroupTx> groups_tx_;   ///< per-group air parameters
   /// Recycling pools for the two group-count-sized vectors whose elements
   /// own buffers (GroupSpec members/beam, GroupTx members/member_loss).
@@ -331,47 +411,20 @@ class MulticastSession {
   /// back, so the swing is heap-free once both shapes have been seen.
   std::vector<sched::GroupSpec> group_pool_;
   std::vector<emu::GroupTx> tx_pool_;
+  std::vector<sched::UnitAssignment> shed_plan_;  ///< kept assignments
+  emu::FrameFaultState efs_;              ///< engine fault state
+  std::vector<emu::RelayLink> relays_;    ///< this frame's relay plan
   emu::FrameTxResult tx_result_;          ///< engine result rows
-  std::vector<std::uint8_t> attempted_;   ///< quarantine bookkeeping
   video::ReconstructWorkspace recon_ws_;  ///< per-user reconstruction
   video::Plane recon_luma_;               ///< luma only: all SSIM/PSNR read
   Decision decision_;                     ///< adapt-mode decision storage
 
-  // --- Fault-recovery state (all deterministic, no rng) -----------------
+  // --- Cross-frame state (all deterministic, no rng) --------------------
   std::uint32_t next_frame_id_ = 0;
+  std::vector<UserState> users_;
   /// Last finite, non-stale beacon CSI: the fallback when a beacon is
   /// missed or corrupt.
   std::vector<linalg::CVector> held_csi_;
-  /// Consecutive frames each user's feedback has been missing.
-  std::vector<int> feedback_silent_streak_;
-  /// Consecutive attempted frames each user decoded nothing.
-  std::vector<int> lost_frame_streak_;
-  std::vector<std::uint8_t> quarantined_;
-
-  // --- Multi-AP attachment + relay state (deterministic, no rng) --------
-  enum class ApAttachState : std::uint8_t {
-    kAttached = 0,
-    kDegraded = 1,
-    kProbing = 2,
-    kHandingOff = 3,
-  };
-  static constexpr std::uint8_t kUnattached = 0xff;
-  static constexpr std::uint32_t kNeverHandedOff =
-      static_cast<std::uint32_t>(-1);
-  std::vector<std::uint8_t> serving_ap_;      ///< kUnattached before frame 0
-  std::vector<ApAttachState> attach_state_;
-  std::vector<int> weak_streak_;              ///< consecutive weak frames
-  std::vector<std::uint8_t> probe_target_;    ///< alternate under probe
-  std::vector<int> probe_countdown_;
-  std::vector<std::uint32_t> dwell_until_;    ///< no probes before this frame
-  std::vector<int> handoff_streak_;           ///< back-to-back handoffs
-  std::vector<std::uint32_t> last_handoff_frame_;
-  /// Serving-AP channels gathered per frame from the per-AP stacks (only
-  /// with several APs; one AP's stack is its own serving view).
-  std::vector<linalg::CVector> eff_decision_;
-  std::vector<linalg::CVector> eff_truth_;
-  std::vector<double> ap_rss_mw_;             ///< flat [ap * n_users + u]
-  std::vector<emu::RelayLink> relays_;        ///< this frame's relay plan
 };
 
 }  // namespace w4k::core

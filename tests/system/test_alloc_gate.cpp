@@ -4,8 +4,8 @@
 // counted (all threads, including ThreadPool workers). These tests pin the
 // contract: after a 3-frame warmup has sized every workspace,
 // MulticastSession::step_into performs ZERO heap allocations per frame —
-// on the pinned static 4-user placement and on a mobility trace whose
-// channels churn every beacon. In a normal build the counters
+// on the pinned static 4-user placement, on a mobility trace whose
+// channels churn every beacon, and through the fault paths. In a normal build the counters
 // are inert, so the gate skips instead of reporting a vacuous pass.
 #include "common/alloc_count.h"
 
@@ -195,6 +195,71 @@ TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
   if (linalg::subset_lane_width(gf256::active_tier()) > 1)
     EXPECT_GT(measured_lanes, 0u)
         << "no measured beacon ran on the subset lanes; gate is vacuous";
+}
+
+// Fault-path scenario: one AP, four users, and a hand-built plan in which
+// a lost feedback report, a user leaving and rejoining, and a budget
+// collapse each fire once inside the warmup window and once more inside
+// the measured window. The engine fault state (feedback-lost mask, blind
+// makeup fractions) and the shed plan are sized on the first occurrence,
+// so the second must be heap-free. Telemetry is on (aggregation only) so
+// the session's silent-user counter can show that the measured loss was
+// really seen.
+TEST_F(AllocGateTest, FaultPathZeroAllocsPerFrameAfterWarmup) {
+  if (!alloc_count::counting_available())
+    GTEST_SKIP() << "W4K_COUNT_ALLOCS is off in this build";
+
+  constexpr std::size_t kUsers = 4;
+  constexpr int kFrames = 18;
+  constexpr int kFaultWarmup = 8;
+  constexpr std::uint32_t kLossFrames[] = {2, 10};
+  constexpr std::uint32_t kCollapseFrames[] = {3, 11};
+  constexpr std::uint32_t kLeaveFrames[] = {5, 13};
+
+  Rng rng(5);
+  channel::PropagationConfig prop;
+  const auto channels =
+      channels_for(prop, place_users_fixed(kUsers, 3.0, 1.047, rng));
+  fault::FaultPlan plan;
+  for (std::uint32_t f : kLossFrames) plan.feedback.push_back({f, 1, -1});
+  for (std::uint32_t f : kCollapseFrames) plan.budget.push_back({f, 1, 0.2});
+  for (std::uint32_t f : kLeaveFrames) {
+    plan.churn.push_back({f, 2, /*join=*/false});
+    plan.churn.push_back({f + 1, 2, /*join=*/true});
+  }
+  const fault::FaultInjector injector(plan, kUsers);
+
+  obs::set_enabled(true);
+  obs::Counter& silent = obs::MetricsRegistry::global().counter(
+      "session.feedback_silent_users");
+  MulticastSession session(SessionConfig::scaled(kW, kH), *quality_,
+                           beamforming::Codebook{});
+  FrameOutcome outcome;
+  fault::FrameFaults faults;
+  std::uint64_t measured_silent = 0;
+  std::size_t measured_shed = 0;
+  std::size_t measured_absent = 0;
+  for (int f = 0; f < kFrames; ++f) {
+    const FrameContext& ctx =
+        (*contexts_)[static_cast<std::size_t>(f) % contexts_->size()];
+    const auto frame_id = static_cast<std::uint32_t>(f);
+    const std::uint64_t silent_before = silent.value();
+    const alloc_count::Scope scope;
+    injector.at_into(frame_id, faults);
+    session.step_into(channels, channels, ctx, faults, outcome);
+    if (f < kFaultWarmup) continue;
+    EXPECT_EQ(scope.taken(), 0u)
+        << "frame " << f << " of the fault-path scenario hit the heap";
+    if (frame_id == kLossFrames[1])
+      measured_silent += silent.value() - silent_before;
+    measured_shed += outcome.shed_symbols;
+    if (!outcome.user_present.empty() && !outcome.user_present[2])
+      ++measured_absent;
+  }
+  obs::set_enabled(false);
+  EXPECT_GT(measured_silent, 0u) << "no measured feedback loss; gate is vacuous";
+  EXPECT_GT(measured_shed, 0u) << "no measured shedding; gate is vacuous";
+  EXPECT_GT(measured_absent, 0u) << "no measured churn; gate is vacuous";
 }
 
 // Multi-AP + relay scenario: 2-AP stacks through step_into, with a

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -300,6 +301,69 @@ TEST_F(MultiApTest, HandoffDisabledNeverMoves) {
               std::vector<std::uint8_t>(kUsers, 0))
         << "frame " << f;
   }
+}
+
+TEST_F(MultiApTest, JoinMidOutageKeepsSurvivorsAttachments) {
+  // A user joining mid-run resizes the per-user state. The survivors'
+  // attachment (serving AP, ladder state, probe, dwell, last handoff) must
+  // carry over untouched, and the joiner must start unattached, so it
+  // picks the live AP instead of inheriting a default AP or state. Every
+  // later frame's survivor APs and handoff count therefore match a twin
+  // session that never saw the join.
+  const Room room = two_ap_room(kUsers + 1);
+  std::vector<std::vector<linalg::CVector>> survivors = room.stacks;
+  for (auto& stack : survivors) stack.pop_back();
+  core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
+  cfg.seed = 7;
+  cfg.handoff.n_aps = 2;
+  cfg.handoff.enabled = true;
+  cfg.handoff.min_dwell_frames = 4;
+  core::MulticastSession joined(cfg, *quality_, beamforming::Codebook{});
+  core::MulticastSession twin(cfg, *quality_, beamforming::Codebook{});
+
+  fault::FaultPlan plan;
+  fault::ApOutage outage;
+  outage.start_frame = 3;
+  outage.n_frames = 10;
+  outage.ap = 0;
+  outage.total = true;
+  plan.ap_outage.push_back(outage);
+  const fault::FaultInjector injector(plan, kUsers + 1, 2);
+  // Mid-ladder: the survivors are degraded or probing, not yet handed off.
+  constexpr int kJoinFrame = 6;
+
+  const fault::FrameFaults no_faults;
+  core::FrameOutcome got;
+  core::FrameOutcome want;
+  std::size_t handoffs = 0;
+  for (int f = 0; f < kFrames; ++f) {
+    const auto frame = static_cast<std::uint32_t>(f);
+    const core::FrameContext& ctx =
+        (*contexts_)[static_cast<std::size_t>(f) % contexts_->size()];
+    auto twin_decision = survivors;
+    auto twin_truth = survivors;
+    injector.apply(frame, twin_decision, twin_truth, room.azimuths);
+    twin.step_into(twin_decision, twin_truth, ctx, no_faults, want);
+    auto decision = f < kJoinFrame ? survivors : room.stacks;
+    auto truth = decision;
+    injector.apply(frame, decision, truth, room.azimuths);
+    joined.step_into(decision, truth, ctx, no_faults, got);
+
+    handoffs += want.handoffs;
+    EXPECT_EQ(got.handoffs, want.handoffs) << "frame " << f;
+    ASSERT_EQ(want.user_ap.size(), kUsers) << "frame " << f;
+    ASSERT_EQ(got.user_ap.size(), f < kJoinFrame ? kUsers : kUsers + 1)
+        << "frame " << f;
+    EXPECT_TRUE(
+        std::equal(want.user_ap.begin(), want.user_ap.end(),
+                   got.user_ap.begin()))
+        << "frame " << f << ": a survivor's serving AP changed on the join";
+    if (f >= kJoinFrame) {
+      EXPECT_EQ(got.user_ap[kUsers], 1u)
+          << "frame " << f << ": the joiner is not on the live AP";
+    }
+  }
+  EXPECT_GT(handoffs, 0u) << "no survivor handed off; test is vacuous";
 }
 
 TEST_F(MultiApTest, SectorOutageOnlySilencesCoveredUsers) {
