@@ -134,9 +134,10 @@ void BM_ScheduleOptimizer(benchmark::State& state) {
   p.n_users = n_users;
   p.content = bench::hr_contexts()[0].content;
   auto& model = bench::quality_model();
+  sched::AllocScratch scratch;
   sched::Allocation out;
   for (auto _ : state) {
-    sched::optimize_allocation_into(p, model, out);
+    sched::optimize_allocation_into(p, model, scratch, out);
     benchmark::DoNotOptimize(out.objective);
   }
   state.counters["groups"] = static_cast<double>(groups.size());

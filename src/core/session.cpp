@@ -4,13 +4,11 @@
 #include "beamforming/sls.h"
 #include "channel/array.h"
 #include "channel/multi_ap.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "verify/invariants.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -111,23 +109,28 @@ MulticastSession::MulticastSession(const SessionConfig& cfg,
       codebook_(std::move(codebook)),
       engine_(cfg.engine),
       rng_(cfg.seed),
-      beam_cache_(cfg.scheme, cfg.seed) {
+      planner_({.scheme = cfg.scheme,
+                .beam_seed = cfg.seed,
+                .group_enum = cfg.group_enum,
+                .optimized = cfg.optimized_schedule,
+                .rate_scale = cfg.rate_scale,
+                .time_budget =
+                    cfg.engine.frame_budget * (1.0 - cfg.makeup_margin),
+                .lambda = cfg.lambda,
+                .symbol_size = cfg.engine.symbol_size,
+                .deadline_ms = cfg.decide_deadline_ms}) {
   cfg_.validate(codebook_.size());
 }
 
 void MulticastSession::reset() {
   frozen_.reset();
   last_measured_.clear();
-  beam_cache_.clear();
-  prev_alloc_.clear();
-  prev_total_time_ = 0.0;
-  prev_n_users_ = 0;
+  planner_.clear();
   engine_.clear_backlog();
   rng_.reseed(cfg_.seed);
   next_frame_id_ = 0;
   held_csi_.clear();
   users_.clear();
-  group_pool_.clear();
   tx_pool_.clear();
 }
 
@@ -139,37 +142,10 @@ void MulticastSession::ensure_user_state(std::size_t n_users) {
   // caches whose meaning depends on the user count are dropped.
   users_.resize(n_users);
   held_csi_.clear();
-  prev_alloc_.clear();
-  prev_total_time_ = 0.0;
-  prev_n_users_ = 0;
+  planner_.forget_plan();
 }
 
 namespace {
-
-/// Resize a vector of buffer-owning elements without churning the heap:
-/// shrinking moves the victims into `pool` (their buffers survive),
-/// growing pulls them back, so a group-count swing costs nothing once
-/// both shapes have been seen. Plain resize would destroy + re-allocate.
-template <class T>
-void resize_recycled(std::vector<T>& v, std::size_t n, std::vector<T>& pool) {
-  while (v.size() > n) {
-    pool.push_back(std::move(v.back()));
-    v.pop_back();
-  }
-  while (v.size() < n) {
-    if (pool.empty()) {
-      v.emplace_back();
-    } else {
-      v.push_back(std::move(pool.back()));
-      pool.pop_back();
-    }
-  }
-  // Pay for the worst future shrink (parking every element) now, at
-  // growth time: growth to a new high-water allocates anyway, so a later
-  // shrink-to-zero stays heap-free.
-  if (pool.capacity() < v.size() + pool.size())
-    pool.reserve(v.size() + pool.size());
-}
 
 /// Field-by-field reset (not `out = {}`) so a reused outcome's vectors keep
 /// their capacity.
@@ -202,163 +178,13 @@ bool all_finite(const std::vector<linalg::CVector>& channels) {
 void MulticastSession::decide_into(
     const std::vector<linalg::CVector>& channels, const FrameContext& ctx,
     const std::vector<std::uint8_t>& exclude, Decision& d) {
-  // Anytime budget: beamforming may defer optional merge candidates past
-  // ~45% of the budget, the allocator returns best-so-far past ~90%, and
-  // the remaining slack absorbs unit mapping. A zero deadline arms
-  // nothing — decide_into() then never reads the clock, which is what keeps
-  // its output a pure function of the inputs.
-  sched::OptimizerConfig opt_cfg = cfg_.optimizer;
-  std::optional<std::chrono::steady_clock::time_point> beam_deadline;
-  if (cfg_.decide_deadline_ms > 0.0) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto budget = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double, std::milli>(cfg_.decide_deadline_ms));
-    beam_deadline = t0 + budget * 45 / 100;
-    opt_cfg.deadline = t0 + budget * 90 / 100;
-  }
-  {
-    // Group beamforming. Every subset's beam derives its RNG from
-    // (cfg_.seed, member bitmask), so the result is a pure function of the
-    // CSI and config — the cache below and the ThreadPool-parallel miss
-    // computation are bit-identical to a serial, uncached enumeration
-    // (sched::enumerate_groups, the property suites' reference).
-    static obs::Stage& st = obs::stage("session.beamform");
-    obs::StageSpan span(st);
-    // enum_cfg_ is a member so the exclude vector's capacity survives
-    // across frames; copy-assign never shrinks, so this is allocation-free
-    // once warm.
-    enum_cfg_ = cfg_.group_enum;
-    enum_cfg_.exclude.assign(exclude.begin(), exclude.end());
-    // Each user's serving AP partitions the groups so none spans APs. With
-    // one AP every id is 0 and the filter admits every subset; a session
-    // that has never stepped has no attachments and no partition.
-    enum_cfg_.partition.clear();
-    for (const UserState& s : users_)
-      enum_cfg_.partition.push_back(s.serving_ap);
-    enum_cfg_.deadline = beam_deadline;
-    ThreadPool* pool = &ThreadPool::shared();
-    const std::span<const sched::GroupSpec> emitted =
-        beam_cache_.enumerate_into(channels, codebook_, enum_cfg_, pool,
-                                   sched_ws_);
-    // Copy out of the workspace pool through the recycling resize:
-    // copy-assignment over reused GroupSpec elements keeps their member /
-    // beam buffers' capacity across frames, and shrunk elements survive
-    // in group_pool_ for the next reprobe-frame growth.
-    resize_recycled(d.groups, emitted.size(), group_pool_);
-    for (std::size_t g = 0; g < emitted.size(); ++g) d.groups[g] = emitted[g];
-    // Scale Table 2 rates to the frame resolution before any byte math.
-    for (auto& g : d.groups)
-      g.beam.rate = Mbps{g.beam.rate.value * cfg_.rate_scale};
-  }
-
-  if (verify::enabled()) {
-    const auto& partition = enum_cfg_.partition;
-    for (std::size_t g = 0; g < d.groups.size(); ++g) {
-      const auto& members = d.groups[g].members;
-      for (std::size_t u : members) {
-        // Quarantined/excluded users must never appear in a scheduled
-        // group — one stale cache entry would leak traffic to a silent user.
-        verify::check(u < exclude.size() && exclude[u] == 0,
-                      "session.excluded-user-scheduled", [&] {
-                        return "group " + std::to_string(g) +
-                               " contains excluded user " + std::to_string(u);
-                      });
-        // Groups must never span APs: one radio serves one beam, and a
-        // member attached elsewhere would hear nothing while dragging the
-        // group MCS.
-        verify::check(partition.empty() ||
-                          (u < partition.size() &&
-                           partition[u] == partition[members.front()]),
-                      "session.group-spans-aps", [&] {
-                        return "group " + std::to_string(g) + " mixes AP " +
-                               std::to_string(partition[members.front()]) +
-                               " and AP " + std::to_string(partition[u]) +
-                               " (user " + std::to_string(u) + ")";
-                      });
-      }
-    }
-  }
-
-  if (d.groups.empty()) {
-    // Deep outage: nothing schedulable. A reused decision must not leak
-    // the previous frame's plan (a fresh Decision is all-empty here).
-    d.allocation.reset(0, 0);
-    d.unit_map.assignments.clear();
-    // Row-wise clear: emptying each row (rather than dropping the outer
-    // vectors) keeps the row buffers, so the first schedulable frame after
-    // an outage re-fills them without touching the heap.
-    for (auto& row : d.unit_map.user_symbols) row.clear();
-    for (auto& row : d.unit_map.user_decodes) row.clear();
-    d.unit_map.leftover_symbols = 0;
-    return;
-  }
-
-  sched::AllocProblem problem;
-  problem.groups = d.groups;
-  problem.n_users = channels.size();
-  problem.content = ctx.content;
-  problem.time_budget =
-      cfg_.engine.frame_budget * (1.0 - cfg_.makeup_margin);
-  problem.lambda = cfg_.lambda;
-
-  // Remap the previous frame's allocation onto the surviving groups (by
-  // member bitmask) to warm-start the optimizer. Only offered when at least
-  // half of the previous airtime maps onto a still-existing group — past
-  // that the landscape has shifted enough that the cold multi-start is the
-  // better bet.
-  const auto group_mask = [](const sched::GroupSpec& g) {
-    sched::GroupMask mask = 0;
-    for (std::size_t u : g.members) mask |= sched::GroupMask{1} << u;
-    return mask;
-  };
-  const std::vector<double>* warm = nullptr;
-  if (cfg_.optimized_schedule && prev_total_time_ > 0.0 &&
-      prev_n_users_ == channels.size()) {
-    warm_vec_.assign(d.groups.size() * video::kNumLayers, 0.0);
-    double covered = 0.0;
-    for (std::size_t g = 0; g < d.groups.size(); ++g) {
-      const sched::GroupMask mask = group_mask(d.groups[g]);
-      const auto it = std::lower_bound(
-          prev_alloc_.begin(), prev_alloc_.end(), mask,
-          [](const PrevAlloc& e, sched::GroupMask m) { return e.mask < m; });
-      if (it == prev_alloc_.end() || it->mask != mask) continue;
-      for (std::size_t j = 0; j < video::kNumLayers; ++j) {
-        warm_vec_[g * video::kNumLayers + j] = it->t[j];
-        covered += it->t[j];
-      }
-    }
-    if (covered >= 0.5 * prev_total_time_) warm = &warm_vec_;
-  }
-
-  {
-    static obs::Stage& st = obs::stage("session.allocate");
-    obs::StageSpan span(st);
-    if (cfg_.optimized_schedule)
-      sched::optimize_allocation_into(problem, quality_, d.allocation,
-                                      opt_cfg, warm);
-    else
-      sched::round_robin_allocation_into(problem, quality_, d.allocation);
-  }
-
-  // Remember this allocation for the next frame's warm start. Groups are
-  // emitted in ascending-mask order, so the rebuilt list stays sorted for
-  // the binary search above.
-  prev_alloc_.clear();
-  prev_total_time_ = 0.0;
-  prev_n_users_ = channels.size();
-  for (std::size_t g = 0; g < d.groups.size(); ++g) {
-    const sched::LayerArray& t = d.allocation.time(g);
-    prev_alloc_.push_back(PrevAlloc{group_mask(d.groups[g]), t});
-    for (double v : t) prev_total_time_ += v;
-  }
-  {
-    static obs::Stage& st = obs::stage("session.unitmap");
-    obs::StageSpan span(st);
-    sched::map_to_units_into(d.groups, d.allocation.bytes_rows(), ctx.units,
-                             channels.size(), cfg_.engine.symbol_size,
-                             d.unit_map);
-  }
+  // Each user's serving AP partitions the groups so none spans APs. With
+  // one AP every id is 0 and the filter admits every subset; a session
+  // that has never stepped has no attachments and no partition.
+  partition_.clear();
+  for (const UserState& s : users_) partition_.push_back(s.serving_ap);
+  planner_.decide_into(channels, ctx.content, ctx.units,
+                       {exclude, partition_}, codebook_, quality_, d);
 }
 
 void MulticastSession::step_into(

@@ -18,9 +18,7 @@
 #include "emu/engine.h"
 #include "fault/injector.h"
 #include "model/quality_model.h"
-#include "sched/beam_cache.h"
-#include "sched/groups.h"
-#include "sched/workspace.h"
+#include "sched/planner.h"
 
 #include <cstdint>
 #include <optional>
@@ -52,7 +50,6 @@ struct SessionConfig {
   double sls_noise_db = 0.5;
   emu::EngineConfig engine;
   sched::GroupEnumConfig group_enum;
-  sched::OptimizerConfig optimizer;
   /// Anytime wall-clock budget for decide_into(), in milliseconds. 0 (the
   /// default) disables the deadline entirely: decide_into() reads no clock
   /// and its output is a pure function of the inputs (the golden/purity
@@ -236,22 +233,15 @@ class MulticastSession {
   /// between independent runs).
   void reset();
 
-  struct Decision {
-    std::vector<sched::GroupSpec> groups;
-    sched::Allocation allocation;
-    sched::UnitMapResult unit_map;
-  };
+  using Decision = sched::Decision;
 
   /// Runs the per-frame decision pipeline (group beamforming -> Eq. 1 time
   /// allocation -> Eq. 4 unit mapping) without transmitting, writing into
-  /// a caller-owned Decision. Public so the scheduler-scaling bench can
-  /// time exactly this path; step_into() calls it internally. Groups are
-  /// partitioned by the users' serving APs from the last step (a session
-  /// that has never stepped has none, so nothing is partitioned). Mutates
-  /// the beam cache and warm-start state. A reused Decision copy-assigns the
-  /// emitted groups / allocation / unit map over the previous frame's
-  /// containers, so the whole decision pipeline reuses capacity in steady
-  /// state.
+  /// a caller-owned Decision (sched::Planner::decide_into). Public so the
+  /// scheduler-scaling bench can time exactly this path; step_into() calls
+  /// it internally. Groups are partitioned by the users' serving APs from
+  /// the last step (a session that has never stepped has none, so nothing
+  /// is partitioned). Mutates the planner's beam cache and previous plan.
   void decide_into(const std::vector<linalg::CVector>& channels,
                    const FrameContext& ctx,
                    const std::vector<std::uint8_t>& exclude, Decision& d);
@@ -365,32 +355,13 @@ class MulticastSession {
   Rng rng_;
   std::optional<Decision> frozen_;            ///< No-Update cache
   std::vector<Mbps> last_measured_;           ///< per-group rate feedback
-  /// Per-subset beam cache (see sched/beam_cache.h): beamforming depends
-  /// only on the member CSI (plus scheme/codebook/seed), so beams are
-  /// reused across frames for every subset whose members' channels are
-  /// unchanged, while the allocation still re-optimizes per frame content.
-  sched::BeamCache beam_cache_;
-  /// Previous frame's optimized time allocation keyed by member bitmask,
-  /// remapped onto the surviving groups to warm-start the optimizer.
-  /// Sorted ascending by mask (groups are emitted in ascending-mask
-  /// order), looked up by binary search; clear() + push_back reuses the
-  /// buffer across frames.
-  struct PrevAlloc {
-    sched::GroupMask mask = 0;
-    sched::LayerArray t{};
-  };
-  std::vector<PrevAlloc> prev_alloc_;
-  double prev_total_time_ = 0.0;
-  std::size_t prev_n_users_ = 0;
+  /// The decision's owner: beam cache, enumeration and solver scratch, and
+  /// the previous plan that warm-starts Eq. 1 (see sched/planner.h).
+  sched::Planner planner_;
 
   // --- Per-frame workspaces (capacity reused across frames) -------------
-  sched::SchedWorkspace sched_ws_;        ///< enumeration buffers
-  /// Per-frame copy of cfg_.group_enum with the frame's exclusions and
-  /// deadline stamped in; a member so its exclude vector's capacity is
-  /// reused instead of reallocated every frame.
-  sched::GroupEnumConfig enum_cfg_;
-  std::vector<double> warm_vec_;          ///< flattened warm-start vector
   std::vector<std::uint8_t> exclude_;     ///< per-user optimizer exclusion
+  std::vector<std::uint8_t> partition_;   ///< serving AP per user
   std::vector<double> ap_rss_mw_;         ///< flat [ap * n_users + u]
   /// Serving-AP channels gathered from the per-AP stacks (only with
   /// several APs; one AP's stack is its own serving view).
@@ -403,13 +374,8 @@ class MulticastSession {
   std::vector<beamforming::GroupBeam> firmware_beams_;
   std::vector<linalg::CVector> member_csi_;
   std::vector<emu::GroupTx> groups_tx_;   ///< per-group air parameters
-  /// Recycling pools for the two group-count-sized vectors whose elements
-  /// own buffers (GroupSpec members/beam, GroupTx members/member_loss).
-  /// A reprobe frame swings the group count up and down; plain resize
-  /// would free the shrunk elements' buffers and re-allocate them on the
-  /// next growth. Shrinking parks victims here instead; growth pulls them
-  /// back, so the swing is heap-free once both shapes have been seen.
-  std::vector<sched::GroupSpec> group_pool_;
+  /// Parked groups_tx_ elements (resize_recycled): a reprobe frame swings
+  /// the group count, and plain resize would free their buffers.
   std::vector<emu::GroupTx> tx_pool_;
   std::vector<sched::UnitAssignment> shed_plan_;  ///< kept assignments
   emu::FrameFaultState efs_;              ///< engine fault state

@@ -10,13 +10,11 @@
 #include <numeric>
 #include <stdexcept>
 
-// The optimizer runs on the session's decide_into() thread (never on the
-// ThreadPool), so its working sets live in thread_local never-shrinking
-// buffers: after a few warmup frames every evaluate/gradient/refine pass
-// reuses capacity and the whole optimization performs zero heap
-// allocations. Concurrent sessions on different threads each get their
-// own scratch. All thread_local state here is used directly in function
-// scope — none of it is referenced from ThreadPool lambdas.
+// Every working set of the solvers lives in the caller's AllocScratch
+// (never-shrinking buffers): after a few warmup frames every
+// evaluate/gradient/refine pass reuses capacity and the whole
+// optimization performs zero heap allocations. The solvers run on the
+// caller's thread, never on the ThreadPool.
 
 namespace w4k::sched {
 namespace {
@@ -144,9 +142,7 @@ double traffic(const Tables& tb, const std::vector<double>& t,
 /// and the objective sum_u Q_u - lambda * traffic.
 void evaluate_into(const AllocProblem& p, const Tables& tb,
                    model::QualityModel& q, const std::vector<double>& t,
-                   Eval& e) {
-  thread_local std::vector<std::size_t> support_tls;
-  std::vector<std::size_t>& support = support_tls;
+                   Eval& e, std::vector<std::size_t>& support) {
   support_into(t, support);
   e.user_bytes.resize(p.n_users);
   e.ssim.resize(p.n_users);
@@ -171,7 +167,8 @@ bool same_bits(double a, double b) {
 
 }  // namespace
 
-void project_to_simplex(std::vector<double>& t, double budget) {
+void project_to_simplex(std::vector<double>& t, double budget,
+                        std::vector<double>& sorted) {
   // A NaN-poisoned gradient step must not flow through the sort/accumulate
   // below (NaN breaks the strict-weak ordering and poisons the pivot
   // search): report per policy, then sanitize. NaN and -inf carry no
@@ -198,9 +195,7 @@ void project_to_simplex(std::vector<double>& t, double budget) {
   if (sum <= budget) return;
   // Euclidean projection onto {x >= 0, sum x = budget} (Held et al.):
   // find tau such that sum max(0, x - tau) = budget.
-  thread_local std::vector<double> sorted_tls;
-  std::vector<double>& sorted = sorted_tls;
-  sorted = t;
+  sorted = t;  // copy-assign: capacity reused
   std::sort(sorted.begin(), sorted.end(), std::greater<>());
   double cumulative = 0.0;
   double tau = 0.0;
@@ -218,18 +213,68 @@ void project_to_simplex(std::vector<double>& t, double budget) {
 
 namespace {
 
-/// Defined with round_robin_allocation_into below; also used as an
-/// optimizer starting point.
+struct RoundRobinScratch {
+  std::vector<std::size_t> order;
+  std::vector<LayerArray> delivered;
+};
+
+/// Round-robin time vector: 1 ms slots rotate over the groups (all of
+/// them, or an explicit subset); each slot goes to the lowest layer that
+/// group's members still miss.
 void round_robin_times_into(const AllocProblem& p, Seconds slot,
                             const std::vector<std::size_t>* subset,
-                            std::vector<double>& t);
+                            RoundRobinScratch& rr, std::vector<double>& t) {
+  t.assign(p.groups.size() * kLayers, 0.0);
+  std::vector<std::size_t>& order = rr.order;
+  std::vector<LayerArray>& delivered = rr.delivered;
+  if (subset != nullptr && !subset->empty()) {
+    order = *subset;  // copy-assign: capacity reused
+  } else {
+    order.resize(p.groups.size());
+    std::iota(order.begin(), order.end(), 0);
+  }
+  delivered.assign(p.n_users, LayerArray{});
+  // Remaining-budget accounting (rather than summing `used` upward): the
+  // final partial slot is exactly the residue, so the slots sum to the
+  // budget minus at most the 1e-12 termination threshold and can never
+  // overrun it — even for budgets that are not a multiple of `slot`.
+  Seconds remaining = p.time_budget;
+  std::size_t idx = 0;
+  while (remaining > 1e-12) {
+    const Seconds this_slot = std::min(slot, remaining);
+    const std::size_t g = order[idx];
+    const auto& group = p.groups[g];
+    const double rate_bytes_per_s = group.beam.rate.value * 1e6 / 8.0;
+    const double bytes = this_slot * rate_bytes_per_s;
 
-/// Greedy set cover: repeatedly the group covering the most uncovered
-/// users (ties by rate). Low-redundancy multicast-leaning start.
-void set_cover_groups_into(const AllocProblem& p,
-                           std::vector<std::size_t>& chosen) {
-  thread_local std::vector<bool> covered_tls;
-  std::vector<bool>& covered = covered_tls;
+    // Lowest layer some member of this group still misses.
+    int target = video::kNumLayers - 1;
+    for (int j = 0; j < video::kNumLayers; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      bool all_have = true;
+      for (std::size_t u : group.members)
+        all_have &= delivered[u][js] >= p.content.layer_bytes[js];
+      if (!all_have) {
+        target = j;
+        break;
+      }
+    }
+    const auto ts = static_cast<std::size_t>(target);
+    t[g * kLayers + ts] += this_slot;
+    for (std::size_t u : group.members) delivered[u][ts] += bytes;
+
+    remaining -= this_slot;
+    idx = (idx + 1) % order.size();
+  }
+}
+
+/// Greedy cover: repeatedly the group whose uncovered ("fresh") members
+/// score best — `better(fresh, rate, best_fresh, best_rate)` against the
+/// best so far, starting from (0, -1) — until no group adds a user.
+template <class Better>
+void cover_groups_into(const AllocProblem& p, Better better,
+                       std::vector<std::size_t>& chosen,
+                       std::vector<bool>& covered) {
   covered.assign(p.n_users, false);
   chosen.clear();
   std::size_t n_covered = 0;
@@ -240,15 +285,14 @@ void set_cover_groups_into(const AllocProblem& p,
     for (std::size_t g = 0; g < p.groups.size(); ++g) {
       std::size_t fresh = 0;
       for (std::size_t u : p.groups[g].members) fresh += covered[u] ? 0 : 1;
-      if (fresh > best_new ||
-          (fresh == best_new && fresh > 0 &&
-           p.groups[g].beam.rate.value > best_rate)) {
+      const double rate = p.groups[g].beam.rate.value;
+      if (better(fresh, rate, best_new, best_rate)) {
         best_g = g;
         best_new = fresh;
-        best_rate = p.groups[g].beam.rate.value;
+        best_rate = rate;
       }
     }
-    if (best_g == p.groups.size() || best_new == 0) break;  // uncoverable
+    if (best_g == p.groups.size()) break;  // uncoverable remainder
     chosen.push_back(best_g);
     for (std::size_t u : p.groups[best_g].members) {
       if (!covered[u]) {
@@ -281,43 +325,6 @@ void per_user_groups_into(const AllocProblem& p,
       }
     }
     if (best_g != p.groups.size()) chosen.push_back(best_g);
-  }
-  if (chosen.empty()) chosen.push_back(0);
-}
-
-/// Efficiency cover: repeatedly the group maximizing
-/// rate x newly-covered-members — airtime efficiency, the quantity that
-/// makes a shared beam worth it. Seeds genuine multicast pairs/triples the
-/// exchange steps cannot reach from a singleton optimum (crossing the
-/// valley where a shared group is loaded but not yet binding).
-void efficiency_cover_groups_into(const AllocProblem& p,
-                                  std::vector<std::size_t>& chosen) {
-  thread_local std::vector<bool> covered_tls;
-  std::vector<bool>& covered = covered_tls;
-  covered.assign(p.n_users, false);
-  chosen.clear();
-  std::size_t n_covered = 0;
-  while (n_covered < p.n_users) {
-    std::size_t best_g = p.groups.size();
-    double best_score = 0.0;
-    for (std::size_t g = 0; g < p.groups.size(); ++g) {
-      std::size_t fresh = 0;
-      for (std::size_t u : p.groups[g].members) fresh += covered[u] ? 0 : 1;
-      const double score =
-          p.groups[g].beam.rate.value * static_cast<double>(fresh);
-      if (score > best_score) {
-        best_g = g;
-        best_score = score;
-      }
-    }
-    if (best_g == p.groups.size()) break;  // uncoverable remainder
-    chosen.push_back(best_g);
-    for (std::size_t u : p.groups[best_g].members) {
-      if (!covered[u]) {
-        covered[u] = true;
-        ++n_covered;
-      }
-    }
   }
   if (chosen.empty()) chosen.push_back(0);
 }
@@ -440,8 +447,7 @@ void Refiner::run(const AllocProblem& p, const Tables& tb,
     // Anytime cutoff: r.eval always holds an evaluated feasible plan (the
     // init's evaluation before the first exchange), so breaking here at
     // any point returns best-so-far. No deadline means no clock reads.
-    if (cfg.deadline &&
-        std::chrono::steady_clock::now() >= *cfg.deadline)
+    if (p.deadline && std::chrono::steady_clock::now() >= *p.deadline)
       break;
     if (targets_stale) {
       pick_targets(allowed);
@@ -816,8 +822,44 @@ std::size_t repair_coverage(const AllocProblem& p, std::vector<double>& t) {
 
 }  // namespace
 
+/// One solver call's working sets, kept across calls so that every buffer
+/// reaches its steady-state capacity after a few frames.
+struct AllocScratch::Buffers {
+  Tables tables;
+  Refiner refiner;
+  std::vector<std::size_t> support;  ///< evaluate_into
+  std::vector<double> sorted;        ///< project_to_simplex
+  std::vector<bool> covered;         ///< the covering seeds
+  RoundRobinScratch rr;              ///< round_robin_times_into
+  // Warm path.
+  RefineResult warm;
+  std::vector<std::uint8_t> grouped, served;
+  /// The round-robin plan and its evaluation: the warm path's acceptance
+  /// floor, and round_robin_allocation_into's result.
+  std::vector<double> floor_t;
+  Eval floor;
+  // Cold multi-start.
+  std::vector<std::size_t> cover, efficient, dedicated;
+  std::array<std::vector<double>, 4> inits;
+  std::vector<double> best_t;
+  Eval best_eval;
+  RefineResult phase;
+  std::vector<bool> allowed;
+};
+
+AllocScratch::AllocScratch() = default;
+AllocScratch::~AllocScratch() = default;
+AllocScratch::AllocScratch(AllocScratch&&) noexcept = default;
+AllocScratch& AllocScratch::operator=(AllocScratch&&) noexcept = default;
+
+AllocScratch::Buffers& AllocScratch::buffers() {
+  if (!buffers_) buffers_ = std::make_unique<Buffers>();
+  return *buffers_;
+}
+
 void optimize_allocation_into(const AllocProblem& p,
-                              model::QualityModel& quality, Allocation& out,
+                              model::QualityModel& quality,
+                              AllocScratch& scratch, Allocation& out,
                               const OptimizerConfig& cfg,
                               const std::vector<double>* warm_start) {
   if (p.groups.empty())
@@ -828,34 +870,18 @@ void optimize_allocation_into(const AllocProblem& p,
   static obs::Stage& st = obs::stage("sched.optimize");
   obs::StageSpan span(st);
 
-  thread_local Tables tables_tls;
-  thread_local Refiner refiner_tls;
-  Tables& tb = tables_tls;
-  Refiner& refiner = refiner_tls;
+  AllocScratch::Buffers& b = scratch.buffers();
+  Tables& tb = b.tables;
+  Refiner& refiner = b.refiner;
   build_tables(p, tb);
-
-  const auto finish = [&](const Allocation& result) {
-    if (obs::enabled()) {
-      auto& reg = obs::MetricsRegistry::global();
-      static obs::Counter& c_calls = reg.counter("sched.optimize_calls");
-      static obs::Counter& c_groups = reg.counter("sched.groups_evaluated");
-      static obs::Counter& c_iters = reg.counter("sched.iterations");
-      static obs::Gauge& g_obj = reg.gauge("sched.objective");
-      c_calls.add(1);
-      c_groups.add(p.groups.size());
-      c_iters.add(static_cast<std::uint64_t>(std::max(0, result.iterations)));
-      g_obj.set(result.objective);
-    }
-    check_allocation(p, result, "optimize_allocation");
-  };
 
   // Deadline runs get the coverage safety net before results leave; the
   // no-deadline path bypasses it entirely (bit-stable output).
   const auto finalize = [&](std::vector<double>& t, Eval& e, int iters) {
-    if (cfg.deadline) {
+    if (p.deadline) {
       const std::size_t repaired = repair_coverage(p, t);
       if (repaired > 0) {
-        evaluate_into(p, tb, quality, t, e);
+        evaluate_into(p, tb, quality, t, e, b.support);
         if (obs::enabled()) {
           static obs::Counter& c_repaired =
               obs::MetricsRegistry::global().counter(
@@ -865,7 +891,18 @@ void optimize_allocation_into(const AllocProblem& p,
       }
     }
     fill_allocation(p, tb, t, e, iters, out);
-    finish(out);
+    if (obs::enabled()) {
+      auto& reg = obs::MetricsRegistry::global();
+      static obs::Counter& c_calls = reg.counter("sched.optimize_calls");
+      static obs::Counter& c_groups = reg.counter("sched.groups_evaluated");
+      static obs::Counter& c_iters = reg.counter("sched.iterations");
+      static obs::Gauge& g_obj = reg.gauge("sched.objective");
+      c_calls.add(1);
+      c_groups.add(p.groups.size());
+      c_iters.add(static_cast<std::uint64_t>(std::max(0, out.iterations)));
+      g_obj.set(out.objective);
+    }
+    check_allocation(p, out, "optimize_allocation");
   };
 
   // --- Warm path: refine the previous frame's allocation directly. ------
@@ -881,13 +918,12 @@ void optimize_allocation_into(const AllocProblem& p,
   // changed too much, and the multi-start below runs as the fallback.
   const std::size_t dims = p.groups.size() * kLayers;
   if (warm_start != nullptr && warm_start->size() == dims) {
-    thread_local RefineResult warm_tls;
-    RefineResult& warm = warm_tls;
+    RefineResult& warm = b.warm;
     warm.t = *warm_start;  // copy-assign: capacity reused
     bool finite = true;
     for (double x : warm.t) finite &= std::isfinite(x);
     if (finite) {
-      project_to_simplex(warm.t, p.time_budget);
+      project_to_simplex(warm.t, p.time_budget, b.sorted);
       // A warm start that leaves some group-served user at exactly zero
       // airtime is not a safe fast path: the quality model's gradient is
       // nearly flat at zero delivered bytes, so a lone refine can fail to
@@ -895,9 +931,8 @@ void optimize_allocation_into(const AllocProblem& p,
       // re-entering after quarantine/blockage produces (their groups were
       // absent from the previous frame, so the remap left them at zero).
       // The multi-start's per-user and covering seeds exist for that case.
-      thread_local std::vector<std::uint8_t> grouped_tls, served_tls;
-      std::vector<std::uint8_t>& grouped = grouped_tls;
-      std::vector<std::uint8_t>& served = served_tls;
+      std::vector<std::uint8_t>& grouped = b.grouped;
+      std::vector<std::uint8_t>& served = b.served;
       grouped.assign(p.n_users, 0);
       served.assign(p.n_users, 0);
       for (std::size_t g = 0; g < p.groups.size(); ++g) {
@@ -920,13 +955,9 @@ void optimize_allocation_into(const AllocProblem& p,
       if (serves_all &&
           std::accumulate(warm.t.begin(), warm.t.end(), 0.0) > 0.0) {
         refiner.run(p, tb, quality, cfg, warm, nullptr);
-        thread_local std::vector<double> floor_t_tls;
-        thread_local Eval floor_tls;
-        std::vector<double>& floor_t = floor_t_tls;
-        Eval& floor = floor_tls;
-        round_robin_times_into(p, 1e-3, nullptr, floor_t);
-        evaluate_into(p, tb, quality, floor_t, floor);
-        const bool accept = warm.eval.objective >= floor.objective;
+        round_robin_times_into(p, 1e-3, nullptr, b.rr, b.floor_t);
+        evaluate_into(p, tb, quality, b.floor_t, b.floor, b.support);
+        const bool accept = warm.eval.objective >= b.floor.objective;
         if (obs::enabled()) {
           auto& reg = obs::MetricsRegistry::global();
           static obs::Counter& c_hit = reg.counter("sched.warm_start.hits");
@@ -961,36 +992,43 @@ void optimize_allocation_into(const AllocProblem& p,
   // result makes the optimizer dominate the round-robin baseline by
   // construction and prevents a greedy path from wandering off a strong
   // simple solution toward a weak overlapping one.
-  thread_local std::vector<std::size_t> cover_tls, efficient_tls,
-      dedicated_tls;
-  std::vector<std::size_t>& cover = cover_tls;
-  std::vector<std::size_t>& efficient = efficient_tls;
-  std::vector<std::size_t>& dedicated = dedicated_tls;
-  set_cover_groups_into(p, cover);
-  efficiency_cover_groups_into(p, efficient);
-  per_user_groups_into(p, dedicated);
-  thread_local std::array<std::vector<double>, 4> inits_tls;
-  std::array<std::vector<double>, 4>& inits = inits_tls;
-  round_robin_times_into(p, 1e-3, &cover, inits[0]);
-  round_robin_times_into(p, 1e-3, &efficient, inits[1]);
-  round_robin_times_into(p, 1e-3, &dedicated, inits[2]);
-  round_robin_times_into(p, 1e-3, nullptr, inits[3]);
+  // Set cover: the most uncovered users, ties by rate — a low-redundancy
+  // multicast-leaning start.
+  cover_groups_into(
+      p,
+      [](std::size_t f, double r, std::size_t bf, double br) {
+        return f > bf || (f == bf && f > 0 && r > br);
+      },
+      b.cover, b.covered);
+  // Efficiency cover: the most rate x newly-covered members — airtime
+  // efficiency, what makes a shared beam worth it. Seeds multicast
+  // pairs/triples the exchange steps cannot reach from a singleton
+  // optimum (crossing the valley where a shared group is loaded but not
+  // yet binding).
+  cover_groups_into(
+      p,
+      [](std::size_t f, double r, std::size_t bf, double br) {
+        return r * static_cast<double>(f) > br * static_cast<double>(bf);
+      },
+      b.efficient, b.covered);
+  per_user_groups_into(p, b.dedicated);
+  std::array<std::vector<double>, 4>& inits = b.inits;
+  round_robin_times_into(p, 1e-3, &b.cover, b.rr, inits[0]);
+  round_robin_times_into(p, 1e-3, &b.efficient, b.rr, inits[1]);
+  round_robin_times_into(p, 1e-3, &b.dedicated, b.rr, inits[2]);
+  round_robin_times_into(p, 1e-3, nullptr, b.rr, inits[3]);
 
-  thread_local std::vector<double> best_t_tls;
-  thread_local Eval best_eval_tls;
-  thread_local RefineResult phase_tls;
-  thread_local std::vector<bool> allowed_tls;
-  std::vector<double>& best_t = best_t_tls;
-  Eval& best_eval = best_eval_tls;
-  RefineResult& phase = phase_tls;
-  std::vector<bool>& allowed = allowed_tls;
+  std::vector<double>& best_t = b.best_t;
+  Eval& best_eval = b.best_eval;
+  RefineResult& phase = b.phase;
+  std::vector<bool>& allowed = b.allowed;
   int total_iters = 0;
   bool have_result = false;
   for (std::size_t s = 0; s < inits.size(); ++s) {
     // The first start always completes (it is what guarantees a feasible,
     // evaluated plan exists); the deadline only skips the later ones.
-    if (s > 0 && cfg.deadline &&
-        std::chrono::steady_clock::now() >= *cfg.deadline)
+    if (s > 0 && p.deadline &&
+        std::chrono::steady_clock::now() >= *p.deadline)
       break;
     support_mask_into(p, inits[s], allowed);
     phase.t = inits[s];  // copy-assign: capacity reused
@@ -1014,80 +1052,20 @@ void optimize_allocation_into(const AllocProblem& p,
   finalize(best_t, best_eval, total_iters);
 }
 
-namespace {
-
-/// Round-robin time vector: 1 ms slots rotate over the groups (all of
-/// them, or an explicit subset); each slot goes to the lowest layer that
-/// group's members still miss.
-void round_robin_times_into(const AllocProblem& p, Seconds slot,
-                            const std::vector<std::size_t>* subset,
-                            std::vector<double>& t) {
-  t.assign(p.groups.size() * kLayers, 0.0);
-  thread_local std::vector<std::size_t> order_tls;
-  thread_local std::vector<LayerArray> delivered_tls;
-  std::vector<std::size_t>& order = order_tls;
-  std::vector<LayerArray>& delivered = delivered_tls;
-  if (subset != nullptr && !subset->empty()) {
-    order = *subset;  // copy-assign: capacity reused
-  } else {
-    order.resize(p.groups.size());
-    std::iota(order.begin(), order.end(), 0);
-  }
-  delivered.assign(p.n_users, LayerArray{});
-  // Remaining-budget accounting (rather than summing `used` upward): the
-  // final partial slot is exactly the residue, so the slots sum to the
-  // budget minus at most the 1e-12 termination threshold and can never
-  // overrun it — even for budgets that are not a multiple of `slot`.
-  Seconds remaining = p.time_budget;
-  std::size_t idx = 0;
-  while (remaining > 1e-12) {
-    const Seconds this_slot = std::min(slot, remaining);
-    const std::size_t g = order[idx];
-    const auto& group = p.groups[g];
-    const double rate_bytes_per_s = group.beam.rate.value * 1e6 / 8.0;
-    const double bytes = this_slot * rate_bytes_per_s;
-
-    // Lowest layer some member of this group still misses.
-    int target = video::kNumLayers - 1;
-    for (int j = 0; j < video::kNumLayers; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      bool all_have = true;
-      for (std::size_t u : group.members)
-        all_have &= delivered[u][js] >= p.content.layer_bytes[js];
-      if (!all_have) {
-        target = j;
-        break;
-      }
-    }
-    const auto ts = static_cast<std::size_t>(target);
-    t[g * kLayers + ts] += this_slot;
-    for (std::size_t u : group.members) delivered[u][ts] += bytes;
-
-    remaining -= this_slot;
-    idx = (idx + 1) % order.size();
-  }
-}
-
-}  // namespace
-
 void round_robin_allocation_into(const AllocProblem& p,
                                  model::QualityModel& quality,
-                                 Allocation& out, Seconds slot) {
+                                 AllocScratch& scratch, Allocation& out,
+                                 Seconds slot) {
   if (p.groups.empty())
     throw std::invalid_argument("round_robin_allocation: no usable groups");
   if (!(slot > 0.0) || !std::isfinite(slot))
     throw std::invalid_argument("round_robin_allocation: slot must be a "
                                 "positive finite duration");
-  thread_local Tables tb_tls;
-  thread_local std::vector<double> t_tls;
-  thread_local Eval e_tls;
-  Tables& tb = tb_tls;
-  std::vector<double>& t = t_tls;
-  Eval& e = e_tls;
-  build_tables(p, tb);
-  round_robin_times_into(p, slot, nullptr, t);
-  evaluate_into(p, tb, quality, t, e);
-  fill_allocation(p, tb, t, e, 0, out);
+  AllocScratch::Buffers& b = scratch.buffers();
+  build_tables(p, b.tables);
+  round_robin_times_into(p, slot, nullptr, b.rr, b.floor_t);
+  evaluate_into(p, b.tables, quality, b.floor_t, b.floor, b.support);
+  fill_allocation(p, b.tables, b.floor_t, b.floor, 0, out);
   check_allocation(p, out, "round_robin_allocation");
 }
 

@@ -14,8 +14,7 @@
 #include "video/layered.h"
 
 #include <array>
-#include <chrono>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -40,6 +39,10 @@ struct AllocProblem {
   FrameContent content;
   Seconds time_budget = kFrameBudget;
   double lambda = 1e-8;   ///< traffic penalty per byte (tie-break only)
+  /// Anytime cutoff of optimize_allocation_into: past it, refinement stops
+  /// and later cold starts are skipped; the best plan so far is returned,
+  /// coverage-repaired so every group-served user keeps positive airtime.
+  Deadline deadline;
 };
 
 /// The optimizer's output plan. The three per-(group|user) tables —
@@ -104,14 +107,23 @@ struct OptimizerConfig {
   int max_iterations = 300;
   double initial_step = 2e-3;  ///< seconds of reallocation per step
   double min_step = 1e-6;
-  std::uint64_t seed = 5;
-  /// Anytime cutoff. When set, refinement iterations stop once the clock
-  /// passes it and cold starts after the first are skipped — the result
-  /// is the best plan found so far, coverage-repaired so every
-  /// group-served user keeps positive airtime. When unset (the default)
-  /// the optimizer reads no clock at all, keeping the output a pure
-  /// function of the inputs (golden/purity determinism).
-  std::optional<std::chrono::steady_clock::time_point> deadline;
+};
+
+/// Working memory of optimize_allocation_into and
+/// round_robin_allocation_into: never-shrinking buffers, created on first
+/// use, that make a warm call allocation-free. One per frame loop.
+class AllocScratch {
+ public:
+  AllocScratch();
+  ~AllocScratch();
+  AllocScratch(AllocScratch&&) noexcept;
+  AllocScratch& operator=(AllocScratch&&) noexcept;
+
+  struct Buffers;  // sched/allocate.cpp
+  Buffers& buffers();
+
+ private:
+  std::unique_ptr<Buffers> buffers_;
 };
 
 /// Projected-gradient optimizer for Eq. 1, writing into a caller-owned
@@ -126,12 +138,12 @@ struct OptimizerConfig {
 /// without running the multi-start — the scheduler fast path that makes
 /// per-frame re-optimization real-time. Otherwise the warm result is
 /// discarded and the full cold multi-start runs from its own four seeds.
-/// Every path keeps its working state in thread-local scratch: zero heap
-/// allocations in steady state.
+/// Every path keeps its working state in `scratch`: zero heap allocations
+/// in steady state.
 /// Counters: sched.warm_start.{hits,fallbacks,iters_saved}.
 void optimize_allocation_into(
     const AllocProblem& problem, model::QualityModel& quality,
-    Allocation& out, const OptimizerConfig& cfg = {},
+    AllocScratch& scratch, Allocation& out, const OptimizerConfig& cfg = {},
     const std::vector<double>* warm_start = nullptr);
 
 /// Round-robin baseline: 1 ms slots rotate over all candidate groups; each
@@ -141,14 +153,17 @@ void optimize_allocation_into(
 /// 1e-12 s of it. Throws std::invalid_argument for slot <= 0 or non-finite.
 void round_robin_allocation_into(const AllocProblem& problem,
                                  model::QualityModel& quality,
-                                 Allocation& out, Seconds slot = 1e-3);
+                                 AllocScratch& scratch, Allocation& out,
+                                 Seconds slot = 1e-3);
 
 /// Euclidean projection of `t` onto {t >= 0, sum t <= budget}; exposed for
 /// tests. Operates in place. Non-finite entries are reported through the
 /// W4K_CHECK_INVARIANTS policy (throw by default) and sanitized so the
 /// projection cannot silently corrupt the allocation: NaN/-inf collapse to
 /// 0, +inf claims the whole budget. A budget <= 0 (or non-finite) zeroes
-/// the vector — the only feasible point.
-void project_to_simplex(std::vector<double>& t, double budget);
+/// the vector — the only feasible point. `sorted` is scratch (its capacity
+/// is reused).
+void project_to_simplex(std::vector<double>& t, double budget,
+                        std::vector<double>& sorted);
 
 }  // namespace w4k::sched

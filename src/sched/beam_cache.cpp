@@ -22,13 +22,6 @@ void BeamCache::clear() {
   channels_.clear();
 }
 
-std::size_t BeamCache::size() const {
-  std::size_t n = 0;
-  for (const Entry& e : entries_)
-    if (e.valid) ++n;
-  return n;
-}
-
 BeamCache::Entry* BeamCache::find(GroupMask mask) {
   const auto it = std::lower_bound(
       entries_.begin(), entries_.end(), mask,
@@ -37,12 +30,14 @@ BeamCache::Entry* BeamCache::find(GroupMask mask) {
   return &*it;
 }
 
-std::span<const GroupSpec> BeamCache::enumerate_into(
-    const std::vector<linalg::CVector>& channels,
-    const beamforming::Codebook& codebook, const GroupEnumConfig& cfg,
-    ThreadPool* pool, SchedWorkspace& ws) {
+void BeamCache::enumerate_into(const std::vector<linalg::CVector>& channels,
+                               const beamforming::Codebook& codebook,
+                               const GroupEnumConfig& cfg,
+                               const Membership& who, const Deadline& deadline,
+                               ThreadPool* pool, SchedWorkspace& ws,
+                               std::vector<GroupSpec>& out) {
   const std::size_t n = channels.size();
-  plan_candidates_into(scheme_, channels, cfg, ws);  // throws n == 0 / n > 64
+  plan_candidates_into(scheme_, channels, cfg, who, ws);  // throws n 0 or >64
   const CandidatePlan& plan = ws.plan;
 
   // --- Dirty tracking --------------------------------------------------
@@ -50,7 +45,6 @@ std::span<const GroupSpec> BeamCache::enumerate_into(
     // Churn: member bitmasks now index a different user set, so every
     // cached beam is meaningless. (Not a steady-state event — the flat
     // storage is rebuilt from scratch.)
-    if (size() > 0) ++stats_.invalidations;
     entries_.clear();
   } else {
     GroupMask dirty = 0;
@@ -65,44 +59,41 @@ std::span<const GroupSpec> BeamCache::enumerate_into(
   // --- Compute the misses (deterministic, parallelizable) --------------
   // Walking the plan's priority order keeps all mandatory (singleton)
   // misses at the front, so the deadline only ever defers merge subsets.
-  ws.miss_masks.clear();
+  ws.ordered.clear();
   std::size_t miss_mandatory = 0;
   for (std::size_t j = 0; j < plan.priority.size(); ++j) {
     const GroupMask mask = plan.masks[plan.priority[j]];
     const Entry* e = find(mask);
     if (e != nullptr && e->valid) continue;
-    ws.miss_masks.push_back(mask);
+    ws.ordered.push_back(mask);
     if (j < plan.mandatory) ++miss_mandatory;
   }
 
-  beamform_priority_into(scheme_, channels, ws.miss_masks, miss_mandatory,
-                         cfg.deadline, codebook, beam_seed_, pool, ws);
+  beamform_priority_into(scheme_, channels, ws.ordered, miss_mandatory,
+                         deadline, codebook, beam_seed_, pool, ws);
   std::size_t computed = 0;
-  for (std::size_t i = 0; i < ws.miss_masks.size(); ++i) {
+  for (std::size_t i = 0; i < ws.ordered.size(); ++i) {
     if (!ws.done[i]) continue;
-    Entry* e = find(ws.miss_masks[i]);
+    Entry* e = find(ws.ordered[i]);
     if (e == nullptr) {
       // First sighting of this mask: grow the sorted store (warmup /
       // plan-change only). The moves behind insert never allocate.
       const auto it = std::lower_bound(
-          entries_.begin(), entries_.end(), ws.miss_masks[i],
+          entries_.begin(), entries_.end(), ws.ordered[i],
           [](const Entry& x, GroupMask m) { return x.mask < m; });
       e = &*entries_.insert(it, Entry{});
-      e->mask = ws.miss_masks[i];
+      e->mask = ws.ordered[i];
     }
     e->beam = ws.beams[i];  // copy-assign: slot capacity reused
     e->valid = true;
     ++computed;
   }
 
-  const std::uint64_t hits = plan.masks.size() - ws.miss_masks.size();
-  stats_.hits += hits;
-  stats_.misses += computed;
   if (obs::enabled()) {
     auto& reg = obs::MetricsRegistry::global();
     static obs::Counter& c_hit = reg.counter("sched.beam_cache.hit");
     static obs::Counter& c_miss = reg.counter("sched.beam_cache.miss");
-    c_hit.add(hits);
+    c_hit.add(plan.masks.size() - ws.ordered.size());
     c_miss.add(computed);
   }
   note_anytime(plan, computed, ws.deferred);
@@ -110,21 +101,12 @@ std::span<const GroupSpec> BeamCache::enumerate_into(
   // --- Emit in ascending mask order with the rate filters --------------
   // A subset deferred past the deadline is simply absent this frame; it
   // stays a cache miss and becomes a candidate again next frame.
-  ws.group_count = 0;
-  for (GroupMask mask : plan.masks) {
-    const Entry* e = find(mask);
-    if (e == nullptr || !e->valid) continue;
-    const beamforming::GroupBeam& beam = e->beam;
-    if (beam.rate.value <= 0.0) continue;  // cannot sustain any MCS
-    if (beam.rate < cfg.rate_threshold) continue;
-    if (ws.group_count == ws.groups.size()) ws.groups.emplace_back();
-    GroupSpec& g = ws.groups[ws.group_count++];  // pool slot: capacity reused
-    g.members.clear();
-    for (std::size_t u = 0; u < n; ++u)
-      if (mask & (GroupMask{1} << u)) g.members.push_back(u);
-    g.beam = beam;
+  ws.by_index.resize(plan.masks.size());
+  for (std::size_t i = 0; i < plan.masks.size(); ++i) {
+    const Entry* e = find(plan.masks[i]);
+    ws.by_index[i] = e != nullptr && e->valid ? &e->beam : nullptr;
   }
-  return ws.emitted();
+  emit_groups(cfg.rate_threshold, ws, out);
 }
 
 }  // namespace w4k::sched

@@ -13,7 +13,7 @@
 // computation, and cache misses can be beamformed in parallel on the
 // shared ThreadPool without changing a single bit of output.
 //
-// Filter knobs (rate_threshold / max_group_size / exclude) only gate which
+// Filter knobs (rate_threshold / max_group_size / Membership) only gate which
 // subsets are *requested* and which results are *emitted*; cached entries
 // outlive filter changes, so quarantining a user or tightening the
 // threshold never costs a recompute when the filter relaxes again.
@@ -28,46 +28,31 @@
 #include "sched/groups.h"
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace w4k::sched {
 
 class BeamCache {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;          ///< subsets served from cache
-    std::uint64_t misses = 0;        ///< subsets beamformed this lifetime
-    std::uint64_t invalidations = 0; ///< full clears (user-count change)
-  };
-
   BeamCache(beamforming::Scheme scheme, std::uint64_t beam_seed)
       : scheme_(scheme), beam_seed_(beam_seed) {}
 
-  /// Enumerates candidate groups exactly like the stateless
-  /// enumerate_groups(scheme, channels, codebook, beam_seed, cfg, pool, ws)
-  /// — bit-identical output, asserted by the property suite — but reuses
-  /// cached beams for every subset whose members' channels are unchanged
-  /// since the previous call. `pool` (optional) parallelizes the misses,
-  /// which are beamformed in the candidate plan's priority order so a
-  /// cfg.deadline defers only the least valuable (and already-uncached)
-  /// merge subsets. Also bumps the sched.beam_cache.hit/miss and
-  /// sched.anytime.* counters when telemetry is enabled.
-  ///
-  /// The returned span points into ws.groups and stays valid until the
-  /// next enumeration on the same workspace.
-  std::span<const GroupSpec> enumerate_into(
-      const std::vector<linalg::CVector>& channels,
-      const beamforming::Codebook& codebook, const GroupEnumConfig& cfg,
-      ThreadPool* pool, SchedWorkspace& ws);
+  /// Enumerates candidate groups into `out` exactly like the stateless
+  /// enumerate_groups(scheme, channels, codebook, beam_seed, cfg, pool, ws,
+  /// who, deadline) — bit-identical output, asserted by the property suite
+  /// — but reuses cached beams for every subset whose members' channels
+  /// are unchanged since the previous call. `pool` (optional) parallelizes
+  /// the misses, beamformed in the plan's priority order so a `deadline`
+  /// defers only the least valuable merge subsets. Bumps the
+  /// sched.beam_cache.hit/miss and sched.anytime.* counters.
+  void enumerate_into(const std::vector<linalg::CVector>& channels,
+                      const beamforming::Codebook& codebook,
+                      const GroupEnumConfig& cfg, const Membership& who,
+                      const Deadline& deadline, ThreadPool* pool,
+                      SchedWorkspace& ws, std::vector<GroupSpec>& out);
 
   /// Drops every cached beam and the remembered channels (session reset).
   void clear();
-
-  const Stats& stats() const { return stats_; }
-
-  /// Cached subsets currently held (diagnostics / tests).
-  std::size_t size() const;
 
  private:
   /// One cached subset. Invalidated entries keep their slot (and their
@@ -86,7 +71,6 @@ class BeamCache {
   std::uint64_t beam_seed_;
   std::vector<linalg::CVector> channels_;  ///< channels at last enumerate
   std::vector<Entry> entries_;             ///< sorted by mask
-  Stats stats_;
 };
 
 }  // namespace w4k::sched

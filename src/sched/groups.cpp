@@ -28,16 +28,16 @@ struct MaskFilter {
   std::uint8_t part_id[64] = {};
 
   MaskFilter(beamforming::Scheme scheme, std::size_t n,
-             const GroupEnumConfig& cfg)
+             const GroupEnumConfig& cfg, const Membership& who)
       : max_group_size(cfg.max_group_size),
         multicast(beamforming::allows_multicast(scheme)) {
-    for (std::size_t u = 0; u < cfg.exclude.size() && u < n; ++u)
-      if (cfg.exclude[u]) excluded_mask |= GroupMask{1} << u;
-    if (!cfg.partition.empty()) {
+    for (std::size_t u = 0; u < who.exclude.size() && u < n; ++u)
+      if (who.exclude[u]) excluded_mask |= GroupMask{1} << u;
+    if (!who.partition.empty()) {
       partitioned = true;
       for (std::size_t u = 0; u < n && u < 64; ++u) {
         const std::uint8_t p =
-            u < cfg.partition.size() ? cfg.partition[u] : 0;
+            u < who.partition.size() ? who.partition[u] : 0;
         if (p >= 16)
           throw std::invalid_argument(
               "enumerate_groups: partition id must be < 16");
@@ -64,6 +64,19 @@ struct MaskFilter {
 
 std::size_t popcount(GroupMask mask) {
   return static_cast<std::size_t>(__builtin_popcountll(mask));
+}
+
+bool is_singleton(const ScoredCandidate& c) { return popcount(c.mask) == 1; }
+
+/// Candidate priority: singletons first (the coverage floor the deadline
+/// must never cut), then merges by descending bound-rate x size (airtime
+/// efficiency), ties by ascending mask.
+bool ranks_before(const ScoredCandidate& a, const ScoredCandidate& b) {
+  if (is_singleton(a) != is_singleton(b)) return is_singleton(a);
+  const double va = a.ub * static_cast<double>(popcount(a.mask));
+  const double vb = b.ub * static_cast<double>(popcount(b.mask));
+  if (va != vb) return va > vb;
+  return a.mask < b.mask;
 }
 
 /// Bumps the sched.beamform.* counters for one subset-kernel batch (no-op
@@ -126,7 +139,8 @@ std::uint64_t subset_seed(std::uint64_t beam_seed, GroupMask mask) {
 
 void plan_candidates_into(beamforming::Scheme scheme,
                           const std::vector<linalg::CVector>& channels,
-                          const GroupEnumConfig& cfg, SchedWorkspace& ws) {
+                          const GroupEnumConfig& cfg, const Membership& who,
+                          SchedWorkspace& ws) {
   const std::size_t n = channels.size();
   if (n == 0) throw std::invalid_argument("enumerate_groups: no users");
   if (n > 64)
@@ -141,7 +155,7 @@ void plan_candidates_into(beamforming::Scheme scheme,
   plan.pruned = 0;
   plan.capped = 0;
 
-  const MaskFilter filter(scheme, n, cfg);
+  const MaskFilter filter(scheme, n, cfg, who);
   const std::size_t threshold =
       std::min<std::size_t>(cfg.hierarchical_threshold, 16);
   const bool hierarchical = n > threshold;
@@ -162,8 +176,8 @@ void plan_candidates_into(beamforming::Scheme scheme,
     // The cluster-tree generator still allocates internally; it runs only
     // past the hierarchical threshold, outside the small-N zero-alloc gate.
     ws.active.assign(n, 1);
-    for (std::size_t u = 0; u < cfg.exclude.size() && u < n; ++u)
-      if (cfg.exclude[u]) ws.active[u] = 0;
+    for (std::size_t u = 0; u < who.exclude.size() && u < n; ++u)
+      if (who.exclude[u]) ws.active[u] = 0;
     raw = cluster_candidates(channels, ws.active, cfg);
     std::erase_if(raw,
                   [&](GroupMask mask) { return !filter.admits(mask); });
@@ -191,25 +205,11 @@ void plan_candidates_into(beamforming::Scheme scheme,
   // bound-rate x size (airtime efficiency). The exhaustive path never
   // caps — its whole point is the complete lattice.
   if (hierarchical && survivors.size() > cfg.max_candidates) {
-    std::stable_sort(survivors.begin(), survivors.end(),
-                     [](const ScoredCandidate& a, const ScoredCandidate& b) {
-                       const bool sa = popcount(a.mask) == 1;
-                       const bool sb = popcount(b.mask) == 1;
-                       if (sa != sb) return sa;
-                       const double va =
-                           a.ub * static_cast<double>(popcount(a.mask));
-                       const double vb =
-                           b.ub * static_cast<double>(popcount(b.mask));
-                       if (va != vb) return va > vb;
-                       return a.mask < b.mask;
-                     });
-    const std::size_t keep =
-        std::max(cfg.max_candidates,
-                 static_cast<std::size_t>(std::count_if(
-                     survivors.begin(), survivors.end(),
-                     [](const ScoredCandidate& s) {
-                       return popcount(s.mask) == 1;
-                     })));
+    std::stable_sort(survivors.begin(), survivors.end(), ranks_before);
+    const std::size_t keep = std::max(
+        cfg.max_candidates,
+        static_cast<std::size_t>(std::count_if(
+            survivors.begin(), survivors.end(), is_singleton)));
     plan.capped = survivors.size() - keep;
     survivors.resize(keep);
   }
@@ -221,26 +221,15 @@ void plan_candidates_into(beamforming::Scheme scheme,
   plan.masks.reserve(survivors.size());
   for (const ScoredCandidate& s : survivors) plan.masks.push_back(s.mask);
 
-  // Beamforming priority: singletons first (the coverage floor the
-  // deadline must never cut), then merges by descending bound-rate x
-  // size, ties by ascending mask.
+  // Beamforming priority (ranks_before).
   plan.priority.resize(survivors.size());
   for (std::size_t i = 0; i < survivors.size(); ++i) plan.priority[i] = i;
   std::sort(plan.priority.begin(), plan.priority.end(),
             [&](std::size_t a, std::size_t b) {
-              const bool sa = popcount(survivors[a].mask) == 1;
-              const bool sb = popcount(survivors[b].mask) == 1;
-              if (sa != sb) return sa;
-              const double va = survivors[a].ub *
-                                static_cast<double>(popcount(survivors[a].mask));
-              const double vb = survivors[b].ub *
-                                static_cast<double>(popcount(survivors[b].mask));
-              if (va != vb) return va > vb;
-              return survivors[a].mask < survivors[b].mask;
+              return ranks_before(survivors[a], survivors[b]);
             });
-  plan.mandatory = static_cast<std::size_t>(std::count_if(
-      survivors.begin(), survivors.end(),
-      [](const ScoredCandidate& s) { return popcount(s.mask) == 1; }));
+  plan.mandatory = static_cast<std::size_t>(
+      std::count_if(survivors.begin(), survivors.end(), is_singleton));
 }
 
 beamforming::GroupBeam subset_beam(
@@ -289,10 +278,11 @@ void prepare_units(beamforming::Scheme scheme,
   linalg::row_gram_into({ws.unit.data(), n}, ws.user_gram);
 }
 
-/// beamform_subsets after prepare_units. Multi-member kOptimizedMulticast
-/// subsets become problems of the subset-lane kernel over the normalized
-/// rows; everything else (singletons, dead groups, the other schemes, a
-/// member of the wrong length) routes through group_beam_into unchanged.
+/// Beamforms `masks` into `out` after prepare_units. Multi-member
+/// kOptimizedMulticast subsets become problems of the subset-lane kernel
+/// over the normalized rows; everything else (singletons, dead groups, the
+/// other schemes, a member of the wrong length) routes through
+/// group_beam_into unchanged.
 void beamform_prepared(beamforming::Scheme scheme,
                        const std::vector<linalg::CVector>& user_channels,
                        std::span<const GroupMask> masks,
@@ -302,9 +292,6 @@ void beamform_prepared(beamforming::Scheme scheme,
                        std::span<beamforming::GroupBeam> out) {
   const std::size_t n = user_channels.size();
   const std::size_t cols = n > 0 ? user_channels[0].size() : 0;
-  if (out.size() < masks.size())
-    throw std::invalid_argument("beamform_subsets: output span too small");
-
   ws.subsets.clear();
   ws.first_subset.resize(masks.size() + 1);
   const bool lanes =
@@ -369,25 +356,12 @@ void beamform_prepared(beamforming::Scheme scheme,
 
 }  // namespace
 
-void beamform_subsets(beamforming::Scheme scheme,
-                      const std::vector<linalg::CVector>& user_channels,
-                      std::span<const GroupMask> masks,
-                      const beamforming::Codebook& codebook,
-                      std::uint64_t beam_seed, ThreadPool* pool,
-                      SchedWorkspace& ws,
-                      std::span<beamforming::GroupBeam> out) {
-  prepare_units(scheme, user_channels, masks, ws);
-  beamform_prepared(scheme, user_channels, masks, codebook, beam_seed, pool,
-                    ws, out);
-}
-
 void beamform_priority_into(
     beamforming::Scheme scheme,
     const std::vector<linalg::CVector>& user_channels,
     std::span<const GroupMask> masks, std::size_t mandatory,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    ThreadPool* pool, SchedWorkspace& ws) {
+    const Deadline& deadline, const beamforming::Codebook& codebook,
+    std::uint64_t beam_seed, ThreadPool* pool, SchedWorkspace& ws) {
   if (ws.beams.size() < masks.size())
     ws.beams.resize(masks.size());  // beam pool: never shrinks
   // Slots are indexed by miss-list position, so a fault that reshuffles
@@ -451,13 +425,36 @@ void note_anytime(const CandidatePlan& plan, std::size_t beamformed,
   if (deferred > 0) c_deadline.add(1);
 }
 
+void emit_groups(Mbps rate_threshold, SchedWorkspace& ws,
+                 std::vector<GroupSpec>& out) {
+  const std::vector<GroupMask>& masks = ws.plan.masks;
+  const auto emitted = [&](std::size_t i) {
+    const beamforming::GroupBeam* beam = ws.by_index[i];
+    return beam != nullptr &&           // else deferred past the deadline
+           beam->rate.value > 0.0 &&    // else it cannot sustain any MCS
+           !(beam->rate < rate_threshold);
+  };
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < masks.size(); ++i) count += emitted(i) ? 1 : 0;
+  resize_recycled(out, count, ws.spare_groups);
+  std::size_t g = 0;
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    if (!emitted(i)) continue;
+    GroupSpec& spec = out[g++];  // copy-assign: slot capacity reused
+    spec.members.clear();
+    for (GroupMask m = masks[i]; m != 0; m &= m - 1)
+      spec.members.push_back(static_cast<std::size_t>(__builtin_ctzll(m)));
+    spec.beam = *ws.by_index[i];
+  }
+}
+
 std::span<const GroupSpec> enumerate_groups(
     beamforming::Scheme scheme,
     const std::vector<linalg::CVector>& user_channels,
     const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    const GroupEnumConfig& cfg, ThreadPool* pool, SchedWorkspace& ws) {
-  const std::size_t n = user_channels.size();
-  plan_candidates_into(scheme, user_channels, cfg, ws);
+    const GroupEnumConfig& cfg, ThreadPool* pool, SchedWorkspace& ws,
+    const Membership& who, const Deadline& deadline) {
+  plan_candidates_into(scheme, user_channels, cfg, who, ws);
   const CandidatePlan& plan = ws.plan;
 
   // Beamform in priority order (so a deadline defers only the least
@@ -466,26 +463,13 @@ std::span<const GroupSpec> enumerate_groups(
   for (std::size_t j = 0; j < plan.priority.size(); ++j)
     ws.ordered.push_back(plan.masks[plan.priority[j]]);
   beamform_priority_into(scheme, user_channels, ws.ordered, plan.mandatory,
-                         cfg.deadline, codebook, beam_seed, pool, ws);
+                         deadline, codebook, beam_seed, pool, ws);
   ws.by_index.assign(plan.masks.size(), nullptr);
   for (std::size_t j = 0; j < plan.priority.size(); ++j)
     if (ws.done[j]) ws.by_index[plan.priority[j]] = &ws.beams[j];
   note_anytime(plan, ws.ordered.size() - ws.deferred, ws.deferred);
-
-  ws.group_count = 0;
-  for (std::size_t i = 0; i < plan.masks.size(); ++i) {
-    const beamforming::GroupBeam* beam = ws.by_index[i];
-    if (beam == nullptr) continue;              // deferred past the deadline
-    if (beam->rate.value <= 0.0) continue;      // cannot sustain any MCS
-    if (beam->rate < cfg.rate_threshold) continue;
-    if (ws.group_count == ws.groups.size()) ws.groups.emplace_back();
-    GroupSpec& g = ws.groups[ws.group_count++];  // pool slot: capacity reused
-    g.members.clear();
-    for (std::size_t u = 0; u < n; ++u)
-      if (plan.masks[i] & (GroupMask{1} << u)) g.members.push_back(u);
-    g.beam = *beam;
-  }
-  return ws.emitted();
+  emit_groups(cfg.rate_threshold, ws, ws.groups);
+  return ws.groups;
 }
 
 }  // namespace w4k::sched

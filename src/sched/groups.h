@@ -22,7 +22,7 @@
 // codebook, beam_seed): the SVD power iteration for subset `mask` draws
 // from a private Rng seeded by subset_seed(beam_seed, mask), never from a
 // generator shared across subsets. Changing the filter knobs
-// (rate_threshold / max_group_size / exclude) therefore cannot perturb the
+// (rate_threshold / max_group_size / Membership) therefore cannot perturb the
 // beams of unrelated surviving subsets, and per-subset caching
 // (sched::BeamCache), ThreadPool-parallel enumeration, and the batched
 // subset-lane path (linalg::subset_dominant_right_singular_into) are
@@ -55,24 +55,33 @@ struct GroupSpec {
   bool contains(std::size_t user) const;
 };
 
+/// Wall-clock cutoff of an anytime stage. nullopt = no clock reads: the
+/// output is a pure function of the inputs (the determinism contract).
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+/// This frame's grouping constraints: views over caller-owned per-user
+/// vectors, so nothing is copied per frame.
+struct Membership {
+  /// exclude[u] != 0 drops every subset containing user u (empty = none).
+  /// Member indices in the returned groups stay in the *full* user index
+  /// space — excluded users simply appear in no group. The hardened
+  /// session uses this to quarantine persistently blocked users and to
+  /// drop departed ones without re-indexing anything downstream.
+  std::span<const std::uint8_t> exclude;
+  /// partition[u] = the transmitter (AP) serving user u. Non-empty: every
+  /// emitted group must be partition-pure — a multicast beam is formed by
+  /// one physical array, so a group can never span APs. Empty = all users
+  /// share one transmitter (the single-AP behaviour, bit-identical to the
+  /// pre-partition enumeration). Values must be < 16.
+  std::span<const std::uint8_t> partition;
+};
+
 struct GroupEnumConfig {
   /// Groups slower than this are pruned (0 keeps everything usable).
   Mbps rate_threshold{0.0};
   /// Upper bound on group size (paper uses all subsets; capping is an
   /// ablation knob for the pruning bench).
   std::size_t max_group_size = 8;
-  /// exclude[u] != 0 drops every subset containing user u (empty = none).
-  /// Member indices in the returned groups stay in the *full* user index
-  /// space — excluded users simply appear in no group. The hardened
-  /// session uses this to quarantine persistently blocked users and to
-  /// drop departed ones without re-indexing anything downstream.
-  std::vector<std::uint8_t> exclude;
-  /// partition[u] = the transmitter (AP) serving user u. Non-empty: every
-  /// emitted group must be partition-pure — a multicast beam is formed by
-  /// one physical array, so a group can never span APs. Empty = all users
-  /// share one transmitter (the single-AP behaviour, bit-identical to the
-  /// pre-partition enumeration). Values must be < 16.
-  std::vector<std::uint8_t> partition;
 
   // --- Anytime candidate generation (DESIGN.md Sec. 4f) -----------------
   /// User counts above this switch from the paper's exhaustive subset
@@ -90,13 +99,6 @@ struct GroupEnumConfig {
   /// (they are what guarantees coverage); the merge candidates with the
   /// best bound-rate x size score fill the remainder.
   std::size_t max_candidates = 128;
-  /// Wall-clock cutoff for beamforming *optional* (multi-member)
-  /// candidates: the singleton prefix always completes so every reachable
-  /// user stays coverable, and later merge batches are skipped once the
-  /// clock passes the deadline. nullopt = compute every candidate with no
-  /// clock reads — the output is then a pure function of the inputs
-  /// (the golden/purity determinism contract).
-  std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
 /// Deterministic per-subset RNG seed: a splitmix64-style mix of the
@@ -129,48 +131,42 @@ beamforming::GroupBeam subset_beam(
     const std::vector<linalg::CVector>& user_channels, GroupMask mask,
     const beamforming::Codebook& codebook, std::uint64_t beam_seed);
 
-/// Beamforms every mask in `masks` (optionally on `pool`). Each user is
-/// normalized once and one user Gram is built from those rows; the
-/// multi-member kOptimizedMulticast subsets then run their power
-/// iterations on the subset-lane kernel
-/// (linalg::subset_dominant_right_singular_into), each gathering its Gram
-/// from the user Gram, within the pool's chunks. Bit-identical to
-/// subset_beam per mask (asserted by the system and property tests). The
-/// normalized rows, the Gram, the kernel's per-chunk scratch and all index
-/// buffers live in `ws` and keep their capacity across frames; results are
-/// written into `out` (out.size() >= masks.size()), whose GroupBeams
-/// likewise reuse their buffers.
-void beamform_subsets(beamforming::Scheme scheme,
-                      const std::vector<linalg::CVector>& user_channels,
-                      std::span<const GroupMask> masks,
-                      const beamforming::Codebook& codebook,
-                      std::uint64_t beam_seed, ThreadPool* pool,
-                      SchedWorkspace& ws,
-                      std::span<beamforming::GroupBeam> out);
-
-/// Deadline-aware batch driver shared by enumerate_groups and BeamCache:
+/// The batched beamformer, shared by enumerate_groups and BeamCache:
 /// beamforms `masks` front to back (they must already be in beamforming
-/// priority order). The first `mandatory` entries always run; the rest run
-/// in small batches with a clock check between batches once `deadline` is
-/// set. Results land in ws.beams / ws.done / ws.deferred (never-shrinking;
-/// ws.done[i] == 0 marks a deferred subset), and each batch is handed to
-/// the beamformer as a subspan — no per-batch mask copies.
+/// priority order), optionally on `pool`. The first `mandatory` entries
+/// always run; the rest run in small batches with a clock check between
+/// batches once `deadline` is set. Each user is normalized once and one
+/// user Gram is built from those rows; multi-member kOptimizedMulticast
+/// subsets run their power iterations on the subset-lane kernel
+/// (linalg::subset_dominant_right_singular_into), every other beam through
+/// beamforming::group_beam_into. Bit-identical to subset_beam per mask.
+/// Results land in ws.beams / ws.done / ws.deferred (never-shrinking;
+/// ws.done[i] == 0 marks a deferred subset).
 void beamform_priority_into(
     beamforming::Scheme scheme,
     const std::vector<linalg::CVector>& user_channels,
     std::span<const GroupMask> masks, std::size_t mandatory,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    ThreadPool* pool, SchedWorkspace& ws);
+    const Deadline& deadline, const beamforming::Codebook& codebook,
+    std::uint64_t beam_seed, ThreadPool* pool, SchedWorkspace& ws);
 
-/// Builds the candidate plan for `channels` under `cfg` into ws.plan,
-/// reusing its vectors and the workspace's pruning scratch: the exhaustive
-/// lattice up to the hierarchical threshold, the cluster-tree generator
-/// above it (up to 64 users; throws past that). Pure function of its
-/// arguments — no clock, no RNG — so any thread count sees the same plan.
+/// Builds the candidate plan for `channels` under `cfg` and `who` into
+/// ws.plan, reusing its vectors and the workspace's pruning scratch: the
+/// exhaustive lattice up to the hierarchical threshold, the cluster-tree
+/// generator above it (up to 64 users; throws past that). Pure function of
+/// its arguments — no clock, no RNG — so any thread count sees the same
+/// plan.
 void plan_candidates_into(beamforming::Scheme scheme,
                           const std::vector<linalg::CVector>& channels,
-                          const GroupEnumConfig& cfg, SchedWorkspace& ws);
+                          const GroupEnumConfig& cfg, const Membership& who,
+                          SchedWorkspace& ws);
+
+/// The one emit step of every enumeration: copies, in ascending mask
+/// order, each ws.plan mask whose beam (ws.by_index[i]; nullptr =
+/// deferred) has a positive rate >= `rate_threshold` into `out`, members
+/// and beam once. `out` ends up exactly that size; its elements move to
+/// and from ws.spare_groups, so every slot keeps its buffers.
+void emit_groups(Mbps rate_threshold, SchedWorkspace& ws,
+                 std::vector<GroupSpec>& out);
 
 /// Bumps the sched.anytime.* counters for one enumeration pass (no-op with
 /// telemetry disabled). Shared by the stateless path and the BeamCache.
@@ -182,16 +178,17 @@ void note_anytime(const CandidatePlan& plan, std::size_t beamformed,
 /// the "increasing group id" order the Eq. 4 greedy relies on. When `pool`
 /// is non-null the per-subset beamforming of the admissible subsets runs
 /// on it; results are bit-identical for any pool size (each subset is
-/// independent and individually seeded).
+/// independent and individually seeded). `who` filters the subsets;
+/// `deadline` cuts optional merge candidates (beamform_priority_into).
 ///
-/// The returned span points into ws.groups (a never-shrinking pool) and
-/// stays valid until the next enumeration on the same workspace. In
-/// steady state — stable user count and candidate plan — the whole call
-/// performs zero heap allocations.
+/// The returned span points into ws.groups and stays valid until the next
+/// enumeration on the same workspace. In steady state — stable user count
+/// and candidate plan — the whole call performs zero heap allocations.
 std::span<const GroupSpec> enumerate_groups(
     beamforming::Scheme scheme,
     const std::vector<linalg::CVector>& user_channels,
     const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    const GroupEnumConfig& cfg, ThreadPool* pool, SchedWorkspace& ws);
+    const GroupEnumConfig& cfg, ThreadPool* pool, SchedWorkspace& ws,
+    const Membership& who = {}, const Deadline& deadline = {});
 
 }  // namespace w4k::sched

@@ -40,14 +40,12 @@ void map_to_units_into(std::span<const GroupSpec> groups,
                        std::span<const LayerArray> group_layer_bytes,
                        const std::vector<UnitSpec>& units,
                        std::size_t n_users, std::size_t symbol_size,
-                       UnitMapResult& res) {
+                       UnitMapScratch& scratch, UnitMapResult& res) {
   if (groups.size() != group_layer_bytes.size())
     throw std::invalid_argument("map_to_units: groups/bytes size mismatch");
 
-  // Whole-symbol budgets per (group, layer). Thread-local scratch: the
-  // greedy runs on the session's decide thread, never on the pool.
-  thread_local std::vector<LayerArray> budget_tls;
-  std::vector<LayerArray>& budget = budget_tls;
+  // Whole-symbol budgets per (group, layer).
+  std::vector<LayerArray>& budget = scratch.budget;
   budget.assign(groups.size(), LayerArray{});
   for (std::size_t g = 0; g < groups.size(); ++g)
     for (int j = 0; j < video::kNumLayers; ++j) {
@@ -70,8 +68,7 @@ void map_to_units_into(std::span<const GroupSpec> groups,
   // `remaining == 0`. Listing the others once (ascending, so the greedy's
   // group order is kept) spares the two per-unit scans over all groups;
   // typically only a handful of the candidate groups get airtime.
-  thread_local std::vector<std::size_t> active_tls;
-  std::vector<std::size_t>& active = active_tls;
+  std::vector<std::size_t>& active = scratch.active;
   active.clear();
   for (std::size_t g = 0; g < groups.size(); ++g)
     if (std::any_of(budget[g].begin(), budget[g].end(),
@@ -128,8 +125,7 @@ void map_to_units_into(std::span<const GroupSpec> groups,
     // Conservation: every per-user symbol tally must be exactly the sum of
     // assignments over the groups that user belongs to, and every assignment
     // must reference a valid (group, unit) cell with a positive count.
-    thread_local std::vector<std::vector<std::size_t>> replay_tls;
-    std::vector<std::vector<std::size_t>>& replay = replay_tls;
+    std::vector<std::vector<std::size_t>>& replay = scratch.replay;
     if (replay.size() < n_users) replay.resize(n_users);
     for (std::size_t u = 0; u < n_users; ++u) replay[u].assign(units.size(), 0);
     for (const auto& a : res.assignments) {

@@ -58,16 +58,24 @@ struct UnitMapResult {
   std::size_t leftover_symbols = 0;
 };
 
+/// Working memory of map_to_units_into: never-shrinking buffers, one per
+/// frame loop.
+struct UnitMapScratch {
+  std::vector<LayerArray> budget;       ///< whole-symbol (group, layer) budgets
+  std::vector<std::size_t> active;      ///< groups with any budget
+  std::vector<std::vector<std::size_t>> replay;  ///< verify-layer tally
+};
+
 /// Runs the Eq. 4 greedy. `group_layer_bytes[g][j]` is the optimizer's
 /// S(G, j) — typically Allocation::bytes_rows(); budgets are rounded down
 /// to whole symbols. Both spans accept a std::vector implicitly. Writes
-/// into a caller-owned result whose per-user rows reuse their capacity
-/// across frames (zero heap allocations in steady state).
+/// into a caller-owned result whose per-user rows, like `scratch`, reuse
+/// their capacity across frames (zero heap allocations in steady state).
 void map_to_units_into(std::span<const GroupSpec> groups,
                        std::span<const LayerArray> group_layer_bytes,
                        const std::vector<UnitSpec>& units,
                        std::size_t n_users, std::size_t symbol_size,
-                       UnitMapResult& res);
+                       UnitMapScratch& scratch, UnitMapResult& res);
 
 /// Reference solver for Eq. 4: exhaustively searches symbol assignments
 /// and returns the maximum total decoded bytes across users (the

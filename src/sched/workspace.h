@@ -4,7 +4,7 @@
 // ever grows: candidate plans, the normalized user rows with their Gram
 // and the subset-lane kernel's problems, results and per-chunk scratch,
 // beam/done scratch for the deadline batcher, and the GroupSpec output
-// pool that enumerate_groups returns a span over.
+// and spare pools of the emit step.
 // After a few warmup frames every vector has reached its steady-state
 // capacity and the whole enumerate -> beamform -> emit pipeline performs
 // zero heap allocations (asserted by the W4K_COUNT_ALLOCS tier-1 gate).
@@ -21,7 +21,33 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
+
+namespace w4k {
+
+/// Resizes a vector of buffer-owning elements without churning the heap:
+/// a shrink parks the victims in `pool`, a growth takes them back, and a
+/// new high-water reserves `pool` so any later shrink is heap-free.
+template <class T>
+void resize_recycled(std::vector<T>& v, std::size_t n, std::vector<T>& pool) {
+  while (v.size() > n) {
+    pool.push_back(std::move(v.back()));
+    v.pop_back();
+  }
+  while (v.size() < n) {
+    if (pool.empty()) {
+      v.emplace_back();
+    } else {
+      v.push_back(std::move(pool.back()));
+      pool.pop_back();
+    }
+  }
+  if (pool.capacity() < v.size() + pool.size())
+    pool.reserve(v.size() + pool.size());
+}
+
+}  // namespace w4k
 
 namespace w4k::sched {
 
@@ -32,7 +58,7 @@ struct ScoredCandidate {
   double ub = 0.0;
 };
 
-/// Scratch of one beamform_subsets chunk. Chunk k of the pool's
+/// Scratch of one beamformer chunk. Chunk k of the pool's
 /// parallel_for always uses slot k, whichever thread runs it, so the
 /// buffers warm up the same way at any pool size.
 struct BeamformChunk {
@@ -48,7 +74,7 @@ struct SchedWorkspace {
   std::vector<ScoredCandidate> scored; ///< bound-pruning survivors
   std::vector<std::uint8_t> active;    ///< hierarchical generator's mask
 
-  // --- beamform_subsets --------------------------------------------------
+  // --- the batched beamformer (beamform_priority_into) --------------------
   std::vector<linalg::CVector> unit;   ///< per-user normalized channels
                                        ///< (zero rows for unusable users);
                                        ///< never shrunk (inner capacity)
@@ -62,22 +88,20 @@ struct SchedWorkspace {
   std::vector<BeamformChunk> chunks;      ///< slot k serves pool chunk k
 
   // --- beamform_priority_into -------------------------------------------
-  std::vector<GroupMask> ordered;      ///< masks in beamforming order
+  /// Masks in beamforming order (BeamCache: the uncached ones).
+  std::vector<GroupMask> ordered;
   std::vector<beamforming::GroupBeam> beams;  ///< result pool, never shrunk
   std::vector<std::uint8_t> done;      ///< beams[i] computed this call
   std::size_t deferred = 0;            ///< masks cut by the deadline
 
   // --- enumerate paths ---------------------------------------------------
-  std::vector<GroupMask> miss_masks;   ///< BeamCache: uncached masks
-  std::vector<const beamforming::GroupBeam*> by_index;  ///< emit lookup
-  std::vector<GroupSpec> groups;       ///< emitted-group pool, never shrunk
-  std::size_t group_count = 0;         ///< live prefix of `groups`
-
-  /// The groups emitted by the last enumerate_groups /
-  /// BeamCache::enumerate_into call on this workspace.
-  std::span<const GroupSpec> emitted() const {
-    return {groups.data(), group_count};
-  }
+  /// Per plan mask, its beam this frame (nullptr = deferred): what
+  /// emit_groups reads.
+  std::vector<const beamforming::GroupBeam*> by_index;
+  std::vector<GroupSpec> groups;       ///< enumerate_groups' output
+  /// Parked GroupSpecs of every emit target (ws.groups or a caller's
+  /// vector): a shrink moves slots here, a regrowth takes them back.
+  std::vector<GroupSpec> spare_groups;
 };
 
 }  // namespace w4k::sched

@@ -168,22 +168,21 @@ TEST_F(ObsMetricsTest, BeamformKernelCountersReachSnapshots) {
     if (__builtin_popcountll(m) > 1) ++multi;
   }
   sched::SchedWorkspace ws;
-  std::vector<beamforming::GroupBeam> beams(masks.size());
   auto& reg = MetricsRegistry::global();
   Counter& iterations = reg.counter("sched.beamform.power_iterations");
   Counter& lanes = reg.counter("sched.beamform.lane_subsets");
 
   set_enabled(false);
-  sched::beamform_subsets(beamforming::Scheme::kOptimizedMulticast, users,
-                          masks, beamforming::Codebook{}, 9, nullptr, ws,
-                          beams);
+  sched::beamform_priority_into(beamforming::Scheme::kOptimizedMulticast,
+                                users, masks, masks.size(), {},
+                                beamforming::Codebook{}, 9, nullptr, ws);
   EXPECT_EQ(iterations.value(), 0u);
   EXPECT_EQ(lanes.value(), 0u);
 
   set_enabled(true);
-  sched::beamform_subsets(beamforming::Scheme::kOptimizedMulticast, users,
-                          masks, beamforming::Codebook{}, 9, nullptr, ws,
-                          beams);
+  sched::beamform_priority_into(beamforming::Scheme::kOptimizedMulticast,
+                                users, masks, masks.size(), {},
+                                beamforming::Codebook{}, 9, nullptr, ws);
   // Every multi-member power iteration runs at least two steps (the first
   // never tests convergence).
   EXPECT_GE(iterations.value(), 2 * multi);

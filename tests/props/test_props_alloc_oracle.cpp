@@ -156,7 +156,10 @@ model::QualityModel* PropsAllocOracle::quality_ = nullptr;
 sched::FrameContent* PropsAllocOracle::content_ = nullptr;
 
 TEST_F(PropsAllocOracle, ColdAndRoundRobinMatchOracleBitForBit) {
-  W4K_PROP("sched.alloc-oracle-cold", [](Rng& rng) {
+  // One scratch across every case, as a frame loop keeps it: what one
+  // call leaves in it must never reach the next call's result.
+  sched::AllocScratch scratch;
+  W4K_PROP("sched.alloc-oracle-cold", [&](Rng& rng) {
     const auto owned = random_problem(rng, *content_);
     const sched::AllocProblem& p = owned->p;
     sched::OptimizerConfig cfg;
@@ -164,10 +167,10 @@ TEST_F(PropsAllocOracle, ColdAndRoundRobinMatchOracleBitForBit) {
       cfg.max_iterations = 20 + static_cast<int>(rng.below(200));
     if (rng.chance(0.3)) cfg.initial_step = rng.uniform(1e-4, 5e-3);
     sched::Allocation got;
-    sched::optimize_allocation_into(p, *quality_, got, cfg);
+    sched::optimize_allocation_into(p, *quality_, scratch, got, cfg);
     assert_same_allocation(
         got, oracle::optimize_allocation_full(p, *quality_, cfg), "cold");
-    sched::round_robin_allocation_into(p, *quality_, got);
+    sched::round_robin_allocation_into(p, *quality_, scratch, got);
     assert_same_allocation(
         got, oracle::round_robin_allocation_full(p, *quality_), "round robin");
   });
@@ -181,13 +184,14 @@ TEST_F(PropsAllocOracle, WarmStartsMatchOracleBitForBit) {
   obs::Counter& hits = reg.counter("sched.warm_start.hits");
   obs::Counter& fallbacks = reg.counter("sched.warm_start.fallbacks");
   int accepted = 0, unserved = 0, floor_lost = 0;
+  sched::AllocScratch scratch;
   W4K_PROP("sched.alloc-oracle-warm", [&](Rng& rng) {
     const auto owned = random_problem(rng, *content_);
     const sched::AllocProblem& p = owned->p;
     const std::size_t dims = p.groups.size() * video::kNumLayers;
     sched::OptimizerConfig cfg;
     sched::Allocation cold;
-    sched::optimize_allocation_into(p, *quality_, cold, cfg);
+    sched::optimize_allocation_into(p, *quality_, scratch, cold, cfg);
     std::vector<double> warm = flatten(cold);
     const std::uint64_t kind = rng.below(3);
     if (kind == 0) {
@@ -213,7 +217,7 @@ TEST_F(PropsAllocOracle, WarmStartsMatchOracleBitForBit) {
     }
     const std::uint64_t hits0 = hits.value(), fallbacks0 = fallbacks.value();
     sched::Allocation got;
-    sched::optimize_allocation_into(p, *quality_, got, cfg, &warm);
+    sched::optimize_allocation_into(p, *quality_, scratch, got, cfg, &warm);
     const bool hit = hits.value() > hits0;
     const bool fell_back = fallbacks.value() > fallbacks0;
     if (kind == 0 && hit) ++accepted;

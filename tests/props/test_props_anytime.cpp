@@ -83,15 +83,16 @@ TEST(PropsAnytime, HierarchicalEnumerationPureAcrossCacheAndPool) {
       // Three separate workspaces: each span stays valid until the next
       // enumeration on its own workspace, so all three can be compared.
       sched::SchedWorkspace ws_serial, ws_pooled, ws_cached;
+      std::vector<sched::GroupSpec> cached;
       const auto serial =
           sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
                                   seed, cfg, nullptr, ws_serial);
       const auto pooled =
           sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
                                   seed, cfg, &pool, ws_pooled);
-      const auto cached = cache.enumerate_into(
-          channels, beamforming::Codebook{}, cfg,
-          rng.chance(0.5) ? &pool : nullptr, ws_cached);
+      cache.enumerate_into(channels, beamforming::Codebook{}, cfg, {}, {},
+                           rng.chance(0.5) ? &pool : nullptr, ws_cached,
+                           cached);
       expect_same_groups(serial, pooled,
                          "pooled, step " + std::to_string(step));
       expect_same_groups(serial, cached,

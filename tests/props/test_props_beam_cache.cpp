@@ -12,6 +12,7 @@
 #include "channel/mobility.h"
 #include "core/pretrained.h"
 #include "core/runner.h"
+#include "obs/metrics.h"
 #include "sched/beam_cache.h"
 #include "sched/workspace.h"
 #include "support/proptest.h"
@@ -38,24 +39,31 @@ std::vector<linalg::CVector> random_channels(Rng& rng, std::size_t n) {
   return out;
 }
 
-sched::GroupEnumConfig random_filter(Rng& rng, std::size_t n) {
+/// The filter knobs and this frame's membership vectors.
+struct Filter {
   sched::GroupEnumConfig cfg;
+  std::vector<std::uint8_t> exclude, partition;
+  sched::Membership who() const { return {exclude, partition}; }
+};
+
+Filter random_filter(Rng& rng, std::size_t n) {
+  Filter f;
   if (rng.chance(0.5))
-    cfg.rate_threshold = Mbps{rng.uniform(0.0, 1500.0)};
+    f.cfg.rate_threshold = Mbps{rng.uniform(0.0, 1500.0)};
   if (rng.chance(0.5))
-    cfg.max_group_size = 1 + rng.below(n);
+    f.cfg.max_group_size = 1 + rng.below(n);
   if (rng.chance(0.5)) {
-    cfg.exclude.assign(n, 0);
-    for (auto& e : cfg.exclude) e = rng.chance(0.3) ? 1 : 0;
+    f.exclude.assign(n, 0);
+    for (auto& e : f.exclude) e = rng.chance(0.3) ? 1 : 0;
   }
   if (rng.chance(0.5)) {
     // Users spread over 2-3 APs: only partition-pure groups survive.
     const std::size_t aps = 2 + rng.below(2);
-    cfg.partition.assign(n, 0);
-    for (auto& ap : cfg.partition)
+    f.partition.assign(n, 0);
+    for (auto& ap : f.partition)
       ap = static_cast<std::uint8_t>(rng.below(aps));
   }
-  return cfg;
+  return f;
 }
 
 bool same_beam(const beamforming::GroupBeam& a,
@@ -93,10 +101,10 @@ TEST(PropsBeamCache, FilterKnobsNeverPerturbSurvivingBeams) {
     const auto full =
         sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
                                 seed, {}, nullptr, ws_full);
-    const auto cfg = random_filter(rng, n);
+    const Filter f = random_filter(rng, n);
     const auto filtered =
         sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
-                                seed, cfg, nullptr, ws_filtered);
+                                seed, f.cfg, nullptr, ws_filtered, f.who());
     for (const auto& g : filtered) {
       const sched::GroupSpec* match = nullptr;
       for (const auto& f : full)
@@ -112,7 +120,13 @@ TEST(PropsBeamCache, FilterKnobsNeverPerturbSurvivingBeams) {
 // changes (serial or on a 3-thread pool), reproduces the stateless
 // enumeration bit-for-bit on every call.
 TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
-  W4K_PROP("sched.beam-cache-identity", [](Rng& rng) {
+  // The cache's traffic shows in its telemetry counters.
+  obs::set_enabled(true);
+  auto& reg = obs::MetricsRegistry::global();
+  obs::Counter& hit = reg.counter("sched.beam_cache.hit");
+  obs::Counter& miss = reg.counter("sched.beam_cache.miss");
+  W4K_PROP("sched.beam-cache-identity", [&](Rng& rng) {
+    const std::uint64_t traffic0 = hit.value() + miss.value();
     const std::size_t n = 2 + rng.below(4);
     const std::uint64_t seed = rng.next();
     const auto scheme = beamforming::Scheme::kOptimizedMulticast;
@@ -120,6 +134,7 @@ TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
     ThreadPool pool(3);
     // One workspace per side, reused across steps like a session's.
     sched::SchedWorkspace ws_cached, ws_fresh;
+    std::vector<sched::GroupSpec> cached;
     auto channels = random_channels(rng, n);
     for (int step = 0; step < 4; ++step) {
       // Perturb a random subset of users (possibly none: the all-hit case).
@@ -130,19 +145,20 @@ TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
               prop, channel::Position::from_polar(rng.uniform(2.5, 10.0),
                                                   rng.uniform(-0.8, 0.8)));
         }
-      const auto cfg = random_filter(rng, n);
+      const Filter f = random_filter(rng, n);
       ThreadPool* p = rng.chance(0.5) ? &pool : nullptr;
-      const auto cached = cache.enumerate_into(
-          channels, beamforming::Codebook{}, cfg, p, ws_cached);
+      cache.enumerate_into(channels, beamforming::Codebook{}, f.cfg, f.who(),
+                           {}, p, ws_cached, cached);
       const auto fresh =
           sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
-                                  seed, cfg, nullptr, ws_fresh);
+                                  seed, f.cfg, nullptr, ws_fresh, f.who());
       expect_same_groups(cached, fresh,
                          "step " + std::to_string(step));
     }
-    prop_assert(cache.stats().hits + cache.stats().misses > 0,
+    prop_assert(hit.value() + miss.value() > traffic0,
                 "cache recorded no traffic");
   });
+  obs::set_enabled(false);
 }
 
 // --- (b) Session-level bit-identity on a mobility trace ------------------

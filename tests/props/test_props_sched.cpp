@@ -23,7 +23,8 @@ TEST(PropsSched, SimplexProjectionIsFeasible) {
     const double budget = rng.uniform(1e-4, 0.05);
     std::vector<double> t(n);
     for (auto& v : t) v = rng.uniform(-0.02, 0.05);
-    sched::project_to_simplex(t, budget);
+    std::vector<double> sorted;
+    sched::project_to_simplex(t, budget, sorted);
     double sum = 0.0;
     for (double v : t) {
       prop_assert(v >= 0.0, "negative entry " + std::to_string(v));
@@ -41,9 +42,10 @@ TEST(PropsSched, SimplexProjectionIsIdempotent) {
     const double budget = rng.uniform(1e-4, 0.05);
     std::vector<double> t(n);
     for (auto& v : t) v = rng.uniform(-0.02, 0.05);
-    sched::project_to_simplex(t, budget);
+    std::vector<double> sorted;
+    sched::project_to_simplex(t, budget, sorted);
     std::vector<double> again = t;
-    sched::project_to_simplex(again, budget);
+    sched::project_to_simplex(again, budget, sorted);
     for (std::size_t i = 0; i < n; ++i)
       prop_assert(std::abs(again[i] - t[i]) <= 1e-9,
                   "projection moved an already-feasible point");
@@ -75,8 +77,11 @@ TEST(PropsSched, UnitMapRespectsBudgetsAndConservesSymbols) {
         b = rng.uniform(0.0, 40.0 * static_cast<double>(symbol_size));
     }
 
+    sched::UnitMapScratch scratch;
+
     sched::UnitMapResult res;
-    sched::map_to_units_into(groups, bytes, units, n_users, symbol_size, res);
+    sched::map_to_units_into(groups, bytes, units, n_users, symbol_size,
+                             scratch, res);
 
     // Per-(group, layer) symbol spend within the byte budget.
     std::vector<sched::LayerArray> spent(n_groups, sched::LayerArray{});
@@ -119,6 +124,7 @@ TEST(PropsSched, UnitMapActiveGroupsMatchFullScanOracle) {
   // 12-user frame, where only a few of ~1k groups get airtime), some with
   // budget in a single layer only. One result object is reused across
   // calls, as the session reuses it.
+  sched::UnitMapScratch scratch;
   sched::UnitMapResult res;
   W4K_PROP("sched.unitmap-active-oracle", [&](Rng& rng) {
     const std::size_t n_users = 1 + rng.below(12);
@@ -151,7 +157,8 @@ TEST(PropsSched, UnitMapActiveGroupsMatchFullScanOracle) {
           bytes[g][l] = rng.uniform(0.0, 60.0 * static_cast<double>(symbol_size));
     }
 
-    sched::map_to_units_into(groups, bytes, units, n_users, symbol_size, res);
+    sched::map_to_units_into(groups, bytes, units, n_users, symbol_size,
+                             scratch, res);
     const auto want = oracle::map_to_units_full_scan(groups, bytes, units,
                                                      n_users, symbol_size);
     prop_assert(res.assignments.size() == want.assignments.size(),

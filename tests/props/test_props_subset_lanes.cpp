@@ -3,9 +3,9 @@
 // oracle, dominant_right_singular on each stack's own CMatrix, bit for bit
 // (iterations, singular value and right singular vector), on every SIMD
 // tier the CPU supports; the user-Gram gather against each stack's own
-// Gram; and sched::beamform_subsets against subset_beam over a whole
-// 12-user lattice. ctest also runs this suite under W4K_THREADS=1/4 x
-// W4K_FORCE_SCALAR=0/1 (tests/CMakeLists.txt).
+// Gram; and the batched beamformer (sched::beamform_priority_into)
+// against subset_beam over a whole 12-user lattice. ctest also runs this
+// suite under W4K_THREADS=1/4 x W4K_FORCE_SCALAR=0/1 (tests/CMakeLists.txt).
 #include "channel/propagation.h"
 #include "common/thread_pool.h"
 #include "linalg/decompose.h"
@@ -334,7 +334,6 @@ TEST(PropsSubsetLanes, BeamformSubsetsMatchesSubsetBeamOnTwelveUsers) {
     masks.push_back(m);
   const std::uint64_t seed = 0x5eed;
   sched::SchedWorkspace ws;
-  std::vector<beamforming::GroupBeam> out(masks.size());
   for (int step = 0; step < 2; ++step) {
     if (step == 1) {
       users[0] = channel::make_channel(
@@ -342,15 +341,16 @@ TEST(PropsSubsetLanes, BeamformSubsetsMatchesSubsetBeamOnTwelveUsers) {
       users[1] = channel::make_channel(
           prop, channel::Position::from_polar(2.7, -0.6));
     }
-    sched::beamform_subsets(beamforming::Scheme::kOptimizedMulticast, users,
-                            masks, beamforming::Codebook{}, seed,
-                            &ThreadPool::shared(), ws, out);
+    sched::beamform_priority_into(beamforming::Scheme::kOptimizedMulticast,
+                                  users, masks, masks.size(), {},
+                                  beamforming::Codebook{}, seed,
+                                  &ThreadPool::shared(), ws);
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < masks.size(); ++i) {
       const auto direct =
           sched::subset_beam(beamforming::Scheme::kOptimizedMulticast, users,
                              masks[i], beamforming::Codebook{}, seed);
-      if (!same_beam(out[i], direct)) {
+      if (!same_beam(ws.beams[i], direct)) {
         if (mismatches++ < 5)
           ADD_FAILURE() << "step " << step << ": mask 0x" << std::hex
                         << masks[i] << " differs from subset_beam";

@@ -9,7 +9,8 @@
 // with the decide deadline off (single-batch enumeration, zero clock
 // reads) and on (batched enumeration with clock checks between batches;
 // the bound is generous so no candidate is ever cut and the output stays
-// deterministic).
+// deterministic). Two sessions interleaved on one thread must not see
+// each other either.
 #include "common/thread_pool.h"
 #include "core/pretrained.h"
 #include "core/runner.h"
@@ -145,6 +146,61 @@ TEST_F(WorkspaceEquivalenceTest, ReusedAndFreshPathsByteIdentical) {
                       "thread count changed the workspace-path report" +
                           what);
         }
+      },
+      opts);
+  if (!res.passed) ADD_FAILURE() << res.message;
+}
+
+// Two sessions with different user counts, stepped alternately on one
+// thread (and through one shared FrameOutcome), write byte-identical
+// reports to each session run alone: the scheduler's scratch belongs to
+// each session's planner, so nothing carries from one session's frame
+// into the other's.
+TEST_F(WorkspaceEquivalenceTest, InterleavedSessionsMatchSoloRuns) {
+  proptest::Options opts = proptest::options_from_env();
+  if (!opts.has_replay_seed)
+    opts.iterations = std::max(3, opts.iterations / 10);
+  const auto res = proptest::check_property(
+      "core.workspace.interleaved-sessions",
+      [](Rng& rng) {
+        const std::size_t n_a = 2 + rng.below(2);  // 2..3 users
+        const std::size_t n_b = 4 + rng.below(2);  // 4..5 users
+        const std::uint64_t seed = rng.next();
+        channel::PropagationConfig prop;
+        const auto ch_a = core::channels_for(
+            prop,
+            core::place_users_fixed(n_a, rng.uniform(2.5, 5.0), 1.047, rng));
+        const auto ch_b = core::channels_for(
+            prop,
+            core::place_users_fixed(n_b, rng.uniform(2.5, 5.0), 1.047, rng));
+        const core::SessionConfig cfg = make_config(seed, 0.0);
+        ThreadPool::reset_shared(1);
+        core::MulticastSession a(cfg, *quality_, beamforming::Codebook{});
+        core::MulticastSession b(cfg, *quality_, beamforming::Codebook{});
+        core::SessionReport report_a, report_b;
+        core::FrameOutcome out;
+        for (int f = 0; f < kFrames; ++f) {
+          const core::FrameContext& ctx =
+              (*contexts_)[static_cast<std::size_t>(f) % contexts_->size()];
+          a.step_into(ch_a, ch_a, ctx, fault::FrameFaults{}, out);
+          report_a.add(out);
+          b.step_into(ch_b, ch_b, ctx, fault::FrameFaults{}, out);
+          report_b.add(out);
+        }
+        const auto json = [](const core::SessionReport& r) {
+          std::ostringstream os;
+          r.write_json(os);
+          return os.str();
+        };
+        const std::string solo_a = run_reused(*quality_, *contexts_, ch_a, cfg);
+        const std::string solo_b = run_reused(*quality_, *contexts_, ch_b, cfg);
+        ThreadPool::reset_shared(0);
+        prop_assert(json(report_a) == solo_a,
+                    "interleaving changed the " + std::to_string(n_a) +
+                        "-user session's report");
+        prop_assert(json(report_b) == solo_b,
+                    "interleaving changed the " + std::to_string(n_b) +
+                        "-user session's report");
       },
       opts);
   if (!res.passed) ADD_FAILURE() << res.message;

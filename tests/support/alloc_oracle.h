@@ -402,7 +402,8 @@ inline sched::Allocation optimize_allocation_full(
     bool finite = true;
     for (double x : warm.t) finite &= std::isfinite(x);
     if (finite) {
-      sched::project_to_simplex(warm.t, p.time_budget);
+      std::vector<double> sorted;
+      sched::project_to_simplex(warm.t, p.time_budget, sorted);
       std::vector<std::uint8_t> grouped(p.n_users, 0), served(p.n_users, 0);
       for (std::size_t g = 0; g < p.groups.size(); ++g) {
         double tg = 0.0;

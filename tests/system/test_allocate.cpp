@@ -72,6 +72,7 @@ class AllocateTest : public ::testing::Test {
     return t;
   }
 
+  sched::AllocScratch scratch_;
   static model::QualityModel* quality_;
   static core::FrameContext* ctx_;
 };
@@ -82,7 +83,7 @@ core::FrameContext* AllocateTest::ctx_ = nullptr;
 TEST_F(AllocateTest, RespectsTimeBudget) {
   auto p = problem({{{0}, 40.0}, {{1}, 40.0}, {{0, 1}, 40.0}}, 2);
   Allocation a;
-  optimize_allocation_into(p, *quality_, a);
+  optimize_allocation_into(p, *quality_, scratch_, a);
   EXPECT_LE(total_time(a), p.time_budget + 1e-9);
   for (const auto& row : a.time_rows())
     for (double x : row) EXPECT_GE(x, 0.0);
@@ -93,7 +94,7 @@ TEST_F(AllocateTest, PrefersSharedGroupWhenRatesEqual) {
   // optimizer should put (almost) everything there.
   auto p = problem({{{0}, 40.0}, {{1}, 40.0}, {{0, 1}, 40.0}}, 2);
   Allocation a;
-  optimize_allocation_into(p, *quality_, a);
+  optimize_allocation_into(p, *quality_, scratch_, a);
   double shared = 0.0;
   for (double x : a.time(2)) shared += x;
   EXPECT_GT(shared, 0.9 * total_time(a));
@@ -102,7 +103,7 @@ TEST_F(AllocateTest, PrefersSharedGroupWhenRatesEqual) {
 TEST_F(AllocateTest, FillsLowerLayersFirst) {
   auto p = problem({{{0}, 40.0}}, 1);
   Allocation a;
-  optimize_allocation_into(p, *quality_, a);
+  optimize_allocation_into(p, *quality_, scratch_, a);
   // Lower layers should be complete before upper layers get anything
   // substantial (capacity 40 Mbps can fill L0..L2 and part of L3).
   for (int l = 0; l < 3; ++l)
@@ -115,7 +116,7 @@ TEST_F(AllocateTest, FillsLowerLayersFirst) {
 TEST_F(AllocateTest, AvoidsGrossOverAllocation) {
   auto p = problem({{{0}, 40.0}}, 1);
   Allocation a;
-  optimize_allocation_into(p, *quality_, a);
+  optimize_allocation_into(p, *quality_, scratch_, a);
   // No layer should receive more than ~a symbol or two beyond its cap.
   for (int l = 0; l < video::kNumLayers; ++l) {
     const auto ls = static_cast<std::size_t>(l);
@@ -128,9 +129,9 @@ TEST_F(AllocateTest, HigherRateHigherQuality) {
   auto slow = problem({{{0}, 10.0}}, 1);
   auto fast = problem({{{0}, 40.0}}, 1);
   Allocation a_slow;
-  optimize_allocation_into(slow, *quality_, a_slow);
+  optimize_allocation_into(slow, *quality_, scratch_, a_slow);
   Allocation a_fast;
-  optimize_allocation_into(fast, *quality_, a_fast);
+  optimize_allocation_into(fast, *quality_, scratch_, a_fast);
   EXPECT_GT(a_fast.predicted_ssim[0], a_slow.predicted_ssim[0] + 0.01);
 }
 
@@ -139,7 +140,7 @@ TEST_F(AllocateTest, AsymmetricRatesFavorBottleneckViaSingletons) {
   // the base layer to the weak user via some group containing it.
   auto p = problem({{{0}, 40.0}, {{1}, 8.0}, {{0, 1}, 8.0}}, 2);
   Allocation a;
-  optimize_allocation_into(p, *quality_, a);
+  optimize_allocation_into(p, *quality_, scratch_, a);
   EXPECT_GT(a.user_bytes(1)[0], 0.9 * p.content.layer_bytes[0]);
   // And the strong user should end with more total bytes.
   const double s0 = std::accumulate(a.user_bytes(0).begin(),
@@ -153,18 +154,18 @@ TEST_F(AllocateTest, EmptyProblemsThrow) {
   AllocProblem p;
   p.n_users = 1;
   Allocation a;
-  EXPECT_THROW(optimize_allocation_into(p, *quality_, a),
+  EXPECT_THROW(optimize_allocation_into(p, *quality_, scratch_, a),
                std::invalid_argument);
   auto p2 = problem({{{0}, 40.0}}, 1);
   p2.n_users = 0;
-  EXPECT_THROW(optimize_allocation_into(p2, *quality_, a),
+  EXPECT_THROW(optimize_allocation_into(p2, *quality_, scratch_, a),
                std::invalid_argument);
 }
 
 TEST_F(AllocateTest, BytesConsistentWithTimeAndRate) {
   auto p = problem({{{0}, 37.0}}, 1);
   Allocation a;
-  optimize_allocation_into(p, *quality_, a);
+  optimize_allocation_into(p, *quality_, scratch_, a);
   for (int l = 0; l < video::kNumLayers; ++l) {
     const auto ls = static_cast<std::size_t>(l);
     EXPECT_NEAR(a.bytes(0)[ls], a.time(0)[ls] * 37.0 * 1e6 / 8.0, 1e-6);
@@ -174,7 +175,7 @@ TEST_F(AllocateTest, BytesConsistentWithTimeAndRate) {
 TEST_F(AllocateTest, RoundRobinUsesFullBudgetCyclically) {
   auto p = problem({{{0}, 40.0}, {{1}, 40.0}, {{0, 1}, 40.0}}, 2);
   Allocation a;
-  round_robin_allocation_into(p, *quality_, a);
+  round_robin_allocation_into(p, *quality_, scratch_, a);
   EXPECT_NEAR(total_time(a), p.time_budget, 1e-9);
   // Round robin splits time equally across the three groups.
   for (std::size_t g = 0; g < 3; ++g) {
@@ -195,9 +196,9 @@ TEST_F(AllocateTest, OptimizedBeatsRoundRobinWithThreeUsers) {
                     {{0, 1, 2}, 15.0}},
                    3);
   Allocation opt;
-  optimize_allocation_into(p, *quality_, opt);
+  optimize_allocation_into(p, *quality_, scratch_, opt);
   Allocation rr;
-  round_robin_allocation_into(p, *quality_, rr);
+  round_robin_allocation_into(p, *quality_, scratch_, rr);
   double opt_sum = 0.0, rr_sum = 0.0;
   for (double s : opt.predicted_ssim) opt_sum += s;
   for (double s : rr.predicted_ssim) rr_sum += s;
@@ -210,15 +211,16 @@ TEST_F(AllocateTest, TwoUserSharedGroupMatchesRoundRobinClosely) {
   // group is {0,1}, both allocators serve it the whole budget.
   auto p = problem({{{0, 1}, 40.0}}, 2);
   Allocation opt;
-  optimize_allocation_into(p, *quality_, opt);
+  optimize_allocation_into(p, *quality_, scratch_, opt);
   Allocation rr;
-  round_robin_allocation_into(p, *quality_, rr);
+  round_robin_allocation_into(p, *quality_, scratch_, rr);
   EXPECT_NEAR(opt.predicted_ssim[0], rr.predicted_ssim[0], 0.02);
 }
 
 TEST(ProjectToSimplex, Basics) {
   std::vector<double> t{0.5, 0.7, -0.1};
-  project_to_simplex(t, 1.0);
+  std::vector<double> sorted;
+  project_to_simplex(t, 1.0, sorted);
   double sum = 0.0;
   for (double x : t) {
     EXPECT_GE(x, 0.0);
@@ -229,7 +231,8 @@ TEST(ProjectToSimplex, Basics) {
 
 TEST(ProjectToSimplex, UnderBudgetUntouchedExceptClipping) {
   std::vector<double> t{0.1, 0.2, -0.3};
-  project_to_simplex(t, 10.0);
+  std::vector<double> sorted;
+  project_to_simplex(t, 10.0, sorted);
   EXPECT_DOUBLE_EQ(t[0], 0.1);
   EXPECT_DOUBLE_EQ(t[1], 0.2);
   EXPECT_DOUBLE_EQ(t[2], 0.0);
@@ -238,7 +241,8 @@ TEST(ProjectToSimplex, UnderBudgetUntouchedExceptClipping) {
 TEST(ProjectToSimplex, ExactProjectionKnownCase) {
   // Projection of (1, 1) onto {x >= 0, sum <= 1} is (0.5, 0.5).
   std::vector<double> t{1.0, 1.0};
-  project_to_simplex(t, 1.0);
+  std::vector<double> sorted;
+  project_to_simplex(t, 1.0, sorted);
   EXPECT_NEAR(t[0], 0.5, 1e-12);
   EXPECT_NEAR(t[1], 0.5, 1e-12);
 }
@@ -247,7 +251,8 @@ TEST(ProjectToSimplex, NonPositiveBudgetYieldsZeroVector) {
   // The only feasible point of {t >= 0, sum t <= b} with b <= 0 is 0.
   for (double budget : {0.0, -1.0, -1e-300}) {
     std::vector<double> t{0.5, 0.7, -0.1};
-    project_to_simplex(t, budget);
+    std::vector<double> sorted;
+    project_to_simplex(t, budget, sorted);
     for (double x : t) EXPECT_EQ(x, 0.0) << "budget " << budget;
   }
 }
@@ -255,7 +260,9 @@ TEST(ProjectToSimplex, NonPositiveBudgetYieldsZeroVector) {
 TEST(ProjectToSimplex, NonFiniteEntriesThrowUnderDefaultPolicy) {
   verify::set_mode(verify::Mode::kThrow);
   std::vector<double> t{std::numeric_limits<double>::quiet_NaN(), 0.5};
-  EXPECT_THROW(project_to_simplex(t, 1.0), verify::InvariantViolation);
+  std::vector<double> sorted;
+  EXPECT_THROW(project_to_simplex(t, 1.0, sorted),
+               verify::InvariantViolation);
 }
 
 TEST(ProjectToSimplex, NonFiniteEntriesSanitizedInReportMode) {
@@ -264,7 +271,8 @@ TEST(ProjectToSimplex, NonFiniteEntriesSanitizedInReportMode) {
   std::vector<double> t{std::numeric_limits<double>::quiet_NaN(), 1.0,
                         std::numeric_limits<double>::infinity(),
                         -std::numeric_limits<double>::infinity()};
-  project_to_simplex(t, 1.0);
+  std::vector<double> sorted;
+  project_to_simplex(t, 1.0, sorted);
   verify::set_mode(verify::Mode::kThrow);
   EXPECT_EQ(verify::violation_count(), 3u);  // NaN, +inf, -inf
   double sum = 0.0;
@@ -286,7 +294,8 @@ TEST(ProjectToSimplex, NonFiniteBudgetZeroesInReportMode) {
   verify::set_mode(verify::Mode::kReport);
   verify::reset_violations();
   std::vector<double> t{0.25, 0.5};
-  project_to_simplex(t, std::numeric_limits<double>::quiet_NaN());
+  std::vector<double> sorted;
+  project_to_simplex(t, std::numeric_limits<double>::quiet_NaN(), sorted);
   verify::set_mode(verify::Mode::kThrow);
   EXPECT_GE(verify::violation_count(), 1u);
   for (double x : t) EXPECT_EQ(x, 0.0);
@@ -299,7 +308,7 @@ TEST_F(AllocateTest, RoundRobinLandsExactlyOnAwkwardBudgets) {
   for (double budget : {1.0 / 30.0, 0.0307, 1.0 / 3.0, 0.0100005, 2.5e-4}) {
     p.time_budget = budget;
     Allocation a;
-    round_robin_allocation_into(p, *quality_, a);
+    round_robin_allocation_into(p, *quality_, scratch_, a);
     const double total = total_time(a);
     EXPECT_LE(total, budget * (1.0 + 1e-12)) << "budget " << budget;
     EXPECT_GE(total, budget - 1e-11) << "budget " << budget;
@@ -309,27 +318,29 @@ TEST_F(AllocateTest, RoundRobinLandsExactlyOnAwkwardBudgets) {
 TEST_F(AllocateTest, RoundRobinRejectsDegenerateSlots) {
   auto p = problem({{{0}, 40.0}}, 1);
   Allocation a;
-  EXPECT_THROW(round_robin_allocation_into(p, *quality_, a, 0.0),
+  EXPECT_THROW(round_robin_allocation_into(p, *quality_, scratch_, a, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(round_robin_allocation_into(p, *quality_, a, -1e-3),
-               std::invalid_argument);
-  EXPECT_THROW(round_robin_allocation_into(
-                   p, *quality_, a, std::numeric_limits<double>::quiet_NaN()),
+  EXPECT_THROW(round_robin_allocation_into(p, *quality_, scratch_, a, -1e-3),
                std::invalid_argument);
   EXPECT_THROW(round_robin_allocation_into(
-                   p, *quality_, a, std::numeric_limits<double>::infinity()),
+                   p, *quality_, scratch_, a,
+                   std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(round_robin_allocation_into(
+                   p, *quality_, scratch_, a,
+                   std::numeric_limits<double>::infinity()),
                std::invalid_argument);
 }
 
 TEST_F(AllocateTest, WarmStartMatchingPreviousOptimumIsAccepted) {
   auto p = problem({{{0}, 40.0}, {{1}, 30.0}, {{0, 1}, 25.0}}, 2);
   Allocation cold;
-  optimize_allocation_into(p, *quality_, cold);
+  optimize_allocation_into(p, *quality_, scratch_, cold);
   std::vector<double> warm;
   for (const auto& row : cold.time_rows())
     warm.insert(warm.end(), row.begin(), row.end());
   Allocation warmed;
-  optimize_allocation_into(p, *quality_, warmed, {}, &warm);
+  optimize_allocation_into(p, *quality_, scratch_, warmed, {}, &warm);
   // Restarting from the optimum must not lose objective, and converges in
   // far fewer iterations than the cold multi-start.
   EXPECT_GE(warmed.objective, cold.objective - 1e-9);
@@ -344,7 +355,7 @@ TEST_F(AllocateTest, WarmStartLeavingAUserUnservedFallsBackToMultiStart) {
   std::vector<double> warm(p.groups.size() * video::kNumLayers, 0.0);
   warm[0] = p.time_budget;  // everything on user 0's singleton
   Allocation a;
-  optimize_allocation_into(p, *quality_, a, {}, &warm);
+  optimize_allocation_into(p, *quality_, scratch_, a, {}, &warm);
   EXPECT_GT(a.user_bytes(1)[0], 0.9 * p.content.layer_bytes[0]);
 }
 
@@ -353,7 +364,7 @@ TEST_F(AllocateTest, UnusableWarmStartsReproduceColdBitIdentically) {
   // entirely — the cold multi-start runs and produces the exact cold plan.
   auto p = problem({{{0}, 40.0}, {{1}, 30.0}, {{0, 1}, 25.0}}, 2);
   Allocation cold;
-  optimize_allocation_into(p, *quality_, cold);
+  optimize_allocation_into(p, *quality_, scratch_, cold);
   const std::vector<std::vector<double>> warms = {
       {},                             // wrong size: ignored
       std::vector<double>(12, -1.0),  // projects to the zero vector
@@ -361,7 +372,7 @@ TEST_F(AllocateTest, UnusableWarmStartsReproduceColdBitIdentically) {
   };
   for (const auto& w : warms) {
     Allocation a;
-    optimize_allocation_into(p, *quality_, a, {}, &w);
+    optimize_allocation_into(p, *quality_, scratch_, a, {}, &w);
     EXPECT_EQ(a.objective, cold.objective);
     ASSERT_EQ(a.group_count(), cold.group_count());
     for (std::size_t g = 0; g < a.group_count(); ++g)
@@ -373,9 +384,9 @@ TEST_F(AllocateTest, UnusableWarmStartsReproduceColdBitIdentically) {
   // result can never fall below the round-robin baseline.
   const std::vector<double> absurd(12, 1e9);
   Allocation a;
-  optimize_allocation_into(p, *quality_, a, {}, &absurd);
+  optimize_allocation_into(p, *quality_, scratch_, a, {}, &absurd);
   Allocation rr;
-  round_robin_allocation_into(p, *quality_, rr);
+  round_robin_allocation_into(p, *quality_, scratch_, rr);
   EXPECT_GE(a.objective, rr.objective - 1e-9);
 }
 

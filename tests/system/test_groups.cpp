@@ -223,13 +223,15 @@ TEST(EnumerateGroups, FilterKnobsDoNotPerturbSurvivingBeams) {
   std::vector<GroupEnumConfig> cfgs(4);
   cfgs[1].max_group_size = 2;
   cfgs[2].rate_threshold = Mbps{500.0};
-  cfgs[3].exclude = {0, 0, 1, 0, 1};  // drop users 2 and 4
   cfgs[3].max_group_size = 3;
+  const std::vector<std::uint8_t> exclude{0, 0, 1, 0, 1};  // users 2 and 4
 
-  for (const auto& cfg : cfgs) {
+  for (std::size_t c = 0; c < cfgs.size(); ++c) {
+    Membership who;
+    if (c == 3) who.exclude = exclude;
     const auto filtered = enumerate_groups(
         beamforming::Scheme::kOptimizedMulticast, users,
-        beamforming::Codebook{}, seed, cfg, nullptr, ws_filtered);
+        beamforming::Codebook{}, seed, cfgs[c], nullptr, ws_filtered, who);
     for (const auto& g : filtered) {
       const GroupSpec* match = nullptr;
       for (const auto& f : full)
@@ -282,14 +284,14 @@ TEST(BeamformSubsets, BatchedPathBitIdenticalToSubsetBeam) {
   for (GroupMask mask = 1; mask < (GroupMask{1} << users.size()); ++mask)
     masks.push_back(mask);
   SchedWorkspace ws;
-  std::vector<beamforming::GroupBeam> batched(masks.size());
-  beamform_subsets(beamforming::Scheme::kOptimizedMulticast, users, masks,
-                   beamforming::Codebook{}, seed, nullptr, ws, batched);
+  beamform_priority_into(beamforming::Scheme::kOptimizedMulticast, users,
+                         masks, masks.size(), {}, beamforming::Codebook{},
+                         seed, nullptr, ws);
   for (std::size_t i = 0; i < masks.size(); ++i) {
     const auto direct =
         subset_beam(beamforming::Scheme::kOptimizedMulticast, users,
                     masks[i], beamforming::Codebook{}, seed);
-    EXPECT_TRUE(same_beam(batched[i], direct))
+    EXPECT_TRUE(same_beam(ws.beams[i], direct))
         << "batched beam differs for mask " << masks[i];
   }
 }
@@ -305,7 +307,7 @@ TEST(PlanCandidates, BoundPruningIsExactOnTheExhaustivePath) {
   cfg.rate_threshold = Mbps{700.0};
   SchedWorkspace ws;
   plan_candidates_into(beamforming::Scheme::kOptimizedMulticast, users, cfg,
-                       ws);
+                       {}, ws);
   EXPECT_GT(ws.plan.pruned, 0u);  // the far user's subsets never beamform
   const auto groups = enumerate_groups(
       beamforming::Scheme::kOptimizedMulticast, users,

@@ -87,8 +87,9 @@ TEST(MapToUnits, SingleGroupFullBudgetDecodesEverything) {
       if (u.id.layer == l) need += static_cast<double>(u.k_symbols) * 100.0;
     bytes[0][static_cast<std::size_t>(l)] = need;
   }
+  UnitMapScratch scratch;
   UnitMapResult res;
-  map_to_units_into(groups, bytes, units, 2, 100, res);
+  map_to_units_into(groups, bytes, units, 2, 100, scratch, res);
   for (std::size_t u = 0; u < 2; ++u)
     for (std::size_t i = 0; i < units.size(); ++i)
       EXPECT_TRUE(res.user_decodes[u][i]) << "user " << u << " unit " << i;
@@ -100,8 +101,9 @@ TEST(MapToUnits, InsufficientBudgetDecodesPrefix) {
   std::vector<GroupSpec> groups{make_group({0})};
   std::vector<LayerArray> bytes(1);
   bytes[0][0] = 2000.0;  // one unit's worth of layer 0 (which has 2 units)
+  UnitMapScratch scratch;
   UnitMapResult res;
-  map_to_units_into(groups, bytes, units, 1, 100, res);
+  map_to_units_into(groups, bytes, units, 1, 100, scratch, res);
   EXPECT_TRUE(res.user_decodes[0][0]);
   EXPECT_FALSE(res.user_decodes[0][1]);
 }
@@ -114,8 +116,9 @@ TEST(MapToUnits, OverlappingGroupsShareSymbols) {
   std::vector<LayerArray> bytes(2);
   bytes[0][0] = 2000.0;  // exactly unit 0 of layer 0
   bytes[1][0] = 2000.0;
+  UnitMapScratch scratch;
   UnitMapResult res;
-  map_to_units_into(groups, bytes, units, 3, 100, res);
+  map_to_units_into(groups, bytes, units, 3, 100, scratch, res);
   // Unit 0: group 0 sends k symbols reaching users 0 and 1. Group 1 then
   // only needs to top up user 2 -> k more. Unit 1 gets nothing (budget
   // spent), but no symbols were wasted re-serving user 1.
@@ -135,8 +138,9 @@ TEST(MapToUnits, AssignmentsInPriorityOrder) {
     bytes[0][static_cast<std::size_t>(l)] = 4000.0;
     bytes[1][static_cast<std::size_t>(l)] = 4000.0;
   }
+  UnitMapScratch scratch;
   UnitMapResult res;
-  map_to_units_into(groups, bytes, units, 2, 100, res);
+  map_to_units_into(groups, bytes, units, 2, 100, scratch, res);
   // Unit indices must be non-decreasing; within a unit, group ids ascend.
   std::size_t prev_unit = 0;
   std::size_t prev_group = 0;
@@ -155,8 +159,9 @@ TEST(MapToUnits, LeftoverReportedWhenBudgetExceedsNeed) {
   std::vector<LayerArray> bytes(1);
   // Layer 0 needs 3500 B (35 symbols padded); give it 10000.
   bytes[0][0] = 10000.0;
+  UnitMapScratch scratch;
   UnitMapResult res;
-  map_to_units_into(groups, bytes, units, 1, 100, res);
+  map_to_units_into(groups, bytes, units, 1, 100, scratch, res);
   EXPECT_TRUE(res.user_decodes[0][0]);
   EXPECT_TRUE(res.user_decodes[0][1]);
   EXPECT_EQ(res.leftover_symbols, 100u - 35u);
@@ -166,8 +171,9 @@ TEST(MapToUnits, SizeMismatchThrows) {
   const auto units = frame_units(512, 288, 100, 20);
   std::vector<GroupSpec> groups{make_group({0})};
   std::vector<LayerArray> bytes(2);  // wrong: 2 byte rows, 1 group
+  UnitMapScratch scratch;
   UnitMapResult res;
-  EXPECT_THROW(map_to_units_into(groups, bytes, units, 1, 100, res),
+  EXPECT_THROW(map_to_units_into(groups, bytes, units, 1, 100, scratch, res),
                std::invalid_argument);
 }
 
@@ -177,8 +183,9 @@ TEST(MapToUnits, UserSymbolsMatchAssignments) {
   std::vector<LayerArray> bytes(2);
   bytes[0][2] = 6000.0;
   bytes[1][2] = 3000.0;
+  UnitMapScratch scratch;
   UnitMapResult res;
-  map_to_units_into(groups, bytes, units, 2, 100, res);
+  map_to_units_into(groups, bytes, units, 2, 100, scratch, res);
   std::vector<std::size_t> expect0(units.size(), 0), expect1(units.size(), 0);
   for (const auto& a : res.assignments) {
     if (groups[a.group].contains(0)) expect0[a.unit_index] += a.symbols;

@@ -36,8 +36,9 @@ TEST(UnitMapExact, GreedyOptimalOnDisjointGroups) {
   std::vector<LayerArray> bytes(2);
   bytes[0][0] = 400.0;
   bytes[1][0] = 400.0;
+  UnitMapScratch scratch;
   UnitMapResult greedy;
-  map_to_units_into(groups, bytes, units, 2, 100, greedy);
+  map_to_units_into(groups, bytes, units, 2, 100, scratch, greedy);
   EXPECT_EQ(decoded_bytes_objective(greedy, units),
             exact_unit_objective(groups, bytes, units, 2, 100));
 }
@@ -53,8 +54,9 @@ TEST(UnitMapExact, GreedySuboptimalityOnOverlapIsBoundedAndKnown) {
   std::vector<LayerArray> bytes(2);
   bytes[0][0] = 400.0;  // 4 symbols
   bytes[1][0] = 400.0;
+  UnitMapScratch scratch;
   UnitMapResult greedy;
-  map_to_units_into(groups, bytes, units, 3, 100, greedy);
+  map_to_units_into(groups, bytes, units, 3, 100, scratch, greedy);
   const std::size_t exact = exact_unit_objective(groups, bytes, units, 3, 100);
   EXPECT_EQ(decoded_bytes_objective(greedy, units), 1200u);
   EXPECT_EQ(exact, 1400u);
@@ -89,8 +91,10 @@ TEST(UnitMapExact, GreedyWithinHalfOfOptimalOnAdversarialInstances) {
     std::vector<LayerArray> bytes(groups.size());
     for (auto& b : bytes) b[0] = static_cast<double>(rng.below(5)) * 100.0;
 
+    UnitMapScratch scratch;
+
     UnitMapResult greedy;
-    map_to_units_into(groups, bytes, units, 3, 100, greedy);
+    map_to_units_into(groups, bytes, units, 3, 100, scratch, greedy);
     const std::size_t greedy_obj = decoded_bytes_objective(greedy, units);
     const std::size_t exact = exact_unit_objective(groups, bytes, units, 3, 100);
     ASSERT_LE(greedy_obj, exact) << "greedy cannot beat the optimum";
