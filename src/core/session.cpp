@@ -123,7 +123,7 @@ MulticastSession::MulticastSession(const SessionConfig& cfg,
 }
 
 void MulticastSession::reset() {
-  frozen_.reset();
+  frozen_ = false;
   last_measured_.clear();
   planner_.clear();
   engine_.clear_backlog();
@@ -383,6 +383,10 @@ void MulticastSession::admit(Frame& f, const fault::FrameFaults& faults) {
 }
 
 void MulticastSession::decide(Frame& f, const FrameContext& ctx) {
+  f.plan = &decision_;
+  // No Update keeps frame 0's decision, so nothing reads a later CSI
+  // estimate: skip the sweeps (and their rng draws) once it exists.
+  if (frozen_) return;
   // Optionally estimate CSI the way the hardware does (SLS sweep + phase
   // retrieval) instead of taking the beacon channels as ground truth.
   const std::vector<linalg::CVector>* csi = f.csi;
@@ -397,13 +401,8 @@ void MulticastSession::decide(Frame& f, const FrameContext& ctx) {
     }
     csi = &estimated_;
   }
-  if (cfg_.adapt) {
-    decide_into(*csi, ctx, exclude_, decision_);
-    f.plan = &decision_;
-    return;
-  }
-  if (!frozen_) decide_into(*csi, ctx, exclude_, frozen_.emplace());
-  f.plan = &*frozen_;
+  decide_into(*csi, ctx, exclude_, decision_);
+  frozen_ = !cfg_.adapt;
 }
 
 void MulticastSession::set_air_parameters(const Frame& f) {

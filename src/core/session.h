@@ -21,7 +21,6 @@
 #include "sched/planner.h"
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -353,7 +352,7 @@ class MulticastSession {
   beamforming::Codebook codebook_;
   emu::TxEngine engine_;
   Rng rng_;
-  std::optional<Decision> frozen_;            ///< No-Update cache
+  bool frozen_ = false;  ///< No Update: decision_ is frame 0's, kept
   std::vector<Mbps> last_measured_;           ///< per-group rate feedback
   /// The decision's owner: beam cache, enumeration and solver scratch, and
   /// the previous plan that warm-starts Eq. 1 (see sched/planner.h).
@@ -383,7 +382,7 @@ class MulticastSession {
   emu::FrameTxResult tx_result_;          ///< engine result rows
   video::ReconstructWorkspace recon_ws_;  ///< per-user reconstruction
   video::Plane recon_luma_;               ///< luma only: all SSIM/PSNR read
-  Decision decision_;                     ///< adapt-mode decision storage
+  Decision decision_;                     ///< this frame's decision
 
   // --- Cross-frame state (all deterministic, no rng) --------------------
   std::uint32_t next_frame_id_ = 0;

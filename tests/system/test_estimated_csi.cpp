@@ -1,6 +1,7 @@
 #include "common/stats.h"
 #include "core/pretrained.h"
 #include "core/runner.h"
+#include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -107,6 +108,26 @@ TEST_F(EstimatedCsiTest, NoisySweepsDegradeGracefully) {
   EXPECT_GT(noisy_run.ssim_summary().mean, 0.75);
   EXPECT_LE(noisy_run.ssim_summary().mean,
             clean_run.ssim_summary().mean + 0.02);
+}
+
+TEST_F(EstimatedCsiTest, NoUpdateEstimatesCsiOnce) {
+  // No Update decides once, on frame 0's estimate; later frames must not
+  // pay for (or draw rng for) an estimate nothing reads.
+  Rng rng(6);
+  channel::PropagationConfig prop;
+  const auto channels =
+      channels_for(prop, place_users_fixed(2, 3.0, 1.047, rng));
+  SessionConfig cfg = SessionConfig::scaled(kW, kH);
+  cfg.adapt = false;
+  cfg.use_estimated_csi = true;
+  MulticastSession session(cfg, *quality_, *codebook_);
+  obs::set_enabled(true);
+  const obs::Stage& estimate = obs::stage("session.csi_estimate");
+  const std::uint64_t before = estimate.count();
+  run_static(session, {channels}, *contexts_, 10);
+  const std::uint64_t estimates = estimate.count() - before;
+  obs::set_enabled(false);
+  EXPECT_EQ(estimates, 1u);
 }
 
 }  // namespace
