@@ -52,12 +52,10 @@ struct SessionConfig {
   /// Anytime wall-clock budget for decide_into(), in milliseconds. 0 (the
   /// default) disables the deadline entirely: decide_into() reads no clock
   /// and its output is a pure function of the inputs (the golden/purity
-  /// determinism contract). When > 0, candidate beamforming stops
-  /// deferring optional merge subsets at ~45% of the budget and the Eq. 1
-  /// optimizer returns its best plan so far at ~90%, so the whole
-  /// decision lands inside the budget while every reachable user stays
-  /// served (singleton beams and the first optimizer start always run to
-  /// completion).
+  /// determinism contract). When > 0, sched::Planner splits it between
+  /// optional merge beams and the Eq. 1 optimizer so the whole decision
+  /// lands inside the budget while every reachable user stays served
+  /// (singleton beams and the first optimizer start always complete).
   double decide_deadline_ms = 0.0;
   emu::LossModel loss;
   /// Scales Table 2 rates to the frame resolution (see rate_scale_for).

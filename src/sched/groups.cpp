@@ -427,22 +427,21 @@ void note_anytime(const CandidatePlan& plan, std::size_t beamformed,
 
 void emit_groups(Mbps rate_threshold, SchedWorkspace& ws,
                  std::vector<GroupSpec>& out) {
-  const std::vector<GroupMask>& masks = ws.plan.masks;
-  const auto emitted = [&](std::size_t i) {
-    const beamforming::GroupBeam* beam = ws.by_index[i];
-    return beam != nullptr &&           // else deferred past the deadline
-           beam->rate.value > 0.0 &&    // else it cannot sustain any MCS
-           !(beam->rate < rate_threshold);
-  };
+  // Drop what cannot sustain any MCS or falls below the threshold; a
+  // nullptr is a subset deferred past the deadline.
   std::size_t count = 0;
-  for (std::size_t i = 0; i < masks.size(); ++i) count += emitted(i) ? 1 : 0;
+  for (const beamforming::GroupBeam*& beam : ws.by_index) {
+    if (beam != nullptr &&
+        (beam->rate.value <= 0.0 || beam->rate < rate_threshold))
+      beam = nullptr;
+    count += beam != nullptr ? 1 : 0;
+  }
   resize_recycled(out, count, ws.spare_groups);
-  std::size_t g = 0;
-  for (std::size_t i = 0; i < masks.size(); ++i) {
-    if (!emitted(i)) continue;
+  for (std::size_t i = 0, g = 0; i < ws.by_index.size(); ++i) {
+    if (ws.by_index[i] == nullptr) continue;
     GroupSpec& spec = out[g++];  // copy-assign: slot capacity reused
     spec.members.clear();
-    for (GroupMask m = masks[i]; m != 0; m &= m - 1)
+    for (GroupMask m = ws.plan.masks[i]; m != 0; m &= m - 1)
       spec.members.push_back(static_cast<std::size_t>(__builtin_ctzll(m)));
     spec.beam = *ws.by_index[i];
   }

@@ -110,8 +110,7 @@ void Planner::decide_into(const std::vector<linalg::CVector>& channels,
     if (settings_.optimized) {
       optimize_allocation_into(problem, quality, alloc_scratch_, d.allocation,
                                {}, warm_start(d.groups, channels.size()));
-      prev_.clear();  // this plan warm-starts the next frame
-      prev_total_ = 0.0;
+      forget_plan();  // this plan warm-starts the next frame
       prev_users_ = channels.size();
       for (std::size_t g = 0; g < d.groups.size(); ++g) {
         prev_.push_back({group_mask(d.groups[g]), d.allocation.time(g)});

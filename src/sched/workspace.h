@@ -95,8 +95,8 @@ struct SchedWorkspace {
   std::size_t deferred = 0;            ///< masks cut by the deadline
 
   // --- enumerate paths ---------------------------------------------------
-  /// Per plan mask, its beam this frame (nullptr = deferred): what
-  /// emit_groups reads.
+  /// Per plan mask, its beam this frame (nullptr = deferred, or filtered
+  /// out by emit_groups).
   std::vector<const beamforming::GroupBeam*> by_index;
   std::vector<GroupSpec> groups;       ///< enumerate_groups' output
   /// Parked GroupSpecs of every emit target (ws.groups or a caller's
