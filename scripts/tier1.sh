@@ -51,7 +51,7 @@ ctest --test-dir build --output-on-failure -L serve
 cmake -B build-asan -S . -DW4K_SANITIZE=ON
 cmake --build build-asan -j"$jobs" \
       --target tests_chaos tests_props chaos_scale chaos_multiap \
-               fuzz_jsonlite fuzz_fault_plan fuzz_trace_io \
+               fuzz_jsonlite fuzz_fault_plan fuzz_trace_io fuzz_serve_wire \
                tests_serve w4kd w4k_loadgen
 # -L matches labels by regex, so "chaos" selects the chaos suite plus the
 # chaos-scale and chaos-multiap slices — all rerun under the sanitizers.

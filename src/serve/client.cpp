@@ -5,9 +5,11 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <stdexcept>
 
 namespace w4k::serve {
@@ -37,6 +39,9 @@ Client::Client(const Options& opts)
   }
   const int flags = fcntl(fd_, F_GETFL, 0);
   fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
+  // Best effort: a kernel without UDP_GRO delivers every datagram alone.
+  const int on = 1;
+  setsockopt(fd_, SOL_UDP, UDP_GRO, &on, sizeof on);
 }
 
 Client::~Client() { kill(); }
@@ -70,30 +75,45 @@ std::size_t Client::drain() {
   if (fd_ < 0) return 0;
   std::size_t n = 0;
   while (true) {
-    const ssize_t r = recv(fd_, rxbuf_.data(), rxbuf_.size(), MSG_DONTWAIT);
+    iovec iov{rxbuf_.data(), rxbuf_.size()};
+    msghdr h{};
+    h.msg_iov = &iov;
+    h.msg_iovlen = 1;
+    h.msg_control = ctrl_;
+    h.msg_controllen = sizeof ctrl_;
+    const ssize_t r = recvmsg(fd_, &h, MSG_DONTWAIT);
     if (r < 0) break;  // EAGAIN: drained
-    const auto pkt = wire::parse_data(rxbuf_.data(),
-                                      static_cast<std::size_t>(r));
-    if (!pkt) {
-      ++parse_errors_;
-      continue;
-    }
-    const std::uint64_t rel = pkt->sub_id - opts_.first_sub_id;
-    if (rel >= stats_.size()) {
-      ++parse_errors_;  // someone else's subscriber id
-      continue;
-    }
-    stats_[rel].packets += 1;
-    stats_[rel].bytes += static_cast<std::uint64_t>(r);
-    ++total_packets_;
-    if (!saw_frame_ ||
-        transport::seq_less(last_frame_, pkt->header.frame_id))
-      last_frame_ = pkt->header.frame_id;
-    saw_frame_ = true;
-    if (on_packet) on_packet(*pkt);
-    ++n;
+    const auto size = static_cast<std::size_t>(r);
+    std::size_t gso_size = size;
+    for (cmsghdr* c = CMSG_FIRSTHDR(&h); c != nullptr; c = CMSG_NXTHDR(&h, c))
+      if (c->cmsg_level == SOL_UDP && c->cmsg_type == UDP_GRO) {
+        int v = 0;
+        std::memcpy(&v, CMSG_DATA(c), sizeof v);
+        gso_size = v > 0 ? static_cast<std::size_t>(v) : 0;
+      }
+    parse_errors_ += wire::split_segments(
+        rxbuf_.data(), size, gso_size,
+        [&](const wire::DataPacket& pkt, std::size_t bytes) {
+          if (account(pkt, bytes)) ++n;
+        });
   }
   return n;
+}
+
+bool Client::account(const wire::DataPacket& pkt, std::size_t bytes) {
+  const std::uint64_t rel = pkt.sub_id - opts_.first_sub_id;
+  if (rel >= stats_.size()) {
+    ++parse_errors_;  // someone else's subscriber id
+    return false;
+  }
+  stats_[rel].packets += 1;
+  stats_[rel].bytes += bytes;
+  ++total_packets_;
+  if (!saw_frame_ || transport::seq_less(last_frame_, pkt.header.frame_id))
+    last_frame_ = pkt.header.frame_id;
+  saw_frame_ = true;
+  if (on_packet) on_packet(pkt);
+  return true;
 }
 
 void Client::kill() {

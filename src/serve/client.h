@@ -7,9 +7,16 @@
 // under the container's fd limit. Sub ids are contiguous
 // [first_sub_id, first_sub_id + n_subs), letting per-sub stats live in a
 // flat preallocated vector (drain() allocates nothing).
+//
+// The socket asks for UDP_GRO, so the kernel may hand back a run of
+// datagrams from the daemon as one buffer; drain() cuts it by the
+// cmsg's gso_size (wire::split_segments) and accounts every datagram on
+// its own, exactly as if it had arrived alone.
 #pragma once
 
 #include "serve/wire.h"
+
+#include <sys/socket.h>
 
 #include <cstdint>
 #include <functional>
@@ -67,11 +74,15 @@ class Client {
 
  private:
   void send_ctrl(wire::CtrlType type, std::uint64_t sub_id);
+  /// Counts one parsed datagram; false when its sub id is not ours.
+  bool account(const wire::DataPacket& pkt, std::size_t bytes);
 
   Options opts_;
   int fd_ = -1;
   std::vector<SubStats> stats_;
-  std::vector<std::uint8_t> rxbuf_;
+  std::vector<std::uint8_t> rxbuf_;  ///< one maximal (coalesced) datagram
+  /// recvmsg control buffer (the UDP_GRO gso_size).
+  alignas(cmsghdr) std::uint8_t ctrl_[CMSG_SPACE(sizeof(int))] = {};
   std::uint64_t total_packets_ = 0;
   std::uint64_t parse_errors_ = 0;
   std::uint32_t last_frame_ = 0;

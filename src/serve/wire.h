@@ -21,6 +21,7 @@
 
 #include "fec/fountain.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -99,5 +100,27 @@ struct DataPacket {
 /// symbol that would poison the decoder).
 std::optional<DataPacket> parse_data(const std::uint8_t* data,
                                      std::size_t size);
+
+/// Splits one received buffer into its datagrams and parses each with
+/// parse_data. A UDP_GRO socket may hand back several datagrams of one
+/// sender coalesced into one buffer, cut every `gso_size` bytes (the last
+/// segment may be shorter); a plain datagram is the gso_size == size case.
+/// Calls `on_packet(packet, segment_bytes)` for every segment that parses
+/// and returns the rejections: 1 for a gso_size of 0 or above `size`
+/// (nothing is parsed), otherwise one per segment parse_data refuses.
+template <class OnPacket>
+std::size_t split_segments(const std::uint8_t* data, std::size_t size,
+                           std::size_t gso_size, OnPacket&& on_packet) {
+  if (gso_size == 0 || gso_size > size) return 1;
+  std::size_t rejected = 0;
+  for (std::size_t off = 0; off < size; off += gso_size) {
+    const std::size_t n = std::min(gso_size, size - off);
+    if (const auto pkt = parse_data(data + off, n))
+      on_packet(*pkt, n);
+    else
+      ++rejected;
+  }
+  return rejected;
+}
 
 }  // namespace w4k::serve::wire

@@ -3,10 +3,12 @@
 #include "serve/wire.h"
 #include "verify/invariants.h"
 
+#include <netinet/udp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
@@ -68,6 +70,8 @@ Worker::Worker(const WorkerConfig& cfg, BufferPool& pool, int data_fd)
           metric(cfg.index, "bytes_sent"))),
       batches_(obs::MetricsRegistry::global().counter(
           metric(cfg.index, "batches"))),
+      gso_sends_(obs::MetricsRegistry::global().counter(
+          metric(cfg.index, "gso_sends"))),
       send_errors_(obs::MetricsRegistry::global().counter(
           metric(cfg.index, "send_errors"))),
       ctrl_rejects_(obs::MetricsRegistry::global().counter(
@@ -107,6 +111,21 @@ Worker::Worker(const WorkerConfig& cfg, BufferPool& pool, int data_fd)
   msgs_.resize(cfg_.batch_packets);
   iovs_.resize(2 * cfg_.batch_packets);
   prefixes_.resize(cfg_.batch_packets);
+  pkt_sub_.resize(cfg_.batch_packets);
+  cmsgs_.resize(cfg_.batch_packets);
+  for (GsoCmsg& c : cmsgs_) {
+    cmsghdr hdr{};
+    hdr.cmsg_level = SOL_UDP;
+    hdr.cmsg_type = UDP_SEGMENT;
+    hdr.cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+    std::memcpy(c.buf, &hdr, sizeof hdr);
+  }
+  // A kernel without UDP_SEGMENT rejects the option itself; gso_size 0
+  // leaves plain sends unsegmented.
+  const int no_default_gso = 0;
+  if (setsockopt(fd_data_, SOL_UDP, UDP_SEGMENT, &no_default_gso,
+                 sizeof no_default_gso) != 0)
+    seg_cap_ = 1;
 
   last_tick_ = last_sweep_ = mono_now();
 }
@@ -281,7 +300,7 @@ void Worker::pump() {
           if (next_wait_s_ < 0.0 || w < next_wait_s_) next_wait_s_ = w;
           break;
         }
-        enqueue_packet(s, f->slots[s.progress], record);
+        enqueue_packet(idx, f->slots[s.progress], record);
         if (pacing_) s.bucket.on_send(wire_bytes);
         ++s.progress;
       }
@@ -293,64 +312,103 @@ void Worker::pump() {
   }
 }
 
-void Worker::enqueue_packet(Sub& s, std::uint32_t pool_slot,
+void Worker::enqueue_packet(std::uint32_t sub, std::uint32_t pool_slot,
                             std::size_t record) {
-  wire::serialize_prefix(s.id, prefixes_[batch_n_]);
+  wire::serialize_prefix(subs_[sub].id, prefixes_[batch_n_]);
   iovec* iov = &iovs_[2 * batch_n_];
   iov[0].iov_base = prefixes_[batch_n_].data();
   iov[0].iov_len = wire::kPrefixBytes;
   iov[1].iov_base = pool_.slot(pool_slot).data();
   iov[1].iov_len = record;
-  msghdr& h = msgs_[batch_n_].msg_hdr;
-  h.msg_name = &s.addr;
-  h.msg_namelen = sizeof(sockaddr_in);
-  h.msg_iov = iov;
-  h.msg_iovlen = 2;
-  h.msg_control = nullptr;
-  h.msg_controllen = 0;
-  h.msg_flags = 0;
+  pkt_sub_[batch_n_] = sub;
   if (++batch_n_ == cfg_.batch_packets) flush_batch();
+}
+
+// Cuts the batch's packets from `first` on into messages: one per run of a
+// subscriber's consecutive packets of equal size, at most seg_cap_
+// segments and kMaxUdpPayload bytes. pump() enqueues a subscriber's
+// packets back to back until its frame ends or pacing defers it, so a run
+// never spans a deferral. Returns the message count.
+std::size_t Worker::build_messages(std::size_t first) {
+  std::size_t m = 0;
+  for (std::size_t p = first; p < batch_n_; ++m) {
+    const std::size_t record = iovs_[2 * p + 1].iov_len;
+    const std::size_t seg = wire::kPrefixBytes + record;
+    const std::size_t cap =
+        std::min(seg_cap_, std::max<std::size_t>(1, kMaxUdpPayload / seg));
+    std::size_t n = 1;
+    while (n < cap && p + n < batch_n_ && pkt_sub_[p + n] == pkt_sub_[p] &&
+           iovs_[2 * (p + n) + 1].iov_len == record)
+      ++n;
+    msghdr& h = msgs_[m].msg_hdr;
+    h.msg_name = &subs_[pkt_sub_[p]].addr;
+    h.msg_namelen = sizeof(sockaddr_in);
+    h.msg_iov = &iovs_[2 * p];
+    h.msg_iovlen = 2 * n;
+    h.msg_flags = 0;
+    if (n > 1) {
+      const auto gso_size = static_cast<std::uint16_t>(seg);
+      std::memcpy(CMSG_DATA(reinterpret_cast<cmsghdr*>(cmsgs_[m].buf)),
+                  &gso_size, sizeof gso_size);
+      h.msg_control = cmsgs_[m].buf;
+      h.msg_controllen = sizeof cmsgs_[m].buf;
+    } else {
+      h.msg_control = nullptr;
+      h.msg_controllen = 0;
+    }
+    p += n;
+  }
+  return m;
 }
 
 void Worker::flush_batch() {
   if (batch_n_ == 0) return;
-  std::size_t done = 0;
-  bool fell_back = false;
-  while (done < batch_n_) {
-    const int r = sendmmsg(fd_data_, msgs_.data() + done,
-                           static_cast<unsigned>(batch_n_ - done),
-                           MSG_DONTWAIT);
-    if (r > 0) {
-      done += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == ENOSYS || errno == EOPNOTSUPP) {
-      fell_back = true;
+  std::size_t next = 0;  // first packet neither sent nor dropped
+  std::size_t sent = 0, dropped = 0, bytes = 0;
+  while (next < batch_n_) {
+    const std::size_t n_msgs = build_messages(next);
+    std::size_t m = 0;
+    while (m < n_msgs) {
+      const int r = sendmmsg(fd_data_, msgs_.data() + m,
+                             static_cast<unsigned>(n_msgs - m), MSG_DONTWAIT);
+      if (r > 0) {
+        for (const std::size_t end = m + static_cast<std::size_t>(r); m < end;
+             ++m) {
+          const std::size_t segs = msgs_[m].msg_hdr.msg_iovlen / 2;
+          if (segs > 1 && obs::enabled()) gso_sends_.add();
+          sent += segs;
+          next += segs;
+          bytes += msgs_[m].msg_len;
+        }
+        continue;
+      }
+      if (errno == EINTR) continue;
+      const bool gso_refused =
+          msgs_[m].msg_hdr.msg_iovlen > 2 &&
+          (errno == EINVAL || errno == EIO || errno == EOPNOTSUPP ||
+           errno == EMSGSIZE);
+      if (gso_refused) {
+        // E.g. a NIC whose MTU is below the segment size: segment nothing
+        // on this socket again, and re-cut the batch from this message.
+        seg_cap_ = 1;
+        break;
+      }
+      // EAGAIN / ENOBUFS: kernel send buffer momentarily full. The rest of
+      // the batch is dropped (UDP loss semantics) and counted per packet;
+      // the symbols remain recoverable for receivers via later fountain
+      // symbols.
+      dropped += batch_n_ - next;
+      next = batch_n_;
       break;
     }
-    // EAGAIN / ENOBUFS: kernel send buffer momentarily full. The rest of
-    // the batch is dropped (UDP loss semantics) and counted; the symbols
-    // remain recoverable for receivers via later fountain symbols.
-    send_errors_.add(batch_n_ - done);
-    break;
   }
-  if (fell_back) {
-    // Per-packet fallback for kernels without sendmmsg.
-    for (std::size_t i = done; i < batch_n_; ++i) {
-      const ssize_t r = sendmsg(fd_data_, &msgs_[i].msg_hdr, MSG_DONTWAIT);
-      if (r >= 0) {
-        msgs_[i].msg_len = static_cast<unsigned>(r);
-        ++done;
-      } else {
-        send_errors_.add();
-      }
-    }
-  }
-  std::size_t bytes = 0;
-  for (std::size_t i = 0; i < done; ++i) bytes += msgs_[i].msg_len;
-  packets_sent_.add(done);
+  verify::check(sent + dropped == batch_n_, "serve.flush-conservation", [&] {
+    return "flush offered " + std::to_string(batch_n_) + " packets, sent " +
+           std::to_string(sent) + " + dropped " + std::to_string(dropped);
+  });
+  packets_sent_.add(sent);
   bytes_sent_.add(bytes);
+  if (dropped > 0) send_errors_.add(dropped);
   batches_.add();
   batch_n_ = 0;
 }

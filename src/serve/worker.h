@@ -9,10 +9,16 @@
 // lock-free inbox ring plus an eventfd kick.
 //
 // Steady state is allocation-free: subscriber slots, the batch arrays
-// (mmsghdr / iovec / per-packet prefixes), and the inbox are all sized at
-// construction. Each symbol leaves as a 2-iovec scatter/gather packet —
-// per-subscriber prefix + shared pool slot — batched through sendmmsg
-// (per-packet sendmsg fallback when the syscall is unavailable).
+// (mmsghdr / iovec / per-packet prefixes / UDP_SEGMENT control buffers),
+// and the inbox are all sized at construction. Each symbol is a
+// [prefix, shared pool slot] iovec pair; a subscriber's consecutive
+// packets of equal wire size leave as one UDP GSO message (a UDP_SEGMENT
+// cmsg with gso_size = prefix + record), so the kernel walks its stack
+// once per run instead of once per datagram. A run ends at a size
+// change, a pacing deferral, the batch limit, 64 segments or 65507 bytes.
+// Messages go out batched through sendmmsg. When the kernel refuses GSO
+// the socket's segment cap drops to 1 for good and the refused message is
+// re-sent as single datagrams by the same loop; nothing is dropped for it.
 #pragma once
 
 #include "obs/metrics.h"
@@ -22,6 +28,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -39,7 +46,7 @@ struct WorkerConfig {
   std::size_t bucket_bytes = 15000; ///< bucket depth (~10 packets)
   double heartbeat_timeout_s = 5.0; ///< expire silent subscribers
   std::size_t max_backlog = 8;      ///< frames queued before publish fails
-  std::size_t batch_packets = 128;  ///< sendmmsg batch size
+  std::size_t batch_packets = 128;  ///< packets per sendmmsg batch
 };
 
 /// Fixed-capacity SPSC ring of published frames (publisher -> worker).
@@ -87,6 +94,18 @@ class Worker {
   Worker& operator=(const Worker&) = delete;
 
  private:
+  friend struct WorkerTestAccess;  // tests/support/serve_access.h
+
+  /// UDP_MAX_SEGMENTS of older kernels (newer ones allow 128) and the
+  /// largest UDP payload over IPv4.
+  static constexpr std::size_t kMaxSegments = 64;
+  static constexpr std::size_t kMaxUdpPayload = 65507;
+
+  /// One message's UDP_SEGMENT control buffer.
+  struct GsoCmsg {
+    alignas(cmsghdr) std::uint8_t buf[CMSG_SPACE(sizeof(std::uint16_t))];
+  };
+
   struct Sub {
     std::uint64_t id = 0;
     sockaddr_in addr{};
@@ -102,7 +121,9 @@ class Worker {
   void subscribe(std::uint64_t id, const sockaddr_in& from, double now);
   void remove(std::uint32_t slot);
   void pump();
-  void enqueue_packet(Sub& s, std::uint32_t pool_slot, std::size_t record);
+  void enqueue_packet(std::uint32_t sub, std::uint32_t pool_slot,
+                      std::size_t record);
+  std::size_t build_messages(std::size_t first);
   void flush_batch();
   void finish_frame(FrameDesc* f);
   void expire(double now);
@@ -120,11 +141,17 @@ class Worker {
   std::vector<std::uint32_t> active_;
   std::unordered_map<std::uint64_t, std::uint32_t> by_id_;
 
-  // Batch arrays (batch_packets entries, fixed at construction).
+  // Batch arrays, sized at construction. Per packet (batch_packets): the
+  // [prefix, slot] iovec pair, the prefix bytes and the subscriber slot.
+  // Per message (at most one per packet): the mmsghdr and its control
+  // buffer. Messages are cut from the packets at flush time.
   std::vector<mmsghdr> msgs_;
-  std::vector<iovec> iovs_;                         // 2 per packet
+  std::vector<iovec> iovs_;
   std::vector<std::array<std::uint8_t, 16>> prefixes_;
+  std::vector<std::uint32_t> pkt_sub_;
+  std::vector<GsoCmsg> cmsgs_;
   std::size_t batch_n_ = 0;
+  std::size_t seg_cap_ = kMaxSegments;  ///< 1 once the kernel refuses GSO
 
   bool pacing_ = false;
   double last_tick_ = 0.0;
@@ -138,6 +165,7 @@ class Worker {
   obs::Counter& packets_sent_;
   obs::Counter& bytes_sent_;
   obs::Counter& batches_;
+  obs::Counter& gso_sends_;  ///< multi-segment messages; off with obs
   obs::Counter& send_errors_;
   obs::Counter& ctrl_rejects_;
   obs::Counter& table_full_;

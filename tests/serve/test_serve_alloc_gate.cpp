@@ -1,6 +1,7 @@
-// ISSUE acceptance gate: after warmup, one full daemon cycle — encode a
+// Zero-allocation gate: after warmup, one full daemon cycle — encode a
 // frame into pool slots, publish to the worker, fan it out to every
-// subscriber, drain it client-side — performs zero heap allocations.
+// subscriber as UDP GSO runs, drain it client-side through UDP_GRO —
+// performs zero heap allocations.
 // Only meaningful under -DW4K_COUNT_ALLOCS=ON (operator new/delete
 // overridden); otherwise the test skips rather than vacuously passing.
 #include "common/alloc_count.h"
@@ -49,7 +50,11 @@ TEST(ServeAllocGate, SteadyStateFramePathIsAllocationFree) {
     c.drain();
   }
 
+  // Looked up before the scope: a registry lookup builds a string.
+  const obs::Counter& gso_sends =
+      obs::MetricsRegistry::global().counter("serve.w0.gso_sends");
   const std::uint64_t sent0 = w.packets_sent();
+  const std::uint64_t gso0 = gso_sends.value();
   alloc_count::Scope scope;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(d.publish_one());
@@ -60,6 +65,8 @@ TEST(ServeAllocGate, SteadyStateFramePathIsAllocationFree) {
       << "steady-state frame path allocated on the heap";
   EXPECT_EQ(w.packets_sent() - sent0, 5u * 6u * 32u);
   EXPECT_EQ(c.parse_errors(), 0u);
+  // The measured frames went out as UDP GSO runs, not one datagram each.
+  EXPECT_GT(gso_sends.value(), gso0);
 }
 
 // Sanity: the gate would actually trip if the path allocated.

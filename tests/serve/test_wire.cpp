@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstring>
+#include <vector>
 
 namespace w4k::serve::wire {
 namespace {
@@ -101,6 +102,79 @@ TEST(ServeWire, DataRejectsBadMagicAndDegenerateFields) {
   buf[kPrefixBytes + 12] = 0;  // k (little-endian u16)
   buf[kPrefixBytes + 13] = 0;
   EXPECT_FALSE(parse_data(buf.data(), total));
+}
+
+// Concatenates data packets as a UDP_GRO socket returns them: one buffer,
+// one segment per datagram.
+std::vector<std::uint8_t> coalesce(const std::vector<std::size_t>& payloads) {
+  std::vector<std::uint8_t> out;
+  for (const std::size_t p : payloads) {
+    std::size_t total = 0;
+    const auto buf = make_data_packet(p, &total);
+    out.insert(out.end(), buf.begin(), buf.begin() + total);
+  }
+  return out;
+}
+
+struct Split {
+  std::vector<std::size_t> payloads, bytes;
+  std::size_t rejected = 0;
+};
+
+Split split(const std::vector<std::uint8_t>& buf, std::size_t gso_size) {
+  Split s;
+  s.rejected = split_segments(buf.data(), buf.size(), gso_size,
+                              [&](const DataPacket& p, std::size_t n) {
+                                s.payloads.push_back(p.payload_size);
+                                s.bytes.push_back(n);
+                              });
+  return s;
+}
+
+TEST(ServeWire, SplitCutsCoalescedBufferEveryGsoSize) {
+  const auto buf = coalesce({40, 40, 40});
+  const Split s = split(buf, kPrefixBytes + kSymbolHeaderBytes + 40);
+  EXPECT_EQ(s.rejected, 0u);
+  EXPECT_EQ(s.payloads, (std::vector<std::size_t>{40, 40, 40}));
+  EXPECT_EQ(s.bytes, (std::vector<std::size_t>{84, 84, 84}));
+
+  // The last segment of a GRO buffer may be shorter.
+  const Split tail = split(coalesce({40, 40, 12}), 84);
+  EXPECT_EQ(tail.rejected, 0u);
+  EXPECT_EQ(tail.payloads, (std::vector<std::size_t>{40, 40, 12}));
+
+  // An uncoalesced datagram is the gso_size == size case.
+  const auto one = coalesce({40});
+  const Split plain = split(one, one.size());
+  EXPECT_EQ(plain.rejected, 0u);
+  EXPECT_EQ(plain.payloads.size(), 1u);
+}
+
+TEST(ServeWire, SplitRejectsDegenerateGsoSizeAndBadSegments) {
+  const auto buf = coalesce({40, 40, 40});
+  // gso_size 0 or above the received length: the whole buffer, once.
+  for (const std::size_t gso : {std::size_t{0}, buf.size() + 1}) {
+    const Split s = split(buf, gso);
+    EXPECT_EQ(s.rejected, 1u) << gso;
+    EXPECT_TRUE(s.payloads.empty()) << gso;
+  }
+  // A zero-length datagram parses nothing.
+  EXPECT_EQ(split_segments(buf.data(), 0, 0, [](const DataPacket&,
+                                                std::size_t) {}),
+            1u);
+
+  // A corrupt middle segment is rejected alone; its neighbours parse.
+  auto bad = buf;
+  bad[84 + 1] ^= 0x40;  // second segment's magic
+  const Split s = split(bad, 84);
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.payloads.size(), 2u);
+
+  // A gso_size that does not match the datagrams misframes every segment
+  // and rejects each; nothing parses as a short symbol.
+  const Split wrong = split(buf, 80);
+  EXPECT_TRUE(wrong.payloads.empty());
+  EXPECT_EQ(wrong.rejected, 4u);  // ceil(252 / 80)
 }
 
 TEST(ServeWire, CtrlAndDataMagicsDiffer) {
