@@ -12,6 +12,20 @@
 #include <stdexcept>
 
 namespace w4k::abr {
+namespace {
+
+static_assert(!kLadderMbps.empty());
+constexpr int kHorizon = 5;               ///< MPC lookahead (paper: n = 5)
+constexpr Seconds kChunkDuration = 1.0;   ///< one GoP per chunk
+/// MPC QoE weights (Yin et al.).
+constexpr double kRebufferPenalty = 4.3;
+constexpr double kSwitchPenalty = 1.0;
+/// Residual loss for the unicast MAC-ARQ link.
+constexpr double kResidualLoss = 0.01;
+/// Quality decay per frozen frame after a GoP loss.
+constexpr double kFreezeDecay = 0.02;
+
+}  // namespace
 
 std::string to_string(Predictor p) {
   return p == Predictor::kRobustMpc ? "RobustMPC" : "FastMPC";
@@ -24,7 +38,7 @@ double dash_quality(const AbrConfig& cfg, const core::FrameContext& ctx,
   // emulation resolution, so apply the same rate_scale the multicast
   // system uses.
   const double bytes_per_frame = bitrate_mbps * cfg.rate_scale * 1e6 / 8.0 /
-                                 cfg.fps * cfg.codec_efficiency;
+                                 kFrameRate * cfg.codec_efficiency;
 
   // Piecewise-linear curve through (0, blank) and the cumulative-layer
   // checkpoints (sum bytes of layers 0..i, SSIM with layers 0..i full).
@@ -38,12 +52,12 @@ double dash_quality(const AbrConfig& cfg, const core::FrameContext& ctx,
     if (bytes_per_frame <= cum) {
       const double span = cum - prev_x;
       const double frac = span > 0.0 ? (bytes_per_frame - prev_x) / span : 1.0;
-      return std::min(cfg.encoder_ceiling, prev_y + (y - prev_y) * frac);
+      return std::min(kEncoderCeiling, prev_y + (y - prev_y) * frac);
     }
     prev_x = cum;
     prev_y = y;
   }
-  return std::min(cfg.encoder_ceiling, prev_y);
+  return std::min(kEncoderCeiling, prev_y);
 }
 
 namespace {
@@ -103,7 +117,7 @@ double snapshot_goodput(const AbrConfig& cfg, const linalg::CVector& h_stale,
   emu::LossModel loss_model;
   const double loss =
       emu::associated_loss(loss_model, channel::beam_rss(h_now, cb[best]), *mcs);
-  const double p = std::max(cfg.residual_loss, loss);
+  const double p = std::max(kResidualLoss, loss);
   return mcs->udp_throughput.value * cfg.rate_scale * (1.0 - p) /
          static_cast<double>(n_users);
 }
@@ -118,13 +132,11 @@ AbrRunResult run_abr_trace(const AbrConfig& cfg, Predictor predictor,
     throw std::invalid_argument("run_abr_trace: no frame contexts");
   if (trace.steps() == 0 || trace.users() < n_users)
     throw std::invalid_argument("run_abr_trace: trace too small");
-  if (cfg.ladder_mbps.empty())
-    throw std::invalid_argument("run_abr_trace: empty ladder");
 
   const auto snaps_per_chunk = static_cast<std::size_t>(
-      std::max(1.0, cfg.chunk_duration / trace.interval));
+      std::max(1.0, kChunkDuration / trace.interval));
   const auto frames_per_chunk =
-      static_cast<std::size_t>(cfg.fps * cfg.chunk_duration);
+      static_cast<std::size_t>(kFrameRate * kChunkDuration);
   const std::size_t n_chunks = trace.steps() / snaps_per_chunk;
 
   AbrRunResult res;
@@ -152,23 +164,21 @@ AbrRunResult run_abr_trace(const AbrConfig& cfg, Predictor predictor,
           contexts[frame_index % contexts.size()];
       double best_qoe = -1e300;
       int best_idx = 0;
-      for (std::size_t r = 0; r < cfg.ladder_mbps.size(); ++r) {
-        const double rate = cfg.ladder_mbps[r] * cfg.rate_scale;
-        const double q = dash_quality(cfg, rep_ctx, cfg.ladder_mbps[r]);
-        const double download = rate / pred * cfg.chunk_duration;
-        const double rebuffer =
-            std::max(0.0, download - cfg.chunk_duration);
+      for (std::size_t r = 0; r < kLadderMbps.size(); ++r) {
+        const double rate = kLadderMbps[r] * cfg.rate_scale;
+        const double q = dash_quality(cfg, rep_ctx, kLadderMbps[r]);
+        const double download = rate / pred * kChunkDuration;
+        const double rebuffer = std::max(0.0, download - kChunkDuration);
         const double qoe =
-            static_cast<double>(cfg.horizon) *
-                (q - cfg.rebuffer_penalty * rebuffer) -
-            cfg.switch_penalty * std::abs(q - s.last_quality);
+            static_cast<double>(kHorizon) * (q - kRebufferPenalty * rebuffer) -
+            kSwitchPenalty * std::abs(q - s.last_quality);
         if (qoe > best_qoe) {
           best_qoe = qoe;
           best_idx = static_cast<int>(r);
         }
       }
       s.last_rate_index = best_idx;
-      const double chosen = cfg.ladder_mbps[static_cast<std::size_t>(best_idx)];
+      const double chosen = kLadderMbps[static_cast<std::size_t>(best_idx)];
       res.chosen_mbps.push_back(chosen);
 
       // Actual delivery over the chunk's snapshots.
@@ -183,15 +193,11 @@ AbrRunResult run_abr_trace(const AbrConfig& cfg, Predictor predictor,
       const double need_mbps = chosen * cfg.rate_scale;
       const double fraction =
           need_mbps <= 0.0 ? 1.0 : std::min(1.0, goodput / need_mbps);
-      std::size_t ok_frames;
-      if (fraction >= 1.0) {
-        ok_frames = frames_per_chunk;
-      } else if (cfg.live_edge) {
-        ok_frames = 0;  // missed the live deadline: the whole GoP is lost
-      } else {
-        ok_frames = static_cast<std::size_t>(
-            fraction * static_cast<double>(frames_per_chunk));
-      }
+      // Live-edge semantics: a chunk that cannot finish before its
+      // deadline is worthless — the player has moved on and the whole GoP
+      // freezes (the failure mode [20] reports for live streaming under
+      // mobile links).
+      const std::size_t ok_frames = fraction >= 1.0 ? frames_per_chunk : 0;
       if (ok_frames < frames_per_chunk) ++misses;
 
       double last_q = 0.0;
@@ -207,7 +213,7 @@ AbrRunResult run_abr_trace(const AbrConfig& cfg, Predictor predictor,
           // similarity to the advancing original decays with the gap.
           const double gap = static_cast<double>(i - ok_frames + 1);
           const double frozen =
-              std::min(last_q, ctx.prev_frame_ssim) - cfg.freeze_decay * gap;
+              std::min(last_q, ctx.prev_frame_ssim) - kFreezeDecay * gap;
           ssim = std::max(ctx.content.blank_ssim, frozen);
         }
         res.ssim[fi * n_users + u] = ssim;

@@ -23,6 +23,7 @@
 #include "channel/mobility.h"
 #include "core/frame_context.h"
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -32,36 +33,24 @@ enum class Predictor { kRobustMpc, kFastMpc };
 
 std::string to_string(Predictor p);
 
+/// Bitrate ladder at 4K scale, ascending (Mbps); scaled by rate_scale.
+/// Deliberately coarse — the paper's point about DASH is that its
+/// "coarse-grained bitrate options" cannot adapt within a GoP.
+inline constexpr std::array<double, 6> kLadderMbps = {200,  400,  800,
+                                                      1200, 1600, 2000};
+/// SSIM ceiling of a real encoder: lossy DASH rungs never reach the
+/// uncompressed-layered codec's 1.0 top anchor.
+inline constexpr double kEncoderCeiling = 0.98;
+
 struct AbrConfig {
-  /// Bitrate ladder at 4K scale, ascending (Mbps); scaled by rate_scale.
-  /// Deliberately coarse — the paper's point about DASH is that its
-  /// "coarse-grained bitrate options" cannot adapt within a GoP.
-  std::vector<double> ladder_mbps = {200, 400, 800, 1200, 1600, 2000};
-  int horizon = 5;                 ///< MPC lookahead (paper: n = 5)
-  Seconds chunk_duration = 1.0;    ///< one GoP per chunk
-  double fps = 30.0;
-  double rebuffer_penalty = 4.3;   ///< MPC QoE weights (Yin et al.)
-  double switch_penalty = 1.0;
   /// H.264-vs-layered byte efficiency when mapping bitrate to quality.
   /// Calibrated so the top DASH rung lands at roughly the quality the
   /// layered system reaches with the full channel — the regime the
   /// paper's testbed exhibits (its MPC baselines trail Real-time Update
   /// by only ~0.02 SSIM under static high RSS).
   double codec_efficiency = 1.5;
-  /// SSIM ceiling of a real encoder: lossy DASH rungs never reach the
-  /// uncompressed-layered codec's 1.0 top anchor.
-  double encoder_ceiling = 0.98;
   /// Same resolution rate-scale the multicast system uses.
   double rate_scale = 1.0;
-  /// Residual loss for the unicast MAC-ARQ link.
-  double residual_loss = 0.01;
-  /// Quality decay per frozen frame after a GoP loss.
-  double freeze_decay = 0.02;
-  /// Live-edge semantics: a chunk that cannot finish before its deadline
-  /// is worthless — the player has moved on, the whole GoP freezes (the
-  /// failure mode [20] reports for live streaming under mobile links).
-  /// false = VoD-style partial credit for the delivered prefix.
-  bool live_edge = true;
   std::uint64_t seed = 3;
 };
 

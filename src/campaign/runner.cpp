@@ -46,7 +46,7 @@ core::SessionReport stream_cell(const ScenarioSpec& spec,
   core::SessionConfig cfg = make_config(spec);
   if (opts.stale_csi_backoff_db >= 0.0) {
     cfg.stale_csi_backoff_db = opts.stale_csi_backoff_db;
-    cfg.validate(core::SessionConfig::kUnknown, spec.n_users);
+    cfg.validate();
   }
   core::MulticastSession session(cfg, quality, beamforming::Codebook{});
   const std::vector<core::FrameContext>& ctx =
@@ -284,21 +284,17 @@ CampaignResult run_campaign(const CampaignOptions& opts,
     for (CellRow& row : read_shard(w.shard))
       by_cell.emplace(row.cell, std::move(row));
 
-  // Re-run each missing cell in its own process: a deterministic abort
-  // crashes again and becomes a synthetic row; a transient failure (e.g.
-  // a worker that died between cells) recovers.
+  // Re-run each missing cell once in its own process: a deterministic
+  // abort crashes again and becomes a synthetic row; a transient failure
+  // (e.g. a worker that died between cells) recovers.
   for (std::uint64_t i = 0; i < opts.n_cells; ++i) {
     if (by_cell.count(i)) continue;
     ++result.cells_retried;
     const std::string retry_shard =
         opts.out_dir + "/retry-" + std::to_string(i) + ".jsonl";
-    for (int attempt = 0; attempt < opts.max_retries; ++attempt) {
-      const pid_t pid = spawn_worker(self_exe, opts, i, i + 1, retry_shard);
-      wait_clean(pid);
-      for (CellRow& row : read_shard(retry_shard))
-        by_cell.emplace(row.cell, std::move(row));
-      if (by_cell.count(i)) break;
-    }
+    wait_clean(spawn_worker(self_exe, opts, i, i + 1, retry_shard));
+    for (CellRow& row : read_shard(retry_shard))
+      by_cell.emplace(row.cell, std::move(row));
     if (!by_cell.count(i)) {
       CellRow crashed;
       crashed.cell = i;

@@ -41,9 +41,6 @@ struct CampaignOptions {
   /// over-backs-off every held-CSI decision, degrading MCS and SSIM on
   /// all CSI-faulted cells — a realistic "mis-tuned knob" regression.
   double stale_csi_backoff_db = -1.0;
-  /// Per missing cell after a worker crash: how many single-cell retry
-  /// processes to attempt before recording the cell as crashed.
-  int max_retries = 1;
 };
 
 /// Per-worker cache of the expensive encoded-frame contexts, keyed by the

@@ -180,7 +180,7 @@ core::SessionConfig make_config(const ScenarioSpec& spec) {
     cfg.handoff.min_dwell_frames = spec.min_dwell_frames;
   }
   cfg.relay.enabled = spec.relay;
-  cfg.validate(core::SessionConfig::kUnknown, spec.n_users);
+  cfg.validate();
   return cfg;
 }
 

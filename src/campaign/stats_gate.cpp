@@ -103,7 +103,7 @@ BootstrapCi bootstrap_median_delta_ci(std::span<const double> a,
 }
 
 GateReport compare(const CampaignSummary& current,
-                   const CampaignSummary& baseline, const GateConfig& cfg) {
+                   const CampaignSummary& baseline) {
   GateReport report;
   if (current.failed > baseline.failed) {
     report.pass = false;
@@ -124,7 +124,7 @@ GateReport compare(const CampaignSummary& current,
     const MwuResult mwu = mann_whitney_u(cur, base);
     v.p = mwu.p;
     const double delta = v.median_current - v.median_baseline;
-    v.flagged = mwu.p < cfg.alpha && std::fabs(delta) > cfg.min_effect;
+    v.flagged = mwu.p < kGateAlpha && std::fabs(delta) > kGateMinEffect;
     if (v.flagged) report.pass = false;
     if (v.flagged)
       v.delta_ci = bootstrap_median_delta_ci(cur, base);

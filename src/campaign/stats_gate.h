@@ -6,11 +6,12 @@
 // two-sided Mann-Whitney U test (normal approximation with tie
 // correction — campaign metrics are heavily tied: most cells have zero
 // handoffs, deliveries saturate at 1.0). A metric fails the gate when the
-// shift is both statistically significant (p < alpha) and practically
-// meaningful (|median delta| > min_effect), so a 500-cell run cannot fail
-// on a microscopic-but-consistent float ripple, and a genuinely moved
-// distribution cannot hide behind per-cell noise. A seeded bootstrap CI of
-// the median delta is reported alongside for humans; it never decides.
+// shift is both statistically significant (p < kGateAlpha) and
+// practically meaningful (|median delta| > kGateMinEffect), so a 500-cell
+// run cannot fail on a microscopic-but-consistent float ripple, and a
+// genuinely moved distribution cannot hide behind per-cell noise. A seeded
+// bootstrap CI of the median delta is reported alongside for humans; it
+// never decides.
 #pragma once
 
 #include "campaign/shard.h"
@@ -45,16 +46,13 @@ BootstrapCi bootstrap_median_delta_ci(std::span<const double> a,
                                       double confidence = 0.99,
                                       std::uint64_t seed = 0x5eed);
 
-struct GateConfig {
-  /// Per-metric two-sided significance threshold. The campaign tests
-  /// kNumMetrics correlated metrics; 1e-4 keeps the family-wise false
-  /// alarm rate comfortably below the golden gate's (zero) while a real
-  /// regression across hundreds of cells lands at p orders of magnitude
-  /// smaller.
-  double alpha = 1e-4;
-  /// Minimum |median delta| for a significant shift to count.
-  double min_effect = 1e-4;
-};
+/// Per-metric two-sided significance threshold. The campaign tests
+/// kNumMetrics correlated metrics; 1e-4 keeps the family-wise false alarm
+/// rate comfortably below the golden gate's (zero) while a real regression
+/// across hundreds of cells lands at p orders of magnitude smaller.
+inline constexpr double kGateAlpha = 1e-4;
+/// Minimum |median delta| for a significant shift to count.
+inline constexpr double kGateMinEffect = 1e-4;
 
 struct MetricVerdict {
   std::string name;
@@ -77,8 +75,7 @@ struct GateReport {
 /// one. Structural failures (more failed/crashed cells than the baseline
 /// had) fail the gate before any statistics run.
 GateReport compare(const CampaignSummary& current,
-                   const CampaignSummary& baseline,
-                   const GateConfig& cfg = {});
+                   const CampaignSummary& baseline);
 
 /// Human-readable verdict table ("metric  n  median  baseline  p  ...").
 void print_gate_report(std::ostream& os, const GateReport& report);

@@ -80,7 +80,7 @@ std::vector<std::vector<double>> ap_user_azimuths(
 ///   ap <x_m> <y_m> <boresight_deg>     # one per AP, >= 1 required
 ///
 /// The room line overrides prop.room dimensions; everything else in `prop`
-/// (antennas, calibration, materials) is taken from the argument. Throws
+/// (antennas, materials, reflections) is taken from the argument. Throws
 /// std::runtime_error naming the offending line.
 MultiApGeometry parse_geometry(std::istream& is,
                                const PropagationConfig& prop = {});

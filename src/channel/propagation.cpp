@@ -10,6 +10,9 @@ namespace w4k::channel {
 namespace {
 
 constexpr double kLambda = kSpeedOfLight / kWigigFreqHz;  // ~4.96 mm
+/// Link-budget constant folding TX power and per-element gain (see the
+/// header comment for how it was calibrated).
+constexpr double kCalibrationDb = 14.5;
 
 }  // namespace
 
@@ -75,7 +78,7 @@ linalg::CVector make_channel(const PropagationConfig& cfg, Position rx,
   for (const auto& p : paths) {
     double loss = fspl_db(p.length_m) + p.extra_loss_db;
     if (p.line_of_sight) loss += los_extra_loss_db;
-    const double amp_db = cfg.calibration_db - loss;
+    const double amp_db = kCalibrationDb - loss;
     const double amp = std::pow(10.0, amp_db / 20.0);
     // Carrier phase from the exact travelled distance: this is what makes
     // multipath interference (and its evolution under motion) physical.

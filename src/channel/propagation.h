@@ -59,9 +59,6 @@ double fspl_db(double distance_m);
 
 struct PropagationConfig {
   std::size_t n_antennas = 32;
-  /// Link-budget constant folding TX power and per-element gain (see file
-  /// comment for how it was calibrated).
-  double calibration_db = 14.5;
   Room room;
   /// Disable to get a pure-LoS channel (useful in unit tests).
   bool reflections = true;

@@ -29,8 +29,7 @@ SessionConfig SessionConfig::scaled(int width, int height) {
   return cfg;
 }
 
-void SessionConfig::validate(std::size_t codebook_beams,
-                             std::size_t n_users) const {
+void SessionConfig::validate(std::size_t codebook_beams) const {
   auto bad = [](const std::string& field, const std::string& msg) {
     throw std::invalid_argument("SessionConfig." + field + ": " + msg);
   };
@@ -54,10 +53,6 @@ void SessionConfig::validate(std::size_t codebook_beams,
        decide_deadline_ms);
   need(stale_csi_backoff_db >= 0.0, "stale_csi_backoff_db", "must be >= 0 dB",
        stale_csi_backoff_db);
-  need(blind_makeup_fraction >= 0.0 && blind_makeup_fraction <= 1.0,
-       "blind_makeup_fraction", "must be in [0, 1]", blind_makeup_fraction);
-  need(blind_backoff_cap >= 0 && blind_backoff_cap <= 30, "blind_backoff_cap",
-       "must be in [0, 30]", blind_backoff_cap);
   need(quarantine_after >= 0, "quarantine_after", "must be >= 0",
        quarantine_after);
   need(quarantine_reprobe_period >= 1, "quarantine_reprobe_period",
@@ -80,8 +75,6 @@ void SessionConfig::validate(std::size_t codebook_beams,
        "handoff.backoff_cap", "must be in [0, 20]", handoff.backoff_cap);
   need(relay.loss >= 0.0 && relay.loss < 1.0, "relay.loss",
        "must be in [0, 1)", relay.loss);
-  if (!std::isfinite(relay.min_relayer_rss_dbm))
-    bad("relay.min_relayer_rss_dbm", "must be finite");
   if (relay.enabled && handoff.n_aps <= 1 && quarantine_after == 0)
     bad("relay.enabled",
         "peer relay targets quarantined users: with a single AP and "
@@ -95,10 +88,6 @@ void SessionConfig::validate(std::size_t codebook_beams,
         "antenna (" +
             std::to_string(codebook_beams) + " beams < " +
             std::to_string(channel::kDefaultApAntennas) + " antennas)");
-  if (n_users != kUnknown && n_users > 0 && associated_user >= n_users)
-    bad("associated_user",
-        "out of range (" + std::to_string(associated_user) + " >= " +
-            std::to_string(n_users) + " users)");
 }
 
 MulticastSession::MulticastSession(const SessionConfig& cfg,
@@ -146,6 +135,19 @@ void MulticastSession::ensure_user_state(std::size_t n_users) {
 }
 
 namespace {
+
+/// The associated (MAC-ARQ) STA; every other user is in monitor mode.
+constexpr std::size_t kAssociatedUser = 0;
+/// Blind worst-case makeup budget for a user whose feedback report was
+/// lost, as a fraction of each unit's k symbols. Halved for every further
+/// consecutive silent frame, at most kBlindBackoffCap times, so a dead
+/// receiver cannot permanently eat the makeup budget.
+constexpr double kBlindMakeupFraction = 0.5;
+constexpr int kBlindBackoffCap = 4;
+static_assert(kBlindBackoffCap >= 0 && kBlindBackoffCap <= 30,
+              "the halving is a 32-bit shift");
+/// Minimum relayer best-case RSS: only LoS-grade users relay.
+constexpr Dbm kMinRelayerRss{-58.0};
 
 /// Field-by-field reset (not `out = {}`) so a reused outcome's vectors keep
 /// their capacity.
@@ -240,7 +242,7 @@ std::size_t MulticastSession::check_inputs(
     if (decision_stacks[a].size() != n_users ||
         true_stacks[a].size() != n_users)
       throw std::invalid_argument("step: channel vector count mismatch");
-  cfg_.validate(SessionConfig::kUnknown, n_users);
+  cfg_.validate();
   const auto check_mask = [&](std::size_t got, const char* name) {
     if (got != 0 && got != n_users)
       throw std::invalid_argument(std::string("step: faults.") + name +
@@ -465,7 +467,7 @@ void MulticastSession::set_air_parameters(const Frame& f) {
     for (std::size_t u : spec.members) {
       const Dbm rss = channel::beam_rss((*f.truth)[u], air.beam);
       tx.member_loss.push_back(
-          u == cfg_.associated_user
+          u == kAssociatedUser
               ? emu::associated_loss(cfg_.loss, rss, *mcs)
               : emu::monitor_loss(cfg_.loss, rss, *mcs));
     }
@@ -537,10 +539,9 @@ void MulticastSession::transmit(const Frame& f, const FrameContext& ctx,
     // conservative budget, each further consecutive one half of it.
     const UserState& s = users_[u];
     const int halvings =
-        s.silent ? std::min(s.feedback_silent_streak, cfg_.blind_backoff_cap)
-                 : 0;
+        s.silent ? std::min(s.feedback_silent_streak, kBlindBackoffCap) : 0;
     efs_.feedback_lost.push_back(s.silent ? 1 : 0);
-    efs_.blind_fraction.push_back(cfg_.blind_makeup_fraction /
+    efs_.blind_fraction.push_back(kBlindMakeupFraction /
                                   static_cast<double>(1u << halvings));
   }
 
@@ -743,7 +744,7 @@ void MulticastSession::plan_relays(const Frame& f,
     }
     if (best == f.n_users || best_mw <= 0.0) continue;
     const Dbm rss = Dbm::from_milliwatts(best_mw);
-    if (rss.value < cfg_.relay.min_relayer_rss_dbm) continue;
+    if (rss < kMinRelayerRss) continue;
     const auto mcs = channel::select_mcs(rss - f.mcs_margin_db);
     if (!mcs) continue;
     relays_.push_back(emu::RelayLink{

@@ -65,21 +65,12 @@ struct SessionConfig {
   /// and fountain-coded makeup packets fit inside the same 1/FR deadline
   /// ("the feedbacks and all retransmissions should finish within 33 ms").
   double makeup_margin = 0.08;
-  /// Index of the associated (MAC-ARQ) STA; the rest are monitor mode.
-  std::size_t associated_user = 0;
   std::uint64_t seed = 1;
 
   // --- Degradation ladder (fault tolerance; see DESIGN.md Sec. 4d) ------
   /// Extra dB backed off the MCS while running on held (stale/corrupt-
   /// beacon) CSI: the beamweights are old, so select conservatively.
   double stale_csi_backoff_db = 2.0;
-  /// Blind worst-case makeup budget for a user whose feedback report was
-  /// lost, as a fraction of each unit's k symbols. Halved for every
-  /// further consecutive silent frame (capped below) so a dead receiver
-  /// cannot permanently eat the makeup budget.
-  double blind_makeup_fraction = 0.5;
-  /// Cap on the number of halvings of blind_makeup_fraction.
-  int blind_backoff_cap = 4;
   /// Quarantine a user from the group optimizer after this many
   /// consecutive frames with zero decoded units while transmissions were
   /// attempted (0 disables quarantine). A persistently blocked user then
@@ -124,8 +115,6 @@ struct SessionConfig {
   /// it with a single AP and quarantine off fails validate().
   struct RelayConfig {
     bool enabled = false;
-    /// Minimum relayer best-case RSS (dBm): only LoS-grade users relay.
-    double min_relayer_rss_dbm = -58.0;
     /// Per-symbol delivery loss on the D2D side link.
     double loss = 0.05;
   };
@@ -136,13 +125,11 @@ struct SessionConfig {
 
   /// Checks every field range and throws std::invalid_argument naming the
   /// offending field ("SessionConfig.rate_scale: ..."). `codebook_beams`
-  /// and `n_users` enable the context-dependent checks (undersized
-  /// codebook with use_estimated_csi, associated_user out of range) and
-  /// may be kUnknown to skip them. MulticastSession's constructor calls
-  /// this, so a bad config fails at construction instead of deep inside a
-  /// frame.
-  void validate(std::size_t codebook_beams = kUnknown,
-                std::size_t n_users = kUnknown) const;
+  /// enables the context-dependent check (undersized codebook with
+  /// use_estimated_csi) and may be kUnknown to skip it.
+  /// MulticastSession's constructor calls this, so a bad config fails at
+  /// construction instead of deep inside a frame.
+  void validate(std::size_t codebook_beams = kUnknown) const;
 };
 
 struct FrameOutcome {
@@ -244,6 +231,8 @@ class MulticastSession {
                    const std::vector<std::uint8_t>& exclude, Decision& d);
 
  private:
+  friend struct SessionTestAccess;  // tests/support/session_access.h
+
   enum class ApAttachState : std::uint8_t {
     kAttached = 0,
     kDegraded = 1,

@@ -9,6 +9,13 @@
 #include <stdexcept>
 
 namespace w4k::emu {
+namespace {
+
+/// Air time of one feedback round (report up, makeup decision down),
+/// deducted from the frame budget before the round's makeup is sent.
+constexpr Seconds kFeedbackLatency = 0.8e-3;
+
+}  // namespace
 
 TxEngine::TxEngine(const EngineConfig& cfg) : cfg_(cfg) {
   if (cfg.symbol_size == 0)
@@ -243,7 +250,7 @@ void TxEngine::run_frame_into(
     obs::StageSpan span(st);
     for (int round = 0; round < cfg_.feedback_rounds && budget_left;
          ++round) {
-      t = std::max(t, drain_free) + cfg_.feedback_latency;
+      t = std::max(t, drain_free) + kFeedbackLatency;
       if (t >= budget) break;
       if (!cfg_.rate_control) drain_free = std::max(drain_free, t);
 

@@ -56,7 +56,6 @@ struct EngineConfig {
   std::size_t bucket_packets = 10;    ///< leaky bucket depth (Sec. 2.7)
   std::size_t queue_capacity_bytes = 6'000'000;  ///< kernel/driver queue
   int feedback_rounds = 2;
-  Seconds feedback_latency = 0.8e-3;  ///< per round, deducted from budget
 };
 
 struct FrameTxStats {

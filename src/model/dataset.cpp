@@ -4,6 +4,12 @@
 #include <cmath>
 
 namespace w4k::model {
+namespace {
+
+/// Share of the examples that go to the training split (paper: 7:3).
+constexpr double kTrainSplit = 0.7;
+
+}  // namespace
 
 void Features::to_input_into(Vec& x) const {
   x.clear();
@@ -106,7 +112,7 @@ Dataset build_dataset(const std::vector<video::VideoSpec>& specs,
   for (std::size_t i = all.size(); i > 1; --i)
     std::swap(all[i - 1], all[rng.below(i)]);
   const auto cut = static_cast<std::size_t>(
-      cfg.train_split * static_cast<double>(all.size()));
+      kTrainSplit * static_cast<double>(all.size()));
   Dataset ds;
   ds.train.assign(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(cut));
   ds.test.assign(all.begin() + static_cast<std::ptrdiff_t>(cut), all.end());

@@ -60,7 +60,6 @@ struct DatasetConfig {
   int fractions_per_frame = 24;   ///< random reception vectors per frame
   TargetMetric metric = TargetMetric::kSsim;
   std::uint64_t seed = 1234;
-  double train_split = 0.7;       ///< paper: 7:3 random split
 };
 
 /// A labelled dataset split.

@@ -12,6 +12,11 @@ namespace {
 
 double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
+/// Epochs over which train_mse's learning rate falls to half.
+constexpr double kDecayTau = 300.0;
+/// Seed of train_mse's per-epoch example shuffle.
+constexpr std::uint64_t kShuffleSeed = 7;
+
 }  // namespace
 
 Dense::Dense(std::size_t in, std::size_t out, bool sig, Rng& rng)
@@ -193,15 +198,14 @@ void Network::load(std::istream& is) {
 double train_mse(Network& net, const std::vector<Example>& data,
                  const TrainConfig& cfg) {
   if (data.empty()) throw std::invalid_argument("train_mse: empty dataset");
-  Rng rng(cfg.shuffle_seed);
+  Rng rng(kShuffleSeed);
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
 
   long adam_step_count = 0;
   double epoch_mse = 0.0;
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    const double lr =
-        cfg.decay_tau > 0.0 ? cfg.lr / (1.0 + epoch / cfg.decay_tau) : cfg.lr;
+    const double lr = cfg.lr / (1.0 + epoch / kDecayTau);
     // Fisher-Yates with our deterministic RNG (std::shuffle is not
     // platform-stable).
     for (std::size_t i = order.size(); i > 1; --i)

@@ -117,12 +117,10 @@ struct Example {
 struct TrainConfig {
   int epochs = 500;
   std::size_t batch_size = 128;
+  /// Initial rate, decayed in inverse time: lr_epoch = lr / (1 + epoch /
+  /// 300). Unlike step decay this keeps making (ever smaller) progress on
+  /// very long runs instead of freezing.
   double lr = 1e-2;
-  /// Inverse-time decay: lr_epoch = lr / (1 + epoch / decay_tau).
-  /// Unlike step decay this keeps making (ever smaller) progress on very
-  /// long runs instead of freezing. 0 = constant lr.
-  double decay_tau = 300.0;
-  std::uint64_t shuffle_seed = 7;
   /// Optional early-stop: stop if train MSE drops below this (0 disables).
   double target_mse = 0.0;
 };

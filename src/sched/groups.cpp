@@ -156,9 +156,7 @@ void plan_candidates_into(beamforming::Scheme scheme,
   plan.capped = 0;
 
   const MaskFilter filter(scheme, n, cfg, who);
-  const std::size_t threshold =
-      std::min<std::size_t>(cfg.hierarchical_threshold, 16);
-  const bool hierarchical = n > threshold;
+  const bool hierarchical = n > kHierarchicalThreshold;
 
   std::vector<GroupMask>& raw = ws.raw;
   raw.clear();
@@ -204,10 +202,10 @@ void plan_candidates_into(beamforming::Scheme scheme,
   // candidate budget: singletons are always kept, merges compete by
   // bound-rate x size (airtime efficiency). The exhaustive path never
   // caps — its whole point is the complete lattice.
-  if (hierarchical && survivors.size() > cfg.max_candidates) {
+  if (hierarchical && survivors.size() > kMaxCandidates) {
     std::stable_sort(survivors.begin(), survivors.end(), ranks_before);
     const std::size_t keep = std::max(
-        cfg.max_candidates,
+        kMaxCandidates,
         static_cast<std::size_t>(std::count_if(
             survivors.begin(), survivors.end(), is_singleton)));
     plan.capped = survivors.size() - keep;

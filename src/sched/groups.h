@@ -4,9 +4,9 @@
 // For small N the sender enumerates every non-empty user subset, beams to
 // it, maps the bottleneck RSS to a UDP rate, and drops groups whose rate
 // falls below a threshold ("we omit the groups whose throughput is below a
-// threshold to speed up computation"). Past
-// GroupEnumConfig::hierarchical_threshold the exhaustive lattice is
-// replaced by a cluster-tree generator (see sched/hierarchy.h): users are
+// threshold to speed up computation"). Past kHierarchicalThreshold users
+// the exhaustive lattice is replaced by a cluster-tree generator (see
+// sched/hierarchy.h): users are
 // clustered by channel direction and candidates are the singletons plus
 // intra- and cross-cluster merges — hundreds of subsets at N=64 instead of
 // 2^64. Unicast schemes only admit singleton groups at any N.
@@ -76,29 +76,32 @@ struct Membership {
   std::span<const std::uint8_t> partition;
 };
 
+// --- Anytime candidate generation (DESIGN.md Sec. 4f) -------------------
+
+/// User counts above this switch from the paper's exhaustive subset
+/// lattice to the cluster-tree candidate generator. It keeps every small-N
+/// scenario on the exact exhaustive path while the lattice is still
+/// affordable.
+inline constexpr std::size_t kHierarchicalThreshold = 12;
+/// The exhaustive lattice enumerates all 2^n subsets; it keeps its
+/// historic 16-user ceiling.
+static_assert(kHierarchicalThreshold <= 16);
+/// Minimum normalized channel correlation |<h_u/|h_u|, h_v/|h_v|>|
+/// (average linkage between clusters) for two beam clusters to merge.
+inline constexpr double kClusterCorrelation = 0.6;
+/// Agglomeration stops growing a cluster past this many members.
+inline constexpr std::size_t kMaxClusterSize = 8;
+/// Cap on hierarchical candidates per frame. Singletons are always kept
+/// (they are what guarantees coverage); the merge candidates with the best
+/// bound-rate x size score fill the remainder.
+inline constexpr std::size_t kMaxCandidates = 128;
+
 struct GroupEnumConfig {
   /// Groups slower than this are pruned (0 keeps everything usable).
   Mbps rate_threshold{0.0};
   /// Upper bound on group size (paper uses all subsets; capping is an
   /// ablation knob for the pruning bench).
   std::size_t max_group_size = 8;
-
-  // --- Anytime candidate generation (DESIGN.md Sec. 4f) -----------------
-  /// User counts above this switch from the paper's exhaustive subset
-  /// lattice to the cluster-tree candidate generator. The default keeps
-  /// every pre-existing small-N scenario on the exact exhaustive path
-  /// while the lattice is still affordable; values above 16 are clamped
-  /// (the lattice is 2^n).
-  std::size_t hierarchical_threshold = 12;
-  /// Minimum normalized channel correlation |<h_u/|h_u|, h_v/|h_v|>|
-  /// (average linkage between clusters) for two beam clusters to merge.
-  double cluster_correlation = 0.6;
-  /// Agglomeration stops growing a cluster past this many members.
-  std::size_t max_cluster_size = 8;
-  /// Cap on hierarchical candidates per frame. Singletons are always kept
-  /// (they are what guarantees coverage); the merge candidates with the
-  /// best bound-rate x size score fill the remainder.
-  std::size_t max_candidates = 128;
 };
 
 /// Deterministic per-subset RNG seed: a splitmix64-style mix of the
@@ -120,7 +123,7 @@ struct CandidatePlan {
   std::size_t mandatory = 0;  ///< prefix of `priority` never deadline-cut
   std::size_t generated = 0;  ///< candidates before bound pruning
   std::size_t pruned = 0;     ///< dropped by the rate upper bound
-  std::size_t capped = 0;     ///< dropped by the max_candidates budget
+  std::size_t capped = 0;     ///< dropped by the kMaxCandidates budget
 };
 
 /// The beam for one member subset (bits of `mask` index into

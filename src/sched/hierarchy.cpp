@@ -63,13 +63,12 @@ std::vector<GroupMask> cluster_candidates(
   // Strictly-greater comparisons break ties toward the lowest (i, j)
   // pair, so the tree is a deterministic function of the correlations.
   const std::size_t cap =
-      std::max<std::size_t>(2, std::min(cfg.max_cluster_size,
-                                        cfg.max_group_size));
+      std::max<std::size_t>(2, std::min(kMaxClusterSize, cfg.max_group_size));
   std::vector<Cluster> clusters(m);
   for (std::size_t i = 0; i < m; ++i) clusters[i].members = {i};
   std::vector<std::vector<std::size_t>> merges;  // every tree-internal set
   for (;;) {
-    double best = cfg.cluster_correlation;
+    double best = kClusterCorrelation;
     std::size_t bi = m, bj = m;
     for (std::size_t i = 0; i < m; ++i) {
       if (!clusters[i].alive) continue;

@@ -30,9 +30,9 @@ namespace w4k::sched {
 /// Candidate member bitmasks from the cluster tree, ascending and
 /// deduplicated. `active[u] == 0` keeps user u out of every candidate
 /// (quarantined/departed); zero-norm channels get a singleton but are
-/// never clustered (they have no direction). Respects
-/// cfg.max_group_size / max_cluster_size / cluster_correlation; rate
-/// bounds and the max_candidates budget are applied by plan_candidates_into.
+/// never clustered (they have no direction). Respects cfg.max_group_size,
+/// kMaxClusterSize and kClusterCorrelation; rate bounds and the
+/// kMaxCandidates budget are applied by plan_candidates_into.
 std::vector<GroupMask> cluster_candidates(
     const std::vector<linalg::CVector>& channels,
     const std::vector<std::uint8_t>& active, const GroupEnumConfig& cfg);

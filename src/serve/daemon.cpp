@@ -15,11 +15,13 @@
 namespace w4k::serve {
 namespace {
 
+/// SO_SNDBUF requested for each worker socket.
+constexpr int kSndbufBytes = 4 << 20;
+
 // Opens one member of the SO_REUSEPORT group on 127.0.0.1:`port`,
-// non-blocking, with a generous send buffer. `port` 0 on the first socket
-// picks the ephemeral port the rest of the group must reuse.
-int open_group_socket(std::uint16_t port, std::size_t sndbuf,
-                      std::uint16_t* bound_port) {
+// non-blocking, with a kSndbufBytes send buffer. `port` 0 on the first
+// socket picks the ephemeral port the rest of the group must reuse.
+int open_group_socket(std::uint16_t port, std::uint16_t* bound_port) {
   const int fd = socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) throw std::runtime_error("Daemon: socket failed");
   const int one = 1;
@@ -27,10 +29,7 @@ int open_group_socket(std::uint16_t port, std::size_t sndbuf,
     close(fd);
     throw std::runtime_error("Daemon: SO_REUSEPORT failed");
   }
-  if (sndbuf > 0) {
-    const int val = static_cast<int>(sndbuf);
-    setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &val, sizeof val);
-  }
+  setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kSndbufBytes, sizeof kSndbufBytes);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -74,8 +73,7 @@ Daemon::Daemon(const DaemonConfig& cfg)
     throw std::invalid_argument("Daemon: pool smaller than one frame");
   for (std::size_t i = 0; i < cfg_.workers; ++i) {
     // First bind resolves an ephemeral port; the rest join its group.
-    const int fd = open_group_socket(i == 0 ? cfg_.port : port_,
-                                     cfg_.sndbuf_bytes, &port_);
+    const int fd = open_group_socket(i == 0 ? cfg_.port : port_, &port_);
     WorkerConfig wc = cfg_.worker;
     wc.index = static_cast<int>(i);
     workers_.push_back(std::make_unique<Worker>(wc, pool_, fd));

@@ -40,7 +40,6 @@ struct DaemonConfig {
   std::size_t workers = 1;
   double fps = 30.0;              ///< source thread frame cadence
   std::size_t pool_slots = 256;
-  std::size_t sndbuf_bytes = 4 << 20;  ///< per-worker SO_SNDBUF request
   SourceConfig source;
   WorkerConfig worker;  ///< per-shard template; index is set per worker
 };

@@ -18,6 +18,10 @@
 namespace w4k::serve {
 namespace {
 
+/// Frames queued in a worker's inbox before publish() fails.
+constexpr std::size_t kMaxBacklog = 8;
+static_assert(kMaxBacklog < FrameRing::kCap, "backlog must fit the ring");
+
 double mono_now() {
   timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -86,8 +90,6 @@ Worker::Worker(const WorkerConfig& cfg, BufferPool& pool, int data_fd)
           metric(cfg.index, "backlog_frames"))) {
   if (cfg_.max_subscribers == 0 || cfg_.batch_packets == 0)
     throw std::invalid_argument("Worker: zero max_subscribers or batch");
-  if (cfg_.max_backlog >= FrameRing::kCap)
-    throw std::invalid_argument("Worker: max_backlog exceeds ring");
   fd_event_ = eventfd(0, EFD_NONBLOCK);
   fd_epoll_ = epoll_create1(0);
   if (fd_event_ < 0 || fd_epoll_ < 0)
@@ -151,7 +153,7 @@ void Worker::stop() {
 }
 
 bool Worker::publish(FrameDesc* f) {
-  if (inbox_.size() >= cfg_.max_backlog) return false;
+  if (inbox_.size() >= kMaxBacklog) return false;
   if (!inbox_.push(f)) return false;
   const std::uint64_t one = 1;
   [[maybe_unused]] ssize_t r = write(fd_event_, &one, sizeof one);

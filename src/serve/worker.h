@@ -45,7 +45,6 @@ struct WorkerConfig {
                                     ///< 0 disables pacing
   std::size_t bucket_bytes = 15000; ///< bucket depth (~10 packets)
   double heartbeat_timeout_s = 5.0; ///< expire silent subscribers
-  std::size_t max_backlog = 8;      ///< frames queued before publish fails
   std::size_t batch_packets = 128;  ///< packets per sendmmsg batch
 };
 

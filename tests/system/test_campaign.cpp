@@ -65,7 +65,7 @@ TEST(MannWhitney, HeavyTiesStayFiniteAndCentered) {
 
 TEST(MannWhitney, LargeShiftClearsCampaignAlpha) {
   // A consistent shift across a few hundred cells must land far below the
-  // gate's alpha = 1e-4.
+  // gate's kGateAlpha = 1e-4.
   std::vector<double> a, b;
   for (int i = 0; i < 200; ++i) {
     a.push_back(0.90 + 1e-4 * i);
@@ -261,7 +261,7 @@ TEST(Gate, FlagsOnlyTheShiftedMetric) {
 }
 
 TEST(Gate, SignificantButTinyShiftDoesNotFlag) {
-  // A perfectly consistent ripple below min_effect must not fail a run:
+  // A perfectly consistent ripple below kGateMinEffect must not fail a run:
   // this is what separates the statistical gate from a bytewise diff.
   // Near-flat distributions make a 5e-5 shift statistically unmissable
   // (every current value beats every baseline value) yet practically nil.

@@ -4,6 +4,7 @@
 
 #include "core/pretrained.h"
 #include "core/runner.h"
+#include "support/session_access.h"
 
 #include <gtest/gtest.h>
 
@@ -205,6 +206,31 @@ TEST_F(SessionTest, UserCountChangePreservesSurvivingQuarantineState) {
   session.step_into(decision3, true3, contexts_->front(), {}, out);
   ASSERT_EQ(out.user_quarantined.size(), 3u);
   EXPECT_TRUE(out.user_quarantined[1]) << "leave reset quarantine state";
+}
+
+TEST_F(SessionTest, BlindMakeupHalvesPerSilentFrameAndFloorsAfterFourHalvings) {
+  // User 1's feedback report is lost frame after frame. The session hands
+  // the engine a blind budget of 0.5 x k for it on the first silent frame,
+  // halves it for every further consecutive one, and stops halving after
+  // four. User 0 keeps reporting and keeps the full fraction.
+  auto session = make_session();
+  const auto chans = channels(2);
+  fault::FrameFaults faults;
+  faults.feedback_lost = {0, 1};
+  FrameOutcome out;
+  const double expect[] = {0.5, 0.25, 0.125, 0.0625, 0.03125, 0.03125};
+  for (const double want : expect) {
+    session.step_into(chans, chans, contexts_->front(), faults, out);
+    const emu::FrameFaultState& efs = SessionTestAccess::engine_faults(session);
+    ASSERT_EQ(efs.feedback_lost, (std::vector<std::uint8_t>{0, 1}));
+    ASSERT_EQ(efs.blind_fraction.size(), 2u);
+    EXPECT_EQ(efs.blind_fraction[0], 0.5);
+    EXPECT_EQ(efs.blind_fraction[1], want);
+  }
+  // A report that arrives ends the streak: the next loss starts at 0.5.
+  session.step_into(chans, chans, contexts_->front(), {}, out);
+  session.step_into(chans, chans, contexts_->front(), faults, out);
+  EXPECT_EQ(SessionTestAccess::engine_faults(session).blind_fraction[1], 0.5);
 }
 
 TEST_F(SessionTest, MismatchedChannelVectorsThrow) {

@@ -22,10 +22,9 @@ SessionConfig good_config() { return SessionConfig::scaled(kW, kH); }
 
 // Runs validate() and returns the exception message ("" = accepted).
 std::string rejection(const SessionConfig& cfg,
-                      std::size_t codebook_beams = SessionConfig::kUnknown,
-                      std::size_t n_users = SessionConfig::kUnknown) {
+                      std::size_t codebook_beams = SessionConfig::kUnknown) {
   try {
-    cfg.validate(codebook_beams, n_users);
+    cfg.validate(codebook_beams);
     return "";
   } catch (const std::invalid_argument& e) {
     return e.what();
@@ -100,17 +99,6 @@ TEST(SessionConfigValidate, RejectsUndersizedCodebookOnlyWithEstimation) {
   EXPECT_EQ(rejection(cfg, small), "");
 }
 
-TEST(SessionConfigValidate, RejectsAssociatedUserOutOfRange) {
-  auto cfg = good_config();
-  cfg.associated_user = 3;
-  EXPECT_NE(rejection(cfg, SessionConfig::kUnknown, 3).find(
-                "associated_user"),
-            std::string::npos);
-  EXPECT_EQ(rejection(cfg, SessionConfig::kUnknown, 4), "");
-  // Without a user count the check defers to step_into().
-  EXPECT_EQ(rejection(cfg), "");
-}
-
 TEST(SessionConfigValidate, RejectsBadDegradationKnobs) {
   auto cfg = good_config();
   cfg.stale_csi_backoff_db = -1.0;
@@ -118,23 +106,6 @@ TEST(SessionConfigValidate, RejectsBadDegradationKnobs) {
   cfg = good_config();
   cfg.stale_csi_backoff_db = std::nan("");
   EXPECT_NE(rejection(cfg).find("stale_csi_backoff_db"), std::string::npos);
-
-  cfg = good_config();
-  cfg.blind_makeup_fraction = 1.5;
-  EXPECT_NE(rejection(cfg).find("blind_makeup_fraction"), std::string::npos);
-  cfg = good_config();
-  cfg.blind_makeup_fraction = -0.1;
-  EXPECT_NE(rejection(cfg).find("blind_makeup_fraction"), std::string::npos);
-  cfg = good_config();
-  cfg.blind_makeup_fraction = 0.0;  // blind makeup disabled: fine
-  EXPECT_EQ(rejection(cfg), "");
-
-  cfg = good_config();
-  cfg.blind_backoff_cap = 31;  // 1 << 31 would overflow the halving shift
-  EXPECT_NE(rejection(cfg).find("blind_backoff_cap"), std::string::npos);
-  cfg = good_config();
-  cfg.blind_backoff_cap = 0;
-  EXPECT_EQ(rejection(cfg), "");
 
   cfg = good_config();
   cfg.quarantine_reprobe_period = 0;  // would never re-probe
