@@ -45,6 +45,7 @@ void serialize_ctrl(const CtrlMsg& m, std::span<std::uint8_t> out) {
 std::optional<CtrlMsg> parse_ctrl(const std::uint8_t* data, std::size_t size) {
   if (size != kCtrlBytes) return std::nullopt;
   if (get_u32(data) != kCtrlMagic || data[4] != kVersion) return std::nullopt;
+  if (get_u16(data + 6) != 0) return std::nullopt;  // reserved
   CtrlMsg m;
   switch (data[5]) {
     case 1: m.type = CtrlType::kSubscribe; break;
@@ -81,6 +82,7 @@ std::optional<DataPacket> parse_data(const std::uint8_t* data,
                                      std::size_t size) {
   if (size < kPrefixBytes + kSymbolHeaderBytes) return std::nullopt;
   if (get_u32(data) != kDataMagic || data[4] != kVersion) return std::nullopt;
+  if (data[5] != 0 || get_u16(data + 6) != 0) return std::nullopt;  // reserved
   DataPacket pkt;
   pkt.sub_id = get_u64(data + 8);
   const std::uint8_t* p = data + kPrefixBytes;

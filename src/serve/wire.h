@@ -52,7 +52,8 @@ inline constexpr std::size_t kCtrlBytes = 16;
 /// Writes the 16-byte control message; `out` must hold kCtrlBytes.
 void serialize_ctrl(const CtrlMsg& m, std::span<std::uint8_t> out);
 
-/// Strict parse: exact size, magic, version, known type. nullopt rejects.
+/// Strict parse: exact size, magic, version, known type, zero reserved
+/// bytes. nullopt rejects.
 std::optional<CtrlMsg> parse_ctrl(const std::uint8_t* data, std::size_t size);
 
 // --- Data packets (worker -> client) ---------------------------------------
@@ -95,9 +96,9 @@ struct DataPacket {
 };
 
 /// Strict parse of prefix + header + payload. Rejects short buffers, bad
-/// magic/version, and any length disagreement between the buffer and
-/// header.symbol_bytes (a truncated datagram must not yield a short
-/// symbol that would poison the decoder).
+/// magic/version, non-zero reserved bytes, and any length disagreement
+/// between the buffer and header.symbol_bytes (a truncated datagram must
+/// not yield a short symbol that would poison the decoder).
 std::optional<DataPacket> parse_data(const std::uint8_t* data,
                                      std::size_t size);
 

@@ -40,6 +40,19 @@ TEST(ServeWire, CtrlRejectsMalformed) {
   EXPECT_FALSE(parse_ctrl(bad.data(), bad.size()));
 }
 
+TEST(ServeWire, CtrlRejectsNonZeroReservedBytes) {
+  // Bytes 6-7 are reserved: a datagram that sets them is not the message
+  // serialize_ctrl would write, so it must not parse to one.
+  std::array<std::uint8_t, kCtrlBytes> buf{};
+  serialize_ctrl(CtrlMsg{CtrlType::kHeartbeat, 7}, buf);
+  ASSERT_TRUE(parse_ctrl(buf.data(), buf.size()));
+  for (const std::size_t i : {6, 7}) {
+    auto bad = buf;
+    bad[i] = 1;
+    EXPECT_FALSE(parse_ctrl(bad.data(), bad.size())) << "byte " << i;
+  }
+}
+
 std::array<std::uint8_t, 256> make_data_packet(std::size_t payload,
                                                std::size_t* total) {
   std::array<std::uint8_t, 256> buf{};
@@ -102,6 +115,17 @@ TEST(ServeWire, DataRejectsBadMagicAndDegenerateFields) {
   buf[kPrefixBytes + 12] = 0;  // k (little-endian u16)
   buf[kPrefixBytes + 13] = 0;
   EXPECT_FALSE(parse_data(buf.data(), total));
+}
+
+TEST(ServeWire, DataRejectsNonZeroReservedPrefixBytes) {
+  std::size_t total = 0;
+  const auto buf = make_data_packet(16, &total);
+  ASSERT_TRUE(parse_data(buf.data(), total));
+  for (const std::size_t i : {5, 6, 7}) {
+    auto bad = buf;
+    bad[i] = 1;
+    EXPECT_FALSE(parse_data(bad.data(), total)) << "byte " << i;
+  }
 }
 
 // Concatenates data packets as a UDP_GRO socket returns them: one buffer,
