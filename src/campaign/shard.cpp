@@ -1,6 +1,7 @@
 #include "campaign/shard.h"
 
 #include "common/stats.h"
+#include "obs/export.h"
 #include "obs/jsonlite.h"
 
 #include <algorithm>
@@ -17,29 +18,6 @@ std::string jnum(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::string jescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 CellKind kind_from_string(const std::string& s) {
@@ -107,7 +85,11 @@ std::string to_jsonl(const CellRow& row) {
          << "\":" << jnum(row.metrics.v[i]);
     os << '}';
   }
-  if (!row.error.empty()) os << ",\"error\":\"" << jescape(row.error) << '"';
+  if (!row.error.empty()) {
+    std::string escaped;
+    obs::append_json_escaped(escaped, row.error);
+    os << ",\"error\":\"" << escaped << '"';
+  }
   os << ",\"wall_ms\":" << jnum(row.wall_ms) << '}';
   return os.str();
 }

@@ -6,10 +6,8 @@
 #include <ostream>
 
 namespace w4k::obs {
-namespace {
 
-// Shortest round-trip double formatting good enough for telemetry dumps.
-std::string num(double v) {
+std::string json_number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   // JSON has no inf/nan; clamp to null-free sentinels.
@@ -19,8 +17,6 @@ std::string num(double v) {
     return "0";
   return s;
 }
-
-}  // namespace
 
 void append_json_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
@@ -66,7 +62,7 @@ void write_json_snapshot(std::ostream& os, const MetricsRegistry& reg) {
     out += first ? "\n    " : ",\n    ";
     first = false;
     key(name);
-    out += num(v);
+    out += json_number(v);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -79,7 +75,7 @@ void write_json_snapshot(std::ostream& os, const MetricsRegistry& reg) {
     out += "{\"bounds\":[";
     for (std::size_t i = 0; i < h->bounds().size(); ++i) {
       if (i) out += ",";
-      out += num(h->bounds()[i]);
+      out += json_number(h->bounds()[i]);
     }
     out += "],\"counts\":[";
     const auto counts = h->counts();
@@ -88,7 +84,7 @@ void write_json_snapshot(std::ostream& os, const MetricsRegistry& reg) {
       out += std::to_string(counts[i]);
     }
     out += "],\"count\":" + std::to_string(h->count());
-    out += ",\"sum\":" + num(h->sum()) + "}";
+    out += ",\"sum\":" + json_number(h->sum()) + "}";
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -99,8 +95,10 @@ void write_json_snapshot(std::ostream& os, const MetricsRegistry& reg) {
     first = false;
     key(s.name);
     out += "{\"count\":" + std::to_string(s.count);
-    out += ",\"total_us\":" + num(static_cast<double>(s.total_ns) / 1e3);
-    out += ",\"max_us\":" + num(static_cast<double>(s.max_ns) / 1e3) + "}";
+    out += ",\"total_us\":" +
+           json_number(static_cast<double>(s.total_ns) / 1e3);
+    out += ",\"max_us\":" +
+           json_number(static_cast<double>(s.max_ns) / 1e3) + "}";
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";

@@ -14,7 +14,12 @@ class MetricsRegistry;
 void write_json_snapshot(std::ostream& os, const MetricsRegistry& reg);
 
 // Escapes `s` for inclusion inside a JSON string literal (quotes not
-// included). Shared by the exporters and the bench manifest writer.
+// included). Shared by the exporters, the bench manifest writer and the
+// campaign shard rows.
 void append_json_escaped(std::string& out, std::string_view s);
+
+// Shortest round-trip ("%.17g") JSON number for `v`; JSON has no inf/nan,
+// so those print as 0. Shared by the exporters and the manifest writer.
+std::string json_number(double v);
 
 }  // namespace w4k::obs

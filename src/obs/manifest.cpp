@@ -3,7 +3,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -16,16 +15,6 @@ std::string quoted(std::string_view s) {
   append_json_escaped(out, s);
   out += '"';
   return out;
-}
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  std::string s(buf);
-  if (s.find("inf") != std::string::npos ||
-      s.find("nan") != std::string::npos)
-    return "0";
-  return s;
 }
 
 void write_kv(std::ostream& os,
@@ -48,7 +37,7 @@ void Manifest::set(std::string_view key, const char* value) {
   set(key, std::string_view(value));
 }
 void Manifest::set(std::string_view key, double value) {
-  config_.emplace_back(std::string(key), num(value));
+  config_.emplace_back(std::string(key), json_number(value));
 }
 void Manifest::set(std::string_view key, std::int64_t value) {
   config_.emplace_back(std::string(key), std::to_string(value));
@@ -73,13 +62,14 @@ void Manifest::write(std::ostream& os) const {
   for (const StageSummary& s : MetricsRegistry::global().stage_summaries()) {
     os << (first ? "\n    " : ",\n    ") << quoted(s.name)
        << ": {\"count\": " << s.count
-       << ", \"total_us\": " << num(static_cast<double>(s.total_ns) / 1e3)
+       << ", \"total_us\": "
+       << json_number(static_cast<double>(s.total_ns) / 1e3)
        << ", \"mean_us\": "
-       << num(s.count ? static_cast<double>(s.total_ns) / 1e3 /
-                            static_cast<double>(s.count)
-                      : 0.0)
-       << ", \"max_us\": " << num(static_cast<double>(s.max_ns) / 1e3)
-       << "}";
+       << json_number(s.count ? static_cast<double>(s.total_ns) / 1e3 /
+                                    static_cast<double>(s.count)
+                              : 0.0)
+       << ", \"max_us\": "
+       << json_number(static_cast<double>(s.max_ns) / 1e3) << "}";
     first = false;
   }
   os << (first ? "}" : "\n  }") << "\n}\n";
