@@ -113,7 +113,6 @@ MulticastSession::MulticastSession(const SessionConfig& cfg,
 
 void MulticastSession::reset() {
   frozen_ = false;
-  last_measured_.clear();
   planner_.clear();
   engine_.clear_backlog();
   rng_.reseed(cfg_.seed);
@@ -460,10 +459,12 @@ void MulticastSession::set_air_parameters(const Frame& f) {
     if (!mcs) continue;
     tx.mcs = *mcs;
     tx.drain_rate = Mbps{mcs->udp_throughput.value * cfg_.rate_scale};
-    tx.bucket_rate = (cfg_.adapt && g < last_measured_.size() &&
-                      last_measured_[g].value > 0.0)
-                         ? last_measured_[g]
-                         : tx.drain_rate;
+    // The bucket fills at the rate the receivers measured for this very
+    // member set last frame (the planner keys it by mask); a new group
+    // starts at its drain rate.
+    const Mbps measured =
+        cfg_.adapt ? planner_.measured_rate(spec) : Mbps{0.0};
+    tx.bucket_rate = measured.value > 0.0 ? measured : tx.drain_rate;
     for (std::size_t u : spec.members) {
       const Dbm rss = channel::beam_rss((*f.truth)[u], air.beam);
       tx.member_loss.push_back(
@@ -555,7 +556,8 @@ void MulticastSession::transmit(const Frame& f, const FrameContext& ctx,
     engine_.run_frame_into(ctx.units, *f.assignments, groups_tx_, f.n_users,
                            rng_, efs_, relays_, tx_result_);
   }
-  if (cfg_.adapt) last_measured_ = tx_result_.measured_rate;
+  if (cfg_.adapt)
+    planner_.note_measured(f.plan->groups, tx_result_.measured_rate);
   out.stats = tx_result_.stats;
   out.relayed_symbols = tx_result_.relayed_symbols;
 }

@@ -340,9 +340,9 @@ class MulticastSession {
   emu::TxEngine engine_;
   Rng rng_;
   bool frozen_ = false;  ///< No Update: decision_ is frame 0's, kept
-  std::vector<Mbps> last_measured_;           ///< per-group rate feedback
-  /// The decision's owner: beam cache, enumeration and solver scratch, and
-  /// the previous plan that warm-starts Eq. 1 (see sched/planner.h).
+  /// The decision's owner: beam cache, enumeration and solver scratch, the
+  /// previous plan that warm-starts Eq. 1 and the per-group measured-rate
+  /// feedback, both keyed by member mask (see sched/planner.h).
   sched::Planner planner_;
 
   // --- Per-frame workspaces (capacity reused across frames) -------------

@@ -16,6 +16,15 @@ GroupMask group_mask(const GroupSpec& g) {
   return mask;
 }
 
+/// The entry of a mask-sorted vector with exactly `mask`, or nullptr.
+template <class Entry>
+const Entry* find_mask(const std::vector<Entry>& v, GroupMask mask) {
+  const auto it = std::lower_bound(
+      v.begin(), v.end(), mask,
+      [](const Entry& e, GroupMask m) { return e.mask < m; });
+  return it != v.end() && it->mask == mask ? &*it : nullptr;
+}
+
 /// The verify layer's checks on the emitted groups.
 void check_groups(const std::vector<GroupSpec>& groups, const Membership& who) {
   for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -55,6 +64,19 @@ void Planner::forget_plan() {
 void Planner::clear() {
   cache_.clear();
   forget_plan();
+  measured_.clear();
+}
+
+void Planner::note_measured(const std::vector<GroupSpec>& groups,
+                            std::span<const Mbps> rates) {
+  measured_.clear();
+  for (std::size_t g = 0; g < groups.size() && g < rates.size(); ++g)
+    measured_.push_back({group_mask(groups[g]), rates[g]});
+}
+
+Mbps Planner::measured_rate(const GroupSpec& g) const {
+  const MeasuredGroup* e = find_mask(measured_, group_mask(g));
+  return e ? e->rate : Mbps{0.0};
 }
 
 void Planner::decide_into(const std::vector<linalg::CVector>& channels,
@@ -136,14 +158,11 @@ const std::vector<double>* Planner::warm_start(
   warm_.assign(groups.size() * video::kNumLayers, 0.0);
   double covered = 0.0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    const GroupMask mask = group_mask(groups[g]);
-    const auto it = std::lower_bound(
-        prev_.begin(), prev_.end(), mask,
-        [](const PlannedGroup& e, GroupMask m) { return e.mask < m; });
-    if (it == prev_.end() || it->mask != mask) continue;
+    const PlannedGroup* e = find_mask(prev_, group_mask(groups[g]));
+    if (!e) continue;
     for (std::size_t j = 0; j < video::kNumLayers; ++j) {
-      warm_[g * video::kNumLayers + j] = it->t[j];
-      covered += it->t[j];
+      warm_[g * video::kNumLayers + j] = e->t[j];
+      covered += e->t[j];
     }
   }
   return covered >= 0.5 * prev_total_ ? &warm_ : nullptr;

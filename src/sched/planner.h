@@ -12,6 +12,7 @@
 #include "sched/workspace.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace w4k::sched {
@@ -55,10 +56,20 @@ class Planner {
                    const beamforming::Codebook& codebook,
                    model::QualityModel& quality, Decision& d);
 
+  /// Records the rate the receivers measured for each transmitted group
+  /// (rates[g] for groups[g], groups in ascending-mask order), keyed by
+  /// member mask. measured_rate() answers from it until the next call.
+  void note_measured(const std::vector<GroupSpec>& groups,
+                     std::span<const Mbps> rates);
+  /// The rate last noted for the group with exactly `g`'s members; zero
+  /// when no such group was noted.
+  Mbps measured_rate(const GroupSpec& g) const;
+
   /// Drops the previous plan. Masks index users, so a user-count change
   /// must call this.
   void forget_plan();
-  /// Drops the cached beams and the previous plan (session reset).
+  /// Drops the cached beams, the previous plan and the measured rates
+  /// (session reset).
   void clear();
 
  private:
@@ -83,6 +94,14 @@ class Planner {
   double prev_total_ = 0.0;     ///< airtime of the previous plan
   std::size_t prev_users_ = 0;  ///< user count of the previous plan
   std::vector<double> warm_;    ///< the remapped warm-start vector
+  /// The last transmitted frame's measured rate per member mask,
+  /// mask-sorted like prev_. It seeds each group's leaky bucket, so a
+  /// group keeps its own feedback when the group list shifts.
+  struct MeasuredGroup {
+    GroupMask mask = 0;
+    Mbps rate{0.0};
+  };
+  std::vector<MeasuredGroup> measured_;
 };
 
 }  // namespace w4k::sched

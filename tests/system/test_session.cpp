@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 namespace w4k::core {
 namespace {
 
@@ -231,6 +233,46 @@ TEST_F(SessionTest, BlindMakeupHalvesPerSilentFrameAndFloorsAfterFourHalvings) {
   session.step_into(chans, chans, contexts_->front(), {}, out);
   session.step_into(chans, chans, contexts_->front(), faults, out);
   EXPECT_EQ(SessionTestAccess::engine_faults(session).blind_fraction[1], 0.5);
+}
+
+TEST_F(SessionTest, BucketRateFollowsGroupMembersWhenGroupsShift) {
+  // Frame 1 serves users 0-2; in frame 2 user 0 has left, so every group
+  // index shifts. Each frame-2 group's leaky bucket must start at the rate
+  // measured for the same member set in frame 1, not at whatever group
+  // held its index.
+  auto session = make_session();
+  const auto chans = channels(3);
+  FrameOutcome out;
+  session.step_into(chans, chans, contexts_->front(), {}, out);
+  std::vector<std::vector<std::size_t>> members1;
+  std::map<std::vector<std::size_t>, Mbps> measured;
+  const auto& groups1 = SessionTestAccess::decision(session).groups;
+  const auto& rates1 = SessionTestAccess::tx_result(session).measured_rate;
+  ASSERT_EQ(rates1.size(), groups1.size());
+  for (std::size_t g = 0; g < groups1.size(); ++g) {
+    members1.push_back(groups1[g].members);
+    measured[groups1[g].members] = rates1[g];
+  }
+
+  fault::FrameFaults faults;
+  faults.user_active = {0, 1, 1};
+  session.step_into(chans, chans, contexts_->front(), faults, out);
+  const auto& groups2 = SessionTestAccess::decision(session).groups;
+  const auto& tx2 = SessionTestAccess::groups_tx(session);
+  ASSERT_EQ(tx2.size(), groups2.size());
+  std::size_t shifted = 0, seeded = 0;
+  for (std::size_t g = 0; g < groups2.size(); ++g) {
+    if (g >= members1.size() || members1[g] != groups2[g].members) ++shifted;
+    if (tx2[g].drain_rate.value <= 0.0) continue;
+    const auto it = measured.find(groups2[g].members);
+    const bool noted = it != measured.end() && it->second.value > 0.0;
+    if (noted) ++seeded;
+    EXPECT_EQ(tx2[g].bucket_rate.value,
+              noted ? it->second.value : tx2[g].drain_rate.value)
+        << "group " << g;
+  }
+  ASSERT_GT(shifted, 0u) << "the group list did not shift";
+  ASSERT_GT(seeded, 0u) << "no group carried feedback";
 }
 
 TEST_F(SessionTest, MismatchedChannelVectorsThrow) {
