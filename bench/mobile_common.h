@@ -81,7 +81,6 @@ inline MobileResult run_mobile(MobileScenario scenario, std::size_t n_users,
   const auto mpc = [&](abr::Predictor p) {
     abr::AbrConfig cfg;
     cfg.rate_scale = core::rate_scale_for(kWidth, kHeight);
-    cfg.seed = seed;
     const abr::AbrRunResult run =
         abr::run_abr_trace(cfg, p, trace, contexts, n_users);
     return mean(run.ssim);

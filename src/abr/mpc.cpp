@@ -12,21 +12,6 @@
 #include <stdexcept>
 
 namespace w4k::abr {
-namespace {
-
-static_assert(!kLadderMbps.empty());
-constexpr int kHorizon = 5;               ///< MPC lookahead (paper: n = 5)
-constexpr Seconds kChunkDuration = 1.0;   ///< one GoP per chunk
-/// MPC QoE weights (Yin et al.).
-constexpr double kRebufferPenalty = 4.3;
-constexpr double kSwitchPenalty = 1.0;
-/// Residual loss for the unicast MAC-ARQ link.
-constexpr double kResidualLoss = 0.01;
-/// Quality decay per frozen frame after a GoP loss.
-constexpr double kFreezeDecay = 0.02;
-
-}  // namespace
-
 std::string to_string(Predictor p) {
   return p == Predictor::kRobustMpc ? "RobustMPC" : "FastMPC";
 }
@@ -61,6 +46,17 @@ double dash_quality(const AbrConfig& cfg, const core::FrameContext& ctx,
 }
 
 namespace {
+
+static_assert(!kLadderMbps.empty());
+constexpr int kHorizon = 5;               ///< MPC lookahead (paper: n = 5)
+constexpr Seconds kChunkDuration = 1.0;   ///< one GoP per chunk
+/// MPC QoE weights (Yin et al.).
+constexpr double kRebufferPenalty = 4.3;
+constexpr double kSwitchPenalty = 1.0;
+/// Residual loss for the unicast MAC-ARQ link.
+constexpr double kResidualLoss = 0.01;
+/// Quality decay per frozen frame after a GoP loss.
+constexpr double kFreezeDecay = 0.02;
 
 /// Per-user controller state.
 struct UserState {
@@ -193,10 +189,8 @@ AbrRunResult run_abr_trace(const AbrConfig& cfg, Predictor predictor,
       const double need_mbps = chosen * cfg.rate_scale;
       const double fraction =
           need_mbps <= 0.0 ? 1.0 : std::min(1.0, goodput / need_mbps);
-      // Live-edge semantics: a chunk that cannot finish before its
-      // deadline is worthless — the player has moved on and the whole GoP
-      // freezes (the failure mode [20] reports for live streaming under
-      // mobile links).
+      // Live edge: a chunk that misses its deadline is worthless, the whole
+      // GoP freezes (the failure mode [20] reports under mobile links).
       const std::size_t ok_frames = fraction >= 1.0 ? frames_per_chunk : 0;
       if (ok_frames < frames_per_chunk) ++misses;
 

@@ -24,7 +24,6 @@
 #include "core/frame_context.h"
 
 #include <array>
-#include <cstdint>
 #include <vector>
 
 namespace w4k::abr {
@@ -51,7 +50,6 @@ struct AbrConfig {
   double codec_efficiency = 1.5;
   /// Same resolution rate-scale the multicast system uses.
   double rate_scale = 1.0;
-  std::uint64_t seed = 3;
 };
 
 /// SSIM a DASH encode at `bitrate_mbps` (4K scale) achieves on the frame

@@ -459,9 +459,8 @@ void MulticastSession::set_air_parameters(const Frame& f) {
     if (!mcs) continue;
     tx.mcs = *mcs;
     tx.drain_rate = Mbps{mcs->udp_throughput.value * cfg_.rate_scale};
-    // The bucket fills at the rate the receivers measured for this very
-    // member set last frame (the planner keys it by mask); a new group
-    // starts at its drain rate.
+    // The bucket fills at the rate measured for these very members last
+    // frame; a new group starts at its drain rate.
     const Mbps measured =
         cfg_.adapt ? planner_.measured_rate(spec) : Mbps{0.0};
     tx.bucket_rate = measured.value > 0.0 ? measured : tx.drain_rate;

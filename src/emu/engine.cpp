@@ -11,8 +11,8 @@
 namespace w4k::emu {
 namespace {
 
-/// Air time of one feedback round (report up, makeup decision down),
-/// deducted from the frame budget before the round's makeup is sent.
+/// Latency of one feedback round, deducted from the frame budget before
+/// the round's makeup is sent.
 constexpr Seconds kFeedbackLatency = 0.8e-3;
 
 }  // namespace

@@ -6,10 +6,10 @@
 // falls below a threshold ("we omit the groups whose throughput is below a
 // threshold to speed up computation"). Past kHierarchicalThreshold users
 // the exhaustive lattice is replaced by a cluster-tree generator (see
-// sched/hierarchy.h): users are
-// clustered by channel direction and candidates are the singletons plus
-// intra- and cross-cluster merges — hundreds of subsets at N=64 instead of
-// 2^64. Unicast schemes only admit singleton groups at any N.
+// sched/hierarchy.h): users are clustered by channel direction and
+// candidates are the singletons plus intra- and cross-cluster merges —
+// hundreds of subsets at N=64 instead of 2^64. Unicast schemes only admit
+// singleton groups at any N.
 //
 // Before any SVD runs, every candidate is screened by a cheap rate upper
 // bound: a unit-norm beam can deliver at most ||h_u||^2 mW to member u

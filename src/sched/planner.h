@@ -56,13 +56,11 @@ class Planner {
                    const beamforming::Codebook& codebook,
                    model::QualityModel& quality, Decision& d);
 
-  /// Records the rate the receivers measured for each transmitted group
-  /// (rates[g] for groups[g], groups in ascending-mask order), keyed by
-  /// member mask. measured_rate() answers from it until the next call.
+  /// Keeps rates[g], the receivers' measured rate of transmitted group
+  /// groups[g] (ascending masks), by member mask until the next call.
   void note_measured(const std::vector<GroupSpec>& groups,
                      std::span<const Mbps> rates);
-  /// The rate last noted for the group with exactly `g`'s members; zero
-  /// when no such group was noted.
+  /// The rate last noted for exactly `g`'s members; zero if none was.
   Mbps measured_rate(const GroupSpec& g) const;
 
   /// Drops the previous plan. Masks index users, so a user-count change
@@ -94,9 +92,8 @@ class Planner {
   double prev_total_ = 0.0;     ///< airtime of the previous plan
   std::size_t prev_users_ = 0;  ///< user count of the previous plan
   std::vector<double> warm_;    ///< the remapped warm-start vector
-  /// The last transmitted frame's measured rate per member mask,
-  /// mask-sorted like prev_. It seeds each group's leaky bucket, so a
-  /// group keeps its own feedback when the group list shifts.
+  /// The last transmitted frame's measured rate per member mask, sorted
+  /// like prev_: a group keeps its own feedback when the list shifts.
   struct MeasuredGroup {
     GroupMask mask = 0;
     Mbps rate{0.0};
