@@ -8,6 +8,7 @@
 #include "gbench_common.h"
 
 #include "common/thread_pool.h"
+#include "fec/fountain.h"
 #include "gf256/gf256.h"
 #include "sched/workspace.h"
 

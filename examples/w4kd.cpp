@@ -10,73 +10,125 @@
 //   ./w4k_loadgen --port 9460 --subs 1000 --duration-s 5
 //
 // Run with --frames N to publish a fixed number of frames and exit
-// (tests/scripts); the default streams until SIGINT/SIGTERM.
+// (tests/scripts); the default streams until SIGINT/SIGTERM. A malformed
+// or out-of-range flag, or a configuration the daemon rejects, exits 2
+// with a one-line error.
 #include "common/args.h"
 #include "obs/metrics.h"
 #include "serve/daemon.h"
+#include "serve/wire.h"
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <ctime>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
 
+/// A symbol record (header + payload) must fit one IPv4 UDP datagram.
+constexpr int kMaxSymbolBytes =
+    65507 - static_cast<int>(w4k::serve::wire::kSymbolHeaderBytes);
+/// sendmmsg accepts at most UIO_MAXIOV (1024) messages per call.
+constexpr int kMaxBatch = 1024;
+
+/// Integer flag --name, rejected unless it lies in [lo, hi], so the
+/// narrowing casts below never wrap.
+int int_flag(const w4k::Args& args, const std::string& name, int def, int lo,
+             int hi) {
+  const int v = args.get(name, def);
+  if (v < lo || v > hi)
+    throw std::invalid_argument("--" + name + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " +
+                                std::to_string(v));
+  return v;
+}
+
+/// Real-valued flag --name, rejected below `lo` (and NaN).
+double real_flag(const w4k::Args& args, const std::string& name, double def,
+                 double lo) {
+  const double v = args.get(name, def);
+  if (!(v >= lo))
+    throw std::invalid_argument("--" + name + " must be >= " +
+                                std::to_string(lo));
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace w4k;
-  Args args(argc, argv);
-  serve::DaemonConfig cfg;
-  cfg.port = static_cast<std::uint16_t>(args.get("port", 9460));
-  cfg.status_port =
-      static_cast<std::uint16_t>(args.get("status-port", 9461));
-  cfg.workers = static_cast<std::size_t>(args.get("workers", 1));
-  cfg.fps = args.get("fps", 30.0);
-  cfg.pool_slots = static_cast<std::size_t>(args.get("pool-slots", 256));
-  cfg.source.symbol_bytes =
-      static_cast<std::size_t>(args.get("symbol-bytes", 1200));
-  cfg.source.seed = static_cast<std::uint64_t>(args.get("seed", 1));
-  // Layered source: a base layer plus one enhancement sublayer, the
-  // paper's minimum interesting SVC shape. --symbols splits 2:1.
-  const int symbols = args.get("symbols", 3);
-  const auto base = static_cast<std::uint16_t>(symbols - symbols / 3);
-  const auto enh = static_cast<std::uint16_t>(symbols / 3);
-  cfg.source.layers.push_back({0, 0, 8, base});
-  if (enh > 0) cfg.source.layers.push_back({1, 0, 4, enh});
-  cfg.worker.max_subscribers =
-      static_cast<std::size_t>(args.get("max-subs", 16384));
-  cfg.worker.pace_mbps = args.get("pace-mbps", 0.0);
-  cfg.worker.bucket_bytes =
-      static_cast<std::size_t>(args.get("bucket-bytes", 15000));
-  cfg.worker.heartbeat_timeout_s = args.get("heartbeat-timeout-s", 5.0);
-  cfg.worker.batch_packets = static_cast<std::size_t>(args.get("batch", 128));
-  const int frames = args.get("frames", 0);
+  std::unique_ptr<serve::Daemon> daemon;
+  double fps = 0.0;
+  int symbols = 0;
+  int frames = 0;
+  try {
+    Args args(argc, argv);
+    serve::DaemonConfig cfg;
+    cfg.port = static_cast<std::uint16_t>(int_flag(args, "port", 9460, 0, 65535));
+    cfg.status_port = static_cast<std::uint16_t>(
+        int_flag(args, "status-port", 9461, 0, 65535));
+    cfg.workers =
+        static_cast<std::size_t>(int_flag(args, "workers", 1, 1, 256));
+    fps = real_flag(args, "fps", 30.0, 0.0);
+    cfg.pool_slots =
+        static_cast<std::size_t>(int_flag(args, "pool-slots", 256, 1, 65536));
+    cfg.source.symbol_bytes = static_cast<std::size_t>(
+        int_flag(args, "symbol-bytes", 1200, 1, kMaxSymbolBytes));
+    cfg.source.seed = static_cast<std::uint64_t>(args.get("seed", 1));
+    // Layered source: a base layer plus one enhancement sublayer, the
+    // paper's minimum interesting SVC shape. --symbols splits 2:1.
+    symbols = int_flag(args, "symbols", 3, 1,
+                       static_cast<int>(serve::kMaxFrameSymbols));
+    const auto base = static_cast<std::uint16_t>(symbols - symbols / 3);
+    const auto enh = static_cast<std::uint16_t>(symbols / 3);
+    cfg.source.layers.push_back({0, 0, 8, base});
+    if (enh > 0) cfg.source.layers.push_back({1, 0, 4, enh});
+    cfg.worker.max_subscribers =
+        static_cast<std::size_t>(int_flag(args, "max-subs", 16384, 1, INT_MAX));
+    cfg.worker.pace_mbps = real_flag(args, "pace-mbps", 0.0, 0.0);
+    cfg.worker.bucket_bytes = static_cast<std::size_t>(
+        int_flag(args, "bucket-bytes", 15000, 1, INT_MAX));
+    cfg.worker.heartbeat_timeout_s =
+        real_flag(args, "heartbeat-timeout-s", 5.0, 0.0);
+    cfg.worker.batch_packets =
+        static_cast<std::size_t>(int_flag(args, "batch", 128, 1, kMaxBatch));
+    frames = int_flag(args, "frames", 0, 0, INT_MAX);
 
-  const auto unknown = args.unqueried();
-  if (!unknown.empty()) {
-    for (const auto& u : unknown)
-      std::fprintf(stderr, "unknown argument: --%s\n", u.c_str());
+    const auto unknown = args.unqueried();
+    if (!unknown.empty()) {
+      for (const auto& u : unknown)
+        std::fprintf(stderr, "unknown argument: --%s\n", u.c_str());
+      return 2;
+    }
+
+    obs::set_enabled(true);
+    daemon = std::make_unique<serve::Daemon>(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "w4kd: %s\n", e.what());
     return 2;
   }
-
-  obs::set_enabled(true);
-  serve::Daemon daemon(cfg);
-  daemon.start();
+  daemon->start();
   std::printf("w4kd: port=%u status=%u workers=%zu symbols/frame=%d\n",
-              daemon.port(), daemon.status_port(), daemon.n_workers(),
+              daemon->port(), daemon->status_port(), daemon->n_workers(),
               symbols);
   std::fflush(stdout);
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  const double period = cfg.fps > 0.0 ? 1.0 / cfg.fps : 0.0;
+  // The only frame cadence loop: publish, then sleep one frame period
+  // (--fps 0 publishes back to back).
+  const double period = fps > 0.0 ? 1.0 / fps : 0.0;
   int published = 0;
   while (g_stop == 0 && (frames == 0 || published < frames)) {
-    if (daemon.publish_one()) ++published;
+    if (daemon->publish_one()) ++published;
     if (period > 0.0) {
       timespec ts;
       ts.tv_sec = static_cast<time_t>(period);
@@ -88,9 +140,9 @@ int main(int argc, char** argv) {
   // Let workers drain their backlogs before tearing down.
   timespec drain{0, 200'000'000};
   nanosleep(&drain, nullptr);
-  daemon.stop();
+  daemon->stop();
   std::printf("w4kd: published=%llu subscribers_at_exit=%zu\n",
-              static_cast<unsigned long long>(daemon.frames_published()),
-              daemon.subscribers());
+              static_cast<unsigned long long>(daemon->frames_published()),
+              daemon->subscribers());
   return 0;
 }

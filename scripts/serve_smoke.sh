@@ -2,6 +2,8 @@
 # End-to-end smoke of the serving daemon as shipped: real w4kd process,
 # real w4k_loadgen process, loopback UDP between them.
 #
+#   0. reject bad flags: an out-of-range port, zero workers and zero
+#      symbols per frame must each exit 2 without serving;
 #   1. spawn w4kd (ephemeral ports), parse the ports it prints;
 #   2. stream ~2 s at 60 fps to 32 subscribers over 4 sockets with the
 #      fountain-decode probe on; require exit 0, delivered fraction
@@ -28,7 +30,22 @@ done
 
 tmp="$(mktemp -d)"
 daemon_log="$tmp/w4kd.log"
-trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+daemon_pid=""
+trap 'if [[ -n "$daemon_pid" ]]; then kill "$daemon_pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
+
+# Stage 0: bad flags exit 2 (a wrapped port or a constructor exception
+# used to serve on the wrong port or abort).
+for bad in "--port 70000 --status-port 0" \
+           "--port 0 --status-port 0 --workers 0" \
+           "--port 0 --status-port 0 --symbols 0"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad holds several words on purpose
+  timeout 10 "$w4kd" $bad --frames 1 > "$tmp/bad.log" 2>&1 || rc=$?
+  [[ "$rc" == 2 ]] || {
+    echo "serve_smoke: w4kd $bad exited $rc, want 2:"; cat "$tmp/bad.log"
+    exit 1; }
+done
+echo "serve_smoke: bad flags rejected"
 
 "$w4kd" --port 0 --status-port 0 --workers 2 --fps 60 --symbols 3 \
         > "$daemon_log" 2>&1 &

@@ -12,6 +12,17 @@
 #include <stdexcept>
 
 namespace w4k::abr {
+namespace {
+
+/// H.264-vs-layered byte efficiency when mapping bitrate to quality.
+/// Calibrated so the top DASH rung lands at roughly the quality the
+/// layered system reaches with the full channel — the regime the paper's
+/// testbed exhibits (its MPC baselines trail Real-time Update by only
+/// ~0.02 SSIM under static high RSS).
+constexpr double kCodecEfficiency = 1.5;
+
+}  // namespace
+
 std::string to_string(Predictor p) {
   return p == Predictor::kRobustMpc ? "RobustMPC" : "FastMPC";
 }
@@ -23,7 +34,7 @@ double dash_quality(const AbrConfig& cfg, const core::FrameContext& ctx,
   // emulation resolution, so apply the same rate_scale the multicast
   // system uses.
   const double bytes_per_frame = bitrate_mbps * cfg.rate_scale * 1e6 / 8.0 /
-                                 kFrameRate * cfg.codec_efficiency;
+                                 kFrameRate * kCodecEfficiency;
 
   // Piecewise-linear curve through (0, blank) and the cumulative-layer
   // checkpoints (sum bytes of layers 0..i, SSIM with layers 0..i full).

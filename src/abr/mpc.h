@@ -42,12 +42,6 @@ inline constexpr std::array<double, 6> kLadderMbps = {200,  400,  800,
 inline constexpr double kEncoderCeiling = 0.98;
 
 struct AbrConfig {
-  /// H.264-vs-layered byte efficiency when mapping bitrate to quality.
-  /// Calibrated so the top DASH rung lands at roughly the quality the
-  /// layered system reaches with the full channel — the regime the
-  /// paper's testbed exhibits (its MPC baselines trail Real-time Update
-  /// by only ~0.02 SSIM under static high RSS).
-  double codec_efficiency = 1.5;
   /// Same resolution rate-scale the multicast system uses.
   double rate_scale = 1.0;
 };

@@ -81,6 +81,4 @@ double Rng::gaussian(double mean, double stddev) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
-Rng Rng::fork() { return Rng(next()); }
-
 }  // namespace w4k

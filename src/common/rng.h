@@ -56,9 +56,6 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p);
 
-  /// Derives an independent child generator (for parallel substreams).
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
 };

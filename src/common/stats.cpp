@@ -68,15 +68,4 @@ std::string to_string(const Summary& s) {
   return buf;
 }
 
-void RunningStats::add(double x) {
-  if (std::isnan(x))
-    throw std::invalid_argument("RunningStats::add: NaN sample");
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 }  // namespace w4k

@@ -44,21 +44,4 @@ double harmonic_mean(std::span<const double> values);
 /// Formats a summary as "mean=… [min q1 med q3 max]" for bench output.
 std::string to_string(const Summary& s);
 
-/// Online accumulator for mean/variance (Welford).
-class RunningStats {
- public:
-  /// Throws std::invalid_argument on NaN (one NaN would silently poison
-  /// every later mean/variance read).
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_) : 0.0; }
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
 }  // namespace w4k

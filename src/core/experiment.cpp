@@ -19,11 +19,6 @@ SessionConfig& Experiment::config() {
   return cfg_;
 }
 
-channel::PropagationConfig& Experiment::propagation() {
-  session_.reset();  // placements made later use the new propagation
-  return prop_;
-}
-
 Experiment& Experiment::codebook(beamforming::Codebook cb) {
   codebook_ = std::move(cb);
   session_.reset();
@@ -33,7 +28,7 @@ Experiment& Experiment::codebook(beamforming::Codebook cb) {
 Experiment& Experiment::place_fixed(std::size_t n, double distance_m,
                                     double mas_rad, Rng& rng) {
   users_ = place_users_fixed(n, distance_m, mas_rad, rng);
-  channels_ = channels_for(prop_, users_);
+  channels_ = channels_for(channel::PropagationConfig{}, users_);
   session_.reset();
   return *this;
 }
@@ -43,7 +38,7 @@ Experiment& Experiment::place_random(std::size_t n, double min_distance_m,
                                      Rng& rng) {
   users_ = place_users_random(n, min_distance_m, max_distance_m, mas_rad,
                               rng);
-  channels_ = channels_for(prop_, users_);
+  channels_ = channels_for(channel::PropagationConfig{}, users_);
   session_.reset();
   return *this;
 }
@@ -52,12 +47,6 @@ Experiment& Experiment::channels(std::vector<linalg::CVector> chans) {
   users_.clear();
   channels_ = std::move(chans);
   session_.reset();
-  return *this;
-}
-
-Experiment& Experiment::faults(fault::FaultPlan plan) {
-  fault_plan_ = std::move(plan);
-  session_.reset();  // fault-recovery state must not leak across plans
   return *this;
 }
 
@@ -71,16 +60,12 @@ SessionReport Experiment::run_static(int n_frames) {
     throw std::invalid_argument(
         "Experiment::run_static: no users placed (call place_fixed / "
         "place_random / channels first)");
-  const fault::FaultInjector injector(fault_plan_, channels_.size());
-  return core::run_static(session(), {channels_}, contexts_, n_frames,
-                          &injector);
+  return core::run_static(session(), {channels_}, contexts_, n_frames);
 }
 
 SessionReport Experiment::run_trace(const channel::CsiTrace& trace,
                                     int frames_per_snapshot) {
-  const fault::FaultInjector injector(fault_plan_, trace.users());
-  return core::run_trace(session(), trace, contexts_, frames_per_snapshot,
-                         &injector);
+  return core::run_trace(session(), trace, contexts_, frames_per_snapshot);
 }
 
 }  // namespace w4k::core

@@ -33,9 +33,6 @@ class Experiment {
   SessionConfig& config();
   const SessionConfig& config() const { return cfg_; }
 
-  /// Propagation model for the channels derived from placements.
-  channel::PropagationConfig& propagation();
-
   /// Codebook handed to the session (pre-defined schemes / estimated CSI).
   Experiment& codebook(beamforming::Codebook cb);
 
@@ -50,33 +47,26 @@ class Experiment {
   /// Explicit channels (skips placement/propagation entirely).
   Experiment& channels(std::vector<linalg::CVector> chans);
 
-  /// Fault plan injected into every subsequent run (validated against the
-  /// user count at run time). Pass an empty plan to clear; an empty plan
-  /// is also bit-identical to never having set one.
-  Experiment& faults(fault::FaultPlan plan);
-  const fault::FaultPlan& fault_plan() const { return fault_plan_; }
-
   const std::vector<channel::Position>& users() const { return users_; }
   const std::vector<FrameContext>& contexts() const { return contexts_; }
 
   /// The lazily built session (constructing validates the config).
   MulticastSession& session();
 
-  /// Streams `n_frames` over the placed static channels.
+  /// Streams `n_frames` over the placed static channels, fault-free.
+  /// Faulted runs go through core::run_static with a FaultInjector.
   SessionReport run_static(int n_frames);
-  /// Streams over a CSI trace (placement not required).
+  /// Streams over a CSI trace (placement not required), fault-free.
   SessionReport run_trace(const channel::CsiTrace& trace,
                           int frames_per_snapshot = 3);
 
  private:
   model::QualityModel& quality_;
   std::vector<FrameContext> contexts_;
-  channel::PropagationConfig prop_;
   SessionConfig cfg_;
   beamforming::Codebook codebook_;
   std::vector<channel::Position> users_;
   std::vector<linalg::CVector> channels_;
-  fault::FaultPlan fault_plan_;
   std::optional<MulticastSession> session_;
 };
 

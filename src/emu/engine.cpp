@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace w4k::emu {
@@ -15,7 +16,22 @@ namespace {
 /// the round's makeup is sent.
 constexpr Seconds kFeedbackLatency = 0.8e-3;
 
+/// need_ entry for a user whose feedback report never arrived.
+constexpr std::size_t kNoReport = std::numeric_limits<std::size_t>::max();
+
 }  // namespace
+
+void TxEngine::UnitRx::add_innovative(std::size_t k, Rng& rng) {
+  ++innovative;
+  if (decoded || innovative < k) return;
+  // The rng draw happens only on the attempt at exactly k.
+  decoded = innovative > k || !rng.chance(1.0 / 256.0);
+}
+
+std::size_t TxEngine::UnitRx::need(std::size_t k) const {
+  if (decoded) return 0;
+  return innovative < k ? k - innovative : 1;
+}
 
 TxEngine::TxEngine(const EngineConfig& cfg) : cfg_(cfg) {
   if (cfg.symbol_size == 0)
@@ -67,13 +83,12 @@ void TxEngine::run_frame_into(
         });
   }
 
-  // Per-(group,unit) sent counters, flat [group * n_units + unit]: ESI
-  // sequencing and feedback deficits. A cell is nonzero iff that group
-  // actually transmitted that unit (sends are the only increments).
+  // Per-(group,unit) sent counters, flat [group * n_units + unit]:
+  // systematic symbol sequencing and makeup ownership. A cell is nonzero
+  // iff that group actually transmitted that unit (sends are the only
+  // increments).
   sent_.assign(groups.size() * units.size(), 0);
   relay_sent_.clear();  // refilled by the relay phase when links exist
-  // Sender-global fresh-symbol counter per unit (source-coding mode).
-  unit_next_esi_.assign(units.size(), 0);
 
   // --- Timeline state -----------------------------------------------------
   Seconds t = 0.0;  // sender-side enqueue clock
@@ -99,6 +114,10 @@ void TxEngine::run_frame_into(
   buckets_.reserve(groups.size());
   bucket_clock_.assign(groups.size(), 0.0);
   for (const auto& g : groups) {
+    for (std::size_t u : g.members)
+      if (u >= n_users)
+        throw std::invalid_argument("run_frame_into: group member out of "
+                                    "range");
     const Mbps fill = g.bucket_rate.value > 0.0 ? g.bucket_rate : g.drain_rate;
     buckets_.emplace_back(fill, std::max<std::size_t>(wire, cfg_.bucket_packets * wire));
   }
@@ -180,18 +199,12 @@ void TxEngine::run_frame_into(
     ++res.stats.packets_sent;
     res.stats.airtime += air;
 
-    // Which symbol does this packet carry?
+    // Which symbol does this packet carry? With source coding every
+    // symbol is fresh. Systematic-only, each group cycles its unit's
+    // source symbols from the beginning, so overlapping groups duplicate
+    // prefixes.
+    const std::size_t k = units[ui].k_symbols;
     const std::size_t seq = sent_[gi * units.size() + ui]++;
-    std::size_t index = 0;
-    bool innovative_symbol = true;
-    if (cfg_.source_coding) {
-      index = unit_next_esi_[ui]++;
-    } else {
-      // Systematic-only: each group cycles its unit's source symbols from
-      // the beginning — overlapping groups duplicate prefixes.
-      index = seq % units[ui].k_symbols;
-      innovative_symbol = false;
-    }
 
     for (std::size_t m = 0; m < g.members.size(); ++m) {
       const std::size_t u = g.members[m];
@@ -199,25 +212,11 @@ void TxEngine::run_frame_into(
       if (rng.chance(loss)) continue;
       UnitRx& state = rx_[u][ui];
       if (cfg_.source_coding) {
-        (void)innovative_symbol;
+        state.add_innovative(k, rng);
+      } else if (!state.have_index[seq % k]) {
+        state.have_index[seq % k] = true;
         ++state.innovative;
-        // Incremental decode attempt: succeeds for sure past k+1, and
-        // with probability 255/256 at exactly k (dense GF(256) rank).
-        // A failure at k is visible to the receiver, so its feedback
-        // asks for one more symbol.
-        if (!state.decoded && state.innovative >= units[ui].k_symbols) {
-          const std::size_t h = state.innovative - units[ui].k_symbols;
-          if (h == 0) {
-            if (rng.chance(1.0 / 256.0)) state.needs_extra = true;
-            else state.decoded = true;
-          } else {
-            state.decoded = true;
-          }
-        }
-      } else if (!state.have_index[index]) {
-        state.have_index[index] = true;
-        ++state.innovative;
-        state.decoded = state.innovative >= units[ui].k_symbols;
+        state.decoded = state.innovative >= k;
       }
     }
     return true;
@@ -239,11 +238,14 @@ void TxEngine::run_frame_into(
   }
 
   // --- Feedback + makeup rounds (Sec. 2.6) --------------------------------
-  // Receivers whose feedback arrives file a ReceptionReport; the sender's
-  // ReportCollector dedupes and tracks who is silent. A silent member costs
-  // the group a blind worst-case budget (a fraction of each unit's k, with
-  // the session's backoff already applied) in the first round only —
-  // repeating the blanket every round would starve reporting users.
+  // Each round starts from one report per user whose feedback arrives: its
+  // per-unit need as it stands when the round begins. Makeup sent during
+  // the round does not change what the round asks for, so two groups that
+  // share a member and a unit each size their makeup from the same
+  // report. A silent member costs the group a blind worst-case budget (a
+  // fraction of each unit's k, with the session's backoff already applied)
+  // in the first round only — repeating the blanket every round would
+  // starve reporting users.
   std::size_t makeup_deficit = 0;  // total symbols the receivers asked for
   {
     static obs::Stage& st = obs::stage("emu.makeup");
@@ -254,35 +256,26 @@ void TxEngine::run_frame_into(
       if (t >= budget) break;
       if (!cfg_.rate_control) drain_free = std::max(drain_free, t);
 
-      // Gather this round's reports from the live reception state. Both the
-      // collector's slots and the staging report reuse their capacity.
-      collector_.reset(faults.frame_id, n_users, units.size());
-      for (std::size_t u = 0; u < n_users; ++u) {
-        if (feedback_lost(u)) continue;
-        report_.frame_id = faults.frame_id;
-        report_.user = u;
-        report_.symbols_received.resize(units.size());
-        report_.unit_decoded.resize(units.size());
-        for (std::size_t ui = 0; ui < units.size(); ++ui) {
-          report_.symbols_received[ui] = rx_[u][ui].innovative;
-          report_.unit_decoded[ui] = rx_[u][ui].decoded ? 1 : 0;
-        }
-        collector_.accept(report_);
-      }
+      need_.resize(n_users * units.size());
+      for (std::size_t u = 0; u < n_users; ++u)
+        for (std::size_t ui = 0; ui < units.size(); ++ui)
+          need_[u * units.size() + ui] =
+              feedback_lost(u) ? kNoReport
+                               : rx_[u][ui].need(units[ui].k_symbols);
 
       bool any = false;
       for (std::size_t ui = 0; ui < units.size() && budget_left; ++ui) {
         for (std::size_t gi = 0; gi < groups.size() && budget_left; ++gi) {
           if (sent_[gi * units.size() + ui] == 0)
             continue;  // group doesn't own unit
-          // Deficit P: worst member's shortfall toward decoding this unit
-          // (a rank-deficient decode at exactly k asks for one extra).
+          // Deficit P: worst reporting member's need for this unit.
           const std::size_t k = units[ui].k_symbols;
           std::size_t deficit = 0;
           std::size_t blind = 0;
           for (std::size_t u : groups[gi].members) {
-            if (const auto need = collector_.deficit(u, ui, k)) {
-              deficit = std::max(deficit, *need);
+            const std::size_t need = need_[u * units.size() + ui];
+            if (need != kNoReport) {
+              deficit = std::max(deficit, need);
             } else if (round == 0) {
               // No report: conservative worst case, backed off per frame.
               const double frac = u < faults.blind_fraction.size()
@@ -332,10 +325,8 @@ void TxEngine::run_frame_into(
         if (units[ui].id.layer != 0) continue;        // base layer only
         if (!rx_[rl.relayer][ui].decoded) continue;   // nothing to re-encode
         UnitRx& tgt = rx_[rl.target][ui];
-        if (tgt.decoded) continue;
         const std::size_t k = units[ui].k_symbols;
-        const std::size_t need =
-            tgt.innovative >= k ? 1 : k - tgt.innovative;
+        const std::size_t need = tgt.need(k);
         for (std::size_t s = 0; s < need; ++s) {
           if (drain_free + air > budget) break;  // budget exhausted
           drain_free += air;
@@ -347,16 +338,8 @@ void TxEngine::run_frame_into(
           res.stats.airtime += air;
           res.stats.relay_airtime += air;
           if (rng.chance(rl.loss)) continue;  // lost on the side link
-          ++tgt.innovative;
+          tgt.add_innovative(k, rng);
           ++res.relayed_symbols;
-          if (!tgt.decoded && tgt.innovative >= k) {
-            if (tgt.innovative == k) {
-              if (rng.chance(1.0 / 256.0)) tgt.needs_extra = true;
-              else tgt.decoded = true;
-            } else {
-              tgt.decoded = true;
-            }
-          }
         }
         if (drain_free + air > budget) break;
       }

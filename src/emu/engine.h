@@ -13,15 +13,17 @@
 // help only receivers missing that exact index).
 //
 // Feedback rounds implement Sec. 2.6's makeup scheme: receivers report
-// per-unit per-group reception counts, the sender computes the deficit
+// per-unit reception counts, the sender computes the deficit
 // P = sent - received and transmits P additional (fresh) symbols, all
-// within the same 1/FR frame budget.
+// within the same 1/FR frame budget. The reports and the receivers'
+// bandwidth estimate are modelled in-process: a round reads every
+// reporting user's reception state as it stood when the round began, and
+// the measured rate is the drain rate scaled by the worst member's loss.
 #pragma once
 
 #include "common/rng.h"
 #include "emu/loss.h"
 #include "sched/unitmap.h"
-#include "transport/feedback.h"
 #include "transport/leaky_bucket.h"
 #include "transport/packet.h"
 
@@ -49,7 +51,7 @@ struct EngineConfig {
   /// Per-packet header overhead on the air. Scaled emulations set this to
   /// 0: at 4K the real 16 B amounts to 0.27% and scaling the symbol size
   /// down would otherwise inflate it to a distorting ~15%.
-  std::size_t header_bytes = transport::Packet::kHeaderBytes;
+  std::size_t header_bytes = transport::kHeaderBytes;
   Seconds frame_budget = kFrameBudget;
   bool rate_control = true;
   bool source_coding = true;
@@ -134,7 +136,7 @@ class TxEngine {
   /// RelayLink in `relays` (usually empty) forwards the target's base-layer
   /// deficit, re-encoded by the relayer, within whatever frame budget
   /// remains. Both the result's per-user rows and the engine's internal
-  /// scratch (reception state, packet queue, buckets, feedback collector)
+  /// scratch (reception state, packet queue, buckets, round-start needs)
   /// reuse their capacity across frames, so a steady-state frame performs
   /// zero heap allocations.
   void run_frame_into(const std::vector<sched::UnitSpec>& units,
@@ -153,10 +155,17 @@ class TxEngine {
   struct UnitRx {
     std::size_t innovative = 0;          ///< source-coding mode
     bool decoded = false;
-    /// Set when the decode attempt at exactly k symbols hit the residual
-    /// 1/256 rank deficiency; one more symbol almost surely completes it.
-    bool needs_extra = false;
     std::vector<bool> have_index;        ///< systematic mode (size k)
+
+    /// Absorbs one innovative fountain symbol of a unit with k source
+    /// symbols and attempts the incremental decode: it succeeds for sure
+    /// past k, and with probability 255/256 at exactly k (dense GF(256)
+    /// rank). A failure at k is visible to the receiver, so need() then
+    /// asks for one more symbol.
+    void add_innovative(std::size_t k, Rng& rng);
+    /// Symbols still needed toward decoding: 0 once decoded, the shortfall
+    /// below k, or 1 after a rank-deficient decode at exactly k.
+    std::size_t need(std::size_t k) const;
   };
 
   struct QueueEntry {
@@ -171,13 +180,13 @@ class TxEngine {
   // --- Per-frame scratch (reset by run_frame_into, capacity reused) ------
   std::vector<std::vector<UnitRx>> rx_;      ///< [user][unit]
   std::vector<std::size_t> sent_;            ///< [group * n_units + unit]
-  std::vector<std::size_t> unit_next_esi_;   ///< fresh-ESI counter per unit
   std::vector<QueueEntry> queue_;            ///< FIFO via queue_head_ cursor
   std::size_t queue_head_ = 0;
   std::vector<transport::LeakyBucket> buckets_;
   std::vector<Seconds> bucket_clock_;
-  transport::ReportCollector collector_{0, 0, 0};
-  transport::ReceptionReport report_;        ///< reused report scratch
+  /// Round-start need per [user * n_units + unit] (UnitRx::need), or
+  /// kNoReport for a user whose feedback was lost this frame.
+  std::vector<std::size_t> need_;
   std::vector<std::size_t> avail_;           ///< verify replay, flat [u][i]
   std::vector<std::size_t> relay_sent_;      ///< verify ledger, flat [u][i]
 };

@@ -7,11 +7,9 @@
 // scheduler track reception at sublayer granularity instead of per packet.
 #pragma once
 
-#include "fec/fountain.h"
-
+#include <compare>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 namespace w4k::fec {
 
@@ -27,56 +25,5 @@ struct UnitId {
 
   friend auto operator<=>(const UnitId&, const UnitId&) = default;
 };
-
-/// Sender-side state for one coding unit: a fountain encoder plus the count
-/// of symbols already emitted, so retransmissions continue the ESI sequence
-/// instead of repeating symbols (repeats would be redundant for receivers
-/// that already hold them).
-class UnitEncoder {
- public:
-  UnitEncoder(UnitId id, std::vector<std::uint8_t> payload,
-              std::size_t symbol_size, std::uint64_t frame_seed);
-
-  const UnitId& id() const { return id_; }
-  std::size_t k() const { return encoder_.k(); }
-  std::size_t symbol_size() const { return encoder_.symbol_size(); }
-  std::size_t source_size() const { return encoder_.source_size(); }
-  std::uint64_t block_seed() const { return encoder_.block_seed(); }
-  Esi symbols_emitted() const { return next_esi_; }
-
-  /// Emits the next fresh symbol (never repeats an ESI).
-  Symbol emit();
-
- private:
-  UnitId id_;
-  FountainEncoder encoder_;
-  Esi next_esi_ = 0;
-};
-
-/// Receiver-side state for one coding unit.
-class UnitDecoder {
- public:
-  UnitDecoder(UnitId id, std::size_t k, std::size_t symbol_size,
-              std::size_t source_size, std::uint64_t frame_seed);
-
-  const UnitId& id() const { return id_; }
-  bool add_symbol(const Symbol& s) { return decoder_.add_symbol(s); }
-  bool complete() const { return decoder_.can_decode(); }
-  std::size_t rank() const { return decoder_.rank(); }
-  std::size_t k() const { return decoder_.k(); }
-  std::size_t symbols_seen() const { return decoder_.symbols_seen(); }
-  std::optional<std::vector<std::uint8_t>> decode() const {
-    return decoder_.decode();
-  }
-
- private:
-  UnitId id_;
-  FountainDecoder decoder_;
-};
-
-/// Derives the per-unit block seed from a frame seed, so every coding unit
-/// of every frame uses an independent coefficient stream while sender and
-/// receivers stay in sync without exchanging seeds.
-std::uint64_t unit_seed(std::uint64_t frame_seed, UnitId id);
 
 }  // namespace w4k::fec

@@ -53,13 +53,6 @@ void coefficient_row_into(std::uint64_t block_seed, Esi esi,
   if (!any) row[esi % k] = 1;  // astronomically rare; keep the row usable
 }
 
-std::vector<std::uint8_t> coefficient_row(std::uint64_t block_seed, Esi esi,
-                                          std::size_t k) {
-  std::vector<std::uint8_t> row(k);
-  coefficient_row_into(block_seed, esi, row);
-  return row;
-}
-
 FountainEncoder::FountainEncoder(std::span<const std::uint8_t> data,
                                  std::size_t symbol_size,
                                  std::uint64_t block_seed)
@@ -129,8 +122,6 @@ std::vector<Symbol> FountainEncoder::encode_batch(Esi first,
   encode_batch_into(first, count, out);
   return out;
 }
-
-Symbol FountainEncoder::next() { return encode(next_esi_++); }
 
 FountainDecoder::FountainDecoder(std::size_t k, std::size_t symbol_size,
                                  std::size_t source_size,

@@ -35,14 +35,10 @@ namespace w4k::fec {
 /// Encoding symbol id. ESI < K: systematic; ESI >= K: repair.
 using Esi = std::uint32_t;
 
-/// Derives the GF(256) coefficient row for an encoding symbol.
-/// Systematic ESIs produce unit rows; repair ESIs produce dense rows with
-/// a guaranteed nonzero element. Deterministic in (block_seed, esi, k).
-std::vector<std::uint8_t> coefficient_row(std::uint64_t block_seed, Esi esi,
-                                          std::size_t k);
-
-/// Allocation-free variant: writes the coefficient row into `row`, which
-/// must have size k. Lets hot loops reuse a per-thread scratch buffer.
+/// Writes the GF(256) coefficient row for an encoding symbol into `row`,
+/// whose size is the block's k. Systematic ESIs produce unit rows; repair
+/// ESIs produce dense rows with a guaranteed nonzero element.
+/// Deterministic in (block_seed, esi, k).
 void coefficient_row_into(std::uint64_t block_seed, Esi esi,
                           std::span<std::uint8_t> row);
 
@@ -89,16 +85,12 @@ class FountainEncoder {
   void encode_batch_into(Esi first, std::size_t count,
                          std::span<Symbol> out) const;
 
-  /// Convenience: the next symbol in sequence (0, 1, 2, ...).
-  Symbol next();
-
  private:
   std::size_t symbol_size_;
   std::uint64_t block_seed_;
   std::size_t source_size_;
   std::size_t k_;
   std::vector<std::uint8_t> padded_;  // k_ * symbol_size_ bytes
-  Esi next_esi_ = 0;
 };
 
 /// Reusable Gaussian-elimination scratch for FountainDecoder::decode_into.

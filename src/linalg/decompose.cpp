@@ -123,7 +123,7 @@ struct PowerResult {
 };
 
 /// Power iteration on the Hermitian PSD Gram `g`, iterate `v` in place.
-/// One Gram matvec per step (CMatrix::multiply_into's sums), the Rayleigh
+/// One Gram matvec per step (CMatrix::operator*'s sums), the Rayleigh
 /// quotient real(dot(v, w)), ||w||, then v = w * (1/||w||, 0). This file
 /// is compiled with -ffp-contract=off, so the SIMD lanes below and this
 /// loop round every product and sum alike on every target.
@@ -533,70 +533,6 @@ SubsetBatchStats subset_dominant_right_singular_into(
     kLanesX2[slot](b, m, queue, count);
   }
   return b.stats;
-}
-
-std::vector<EigenPair> hermitian_eigen(const CMatrix& h, int sweeps,
-                                       double tol) {
-  if (h.rows() != h.cols())
-    throw std::invalid_argument("hermitian_eigen: matrix must be square");
-  const std::size_t n = h.rows();
-  CMatrix a = h;
-  CMatrix v = CMatrix::identity(n);
-
-  for (int sweep = 0; sweep < sweeps; ++sweep) {
-    double off = 0.0;
-    for (std::size_t p = 0; p < n; ++p)
-      for (std::size_t q = p + 1; q < n; ++q) off += std::norm(a(p, q));
-    if (std::sqrt(off) <= tol * std::max(1.0, a.frobenius_norm())) break;
-
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const Complex apq = a(p, q);
-        if (std::abs(apq) < 1e-300) continue;
-        // Complex Jacobi rotation zeroing a(p, q).
-        const double app = std::real(a(p, p));
-        const double aqq = std::real(a(q, q));
-        const double absapq = std::abs(apq);
-        const Complex phase = apq / absapq;
-        const double tau = (aqq - app) / (2.0 * absapq);
-        const double t = (tau >= 0 ? 1.0 : -1.0) /
-                         (std::abs(tau) + std::sqrt(1.0 + tau * tau));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const Complex s = phase * Complex(t * c, 0.0);
-
-        // Apply rotation R(p,q,c,s) on both sides: A <- R^H A R, V <- V R.
-        for (std::size_t k = 0; k < n; ++k) {
-          const Complex akp = a(k, p);
-          const Complex akq = a(k, q);
-          a(k, p) = c * akp - std::conj(s) * akq;
-          a(k, q) = s * akp + c * akq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const Complex apk = a(p, k);
-          const Complex aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = std::conj(s) * apk + c * aqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const Complex vkp = v(k, p);
-          const Complex vkq = v(k, q);
-          v(k, p) = c * vkp - std::conj(s) * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-
-  std::vector<EigenPair> pairs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pairs[i].value = std::real(a(i, i));
-    pairs[i].vector = v.col(i);
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const EigenPair& x, const EigenPair& y) {
-              return x.value > y.value;
-            });
-  return pairs;
 }
 
 CVector solve_least_squares(const CMatrix& a, const CVector& b,

@@ -97,18 +97,6 @@ SubsetBatchStats subset_dominant_right_singular_into(
     SubsetLaneScratch& scratch, std::span<DominantSVD> out,
     int max_iters = 500, double tol = 1e-12);
 
-/// One eigenpair of a Hermitian matrix.
-struct EigenPair {
-  double value = 0.0;
-  CVector vector;
-};
-
-/// Full eigendecomposition of a Hermitian matrix by the cyclic complex
-/// Jacobi method. Eigenpairs are returned sorted descending by eigenvalue.
-/// Throws std::invalid_argument if the matrix is not square.
-std::vector<EigenPair> hermitian_eigen(const CMatrix& h, int sweeps = 64,
-                                       double tol = 1e-13);
-
 /// Solves the least-squares problem min ||A x - b||_2 via normal equations
 /// with Tikhonov damping `ridge` (used by ACO-style CSI estimation where A
 /// holds per-beam measurement weights). Throws on dimension mismatch.

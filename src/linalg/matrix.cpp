@@ -75,17 +75,6 @@ CVector CMatrix::operator*(const CVector& x) const {
   return y;
 }
 
-void CMatrix::multiply_into(const CVector& x, CVector& y) const {
-  if (cols_ != x.size())
-    throw std::invalid_argument("matrix-vector size mismatch");
-  y.resize_zero(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    Complex s = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) s += (*this)(r, c) * x[c];
-    y[r] = s;
-  }
-}
-
 CMatrix CMatrix::operator*(const CMatrix& other) const {
   if (cols_ != other.rows_)
     throw std::invalid_argument("matrix-matrix size mismatch");
@@ -105,11 +94,6 @@ CMatrix& CMatrix::operator+=(const CMatrix& other) {
   if (rows_ != other.rows_ || cols_ != other.cols_)
     throw std::invalid_argument("matrix size mismatch in +=");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-CMatrix& CMatrix::operator*=(Complex s) {
-  for (auto& x : data_) x *= s;
   return *this;
 }
 

@@ -104,14 +104,10 @@ class CMatrix {
 
   /// Matrix-vector product. Throws std::invalid_argument on size mismatch.
   CVector operator*(const CVector& x) const;
-  /// Matrix-vector product into a caller-provided vector (resized in
-  /// place, capacity reused). Bit-identical to operator*.
-  void multiply_into(const CVector& x, CVector& y) const;
   /// Matrix-matrix product. Throws std::invalid_argument on size mismatch.
   CMatrix operator*(const CMatrix& other) const;
 
   CMatrix& operator+=(const CMatrix& other);
-  CMatrix& operator*=(Complex s);
 
   /// Extracts row r as a vector.
   CVector row(std::size_t r) const;

@@ -48,8 +48,6 @@ const Vec& Dense::forward_cached(const Vec& x) {
   return last_act_;
 }
 
-Vec Dense::forward(const Vec& x) { return forward_cached(x); }
-
 const Vec& Dense::backward_cached(const Vec& grad_out) {
   if (grad_out.size() != out_)
     throw std::invalid_argument("Dense: gradient size mismatch");
@@ -72,8 +70,6 @@ const Vec& Dense::backward_cached(const Vec& grad_out) {
   }
   return dx_;
 }
-
-Vec Dense::backward(const Vec& grad_out) { return backward_cached(grad_out); }
 
 void Dense::zero_grad() {
   std::fill(gw_.begin(), gw_.end(), 0.0);
@@ -171,8 +167,6 @@ const Vec& Network::input_gradient_cached(const Vec& x) {
   return *g;
 }
 
-Vec Network::input_gradient(const Vec& x) { return input_gradient_cached(x); }
-
 void Network::zero_grad() {
   for (auto& layer : layers_) layer.zero_grad();
 }
@@ -231,7 +225,6 @@ double train_mse(Network& net, const std::vector<Example>& data,
       done += batch;
     }
     epoch_mse = sum_se / static_cast<double>(order.size());
-    if (cfg.target_mse > 0.0 && epoch_mse < cfg.target_mse) break;
   }
   return epoch_mse;
 }

@@ -23,24 +23,14 @@ class Dense {
   /// Xavier/Glorot-uniform initialization from `rng`.
   Dense(std::size_t in, std::size_t out, bool sigmoid, Rng& rng);
 
-  std::size_t in_features() const { return in_; }
-  std::size_t out_features() const { return out_; }
-  bool has_sigmoid() const { return sigmoid_; }
-
-  /// Forward pass; caches input and pre-activation for backward().
-  Vec forward(const Vec& x);
-
-  /// Allocation-free forward: computes into an internal activation buffer
-  /// (reused across calls) and returns a reference to it. The reference is
-  /// valid until the next forward on this layer. forward() wraps this.
+  /// Forward pass; caches input and activation for backward(). Computes
+  /// into an internal activation buffer (reused across calls) and returns
+  /// a reference to it, valid until the next forward on this layer.
   const Vec& forward_cached(const Vec& x);
 
-  /// Backward pass for the most recent forward(). Accumulates weight/bias
-  /// gradients internally and returns dL/dx.
-  Vec backward(const Vec& grad_out);
-
-  /// Allocation-free backward: dL/dx lands in an internal buffer (reused
-  /// across calls, valid until the next backward on this layer).
+  /// Backward pass for the most recent forward_cached(). Accumulates
+  /// weight/bias gradients internally; dL/dx lands in an internal buffer
+  /// (reused across calls, valid until the next backward on this layer).
   const Vec& backward_cached(const Vec& grad_out);
 
   /// Zeroes accumulated gradients.
@@ -85,15 +75,13 @@ class Network {
   /// Backward from dL/d(output); returns dL/d(input).
   Vec backward(const Vec& grad_out);
 
-  /// d(output[0]) / d(input): forward + backward with unit seed gradient.
-  /// Only valid for single-output networks.
-  Vec input_gradient(const Vec& x);
-
-  /// Allocation-free variants for the per-frame optimizer hot loop: the
-  /// returned reference points into the last layer's (respectively first
-  /// layer's) internal buffer and is valid until the next call. Same
-  /// arithmetic, bit-identical results.
+  /// Allocation-free forward for the per-frame optimizer hot loop: the
+  /// returned reference points into the last layer's internal buffer and
+  /// is valid until the next call. Same arithmetic as forward().
   const Vec& forward_cached(const Vec& x);
+  /// d(output[0]) / d(input): forward + backward with unit seed gradient,
+  /// into the first layer's internal buffer (valid until the next call).
+  /// Throws std::logic_error unless the network has one output.
   const Vec& input_gradient_cached(const Vec& x);
 
   void zero_grad();
@@ -121,8 +109,6 @@ struct TrainConfig {
   /// 300). Unlike step decay this keeps making (ever smaller) progress on
   /// very long runs instead of freezing.
   double lr = 1e-2;
-  /// Optional early-stop: stop if train MSE drops below this (0 disables).
-  double target_mse = 0.0;
 };
 
 /// Trains with MSE loss; returns final epoch's mean training MSE.

@@ -48,12 +48,10 @@ Grid grid_of(int width, int height) {
           static_cast<std::size_t>(height / kStride)};
 }
 
-/// Partial sums of one horizontal band of SSIM windows. `ssim` accumulates
-/// the full per-window SSIM (luminance * contrast-structure), `cs` the
-/// contrast-structure term alone (needed by MS-SSIM's coarse scales).
+/// Partial sums of one horizontal band of SSIM windows: the per-window
+/// SSIM (luminance * contrast-structure) and the window count.
 struct BandSums {
   double ssim = 0.0;
-  double cs = 0.0;
   long windows = 0;
 };
 
@@ -71,14 +69,10 @@ struct Totals {
   }
 };
 
-/// One window's SSIM terms from its five integer sums. Shared by every
-/// scoring path so they stay bit-identical to each other.
-struct WindowTerms {
-  double lcs;  ///< luminance * contrast-structure
-  double cs;
-};
-
-inline WindowTerms window_terms(std::int32_t sa, std::int32_t sb,
+/// One window's SSIM (luminance * contrast-structure) from its five
+/// integer sums. Shared by every scoring path so they stay bit-identical
+/// to each other.
+inline double window_ssim(std::int32_t sa, std::int32_t sb,
                                 std::int32_t saa, std::int32_t sbb,
                                 std::int32_t sab) {
   constexpr double n = kWindow * kWindow;
@@ -89,7 +83,7 @@ inline WindowTerms window_terms(std::int32_t sa, std::int32_t sb,
   const double cov = sab / n - ma * mb;
   const double cs = (2.0 * cov + kC2) / (va + vb + kC2);
   const double l = (2.0 * ma * mb + kC1) / (ma * ma + mb * mb + kC1);
-  return {l * cs, cs};
+  return l * cs;
 }
 
 /// Horizontal pair sums of one block row: entry c covers blocks c and
@@ -111,7 +105,6 @@ struct BandScratch {
   std::int32_t* blk_xy;
   PairRow rows[2];
   double* lcs;  ///< per window of a window row
-  double* cs;
 };
 
 struct Band {
@@ -128,7 +121,7 @@ struct Workspace {
 
   void reserve(std::size_t n_bands, const Grid& g) {
     ints.resize(n_bands * ints_per_band(g));
-    reals.resize(n_bands * 2 * g.wcols());
+    reals.resize(n_bands * g.wcols());
     bands.assign(n_bands, Band{});
   }
 
@@ -152,8 +145,7 @@ struct Workspace {
       r.ss = take(g.wcols());
       r.xy = take(g.wcols());
     }
-    s.lcs = reals.data() + i * 2 * g.wcols();
-    s.cs = s.lcs + g.wcols();
+    s.lcs = reals.data() + i * g.wcols();
     return s;
   }
 
@@ -278,7 +270,6 @@ BandSums tile(const video::Plane& a, const video::Plane& b, const Grid& g,
   BandSums total;
   for (const Band& band : ws.bands) {
     total.ssim += band.sums.ssim;
-    total.cs += band.sums.cs;
     total.windows += band.sums.windows;
     totals += band.totals;
   }
@@ -301,17 +292,11 @@ BandSums fused_sums(const video::Plane& reference, const ReferenceSums& ref,
           const BandScratch& s, BandSums& acc) {
         const std::int32_t* ra = ref.win_s.data() + r * wcols;
         const std::int32_t* raa = ref.win_ss.data() + r * wcols;
-        for (std::size_t c = 0; c < wcols; ++c) {
-          const WindowTerms w =
-              window_terms(ra[c], top.s[c] + bottom.s[c], raa[c],
-                           top.ss[c] + bottom.ss[c], top.xy[c] + bottom.xy[c]);
-          s.lcs[c] = w.lcs;
-          s.cs[c] = w.cs;
-        }
-        for (std::size_t c = 0; c < wcols; ++c) {
-          acc.cs += s.cs[c];
-          acc.ssim += s.lcs[c];
-        }
+        for (std::size_t c = 0; c < wcols; ++c)
+          s.lcs[c] =
+              window_ssim(ra[c], top.s[c] + bottom.s[c], raa[c],
+                          top.ss[c] + bottom.ss[c], top.xy[c] + bottom.xy[c]);
+        for (std::size_t c = 0; c < wcols; ++c) acc.ssim += s.lcs[c];
         acc.windows += static_cast<long>(wcols);
       });
   totals += edge_totals<true>(reference, distorted, g);
@@ -319,8 +304,8 @@ BandSums fused_sums(const video::Plane& reference, const ReferenceSums& ref,
 }
 
 /// Anti-correlated windows can push the mean below zero; clamp to the
-/// documented [0, 1] range, consistent with ms_ssim's per-scale clamp
-/// (zero structural similarity is the floor the pipeline reasons about).
+/// documented [0, 1] range (zero structural similarity is the floor the
+/// pipeline reasons about).
 double mean_ssim(const BandSums& s) {
   return s.windows ? std::max(s.ssim / static_cast<double>(s.windows), 0.0)
                    : 1.0;
@@ -390,15 +375,12 @@ Scores blank_scores(const ReferenceSums& ref) {
     for (std::size_t r = b; r < std::min(b + kBandRows, g.wrows()); ++r) {
       for (std::size_t c = 0; c < wcols; ++c) {
         const std::int32_t sa = ref.win_s[r * wcols + c];
-        const WindowTerms w = window_terms(sa, sb, ref.win_ss[r * wcols + c],
-                                           sbb, kBlankLevel * sa);
-        band.cs += w.cs;
-        band.ssim += w.lcs;
+        band.ssim += window_ssim(sa, sb, ref.win_ss[r * wcols + c], sbb,
+                                 kBlankLevel * sa);
       }
       band.windows += static_cast<long>(wcols);
     }
     total.ssim += band.ssim;
-    total.cs += band.cs;
     total.windows += band.windows;
   }
   const auto n = static_cast<std::size_t>(ref.width) *
@@ -429,70 +411,6 @@ double ssim(const video::Plane& reference, const video::Plane& distorted) {
 
 double ssim(const video::Frame& reference, const video::Frame& distorted) {
   return ssim(reference.y, distorted.y);
-}
-
-namespace {
-
-/// 2x2 box downsampling (the MS-SSIM pyramid step), parallel over output
-/// rows (each output pixel depends on disjoint inputs: bit-exact).
-video::Plane downsample(const video::Plane& p) {
-  video::Plane out(p.width / 2, p.height / 2);
-  ThreadPool::shared().parallel_for(
-      0, static_cast<std::size_t>(out.height), 64,
-      [&](std::size_t y_begin, std::size_t y_end) {
-        for (std::size_t yy = y_begin; yy < y_end; ++yy) {
-          const int y = static_cast<int>(yy);
-          for (int x = 0; x < out.width; ++x) {
-            const int sum = p.at(2 * x, 2 * y) + p.at(2 * x + 1, 2 * y) +
-                            p.at(2 * x, 2 * y + 1) + p.at(2 * x + 1, 2 * y + 1);
-            out.at(x, y) = static_cast<std::uint8_t>((sum + 2) / 4);
-          }
-        }
-      });
-  return out;
-}
-
-// Standard MS-SSIM per-scale weights (Wang et al. 2003).
-constexpr double kMsWeights[5] = {0.0448, 0.2856, 0.3001, 0.2363, 0.1333};
-
-}  // namespace
-
-double ms_ssim(const video::Plane& reference, const video::Plane& distorted,
-               int scales) {
-  check_same(reference, distorted);
-  if (scales < 1 || scales > 5)
-    throw std::invalid_argument("ms_ssim: scales must be in 1..5");
-  const int min_dim = kWindow << (scales - 1);
-  if (reference.width < min_dim || reference.height < min_dim)
-    throw std::invalid_argument("ms_ssim: plane too small for scale count");
-
-  video::Plane a = reference;
-  video::Plane b = distorted;
-  ReferenceSums ref;
-  double result = 1.0;
-  for (int s = 0; s < scales; ++s) {
-    reference_sums_into(a, ref);
-    Totals unused;
-    const BandSums sums = fused_sums(a, ref, b, unused);
-    const double mean_cs =
-        sums.windows ? sums.cs / static_cast<double>(sums.windows) : 1.0;
-    // cs term at every scale; the full SSIM (with luminance) only at the
-    // coarsest. Negative terms (possible in pathological windows) are
-    // clamped so the weighted geometric mean stays defined.
-    const double term =
-        s + 1 == scales ? mean_ssim(sums) : std::max(mean_cs, 0.0);
-    result *= std::pow(term, kMsWeights[s]);
-    if (s + 1 < scales) {
-      a = downsample(a);
-      b = downsample(b);
-    }
-  }
-  return result;
-}
-
-double ms_ssim(const video::Frame& reference, const video::Frame& distorted,
-               int scales) {
-  return ms_ssim(reference.y, distorted.y, scales);
 }
 
 double psnr(const video::Plane& reference, const video::Plane& distorted) {

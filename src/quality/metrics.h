@@ -35,16 +35,6 @@ double ssim(const video::Frame& reference, const video::Frame& distorted);
 double psnr(const video::Plane& reference, const video::Plane& distorted);
 double psnr(const video::Frame& reference, const video::Frame& distorted);
 
-/// Multi-scale SSIM (Wang et al. 2003): SSIM evaluated over a dyadic
-/// pyramid with the standard five per-scale exponents. More faithful to
-/// perceived 4K quality than single-scale SSIM because coarse-structure
-/// errors (exactly what losing low layers causes) are weighted across
-/// scales. Requires luma at least 2^(scales-1) * 8 in both dimensions.
-double ms_ssim(const video::Plane& reference, const video::Plane& distorted,
-               int scales = 5);
-double ms_ssim(const video::Frame& reference, const video::Frame& distorted,
-               int scales = 5);
-
 /// The reference side of every SSIM/PSNR against one plane: Σx and Σx²
 /// of each 8x8 stride-4 window (row-major over the window grid), plus
 /// plane totals over every pixel, including the edge strips outside the

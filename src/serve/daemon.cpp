@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <ctime>
 #include <stdexcept>
 #include <string>
 
@@ -97,24 +96,6 @@ void Daemon::start() {
   if (status_) status_->start();
 }
 
-void Daemon::start_source() {
-  stop_.store(false, std::memory_order_relaxed);
-  source_thread_ = std::thread([this] { source_loop(); });
-}
-
-void Daemon::source_loop() {
-  const double period = cfg_.fps > 0.0 ? 1.0 / cfg_.fps : 0.0;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    publish_one();
-    if (period > 0.0) {
-      timespec ts;
-      ts.tv_sec = static_cast<time_t>(period);
-      ts.tv_nsec = static_cast<long>((period - static_cast<double>(ts.tv_sec)) * 1e9);
-      nanosleep(&ts, nullptr);
-    }
-  }
-}
-
 bool Daemon::publish_one() {
   FrameDesc& d = ring_[ring_pos_];
   if (d.workers_pending.load(std::memory_order_acquire) != 0) {
@@ -151,8 +132,6 @@ bool Daemon::publish_one() {
 }
 
 void Daemon::stop() {
-  stop_.store(true, std::memory_order_relaxed);
-  if (source_thread_.joinable()) source_thread_.join();
   for (auto& w : workers_) w->stop();
   if (status_) status_->stop();
 }

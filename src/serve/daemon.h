@@ -25,10 +25,8 @@
 #include "serve/source.h"
 #include "serve/worker.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 namespace w4k::serve {
@@ -38,7 +36,6 @@ struct DaemonConfig {
   std::uint16_t status_port = 0;  ///< TCP /status port; 0 = ephemeral
   bool status = true;             ///< serve /status at all
   std::size_t workers = 1;
-  double fps = 30.0;              ///< source thread frame cadence
   std::size_t pool_slots = 256;
   SourceConfig source;
   WorkerConfig worker;  ///< per-shard template; index is set per worker
@@ -53,10 +50,8 @@ class Daemon {
   /// worker threads and the status thread.
   void start();
 
-  /// Starts the internal source thread publishing at cfg.fps until stop().
-  void start_source();
-
-  /// Publishes one frame now (bench/tests drive the cadence themselves).
+  /// Publishes one frame now. The caller sets the frame cadence (w4kd's
+  /// loop, bench_serve, perfbench and the tests each drive their own).
   /// False when the publish ring entry is still in flight or the pool is
   /// exhausted (counted, frame skipped).
   bool publish_one();
@@ -78,8 +73,6 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
  private:
-  void source_loop();
-
   DaemonConfig cfg_;
   BufferPool pool_;
   FountainSource source_;
@@ -90,9 +83,6 @@ class Daemon {
   static constexpr std::size_t kPubRing = 16;
   std::unique_ptr<FrameDesc[]> ring_;
   std::size_t ring_pos_ = 0;
-
-  std::thread source_thread_;
-  std::atomic<bool> stop_{false};
 
   obs::Counter& pub_frames_;
   obs::Counter& pub_symbols_;

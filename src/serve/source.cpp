@@ -48,10 +48,6 @@ FountainSource::FountainSource(const SourceConfig& cfg) : cfg_(cfg) {
   scratch_.data.reserve(cfg_.symbol_bytes);
 }
 
-std::size_t FountainSource::record_bytes() const {
-  return wire::kSymbolHeaderBytes + cfg_.symbol_bytes;
-}
-
 bool FountainSource::next_frame(BufferPool& pool, FrameDesc& out) {
   out.frame_id = next_frame_id_;
   out.n_symbols = 0;

@@ -41,7 +41,6 @@ class FountainSource {
   bool next_frame(BufferPool& pool, FrameDesc& out);
 
   std::size_t symbols_per_frame() const { return symbols_per_frame_; }
-  std::size_t record_bytes() const;  ///< max header+payload record length
   std::uint32_t next_frame_id() const { return next_frame_id_; }
   const SourceConfig& config() const { return cfg_; }
 

@@ -3,15 +3,13 @@
 // The system runs over UDP (Sec. 2.7): loss recovery is fountain-coded
 // retransmission, not ARQ, so a packet is just a header identifying which
 // coding unit and encoding symbol it carries plus the symbol payload. The
-// emulator may strip the payload and track symbol counts only — the header
-// carries everything the receiver's bookkeeping needs.
+// emulator strips the payload and tracks symbol counts only; the daemon's
+// concrete wire format is serve/wire.h.
 #pragma once
 
-#include "fec/coding_unit.h"
-
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
-#include <vector>
 
 namespace w4k::transport {
 
@@ -21,7 +19,7 @@ namespace w4k::transport {
 // every frame and `group_id` a u16: both wrap, so ordering and distance
 // comparisons on the feedback/dedupe path must NOT use plain `<` — at the
 // wrap boundary 0x00000000 is *newer* than 0xffffffff. Equality checks
-// (e.g. ReportCollector's frame match) are wrap-safe as-is.
+// are wrap-safe as-is.
 //
 // seq_less(a, b): a precedes b, i.e. the forward distance a -> b is in
 // (0, 2^(N-1)). Comparisons exactly half the space apart are ambiguous by
@@ -51,26 +49,8 @@ constexpr bool seq_less_eq(U a, U b) {
   return a == b || seq_less(a, b);
 }
 
-struct PacketHeader {
-  std::uint32_t frame_id = 0;
-  std::uint16_t group_id = 0;     ///< multicast group the packet targets
-  fec::UnitId unit;               ///< coding unit (layer, unit index)
-  fec::Esi esi = 0;               ///< encoding symbol id
-  /// Measurement packets bypass rate control and are sent back-to-back
-  /// for the receiver's bandwidth estimator (Sec. 2.7).
-  bool bandwidth_probe = false;
-};
-
-struct Packet {
-  PacketHeader header;
-  std::vector<std::uint8_t> payload;  ///< empty in accounting-mode emulation
-
-  /// On-air size in bytes (header overhead + symbol payload).
-  std::size_t wire_size(std::size_t symbol_size) const {
-    return kHeaderBytes + (payload.empty() ? symbol_size : payload.size());
-  }
-
-  static constexpr std::size_t kHeaderBytes = 16;
-};
+/// Per-packet header bytes on the air: frame id, group id, unit id and
+/// encoding symbol id ahead of the symbol payload.
+inline constexpr std::size_t kHeaderBytes = 16;
 
 }  // namespace w4k::transport

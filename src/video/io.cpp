@@ -1,7 +1,6 @@
 #include "video/io.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -109,44 +108,6 @@ void Y4mWriter::write(const Frame& frame) {
                     static_cast<std::streamsize>(frame.v.pix.size()));
   if (!impl_->file) throw std::runtime_error("Y4mWriter: write failed");
   ++count_;
-}
-
-Frame read_raw_yuv420(const std::string& path, int width, int height,
-                      std::size_t index) {
-  check_codec_dims(width, height);
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("read_raw_yuv420: cannot open " + path);
-  Frame f(width, height);
-  const std::size_t frame_bytes = f.total_bytes();
-  file.seekg(static_cast<std::streamoff>(frame_bytes * index));
-  if (!read_plane(file, f.y) || !read_plane(file, f.u) ||
-      !read_plane(file, f.v))
-    throw std::runtime_error("read_raw_yuv420: file too short for frame " +
-                             std::to_string(index));
-  return f;
-}
-
-std::size_t raw_yuv420_frame_count(const std::string& path, int width,
-                                   int height) {
-  check_codec_dims(width, height);
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (ec) throw std::runtime_error("raw_yuv420_frame_count: cannot stat " + path);
-  const std::size_t frame_bytes =
-      static_cast<std::size_t>(width) * height * 3 / 2;
-  return static_cast<std::size_t>(size) / frame_bytes;
-}
-
-void append_raw_yuv420(const std::string& path, const Frame& frame) {
-  std::ofstream file(path, std::ios::binary | std::ios::app);
-  if (!file) throw std::runtime_error("append_raw_yuv420: cannot open " + path);
-  file.write(reinterpret_cast<const char*>(frame.y.pix.data()),
-             static_cast<std::streamsize>(frame.y.pix.size()));
-  file.write(reinterpret_cast<const char*>(frame.u.pix.data()),
-             static_cast<std::streamsize>(frame.u.pix.size()));
-  file.write(reinterpret_cast<const char*>(frame.v.pix.data()),
-             static_cast<std::streamsize>(frame.v.pix.size()));
-  if (!file) throw std::runtime_error("append_raw_yuv420: write failed");
 }
 
 }  // namespace w4k::video

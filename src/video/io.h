@@ -5,8 +5,6 @@
 //   * Y4M (YUV4MPEG2): the standard container Derf clips ship in, with a
 //     plain-text stream header and per-frame FRAME markers; only the
 //     C420 family is supported (the codec is YUV420).
-//   * raw .yuv: headerless concatenated planar frames; dimensions come
-//     from the caller.
 #pragma once
 
 #include "video/frame.h"
@@ -78,17 +76,5 @@ class Y4mWriter {
   int height_;
   std::size_t count_ = 0;
 };
-
-/// Reads frame `index` from a headerless planar YUV420 file.
-/// Throws std::runtime_error when the file is too short.
-Frame read_raw_yuv420(const std::string& path, int width, int height,
-                      std::size_t index = 0);
-
-/// Number of whole YUV420 frames in a raw file of the given dimensions.
-std::size_t raw_yuv420_frame_count(const std::string& path, int width,
-                                   int height);
-
-/// Appends a frame to a raw planar YUV420 file (creates it if absent).
-void append_raw_yuv420(const std::string& path, const Frame& frame);
 
 }  // namespace w4k::video

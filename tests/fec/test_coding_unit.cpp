@@ -1,8 +1,8 @@
 #include "fec/coding_unit.h"
+#include "fec/fountain.h"
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 namespace w4k::fec {
@@ -15,74 +15,49 @@ std::vector<std::uint8_t> payload(std::size_t n) {
   return p;
 }
 
-TEST(UnitSeed, DistinctAcrossUnits) {
-  std::set<std::uint64_t> seeds;
-  for (std::uint16_t l = 0; l < 4; ++l)
-    for (std::uint16_t s = 0; s < 32; ++s)
-      seeds.insert(unit_seed(42, UnitId{l, s}));
-  EXPECT_EQ(seeds.size(), 4u * 32u);
-}
-
-TEST(UnitSeed, DistinctAcrossFrames) {
-  EXPECT_NE(unit_seed(1, UnitId{0, 0}), unit_seed(2, UnitId{0, 0}));
-}
-
-TEST(UnitSeed, Deterministic) {
-  EXPECT_EQ(unit_seed(7, UnitId{2, 3}), unit_seed(7, UnitId{2, 3}));
-}
-
 TEST(UnitId, Ordering) {
   EXPECT_LT((UnitId{0, 5}), (UnitId{1, 0}));
   EXPECT_LT((UnitId{1, 0}), (UnitId{1, 1}));
   EXPECT_EQ((UnitId{2, 2}), (UnitId{2, 2}));
 }
 
-TEST(UnitEncoder, EmitsFreshEsis) {
-  UnitEncoder enc(UnitId{1, 2}, payload(1000), 100, 9);
-  EXPECT_EQ(enc.k(), 10u);
-  EXPECT_EQ(enc.emit().esi, 0u);
-  EXPECT_EQ(enc.emit().esi, 1u);
-  EXPECT_EQ(enc.symbols_emitted(), 2u);
-}
+// A coding unit travels as one fountain block: the sender emits fresh
+// ESIs 0, 1, 2, ... and the receiver decodes with the same block seed.
 
 TEST(UnitRoundTrip, EncoderDecoderAgreeOnSeed) {
   const auto data = payload(950);
-  UnitEncoder enc(UnitId{3, 7}, data, 100, 1234);
-  UnitDecoder dec(UnitId{3, 7}, enc.k(), 100, data.size(), 1234);
-  while (!dec.complete()) dec.add_symbol(enc.emit());
+  const FountainEncoder enc(data, 100, 1234);
+  FountainDecoder dec(enc.k(), 100, data.size(), 1234);
+  for (Esi esi = 0; !dec.can_decode(); ++esi) dec.add_symbol(enc.encode(esi));
   EXPECT_EQ(*dec.decode(), data);
 }
 
 TEST(UnitRoundTrip, SurvivesHeavyLossViaContinuedEmission) {
   const auto data = payload(2000);
-  UnitEncoder enc(UnitId{0, 0}, data, 100, 55);
-  UnitDecoder dec(UnitId{0, 0}, enc.k(), 100, data.size(), 55);
+  const FountainEncoder enc(data, 100, 55);
+  FountainDecoder dec(enc.k(), 100, data.size(), 55);
   Rng rng(3);
-  int sent = 0;
-  while (!dec.complete()) {
-    const Symbol s = enc.emit();
-    ++sent;
-    ASSERT_LT(sent, 200);
+  Esi sent = 0;
+  while (!dec.can_decode()) {
+    const Symbol s = enc.encode(sent++);
+    ASSERT_LT(sent, 200u);
     if (rng.chance(0.5)) continue;
     dec.add_symbol(s);
   }
   EXPECT_EQ(*dec.decode(), data);
-  EXPECT_GE(enc.symbols_emitted(), dec.k());
+  EXPECT_GE(sent, dec.k());
 }
 
 TEST(UnitRoundTrip, MismatchedFrameSeedFailsToDecodeCorrectly) {
-  // A receiver with the wrong frame seed derives wrong coefficients for
+  // A receiver with the wrong block seed derives wrong coefficients for
   // repair symbols, so decoding either stalls or yields wrong data.
   const auto data = payload(500);
-  UnitEncoder enc(UnitId{0, 1}, data, 100, 111);
-  UnitDecoder dec(UnitId{0, 1}, enc.k(), 100, data.size(), 222);
+  const FountainEncoder enc(data, 100, 111);
+  FountainDecoder dec(enc.k(), 100, data.size(), 222);
   // Feed only repair symbols: coefficients disagree.
-  for (int i = 0; i < 20 && !dec.complete(); ++i) {
-    Symbol s = enc.emit();
-    s.esi += static_cast<Esi>(enc.k());  // force repair interpretation
-    dec.add_symbol(s);
-  }
-  if (dec.complete()) EXPECT_NE(*dec.decode(), data);
+  for (Esi i = 0; i < 20 && !dec.can_decode(); ++i)
+    dec.add_symbol(enc.encode(static_cast<Esi>(enc.k()) + i));
+  if (dec.can_decode()) EXPECT_NE(*dec.decode(), data);
 }
 
 TEST(UnitDefaults, PaperGeometry) {
@@ -93,10 +68,10 @@ TEST(UnitDefaults, PaperGeometry) {
 TEST(UnitRoundTrip, PaperSizedUnit) {
   // A full paper-sized coding unit: 20 symbols x 6000 B = 120 kB.
   const auto data = payload(kDefaultSymbolSize * kDefaultSymbolsPerUnit);
-  UnitEncoder enc(UnitId{2, 5}, data, kDefaultSymbolSize, 77);
+  const FountainEncoder enc(data, kDefaultSymbolSize, 77);
   EXPECT_EQ(enc.k(), kDefaultSymbolsPerUnit);
-  UnitDecoder dec(UnitId{2, 5}, enc.k(), kDefaultSymbolSize, data.size(), 77);
-  while (!dec.complete()) dec.add_symbol(enc.emit());
+  FountainDecoder dec(enc.k(), kDefaultSymbolSize, data.size(), 77);
+  for (Esi esi = 0; !dec.can_decode(); ++esi) dec.add_symbol(enc.encode(esi));
   EXPECT_EQ(*dec.decode(), data);
 }
 

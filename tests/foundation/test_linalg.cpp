@@ -148,58 +148,6 @@ TEST(DominantSVD, EmptyMatrix) {
   EXPECT_EQ(svd.right_singular.size(), 0u);
 }
 
-TEST(HermitianEigen, DiagonalMatrix) {
-  CMatrix m(3, 3);
-  m(0, 0) = 1.0;
-  m(1, 1) = 5.0;
-  m(2, 2) = 3.0;
-  const auto pairs = hermitian_eigen(m);
-  ASSERT_EQ(pairs.size(), 3u);
-  EXPECT_NEAR(pairs[0].value, 5.0, 1e-10);
-  EXPECT_NEAR(pairs[1].value, 3.0, 1e-10);
-  EXPECT_NEAR(pairs[2].value, 1.0, 1e-10);
-}
-
-TEST(HermitianEigen, ComplexHermitianKnownEigenvalues) {
-  // [[2, i], [-i, 2]] has eigenvalues 3 and 1.
-  CMatrix m(2, 2);
-  m(0, 0) = 2.0;
-  m(0, 1) = 1.0i;
-  m(1, 0) = -1.0i;
-  m(1, 1) = 2.0;
-  const auto pairs = hermitian_eigen(m);
-  EXPECT_NEAR(pairs[0].value, 3.0, 1e-10);
-  EXPECT_NEAR(pairs[1].value, 1.0, 1e-10);
-  // Eigenvector property: ||M v - lambda v|| ~ 0.
-  for (const auto& p : pairs) {
-    CVector mv = m * p.vector;
-    CVector lv = p.vector * Complex(p.value, 0.0);
-    EXPECT_NEAR((mv - lv).norm(), 0.0, 1e-9);
-  }
-}
-
-TEST(HermitianEigen, TraceEqualsEigenvalueSum) {
-  Rng rng(5);
-  CMatrix m(4, 4);
-  for (std::size_t r = 0; r < 4; ++r) {
-    m(r, r) = rng.gaussian();
-    for (std::size_t c = r + 1; c < 4; ++c) {
-      m(r, c) = Complex(rng.gaussian(), rng.gaussian());
-      m(c, r) = std::conj(m(r, c));
-    }
-  }
-  double trace = 0.0;
-  for (std::size_t i = 0; i < 4; ++i) trace += std::real(m(i, i));
-  const auto pairs = hermitian_eigen(m);
-  double sum = 0.0;
-  for (const auto& p : pairs) sum += p.value;
-  EXPECT_NEAR(sum, trace, 1e-9);
-}
-
-TEST(HermitianEigen, NonSquareThrows) {
-  EXPECT_THROW(hermitian_eigen(CMatrix(2, 3)), std::invalid_argument);
-}
-
 TEST(LeastSquares, ExactSolutionForSquareSystem) {
   CMatrix a(2, 2);
   a(0, 0) = 2.0;

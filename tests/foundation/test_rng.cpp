@@ -124,15 +124,6 @@ TEST(Rng, ChanceZeroNeverOneAlways) {
   }
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng parent(22);
-  Rng child = parent.fork();
-  // Child stream should not replicate the parent's continued stream.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += (parent.next() == child.next()) ? 1 : 0;
-  EXPECT_LT(same, 2);
-}
-
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::min() == 0);
   static_assert(Rng::max() == ~0ULL);

@@ -126,39 +126,5 @@ TEST(Stats, ToStringContainsFields) {
   EXPECT_NE(str.find("n=3"), std::string::npos);
 }
 
-TEST(Stats, RunningStatsMatchesBatch) {
-  const std::vector<double> v{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  RunningStats rs;
-  for (double x : v) rs.add(x);
-  EXPECT_EQ(rs.count(), v.size());
-  EXPECT_NEAR(rs.mean(), mean(v), 1e-12);
-  EXPECT_NEAR(rs.stddev(), stddev(v), 1e-12);
-}
-
-TEST(Stats, RunningStatsEmpty) {
-  RunningStats rs;
-  EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-}
-
-TEST(Stats, RunningStatsSingleSample) {
-  RunningStats rs;
-  rs.add(4.5);
-  EXPECT_EQ(rs.count(), 1u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 4.5);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.stddev(), 0.0);
-}
-
-TEST(Stats, RunningStatsRejectsNaN) {
-  RunningStats rs;
-  rs.add(1.0);
-  EXPECT_THROW(rs.add(std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
-  // The rejected sample must not have corrupted the accumulator.
-  EXPECT_EQ(rs.count(), 1u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 1.0);
-}
-
 }  // namespace
 }  // namespace w4k

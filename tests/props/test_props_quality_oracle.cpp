@@ -106,17 +106,6 @@ TEST(PropsQualityOracle, FusedScoresMatchOracleBitForBit) {
   });
 }
 
-TEST(PropsQualityOracle, MsSsimMatchesOracleBitForBit) {
-  W4K_PROP("quality.oracle-ms-ssim", [](Rng& rng) {
-    const int scales = 1 + static_cast<int>(rng.below(5));
-    video::Plane a = random_shape(rng, 8 << (scales - 1));
-    fill(a, rng);
-    const video::Plane b = distorted(a, rng);
-    assert_same_bits(quality::ms_ssim(a, b, scales),
-                     oracle::ms_ssim(a, b, scales), "ms_ssim");
-  });
-}
-
 TEST(PropsQualityOracle, IdenticalPlanesHitThePsnrCap) {
   W4K_PROP("quality.oracle-identical", [](Rng& rng) {
     video::Plane a = random_shape(rng);

@@ -123,7 +123,6 @@ TEST(ServeSystem, KillHalfMidStream) {
   DaemonConfig cfg;
   cfg.status = false;
   cfg.workers = 2;
-  cfg.fps = 120.0;
   cfg.pool_slots = 128;
   cfg.source.symbol_bytes = 512;
   cfg.source.layers = {{0, 0, 8, 2}, {1, 0, 4, 1}};
@@ -132,7 +131,14 @@ TEST(ServeSystem, KillHalfMidStream) {
   cfg.worker.bucket_bytes = 64 * 1024;
   Daemon d(cfg);
   d.start();
-  d.start_source();
+  // The test sets the frame cadence itself, as w4kd does: 120 fps on a
+  // publisher thread of its own until the end of the stream.
+  std::jthread publisher([&d](std::stop_token st) {
+    while (!st.stop_requested()) {
+      d.publish_one();
+      sleep_s(1.0 / 120.0);
+    }
+  });
 
   // 64 subscribers over 8 sockets (8 each); the REUSEPORT hash spreads
   // the sockets over both workers.
@@ -180,6 +186,8 @@ TEST(ServeSystem, KillHalfMidStream) {
   EXPECT_EQ(d.subscribers(), kSockets / 2 * kSubsPer);
 
   pump(0.3);
+  publisher.request_stop();
+  publisher.join();
   d.stop();
   for (auto& c : clients)
     if (c->alive()) c->drain();

@@ -92,7 +92,7 @@ TEST(ServeSource, EmitsFreshEsisAcrossFrames) {
   cfg.layers = {{0, 0, 4, 2}, {1, 0, 2, 1}};
   FountainSource src(cfg);
   EXPECT_EQ(src.symbols_per_frame(), 3u);
-  BufferPool pool(src.record_bytes(), 16);
+  BufferPool pool(wire::kSymbolHeaderBytes + cfg.symbol_bytes, 16);
 
   FrameDesc f0, f1;
   ASSERT_TRUE(src.next_frame(pool, f0));
@@ -136,7 +136,7 @@ TEST(ServeSource, PoolExhaustionRollsBackCleanly) {
   cfg.symbol_bytes = 64;
   cfg.layers = {{0, 0, 4, 4}};
   FountainSource src(cfg);
-  BufferPool pool(src.record_bytes(), 6);  // 1.5 frames worth
+  BufferPool pool(wire::kSymbolHeaderBytes + cfg.symbol_bytes, 6);  // 1.5 frames worth
 
   FrameDesc a, b;
   ASSERT_TRUE(src.next_frame(pool, a));

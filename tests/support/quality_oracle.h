@@ -34,7 +34,6 @@ inline void check_same(const video::Plane& a, const video::Plane& b) {
 
 struct BandSums {
   double ssim = 0.0;
-  double cs = 0.0;
   long windows = 0;
 };
 
@@ -68,7 +67,6 @@ inline BandSums band_sums(const video::Plane& a, const video::Plane& b,
       const double cov = sab / n - ma * mb;
       const double cs = (2.0 * cov + kC2) / (va + vb + kC2);
       const double l = (2.0 * ma * mb + kC1) / (ma * ma + mb * mb + kC1);
-      out.cs += cs;
       out.ssim += l * cs;
       ++out.windows;
     }
@@ -88,21 +86,9 @@ inline BandSums plane_sums(const video::Plane& a, const video::Plane& b) {
   BandSums total;
   for (const BandSums& s : bands) {
     total.ssim += s.ssim;
-    total.cs += s.cs;
     total.windows += s.windows;
   }
   return total;
-}
-
-inline video::Plane downsample(const video::Plane& p) {
-  video::Plane out(p.width / 2, p.height / 2);
-  for (int y = 0; y < out.height; ++y)
-    for (int x = 0; x < out.width; ++x) {
-      const int sum = p.at(2 * x, 2 * y) + p.at(2 * x + 1, 2 * y) +
-                      p.at(2 * x, 2 * y + 1) + p.at(2 * x + 1, 2 * y + 1);
-      out.at(x, y) = static_cast<std::uint8_t>((sum + 2) / 4);
-    }
-  return out;
 }
 
 }  // namespace detail
@@ -115,31 +101,6 @@ inline double ssim(const video::Plane& reference,
   return s.windows
              ? std::max(s.ssim / static_cast<double>(s.windows), 0.0)
              : 1.0;
-}
-
-/// MS-SSIM over the oracle's per-window sums.
-inline double ms_ssim(const video::Plane& reference,
-                      const video::Plane& distorted, int scales = 5) {
-  constexpr double kWeights[5] = {0.0448, 0.2856, 0.3001, 0.2363, 0.1333};
-  detail::check_same(reference, distorted);
-  video::Plane a = reference;
-  video::Plane b = distorted;
-  double result = 1.0;
-  for (int s = 0; s < scales; ++s) {
-    const detail::BandSums sums = detail::plane_sums(a, b);
-    const double mean_ssim =
-        sums.windows ? sums.ssim / static_cast<double>(sums.windows) : 1.0;
-    const double mean_cs =
-        sums.windows ? sums.cs / static_cast<double>(sums.windows) : 1.0;
-    const double term =
-        s + 1 == scales ? std::max(mean_ssim, 0.0) : std::max(mean_cs, 0.0);
-    result *= std::pow(term, kWeights[s]);
-    if (s + 1 < scales) {
-      a = detail::downsample(a);
-      b = detail::downsample(b);
-    }
-  }
-  return result;
 }
 
 /// PSNR from squared differences summed in fixed 64 Ki-pixel double bands.

@@ -58,16 +58,6 @@ TEST(DashQuality, HugeRateSaturatesAtEncoderCeiling) {
   EXPECT_NEAR(dash_quality(cfg, ctxs[0], 1e6), kEncoderCeiling, 1e-9);
 }
 
-TEST(DashQuality, CodecEfficiencyHelps) {
-  const auto ctxs = make_ctxs();
-  AbrConfig lean = scaled_config();
-  lean.codec_efficiency = 1.0;
-  AbrConfig strong = scaled_config();
-  strong.codec_efficiency = 3.0;
-  EXPECT_GT(dash_quality(strong, ctxs[0], 300.0),
-            dash_quality(lean, ctxs[0], 300.0));
-}
-
 TEST(RunAbr, StableLinkPicksSustainableRateAndKeepsQuality) {
   const auto ctxs = make_ctxs();
   const auto trace = stable_trace(3.0);

@@ -1,128 +1,11 @@
-// The feedback path under hostile delivery: serialization round-trips,
-// malformed wire bytes, and a sender-side collector facing dropped,
-// duplicated, and reordered reports — plus the engine-level makeup
-// accounting when a report never arrives at all.
+// The engine's feedback path: makeup accounting when a report never
+// arrives at all, and the round-start report every makeup round sizes its
+// groups from.
 #include "emu/engine.h"
-#include "transport/feedback.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
-namespace w4k::transport {
-namespace {
-
-ReceptionReport sample_report(std::uint32_t frame, std::size_t user) {
-  ReceptionReport r;
-  r.frame_id = frame;
-  r.user = user;
-  r.symbols_received = {4, 0, 7};
-  r.unit_decoded = {1, 0, 1};
-  r.measured_bandwidth = Mbps{812.5};
-  return r;
-}
-
-TEST(FeedbackWire, RoundTripPreservesEverything) {
-  const ReceptionReport r = sample_report(9, 2);
-  const auto bytes = serialize_report(r);
-  const auto back = parse_report(bytes.data(), bytes.size());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->frame_id, 9u);
-  EXPECT_EQ(back->user, 2u);
-  EXPECT_EQ(back->symbols_received, r.symbols_received);
-  EXPECT_EQ(back->unit_decoded, r.unit_decoded);
-  ASSERT_TRUE(back->measured_bandwidth.has_value());
-  EXPECT_DOUBLE_EQ(back->measured_bandwidth->value, 812.5);
-}
-
-TEST(FeedbackWire, RoundTripWithoutBandwidthOrDecodedMask) {
-  ReceptionReport r = sample_report(1, 0);
-  r.unit_decoded.clear();
-  r.measured_bandwidth.reset();
-  const auto bytes = serialize_report(r);
-  const auto back = parse_report(bytes.data(), bytes.size());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(back->unit_decoded.empty());
-  EXPECT_FALSE(back->measured_bandwidth.has_value());
-}
-
-TEST(FeedbackWire, TruncationAtEveryLengthRejected) {
-  const auto bytes = serialize_report(sample_report(3, 1));
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-    EXPECT_FALSE(parse_report(bytes.data(), cut).has_value())
-        << "cut at " << cut;
-}
-
-TEST(FeedbackWire, BadTagAndTrailingGarbageRejected) {
-  auto bytes = serialize_report(sample_report(3, 1));
-  auto bad_tag = bytes;
-  bad_tag[0] ^= 0xFF;
-  EXPECT_FALSE(parse_report(bad_tag.data(), bad_tag.size()).has_value());
-  auto trailing = bytes;
-  trailing.push_back(0x00);
-  EXPECT_FALSE(parse_report(trailing.data(), trailing.size()).has_value());
-}
-
-TEST(FeedbackWire, ImplausibleUnitCountRejected) {
-  // A corrupt length prefix must not trigger a giant allocation.
-  auto bytes = serialize_report(sample_report(3, 1));
-  // n_units is the u32 right after tag + frame_id(u32) + user(u32).
-  const std::size_t off = 1 + 4 + 4;
-  bytes[off + 3] = 0xFF;
-  EXPECT_FALSE(parse_report(bytes.data(), bytes.size()).has_value());
-}
-
-TEST(ReportCollectorTest, OutOfOrderAndDuplicateDelivery) {
-  ReportCollector c(/*frame_id=*/5, /*n_users=*/3, /*n_units=*/3);
-  EXPECT_FALSE(c.complete());
-
-  // Reports arrive reordered: user 2, then 0, then a duplicate of 2.
-  EXPECT_TRUE(c.accept(sample_report(5, 2)));
-  EXPECT_TRUE(c.accept(sample_report(5, 0)));
-  ReceptionReport dup = sample_report(5, 2);
-  dup.symbols_received = {0, 0, 0};  // the duplicate must NOT overwrite
-  EXPECT_FALSE(c.accept(dup));
-  EXPECT_EQ(c.reported(), 2u);
-  ASSERT_NE(c.report(2), nullptr);
-  EXPECT_EQ(c.report(2)->symbols_received[0], 4u);
-
-  const auto missing = c.missing_users();
-  ASSERT_EQ(missing.size(), 1u);
-  EXPECT_EQ(missing[0], 1u);
-
-  EXPECT_TRUE(c.accept(sample_report(5, 1)));
-  EXPECT_TRUE(c.complete());
-  EXPECT_TRUE(c.missing_users().empty());
-}
-
-TEST(ReportCollectorTest, RejectsWrongFrameUserAndShape) {
-  ReportCollector c(5, 2, 3);
-  EXPECT_FALSE(c.accept(sample_report(4, 0)));   // stale frame
-  EXPECT_FALSE(c.accept(sample_report(6, 0)));   // future frame
-  EXPECT_FALSE(c.accept(sample_report(5, 2)));   // user out of range
-  ReceptionReport short_units = sample_report(5, 0);
-  short_units.symbols_received.pop_back();
-  short_units.unit_decoded.pop_back();
-  EXPECT_FALSE(c.accept(short_units));           // wrong unit count
-  EXPECT_EQ(c.reported(), 0u);
-}
-
-TEST(ReportCollectorTest, DeficitAccounting) {
-  ReportCollector c(0, 2, 3);
-  ReceptionReport r = sample_report(0, 0);
-  r.symbols_received = {4, 2, 7};  // k = 7: unit 2 holds exactly k
-  r.unit_decoded = {1, 0, 0};      // ...but its decode was rank-deficient
-  ASSERT_TRUE(c.accept(r));
-
-  EXPECT_EQ(c.deficit(0, 0, 7), std::optional<std::size_t>(0));  // decoded
-  EXPECT_EQ(c.deficit(0, 1, 7), std::optional<std::size_t>(5));  // shortfall
-  EXPECT_EQ(c.deficit(0, 2, 7), std::optional<std::size_t>(1));  // rank-def
-  // User 1 never reported: the caller must choose a blind budget.
-  EXPECT_FALSE(c.deficit(1, 0, 7).has_value());
-}
-
-}  // namespace
-}  // namespace w4k::transport
 
 namespace w4k::emu {
 namespace {
@@ -203,6 +86,44 @@ TEST_F(EngineFeedbackFaultTest, AllReportsLostStillBounded) {
   // Blind makeup is capped by the worst-case fraction, not unbounded.
   EXPECT_GT(res.blind_makeup_packets, 0u);
   EXPECT_LE(res.stats.packets_sent, res.stats.packets_offered);
+}
+
+// One user in two groups that both carry the same unit. Group 0's makeup
+// completes the user in round 0, yet group 1's makeup in that round is
+// still sized from the report the round started with: a round's report is
+// a snapshot, not the live reception state. The sequence is fixed by
+// lossless links, so the counts hold whichever way the decode attempt at
+// exactly k goes (the live state would give 3 or 4 makeup symbols).
+TEST(EngineRoundStartReport, SharedUnitMakeupSizedFromRoundStart) {
+  sched::UnitSpec unit;
+  unit.source_bytes = 8 * 1024;
+  unit.k_symbols = 8;
+  EngineConfig cfg;
+  cfg.symbol_size = 1024;
+  cfg.header_bytes = 0;
+  TxEngine engine(cfg);
+  GroupTx g;
+  g.members = {0};
+  g.mcs = channel::mcs_table().front();
+  g.drain_rate = Mbps{500.0};
+  g.bucket_rate = g.drain_rate;
+  g.member_loss = {0.0};
+  // Both groups send unit 0: 3 + 2 = 5 of k = 8 symbols, need 3.
+  sched::UnitAssignment a0;
+  a0.group = 0;
+  a0.symbols = 3;
+  sched::UnitAssignment a1 = a0;
+  a1.group = 1;
+  a1.symbols = 2;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    FrameTxResult res;
+    engine.run_frame_into({unit}, {a0, a1}, {g, g}, 1, rng,
+                          FrameFaultState{}, {}, res);
+    EXPECT_EQ(res.stats.makeup_packets, 6u) << "seed " << seed;
+    EXPECT_EQ(res.user_symbols[0][0], 11u) << "seed " << seed;
+    EXPECT_TRUE(res.user_decoded[0][0]) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // bit-faithful wherever units decoded, proving the accounting model and
 // the real byte path agree.
 #include "core/frame_context.h"
-#include "fec/coding_unit.h"
+#include "fec/fountain.h"
 #include "quality/metrics.h"
 
 #include <gtest/gtest.h>
@@ -30,6 +30,26 @@ video::Frame test_frame() {
   return video::SyntheticVideo(spec).frame(0);
 }
 
+/// Block seed of frame unit `i`: every coding unit of a frame gets its own
+/// coefficient stream, which sender and receiver derive alike without
+/// exchanging it.
+std::uint64_t block_seed(std::uint64_t frame_seed, std::size_t i) {
+  return frame_seed * 0x9E3779B97F4A7C15ULL + i;
+}
+
+/// Sends fresh symbols (ESI 0, 1, 2, ...) until `dec` can decode, dropping
+/// each with probability `loss`. Returns the number of symbols sent.
+std::size_t stream_until_decoded(const fec::FountainEncoder& enc,
+                                 fec::FountainDecoder& dec, Rng& rng,
+                                 double loss) {
+  fec::Esi esi = 0;
+  while (!dec.can_decode()) {
+    const fec::Symbol s = enc.encode(esi++);
+    if (!rng.chance(loss)) dec.add_symbol(s);
+  }
+  return esi;
+}
+
 /// Extracts a unit's source payload from the encoded frame.
 std::vector<std::uint8_t> unit_payload(const video::EncodedFrame& enc,
                                        const sched::UnitSpec& u) {
@@ -45,6 +65,7 @@ TEST(EndToEnd, LosslessDataPlaneOverCleanChannel) {
   const core::FrameContext ctx =
       core::make_frame_context(original, nullptr, symbol);
   const std::uint64_t frame_seed = 424242;
+  Rng rng(1);
 
   // Sender: one fountain encoder per coding unit, emitting exactly k
   // symbols (clean channel).
@@ -53,10 +74,11 @@ TEST(EndToEnd, LosslessDataPlaneOverCleanChannel) {
   video::PartialFrame partial = video::PartialFrame::empty(kW, kH);
   for (std::size_t i = 0; i < ctx.units.size(); ++i) {
     const auto& u = ctx.units[i];
-    fec::UnitEncoder enc(u.id, unit_payload(ctx.encoded, u), symbol,
-                         frame_seed);
-    fec::UnitDecoder dec(u.id, enc.k(), symbol, u.source_bytes, frame_seed);
-    while (!dec.complete()) dec.add_symbol(enc.emit());
+    const fec::FountainEncoder enc(unit_payload(ctx.encoded, u), symbol,
+                                   block_seed(frame_seed, i));
+    fec::FountainDecoder dec(enc.k(), symbol, u.source_bytes,
+                             block_seed(frame_seed, i));
+    EXPECT_EQ(stream_until_decoded(enc, dec, rng, 0.0), enc.k());
     decoded[i] = true;
     video::Segment seg;
     seg.offset = u.offset;
@@ -83,18 +105,15 @@ TEST(EndToEnd, LossyChannelWithRatelessRepairRecoversFrame) {
 
   video::PartialFrame partial = video::PartialFrame::empty(kW, kH);
   std::size_t total_sent = 0, total_source_symbols = 0;
-  for (const auto& u : ctx.units) {
-    fec::UnitEncoder enc(u.id, unit_payload(ctx.encoded, u), symbol,
-                         frame_seed);
-    fec::UnitDecoder dec(u.id, enc.k(), symbol, u.source_bytes, frame_seed);
+  for (std::size_t i = 0; i < ctx.units.size(); ++i) {
+    const auto& u = ctx.units[i];
+    const fec::FountainEncoder enc(unit_payload(ctx.encoded, u), symbol,
+                                   block_seed(frame_seed, i));
+    fec::FountainDecoder dec(enc.k(), symbol, u.source_bytes,
+                             block_seed(frame_seed, i));
     total_source_symbols += enc.k();
     // 20% loss; the sender keeps emitting fresh symbols until decode.
-    while (!dec.complete()) {
-      const fec::Symbol s = enc.emit();
-      ++total_sent;
-      if (rng.chance(0.2)) continue;
-      dec.add_symbol(s);
-    }
+    total_sent += stream_until_decoded(enc, dec, rng, 0.2);
     video::Segment seg;
     seg.offset = u.offset;
     seg.bytes = *dec.decode();
@@ -120,14 +139,17 @@ TEST(EndToEnd, PartialDeliveryDegradesGracefully) {
   const core::FrameContext ctx =
       core::make_frame_context(original, nullptr, symbol);
   const std::uint64_t frame_seed = 555;
+  Rng rng(1);
 
   video::PartialFrame partial = video::PartialFrame::empty(kW, kH);
-  for (const auto& u : ctx.units) {
+  for (std::size_t i = 0; i < ctx.units.size(); ++i) {
+    const auto& u = ctx.units[i];
     if (u.id.layer > 1) continue;
-    fec::UnitEncoder enc(u.id, unit_payload(ctx.encoded, u), symbol,
-                         frame_seed);
-    fec::UnitDecoder dec(u.id, enc.k(), symbol, u.source_bytes, frame_seed);
-    while (!dec.complete()) dec.add_symbol(enc.emit());
+    const fec::FountainEncoder enc(unit_payload(ctx.encoded, u), symbol,
+                                   block_seed(frame_seed, i));
+    fec::FountainDecoder dec(enc.k(), symbol, u.source_bytes,
+                             block_seed(frame_seed, i));
+    stream_until_decoded(enc, dec, rng, 0.0);
     video::Segment seg;
     seg.offset = u.offset;
     seg.bytes = *dec.decode();
@@ -143,21 +165,18 @@ TEST(EndToEnd, PartialDeliveryDegradesGracefully) {
 
 TEST(EndToEnd, SenderReceiverDisagreeOnSeedBreaksRepair) {
   // Guards the implicit-coordination contract: coefficients derive from
-  // (frame seed, unit id), so a seed mismatch corrupts repair decoding.
+  // the block seed, so a seed mismatch corrupts repair decoding.
   const video::Frame original = test_frame();
   const std::size_t symbol = core::scaled_symbol_size(kW, kH);
   const core::FrameContext ctx =
       core::make_frame_context(original, nullptr, symbol);
   const auto& u = ctx.units.front();
-  fec::UnitEncoder enc(u.id, unit_payload(ctx.encoded, u), symbol, 1111);
-  fec::UnitDecoder dec(u.id, enc.k(), symbol, u.source_bytes, 2222);
+  const fec::FountainEncoder enc(unit_payload(ctx.encoded, u), symbol, 1111);
+  fec::FountainDecoder dec(enc.k(), symbol, u.source_bytes, 2222);
   // Feed only repair symbols.
-  for (std::size_t i = 0; i < enc.k(); ++i) {
-    fec::Symbol s = enc.emit();
-    s.esi += static_cast<fec::Esi>(enc.k());
-    dec.add_symbol(s);
-  }
-  if (dec.complete())
+  for (std::size_t i = 0; i < enc.k(); ++i)
+    dec.add_symbol(enc.encode(static_cast<fec::Esi>(enc.k() + i)));
+  if (dec.can_decode())
     EXPECT_NE(*dec.decode(), unit_payload(ctx.encoded, u));
 }
 

@@ -1,6 +1,5 @@
 #include "video/io.h"
 
-#include "video/layered.h"
 #include "video/synthetic.h"
 
 #include <gtest/gtest.h>
@@ -118,45 +117,6 @@ TEST(Y4m, WriterRejectsMismatchedFrame) {
 TEST(Y4m, WriterRejectsBadDimensions) {
   TempPath tmp("bad.y4m");
   EXPECT_THROW(Y4mWriter(tmp.path, 100, 64), std::runtime_error);
-}
-
-TEST(RawYuv, AppendReadRoundTrip) {
-  TempPath tmp("raw.yuv");
-  const Frame f0 = test_frame(64, 64, 3);
-  const Frame f1 = test_frame(64, 64, 4);
-  append_raw_yuv420(tmp.path, f0);
-  append_raw_yuv420(tmp.path, f1);
-  EXPECT_EQ(raw_yuv420_frame_count(tmp.path, 64, 64), 2u);
-  const Frame r1 = read_raw_yuv420(tmp.path, 64, 64, 1);
-  EXPECT_EQ(r1.y.pix, f1.y.pix);
-  EXPECT_EQ(r1.v.pix, f1.v.pix);
-}
-
-TEST(RawYuv, ReadPastEndThrows) {
-  TempPath tmp("raw_short.yuv");
-  append_raw_yuv420(tmp.path, test_frame());
-  EXPECT_THROW(read_raw_yuv420(tmp.path, 64, 64, 1), std::runtime_error);
-}
-
-TEST(RawYuv, MissingFileThrows) {
-  EXPECT_THROW(read_raw_yuv420("/nonexistent.yuv", 64, 64),
-               std::runtime_error);
-  EXPECT_THROW(raw_yuv420_frame_count("/nonexistent.yuv", 64, 64),
-               std::runtime_error);
-}
-
-TEST(RawYuv, PipelineOnFileFrames) {
-  // A file-sourced frame goes through the layered codec like any other.
-  TempPath tmp("pipeline.yuv");
-  const Frame f = test_frame(64, 64, 9);
-  append_raw_yuv420(tmp.path, f);
-  const Frame loaded = read_raw_yuv420(tmp.path, 64, 64);
-  const Frame rec = reconstruct_full(encode(loaded));
-  int max_err = 0;
-  for (std::size_t i = 0; i < f.y.pix.size(); ++i)
-    max_err = std::max(max_err,
-                       std::abs(static_cast<int>(f.y.pix[i]) - rec.y.pix[i]));
-  EXPECT_LE(max_err, 2);
 }
 
 }  // namespace
