@@ -71,7 +71,8 @@ int main(int argc, char** argv) {
   try {
     Args args(argc, argv);
     serve::DaemonConfig cfg;
-    cfg.port = static_cast<std::uint16_t>(int_flag(args, "port", 9460, 0, 65535));
+    cfg.port =
+        static_cast<std::uint16_t>(int_flag(args, "port", 9460, 0, 65535));
     cfg.status_port = static_cast<std::uint16_t>(
         int_flag(args, "status-port", 9461, 0, 65535));
     cfg.workers =

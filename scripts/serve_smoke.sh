@@ -33,8 +33,8 @@ daemon_log="$tmp/w4kd.log"
 daemon_pid=""
 trap 'if [[ -n "$daemon_pid" ]]; then kill "$daemon_pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
 
-# Stage 0: bad flags exit 2 (a wrapped port or a constructor exception
-# used to serve on the wrong port or abort).
+# Stage 0: bad flags exit 2. A port above 65535 must not wrap into a
+# valid one, and a configuration the daemon rejects must not abort.
 for bad in "--port 70000 --status-port 0" \
            "--port 0 --status-port 0 --workers 0" \
            "--port 0 --status-port 0 --symbols 0"; do

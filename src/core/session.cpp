@@ -530,7 +530,6 @@ void MulticastSession::transmit(const Frame& f, const FrameContext& ctx,
                                 FrameOutcome& out) {
   // Feedback faults -> engine fault state. Empty masks mean every report
   // arrives; cleared, not reassigned, so they keep their capacity.
-  efs_.frame_id = f.id;
   efs_.budget_scale = faults.budget_scale;
   efs_.feedback_lost.clear();
   efs_.blind_fraction.clear();

@@ -109,7 +109,6 @@ struct RelayLink {
 /// and run_frame_into with the defaults is bit-identical to the pre-fault
 /// engine.
 struct FrameFaultState {
-  std::uint32_t frame_id = 0;
   /// Fraction of cfg.frame_budget actually available (NIC stall).
   double budget_scale = 1.0;
   /// feedback_lost[u] != 0: user u's report is missing; empty = all arrive.

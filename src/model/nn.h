@@ -23,9 +23,9 @@ class Dense {
   /// Xavier/Glorot-uniform initialization from `rng`.
   Dense(std::size_t in, std::size_t out, bool sigmoid, Rng& rng);
 
-  /// Forward pass; caches input and activation for backward(). Computes
-  /// into an internal activation buffer (reused across calls) and returns
-  /// a reference to it, valid until the next forward on this layer.
+  /// Forward pass; caches input and activation for backward_cached().
+  /// Computes into an internal activation buffer (reused across calls) and
+  /// returns a reference to it, valid until the next forward on this layer.
   const Vec& forward_cached(const Vec& x);
 
   /// Backward pass for the most recent forward_cached(). Accumulates

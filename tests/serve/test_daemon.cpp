@@ -1,6 +1,6 @@
 // Daemon-level tests: synchronous worker lifecycle (subscribe /
 // heartbeat / unsubscribe / expiry driven through run_once), the
-// ISSUE-mandated kill-half system test over real threads and loopback
+// kill-half system test over real threads and loopback
 // UDP, and the /status HTTP endpoint parsed with the repo's own JSON
 // parser.
 #include "obs/jsonlite.h"
@@ -110,7 +110,7 @@ TEST(ServeWorker, NoSubscribersRecyclesSlots) {
   EXPECT_EQ(d.pool().free_slots(), free0);
 }
 
-// ISSUE satellite: start w4kd on loopback, 64 clients, kill half
+// System test: start the daemon on loopback, 64 clients, kill half
 // mid-stream. Remaining clients keep a healthy delivered fraction, the
 // daemon's accounting holds (received <= sent; leaky-bucket invariants
 // checked in-line by verify::check), and the dead half is reaped by
