@@ -21,7 +21,7 @@ int main() {
   const auto channels = core::channels_for(prop, users);
 
   core::Experiment exp(bench::quality_model(), bench::hr_contexts());
-  exp.codebook(bench::sector_codebook());
+  exp.codebook(beamforming::commodity_codebook());
   exp.channels(channels);
 
   std::printf("%-16s %-10s %-14s %-12s\n", "threshold(Mbps)", "groups",
@@ -37,9 +37,9 @@ int main() {
     // Count groups the config admits.
     Rng grng(1);
     sched::SchedWorkspace gws;
-    const auto groups =
-        sched::enumerate_groups(cfg.scheme, channels, bench::sector_codebook(),
-                                grng.next(), cfg.group_enum, nullptr, gws);
+    const auto groups = sched::enumerate_groups(
+        cfg.scheme, channels, beamforming::commodity_codebook(), grng.next(),
+        cfg.group_enum, nullptr, gws);
 
     const auto t0 = std::chrono::steady_clock::now();
     const auto run = exp.run_static(6);

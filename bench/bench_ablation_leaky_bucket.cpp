@@ -15,7 +15,7 @@ int main() {
   std::printf("%-14s %-12s\n", "depth(pkts)", "mean SSIM");
   std::vector<std::pair<std::size_t, double>> results;
   core::Experiment exp(bench::quality_model(), bench::hr_contexts());
-  exp.codebook(bench::sector_codebook());
+  exp.codebook(beamforming::commodity_codebook());
   for (std::size_t depth : {1u, 2u, 5u, 10u, 40u, 200u}) {
     std::vector<double> ssim;
     Rng placement_rng(99);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include "abr/mpc.h"
-#include "channel/array.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/experiment.h"
@@ -122,23 +121,6 @@ inline const std::vector<beamforming::Scheme>& all_schemes() {
   return s;
 }
 
-/// Codebook shared by the pre-defined schemes: a commodity-style
-/// hierarchical design — 20 fine 32-element sectors for unicast, wide
-/// (8-element) and quasi-omni (4-element) levels, plus 91 dual-lobe
-/// entries (14-direction grid) so a single pre-defined beam can serve two
-/// angularly spread multicast receivers. 123 entries, within the 128-beam
-/// hardware limit.
-inline const beamforming::Codebook& sector_codebook() {
-  static const auto cb = [] {
-    auto book = beamforming::make_multilevel_codebook(
-        channel::kDefaultApAntennas, {{32, 20}, {8, 8}, {4, 4}});
-    beamforming::append_dual_lobe_beams(book, channel::kDefaultApAntennas,
-                                        14, 2, /*max_abs_azimuth=*/1.06);
-    return book;
-  }();
-  return cb;
-}
-
 /// One static experiment: place users, build channels, stream, summarize.
 struct StaticRunSpec {
   beamforming::Scheme scheme = beamforming::Scheme::kOptimizedMulticast;
@@ -170,7 +152,7 @@ inline StaticRunSummary run_static_experiment(const StaticRunSpec& spec) {
       spec.high_richness ? hr_contexts() : lr_contexts();
 
   core::Experiment exp(quality_model(), contexts);
-  exp.codebook(sector_codebook());
+  exp.codebook(beamforming::commodity_codebook());
   for (int run = 0; run < spec.n_runs; ++run) {
     core::SessionConfig& cfg = exp.config();
     cfg.scheme = spec.scheme;

@@ -70,7 +70,7 @@ inline MobileResult run_mobile(MobileScenario scenario, std::size_t n_users,
 
   const auto layered = [&](bool adapt) {
     core::Experiment exp(quality_model(), contexts);
-    exp.codebook(sector_codebook());
+    exp.codebook(beamforming::commodity_codebook());
     core::SessionConfig& cfg = exp.config();
     cfg.adapt = adapt;
     cfg.mcs_margin_db = 1.5;  // stale-CSI headroom under mobility

@@ -5,7 +5,6 @@
 // compares all four beamforming schemes and the round-robin scheduler on
 // identical placements, printing the per-user quality a player would see.
 #include "common/stats.h"
-#include "channel/array.h"
 #include "core/experiment.h"
 #include "core/pretrained.h"
 
@@ -35,17 +34,11 @@ int main() {
     std::printf("  headset %zu: %.1f m at %+.0f deg\n", u,
                 seats[u].distance(), seats[u].azimuth() * 57.2958);
 
-  // Commodity codebook for the pre-defined schemes.
-  auto codebook = beamforming::make_multilevel_codebook(
-      channel::kDefaultApAntennas, {{32, 20}, {8, 8}, {4, 4}});
-  beamforming::append_dual_lobe_beams(codebook, channel::kDefaultApAntennas,
-                                      14, 2, 1.06);
-
   std::printf("\n%-26s %-9s %-9s  per-headset SSIM\n", "configuration",
               "SSIM", "PSNR");
   core::Experiment exp(quality, contexts);
   exp.config() = core::SessionConfig::scaled(kW, kH);
-  exp.codebook(codebook);
+  exp.codebook(beamforming::commodity_codebook());
   exp.channels(channels);
   const auto run_one = [&](const char* label, beamforming::Scheme scheme,
                            bool optimized) {

@@ -11,7 +11,8 @@
 // reap them via heartbeat expiry), optionally fountain-decodes one
 // subscriber's stream as an end-to-end correctness probe, and prints a
 // summary plus a machine-readable `LOADGEN_JSON {...}` line consumed by
-// scripts/serve_smoke.sh and the system tests.
+// scripts/serve_smoke.sh and the system tests. A malformed or
+// out-of-range flag exits 2 with a one-line error.
 #include "common/args.h"
 #include "fec/fountain.h"
 #include "serve/client.h"
@@ -19,14 +20,23 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace {
+
+/// Virtual subscribers: each costs a stats slot in its client.
+constexpr int kMaxSubs = 1'000'000;
+/// Sockets, one file descriptor each.
+constexpr int kMaxSockets = 1024;
+/// Longest run or kill delay: a day.
+constexpr double kMaxSeconds = 86'400.0;
 
 double mono_now() {
   timespec ts;
@@ -78,26 +88,37 @@ struct DecodeProbe {
 
 int main(int argc, char** argv) {
   using namespace w4k;
-  Args args(argc, argv);
-  const int port = args.get("port", 9460);
-  const std::string host = args.get("host", std::string("127.0.0.1"));
-  const int subs = args.get("subs", 64);
-  const int sockets = args.get("sockets", 4);
-  const double duration_s = args.get("duration-s", 3.0);
-  const double heartbeat_s = args.get("heartbeat-ms", 500.0) / 1e3;
-  const double kill_fraction = args.get("kill-fraction", 0.0);
-  const double kill_after_s = args.get("kill-after-s", 0.0);
-  const bool decode = args.get("decode", false);
-  const bool json_only = args.get("json", false);
+  int port = 0;
+  std::string host;
+  int subs = 0;
+  int sockets = 0;
+  double duration_s = 0.0;
+  double heartbeat_s = 0.0;
+  double kill_fraction = 0.0;
+  double kill_after_s = 0.0;
+  bool decode = false;
+  bool json_only = false;
+  try {
+    Args args(argc, argv);
+    port = args.get_in("port", 9460, 1, 65535);
+    host = args.get("host", std::string("127.0.0.1"));
+    subs = args.get_in("subs", 64, 1, kMaxSubs);
+    sockets = args.get_in("sockets", 4, 1, std::min(subs, kMaxSockets));
+    duration_s = args.get_in("duration-s", 3.0, 0.0, kMaxSeconds);
+    heartbeat_s = args.get_in("heartbeat-ms", 500.0, 1.0, 60'000.0) / 1e3;
+    kill_fraction = args.get_in("kill-fraction", 0.0, 0.0, 1.0);
+    kill_after_s = args.get_in("kill-after-s", 0.0, 0.0, kMaxSeconds);
+    decode = args.get("decode", false);
+    json_only = args.get("json", false);
 
-  const auto unknown = args.unqueried();
-  if (!unknown.empty()) {
-    for (const auto& u : unknown)
-      std::fprintf(stderr, "unknown argument: --%s\n", u.c_str());
-    return 2;
-  }
-  if (subs <= 0 || sockets <= 0 || sockets > subs) {
-    std::fprintf(stderr, "need 0 < sockets <= subs\n");
+    const auto unknown = args.unqueried();
+    if (!unknown.empty()) {
+      for (const auto& u : unknown)
+        std::fprintf(stderr, "unknown argument: --%s\n", u.c_str());
+      return 2;
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "w4k_loadgen: %s\n", e.what());
     return 2;
   }
 

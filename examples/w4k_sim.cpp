@@ -227,7 +227,6 @@ int main(int argc, char** argv) {
     cfg.seed = seed;
     cfg.quarantine_after = args.get("quarantine-after", cfg.quarantine_after);
     cfg.handoff.n_aps = n_aps;
-    cfg.handoff.enabled = n_aps > 1;
     cfg.relay.enabled = relay_on;
     // --relay on with one AP and quarantine disabled fails right here, in
     // SessionConfig::validate (via the session constructor below): there
@@ -239,12 +238,8 @@ int main(int argc, char** argv) {
     if (!trace_path.empty() || !mobile.empty())
       cfg.mcs_margin_db = 1.5;  // stale-CSI headroom under mobility
 
-    auto codebook = beamforming::make_multilevel_codebook(
-        channel::kDefaultApAntennas, {{32, 20}, {8, 8}, {4, 4}});
-    beamforming::append_dual_lobe_beams(codebook,
-                                        channel::kDefaultApAntennas, 14, 2,
-                                        1.06);
-    core::MulticastSession session(cfg, quality, codebook);
+    core::MulticastSession session(cfg, quality,
+                                   beamforming::commodity_codebook());
 
     // --fault-plan resolves into an injector sized to the run; without the
     // flag there is no injector and the run streams fault-free.

@@ -22,6 +22,7 @@
 #include <csignal>
 #include <cstdio>
 #include <ctime>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -36,29 +37,8 @@ constexpr int kMaxSymbolBytes =
     65507 - static_cast<int>(w4k::serve::wire::kSymbolHeaderBytes);
 /// sendmmsg accepts at most UIO_MAXIOV (1024) messages per call.
 constexpr int kMaxBatch = 1024;
-
-/// Integer flag --name, rejected unless it lies in [lo, hi], so the
-/// narrowing casts below never wrap.
-int int_flag(const w4k::Args& args, const std::string& name, int def, int lo,
-             int hi) {
-  const int v = args.get(name, def);
-  if (v < lo || v > hi)
-    throw std::invalid_argument("--" + name + " must be in [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "], got " +
-                                std::to_string(v));
-  return v;
-}
-
-/// Real-valued flag --name, rejected below `lo` (and NaN).
-double real_flag(const w4k::Args& args, const std::string& name, double def,
-                 double lo) {
-  const double v = args.get(name, def);
-  if (!(v >= lo))
-    throw std::invalid_argument("--" + name + " must be >= " +
-                                std::to_string(lo));
-  return v;
-}
+/// Upper bound of the flags that only need a floor.
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -71,36 +51,34 @@ int main(int argc, char** argv) {
   try {
     Args args(argc, argv);
     serve::DaemonConfig cfg;
-    cfg.port =
-        static_cast<std::uint16_t>(int_flag(args, "port", 9460, 0, 65535));
+    cfg.port = static_cast<std::uint16_t>(args.get_in("port", 9460, 0, 65535));
     cfg.status_port = static_cast<std::uint16_t>(
-        int_flag(args, "status-port", 9461, 0, 65535));
-    cfg.workers =
-        static_cast<std::size_t>(int_flag(args, "workers", 1, 1, 256));
-    fps = real_flag(args, "fps", 30.0, 0.0);
+        args.get_in("status-port", 9461, 0, 65535));
+    cfg.workers = static_cast<std::size_t>(args.get_in("workers", 1, 1, 256));
+    fps = args.get_in("fps", 30.0, 0.0, kInf);
     cfg.pool_slots =
-        static_cast<std::size_t>(int_flag(args, "pool-slots", 256, 1, 65536));
+        static_cast<std::size_t>(args.get_in("pool-slots", 256, 1, 65536));
     cfg.source.symbol_bytes = static_cast<std::size_t>(
-        int_flag(args, "symbol-bytes", 1200, 1, kMaxSymbolBytes));
+        args.get_in("symbol-bytes", 1200, 1, kMaxSymbolBytes));
     cfg.source.seed = static_cast<std::uint64_t>(args.get("seed", 1));
     // Layered source: a base layer plus one enhancement sublayer, the
     // paper's minimum interesting SVC shape. --symbols splits 2:1.
-    symbols = int_flag(args, "symbols", 3, 1,
-                       static_cast<int>(serve::kMaxFrameSymbols));
+    symbols = args.get_in("symbols", 3, 1,
+                          static_cast<int>(serve::kMaxFrameSymbols));
     const auto base = static_cast<std::uint16_t>(symbols - symbols / 3);
     const auto enh = static_cast<std::uint16_t>(symbols / 3);
     cfg.source.layers.push_back({0, 0, 8, base});
     if (enh > 0) cfg.source.layers.push_back({1, 0, 4, enh});
-    cfg.worker.max_subscribers =
-        static_cast<std::size_t>(int_flag(args, "max-subs", 16384, 1, INT_MAX));
-    cfg.worker.pace_mbps = real_flag(args, "pace-mbps", 0.0, 0.0);
+    cfg.worker.max_subscribers = static_cast<std::size_t>(
+        args.get_in("max-subs", 16384, 1, INT_MAX));
+    cfg.worker.pace_mbps = args.get_in("pace-mbps", 0.0, 0.0, kInf);
     cfg.worker.bucket_bytes = static_cast<std::size_t>(
-        int_flag(args, "bucket-bytes", 15000, 1, INT_MAX));
+        args.get_in("bucket-bytes", 15000, 1, INT_MAX));
     cfg.worker.heartbeat_timeout_s =
-        real_flag(args, "heartbeat-timeout-s", 5.0, 0.0);
+        args.get_in("heartbeat-timeout-s", 5.0, 0.0, kInf);
     cfg.worker.batch_packets =
-        static_cast<std::size_t>(int_flag(args, "batch", 128, 1, kMaxBatch));
-    frames = int_flag(args, "frames", 0, 0, INT_MAX);
+        static_cast<std::size_t>(args.get_in("batch", 128, 1, kMaxBatch));
+    frames = args.get_in("frames", 0, 0, INT_MAX);
 
     const auto unknown = args.unqueried();
     if (!unknown.empty()) {

@@ -3,7 +3,9 @@
 # real w4k_loadgen process, loopback UDP between them.
 #
 #   0. reject bad flags: an out-of-range port, zero workers and zero
-#      symbols per frame must each exit 2 without serving;
+#      symbols per frame must each exit 2 without serving, and so must
+#      w4k_loadgen given an out-of-range or non-numeric port or zero
+#      subscribers;
 #   1. spawn w4kd (ephemeral ports), parse the ports it prints;
 #   2. stream ~2 s at 60 fps to 32 subscribers over 4 sockets with the
 #      fountain-decode probe on; require exit 0, delivered fraction
@@ -43,6 +45,14 @@ for bad in "--port 70000 --status-port 0" \
   timeout 10 "$w4kd" $bad --frames 1 > "$tmp/bad.log" 2>&1 || rc=$?
   [[ "$rc" == 2 ]] || {
     echo "serve_smoke: w4kd $bad exited $rc, want 2:"; cat "$tmp/bad.log"
+    exit 1; }
+done
+for bad in "--port 70000" "--port abc" "--subs 0"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad holds several words on purpose
+  timeout 10 "$loadgen" $bad --duration-s 0 > "$tmp/bad.log" 2>&1 || rc=$?
+  [[ "$rc" == 2 ]] || {
+    echo "serve_smoke: w4k_loadgen $bad exited $rc, want 2:"; cat "$tmp/bad.log"
     exit 1; }
 done
 echo "serve_smoke: bad flags rejected"

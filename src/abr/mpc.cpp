@@ -121,9 +121,8 @@ double snapshot_goodput(const AbrConfig& cfg, const linalg::CVector& h_stale,
   }
   const auto mcs = channel::select_mcs(Dbm{best_rss});
   if (!mcs) return 0.0;
-  emu::LossModel loss_model;
   const double loss =
-      emu::associated_loss(loss_model, channel::beam_rss(h_now, cb[best]), *mcs);
+      emu::associated_loss(channel::beam_rss(h_now, cb[best]), *mcs);
   const double p = std::max(kResidualLoss, loss);
   return mcs->udp_throughput.value * cfg.rate_scale * (1.0 - p) /
          static_cast<double>(n_users);

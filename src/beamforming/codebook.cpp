@@ -82,13 +82,24 @@ void append_dual_lobe_beams(Codebook& cb, std::size_t n_antennas,
   }
 }
 
+const Codebook& commodity_codebook() {
+  static const Codebook cb = [] {
+    Codebook book = make_multilevel_codebook(channel::kDefaultApAntennas,
+                                             {{32, 20}, {8, 8}, {4, 4}});
+    append_dual_lobe_beams(book, channel::kDefaultApAntennas, 14, kPhaseBits,
+                           /*max_abs_azimuth=*/1.06);
+    return book;
+  }();
+  return cb;
+}
+
 Codebook make_sector_codebook(const CodebookConfig& cfg) {
   if (cfg.n_beams == 0 || cfg.n_beams > 128)
     throw std::invalid_argument(
         "make_sector_codebook: n_beams must be in 1..128");
   Codebook cb;
   cb.beams.reserve(cfg.n_beams);
-  const double smax = std::sin(cfg.max_abs_azimuth);
+  const double smax = std::sin(kSectorAzimuth);
   for (std::size_t k = 0; k < cfg.n_beams; ++k) {
     const double frac =
         cfg.n_beams == 1
@@ -100,7 +111,7 @@ Codebook make_sector_codebook(const CodebookConfig& cfg) {
     // quantization to the phase-shifter grid makes it "pre-defined".
     const linalg::CVector ideal =
         channel::steering_vector(theta, cfg.n_antennas).conj();
-    cb.beams.push_back(channel::quantize_phases(ideal, cfg.phase_bits));
+    cb.beams.push_back(channel::quantize_phases(ideal, kPhaseBits));
   }
   return cb;
 }

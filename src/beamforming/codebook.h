@@ -20,16 +20,20 @@ struct Codebook {
   const linalg::CVector& operator[](std::size_t i) const { return beams[i]; }
 };
 
+/// Phase-shifter resolution of commodity front-ends (the QCA6320's 2 bits).
+inline constexpr int kPhaseBits = 2;
+/// Azimuth fan (rad, either side of boresight) the sector beams cover.
+inline constexpr double kSectorAzimuth = 1.2;
+
 struct CodebookConfig {
   std::size_t n_antennas = 32;
   std::size_t n_beams = 64;        ///< <= 128 on Sparrow+-class hardware
-  int phase_bits = 2;              ///< commodity phase-shifter resolution
-  double max_abs_azimuth = 1.2;    ///< rad, azimuth fan the sectors cover
 };
 
-/// Sector beams with steering directions uniform in sin(azimuth) — uniform
-/// beam spacing in the array's natural coordinate — each quantized to the
-/// hardware phase resolution and normalized to unit total power.
+/// Sector beams across +-kSectorAzimuth with steering directions uniform
+/// in sin(azimuth) — uniform beam spacing in the array's natural
+/// coordinate — each quantized to kPhaseBits and normalized to unit total
+/// power.
 Codebook make_sector_codebook(const CodebookConfig& cfg);
 
 /// One beamwidth level of a hierarchical 802.11ad codebook: beams formed
@@ -45,8 +49,8 @@ struct CodebookLevel {
 /// must stay within the 128-entry hardware limit.
 Codebook make_multilevel_codebook(std::size_t n_antennas,
                                   const std::vector<CodebookLevel>& levels,
-                                  int phase_bits = 2,
-                                  double max_abs_azimuth = 1.2);
+                                  int phase_bits = kPhaseBits,
+                                  double max_abs_azimuth = kSectorAzimuth);
 
 /// Appends dual-lobe beams: every pair from an `n_directions` grid, each
 /// realized by steering the two array halves at the two directions — the
@@ -54,7 +58,16 @@ Codebook make_multilevel_codebook(std::size_t n_antennas,
 /// receivers with one pre-defined entry (~9 dB per lobe on 32 elements).
 /// Throws if the total would exceed the 128-entry limit.
 void append_dual_lobe_beams(Codebook& cb, std::size_t n_antennas,
-                            std::size_t n_directions, int phase_bits = 2,
-                            double max_abs_azimuth = 1.2);
+                            std::size_t n_directions,
+                            int phase_bits = kPhaseBits,
+                            double max_abs_azimuth = kSectorAzimuth);
+
+/// The commodity codebook the pre-defined schemes select from: a
+/// hierarchical design for the 32-element array with 20 fine 32-element
+/// sectors for unicast, wide (8-element) and quasi-omni (4-element)
+/// levels, plus 91 dual-lobe entries (a 14-direction grid over +-1.06 rad)
+/// so a single pre-defined beam can serve two angularly spread multicast
+/// receivers. 123 entries, within the 128-beam hardware limit. Built once.
+const Codebook& commodity_codebook();
 
 }  // namespace w4k::beamforming

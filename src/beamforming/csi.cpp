@@ -7,9 +7,16 @@
 #include <stdexcept>
 
 namespace w4k::beamforming {
+namespace {
 
-CsiEstimate estimate_csi(const SweepResult& sweep, const Codebook& codebook,
-                         const CsiConfig& cfg) {
+/// Gerchberg-Saxton iteration cap.
+constexpr int kMaxIterations = 60;
+/// Stop once an iteration improves the residual by less than this.
+constexpr double kTolerance = 1e-9;
+
+}  // namespace
+
+CsiEstimate estimate_csi(const SweepResult& sweep, const Codebook& codebook) {
   const std::size_t k = codebook.size();
   if (k == 0 || sweep.rss_dbm.size() != k)
     throw std::invalid_argument("estimate_csi: sweep/codebook mismatch");
@@ -36,7 +43,7 @@ CsiEstimate estimate_csi(const SweepResult& sweep, const Codebook& codebook,
 
   CsiEstimate est;
   double prev_res = 1e300;
-  for (int it = 0; it < cfg.max_iterations; ++it) {
+  for (int it = 0; it < kMaxIterations; ++it) {
     est.h = linalg::solve_least_squares(a, b, 1e-9);
     // Project: keep model phases, measured magnitudes.
     double res = 0.0, scale = 0.0;
@@ -50,7 +57,7 @@ CsiEstimate estimate_csi(const SweepResult& sweep, const Codebook& codebook,
     }
     est.residual = scale > 0.0 ? std::sqrt(res / scale) : 0.0;
     est.iterations = it + 1;
-    if (prev_res - est.residual < cfg.tolerance) break;
+    if (prev_res - est.residual < kTolerance) break;
     prev_res = est.residual;
   }
   return est;

@@ -23,15 +23,11 @@ struct CsiEstimate {
   int iterations = 0;
 };
 
-struct CsiConfig {
-  int max_iterations = 60;
-  double tolerance = 1e-9;  ///< stop when the residual improvement stalls
-};
-
-/// Estimates the channel from a sweep's per-beam RSS over `codebook`.
-/// Requires codebook.size() >= number of antennas (throws otherwise).
-CsiEstimate estimate_csi(const SweepResult& sweep, const Codebook& codebook,
-                         const CsiConfig& cfg = {});
+/// Estimates the channel from a sweep's per-beam RSS over `codebook`, in
+/// at most 60 iterations, stopping early once an iteration improves the
+/// residual by less than 1e-9. Requires codebook.size() >= number of
+/// antennas (throws otherwise).
+CsiEstimate estimate_csi(const SweepResult& sweep, const Codebook& codebook);
 
 /// Alignment quality in [0, 1] between an estimate and the true channel:
 /// |<h_est, h_true>| / (||h_est|| ||h_true||). 1 = perfect up to phase.

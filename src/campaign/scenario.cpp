@@ -176,7 +176,6 @@ core::SessionConfig make_config(const ScenarioSpec& spec) {
   // machines and worker partitions.
   if (spec.kind == CellKind::kMultiAp) {
     cfg.handoff.n_aps = spec.n_aps;
-    cfg.handoff.enabled = true;
     cfg.handoff.min_dwell_frames = spec.min_dwell_frames;
   }
   cfg.relay.enabled = spec.relay;

@@ -7,6 +7,15 @@
 namespace w4k::channel {
 namespace {
 
+/// Walkers stay within this azimuth of boresight (rad): the array's FoV.
+constexpr double kMaxWalkAzimuth = 1.0;
+/// People walking between the AP and the receivers.
+constexpr std::size_t kBlockers = 2;
+/// LoS loss with a blocker standing on the ray: a human torso at 60 GHz.
+constexpr double kBlockageLossDb = 18.0;
+/// How close to the LoS ray (m) a blocker starts to attenuate it.
+constexpr double kBlockerRadius = 0.35;
+
 /// Random-waypoint state for one walker.
 struct Walker {
   Position pos;
@@ -58,9 +67,8 @@ CsiTrace moving_receiver_trace(const MovingReceiverConfig& cfg) {
     w.speed = cfg.walk_speed * rng.uniform(0.8, 1.2);
     w.pos = Position::from_polar(
         rng.uniform(cfg.min_distance, cfg.max_distance),
-        rng.uniform(-cfg.max_abs_azimuth, cfg.max_abs_azimuth));
-    w.pick_target(rng, cfg.min_distance, cfg.max_distance,
-                  cfg.max_abs_azimuth);
+        rng.uniform(-kMaxWalkAzimuth, kMaxWalkAzimuth));
+    w.pick_target(rng, cfg.min_distance, cfg.max_distance, kMaxWalkAzimuth);
   }
 
   CsiTrace trace;
@@ -77,7 +85,7 @@ CsiTrace moving_receiver_trace(const MovingReceiverConfig& cfg) {
       const bool moves = cfg.moving.empty() || cfg.moving[u];
       if (moves)
         walkers[u].step(rng, kBeaconInterval, cfg.min_distance,
-                        cfg.max_distance, cfg.max_abs_azimuth);
+                        cfg.max_distance, kMaxWalkAzimuth);
     }
     trace.snapshots.push_back(std::move(snap));
     trace.positions.push_back(std::move(pos));
@@ -96,7 +104,7 @@ CsiTrace moving_environment_trace(const MovingEnvironmentConfig& cfg) {
   const double roam_min = 0.8;
   const double roam_max = std::max(roam_min + 0.5, max_d * 0.9);
 
-  std::vector<Walker> blockers(static_cast<std::size_t>(cfg.n_blockers));
+  std::vector<Walker> blockers(kBlockers);
   for (auto& b : blockers) {
     b.speed = cfg.walk_speed * rng.uniform(0.8, 1.2);
     b.pos = Position::from_polar(rng.uniform(roam_min, roam_max),
@@ -111,13 +119,13 @@ CsiTrace moving_environment_trace(const MovingEnvironmentConfig& cfg) {
     std::vector<linalg::CVector> snap;
     for (const auto& user : cfg.users) {
       // Soft blockage: full loss when a blocker stands on the ray, fading
-      // quadratically to zero at blocker_radius. Multiple blockers stack.
+      // quadratically to zero at kBlockerRadius. Multiple blockers stack.
       double block_db = 0.0;
       for (const auto& b : blockers) {
         const double d = distance_to_los(b.pos, user);
-        if (d < cfg.blocker_radius) {
-          const double frac = 1.0 - d / cfg.blocker_radius;
-          block_db += cfg.blockage_loss_db * frac * frac;
+        if (d < kBlockerRadius) {
+          const double frac = 1.0 - d / kBlockerRadius;
+          block_db += kBlockageLossDb * frac * frac;
         }
       }
       snap.push_back(make_channel(cfg.prop, user, block_db));

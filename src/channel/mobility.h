@@ -41,12 +41,12 @@ struct MovingReceiverConfig {
   double walk_speed = 1.0;        ///< m/s
   double min_distance = 2.5;      ///< annulus the walkers stay inside
   double max_distance = 6.0;
-  double max_abs_azimuth = 1.0;   ///< rad, keeps users in the array's FoV
   std::uint64_t seed = 1;
 };
 
-/// Random-waypoint walkers inside a distance annulus. High-RSS traces use
-/// the default 2.5-6 m band; pass 13-18 m for the paper's low-RSS regime.
+/// Random-waypoint walkers inside a distance annulus and within +-1 rad of
+/// boresight (the array's field of view). High-RSS traces use the default
+/// 2.5-6 m band; pass 13-18 m for the paper's low-RSS regime.
 CsiTrace moving_receiver_trace(const MovingReceiverConfig& cfg);
 
 /// Parameters for a moving-environment trace (static users, walking
@@ -54,17 +54,16 @@ CsiTrace moving_receiver_trace(const MovingReceiverConfig& cfg);
 struct MovingEnvironmentConfig {
   PropagationConfig prop;
   std::vector<Position> users;    ///< static receiver placements
-  int n_blockers = 2;             ///< "two people walk randomly"
   Seconds duration = 60.0;
   double walk_speed = 1.0;
-  double blockage_loss_db = 18.0; ///< human torso at 60 GHz
-  double blocker_radius = 0.35;   ///< m, how close to the LoS ray counts
   std::uint64_t seed = 2;
 };
 
-/// Static users; blockers do a random walk in front of the AP and attenuate
-/// the LoS component of any user whose AP ray they intersect. Attenuation
-/// ramps smoothly with blocker-to-ray distance (no step discontinuities).
+/// Static users; two blockers ("two people walk randomly") do a random
+/// walk in front of the AP and attenuate the LoS component of any user
+/// whose AP ray they pass within 0.35 m of, by up to 18 dB (a human torso
+/// at 60 GHz). Attenuation ramps smoothly with blocker-to-ray distance (no
+/// step discontinuities).
 CsiTrace moving_environment_trace(const MovingEnvironmentConfig& cfg);
 
 /// Convenience: per-step best-case RSS (optimal unicast beam) for user `u`,

@@ -66,13 +66,7 @@ linalg::CVector make_channel(const PropagationConfig& cfg, Position rx,
                              double los_extra_loss_db) {
   if (cfg.n_antennas == 0)
     throw std::invalid_argument("make_channel: zero antennas");
-  std::vector<Path> paths;
-  if (cfg.reflections) {
-    paths = trace_paths(cfg.room, rx);
-  } else {
-    paths.push_back(Path{rx.azimuth(), std::max(rx.distance(), 0.1), 0.0,
-                         true});
-  }
+  const std::vector<Path> paths = trace_paths(cfg.room, rx);
 
   linalg::CVector h(cfg.n_antennas);
   for (const auto& p : paths) {

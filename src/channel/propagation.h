@@ -60,8 +60,6 @@ double fspl_db(double distance_m);
 struct PropagationConfig {
   std::size_t n_antennas = 32;
   Room room;
-  /// Disable to get a pure-LoS channel (useful in unit tests).
-  bool reflections = true;
 };
 
 /// Image-method ray trace from the AP to `rx`. Paths whose image falls
@@ -70,7 +68,8 @@ struct PropagationConfig {
 std::vector<Path> trace_paths(const Room& room, Position rx);
 
 /// Synthesizes the channel vector h for a receiver: the coherent sum of
-/// per-path steering vectors weighted by amplitude and carrier phase.
+/// the steering vectors of every trace_paths path, weighted by amplitude
+/// and carrier phase.
 /// `los_extra_loss_db` models human blockage of the LoS component only
 /// (reflected paths go around the blocker).
 linalg::CVector make_channel(const PropagationConfig& cfg, Position rx,

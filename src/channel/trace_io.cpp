@@ -8,9 +8,8 @@
 namespace w4k::channel {
 namespace {
 
-// Version 1 had no per-step sequence ids; version 2 prefixes every step's
-// records with its step index so reordered/spliced captures are caught.
-constexpr char kMagicV1[8] = {'W', '4', 'K', 'C', 'S', 'I', 'T', '1'};
+// Version 2 prefixes every step's records with its step index so
+// reordered/spliced captures are caught.
 constexpr char kMagicV2[8] = {'W', '4', 'K', 'C', 'S', 'I', 'T', '2'};
 
 void write_u32(std::ostream& os, std::uint32_t v) {
@@ -63,7 +62,7 @@ void save_trace(const CsiTrace& trace, const std::string& path) {
   write_u32(os, static_cast<std::uint32_t>(antennas));
   write_f64(os, trace.interval);
   for (std::size_t t = 0; t < trace.steps(); ++t) {
-    write_u32(os, static_cast<std::uint32_t>(t));  // v2 sequence id
+    write_u32(os, static_cast<std::uint32_t>(t));  // sequence id
     for (std::size_t u = 0; u < trace.users(); ++u) {
       write_f64(os, trace.positions[t][u].x);
       write_f64(os, trace.positions[t][u].y);
@@ -85,9 +84,7 @@ CsiTrace load_trace(const std::string& path) {
 CsiTrace load_trace(std::istream& is, const std::string& path) {
   char magic[8];
   is.read(magic, sizeof(magic));
-  bool v2 = false;
-  if (is && std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) v2 = true;
-  else if (!is || std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0)
+  if (!is || std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)
     throw std::runtime_error("load_trace: bad magic in " + path);
 
   const std::uint32_t steps = read_u32(is);
@@ -105,13 +102,11 @@ CsiTrace load_trace(std::istream& is, const std::string& path) {
   trace.snapshots.resize(steps);
   trace.positions.resize(steps);
   for (std::uint32_t t = 0; t < steps; ++t) {
-    if (v2) {
-      const std::uint32_t seq = read_u32(is);
-      if (!is) bad_record(path, t, 0, "truncated step header");
-      if (seq != t)
-        bad_record(path, t, 0,
-                   "out-of-order step id (got " + std::to_string(seq) + ")");
-    }
+    const std::uint32_t seq = read_u32(is);
+    if (!is) bad_record(path, t, 0, "truncated step header");
+    if (seq != t)
+      bad_record(path, t, 0,
+                 "out-of-order step id (got " + std::to_string(seq) + ")");
     trace.snapshots[t].resize(users);
     trace.positions[t].resize(users);
     for (std::uint32_t u = 0; u < users; ++u) {

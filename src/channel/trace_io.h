@@ -7,10 +7,10 @@
 //   then per step: u32 step id, then users x (2 f64 position +
 //   antennas x 2 f64 channel).
 //
-// Version 1 ("W4KCSIT1", no per-step ids) is still read. The loader
-// validates as it goes: truncated rows, non-finite values, and
-// out-of-order step ids all throw std::runtime_error naming the offending
-// step/user record.
+// Any other magic, the retired version 1 ("W4KCSIT1") included, is
+// rejected. The loader validates as it goes: truncated rows, non-finite
+// values, and out-of-order step ids all throw std::runtime_error naming
+// the offending step/user record.
 #pragma once
 
 #include "channel/mobility.h"
@@ -24,7 +24,7 @@ namespace w4k::channel {
 /// ragged trace (every snapshot must have the same user and antenna count).
 void save_trace(const CsiTrace& trace, const std::string& path);
 
-/// Reads a trace written by save_trace (either format version). Throws
+/// Reads a trace written by save_trace. Throws
 /// std::runtime_error on missing file, bad magic, implausible header,
 /// truncation, non-finite values, or out-of-order step ids — the message
 /// names the offending record.

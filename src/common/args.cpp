@@ -1,5 +1,6 @@
 #include "common/args.h"
 
+#include <sstream>
 #include <stdexcept>
 
 namespace w4k {
@@ -81,6 +82,22 @@ bool Args::get(const std::string& name, bool def) const {
   throw std::invalid_argument("--" + name + ": expected a boolean, got '" +
                               v + "'");
 }
+
+template <typename T>
+T Args::get_in(const std::string& name, T def, T lo, T hi) const {
+  const T v = get(name, def);
+  if (!(v >= lo && v <= hi)) {
+    std::ostringstream os;
+    os << "--" << name << " must be in [" << lo << ", " << hi << "], got "
+       << v;
+    throw std::invalid_argument(os.str());
+  }
+  return v;
+}
+
+template int Args::get_in(const std::string&, int, int, int) const;
+template double Args::get_in(const std::string&, double, double,
+                             double) const;
 
 std::vector<std::string> Args::unqueried() const {
   std::vector<std::string> out;

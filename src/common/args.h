@@ -31,6 +31,13 @@ class Args {
   int get(const std::string& name, int def) const;
   bool get(const std::string& name, bool def) const;
 
+  /// Range-checked getter for int or double flags: get(name, def), then
+  /// throws std::invalid_argument ("--port must be in [0, 65535], got
+  /// 70000") unless the value lies in [lo, hi]; NaN lies in no range.
+  /// Callers narrowing the value can then cast without wrapping.
+  template <typename T>
+  T get_in(const std::string& name, T def, T lo, T hi) const;
+
   const std::vector<std::string>& positional() const { return positional_; }
 
   /// Names seen on the command line that the program never queried;

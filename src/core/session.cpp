@@ -39,8 +39,6 @@ void SessionConfig::validate(std::size_t codebook_beams) const {
     if (!ok) bad(field, rule + (" (got " + std::to_string(got) + ")"));
   };
   need(rate_scale > 0.0, "rate_scale", "must be > 0", rate_scale);
-  need(engine.frame_budget > 0.0, "engine.frame_budget", "must be > 0 s",
-       engine.frame_budget);
   need(makeup_margin >= 0.0 && makeup_margin < 1.0, "makeup_margin",
        "must be in [0, 1)", makeup_margin);
   if (engine.symbol_size == 0) bad("engine.symbol_size", "must be > 0");
@@ -61,26 +59,13 @@ void SessionConfig::validate(std::size_t codebook_beams) const {
     bad("handoff.n_aps",
         "must be in [1, " + std::to_string(channel::kMaxAps) + "] (got " +
             std::to_string(handoff.n_aps) + ")");
-  need(handoff.hysteresis_db >= 0.0, "handoff.hysteresis_db",
-       "must be >= 0 dB", handoff.hysteresis_db);
-  if (!std::isfinite(handoff.degrade_floor_dbm))
-    bad("handoff.degrade_floor_dbm", "must be finite");
-  need(handoff.degrade_after >= 1, "handoff.degrade_after", "must be >= 1",
-       handoff.degrade_after);
-  need(handoff.probe_frames >= 1, "handoff.probe_frames", "must be >= 1",
-       handoff.probe_frames);
   need(handoff.min_dwell_frames >= 1, "handoff.min_dwell_frames",
        "must be >= 1", handoff.min_dwell_frames);
-  need(handoff.backoff_cap >= 0 && handoff.backoff_cap <= 20,
-       "handoff.backoff_cap", "must be in [0, 20]", handoff.backoff_cap);
-  need(relay.loss >= 0.0 && relay.loss < 1.0, "relay.loss",
-       "must be in [0, 1)", relay.loss);
   if (relay.enabled && handoff.n_aps <= 1 && quarantine_after == 0)
     bad("relay.enabled",
         "peer relay targets quarantined users: with a single AP and "
         "quarantine_after == 0 there is never a relay target (enable "
         "quarantine or add APs)");
-  loss.validate();  // throws "LossModel.<field>: ..." on bad parameters
   if (use_estimated_csi && codebook_beams != kUnknown &&
       codebook_beams < channel::kDefaultApAntennas)
     bad("use_estimated_csi",
@@ -103,8 +88,7 @@ MulticastSession::MulticastSession(const SessionConfig& cfg,
                 .group_enum = cfg.group_enum,
                 .optimized = cfg.optimized_schedule,
                 .rate_scale = cfg.rate_scale,
-                .time_budget =
-                    cfg.engine.frame_budget * (1.0 - cfg.makeup_margin),
+                .time_budget = kFrameBudget * (1.0 - cfg.makeup_margin),
                 .lambda = cfg.lambda,
                 .symbol_size = cfg.engine.symbol_size,
                 .deadline_ms = cfg.decide_deadline_ms}) {
@@ -147,6 +131,24 @@ static_assert(kBlindBackoffCap >= 0 && kBlindBackoffCap <= 30,
               "the halving is a 32-bit shift");
 /// Minimum relayer best-case RSS: only LoS-grade users relay.
 constexpr Dbm kMinRelayerRss{-58.0};
+/// Per-symbol delivery loss on the D2D relay side link.
+constexpr double kRelayLoss = 0.05;
+
+// The multi-AP attachment ladder (DESIGN.md Sec. 4h).
+/// An alternate AP must beat the serving AP by this much before a probe
+/// starts, and must still hold half of it for the probe to commit: the
+/// classic flap damper.
+constexpr double kHysteresisDb = 3.0;
+/// Serving best-case RSS below this counts as a weak frame.
+constexpr double kDegradeFloorDbm = -66.0;
+/// Consecutive weak frames before attached -> degraded.
+constexpr int kDegradeAfter = 3;
+/// Make-before-break probe length: the user keeps streaming from the old
+/// AP while the alternate trains.
+constexpr int kProbeFrames = 2;
+/// Cap on dwell doublings for back-to-back handoffs (flapping links).
+constexpr int kBackoffCap = 3;
+static_assert(kBackoffCap <= 20, "the dwell doubling is a 32-bit shift");
 
 /// Field-by-field reset (not `out = {}`) so a reused outcome's vectors keep
 /// their capacity.
@@ -283,13 +285,10 @@ void MulticastSession::attach(Frame& f, Stacks decision_stacks,
   for (std::size_t u = 0; u < n_users; ++u) {
     UserState& s = users_[u];
     if (s.serving_ap != kUnattached) {
-      if (cfg_.handoff.enabled)
-        out.handoffs += advance_attachment(u, n_aps, f.id, beacon_ok) ? 1 : 0;
+      out.handoffs += advance_attachment(u, n_aps, f.id, beacon_ok) ? 1 : 0;
       continue;
     }
     // Initial AP selection: strongest beacon wins (ties to the lowest id).
-    // This runs even with handoff disabled — a multi-AP user always needs
-    // an attachment, it just never changes afterwards.
     std::size_t best = 0;
     for (std::size_t a = 1; a < n_aps; ++a)
       if (ap_rss_mw_[a * n_users + u] > ap_rss_mw_[best * n_users + u])
@@ -468,8 +467,8 @@ void MulticastSession::set_air_parameters(const Frame& f) {
       const Dbm rss = channel::beam_rss((*f.truth)[u], air.beam);
       tx.member_loss.push_back(
           u == kAssociatedUser
-              ? emu::associated_loss(cfg_.loss, rss, *mcs)
-              : emu::monitor_loss(cfg_.loss, rss, *mcs));
+              ? emu::associated_loss(rss, *mcs)
+              : emu::monitor_loss(rss, *mcs));
     }
   }
 }
@@ -488,7 +487,7 @@ void MulticastSession::shed(Frame& f, const FrameContext& ctx,
   if (faults.budget_scale >= 1.0) return;
   static obs::Stage& st = obs::stage("session.shed");
   obs::StageSpan span(st);
-  const Seconds cap = cfg_.engine.frame_budget * faults.budget_scale;
+  const Seconds cap = kFrameBudget * faults.budget_scale;
   const double wire = static_cast<double>(cfg_.engine.header_bytes +
                                           cfg_.engine.symbol_size);
   Seconds est = 0.0;
@@ -749,7 +748,7 @@ void MulticastSession::plan_relays(const Frame& f,
     if (!mcs) continue;
     relays_.push_back(emu::RelayLink{
         best, t, Mbps{mcs->udp_throughput.value * cfg_.rate_scale},
-        cfg_.relay.loss});
+        kRelayLoss});
   }
 }
 
@@ -762,15 +761,14 @@ bool MulticastSession::advance_attachment(std::size_t u, std::size_t n_aps,
   const auto dbm = [](double m) {
     return m > 0.0 ? 10.0 * std::log10(m) : -400.0;
   };
-  const auto& hc = cfg_.handoff;
   UserState& s = users_[u];
   const std::size_t serving = s.serving_ap;
   const double serving_dbm = dbm(mw(serving));
-  const bool weak = serving_dbm < hc.degrade_floor_dbm;
+  const bool weak = serving_dbm < kDegradeFloorDbm;
   switch (s.attach_state) {
     case ApAttachState::kAttached:
       if (weak) {
-        if (++s.weak_streak >= hc.degrade_after)
+        if (++s.weak_streak >= kDegradeAfter)
           s.attach_state = ApAttachState::kDegraded;
       } else {
         s.weak_streak = 0;
@@ -796,10 +794,10 @@ bool MulticastSession::advance_attachment(std::size_t u, std::size_t n_aps,
           alt = a;
         }
       }
-      if (alt != serving && dbm(alt_mw) >= serving_dbm + hc.hysteresis_db) {
+      if (alt != serving && dbm(alt_mw) >= serving_dbm + kHysteresisDb) {
         s.attach_state = ApAttachState::kProbing;
         s.probe_target = static_cast<std::uint8_t>(alt);
-        s.probe_countdown = hc.probe_frames;
+        s.probe_countdown = kProbeFrames;
       }
       break;
     }
@@ -809,7 +807,7 @@ bool MulticastSession::advance_attachment(std::size_t u, std::size_t n_aps,
       // rather than committing on stale information.
       if (!beacon_ok) break;
       const double tgt_dbm = dbm(mw(s.probe_target));
-      if (tgt_dbm < serving_dbm + 0.5 * hc.hysteresis_db) {
+      if (tgt_dbm < serving_dbm + 0.5 * kHysteresisDb) {
         // Target fell below half the bar mid-probe: abort, no flap.
         s.attach_state =
             weak ? ApAttachState::kDegraded : ApAttachState::kAttached;
@@ -827,10 +825,11 @@ bool MulticastSession::advance_attachment(std::size_t u, std::size_t n_aps,
       s.weak_streak = 0;
       // Capped exponential dwell: back-to-back handoffs double the
       // cooldown so a user on an AP coverage boundary cannot ping-pong.
-      const auto base = static_cast<std::uint32_t>(hc.min_dwell_frames);
+      const auto base =
+          static_cast<std::uint32_t>(cfg_.handoff.min_dwell_frames);
       if (s.last_handoff_frame != kNeverHandedOff &&
           transport::seq_distance(s.last_handoff_frame, frame_id) < 4 * base)
-        s.handoff_streak = std::min(s.handoff_streak + 1, hc.backoff_cap);
+        s.handoff_streak = std::min(s.handoff_streak + 1, kBackoffCap);
       else
         s.handoff_streak = 0;
       s.dwell_until =

@@ -57,7 +57,6 @@ struct SessionConfig {
   /// lands inside the budget while every reachable user stays served
   /// (singleton beams and the first optimizer start always complete).
   double decide_deadline_ms = 0.0;
-  emu::LossModel loss;
   /// Scales Table 2 rates to the frame resolution (see rate_scale_for).
   double rate_scale = 1.0;
   double lambda = 1e-8;            ///< Eq. 1 traffic penalty (per byte)
@@ -81,30 +80,16 @@ struct SessionConfig {
   int quarantine_reprobe_period = 8;
 
   // --- Multi-AP handoff + peer relay (DESIGN.md Sec. 4h) ----------------
-  /// Per-user AP attachment and mid-session handoff. With `enabled` false
-  /// the knobs below are never read: a multi-AP run still picks each
-  /// user's initial AP but nobody ever moves, and the SessionReport is
-  /// byte-identical for any knob values (the property suite pins this).
+  /// Per-user AP attachment. With more than one AP every user runs the
+  /// attached -> degraded -> probing -> handing-off ladder, whose
+  /// hysteresis, weak-RSS floor, probe length and backoff cap are
+  /// constants in session.cpp; with one AP there is nothing to probe.
   struct HandoffConfig {
     /// APs this session streams across. step_into requires its channel
     /// stacks to match; 1 (the default) is the paper's single-AP session.
     std::size_t n_aps = 1;
-    bool enabled = false;
-    /// An alternate AP must beat the serving AP by this much (dB) before a
-    /// probe starts, and must still hold half of it for the probe to
-    /// commit — the classic flap damper.
-    double hysteresis_db = 3.0;
-    /// Serving best-case RSS below this (dBm) counts as a weak frame.
-    double degrade_floor_dbm = -66.0;
-    /// Consecutive weak frames before attached -> degraded.
-    int degrade_after = 3;
-    /// Make-before-break probe length (frames): the user keeps streaming
-    /// from the old AP while the alternate trains.
-    int probe_frames = 2;
     /// Base dwell after a handoff before the next probe may start.
     int min_dwell_frames = 8;
-    /// Cap on dwell doublings for back-to-back handoffs (flapping links).
-    int backoff_cap = 3;
   };
   HandoffConfig handoff;
 
@@ -115,8 +100,6 @@ struct SessionConfig {
   /// it with a single AP and quarantine off fails validate().
   struct RelayConfig {
     bool enabled = false;
-    /// Per-symbol delivery loss on the D2D side link.
-    double loss = 0.05;
   };
   RelayConfig relay;
 
@@ -180,11 +163,10 @@ class MulticastSession {
   /// The frame runs as named stages, in order (DESIGN.md Sec. 4g):
   ///  1. input check: shapes, config and mask sizes, before any state
   ///     changes, so a rejected call leaves the session as it was;
-  ///  2. AP attachment: each user is served by one AP; with
-  ///     cfg.handoff.enabled the attached -> degraded -> probing ->
-  ///     handing-off machine moves users make-before-break, with
-  ///     hysteresis and capped dwell backoff (`out.user_ap` is filled only
-  ///     with more than one AP);
+  ///  2. AP attachment: each user is served by one AP; with more than
+  ///     one AP the attached -> degraded -> probing -> handing-off machine
+  ///     moves users make-before-break, with hysteresis and capped dwell
+  ///     backoff (`out.user_ap` is filled only with more than one AP);
   ///  3. CSI hold: a stale or corrupt beacon falls back to the last good
   ///     CSI and backs the MCS off;
   ///  4. admission: departed users drop out; persistent outage quarantines

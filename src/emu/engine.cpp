@@ -52,7 +52,7 @@ void TxEngine::run_frame_into(
         "run_frame_into: budget_scale outside (0, 1]");
   // A collapsed transmit budget shrinks the whole frame deadline: the
   // radio simply is not available past this point.
-  const Seconds budget = cfg_.frame_budget * faults.budget_scale;
+  const Seconds budget = kFrameBudget * faults.budget_scale;
   const auto feedback_lost = [&](std::size_t u) {
     return u < faults.feedback_lost.size() && faults.feedback_lost[u] != 0;
   };
@@ -250,8 +250,7 @@ void TxEngine::run_frame_into(
   {
     static obs::Stage& st = obs::stage("emu.makeup");
     obs::StageSpan span(st);
-    for (int round = 0; round < cfg_.feedback_rounds && budget_left;
-         ++round) {
+    for (int round = 0; round < kFeedbackRounds && budget_left; ++round) {
       t = std::max(t, drain_free) + kFeedbackLatency;
       if (t >= budget) break;
       if (!cfg_.rate_control) drain_free = std::max(drain_free, t);

@@ -32,6 +32,11 @@
 
 namespace w4k::emu {
 
+/// Feedback + makeup rounds per frame (Sec. 2.6). Each round costs one
+/// feedback latency of the frame budget; two leave room for the makeup to
+/// finish inside the 33 ms frame.
+inline constexpr int kFeedbackRounds = 2;
+
 /// Transmission parameters of one multicast group for this frame.
 struct GroupTx {
   std::vector<std::size_t> members;
@@ -52,12 +57,10 @@ struct EngineConfig {
   /// 0: at 4K the real 16 B amounts to 0.27% and scaling the symbol size
   /// down would otherwise inflate it to a distorting ~15%.
   std::size_t header_bytes = transport::kHeaderBytes;
-  Seconds frame_budget = kFrameBudget;
   bool rate_control = true;
   bool source_coding = true;
   std::size_t bucket_packets = 10;    ///< leaky bucket depth (Sec. 2.7)
   std::size_t queue_capacity_bytes = 6'000'000;  ///< kernel/driver queue
-  int feedback_rounds = 2;
 };
 
 struct FrameTxStats {
@@ -109,7 +112,8 @@ struct RelayLink {
 /// and run_frame_into with the defaults is bit-identical to the pre-fault
 /// engine.
 struct FrameFaultState {
-  /// Fraction of cfg.frame_budget actually available (NIC stall).
+  /// Fraction of the frame budget (kFrameBudget) actually available (NIC
+  /// stall).
   double budget_scale = 1.0;
   /// feedback_lost[u] != 0: user u's report is missing; empty = all arrive.
   std::vector<std::uint8_t> feedback_lost;

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 namespace w4k::emu {
 namespace {
+
+/// Exponential decay of loss per dB of positive margin.
+constexpr double kDecayPerDb = 1.2;
+/// Growth of loss per dB of negative margin.
+constexpr double kGrowthPerDb = 1.0;
 
 /// NaN-proof clamp: std::clamp(NaN, 0, 1) would return NaN, and a NaN loss
 /// probability poisons every downstream Bernoulli draw. A link whose loss
@@ -18,41 +21,21 @@ double clamp01(double p) {
 
 }  // namespace
 
-void LossModel::validate() const {
-  const auto bad = [](const char* field, double v) {
-    throw std::invalid_argument(std::string("LossModel.") + field +
-                                ": must be finite and >= 0 (got " +
-                                std::to_string(v) + ")");
-  };
-  // `!(x >= 0)` style so NaN fails too.
-  if (!(floor >= 0.0) || !std::isfinite(floor)) bad("floor", floor);
-  if (!(at_zero_margin >= 0.0) || !std::isfinite(at_zero_margin))
-    bad("at_zero_margin", at_zero_margin);
-  if (!(decay_per_db >= 0.0) || !std::isfinite(decay_per_db))
-    bad("decay_per_db", decay_per_db);
-  if (!(growth_per_db >= 0.0) || !std::isfinite(growth_per_db))
-    bad("growth_per_db", growth_per_db);
-  if (!(mac_retries >= 0.0) || !std::isfinite(mac_retries))
-    bad("mac_retries", mac_retries);
-}
-
-double monitor_loss(const LossModel& m, Dbm rss,
-                    const channel::McsEntry& mcs) {
+double monitor_loss(Dbm rss, const channel::McsEntry& mcs) {
   const double margin = rss.value - mcs.sensitivity.value;
   if (!std::isfinite(margin)) return 1.0;  // corrupt CSI: link is dead
   double p;
   if (margin >= 0.0) {
-    p = m.floor + m.at_zero_margin * std::exp(-m.decay_per_db * margin);
+    p = kLossFloor + kLossAtZeroMargin * std::exp(-kDecayPerDb * margin);
   } else {
-    p = m.at_zero_margin * std::exp(-m.growth_per_db * margin);
+    p = kLossAtZeroMargin * std::exp(-kGrowthPerDb * margin);
   }
   return clamp01(p);
 }
 
-double associated_loss(const LossModel& m, Dbm rss,
-                       const channel::McsEntry& mcs) {
-  const double p = monitor_loss(m, rss, mcs);
-  return clamp01(std::pow(p, m.mac_retries));
+double associated_loss(Dbm rss, const channel::McsEntry& mcs) {
+  const double p = monitor_loss(rss, mcs);
+  return clamp01(std::pow(p, kMacRetries));
 }
 
 }  // namespace w4k::emu

@@ -7,6 +7,8 @@
 // at the moment of MCS selection the margin is >= 0, but the channel moves
 // between beacon updates, so margins can go negative mid-frame in mobile
 // traces — exactly the regime where fountain-coded makeup packets matter.
+// The exponential decay (1.2 per dB of positive margin) and growth (1.0
+// per dB of negative margin) rates live in loss.cpp.
 #pragma once
 
 #include "channel/mcs.h"
@@ -14,34 +16,23 @@
 
 namespace w4k::emu {
 
-struct LossModel {
-  /// Residual loss floor even with ample margin (interference, CRC).
-  double floor = 0.001;
-  /// Loss at exactly 0 dB margin for a monitor-mode receiver.
-  double at_zero_margin = 0.08;
-  /// Exponential decay of loss per dB of positive margin.
-  double decay_per_db = 1.2;
-  /// Growth of loss per dB of negative margin.
-  double growth_per_db = 1.0;
-  /// MAC retry factor for the associated STA: its effective loss is the
-  /// monitor-mode loss raised to this power (independent retries).
-  double mac_retries = 2.0;
-
-  /// Throws std::invalid_argument naming the offending field
-  /// ("LossModel.floor: ...") on negative, NaN, or otherwise non-finite
-  /// parameters. SessionConfig::validate() calls this for its loss member.
-  void validate() const;
-};
+/// Residual loss floor even with ample margin (interference, CRC).
+inline constexpr double kLossFloor = 0.001;
+/// Loss at exactly 0 dB margin for a monitor-mode receiver, on top of the
+/// floor.
+inline constexpr double kLossAtZeroMargin = 0.08;
+/// MAC retry factor for the associated STA: its effective loss is the
+/// monitor-mode loss raised to this power (independent retries).
+inline constexpr double kMacRetries = 2.0;
 
 /// Per-packet loss probability for a monitor-mode receiver at the given
 /// RSS under the given MCS. Always in [0, 1]: non-finite inputs (e.g. an
 /// RSS computed from a corrupted CSI beacon) saturate to certain loss
 /// instead of propagating NaN into the reception sampling.
-double monitor_loss(const LossModel& m, Dbm rss, const channel::McsEntry& mcs);
+double monitor_loss(Dbm rss, const channel::McsEntry& mcs);
 
 /// Per-packet loss probability for the associated (MAC-ARQ) receiver.
 /// Clamped to [0, 1] with the same non-finite saturation.
-double associated_loss(const LossModel& m, Dbm rss,
-                       const channel::McsEntry& mcs);
+double associated_loss(Dbm rss, const channel::McsEntry& mcs);
 
 }  // namespace w4k::emu

@@ -7,8 +7,6 @@
 // runs thousands of such stacks per beacon, all row subsets of one user
 // set, through the subset-lane kernel: one Gram of all rows, and one
 // subset per SIMD lane, bit-identical to the one-stack scalar path.
-// For unit tests and ablations we also expose a full Hermitian
-// eigendecomposition via the complex Jacobi method.
 #pragma once
 
 #include "common/rng.h"

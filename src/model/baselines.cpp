@@ -9,6 +9,17 @@
 namespace w4k::model {
 namespace {
 
+// LinearSvr training (see the class comment).
+/// Insensitivity tube half-width: residuals inside it cost nothing.
+constexpr double kSvrEpsilon = 0.1;
+/// Slack weight.
+constexpr double kSvrC = 1.0;
+constexpr int kSvrEpochs = 200;
+/// Initial learning rate, decayed as 1/t.
+constexpr double kSvrLr = 0.01;
+/// Seed of the per-epoch shuffle.
+constexpr std::uint64_t kSvrSeed = 99;
+
 double dot_with_bias(const Vec& w, const Vec& x) {
   double s = w.back();  // bias
   for (std::size_t i = 0; i < x.size(); ++i) s += w[i] * x[i];
@@ -80,36 +91,36 @@ double LinearRegression::evaluate(const std::vector<Example>& data) const {
   return dataset_mse(weights_, data);
 }
 
-double LinearSvr::fit(const std::vector<Example>& data, const SvrConfig& cfg) {
+double LinearSvr::fit(const std::vector<Example>& data) {
   if (data.empty()) throw std::invalid_argument("LinearSvr: empty dataset");
   const std::size_t d = data.front().x.size() + 1;
   weights_.assign(d, 0.0);
   Vec averaged(d, 0.0);
   long steps = 0;
 
-  Rng rng(cfg.seed);
+  Rng rng(kSvrSeed);
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
 
-  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
+  for (int epoch = 0; epoch < kSvrEpochs; ++epoch) {
     for (std::size_t i = order.size(); i > 1; --i)
       std::swap(order[i - 1], order[rng.below(i)]);
     // 1/t learning-rate decay keeps the averaged iterate convergent.
     for (std::size_t idx : order) {
       const Example& ex = data[idx];
-      const double lr = cfg.lr / (1.0 + 1e-4 * static_cast<double>(steps));
+      const double lr = kSvrLr / (1.0 + 1e-4 * static_cast<double>(steps));
       const double pred = dot_with_bias(weights_, ex.x);
       const double err = pred - ex.y;
       // Subgradient of C * max(0, |err| - eps) + 0.5 ||w||^2 (bias
       // unregularized).
       double sign = 0.0;
-      if (err > cfg.epsilon) sign = 1.0;
-      else if (err < -cfg.epsilon) sign = -1.0;
+      if (err > kSvrEpsilon) sign = 1.0;
+      else if (err < -kSvrEpsilon) sign = -1.0;
       for (std::size_t j = 0; j + 1 < d; ++j) {
-        const double grad = cfg.c * sign * ex.x[j] + 1e-4 * weights_[j];
+        const double grad = kSvrC * sign * ex.x[j] + 1e-4 * weights_[j];
         weights_[j] -= lr * grad;
       }
-      weights_[d - 1] -= lr * cfg.c * sign;
+      weights_[d - 1] -= lr * kSvrC * sign;
       ++steps;
       for (std::size_t j = 0; j < d; ++j)
         averaged[j] += (weights_[j] - averaged[j]) / static_cast<double>(steps);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace w4k {
 namespace {
 
@@ -140,6 +143,48 @@ TEST(Args, UnqueriedEmptyWhenAllUsed) {
   const Args a = make({"--x", "1"});
   (void)a.get("x", 0);
   EXPECT_TRUE(a.unqueried().empty());
+}
+
+// Message of the std::invalid_argument `f` throws ("" = no throw).
+template <typename F>
+std::string rejection(F f) {
+  try {
+    f();
+    return "";
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+}
+
+TEST(Args, InRangeValuesAndDefaultsPass) {
+  const Args a = make({"--port", "9460", "--fps=0", "--gain=1.5"});
+  EXPECT_EQ(a.get_in("port", 1, 0, 65535), 9460);
+  EXPECT_DOUBLE_EQ(a.get_in("fps", 30.0, 0.0, 1e9), 0.0);  // bounds included
+  EXPECT_DOUBLE_EQ(a.get_in("gain", 0.0, 1.5, 1.5), 1.5);
+  EXPECT_EQ(a.get_in("absent", 7, 1, 10), 7);
+}
+
+TEST(Args, OutOfRangeNamesTheFlagAndRange) {
+  // A port past 65535 must not wrap into a valid uint16 (70000 -> 4464).
+  const Args a = make({"--port=70000", "--subs=0", "--rate=-0.5"});
+  EXPECT_EQ(rejection([&] { a.get_in("port", 9460, 1, 65535); }),
+            "--port must be in [1, 65535], got 70000");
+  EXPECT_EQ(rejection([&] { a.get_in("subs", 64, 1, 1000); }),
+            "--subs must be in [1, 1000], got 0");
+  EXPECT_NE(rejection([&] { a.get_in("rate", 1.0, 0.0, 10.0); })
+                .find("--rate must be in [0, 10]"),
+            std::string::npos);
+  // A default outside the range fails the same way.
+  EXPECT_NE(rejection([&] { a.get_in("sockets", 4, 1, 2); }), "");
+}
+
+TEST(Args, InRangeRejectsNaNAndMalformedValues) {
+  const Args a = make({"--d=nan", "--port=abc", "--n=12x"});
+  EXPECT_NE(rejection([&] { a.get_in("d", 0.0, -1e300, 1e300); }), "");
+  EXPECT_NE(rejection([&] { a.get_in("port", 9460, 1, 65535); })
+                .find("expected an integer"),
+            std::string::npos);
+  EXPECT_THROW(a.get_in("n", 0, 0, 100), std::invalid_argument);
 }
 
 }  // namespace

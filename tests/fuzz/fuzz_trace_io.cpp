@@ -1,5 +1,6 @@
-// Fuzz target: the binary CSI-trace loader (channel/trace_io.h), V1 and
-// V2 framing. Recorded traces travel between machines and builds; a
+// Fuzz target: the binary CSI-trace loader (channel/trace_io.h), V2
+// framing; the corpus keeps a V1 seed, which the loader must reject as
+// bad magic. Recorded traces travel between machines and builds; a
 // corrupt or truncated file must throw std::runtime_error naming the bad
 // record — never crash or allocate absurdly (the loader's header
 // plausibility caps are part of the contract).

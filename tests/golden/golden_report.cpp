@@ -83,7 +83,6 @@ core::SessionReport run_multiap(model::QualityModel& quality) {
   constexpr int kFrames = 16;
   core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
   cfg.handoff.n_aps = 2;
-  cfg.handoff.enabled = true;
   cfg.handoff.min_dwell_frames = 4;
   core::MulticastSession s(cfg, quality, beamforming::Codebook{});
   const auto ctx = contexts();
@@ -164,7 +163,7 @@ core::SessionReport run_mobile(model::QualityModel& quality) {
 core::SessionReport run_baselines(model::QualityModel& quality) {
   const auto ctx = contexts();
   const beamforming::Codebook codebook = beamforming::make_sector_codebook(
-      beamforming::CodebookConfig{32, 96, 2, 1.2});
+      beamforming::CodebookConfig{32, 96});
 
   core::SessionConfig frozen = core::SessionConfig::scaled(kW, kH);
   frozen.adapt = false;

@@ -53,9 +53,7 @@ TEST(LinearRegression, EmptyDatasetThrows) {
 TEST(LinearSvr, FitsLinearDataApproximately) {
   LinearSvr svr;
   const auto data = linear_data(400, 5);
-  SvrConfig cfg;
-  cfg.epochs = 100;
-  const double mse = svr.fit(data, cfg);
+  const double mse = svr.fit(data);
   // Epsilon-insensitive loss leaves residuals up to ~epsilon.
   EXPECT_LT(mse, 0.01);
 }
@@ -63,19 +61,6 @@ TEST(LinearSvr, FitsLinearDataApproximately) {
 TEST(LinearSvr, EmptyDatasetThrows) {
   LinearSvr svr;
   EXPECT_THROW(svr.fit({}), std::invalid_argument);
-}
-
-TEST(LinearSvr, EpsilonTubeLimitsPrecision) {
-  // With a huge epsilon the SVR has no incentive to fit at all.
-  LinearSvr coarse, fine;
-  const auto data = linear_data(300, 6);
-  SvrConfig loose;
-  loose.epsilon = 0.4;
-  loose.epochs = 60;
-  SvrConfig tight;
-  tight.epsilon = 0.01;
-  tight.epochs = 60;
-  EXPECT_GT(coarse.fit(data, loose), fine.fit(data, tight));
 }
 
 TEST(Baselines, Table1OrderingOnQualityDataset) {
@@ -91,11 +76,8 @@ TEST(Baselines, Table1OrderingOnQualityDataset) {
   const double lr_mse = lr.evaluate(ds.test);
 
   LinearSvr svr;
-  const double svr_mse = [&] {
-    SvrConfig cfg;
-    svr.fit(ds.train, cfg);
-    return svr.evaluate(ds.test);
-  }();
+  svr.fit(ds.train);
+  const double svr_mse = svr.evaluate(ds.test);
 
   QualityModel dnn(42);
   TrainConfig tc;

@@ -140,7 +140,7 @@ TEST_F(RelayPropertyTest, RelayedSymbolsRespectAirtimeBudget) {
                       "negative relay airtime");
           prop_assert(st.relay_airtime <= st.airtime + 1e-12,
                       "relay airtime exceeds total charged airtime");
-          prop_assert(st.airtime <= cfg.engine.frame_budget + 1e-12,
+          prop_assert(st.airtime <= kFrameBudget + 1e-12,
                       "airtime (incl. relay slots) exceeds frame budget");
           prop_assert(
               report.frame(f).relayed_symbols <= st.relay_packets,

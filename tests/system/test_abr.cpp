@@ -25,12 +25,24 @@ AbrConfig scaled_config() {
   return cfg;
 }
 
+/// A trace of static users and nothing moving: every beacon sees the same
+/// channels.
+channel::CsiTrace static_trace(const std::vector<channel::Position>& users,
+                               Seconds duration) {
+  std::vector<linalg::CVector> channels;
+  for (const auto& p : users)
+    channels.push_back(channel::make_channel(channel::PropagationConfig{}, p));
+  channel::CsiTrace trace;
+  const auto steps =
+      static_cast<std::size_t>(duration / channel::kBeaconInterval);
+  trace.snapshots.assign(steps, channels);
+  trace.positions.assign(steps, users);
+  return trace;
+}
+
 channel::CsiTrace stable_trace(double distance, Seconds duration = 5.0) {
-  channel::MovingEnvironmentConfig cfg;
-  cfg.users = {channel::Position::from_polar(distance, 0.1)};
-  cfg.n_blockers = 0;
-  cfg.duration = duration;
-  return channel::moving_environment_trace(cfg);
+  return static_trace({channel::Position::from_polar(distance, 0.1)},
+                      duration);
 }
 
 TEST(DashQuality, MonotoneInBitrate) {
@@ -103,13 +115,10 @@ TEST(RunAbr, WeakLinkPicksLowerRates) {
 
 TEST(RunAbr, TimeSharingHurtsMultipleUsers) {
   // Unicast ABR splits airtime: 3 users each see ~1/3 of the link.
-  channel::MovingEnvironmentConfig mcfg;
-  mcfg.users = {channel::Position::from_polar(8.0, 0.0),
-                channel::Position::from_polar(8.0, 0.3),
-                channel::Position::from_polar(8.0, -0.3)};
-  mcfg.n_blockers = 0;
-  mcfg.duration = 5.0;
-  const auto trace = channel::moving_environment_trace(mcfg);
+  const auto trace = static_trace({channel::Position::from_polar(8.0, 0.0),
+                                   channel::Position::from_polar(8.0, 0.3),
+                                   channel::Position::from_polar(8.0, -0.3)},
+                                  5.0);
   const auto ctxs = make_ctxs();
   const auto cfg = scaled_config();
   const auto one = run_abr_trace(cfg, Predictor::kRobustMpc,
@@ -127,7 +136,6 @@ TEST(RunAbr, TimeSharingHurtsMultipleUsers) {
 TEST(RunAbr, BlockageCausesGopLosses) {
   channel::MovingEnvironmentConfig mcfg;
   mcfg.users = {channel::Position::from_polar(10.0, 0.0)};
-  mcfg.n_blockers = 3;
   mcfg.duration = 30.0;
   mcfg.seed = 77;
   const auto trace = channel::moving_environment_trace(mcfg);

@@ -311,7 +311,6 @@ TEST_F(AllocGateTest, MultiApRelayZeroAllocsPerFrameAfterWarmup) {
 
   SessionConfig cfg = SessionConfig::scaled(kW, kH);
   cfg.handoff.n_aps = 2;
-  cfg.handoff.enabled = true;
   cfg.handoff.min_dwell_frames = 4;
   cfg.relay.enabled = true;
   cfg.quarantine_after = 2;

@@ -49,6 +49,15 @@ EngineConfig fast_config() {
   return cfg;
 }
 
+/// A frame that ends `budget` seconds in: set it between the end of the
+/// schedule and the first feedback report (the schedule's airtime plus
+/// the 0.8 ms feedback latency), and no makeup round ever starts.
+FrameFaultState no_feedback_frame(Seconds budget) {
+  FrameFaultState f;
+  f.budget_scale = budget / kFrameBudget;
+  return f;
+}
+
 TEST(Engine, PerfectLinkDeliversEverything) {
   const auto units = make_units(10, 20);
   TxEngine engine(fast_config());
@@ -65,9 +74,7 @@ TEST(Engine, PerfectLinkDeliversEverything) {
 
 TEST(Engine, LossRecoveredByMakeupRounds) {
   const auto units = make_units(10, 20);
-  EngineConfig cfg = fast_config();
-  cfg.feedback_rounds = 3;
-  TxEngine engine(cfg);
+  TxEngine engine(fast_config());
   GroupTx g = perfect_group({0, 1});
   g.member_loss = {0.1, 0.15};  // heavy but recoverable
   Rng rng(2);
@@ -84,15 +91,16 @@ TEST(Engine, LossRecoveredByMakeupRounds) {
 
 TEST(Engine, NoFeedbackMeansLossesStick) {
   const auto units = make_units(10, 20);
-  EngineConfig cfg = fast_config();
-  cfg.feedback_rounds = 0;
-  TxEngine engine(cfg);
+  TxEngine engine(fast_config());
   GroupTx g = perfect_group({0});
   g.member_loss = {0.2};
   Rng rng(3);
   FrameTxResult res;
-  engine.run_frame_into(units, full_assignments(units), {g}, 1, rng, {}, {},
-                        res);
+  // 200 packets of 100 B at 50 Mbps take 3.2 ms; the report would land
+  // at 4.0 ms.
+  engine.run_frame_into(units, full_assignments(units), {g}, 1, rng,
+                        no_feedback_frame(3.6e-3), {}, res);
+  EXPECT_EQ(res.stats.makeup_packets, 0u);
   std::size_t decoded = 0;
   for (std::size_t i = 0; i < units.size(); ++i)
     decoded += res.user_decoded[0][i] ? 1 : 0;
@@ -127,16 +135,19 @@ TEST(Engine, SourceCodingOffDuplicatesAcrossGroups) {
   std::vector<sched::UnitAssignment> a{{0, 0, 10}, {1, 0, 10}};
   const std::vector<GroupTx> groups{perfect_group({0, 1}),
                                     perfect_group({0, 2})};
-  EngineConfig with = fast_config();
-  with.feedback_rounds = 0;
+  const EngineConfig with = fast_config();
   EngineConfig without = with;
   without.source_coding = false;
+  // 20 packets take 0.32 ms; the frame ends before the first report (at
+  // 1.12 ms) could ask for makeup.
+  const FrameFaultState no_feedback = no_feedback_frame(0.6e-3);
 
   Rng rng1(5), rng2(5);
   FrameTxResult res_with;
-  TxEngine(with).run_frame_into(units, a, groups, 3, rng1, {}, {}, res_with);
+  TxEngine(with).run_frame_into(units, a, groups, 3, rng1, no_feedback, {},
+                                res_with);
   FrameTxResult res_without;
-  TxEngine(without).run_frame_into(units, a, groups, 3, rng2, {}, {},
+  TxEngine(without).run_frame_into(units, a, groups, 3, rng2, no_feedback, {},
                                    res_without);
 
   EXPECT_TRUE(res_with.user_decoded[0][0]);

@@ -1,6 +1,6 @@
 // Property-style tests of the transmission engine: invariants that must
 // hold for ANY configuration, checked over a parameterized sweep of
-// loss rates, rates, feedback settings, and coding modes.
+// loss rates, rates, feedback rounds, and coding modes.
 #include "emu/engine.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@ namespace {
 struct EngineCase {
   double loss;
   double mbps;
+  /// Feedback rounds the frame leaves room for: kFeedbackRounds (the whole
+  /// frame), or 0 (the frame ends before the first report arrives).
   int feedback_rounds;
   bool source_coding;
   bool rate_control;
@@ -44,6 +46,17 @@ std::vector<sched::UnitSpec> make_units(std::size_t n, std::size_t k) {
   return units;
 }
 
+/// Fault state of a frame that holds `symbols` 100 B packets at `mbps` and
+/// then ends 0.4 ms later, half the feedback latency before the first
+/// report could ask for makeup: no makeup round fits.
+FrameFaultState ends_before_feedback(std::size_t symbols, double mbps) {
+  FrameFaultState f;
+  const Seconds schedule =
+      Mbps{mbps}.seconds_for(100.0 * static_cast<double>(symbols));
+  f.budget_scale = (schedule + 0.4e-3) / kFrameBudget;
+  return f;
+}
+
 class EngineProperty : public ::testing::TestWithParam<EngineCase> {};
 
 TEST_P(EngineProperty, InvariantsHold) {
@@ -56,7 +69,6 @@ TEST_P(EngineProperty, InvariantsHold) {
   EngineConfig cfg;
   cfg.symbol_size = 100;
   cfg.header_bytes = 0;
-  cfg.feedback_rounds = c.feedback_rounds;
   cfg.source_coding = c.source_coding;
   cfg.rate_control = c.rate_control;
   cfg.queue_capacity_bytes = 50'000;
@@ -69,16 +81,19 @@ TEST_P(EngineProperty, InvariantsHold) {
   g.bucket_rate = Mbps{c.mbps};
   g.member_loss = {c.loss, c.loss / 2.0, c.loss * 1.5};
 
+  const FrameFaultState faults =
+      c.feedback_rounds == 0 ? ends_before_feedback(200, c.mbps)
+                             : FrameFaultState{};
   Rng rng(1234);
   FrameTxResult res;
-  engine.run_frame_into(units, assignments, {g}, 3, rng, {}, {}, res);
+  engine.run_frame_into(units, assignments, {g}, 3, rng, faults, {}, res);
 
   // Conservation: every offered packet is sent, queued into backlog, or
   // dropped; never duplicated or lost silently.
   EXPECT_GE(res.stats.packets_offered,
             res.stats.packets_sent + res.stats.packets_dropped_queue);
   // Airtime can never exceed the frame budget.
-  EXPECT_LE(res.stats.airtime, cfg.frame_budget + 1e-9);
+  EXPECT_LE(res.stats.airtime, kFrameBudget * faults.budget_scale + 1e-9);
   // Makeup packets only exist when feedback rounds exist.
   if (c.feedback_rounds == 0) EXPECT_EQ(res.stats.makeup_packets, 0u);
 
@@ -101,15 +116,15 @@ TEST_P(EngineProperty, InvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EngineProperty,
-    ::testing::Values(EngineCase{0.0, 40.0, 2, true, true},
-                      EngineCase{0.05, 40.0, 2, true, true},
-                      EngineCase{0.3, 40.0, 3, true, true},
+    ::testing::Values(EngineCase{0.0, 40.0, kFeedbackRounds, true, true},
+                      EngineCase{0.05, 40.0, kFeedbackRounds, true, true},
+                      EngineCase{0.3, 40.0, kFeedbackRounds, true, true},
                       EngineCase{0.05, 40.0, 0, true, true},
-                      EngineCase{0.05, 40.0, 2, false, true},
-                      EngineCase{0.05, 40.0, 2, true, false},
-                      EngineCase{0.2, 5.0, 2, true, true},
-                      EngineCase{0.0, 5.0, 2, false, false},
-                      EngineCase{0.9, 40.0, 3, true, true}));
+                      EngineCase{0.05, 40.0, kFeedbackRounds, false, true},
+                      EngineCase{0.05, 40.0, kFeedbackRounds, true, false},
+                      EngineCase{0.2, 5.0, kFeedbackRounds, true, true},
+                      EngineCase{0.0, 5.0, kFeedbackRounds, false, false},
+                      EngineCase{0.9, 40.0, kFeedbackRounds, true, true}));
 
 TEST(EngineProperty, LowerLossNeverWorseOnAverage) {
   // Statistical monotonicity: decoded units should not decrease when the
@@ -161,7 +176,6 @@ TEST(EngineProperty, MoreFeedbackRoundsNeverHurt) {
       EngineConfig cfg;
       cfg.symbol_size = 100;
       cfg.header_bytes = 0;
-      cfg.feedback_rounds = rounds;
       TxEngine engine(cfg);
       GroupTx g;
       g.members = {0, 1};
@@ -169,9 +183,11 @@ TEST(EngineProperty, MoreFeedbackRoundsNeverHurt) {
       g.drain_rate = Mbps{40.0};
       g.bucket_rate = Mbps{40.0};
       g.member_loss = {0.15, 0.25};
+      const FrameFaultState faults =
+          rounds == 0 ? ends_before_feedback(200, 40.0) : FrameFaultState{};
       Rng rng(seed);
       FrameTxResult res;
-      engine.run_frame_into(units, assignments, {g}, 2, rng, {}, {}, res);
+      engine.run_frame_into(units, assignments, {g}, 2, rng, faults, {}, res);
       for (std::size_t u = 0; u < 2; ++u)
         for (bool b : res.user_decoded[u]) total += b ? 1.0 : 0.0;
     }
@@ -179,7 +195,7 @@ TEST(EngineProperty, MoreFeedbackRoundsNeverHurt) {
   };
 
   const double r0 = decoded_with_rounds(0);
-  const double r2 = decoded_with_rounds(2);
+  const double r2 = decoded_with_rounds(kFeedbackRounds);
   EXPECT_GT(r2, r0);  // makeup rounds must pay for themselves here
 }
 

@@ -30,7 +30,7 @@ class EstimatedCsiTest : public ::testing::Test {
 
     // Codebook rich enough for phase retrieval (>= 2x antenna count).
     codebook_ = new beamforming::Codebook(beamforming::make_sector_codebook(
-        beamforming::CodebookConfig{32, 96, 2, 1.2}));
+        beamforming::CodebookConfig{32, 96}));
   }
   static void TearDownTestSuite() {
     delete quality_;

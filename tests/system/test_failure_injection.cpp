@@ -91,12 +91,19 @@ TEST_F(FailureInjectionTest, DeepOutageMidTraceAndRecovery) {
 }
 
 TEST_F(FailureInjectionTest, NoFeedbackChannel) {
-  SessionConfig cfg = SessionConfig::scaled(kW, kH);
-  cfg.engine.feedback_rounds = 0;
-  cfg.loss.at_zero_margin = 0.2;  // hostile channel, no repair possible
-  MulticastSession session(cfg, *quality_, beamforming::Codebook{});
+  // Every user's report is lost on every frame, so the makeup rounds
+  // have nothing to size repairs from and only blind makeup remains.
+  constexpr int kFrames = 5;
   const auto chans = channels_at(6.0);
-  const SessionReport run = run_static(session, {chans}, *contexts_, 5);
+  fault::FaultPlan plan;
+  for (int f = 0; f < kFrames; ++f)
+    for (std::size_t u = 0; u < chans.size(); ++u)
+      plan.feedback.push_back({static_cast<std::uint32_t>(f), u, -1});
+  const fault::FaultInjector injector(plan, chans.size());
+  SessionConfig cfg = SessionConfig::scaled(kW, kH);
+  MulticastSession session(cfg, *quality_, beamforming::Codebook{});
+  const SessionReport run =
+      run_static(session, {chans}, *contexts_, kFrames, &injector);
   // Quality suffers but every frame completes with sane outputs.
   for (double s : run.all_ssim()) {
     EXPECT_GT(s, 0.3);
@@ -117,22 +124,33 @@ TEST_F(FailureInjectionTest, PathologicalQueueOfOnePacket) {
 }
 
 TEST_F(FailureInjectionTest, NearTotalLoss) {
-  SessionConfig cfg = SessionConfig::scaled(kW, kH);
-  cfg.loss.floor = 0.95;  // 95% of packets vanish
-  MulticastSession session(cfg, *quality_, beamforming::Codebook{});
+  // A deep blockage on both users that the sender never sees: every
+  // frame's beacon is missed, so it keeps deciding on the clear 3 m
+  // channel while nearly every packet vanishes.
+  constexpr int kFrames = 3;
   const auto chans = channels_at(3.0);
-  const SessionReport run = run_static(session, {chans}, *contexts_, 3);
+  fault::FaultPlan plan;
+  for (std::size_t u = 0; u < chans.size(); ++u)
+    plan.blockage.push_back({0, kFrames, u, 30.0, -1});
+  for (int f = 1; f < kFrames; ++f)
+    plan.csi.push_back({static_cast<std::uint32_t>(f), /*corrupt=*/false});
+  const fault::FaultInjector injector(plan, chans.size());
+  SessionConfig cfg = SessionConfig::scaled(kW, kH);
+  MulticastSession session(cfg, *quality_, beamforming::Codebook{});
+  const SessionReport run =
+      run_static(session, {chans}, *contexts_, kFrames, &injector);
   const double blank = contexts_->front().content.blank_ssim;
   for (double s : run.all_ssim()) EXPECT_GE(s, blank - 0.05);
 }
 
 TEST_F(FailureInjectionTest, ZeroFrameBudget) {
   SessionConfig cfg = SessionConfig::scaled(kW, kH);
-  cfg.engine.frame_budget = 1e-9;  // effectively no airtime
   MulticastSession session(cfg, *quality_, beamforming::Codebook{});
   const auto chans = channels_at(3.0);
+  fault::FrameFaults faults;
+  faults.budget_scale = 1e-9 / kFrameBudget;  // effectively no airtime
   FrameOutcome out;
-  session.step_into(chans, chans, contexts_->front(), {}, out);
+  session.step_into(chans, chans, contexts_->front(), faults, out);
   EXPECT_LE(out.stats.packets_sent, 1u);
   EXPECT_NEAR(out.ssim[0], contexts_->front().content.blank_ssim, 0.05);
 }

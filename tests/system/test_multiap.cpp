@@ -114,9 +114,8 @@ TEST(MultiAp, OneLegacyApStackMatchesChannelsFor) {
 
 TEST_F(MultiApTest, SingleApHandoffKnobsAreInert) {
   // With one AP the attachment machine runs every frame, but there is no
-  // alternate to probe: handoff on with aggressive knobs (every user
-  // weak, instant degrade, no hysteresis) is byte-identical to handoff
-  // off, and the report carries no attachment columns.
+  // alternate to probe: the shortest dwell is byte-identical to the
+  // default one, and the report carries no attachment columns.
   Rng rng(5);
   channel::PropagationConfig prop;
   const auto channels = core::channels_for(
@@ -128,13 +127,7 @@ TEST_F(MultiApTest, SingleApHandoffKnobsAreInert) {
   const core::SessionReport want_report =
       core::run_static(plain, {channels}, *contexts_, kFrames);
 
-  cfg.handoff.enabled = true;
-  cfg.handoff.hysteresis_db = 0.0;
-  cfg.handoff.degrade_floor_dbm = 0.0;
-  cfg.handoff.degrade_after = 1;
-  cfg.handoff.probe_frames = 1;
   cfg.handoff.min_dwell_frames = 1;
-  cfg.handoff.backoff_cap = 0;
   core::MulticastSession knobs(cfg, *quality_, beamforming::Codebook{});
   const core::SessionReport got_report =
       core::run_static(knobs, {channels}, *contexts_, kFrames);
@@ -153,7 +146,6 @@ TEST_F(MultiApTest, MismatchedStackCountThrows) {
   Room room = two_ap_room(kUsers);
   core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
   cfg.handoff.n_aps = 2;  // but pass 1 stack below
-  cfg.handoff.enabled = true;
   core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
   EXPECT_THROW(core::run_static(session, {room.stacks[0]}, *contexts_, 2),
                std::invalid_argument);
@@ -175,7 +167,6 @@ TEST_F(MultiApTest, RejectedCallLeavesSessionUntouched) {
   core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
   cfg.seed = 7;
   cfg.handoff.n_aps = 2;
-  cfg.handoff.enabled = true;
   cfg.handoff.min_dwell_frames = 4;
   fault::FaultPlan plan;
   fault::ApOutage outage;
@@ -247,7 +238,6 @@ TEST_F(MultiApTest, TotalOutageDrivesHandoffAndSticks) {
   core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
   cfg.seed = 7;
   cfg.handoff.n_aps = 2;
-  cfg.handoff.enabled = true;
   cfg.handoff.min_dwell_frames = 4;
   core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
 
@@ -276,12 +266,12 @@ TEST_F(MultiApTest, TotalOutageDrivesHandoffAndSticks) {
             std::vector<std::uint8_t>(kUsers, 1));
 }
 
-TEST_F(MultiApTest, HandoffDisabledNeverMoves) {
+TEST_F(MultiApTest, TwoApSessionHandsOffWithoutAFlag) {
+  // Handoff follows from the AP count alone: a session configured with
+  // nothing but n_aps = 2 moves every user off a dead AP 0.
   Room room = two_ap_room(kUsers);
   core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
-  cfg.seed = 7;
   cfg.handoff.n_aps = 2;
-  cfg.handoff.enabled = false;
   core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
 
   fault::FaultPlan plan;
@@ -295,12 +285,13 @@ TEST_F(MultiApTest, HandoffDisabledNeverMoves) {
   const core::SessionReport report = core::run_static(
       session, room.stacks, *contexts_, kFrames, &injector, room.azimuths);
 
-  for (std::size_t f = 0; f < report.frames(); ++f) {
-    EXPECT_EQ(report.frame(f).handoffs, 0u) << "frame " << f;
-    EXPECT_EQ(report.frame(f).user_ap,
-              std::vector<std::uint8_t>(kUsers, 0))
-        << "frame " << f;
-  }
+  std::size_t total_handoffs = 0;
+  for (std::size_t f = 0; f < report.frames(); ++f)
+    total_handoffs += report.frame(f).handoffs;
+  EXPECT_EQ(report.frame(0).user_ap, std::vector<std::uint8_t>(kUsers, 0));
+  EXPECT_EQ(total_handoffs, kUsers);
+  EXPECT_EQ(report.frame(kFrames - 1).user_ap,
+            std::vector<std::uint8_t>(kUsers, 1));
 }
 
 TEST_F(MultiApTest, JoinMidOutageKeepsSurvivorsAttachments) {
@@ -316,7 +307,6 @@ TEST_F(MultiApTest, JoinMidOutageKeepsSurvivorsAttachments) {
   core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
   cfg.seed = 7;
   cfg.handoff.n_aps = 2;
-  cfg.handoff.enabled = true;
   cfg.handoff.min_dwell_frames = 4;
   core::MulticastSession joined(cfg, *quality_, beamforming::Codebook{});
   core::MulticastSession twin(cfg, *quality_, beamforming::Codebook{});
@@ -373,7 +363,6 @@ TEST_F(MultiApTest, SectorOutageOnlySilencesCoveredUsers) {
   core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
   cfg.seed = 7;
   cfg.handoff.n_aps = 2;
-  cfg.handoff.enabled = true;
   cfg.handoff.min_dwell_frames = 4;
 
   fault::ApOutage sector;

@@ -70,7 +70,6 @@ int main() {
     core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
     cfg.seed = seed + 1;
     cfg.handoff.n_aps = kAps;
-    cfg.handoff.enabled = true;
     cfg.handoff.min_dwell_frames = 4;
     cfg.relay.enabled = true;
     cfg.quarantine_after = 3;

@@ -116,7 +116,6 @@ TEST(MovingEnvironment, BlockageCausesRssDips) {
   MovingEnvironmentConfig cfg;
   cfg.users = {Position::from_polar(6.0, 0.0)};
   cfg.duration = 60.0;
-  cfg.n_blockers = 2;
   const CsiTrace trace = moving_environment_trace(cfg);
   const auto rss = best_case_rss_dbm(trace, 0);
   double min = 1e9, max = -1e9;
@@ -130,13 +129,19 @@ TEST(MovingEnvironment, BlockageCausesRssDips) {
 }
 
 TEST(MovingEnvironment, NoBlockersMeansStableChannel) {
+  // Whenever no blocker is near the user's ray, the snapshot is the
+  // user's static channel, bit for bit. In a minute of walking the ray is
+  // both clear and blocked at times.
   MovingEnvironmentConfig cfg;
   cfg.users = {Position::from_polar(6.0, 0.0)};
-  cfg.duration = 5.0;
-  cfg.n_blockers = 0;
+  cfg.duration = 60.0;
   const CsiTrace trace = moving_environment_trace(cfg);
-  const auto rss = best_case_rss_dbm(trace, 0);
-  for (double r : rss) EXPECT_NEAR(r, rss.front(), 1e-9);
+  const linalg::CVector open = make_channel(cfg.prop, cfg.users[0]);
+  std::size_t clear = 0;
+  for (const auto& snap : trace.snapshots)
+    clear += snap[0].raw() == open.raw() ? 1 : 0;
+  EXPECT_GT(clear, 0u);
+  EXPECT_LT(clear, trace.steps());
 }
 
 TEST(MovingEnvironment, EmptyUsersThrow) {

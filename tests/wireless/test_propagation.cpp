@@ -71,10 +71,19 @@ TEST(TracePaths, CeilingFloorSameAzimuthAsLos) {
 }
 
 TEST(MakeChannel, CalibrationPutsThreeMetersNearMinus48) {
-  // The link-budget promise the whole MCS regime rests on (see header).
+  // The link-budget promise the whole MCS regime rests on (see header),
+  // made by the LoS path alone: every wall, the ceiling and the floor
+  // absorb all they are hit with, so the channel is the first path
+  // trace_paths returns.
   PropagationConfig cfg;
-  cfg.reflections = false;
-  const auto h = make_channel(cfg, Position::from_polar(3.0, 0.0));
+  cfg.room.wall_loss_db = 1000.0;
+  cfg.room.ceiling_loss_db = 1000.0;
+  cfg.room.floor_loss_db = 1000.0;
+  const Position rx = Position::from_polar(3.0, 0.0);
+  const Path los = trace_paths(cfg.room, rx).front();
+  ASSERT_TRUE(los.line_of_sight);
+  EXPECT_DOUBLE_EQ(los.length_m, 3.0);
+  const auto h = make_channel(cfg, rx);
   const double rss = Dbm::from_milliwatts(h.norm_sq()).value;  // MRT
   EXPECT_NEAR(rss, -48.0, 1.5);
 }
@@ -122,8 +131,7 @@ TEST(MakeChannel, BlockageAttenuatesLosOnly) {
 TEST(MakeChannel, ReflectionsCreateAngularSpread) {
   // With reflections the channel is not a pure steering vector: the best
   // single-direction beam captures less than the full power.
-  PropagationConfig with, without;
-  without.reflections = false;
+  PropagationConfig with;
   const Position rx = Position::from_polar(8.0, 0.5);
   const auto h_multi = make_channel(with, rx);
   // MRT captures everything.

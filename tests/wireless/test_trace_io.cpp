@@ -157,9 +157,9 @@ TEST(TraceIo, NonPositiveIntervalRejected) {
   expect_load_error(tmp.path, "interval");
 }
 
-TEST(TraceIo, VersionOneFilesStillLoad) {
-  // Hand-written v1 file (no per-step sequence ids): 1 step, 1 user,
-  // 2 antennas.
+TEST(TraceIo, VersionOneMagicRejectedAsBadMagic) {
+  // A well-formed file of the retired v1 layout (no per-step sequence
+  // ids): 1 step, 1 user, 2 antennas. Only the v2 magic loads.
   TempPath tmp("v1.bin");
   std::ofstream os(tmp.path, std::ios::binary);
   os.write("W4KCSIT1", 8);
@@ -181,13 +181,7 @@ TEST(TraceIo, VersionOneFilesStillLoad) {
   f64(0.0);
   os.close();
 
-  const CsiTrace trace = load_trace(tmp.path);
-  ASSERT_EQ(trace.steps(), 1u);
-  ASSERT_EQ(trace.users(), 1u);
-  EXPECT_DOUBLE_EQ(trace.interval, 0.1);
-  EXPECT_DOUBLE_EQ(trace.positions[0][0].x, 1.5);
-  EXPECT_DOUBLE_EQ(trace.snapshots[0][0][0].real(), 0.25);
-  EXPECT_DOUBLE_EQ(trace.snapshots[0][0][1].real(), 1.0);
+  expect_load_error(tmp.path, "bad magic");
 }
 
 TEST(TraceIo, ReplayedTraceDrivesEmulation) {
