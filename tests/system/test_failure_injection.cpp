@@ -125,8 +125,8 @@ TEST_F(FailureInjectionTest, PathologicalQueueOfOnePacket) {
 
 TEST_F(FailureInjectionTest, NearTotalLoss) {
   // A deep blockage on both users that the sender never sees: every
-  // frame's beacon is missed, so it keeps deciding on the clear 3 m
-  // channel while nearly every packet vanishes.
+  // beacon after frame 0's is missed, so it keeps deciding on the clear
+  // 3 m channel while nearly every packet vanishes.
   constexpr int kFrames = 3;
   const auto chans = channels_at(3.0);
   fault::FaultPlan plan;
