@@ -8,7 +8,6 @@
 #include "gbench_common.h"
 
 #include "common/thread_pool.h"
-#include "fec/fountain.h"
 #include "gf256/gf256.h"
 #include "sched/workspace.h"
 
@@ -28,6 +27,27 @@ const video::Frame& frame_512() {
   return f;
 }
 
+/// Splices layers 0..`layer` of `enc`, fully received, into `ws`.
+void splice_layers(const video::EncodedFrame& enc, int layer,
+                   video::ReconstructWorkspace& ws) {
+  ws.begin(enc.width, enc.height);
+  for (int l = 0; l <= layer; ++l) {
+    for (int k = 0; k < video::sublayer_count(l); ++k) {
+      const auto& sub = enc.layers[l][static_cast<std::size_t>(k)];
+      ws.write(l, k, 0, sub.data(), sub.size());
+    }
+  }
+}
+
+/// The frame a receiver of layers 0..`layer` decodes.
+video::Frame decode_layers(const video::EncodedFrame& enc, int layer) {
+  video::ReconstructWorkspace ws;
+  splice_layers(enc, layer, ws);
+  video::Frame out;
+  ws.finish(out);
+  return out;
+}
+
 void BM_LayeredEncode(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(video::encode(frame_512()));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -37,15 +57,19 @@ BENCHMARK(BM_LayeredEncode)->Unit(benchmark::kMillisecond);
 
 void BM_Reconstruct(benchmark::State& state) {
   const auto enc = video::encode(frame_512());
-  const auto partial = video::PartialFrame::full(enc);
-  for (auto _ : state) benchmark::DoNotOptimize(video::reconstruct(partial));
+  video::ReconstructWorkspace ws;
+  video::Frame out;
+  for (auto _ : state) {
+    splice_layers(enc, video::kNumLayers - 1, ws);
+    ws.finish(out);
+    benchmark::DoNotOptimize(out.y.pix.data());
+  }
 }
 BENCHMARK(BM_Reconstruct)->Unit(benchmark::kMillisecond);
 
 void BM_Ssim(benchmark::State& state) {
   const video::Frame& a = frame_512();
-  const video::Frame b = video::reconstruct(
-      video::PartialFrame::up_to_layer(video::encode(a), 2));
+  const video::Frame b = decode_layers(video::encode(a), 2);
   for (auto _ : state) benchmark::DoNotOptimize(quality::ssim(a, b));
   state.counters["pool"] = static_cast<double>(ThreadPool::shared().size());
   state.SetBytesProcessed(
@@ -65,8 +89,7 @@ void BM_Ssim4K(benchmark::State& state) {
     spec.richness = video::Richness::kHigh;
     return video::SyntheticVideo(spec).frame(0);
   }();
-  static const video::Frame b = video::reconstruct(
-      video::PartialFrame::up_to_layer(video::encode(a), 2));
+  static const video::Frame b = decode_layers(video::encode(a), 2);
   for (auto _ : state) benchmark::DoNotOptimize(quality::ssim(a, b));
   state.counters["pool"] = static_cast<double>(ThreadPool::shared().size());
   state.SetBytesProcessed(
@@ -89,19 +112,6 @@ void BM_GfMulAddRow6000(benchmark::State& state) {
                           static_cast<std::int64_t>(dst.size()));
 }
 BENCHMARK(BM_GfMulAddRow6000)->Unit(benchmark::kNanosecond);
-
-// One coding unit's worth of repair symbols, batch-encoded on the pool.
-void BM_FountainEncodeBatch(benchmark::State& state) {
-  const auto data = bench::hashed_bytes(120'000);
-  const fec::FountainEncoder enc(data, 6000, 42);
-  const auto k = static_cast<fec::Esi>(enc.k());
-  for (auto _ : state)
-    benchmark::DoNotOptimize(enc.encode_batch(k, enc.k()));
-  state.counters["pool"] = static_cast<double>(ThreadPool::shared().size());
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_FountainEncodeBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_QualityModelPredict(benchmark::State& state) {
   auto& model = bench::quality_model();

@@ -9,6 +9,7 @@
 // codec on real footage.
 #include "common/stats.h"
 #include "core/frame_context.h"
+#include "model/dataset.h"
 #include "video/io.h"
 
 #include <cstdio>
@@ -58,6 +59,8 @@ int main(int argc, char** argv) {
               bytes_per_frame);
 
   std::vector<double> ssim_all;
+  video::ReconstructWorkspace ws;
+  video::Frame rec;
   int frames = 0;
   while (auto frame = reader.next()) {
     if (frames >= max_frames) break;
@@ -74,8 +77,8 @@ int main(int argc, char** argv) {
       fraction[static_cast<std::size_t>(l)] = cap > 0 ? take / cap : 0.0;
       remaining -= take;
     }
-    const video::Frame rec = video::reconstruct(
-        model::partial_from_fractions(enc, fraction));
+    model::splice_fractions(enc, fraction, ws);
+    ws.finish(rec);
     ssim_all.push_back(quality::ssim(*frame, rec));
     writer.write(rec);
     ++frames;

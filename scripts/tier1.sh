@@ -4,6 +4,9 @@
 # Stage 1: fast (plain Release) build + the full tier-1 suite, then the
 #          golden-report regression gate (byte-stable canonical JSON
 #          across thread counts and SIMD dispatch; scripts/golden.sh),
+#          the figure shape checks (`ctest -L figures`: every figure,
+#          table and ablation bench whose reproduced shape passes, over
+#          one quality model trained once by a setup fixture),
 #          the chaos-scale slice (20 random fault plans against a 32-user
 #          session with the anytime decide deadline on), the
 #          chaos-multiap slice (20 random multi-AP plans — AP outages,
@@ -40,6 +43,8 @@ cmake -B build -S .
 cmake --build build -j"$jobs"
 ctest --test-dir build --output-on-failure -j"$jobs" -L tier1
 ctest --test-dir build --output-on-failure -L golden
+# Figure shape checks: every figure/table/ablation bench that passes.
+ctest --test-dir build --output-on-failure -j"$jobs" -L figures
 ctest --test-dir build --output-on-failure -L chaos-scale
 ctest --test-dir build --output-on-failure -L chaos-multiap
 ctest --test-dir build --output-on-failure -L campaign
@@ -52,7 +57,7 @@ cmake -B build-asan -S . -DW4K_SANITIZE=ON
 cmake --build build-asan -j"$jobs" \
       --target tests_chaos tests_props chaos_scale chaos_multiap \
                fuzz_jsonlite fuzz_fault_plan fuzz_trace_io fuzz_serve_wire \
-               tests_serve w4kd w4k_loadgen
+               fuzz_geometry fuzz_http_status tests_serve w4kd w4k_loadgen
 # -L matches labels by regex, so "chaos" selects the chaos suite plus the
 # chaos-scale and chaos-multiap slices — all rerun under the sanitizers.
 ctest --test-dir build-asan --output-on-failure -j"$jobs" -L chaos

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace w4k::beamforming {
@@ -39,11 +40,12 @@ void mrt_beam_into(const linalg::CVector& h, linalg::CVector& out) {
 }
 
 /// Per-member RSS, bottleneck and rate of the beam already in g.beam.
-void score_into(std::span<const linalg::CVector> channels, GroupBeam& g) {
+void score_into(std::span<const linalg::CVector> users,
+                std::span<const std::size_t> members, GroupBeam& g) {
   g.member_rss.clear();
   g.min_rss = Dbm{1e300};
-  for (const auto& h : channels) {
-    const Dbm rss = channel::beam_rss(h, g.beam);
+  for (const std::size_t u : members) {
+    const Dbm rss = channel::beam_rss(users[u], g.beam);
     g.member_rss.push_back(rss);
     g.min_rss = std::min(g.min_rss, rss);
   }
@@ -53,7 +55,8 @@ void score_into(std::span<const linalg::CVector> channels, GroupBeam& g) {
 /// The first sector with the highest min-member RSS, evaluated once. The
 /// min runs exactly as score_into's, so the winner's min_rss is the one
 /// the search compared.
-void best_codebook_beam_into(std::span<const linalg::CVector> channels,
+void best_codebook_beam_into(std::span<const linalg::CVector> users,
+                             std::span<const std::size_t> members,
                              const Codebook& codebook, GroupBeam& out) {
   if (codebook.size() == 0)
     throw std::invalid_argument("pre-defined scheme needs a codebook");
@@ -61,24 +64,25 @@ void best_codebook_beam_into(std::span<const linalg::CVector> channels,
   Dbm best_min{-1e300};
   for (std::size_t k = 0; k < codebook.size(); ++k) {
     Dbm min_rss{1e300};
-    for (const auto& h : channels)
-      min_rss = std::min(min_rss, channel::beam_rss(h, codebook[k]));
+    for (const std::size_t u : members)
+      min_rss = std::min(min_rss, channel::beam_rss(users[u], codebook[k]));
     if (min_rss > best_min) {
       best_min = min_rss;
       best = k;
     }
   }
   out.beam = codebook[best];  // copy-assign: capacity reused
-  score_into(channels, out);
+  score_into(users, members, out);
 }
 
 }  // namespace
 
 void evaluate_beam_into(const linalg::CVector& beam,
-                        std::span<const linalg::CVector> member_channels,
+                        std::span<const linalg::CVector> users,
+                        std::span<const std::size_t> members,
                         GroupBeam& out) {
   out.beam = beam;  // copy-assign: capacity reused
-  score_into(member_channels, out);
+  score_into(users, members, out);
 }
 
 bool allows_multicast(Scheme s) {
@@ -95,27 +99,27 @@ std::string to_string(Scheme s) {
   return "unknown";
 }
 
-void group_beam_into(Scheme scheme,
-                     std::span<const linalg::CVector> channels,
+void group_beam_into(Scheme scheme, std::span<const linalg::CVector> users,
+                     std::span<const std::size_t> members,
                      const Codebook& codebook, std::uint64_t seed,
                      GroupBeam& out) {
-  if (channels.empty())
+  if (members.empty())
     throw std::invalid_argument("group_beam: empty group");
-  if (!allows_multicast(scheme) && channels.size() != 1)
+  if (!allows_multicast(scheme) && members.size() != 1)
     throw std::invalid_argument(
         "group_beam: unicast scheme with a multi-member group");
 
   switch (scheme) {
     case Scheme::kPredefinedUnicast:
     case Scheme::kPredefinedMulticast:
-      best_codebook_beam_into(channels, codebook, out);
+      best_codebook_beam_into(users, members, codebook, out);
       return;
     case Scheme::kOptimizedUnicast:
     case Scheme::kOptimizedMulticast: {
-      if (channels.size() == 1) {
+      if (members.size() == 1) {
         // MRT: F = conj(h) / ||h|| maximizes |F . h|.
-        mrt_beam_into(channels[0], out.beam);
-        score_into(channels, out);
+        mrt_beam_into(users[members[0]], out.beam);
+        score_into(users, members, out);
         return;
       }
       // Max-sum SVD heuristic for the NP-hard max-min problem: F is the
@@ -127,18 +131,18 @@ void group_beam_into(Scheme scheme,
       // subspaces, which tracks min-RSS far better while keeping the
       // same O(N_t^2 N) cost. Dead (zero) members drop out of the stack.
       std::vector<linalg::CVector> rows;
-      rows.reserve(channels.size());
-      for (const auto& h : channels)
-        if (h.norm() > 0.0) rows.push_back(h.normalized());
+      rows.reserve(members.size());
+      for (const std::size_t u : members)
+        if (users[u].norm() > 0.0) rows.push_back(users[u].normalized());
       if (rows.empty()) {
-        uniform_beam_into(channels[0].size(), out.beam);
+        uniform_beam_into(users[members[0]].size(), out.beam);
       } else {
         Rng rng(seed);
         out.beam = linalg::dominant_right_singular(
                        linalg::CMatrix::from_rows(rows), rng)
                        .right_singular;
       }
-      score_into(channels, out);
+      score_into(users, members, out);
       return;
     }
   }
@@ -148,8 +152,10 @@ void group_beam_into(Scheme scheme,
 GroupBeam group_beam(Scheme scheme,
                      const std::vector<linalg::CVector>& channels,
                      const Codebook& codebook, std::uint64_t seed) {
+  std::vector<std::size_t> members(channels.size());
+  std::iota(members.begin(), members.end(), std::size_t{0});
   GroupBeam out;
-  group_beam_into(scheme, channels, codebook, seed, out);
+  group_beam_into(scheme, channels, members, codebook, seed, out);
   return out;
 }
 

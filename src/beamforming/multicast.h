@@ -46,31 +46,34 @@ struct GroupBeam {
   Mbps rate{0.0};                ///< Table 2 UDP rate at min_rss (0 = unusable)
 };
 
-/// Evaluates an externally-derived unit-norm beam against member
-/// channels into a reusable GroupBeam (buffers keep their capacity):
+/// Evaluates an externally-derived unit-norm beam against the group's
+/// members into a reusable GroupBeam (buffers keep their capacity):
 /// per-member RSS, bottleneck RSS, and the Table 2 rate at the bottleneck.
-/// This is the evaluation every scheme performs; the scheduler's
+/// `members` are ascending indices into `users`, whose rows are read in
+/// place. This is the evaluation every scheme performs; the scheduler's
 /// subset-lane beamformer uses it to close the loop on its beams.
 void evaluate_beam_into(const linalg::CVector& beam,
-                        std::span<const linalg::CVector> member_channels,
+                        std::span<const linalg::CVector> users,
+                        std::span<const std::size_t> members,
                         GroupBeam& out);
 
-/// Derives the beam and rate for a group with the given member channels
-/// into a reusable GroupBeam. The SVD power iteration draws from a private
-/// Rng(seed), so the result is a pure function of (scheme, channels,
-/// codebook, seed) — what makes per-subset caching and parallel group
-/// enumeration safe. Unicast schemes require exactly one member (throws
-/// otherwise); `codebook` is consulted only by the pre-defined schemes
-/// (may be empty for the optimized ones). MRT, uniform and codebook beams
-/// are allocation-free once `out` is warm; the multi-member SVD builds its
-/// stacked matrix (the scheduler sends those subsets to
-/// linalg::subset_dominant_right_singular_into instead).
-void group_beam_into(Scheme scheme,
-                     std::span<const linalg::CVector> member_channels,
+/// Derives the beam and rate for the group `members` (ascending indices
+/// into `users`, read in place) into a reusable GroupBeam. The SVD power
+/// iteration draws from a private Rng(seed), so the result is a pure
+/// function of (scheme, member channels, codebook, seed) — what makes
+/// per-subset caching and parallel group enumeration safe. Unicast schemes
+/// require exactly one member (throws otherwise); `codebook` is consulted
+/// only by the pre-defined schemes (may be empty for the optimized ones).
+/// MRT, uniform and codebook beams are allocation-free once `out` is warm;
+/// the multi-member SVD builds its stacked matrix (the scheduler sends
+/// those subsets to linalg::subset_dominant_right_singular_into instead).
+void group_beam_into(Scheme scheme, std::span<const linalg::CVector> users,
+                     std::span<const std::size_t> members,
                      const Codebook& codebook, std::uint64_t seed,
                      GroupBeam& out);
 
-/// group_beam_into returning a fresh GroupBeam.
+/// group_beam_into for the group of every channel in `member_channels`,
+/// returning a fresh GroupBeam.
 GroupBeam group_beam(Scheme scheme,
                      const std::vector<linalg::CVector>& member_channels,
                      const Codebook& codebook, std::uint64_t seed);

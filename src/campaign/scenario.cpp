@@ -1,10 +1,14 @@
 #include "campaign/scenario.h"
 
-#include <cstdio>
+#include "obs/export.h"
+
 #include <sstream>
 #include <stdexcept>
 
 namespace w4k::campaign {
+
+using obs::number_text;
+
 namespace {
 
 /// splitmix64 mix of (campaign_seed, cell_index) — the same construction
@@ -15,12 +19,6 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -49,12 +47,13 @@ std::string ScenarioSpec::to_text() const {
      << '\n'
      << "video_seed " << video_seed << '\n'
      << "n_users " << n_users << '\n'
-     << "distance_m " << fmt(distance_m) << '\n'
-     << "mas_rad " << fmt(mas_rad) << '\n'
+     << "distance_m " << number_text(distance_m) << '\n'
+     << "mas_rad " << number_text(mas_rad) << '\n'
      << "placement_seed " << placement_seed << '\n'
-     << "room " << fmt(room_length_m) << ' ' << fmt(room_width_m) << '\n'
+     << "room " << number_text(room_length_m) << ' '
+     << number_text(room_width_m) << '\n'
      << "n_aps " << n_aps << '\n'
-     << "walk_speed_mps " << fmt(walk_speed_mps) << '\n'
+     << "walk_speed_mps " << number_text(walk_speed_mps) << '\n'
      << "n_beacons " << n_beacons << '\n'
      << "n_frames " << frames() << '\n'
      << "faults_enabled " << (faults_enabled ? 1 : 0) << '\n'
@@ -62,12 +61,13 @@ std::string ScenarioSpec::to_text() const {
      << "fault_cfg " << fault_cfg.feedback_events << ' ' << fault_cfg.csi_events
      << ' ' << fault_cfg.blockage_bursts << ' ' << fault_cfg.budget_collapses
      << ' ' << fault_cfg.churn_events << ' ' << fault_cfg.max_burst_frames
-     << ' ' << fmt(fault_cfg.min_blockage_db) << ' '
-     << fmt(fault_cfg.max_blockage_db) << ' ' << fmt(fault_cfg.min_budget_scale)
+     << ' ' << number_text(fault_cfg.min_blockage_db) << ' '
+     << number_text(fault_cfg.max_blockage_db) << ' '
+     << number_text(fault_cfg.min_budget_scale)
      << ' ' << fault_cfg.ap_outages << ' ' << fault_cfg.handoff_beacon_losses
      << ' ' << fault_cfg.relay_churns << ' ' << fault_cfg.n_aps << '\n'
      << "session_seed " << session_seed << '\n'
-     << "mcs_margin_db " << fmt(mcs_margin_db) << '\n'
+     << "mcs_margin_db " << number_text(mcs_margin_db) << '\n'
      << "relay " << (relay ? 1 : 0) << '\n'
      << "quarantine_after " << quarantine_after << '\n'
      << "quarantine_reprobe_period " << quarantine_reprobe_period << '\n'

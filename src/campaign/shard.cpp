@@ -6,19 +6,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 namespace w4k::campaign {
-namespace {
 
-std::string jnum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using obs::number_text;
+
+namespace {
 
 CellKind kind_from_string(const std::string& s) {
   if (s == "static") return CellKind::kStatic;
@@ -82,7 +78,7 @@ std::string to_jsonl(const CellRow& row) {
     os << ",\"metrics\":{";
     for (std::size_t i = 0; i < kNumMetrics; ++i)
       os << (i ? "," : "") << '"' << kMetricNames[i]
-         << "\":" << jnum(row.metrics.v[i]);
+         << "\":" << number_text(row.metrics.v[i]);
     os << '}';
   }
   if (!row.error.empty()) {
@@ -90,7 +86,7 @@ std::string to_jsonl(const CellRow& row) {
     obs::append_json_escaped(escaped, row.error);
     os << ",\"error\":\"" << escaped << '"';
   }
-  os << ",\"wall_ms\":" << jnum(row.wall_ms) << '}';
+  os << ",\"wall_ms\":" << number_text(row.wall_ms) << '}';
   return os.str();
 }
 
@@ -191,13 +187,13 @@ void write_summary(std::ostream& os, const CampaignSummary& s) {
     const std::vector<double>& v = s.metrics[i];
     os << (i ? "," : "") << '"' << kMetricNames[i]
        << "\":{\"count\":" << v.size();
-    os << ",\"mean\":" << jnum(mean(v))
-       << ",\"p5\":" << jnum(quantile_sorted(v, 0.05))
-       << ",\"p50\":" << jnum(quantile_sorted(v, 0.50))
-       << ",\"p99\":" << jnum(quantile_sorted(v, 0.99));
+    os << ",\"mean\":" << number_text(mean(v))
+       << ",\"p5\":" << number_text(quantile_sorted(v, 0.05))
+       << ",\"p50\":" << number_text(quantile_sorted(v, 0.50))
+       << ",\"p99\":" << number_text(quantile_sorted(v, 0.99));
     os << ",\"values\":[";
     for (std::size_t j = 0; j < v.size(); ++j)
-      os << (j ? "," : "") << jnum(v[j]);
+      os << (j ? "," : "") << number_text(v[j]);
     os << "]}";
   }
   os << "}}\n";

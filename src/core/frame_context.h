@@ -51,8 +51,8 @@ std::vector<FrameContext> make_contexts(const video::SyntheticVideo& clip,
                                             fec::kDefaultSymbolSize);
 
 /// Reconstructs the frame a user decoded: every decoded unit contributes
-/// its byte range of its sublayer, spliced straight from ctx.encoded (no
-/// PartialFrame / Segment copies).
+/// its byte range of its sublayer, spliced straight from ctx.encoded into
+/// a ReconstructWorkspace.
 video::Frame reconstruct_from_units(const FrameContext& ctx,
                                     const std::vector<bool>& unit_decoded);
 

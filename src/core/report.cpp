@@ -1,14 +1,17 @@
 #include "core/report.h"
 
+#include "obs/export.h"
 #include "verify/invariants.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 namespace w4k::core {
+
+using obs::number_text;
+
 namespace {
 
 /// user_present is empty on the no-churn fast path (everyone present).
@@ -212,19 +215,10 @@ void SessionReport::write_csv_file(const std::string& path) const {
 
 namespace {
 
-/// %.17g round-trips every double exactly and, unlike operator<<, is
-/// immune to stream-state surprises — the byte-stability the golden gate
-/// depends on.
-std::string jnum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 void jarray(std::ostream& os, const std::vector<double>& v) {
   os << '[';
   for (std::size_t i = 0; i < v.size(); ++i)
-    os << (i ? "," : "") << jnum(v[i]);
+    os << (i ? "," : "") << number_text(v[i]);
   os << ']';
 }
 
@@ -243,10 +237,11 @@ void jarray(std::ostream& os, const std::vector<std::uint8_t>& v) {
 }
 
 void jsummary(std::ostream& os, const Summary& s) {
-  os << "{\"count\":" << s.count << ",\"mean\":" << jnum(s.mean)
-     << ",\"min\":" << jnum(s.min) << ",\"q1\":" << jnum(s.q1)
-     << ",\"median\":" << jnum(s.median) << ",\"q3\":" << jnum(s.q3)
-     << ",\"max\":" << jnum(s.max) << '}';
+  os << "{\"count\":" << s.count << ",\"mean\":" << number_text(s.mean)
+     << ",\"min\":" << number_text(s.min) << ",\"q1\":" << number_text(s.q1)
+     << ",\"median\":" << number_text(s.median)
+     << ",\"q3\":" << number_text(s.q3)
+     << ",\"max\":" << number_text(s.max) << '}';
 }
 
 }  // namespace
@@ -259,13 +254,13 @@ void SessionReport::write_json(std::ostream& os) const {
   jsummary(os, psnr_summary());
   os << ",\"per_user_mean_ssim\":";
   jarray(os, per_user_mean_ssim());
-  os << ",\"bad_frame_fraction\":" << jnum(bad_frame_fraction());
+  os << ",\"bad_frame_fraction\":" << number_text(bad_frame_fraction());
   const Totals t = totals();
   os << ",\"totals\":{\"packets_offered\":" << t.packets_offered
      << ",\"packets_sent\":" << t.packets_sent
      << ",\"packets_dropped_queue\":" << t.packets_dropped_queue
      << ",\"makeup_packets\":" << t.makeup_packets
-     << ",\"airtime\":" << jnum(t.airtime)
+     << ",\"airtime\":" << number_text(t.airtime)
      << ",\"csi_held_frames\":" << t.csi_held_frames
      << ",\"shed_symbols\":" << t.shed_symbols;
   // Feature-gated keys: emitted only when multi-AP / relay machinery
@@ -293,11 +288,11 @@ void SessionReport::write_json(std::ostream& os) const {
        << ",\"packets_sent\":" << f.stats.packets_sent
        << ",\"packets_dropped_queue\":" << f.stats.packets_dropped_queue
        << ",\"makeup_packets\":" << f.stats.makeup_packets
-       << ",\"airtime\":" << jnum(f.stats.airtime)
+       << ",\"airtime\":" << number_text(f.stats.airtime)
        << ",\"backlog_packets_after\":" << f.stats.backlog_packets_after;
     if (f.stats.relay_packets > 0)
       os << ",\"relay_packets\":" << f.stats.relay_packets
-         << ",\"relay_airtime\":" << jnum(f.stats.relay_airtime);
+         << ",\"relay_airtime\":" << number_text(f.stats.relay_airtime);
     os << '}';
     os << ",\"shed_symbols\":" << f.shed_symbols
        << ",\"csi_held\":" << (f.csi_held ? "true" : "false");

@@ -47,16 +47,10 @@ std::vector<linalg::CVector> channels_for(
     const channel::PropagationConfig& prop,
     const std::vector<channel::Position>& users) {
   std::vector<linalg::CVector> out;
-  channels_for_into(prop, users, out);
+  out.reserve(users.size());
+  for (const channel::Position& p : users)
+    out.push_back(channel::make_channel(prop, p));
   return out;
-}
-
-void channels_for_into(const channel::PropagationConfig& prop,
-                       const std::vector<channel::Position>& users,
-                       std::vector<linalg::CVector>& out) {
-  out.resize(users.size());
-  for (std::size_t i = 0; i < users.size(); ++i)
-    out[i] = channel::make_channel(prop, users[i]);
 }
 
 SessionReport run_static(

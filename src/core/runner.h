@@ -31,12 +31,6 @@ std::vector<linalg::CVector> channels_for(
     const channel::PropagationConfig& prop,
     const std::vector<channel::Position>& users);
 
-/// Same, writing into a caller-owned vector whose per-user channel buffers
-/// are reused across calls (mobility loops regenerating channels per step).
-void channels_for_into(const channel::PropagationConfig& prop,
-                       const std::vector<channel::Position>& users,
-                       std::vector<linalg::CVector>& out);
-
 /// Streams `n_frames` over static per-AP channel stacks ([ap][user],
 /// channel::ap_channel_stacks; a single-AP run passes `{channels}`),
 /// cycling through `contexts`. Decision CSI equals the true channel

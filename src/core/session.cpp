@@ -418,17 +418,10 @@ void MulticastSession::set_air_parameters(const Frame& f) {
   const bool firmware_sector = !cfg_.adapt && codebook_.size() > 0;
   if (firmware_sector) {
     firmware_beams_.resize(groups.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const std::vector<std::size_t>& members = groups[g].members;
-      if (member_csi_.size() < members.size())
-        member_csi_.resize(members.size());
-      for (std::size_t i = 0; i < members.size(); ++i)
-        member_csi_[i] = (*f.csi)[members[i]];
-      beamforming::group_beam_into(
-          beamforming::Scheme::kPredefinedMulticast,
-          std::span(member_csi_.data(), members.size()), codebook_,
-          cfg_.seed, firmware_beams_[g]);
-    }
+    for (std::size_t g = 0; g < groups.size(); ++g)
+      beamforming::group_beam_into(beamforming::Scheme::kPredefinedMulticast,
+                                   *f.csi, groups[g].members, codebook_,
+                                   cfg_.seed, firmware_beams_[g]);
   }
 
   // Assemble the per-group transmission parameters against the *current*

@@ -337,10 +337,8 @@ class MulticastSession {
   std::vector<linalg::CVector> eff_truth_;
   std::vector<linalg::CVector> sanitized_;  ///< zeroed corrupt CSI
   std::vector<linalg::CVector> estimated_;  ///< SLS + phase-retrieval CSI
-  /// No-Update firmware sector per group, and its members' CSI gathered
-  /// for the search (only ever grown, so the copies reuse their buffers).
+  /// No-Update firmware sector per group.
   std::vector<beamforming::GroupBeam> firmware_beams_;
-  std::vector<linalg::CVector> member_csi_;
   std::vector<emu::GroupTx> groups_tx_;   ///< per-group air parameters
   /// Parked groups_tx_ elements (resize_recycled): a reprobe frame swings
   /// the group count, and plain resize would free their buffers.

@@ -1,8 +1,9 @@
 #include "fault/plan.h"
 
+#include "obs/export.h"
+
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -292,11 +293,6 @@ FaultPlan parse_fault_plan(std::istream& is) {
 
 std::string to_text(const FaultPlan& plan) {
   std::ostringstream os;
-  const auto num = [](double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
   for (const auto& f : plan.feedback) {
     os << "feedback " << f.frame << ' ' << f.user;
     if (f.delay_frames < 0) os << " lost\n";
@@ -307,13 +303,13 @@ std::string to_text(const FaultPlan& plan) {
        << '\n';
   for (const auto& b : plan.blockage) {
     os << "blockage " << b.start_frame << ' ' << b.n_frames << ' ' << b.user
-       << ' ' << num(b.extra_loss_db);
+       << ' ' << obs::number_text(b.extra_loss_db);
     if (b.ap >= 0) os << " ap " << b.ap;
     os << '\n';
   }
   for (const auto& b : plan.budget)
     os << "budget " << b.start_frame << ' ' << b.n_frames << ' '
-       << num(b.budget_scale) << '\n';
+       << obs::number_text(b.budget_scale) << '\n';
   for (const auto& c : plan.churn)
     os << "churn " << c.frame << ' ' << c.user << ' '
        << (c.join ? "join" : "leave") << '\n';
@@ -322,8 +318,8 @@ std::string to_text(const FaultPlan& plan) {
     if (o.total)
       os << " total\n";
     else
-      os << " sector " << num(o.sector_center_deg) << ' '
-         << num(o.sector_width_deg) << '\n';
+      os << " sector " << obs::number_text(o.sector_center_deg) << ' '
+         << obs::number_text(o.sector_width_deg) << '\n';
   }
   for (const auto& h : plan.handoff_beacon)
     os << "handoff_beacon " << h.frame << '\n';

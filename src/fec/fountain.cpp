@@ -1,6 +1,5 @@
 #include "fec/fountain.h"
 
-#include "common/thread_pool.h"
 #include "gf256/gf256.h"
 #include "obs/metrics.h"
 
@@ -100,27 +99,6 @@ Symbol FountainEncoder::encode(Esi esi) const {
   Symbol s;
   encode_into(esi, s);
   return s;
-}
-
-void FountainEncoder::encode_batch_into(Esi first, std::size_t count,
-                                        std::span<Symbol> out) const {
-  if (out.size() < count)
-    throw std::invalid_argument("encode_batch_into: output span too small");
-  // Each slot is written by exactly one chunk, and every symbol depends
-  // only on (padded_, block_seed_, esi), so any pool size produces the
-  // serial result bit for bit.
-  ThreadPool::shared().parallel_for(
-      0, count, /*grain=*/1, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i)
-          encode_into(first + static_cast<Esi>(i), out[i]);
-      });
-}
-
-std::vector<Symbol> FountainEncoder::encode_batch(Esi first,
-                                                  std::size_t count) const {
-  std::vector<Symbol> out(count);
-  encode_batch_into(first, count, out);
-  return out;
 }
 
 FountainDecoder::FountainDecoder(std::size_t k, std::size_t symbol_size,

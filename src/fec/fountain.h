@@ -65,25 +65,13 @@ class FountainEncoder {
   /// Produces the encoding symbol with the given ESI. O(K * symbol_size)
   /// for repair symbols, O(symbol_size) for systematic ones. Thread-safe:
   /// encoding only reads the padded source block (per-call scratch is
-  /// thread-local), so batches may encode on the shared ThreadPool.
+  /// thread-local).
   Symbol encode(Esi esi) const;
 
   /// Allocation-free variant: writes the symbol into `out`, reusing
   /// out.data's capacity (steady-state zero heap traffic once the buffer
   /// has reached symbol_size). Bit-identical to encode().
   void encode_into(Esi esi, Symbol& out) const;
-
-  /// Encodes `count` consecutive symbols starting at `first`, fanned out
-  /// across the shared ThreadPool. Bit-identical to calling encode() in a
-  /// loop (symbols are independent), for any pool size.
-  std::vector<Symbol> encode_batch(Esi first, std::size_t count) const;
-
-  /// Span-based batch encode: fills out[0..count) in place, reusing each
-  /// slot's data capacity. out.size() must be >= count (throws
-  /// std::invalid_argument). The vector-returning encode_batch is a thin
-  /// wrapper over this.
-  void encode_batch_into(Esi first, std::size_t count,
-                         std::span<Symbol> out) const;
 
  private:
   std::size_t symbol_size_;

@@ -25,10 +25,10 @@ Vec Features::to_input() const {
   return x;
 }
 
-video::PartialFrame partial_from_fractions(
-    const video::EncodedFrame& enc,
-    const std::array<double, video::kNumLayers>& fraction) {
-  video::PartialFrame p = video::PartialFrame::empty(enc.width, enc.height);
+void splice_fractions(const video::EncodedFrame& enc,
+                      const std::array<double, video::kNumLayers>& fraction,
+                      video::ReconstructWorkspace& ws) {
+  ws.begin(enc.width, enc.height);
   for (int l = 0; l < video::kNumLayers; ++l) {
     const std::size_t per_sub =
         video::sublayer_bytes(l, enc.width, enc.height);
@@ -37,25 +37,23 @@ video::PartialFrame partial_from_fractions(
         frac * static_cast<double>(video::layer_bytes(l, enc.width, enc.height)));
     for (int k = 0; k < video::sublayer_count(l) && remaining > 0; ++k) {
       const std::size_t take = std::min(remaining, per_sub);
-      const auto& src = enc.layers[l][static_cast<std::size_t>(k)];
-      video::Segment seg;
-      seg.offset = 0;
-      seg.bytes.assign(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(take));
-      p.layers[l][static_cast<std::size_t>(k)].segments.push_back(std::move(seg));
+      ws.write(l, k, 0, enc.layers[l][static_cast<std::size_t>(k)].data(),
+               take);
       remaining -= take;
     }
   }
-  return p;
 }
 
 Dataset build_dataset(const std::vector<video::VideoSpec>& specs,
                       const DatasetConfig& cfg) {
   Rng rng(cfg.seed);
   std::vector<Example> all;
+  video::ReconstructWorkspace ws;
+  video::Plane rec;
 
-  // Measures the configured metric, normalized to ~[0, 1].
-  const auto measure = [&cfg](const video::Frame& ref,
-                              const video::Frame& dist) {
+  // Measures the configured metric on luma, normalized to ~[0, 1].
+  const auto measure = [&cfg](const video::Plane& ref,
+                              const video::Plane& dist) {
     return cfg.metric == TargetMetric::kSsim
                ? quality::ssim(ref, dist)
                : std::min(1.0, quality::psnr(ref, dist) / kPsnrScale);
@@ -74,11 +72,19 @@ Dataset build_dataset(const std::vector<video::VideoSpec>& specs,
       if (cfg.metric == TargetMetric::kPsnr) {
         // PSNR-valued anchor features, per the paper's generalization.
         content.blank = measure(
-            original, video::Frame::blank(enc.width, enc.height));
-        for (int l = 0; l < video::kNumLayers; ++l)
-          content.up_to_layer[static_cast<std::size_t>(l)] = measure(
-              original, video::reconstruct(
-                            video::PartialFrame::up_to_layer(enc, l)));
+            original.y, video::Frame::blank(enc.width, enc.height).y);
+        // Layer prefixes are cumulative: splicing layer l into the
+        // workspace that already holds layers 0..l-1 gives prefix l.
+        ws.begin(enc.width, enc.height);
+        for (int l = 0; l < video::kNumLayers; ++l) {
+          for (int k = 0; k < video::sublayer_count(l); ++k) {
+            const auto& sub = enc.layers[l][static_cast<std::size_t>(k)];
+            ws.write(l, k, 0, sub.data(), sub.size());
+          }
+          ws.finish_luma(rec);
+          content.up_to_layer[static_cast<std::size_t>(l)] =
+              measure(original.y, rec);
+        }
       }
 
       for (int i = 0; i < cfg.fractions_per_frame; ++i) {
@@ -98,11 +104,11 @@ Dataset build_dataset(const std::vector<video::VideoSpec>& specs,
           }
           f.fraction[static_cast<std::size_t>(l)] = frac;
         }
-        const video::Frame rec =
-            video::reconstruct(partial_from_fractions(enc, f.fraction));
+        splice_fractions(enc, f.fraction, ws);
+        ws.finish_luma(rec);
         Example ex;
         ex.x = f.to_input();
-        ex.y = measure(original, rec);
+        ex.y = measure(original.y, rec);
         all.push_back(std::move(ex));
       }
     }

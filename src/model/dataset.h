@@ -37,12 +37,14 @@ struct Features {
 
 inline constexpr std::size_t kFeatureCount = 9;
 
-/// Builds a PartialFrame containing the first `fraction[l] * layer_bytes`
-/// bytes of each layer (sublayers filled in ascending k order, mirroring
-/// the sender's in-order coding-unit schedule).
-video::PartialFrame partial_from_fractions(
-    const video::EncodedFrame& enc,
-    const std::array<double, video::kNumLayers>& fraction);
+/// Resets `ws` to the frame's size and splices in the first
+/// `fraction[l] * layer_bytes` bytes of each layer (sublayers filled in
+/// ascending k order, mirroring the sender's in-order coding-unit
+/// schedule; fractions are clamped to [0, 1]). Finishing `ws` then decodes
+/// what a receiver of exactly those bytes sees.
+void splice_fractions(const video::EncodedFrame& enc,
+                      const std::array<double, video::kNumLayers>& fraction,
+                      video::ReconstructWorkspace& ws);
 
 /// Which quality metric the model learns. The paper trains on SSIM and
 /// notes the methodology generalizes to PSNR; PSNR targets and anchor

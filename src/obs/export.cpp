@@ -7,11 +7,15 @@
 
 namespace w4k::obs {
 
-std::string json_number(double v) {
+std::string number_text(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string json_number(double v) {
   // JSON has no inf/nan; clamp to null-free sentinels.
-  std::string s(buf);
+  std::string s = number_text(v);
   if (s.find("inf") != std::string::npos ||
       s.find("nan") != std::string::npos)
     return "0";

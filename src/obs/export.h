@@ -18,8 +18,14 @@ void write_json_snapshot(std::ostream& os, const MetricsRegistry& reg);
 // campaign shard rows.
 void append_json_escaped(std::string& out, std::string_view s);
 
-// Shortest round-trip ("%.17g") JSON number for `v`; JSON has no inf/nan,
-// so those print as 0. Shared by the exporters and the manifest writer.
+// `v` printed with "%.17g", which round-trips every finite double exactly
+// and, unlike operator<<, ignores stream state. The one formatter behind
+// every byte-stable number: golden reports, campaign rows and summaries,
+// scenario and fault-plan text.
+std::string number_text(double v);
+
+// number_text as a JSON number; JSON has no inf/nan, so those print as 0.
+// Shared by the exporters and the manifest writer.
 std::string json_number(double v);
 
 }  // namespace w4k::obs

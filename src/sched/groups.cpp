@@ -8,6 +8,7 @@
 #include "sched/workspace.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace w4k::sched {
@@ -106,18 +107,14 @@ double rate_upper_bound(GroupMask mask, const std::vector<double>& cap_mw) {
   return channel::rate_for_rss(Dbm::from_milliwatts(cap)).value;
 }
 
-/// Copies the mask's member channels into a never-shrinking pool and
-/// returns the live prefix as a span. Copy-assignment reuses each slot's
-/// capacity, so after warmup the gather is allocation-free.
-std::span<const linalg::CVector> gather_members(
-    const std::vector<linalg::CVector>& user_channels, GroupMask mask,
-    std::vector<linalg::CVector>& gather) {
-  const std::size_t m = popcount(mask);
-  if (gather.size() < m) gather.resize(m);
-  std::size_t k = 0;
-  for (std::size_t u = 0; u < user_channels.size(); ++u)
-    if (mask & (GroupMask{1} << u)) gather[k++] = user_channels[u];
-  return {gather.data(), m};
+/// The mask's member indices, ascending, written into caller-owned stack
+/// storage (a mask has at most 64 members).
+std::span<const std::size_t> members_of(GroupMask mask,
+                                        std::array<std::size_t, 64>& idx) {
+  std::size_t m = 0;
+  for (; mask != 0; mask &= mask - 1)
+    idx[m++] = static_cast<std::size_t>(__builtin_ctzll(mask));
+  return {idx.data(), m};
 }
 
 }  // namespace
@@ -234,12 +231,11 @@ beamforming::GroupBeam subset_beam(
     beamforming::Scheme scheme,
     const std::vector<linalg::CVector>& user_channels, GroupMask mask,
     const beamforming::Codebook& codebook, std::uint64_t beam_seed) {
-  std::vector<linalg::CVector> channels;
-  channels.reserve(popcount(mask));
-  for (std::size_t u = 0; u < user_channels.size(); ++u)
-    if (mask & (GroupMask{1} << u)) channels.push_back(user_channels[u]);
-  return beamforming::group_beam(scheme, channels, codebook,
-                                 subset_seed(beam_seed, mask));
+  std::array<std::size_t, 64> idx;
+  beamforming::GroupBeam out;
+  beamforming::group_beam_into(scheme, user_channels, members_of(mask, idx),
+                               codebook, subset_seed(beam_seed, mask), out);
+  return out;
 }
 
 namespace {
@@ -332,14 +328,15 @@ void beamform_prepared(beamforming::Scheme scheme,
                                                              p_hi - p_lo));
       note_beamform(stats);
     }
+    std::array<std::size_t, 64> idx;
     for (std::size_t i = lo; i < hi; ++i) {
-      const auto members =
-          gather_members(user_channels, masks[i], chunk.gather);
+      const auto members = members_of(masks[i], idx);
       if (ws.first_subset[i + 1] > ws.first_subset[i]) {
         beamforming::evaluate_beam_into(
-            ws.svd[ws.first_subset[i]].right_singular, members, out[i]);
+            ws.svd[ws.first_subset[i]].right_singular, user_channels,
+            members, out[i]);
       } else {
-        beamforming::group_beam_into(scheme, members, codebook,
+        beamforming::group_beam_into(scheme, user_channels, members, codebook,
                                      subset_seed(beam_seed, masks[i]),
                                      out[i]);
       }
@@ -435,12 +432,12 @@ void emit_groups(Mbps rate_threshold, SchedWorkspace& ws,
     count += beam != nullptr ? 1 : 0;
   }
   resize_recycled(out, count, ws.spare_groups);
+  std::array<std::size_t, 64> idx;
   for (std::size_t i = 0, g = 0; i < ws.by_index.size(); ++i) {
     if (ws.by_index[i] == nullptr) continue;
     GroupSpec& spec = out[g++];  // copy-assign: slot capacity reused
-    spec.members.clear();
-    for (GroupMask m = ws.plan.masks[i]; m != 0; m &= m - 1)
-      spec.members.push_back(static_cast<std::size_t>(__builtin_ctzll(m)));
+    const auto members = members_of(ws.plan.masks[i], idx);
+    spec.members.assign(members.begin(), members.end());
     spec.beam = *ws.by_index[i];
   }
 }

@@ -127,8 +127,8 @@ struct CandidatePlan {
 };
 
 /// The beam for one member subset (bits of `mask` index into
-/// `user_channels`) through beamforming::group_beam. Pure function of its
-/// arguments; the per-mask reference the batched beamformer must match.
+/// `user_channels`) through beamforming::group_beam_into. Pure function of
+/// its arguments; the per-mask reference the batched beamformer must match.
 beamforming::GroupBeam subset_beam(
     beamforming::Scheme scheme,
     const std::vector<linalg::CVector>& user_channels, GroupMask mask,

@@ -58,12 +58,11 @@ struct ScoredCandidate {
   double ub = 0.0;
 };
 
-/// Scratch of one beamformer chunk. Chunk k of the pool's
-/// parallel_for always uses slot k, whichever thread runs it, so the
-/// buffers warm up the same way at any pool size.
+/// Scratch of one beamformer chunk: the subset-lane kernel's buffers.
+/// Chunk k of the pool's parallel_for always uses slot k, whichever
+/// thread runs it, so the buffers warm up the same way at any pool size.
 struct BeamformChunk {
-  linalg::SubsetLaneScratch lanes;        ///< subset-lane kernel buffers
-  std::vector<linalg::CVector> gather;    ///< one subset's member channels
+  linalg::SubsetLaneScratch lanes;
 };
 
 struct SchedWorkspace {

@@ -38,6 +38,16 @@ std::string http_response(int code, const char* reason,
 
 }  // namespace
 
+std::optional<RequestLine> parse_request_line(std::string_view request) {
+  request = request.substr(0, request.find('\0'));
+  const std::size_t sp1 = request.find(' ');
+  if (sp1 == std::string_view::npos) return std::nullopt;
+  const std::size_t sp2 = request.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos) return std::nullopt;
+  return RequestLine{request.substr(0, sp1),
+                     request.substr(sp1 + 1, sp2 - sp1 - 1)};
+}
+
 StatusServer::StatusServer(std::uint16_t port, ExtraFn extra)
     : extra_(std::move(extra)) {
   fd_listen_ = socket(AF_INET, SOCK_STREAM, 0);
@@ -106,22 +116,16 @@ void StatusServer::serve_one(int fd) {
     if (std::strstr(buf, "\r\n\r\n") != nullptr) break;
   }
   if (n == 0) return;
-  buf[n] = '\0';
-  // Request line: METHOD SP PATH SP VERSION.
-  const char* sp1 = std::strchr(buf, ' ');
-  if (sp1 == nullptr) return;
-  const char* sp2 = std::strchr(sp1 + 1, ' ');
-  if (sp2 == nullptr) return;
-  const std::string method(static_cast<const char*>(buf), sp1);
-  const std::string path(sp1 + 1, sp2);
-  if (method != "GET") {
+  const std::optional<RequestLine> line = parse_request_line({buf, n});
+  if (!line) return;
+  if (line->method != "GET") {
     send_all(fd, http_response(405, "Method Not Allowed",
                                "{\"error\":\"method\"}"));
     return;
   }
-  if (path == "/status" || path == "/") {
+  if (line->path == "/status" || line->path == "/") {
     send_all(fd, http_response(200, "OK", build_status()));
-  } else if (path == "/healthz") {
+  } else if (line->path == "/healthz") {
     send_all(fd, http_response(200, "OK", "{\"ok\":true}"));
   } else {
     send_all(fd, http_response(404, "Not Found", "{\"error\":\"path\"}"));

@@ -17,10 +17,24 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 namespace w4k::serve {
+
+/// The method and path of an HTTP request line, viewing the request bytes.
+struct RequestLine {
+  std::string_view method;
+  std::string_view path;
+};
+
+/// Splits the request line "METHOD SP PATH SP ..." at the first two spaces
+/// of `request`, read up to its first NUL byte (the status endpoint keeps
+/// the request as a C string). Returns nullopt with fewer than two spaces
+/// before that point. Never reads outside `request`.
+std::optional<RequestLine> parse_request_line(std::string_view request);
 
 class StatusServer {
  public:

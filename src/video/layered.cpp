@@ -220,41 +220,6 @@ std::size_t EncodedFrame::total_bytes() const {
   return n;
 }
 
-PartialFrame PartialFrame::empty(int width, int height) {
-  check_dims(width, height);
-  PartialFrame p;
-  p.width = width;
-  p.height = height;
-  for (int l = 0; l < kNumLayers; ++l)
-    p.layers[l].resize(static_cast<std::size_t>(sublayer_count(l)));
-  return p;
-}
-
-PartialFrame PartialFrame::full(const EncodedFrame& enc) {
-  PartialFrame p = empty(enc.width, enc.height);
-  for (int l = 0; l < kNumLayers; ++l)
-    for (int k = 0; k < sublayer_count(l); ++k)
-      p.layers[l][static_cast<std::size_t>(k)].segments.push_back(
-          Segment{0, enc.layers[l][static_cast<std::size_t>(k)]});
-  return p;
-}
-
-PartialFrame PartialFrame::up_to_layer(const EncodedFrame& enc, int layer) {
-  PartialFrame p = empty(enc.width, enc.height);
-  for (int l = 0; l <= layer && l < kNumLayers; ++l)
-    for (int k = 0; k < sublayer_count(l); ++k)
-      p.layers[l][static_cast<std::size_t>(k)].segments.push_back(
-          Segment{0, enc.layers[l][static_cast<std::size_t>(k)]});
-  return p;
-}
-
-std::size_t PartialFrame::layer_received(int layer) const {
-  std::size_t n = 0;
-  for (const auto& sub : layers[layer])
-    for (const auto& seg : sub.segments) n += seg.bytes.size();
-  return n;
-}
-
 EncodedFrame encode(const Frame& frame) {
   check_dims(frame.width(), frame.height());
   EncodedFrame out;
@@ -321,31 +286,6 @@ void ReconstructWorkspace::finish(Frame& out) {
 void ReconstructWorkspace::finish_luma(Plane& out) {
   resize_plane(out, width_, height_);
   PlaneDecoder{out, bufs_, plane_bases(width_, height_).y, m4_, m2_}.run();
-}
-
-void reconstruct_into(const PartialFrame& partial, ReconstructWorkspace& ws,
-                      Frame& out) {
-  ws.begin(partial.width, partial.height);
-  for (int l = 0; l < kNumLayers; ++l) {
-    for (int k = 0; k < sublayer_count(l); ++k) {
-      for (const Segment& seg :
-           partial.layers[l][static_cast<std::size_t>(k)].segments) {
-        ws.write(l, k, seg.offset, seg.bytes.data(), seg.bytes.size());
-      }
-    }
-  }
-  ws.finish(out);
-}
-
-Frame reconstruct(const PartialFrame& partial) {
-  ReconstructWorkspace ws;
-  Frame out;
-  reconstruct_into(partial, ws, out);
-  return out;
-}
-
-Frame reconstruct_full(const EncodedFrame& enc) {
-  return reconstruct(PartialFrame::full(enc));
 }
 
 }  // namespace w4k::video

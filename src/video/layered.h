@@ -58,37 +58,6 @@ struct EncodedFrame {
   std::size_t total_bytes() const;
 };
 
-/// A contiguous received span of a sublayer buffer.
-struct Segment {
-  std::size_t offset = 0;
-  std::vector<std::uint8_t> bytes;
-};
-
-/// The receiver's view of one sublayer: whatever byte ranges arrived.
-struct PartialSublayer {
-  std::vector<Segment> segments;
-};
-
-/// The receiver's view of a whole frame, indexed like EncodedFrame.
-struct PartialFrame {
-  int width = 0;
-  int height = 0;
-  std::array<std::vector<PartialSublayer>, kNumLayers> layers;
-
-  /// Empty partial frame with the correct sublayer structure.
-  static PartialFrame empty(int width, int height);
-
-  /// Marks an entire encoded frame as received (for lossless round-trip
-  /// tests and for computing the per-layer SSIM features).
-  static PartialFrame full(const EncodedFrame& enc);
-
-  /// Everything up to and including `layer` fully received, nothing above.
-  static PartialFrame up_to_layer(const EncodedFrame& enc, int layer);
-
-  /// Bytes received in the given layer across sublayers.
-  std::size_t layer_received(int layer) const;
-};
-
 /// Encodes a frame into the full layer hierarchy.
 /// Throws std::invalid_argument if dimensions are not multiples of 16.
 EncodedFrame encode(const Frame& frame);
@@ -108,7 +77,8 @@ class ReconstructWorkspace {
   void begin(int width, int height);
 
   /// Copies `n` bytes into sublayer (layer, k) at byte `offset`, clipped
-  /// to the buffer like reconstruct() clips malformed Segments.
+  /// to the buffer: an offset past its end writes nothing, a run past its
+  /// end is cut there.
   void write(int layer, int k, std::size_t offset, const std::uint8_t* data,
              std::size_t n);
 
@@ -126,18 +96,5 @@ class ReconstructWorkspace {
   std::array<std::vector<std::vector<std::uint8_t>>, kNumLayers> bufs_;
   std::vector<int> m4_, m2_;  // decoder mean-plane scratch
 };
-
-/// Reconstructs a frame from whatever arrived. Missing layer-0 blocks
-/// render as mid-gray (the blank frame); missing difference bytes fall
-/// back to the coarser layer.
-Frame reconstruct(const PartialFrame& partial);
-
-/// Allocation-free variant: assembles `partial` into the workspace and
-/// decodes into `out`. Bit-identical to reconstruct().
-void reconstruct_into(const PartialFrame& partial, ReconstructWorkspace& ws,
-                      Frame& out);
-
-/// Convenience: decode from a complete EncodedFrame.
-Frame reconstruct_full(const EncodedFrame& enc);
 
 }  // namespace w4k::video

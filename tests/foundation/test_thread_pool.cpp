@@ -1,11 +1,9 @@
 // ThreadPool semantics plus the determinism contract the compute substrate
-// promises: parallel SSIM and parallel fountain encoding are
-// bit-identical to the serial path for any pool size, because chunk
-// boundaries depend only on the range and per-chunk partials reduce in
-// chunk order.
+// promises: parallel SSIM is bit-identical to the serial path for any pool
+// size, because chunk boundaries depend only on the range and per-chunk
+// partials reduce in chunk order.
 #include "common/thread_pool.h"
 
-#include "fec/fountain.h"
 #include "quality/metrics.h"
 #include "video/synthetic.h"
 
@@ -106,58 +104,6 @@ TEST(ThreadPoolDeterminism, SsimBitIdenticalAcrossPoolSizes) {
     EXPECT_EQ(quality::ssim(a, b), ssim_ref) << "pool=" << threads;
     EXPECT_EQ(quality::psnr(a, b), psnr_ref) << "pool=" << threads;
   }
-}
-
-TEST(ThreadPoolDeterminism, FountainEncodeBitIdenticalAcrossPoolSizes) {
-  SharedPoolGuard guard;
-  std::vector<std::uint8_t> data(12'345);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = static_cast<std::uint8_t>(i * 31 + 5);
-  const fec::FountainEncoder enc(data, 600, /*block_seed=*/99);
-  const auto first = static_cast<fec::Esi>(enc.k());
-  constexpr std::size_t kCount = 40;
-
-  ThreadPool::reset_shared(1);
-  const std::vector<fec::Symbol> ref = enc.encode_batch(first, kCount);
-  ASSERT_EQ(ref.size(), kCount);
-  // The batch must equal one-at-a-time encoding.
-  for (std::size_t i = 0; i < kCount; ++i) {
-    const fec::Symbol one = enc.encode(first + static_cast<fec::Esi>(i));
-    ASSERT_EQ(ref[i].esi, one.esi);
-    ASSERT_EQ(ref[i].data, one.data) << "esi " << one.esi;
-  }
-
-  for (std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
-    ThreadPool::reset_shared(threads);
-    const std::vector<fec::Symbol> got = enc.encode_batch(first, kCount);
-    ASSERT_EQ(got.size(), kCount);
-    for (std::size_t i = 0; i < kCount; ++i) {
-      ASSERT_EQ(got[i].esi, ref[i].esi);
-      ASSERT_EQ(got[i].data, ref[i].data)
-          << "pool=" << threads << " esi=" << got[i].esi;
-    }
-  }
-}
-
-TEST(ThreadPoolDeterminism, BatchRoundTripsThroughDecoder) {
-  SharedPoolGuard guard;
-  ThreadPool::reset_shared(0);
-  std::vector<std::uint8_t> data(9'001);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = static_cast<std::uint8_t>(i * 131 + 17);
-  const fec::FountainEncoder enc(data, 500, /*block_seed=*/7);
-  // Worst case: decode purely from batch-encoded repair symbols.
-  const auto repair =
-      enc.encode_batch(static_cast<fec::Esi>(enc.k()), enc.k() + 3);
-  fec::FountainDecoder dec(enc.k(), enc.symbol_size(), data.size(), 7);
-  for (const auto& s : repair) {
-    dec.add_symbol(s);
-    if (dec.can_decode()) break;
-  }
-  ASSERT_TRUE(dec.can_decode());
-  const auto out = dec.decode();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, data);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "model/dataset.h"
 
+#include "support/decode.h"
+
 #include <gtest/gtest.h>
 
 namespace w4k::model {
@@ -25,45 +27,83 @@ TEST(Features, ToInputLayout) {
   EXPECT_DOUBLE_EQ(x[8], 0.9);
 }
 
+/// The frame a receiver of `fraction` of each layer decodes.
+video::Frame decode_fractions(
+    const video::EncodedFrame& enc,
+    const std::array<double, video::kNumLayers>& fraction) {
+  video::ReconstructWorkspace ws;
+  splice_fractions(enc, fraction, ws);
+  video::Frame out;
+  ws.finish(out);
+  return out;
+}
+
+/// The frame decoded from the first `bytes[l][k]` bytes of each sublayer.
+video::Frame decode_prefixes(
+    const video::EncodedFrame& enc,
+    const std::array<std::array<std::size_t, 4>, video::kNumLayers>& bytes) {
+  video::ReconstructWorkspace ws;
+  ws.begin(enc.width, enc.height);
+  for (int l = 0; l < video::kNumLayers; ++l)
+    for (int k = 0; k < video::sublayer_count(l); ++k)
+      ws.write(l, k, 0, enc.layers[l][static_cast<std::size_t>(k)].data(),
+               bytes[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)]);
+  video::Frame out;
+  ws.finish(out);
+  return out;
+}
+
+void expect_same_frame(const video::Frame& a, const video::Frame& b) {
+  EXPECT_EQ(a.y.pix, b.y.pix);
+  EXPECT_EQ(a.u.pix, b.u.pix);
+  EXPECT_EQ(a.v.pix, b.v.pix);
+}
+
 TEST(PartialFromFractions, ZeroGivesNothing) {
   const video::SyntheticVideo clip(tiny_videos()[0]);
   const auto enc = video::encode(clip.frame(0));
-  const auto p = partial_from_fractions(enc, {0.0, 0.0, 0.0, 0.0});
-  for (int l = 0; l < video::kNumLayers; ++l)
-    EXPECT_EQ(p.layer_received(l), 0u);
+  expect_same_frame(decode_fractions(enc, {0.0, 0.0, 0.0, 0.0}),
+                    video::Frame::blank(64, 64));
 }
 
 TEST(PartialFromFractions, OneGivesEverything) {
   const video::SyntheticVideo clip(tiny_videos()[0]);
   const auto enc = video::encode(clip.frame(0));
-  const auto p = partial_from_fractions(enc, {1.0, 1.0, 1.0, 1.0});
-  for (int l = 0; l < video::kNumLayers; ++l)
-    EXPECT_EQ(p.layer_received(l), video::layer_bytes(l, 64, 64));
+  expect_same_frame(decode_fractions(enc, {1.0, 1.0, 1.0, 1.0}),
+                    testdecode::decode_all(enc));
 }
 
 TEST(PartialFromFractions, HalfGivesHalfTheBytes) {
   const video::SyntheticVideo clip(tiny_videos()[0]);
   const auto enc = video::encode(clip.frame(0));
-  const auto p = partial_from_fractions(enc, {0.5, 0.5, 0.5, 0.5});
-  for (int l = 0; l < video::kNumLayers; ++l)
-    EXPECT_NEAR(static_cast<double>(p.layer_received(l)),
-                0.5 * static_cast<double>(video::layer_bytes(l, 64, 64)), 2.0);
+  // Half of layer 0 is half its one sublayer; half of layers 1-3 is their
+  // first two sublayers.
+  const std::size_t s0 = video::sublayer_bytes(0, 64, 64);
+  std::array<std::array<std::size_t, 4>, video::kNumLayers> bytes{};
+  bytes[0][0] = s0 / 2;
+  for (std::size_t l = 1; l < video::kNumLayers; ++l) {
+    const std::size_t s = video::sublayer_bytes(static_cast<int>(l), 64, 64);
+    bytes[l] = {s, s, 0, 0};
+  }
+  expect_same_frame(decode_fractions(enc, {0.5, 0.5, 0.5, 0.5}),
+                    decode_prefixes(enc, bytes));
 }
 
 TEST(PartialFromFractions, FillsSublayersInOrder) {
   const video::SyntheticVideo clip(tiny_videos()[0]);
   const auto enc = video::encode(clip.frame(0));
   // A quarter of layer 1 = exactly sublayer 0.
-  const auto p = partial_from_fractions(enc, {0.0, 0.25, 0.0, 0.0});
-  EXPECT_FALSE(p.layers[1][0].segments.empty());
-  EXPECT_TRUE(p.layers[1][1].segments.empty());
-  EXPECT_TRUE(p.layers[1][3].segments.empty());
+  std::array<std::array<std::size_t, 4>, video::kNumLayers> bytes{};
+  bytes[1][0] = video::sublayer_bytes(1, 64, 64);
+  expect_same_frame(decode_fractions(enc, {0.0, 0.25, 0.0, 0.0}),
+                    decode_prefixes(enc, bytes));
 }
 
 TEST(PartialFromFractions, OutOfRangeFractionsClamped) {
   const video::SyntheticVideo clip(tiny_videos()[0]);
   const auto enc = video::encode(clip.frame(0));
-  EXPECT_NO_THROW(partial_from_fractions(enc, {-0.5, 2.0, 0.5, 0.5}));
+  expect_same_frame(decode_fractions(enc, {-0.5, 2.0, 0.5, 0.5}),
+                    decode_fractions(enc, {0.0, 1.0, 0.5, 0.5}));
 }
 
 TEST(BuildDataset, SplitProportionsAndSizes) {
@@ -125,10 +165,8 @@ TEST(BuildDataset, MoreLayersReceivedHigherLabel) {
   const video::SyntheticVideo clip(tiny_videos()[0]);
   const auto frame = clip.frame(0);
   const auto enc = video::encode(frame);
-  const auto none = video::reconstruct(
-      partial_from_fractions(enc, {0.0, 0.0, 0.0, 0.0}));
-  const auto all = video::reconstruct(
-      partial_from_fractions(enc, {1.0, 1.0, 1.0, 1.0}));
+  const auto none = decode_fractions(enc, {0.0, 0.0, 0.0, 0.0});
+  const auto all = decode_fractions(enc, {1.0, 1.0, 1.0, 1.0});
   EXPECT_GT(quality::ssim(frame, all), quality::ssim(frame, none));
 }
 

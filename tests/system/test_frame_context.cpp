@@ -3,6 +3,8 @@
 #include "common/rng.h"
 #include "quality/metrics.h"
 
+#include "support/decode.h"
+
 #include <gtest/gtest.h>
 
 namespace w4k::core {
@@ -87,8 +89,7 @@ TEST(FrameContext, CachedScoresMatchExplicitFramesBitForBit) {
   EXPECT_EQ(ctx.prev_frame_ssim, quality::ssim(f1, f0));
   for (int l = 0; l < video::kNumLayers; ++l)
     EXPECT_EQ(ctx.content.up_to_layer_ssim[static_cast<std::size_t>(l)],
-              quality::ssim(f1, video::reconstruct(video::PartialFrame::up_to_layer(
-                                    ctx.encoded, l))))
+              quality::ssim(f1, testdecode::decode_layers(ctx.encoded, l)))
         << "layer " << l;
   const quality::ContentFeatures f = quality::content_features(f1, ctx.encoded);
   EXPECT_EQ(f.blank, ctx.content.blank_ssim);

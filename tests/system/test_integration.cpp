@@ -71,7 +71,8 @@ TEST(EndToEnd, LosslessDataPlaneOverCleanChannel) {
   // symbols (clean channel).
   // Receiver: matching decoders fed every symbol.
   std::vector<bool> decoded(ctx.units.size(), false);
-  video::PartialFrame partial = video::PartialFrame::empty(kW, kH);
+  video::ReconstructWorkspace ws;
+  ws.begin(kW, kH);
   for (std::size_t i = 0; i < ctx.units.size(); ++i) {
     const auto& u = ctx.units[i];
     const fec::FountainEncoder enc(unit_payload(ctx.encoded, u), symbol,
@@ -80,16 +81,14 @@ TEST(EndToEnd, LosslessDataPlaneOverCleanChannel) {
                              block_seed(frame_seed, i));
     EXPECT_EQ(stream_until_decoded(enc, dec, rng, 0.0), enc.k());
     decoded[i] = true;
-    video::Segment seg;
-    seg.offset = u.offset;
-    seg.bytes = *dec.decode();
+    const std::vector<std::uint8_t> bytes = *dec.decode();
     // Decoded payload must match the sender's exactly.
-    ASSERT_EQ(seg.bytes, unit_payload(ctx.encoded, u)) << "unit " << i;
-    partial.layers[u.id.layer][static_cast<std::size_t>(u.sublayer_k)]
-        .segments.push_back(std::move(seg));
+    ASSERT_EQ(bytes, unit_payload(ctx.encoded, u)) << "unit " << i;
+    ws.write(u.id.layer, u.sublayer_k, u.offset, bytes.data(), bytes.size());
   }
 
-  const video::Frame received = video::reconstruct(partial);
+  video::Frame received;
+  ws.finish(received);
   const video::Frame reference = core::reconstruct_from_units(ctx, decoded);
   EXPECT_EQ(received.y.pix, reference.y.pix);
   EXPECT_GT(quality::ssim(original, received), 0.999);
@@ -103,7 +102,8 @@ TEST(EndToEnd, LossyChannelWithRatelessRepairRecoversFrame) {
   const std::uint64_t frame_seed = 777;
   Rng rng(31337);
 
-  video::PartialFrame partial = video::PartialFrame::empty(kW, kH);
+  video::ReconstructWorkspace ws;
+  ws.begin(kW, kH);
   std::size_t total_sent = 0, total_source_symbols = 0;
   for (std::size_t i = 0; i < ctx.units.size(); ++i) {
     const auto& u = ctx.units[i];
@@ -114,14 +114,12 @@ TEST(EndToEnd, LossyChannelWithRatelessRepairRecoversFrame) {
     total_source_symbols += enc.k();
     // 20% loss; the sender keeps emitting fresh symbols until decode.
     total_sent += stream_until_decoded(enc, dec, rng, 0.2);
-    video::Segment seg;
-    seg.offset = u.offset;
-    seg.bytes = *dec.decode();
-    partial.layers[u.id.layer][static_cast<std::size_t>(u.sublayer_k)]
-        .segments.push_back(std::move(seg));
+    const std::vector<std::uint8_t> bytes = *dec.decode();
+    ws.write(u.id.layer, u.sublayer_k, u.offset, bytes.data(), bytes.size());
   }
 
-  const video::Frame received = video::reconstruct(partial);
+  video::Frame received;
+  ws.finish(received);
   EXPECT_GT(quality::ssim(original, received), 0.999);
   // Rateless efficiency: overhead should be close to the channel loss
   // (1/(1-p) = 1.25x), far from ARQ-free repetition coding.
@@ -141,7 +139,8 @@ TEST(EndToEnd, PartialDeliveryDegradesGracefully) {
   const std::uint64_t frame_seed = 555;
   Rng rng(1);
 
-  video::PartialFrame partial = video::PartialFrame::empty(kW, kH);
+  video::ReconstructWorkspace ws;
+  ws.begin(kW, kH);
   for (std::size_t i = 0; i < ctx.units.size(); ++i) {
     const auto& u = ctx.units[i];
     if (u.id.layer > 1) continue;
@@ -150,13 +149,11 @@ TEST(EndToEnd, PartialDeliveryDegradesGracefully) {
     fec::FountainDecoder dec(enc.k(), symbol, u.source_bytes,
                              block_seed(frame_seed, i));
     stream_until_decoded(enc, dec, rng, 0.0);
-    video::Segment seg;
-    seg.offset = u.offset;
-    seg.bytes = *dec.decode();
-    partial.layers[u.id.layer][static_cast<std::size_t>(u.sublayer_k)]
-        .segments.push_back(std::move(seg));
+    const std::vector<std::uint8_t> bytes = *dec.decode();
+    ws.write(u.id.layer, u.sublayer_k, u.offset, bytes.data(), bytes.size());
   }
-  const video::Frame received = video::reconstruct(partial);
+  video::Frame received;
+  ws.finish(received);
   const double s = quality::ssim(original, received);
   EXPECT_NEAR(s, ctx.content.up_to_layer_ssim[1], 0.01);
   EXPECT_GT(s, ctx.content.blank_ssim);

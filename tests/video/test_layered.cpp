@@ -1,6 +1,8 @@
 #include "video/layered.h"
 #include "video/synthetic.h"
 
+#include "support/decode.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +10,9 @@
 
 namespace w4k::video {
 namespace {
+
+using testdecode::decode_all;
+using testdecode::decode_layers;
 
 Frame test_frame(int w = 64, int h = 64, std::uint64_t seed = 1) {
   VideoSpec spec;
@@ -54,7 +59,7 @@ TEST(LayeredSizes, TotalExpansionVsRaw) {
 
 TEST(Layered, FullRoundTripIsNearLossless) {
   const Frame f = test_frame(128, 64);
-  const Frame rec = reconstruct_full(encode(f));
+  const Frame rec = decode_all(encode(f));
   // Chained quantization keeps every pixel within 1 LSB except rare
   // saturation; demand max error <= 2.
   int max_err = 0;
@@ -66,7 +71,7 @@ TEST(Layered, FullRoundTripIsNearLossless) {
 
 TEST(Layered, ChromaRoundTrips) {
   const Frame f = test_frame(128, 64, 9);
-  const Frame rec = reconstruct_full(encode(f));
+  const Frame rec = decode_all(encode(f));
   int max_err = 0;
   for (std::size_t i = 0; i < f.u.pix.size(); ++i) {
     max_err = std::max(max_err, std::abs(static_cast<int>(f.u.pix[i]) -
@@ -82,7 +87,7 @@ TEST(Layered, UniformFrameRoundTripsExactly) {
   for (auto& p : f.y.pix) p = 77;
   for (auto& p : f.u.pix) p = 90;
   for (auto& p : f.v.pix) p = 200;
-  const Frame rec = reconstruct_full(encode(f));
+  const Frame rec = decode_all(encode(f));
   EXPECT_EQ(rec.y.pix, f.y.pix);
   EXPECT_EQ(rec.u.pix, f.u.pix);
   EXPECT_EQ(rec.v.pix, f.v.pix);
@@ -94,7 +99,7 @@ TEST(Layered, BaseLayerOnlyGivesBlockMeans) {
   for (int y = 0; y < 64; ++y)
     for (int x = 0; x < 64; ++x) f.y.at(x, y) = x < 32 ? 0 : 255;
   const EncodedFrame enc = encode(f);
-  const Frame rec = reconstruct(PartialFrame::up_to_layer(enc, 0));
+  const Frame rec = decode_layers(enc, 0);
   // Inside a uniform 8x8 block the reconstruction equals the block mean.
   EXPECT_EQ(rec.y.at(4, 4), 0);
   EXPECT_EQ(rec.y.at(60, 4), 255);
@@ -105,7 +110,7 @@ TEST(Layered, QualityIncreasesWithLayers) {
   const EncodedFrame enc = encode(f);
   double prev_mse = 1e18;
   for (int l = 0; l < kNumLayers; ++l) {
-    const Frame rec = reconstruct(PartialFrame::up_to_layer(enc, l));
+    const Frame rec = decode_layers(enc, l);
     double mse = 0.0;
     for (std::size_t i = 0; i < f.y.pix.size(); ++i) {
       const double d = static_cast<double>(f.y.pix[i]) - rec.y.pix[i];
@@ -119,7 +124,10 @@ TEST(Layered, QualityIncreasesWithLayers) {
 }
 
 TEST(Layered, EmptyPartialReconstructsBlank) {
-  const Frame rec = reconstruct(PartialFrame::empty(64, 64));
+  ReconstructWorkspace ws;
+  ws.begin(64, 64);
+  Frame rec;
+  ws.finish(rec);
   for (auto p : rec.y.pix) EXPECT_EQ(p, 128);
 }
 
@@ -127,9 +135,17 @@ TEST(Layered, MissingSublayerFallsBackGracefully) {
   const Frame f = test_frame(64, 64, 6);
   const EncodedFrame enc = encode(f);
   // Full frame minus one layer-3 sublayer: still close to lossless.
-  PartialFrame partial = PartialFrame::full(enc);
-  partial.layers[3][2].segments.clear();
-  const Frame rec = reconstruct(partial);
+  ReconstructWorkspace ws;
+  ws.begin(64, 64);
+  for (int l = 0; l < kNumLayers; ++l) {
+    for (int k = 0; k < sublayer_count(l); ++k) {
+      if (l == 3 && k == 2) continue;
+      const auto& sub = enc.layers[l][static_cast<std::size_t>(k)];
+      ws.write(l, k, 0, sub.data(), sub.size());
+    }
+  }
+  Frame rec;
+  ws.finish(rec);
   double mse = 0.0;
   for (std::size_t i = 0; i < f.y.pix.size(); ++i) {
     const double d = static_cast<double>(f.y.pix[i]) - rec.y.pix[i];
@@ -143,44 +159,40 @@ TEST(Layered, MissingSublayerFallsBackGracefully) {
 TEST(Layered, SegmentOffsetsApply) {
   const Frame f = test_frame(64, 64, 7);
   const EncodedFrame enc = encode(f);
-  // Deliver layer 0 as two segments split mid-buffer.
-  PartialFrame partial = PartialFrame::empty(64, 64);
+  // Deliver layer 0 as two byte ranges split mid-buffer.
+  ReconstructWorkspace ws;
+  ws.begin(64, 64);
   const auto& buf = enc.layers[0][0];
   const std::size_t half = buf.size() / 2;
-  partial.layers[0][0].segments.push_back(
-      Segment{0, {buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(half)}});
-  partial.layers[0][0].segments.push_back(
-      Segment{half, {buf.begin() + static_cast<std::ptrdiff_t>(half), buf.end()}});
-  const Frame rec = reconstruct(partial);
-  const Frame rec_whole = reconstruct(PartialFrame::up_to_layer(enc, 0));
+  ws.write(0, 0, 0, buf.data(), half);
+  ws.write(0, 0, half, buf.data() + half, buf.size() - half);
+  Frame rec;
+  ws.finish(rec);
+  const Frame rec_whole = decode_layers(enc, 0);
   EXPECT_EQ(rec.y.pix, rec_whole.y.pix);
 }
 
 TEST(Layered, MalformedSegmentIgnored) {
-  PartialFrame partial = PartialFrame::empty(64, 64);
-  partial.layers[1][0].segments.push_back(
-      Segment{1u << 30, std::vector<std::uint8_t>(10, 0)});
-  EXPECT_NO_THROW(reconstruct(partial));
+  ReconstructWorkspace ws;
+  ws.begin(64, 64);
+  const std::vector<std::uint8_t> bytes(10, 0);
+  EXPECT_NO_THROW(ws.write(1, 0, 1u << 30, bytes.data(), bytes.size()));
+  Frame rec;
+  ws.finish(rec);
+  for (auto p : rec.y.pix) EXPECT_EQ(p, 128);
 }
 
 TEST(Layered, OversizedSegmentClamped) {
   const Frame f = test_frame(64, 64, 8);
   const EncodedFrame enc = encode(f);
-  PartialFrame partial = PartialFrame::empty(64, 64);
+  ReconstructWorkspace ws;
+  ws.begin(64, 64);
   auto big = enc.layers[0][0];
   big.resize(big.size() + 100, 0);  // overruns the sublayer
-  partial.layers[0][0].segments.push_back(Segment{0, big});
-  EXPECT_NO_THROW(reconstruct(partial));
-}
-
-TEST(Layered, PartialLayerReceivedAccounting) {
-  const Frame f = test_frame(64, 64, 9);
-  const EncodedFrame enc = encode(f);
-  const PartialFrame full = PartialFrame::full(enc);
-  for (int l = 0; l < kNumLayers; ++l)
-    EXPECT_EQ(full.layer_received(l), layer_bytes(l, 64, 64));
-  const PartialFrame upto1 = PartialFrame::up_to_layer(enc, 1);
-  EXPECT_EQ(upto1.layer_received(2), 0u);
+  EXPECT_NO_THROW(ws.write(0, 0, 0, big.data(), big.size()));
+  Frame rec;
+  ws.finish(rec);
+  EXPECT_EQ(rec.y.pix, decode_layers(enc, 0).y.pix);
 }
 
 TEST(Layered, EncodeRejectsBadDimensions) {
@@ -195,7 +207,7 @@ class LayeredResolutionTest
 TEST_P(LayeredResolutionTest, RoundTripAtResolution) {
   const auto [w, h] = GetParam();
   const Frame f = test_frame(w, h, 11);
-  const Frame rec = reconstruct_full(encode(f));
+  const Frame rec = decode_all(encode(f));
   int max_err = 0;
   for (std::size_t i = 0; i < f.y.pix.size(); ++i)
     max_err = std::max(max_err, std::abs(static_cast<int>(f.y.pix[i]) -
