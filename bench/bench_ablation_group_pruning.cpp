@@ -24,11 +24,12 @@ int main() {
   exp.codebook(beamforming::commodity_codebook());
   exp.channels(channels);
 
-  std::printf("%-16s %-10s %-14s %-12s\n", "threshold(Mbps)", "groups",
-              "decide(ms)", "mean SSIM");
+  // decide(ms) is wall clock and varies run to run, so it prints only on
+  // '#' lines.
+  std::printf("%-16s %-10s %-12s\n", "threshold(Mbps)", "groups",
+              "mean SSIM");
   double unpruned_ssim = 0.0;
   bool shape_ok = true;
-  double prev_ms = 1e18;
   for (double threshold : {0.0, 300.0, 700.0, 1250.0}) {
     core::SessionConfig& cfg = exp.config();
     cfg.group_enum.rate_threshold = Mbps{threshold};
@@ -48,14 +49,13 @@ int main() {
                           .count() /
                       6.0;
     const double ssim = run.ssim_summary().mean;
-    std::printf("%-16.0f %-10zu %-14.2f %-12.4f\n", threshold, groups.size(),
-                ms, ssim);
+    std::printf("%-16.0f %-10zu %-12.4f\n", threshold, groups.size(), ssim);
+    std::printf("# decide(ms) %.2f\n", ms);
     if (threshold == 0.0) unpruned_ssim = ssim;
     // Moderate pruning must be quality-free; the most aggressive setting
     // (6 groups left) may pay a visible but bounded price.
     if (threshold <= 700.0) shape_ok &= ssim > unpruned_ssim - 0.01;
     else shape_ok &= ssim > unpruned_ssim - 0.05;
-    prev_ms = std::min(prev_ms, ms);
   }
   std::printf("\nshape check (moderate pruning free, aggressive bounded): "
               "%s\n",

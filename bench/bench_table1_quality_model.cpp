@@ -47,7 +47,8 @@ int main() {
   std::printf("%-22s %-12.4e %.4f\n", "Linear Regression", lr_mse, 0.0231);
   std::printf("%-22s %-12.4e %.1e\n", "DNN (5x9 sigmoid + 1)", dnn_mse,
               2.43e-5);
-  std::printf("\nDNN training time: %.0f ms (%d epochs, batch %zu)\n",
+  // Wall-clock figures print only on '#' lines: they vary run to run.
+  std::printf("\n# DNN training time: %.0f ms (%d epochs, batch %zu)\n",
               train_ms, tc.epochs, tc.batch_size);
 
   // Inference latency (paper: ~500 us on WiGig laptops).
@@ -62,7 +63,7 @@ int main() {
                         std::chrono::steady_clock::now() - i0)
                         .count() /
                     10000.0;
-  std::printf("DNN inference: %.2f us/prediction (paper: ~500 us on "
+  std::printf("# DNN inference: %.2f us/prediction (paper: ~500 us on "
               "2016-era laptop)\n",
               us + sink * 0.0);
 

@@ -39,16 +39,12 @@ void mrt_beam_into(const linalg::CVector& h, linalg::CVector& out) {
   }
 }
 
-/// Per-member RSS, bottleneck and rate of the beam already in g.beam.
+/// Bottleneck RSS and rate of the beam already in g.beam.
 void score_into(std::span<const linalg::CVector> users,
                 std::span<const std::size_t> members, GroupBeam& g) {
-  g.member_rss.clear();
   g.min_rss = Dbm{1e300};
-  for (const std::size_t u : members) {
-    const Dbm rss = channel::beam_rss(users[u], g.beam);
-    g.member_rss.push_back(rss);
-    g.min_rss = std::min(g.min_rss, rss);
-  }
+  for (const std::size_t u : members)
+    g.min_rss = std::min(g.min_rss, channel::beam_rss(users[u], g.beam));
   g.rate = channel::rate_for_rss(g.min_rss);
 }
 

@@ -39,16 +39,17 @@ bool allows_multicast(Scheme s);
 /// Display name used by bench harness output.
 std::string to_string(Scheme s);
 
+/// A group's beam and what it delivers. A member's own RSS is
+/// channel::beam_rss(h_u, beam); only the bottleneck is kept.
 struct GroupBeam {
   linalg::CVector beam;          ///< transmit precoder F (unit norm)
-  std::vector<Dbm> member_rss;   ///< RSS at each group member
   Dbm min_rss{-300.0};           ///< bottleneck member
   Mbps rate{0.0};                ///< Table 2 UDP rate at min_rss (0 = unusable)
 };
 
 /// Evaluates an externally-derived unit-norm beam against the group's
-/// members into a reusable GroupBeam (buffers keep their capacity):
-/// per-member RSS, bottleneck RSS, and the Table 2 rate at the bottleneck.
+/// members into a reusable GroupBeam (the beam keeps its capacity):
+/// bottleneck RSS, and the Table 2 rate at the bottleneck.
 /// `members` are ascending indices into `users`, whose rows are read in
 /// place. This is the evaluation every scheme performs; the scheduler's
 /// subset-lane beamformer uses it to close the loop on its beams.

@@ -4,11 +4,13 @@
 #include "beamforming/sls.h"
 #include "channel/array.h"
 #include "channel/multi_ap.h"
+#include "common/bits.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "verify/invariants.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -45,7 +47,6 @@ void SessionConfig::validate(std::size_t codebook_beams) const {
   if (engine.queue_capacity_bytes == 0)
     bad("engine.queue_capacity_bytes", "must be > 0");
   need(sls_noise_db >= 0.0, "sls_noise_db", "must be >= 0 dB", sls_noise_db);
-  need(lambda >= 0.0, "lambda", "must be >= 0", lambda);
   need(decide_deadline_ms >= 0.0 && std::isfinite(decide_deadline_ms),
        "decide_deadline_ms", "must be a finite value >= 0 ms",
        decide_deadline_ms);
@@ -89,7 +90,6 @@ MulticastSession::MulticastSession(const SessionConfig& cfg,
                 .optimized = cfg.optimized_schedule,
                 .rate_scale = cfg.rate_scale,
                 .time_budget = kFrameBudget * (1.0 - cfg.makeup_margin),
-                .lambda = cfg.lambda,
                 .symbol_size = cfg.engine.symbol_size,
                 .deadline_ms = cfg.decide_deadline_ms}) {
   cfg_.validate(codebook_.size());
@@ -418,10 +418,12 @@ void MulticastSession::set_air_parameters(const Frame& f) {
   const bool firmware_sector = !cfg_.adapt && codebook_.size() > 0;
   if (firmware_sector) {
     firmware_beams_.resize(groups.size());
+    std::array<std::size_t, 64> idx;
     for (std::size_t g = 0; g < groups.size(); ++g)
-      beamforming::group_beam_into(beamforming::Scheme::kPredefinedMulticast,
-                                   *f.csi, groups[g].members, codebook_,
-                                   cfg_.seed, firmware_beams_[g]);
+      beamforming::group_beam_into(
+          beamforming::Scheme::kPredefinedMulticast, *f.csi,
+          bit_indices(groups[g].mask, idx), codebook_, cfg_.seed,
+          firmware_beams_[g]);
   }
 
   // Assemble the per-group transmission parameters against the *current*
@@ -434,10 +436,10 @@ void MulticastSession::set_air_parameters(const Frame& f) {
   obs::StageSpan span(st);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const sched::GroupSpec& spec = groups[g];
-    // Per-entry reset of the reused slot: copy-assign / clear reuse the
-    // member vectors' capacity; the fields match a fresh GroupTx.
+    // Per-entry reset of the reused slot: clear reuses the loss vector's
+    // capacity; the fields match a fresh GroupTx.
     emu::GroupTx& tx = groups_tx_[g];
-    tx.members = spec.members;
+    tx.mask = spec.mask;
     tx.mcs = channel::McsEntry{};
     tx.drain_rate = Mbps{0.0};
     tx.bucket_rate = Mbps{0.0};
@@ -456,7 +458,7 @@ void MulticastSession::set_air_parameters(const Frame& f) {
     const Mbps measured =
         cfg_.adapt ? planner_.measured_rate(spec) : Mbps{0.0};
     tx.bucket_rate = measured.value > 0.0 ? measured : tx.drain_rate;
-    for (std::size_t u : spec.members) {
+    for (std::size_t u : SetBits{spec.mask}) {
       const Dbm rss = channel::beam_rss((*f.truth)[u], air.beam);
       tx.member_loss.push_back(
           u == kAssociatedUser
@@ -568,7 +570,7 @@ void MulticastSession::update_recovery(Frame& f, const FrameContext& ctx,
   for (UserState& s : users_) s.attempted = false;
   for (const auto& g : groups_tx_) {
     if (g.drain_rate.value <= 0.0) continue;
-    for (std::size_t u : g.members) users_[u].attempted = true;
+    for (std::size_t u : SetBits{g.mask}) users_[u].attempted = true;
   }
   for (std::size_t u = 0; u < f.n_users; ++u) {
     UserState& s = users_[u];

@@ -59,7 +59,6 @@ struct SessionConfig {
   double decide_deadline_ms = 0.0;
   /// Scales Table 2 rates to the frame resolution (see rate_scale_for).
   double rate_scale = 1.0;
-  double lambda = 1e-8;            ///< Eq. 1 traffic penalty (per byte)
   /// Fraction of the frame budget withheld from the schedule so feedback
   /// and fountain-coded makeup packets fit inside the same 1/FR deadline
   /// ("the feedbacks and all retransmissions should finish within 33 ms").

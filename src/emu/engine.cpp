@@ -1,5 +1,6 @@
 #include "emu/engine.h"
 
+#include "common/bits.h"
 #include "common/thread_pool.h"
 #include "obs/span.h"
 #include "verify/invariants.h"
@@ -50,6 +51,17 @@ void TxEngine::run_frame_into(
   if (!(faults.budget_scale > 0.0 && faults.budget_scale <= 1.0))
     throw std::invalid_argument(
         "run_frame_into: budget_scale outside (0, 1]");
+  sched::check_group_masks(groups, n_users, "run_frame_into");
+  // The groups that send this frame, ascending (the makeup order).
+  active_.clear();
+  for (const auto& a : assignments) {
+    if (a.group >= groups.size())
+      throw std::invalid_argument("run_frame_into: assignment references "
+                                  "unknown group");
+    active_.push_back(a.group);
+  }
+  std::sort(active_.begin(), active_.end());
+  active_.erase(std::unique(active_.begin(), active_.end()), active_.end());
   // A collapsed transmit budget shrinks the whole frame deadline: the
   // radio simply is not available past this point.
   const Seconds budget = kFrameBudget * faults.budget_scale;
@@ -83,11 +95,11 @@ void TxEngine::run_frame_into(
         });
   }
 
-  // Per-(group,unit) sent counters, flat [group * n_units + unit]:
+  // Per-(active group, unit) sent counters, flat [slot * n_units + unit]:
   // systematic symbol sequencing and makeup ownership. A cell is nonzero
   // iff that group actually transmitted that unit (sends are the only
   // increments).
-  sent_.assign(groups.size() * units.size(), 0);
+  sent_.assign(active_.size() * units.size(), 0);
   relay_sent_.clear();  // refilled by the relay phase when links exist
 
   // --- Timeline state -----------------------------------------------------
@@ -111,13 +123,10 @@ void TxEngine::run_frame_into(
   double queue_bytes = backlog_bytes_;
 
   buckets_.clear();
-  buckets_.reserve(groups.size());
-  bucket_clock_.assign(groups.size(), 0.0);
-  for (const auto& g : groups) {
-    for (std::size_t u : g.members)
-      if (u >= n_users)
-        throw std::invalid_argument("run_frame_into: group member out of "
-                                    "range");
+  buckets_.reserve(active_.size());
+  bucket_clock_.assign(active_.size(), 0.0);
+  for (std::size_t gi : active_) {
+    const GroupTx& g = groups[gi];
     const Mbps fill = g.bucket_rate.value > 0.0 ? g.bucket_rate : g.drain_rate;
     buckets_.emplace_back(fill, std::max<std::size_t>(wire, cfg_.bucket_packets * wire));
   }
@@ -131,30 +140,30 @@ void TxEngine::run_frame_into(
   std::size_t deferred_packets = 0;
   std::size_t abandoned_packets = 0;
 
-  // Sends one symbol packet of `group` for unit `ui`. Returns false when
-  // the frame budget is exhausted (packet deferred to backlog) and the
-  // caller should stop offering packets.
-  const auto send_packet = [&](std::size_t gi, std::size_t ui,
+  // Sends one symbol packet of the group in active slot `slot` for unit
+  // `ui`. Returns false when the frame budget is exhausted (packet
+  // deferred to backlog) and the caller should stop offering packets.
+  const auto send_packet = [&](std::size_t slot, std::size_t ui,
                                bool makeup) -> bool {
     ++res.stats.packets_offered;
     if (makeup) ++res.stats.makeup_packets;
-    const GroupTx& g = groups[gi];
+    const GroupTx& g = groups[active_[slot]];
     if (g.drain_rate.value <= 0.0) {
       ++res.stats.packets_dropped_queue;
       return true;
     }
 
     if (cfg_.rate_control) {
-      auto& bucket = buckets_[gi];
-      if (t > bucket_clock_[gi]) {
-        bucket.advance(t - bucket_clock_[gi]);
-        bucket_clock_[gi] = t;
+      auto& bucket = buckets_[slot];
+      if (t > bucket_clock_[slot]) {
+        bucket.advance(t - bucket_clock_[slot]);
+        bucket_clock_[slot] = t;
       }
       const Seconds wait = bucket.time_until(wire);
       if (wait > 0.0) {
         t += wait;
         bucket.advance(wait);
-        bucket_clock_[gi] = t;
+        bucket_clock_[slot] = t;
       }
       bucket.on_send(wire);
       if (t >= budget) {
@@ -204,11 +213,12 @@ void TxEngine::run_frame_into(
     // source symbols from the beginning, so overlapping groups duplicate
     // prefixes.
     const std::size_t k = units[ui].k_symbols;
-    const std::size_t seq = sent_[gi * units.size() + ui]++;
+    const std::size_t seq = sent_[slot * units.size() + ui]++;
 
-    for (std::size_t m = 0; m < g.members.size(); ++m) {
-      const std::size_t u = g.members[m];
+    std::size_t m = 0;
+    for (std::size_t u : SetBits{g.mask}) {
       const double loss = m < g.member_loss.size() ? g.member_loss[m] : 0.0;
+      ++m;
       if (rng.chance(loss)) continue;
       UnitRx& state = rx_[u][ui];
       if (cfg_.source_coding) {
@@ -228,11 +238,11 @@ void TxEngine::run_frame_into(
     static obs::Stage& st = obs::stage("emu.schedule");
     obs::StageSpan span(st);
     for (const auto& a : assignments) {
-      if (a.group >= groups.size())
-        throw std::invalid_argument("run_frame_into: assignment references "
-                                    "unknown group");
+      const auto slot = static_cast<std::size_t>(
+          std::lower_bound(active_.begin(), active_.end(), a.group) -
+          active_.begin());
       for (std::size_t s = 0; s < a.symbols && budget_left; ++s)
-        budget_left = send_packet(a.group, a.unit_index, /*makeup=*/false);
+        budget_left = send_packet(slot, a.unit_index, /*makeup=*/false);
       if (!budget_left) break;
     }
   }
@@ -264,14 +274,15 @@ void TxEngine::run_frame_into(
 
       bool any = false;
       for (std::size_t ui = 0; ui < units.size() && budget_left; ++ui) {
-        for (std::size_t gi = 0; gi < groups.size() && budget_left; ++gi) {
-          if (sent_[gi * units.size() + ui] == 0)
+        for (std::size_t slot = 0; slot < active_.size() && budget_left;
+             ++slot) {
+          if (sent_[slot * units.size() + ui] == 0)
             continue;  // group doesn't own unit
           // Deficit P: worst reporting member's need for this unit.
           const std::size_t k = units[ui].k_symbols;
           std::size_t deficit = 0;
           std::size_t blind = 0;
-          for (std::size_t u : groups[gi].members) {
+          for (std::size_t u : SetBits{groups[active_[slot]].mask}) {
             const std::size_t need = need_[u * units.size() + ui];
             if (need != kNoReport) {
               deficit = std::max(deficit, need);
@@ -293,7 +304,7 @@ void TxEngine::run_frame_into(
           makeup_deficit += deficit;
           for (std::size_t s = 0; s < deficit && budget_left; ++s) {
             any = true;
-            budget_left = send_packet(gi, ui, /*makeup=*/true);
+            budget_left = send_packet(slot, ui, /*makeup=*/true);
           }
         }
       }
@@ -371,11 +382,13 @@ void TxEngine::run_frame_into(
         // bucket falls back to the drain rate.
         double worst_loss = 0.0;
         bool any_report = false;
-        for (std::size_t m = 0; m < groups[gi].members.size(); ++m) {
-          if (feedback_lost(groups[gi].members[m])) continue;
+        std::size_t m = 0;
+        for (std::size_t u : SetBits{groups[gi].mask}) {
+          const std::size_t at = m++;
+          if (feedback_lost(u)) continue;
           any_report = true;
-          if (m < groups[gi].member_loss.size())
-            worst_loss = std::max(worst_loss, groups[gi].member_loss[m]);
+          if (at < groups[gi].member_loss.size())
+            worst_loss = std::max(worst_loss, groups[gi].member_loss[at]);
         }
         const double goodput =
             groups[gi].drain_rate.value * (1.0 - worst_loss);
@@ -424,9 +437,7 @@ void TxEngine::run_frame_into(
     // schedule: it must not also be a member of any transmitting group.
     for (const auto& rl : relays) {
       for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        bool member = false;
-        for (std::size_t u : groups[gi].members)
-          if (u == rl.target) member = true;
+        const bool member = ((groups[gi].mask >> rl.target) & 1u) != 0;
         verify::check(!member, "emu.relay-target-grouped", [&] {
           return "relay target " + std::to_string(rl.target) +
                  " is a member of scheduled group " + std::to_string(gi);
@@ -437,11 +448,11 @@ void TxEngine::run_frame_into(
     // containing that user (received <= sent, per unit) — plus, for relay
     // targets, what their relayer forwarded.
     avail_.assign(n_users * units.size(), 0);
-    for (std::size_t gi = 0; gi < groups.size(); ++gi)
+    for (std::size_t slot = 0; slot < active_.size(); ++slot)
       for (std::size_t ui = 0; ui < units.size(); ++ui) {
-        const std::size_t count = sent_[gi * units.size() + ui];
+        const std::size_t count = sent_[slot * units.size() + ui];
         if (count == 0) continue;
-        for (std::size_t u : groups[gi].members)
+        for (std::size_t u : SetBits{groups[active_[slot]].mask})
           avail_[u * units.size() + ui] += count;
       }
     for (std::size_t i = 0; i < relay_sent_.size(); ++i) avail_[i] += relay_sent_[i];

@@ -39,7 +39,7 @@ inline constexpr int kFeedbackRounds = 2;
 
 /// Transmission parameters of one multicast group for this frame.
 struct GroupTx {
-  std::vector<std::size_t> members;
+  sched::GroupMask mask = 0;         ///< members: bit u set = user u
   channel::McsEntry mcs;             ///< MCS forced by the sender
   /// Air rate the queue drains at for this group's packets. The caller may
   /// scale Table 2 rates (e.g. for reduced-resolution frames).
@@ -47,7 +47,8 @@ struct GroupTx {
   /// Rate the leaky bucket fills at (receiver's bandwidth feedback from
   /// the previous frame; defaults to drain_rate when there is none).
   Mbps bucket_rate{0.0};
-  /// Per-member packet loss probability at the current (true) channel.
+  /// Per-member packet loss probability at the current (true) channel,
+  /// in ascending member order (the order of the mask's set bits).
   std::vector<double> member_loss;
 };
 
@@ -133,7 +134,8 @@ class TxEngine {
 
   /// Simulates one frame into a caller-owned result. `units` and
   /// `assignments` come from sched::frame_units / sched::map_to_units_into;
-  /// `groups` must cover every group index referenced by the assignments.
+  /// `groups` must cover every group index referenced by the assignments
+  /// and name only users below `n_users` (at most 64; throws otherwise).
   /// `faults` collapses the budget and silences per-user feedback for this
   /// frame (default-constructed = no faults). After the makeup rounds, each
   /// RelayLink in `relays` (usually empty) forwards the target's base-layer
@@ -182,11 +184,14 @@ class TxEngine {
 
   // --- Per-frame scratch (reset by run_frame_into, capacity reused) ------
   std::vector<std::vector<UnitRx>> rx_;      ///< [user][unit]
-  std::vector<std::size_t> sent_;            ///< [group * n_units + unit]
+  /// The groups the assignments name, ascending: only these ever send, so
+  /// the per-group tables below hold one slot per entry, not per group.
+  std::vector<std::size_t> active_;
+  std::vector<std::size_t> sent_;            ///< [slot * n_units + unit]
   std::vector<QueueEntry> queue_;            ///< FIFO via queue_head_ cursor
   std::size_t queue_head_ = 0;
-  std::vector<transport::LeakyBucket> buckets_;
-  std::vector<Seconds> bucket_clock_;
+  std::vector<transport::LeakyBucket> buckets_;  ///< per active slot
+  std::vector<Seconds> bucket_clock_;            ///< per active slot
   /// Round-start need per [user * n_units + unit] (UnitRx::need), or
   /// kNoReport for a user whose feedback was lost this frame.
   std::vector<std::size_t> need_;

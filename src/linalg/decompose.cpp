@@ -1,5 +1,7 @@
 #include "linalg/decompose.h"
 
+#include "common/bits.h"
+
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -230,14 +232,6 @@ struct SubsetBatch {
   double tol;
   SubsetBatchStats stats;
 
-  /// Problem p's row indices, ascending; returns the member count.
-  std::size_t members(std::size_t p, std::array<std::size_t, 64>& idx) const {
-    std::size_t m = 0;
-    for (std::uint64_t bits = problems[p].rows; bits != 0; bits &= bits - 1)
-      idx[m++] = static_cast<std::size_t>(__builtin_ctzll(bits));
-    return m;
-  }
-
   /// Recovery and bookkeeping for problem p, whose final iterate is s.v.
   void finish(std::size_t p, const std::array<std::size_t, 64>& idx,
               std::size_t m, const PowerResult& r) {
@@ -249,7 +243,7 @@ struct SubsetBatch {
   /// Problem p start to end on the scalar path.
   void scalar(std::size_t p) {
     std::array<std::size_t, 64> idx;
-    const std::size_t m = members(p, idx);
+    const std::size_t m = bit_indices(problems[p].rows, idx).size();
     DominantSVD& o = out[p];
     o.singular_value = 0.0;
     o.iterations = 0;
@@ -339,7 +333,7 @@ __attribute__((always_inline)) inline void run_lanes(
     its[l] = 0.0;
     while (next < count) {
       const std::size_t p = queue[next++];
-      b.members(p, ln.idx);
+      bit_indices(b.problems[p].rows, ln.idx);
       bool finite = true;
       for (std::size_t r = 0; r < m; ++r)
         for (std::size_t c = 0; c < m; ++c) {

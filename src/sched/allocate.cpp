@@ -1,10 +1,12 @@
 #include "sched/allocate.h"
 
+#include "common/bits.h"
 #include "obs/span.h"
 #include "verify/invariants.h"
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -39,17 +41,10 @@ inline constexpr double kOverlapValue = 0.25;
 
 /// Lookup tables built once per optimizer call and shared by everything
 /// it evaluates (the warm refine, the round-robin floor and all eight cold
-/// phases): each group's rate in bytes/s, each layer's cap, and a
-/// group x user membership bitmap.
+/// phases): each group's rate in bytes/s and each layer's cap.
 struct Tables {
   std::vector<double> rate;             ///< R_g in bytes/s
   LayerArray cap{};                     ///< max(1, layer bytes)
-  std::size_t words = 0;                ///< bitmap words per group
-  std::vector<std::uint64_t> members;   ///< [g * words + u / 64] bit u % 64
-
-  bool contains(std::size_t g, std::size_t u) const {
-    return ((members[g * words + u / 64] >> (u % 64)) & 1u) != 0;
-  }
 };
 
 void build_tables(const AllocProblem& p, Tables& tb) {
@@ -58,11 +53,6 @@ void build_tables(const AllocProblem& p, Tables& tb) {
     tb.rate[g] = p.groups[g].beam.rate.value * 1e6 / 8.0;
   for (std::size_t j = 0; j < kLayers; ++j)
     tb.cap[j] = std::max(1.0, p.content.layer_bytes[j]);
-  tb.words = (p.n_users + 63) / 64;
-  tb.members.assign(p.groups.size() * tb.words, 0);
-  for (std::size_t g = 0; g < p.groups.size(); ++g)
-    for (std::size_t u : p.groups[g].members)
-      tb.members[g * tb.words + u / 64] |= std::uint64_t{1} << (u % 64);
 }
 
 /// The support of t: its nonzero coordinates, ascending. A zero coordinate
@@ -91,7 +81,8 @@ void support_into(const std::vector<double>& t,
 /// sorted), so the adds happen in the same order whether one cell or the
 /// whole table is being computed: a cell recomputed alone is bit-identical
 /// to a full recompute.
-double effective_bytes(const Tables& tb, const std::vector<double>& t,
+double effective_bytes(const AllocProblem& p, const Tables& tb,
+                       const std::vector<double>& t,
                        std::span<const std::size_t> support, std::size_t u,
                        std::size_t j, std::size_t& binding) {
   double max_d = 0.0;
@@ -100,7 +91,7 @@ double effective_bytes(const Tables& tb, const std::vector<double>& t,
   for (std::size_t i : support) {
     if (i % kLayers != j) continue;
     const std::size_t g = i / kLayers;
-    if (!tb.contains(g, u)) continue;
+    if (!p.groups[g].contains(u)) continue;
     const double bytes = t[i] * tb.rate[g];
     if (bytes <= 0.0) continue;
     sum_d += bytes;
@@ -150,7 +141,7 @@ void evaluate_into(const AllocProblem& p, const Tables& tb,
   for (std::size_t u = 0; u < p.n_users; ++u) {
     std::size_t binding = kNoGroup;
     for (std::size_t j = 0; j < kLayers; ++j)
-      e.user_bytes[u][j] = effective_bytes(tb, t, support, u, j, binding);
+      e.user_bytes[u][j] = effective_bytes(p, tb, t, support, u, j, binding);
     e.ssim[u] = q.predict(features_for(p, fractions(tb, e.user_bytes[u])));
     quality += e.ssim[u];
   }
@@ -252,7 +243,7 @@ void round_robin_times_into(const AllocProblem& p, Seconds slot,
     for (int j = 0; j < video::kNumLayers; ++j) {
       const auto js = static_cast<std::size_t>(j);
       bool all_have = true;
-      for (std::size_t u : group.members)
+      for (std::size_t u : SetBits{group.mask})
         all_have &= delivered[u][js] >= p.content.layer_bytes[js];
       if (!all_have) {
         target = j;
@@ -261,7 +252,7 @@ void round_robin_times_into(const AllocProblem& p, Seconds slot,
     }
     const auto ts = static_cast<std::size_t>(target);
     t[g * kLayers + ts] += this_slot;
-    for (std::size_t u : group.members) delivered[u][ts] += bytes;
+    for (std::size_t u : SetBits{group.mask}) delivered[u][ts] += bytes;
 
     remaining -= this_slot;
     idx = (idx + 1) % order.size();
@@ -273,18 +264,16 @@ void round_robin_times_into(const AllocProblem& p, Seconds slot,
 /// best so far, starting from (0, -1) — until no group adds a user.
 template <class Better>
 void cover_groups_into(const AllocProblem& p, Better better,
-                       std::vector<std::size_t>& chosen,
-                       std::vector<bool>& covered) {
-  covered.assign(p.n_users, false);
+                       std::vector<std::size_t>& chosen) {
   chosen.clear();
-  std::size_t n_covered = 0;
-  while (n_covered < p.n_users) {
+  GroupMask covered = 0;
+  while (static_cast<std::size_t>(std::popcount(covered)) < p.n_users) {
     std::size_t best_g = p.groups.size();
     std::size_t best_new = 0;
     double best_rate = -1.0;
     for (std::size_t g = 0; g < p.groups.size(); ++g) {
-      std::size_t fresh = 0;
-      for (std::size_t u : p.groups[g].members) fresh += covered[u] ? 0 : 1;
+      const auto fresh =
+          static_cast<std::size_t>(std::popcount(p.groups[g].mask & ~covered));
       const double rate = p.groups[g].beam.rate.value;
       if (better(fresh, rate, best_new, best_rate)) {
         best_g = g;
@@ -294,12 +283,7 @@ void cover_groups_into(const AllocProblem& p, Better better,
     }
     if (best_g == p.groups.size()) break;  // uncoverable remainder
     chosen.push_back(best_g);
-    for (std::size_t u : p.groups[best_g].members) {
-      if (!covered[u]) {
-        covered[u] = true;
-        ++n_covered;
-      }
-    }
+    covered |= p.groups[best_g].mask;
   }
   if (chosen.empty()) chosen.push_back(0);
 }
@@ -316,7 +300,8 @@ void per_user_groups_into(const AllocProblem& p,
     double best_rate = -1.0;
     for (std::size_t g = 0; g < p.groups.size(); ++g) {
       if (!p.groups[g].contains(u)) continue;
-      const std::size_t size = p.groups[g].members.size();
+      const auto size =
+          static_cast<std::size_t>(std::popcount(p.groups[g].mask));
       const double rate = p.groups[g].beam.rate.value;
       if (size < best_size || (size == best_size && rate > best_rate)) {
         best_g = g;
@@ -417,10 +402,6 @@ class Refiner {
 
   std::vector<CellUndo> cells_;
   std::vector<UserUndo> users_;
-  std::vector<std::size_t> touched_;  ///< distinct users a candidate rescanned
-  /// User bitmaps laid out as one Tables::members row: the users a
-  /// candidate rescanned, and those whose bytes or binding it changed.
-  std::vector<std::uint64_t> seen_, changed_;
 };
 
 void Refiner::run(const AllocProblem& p, const Tables& tb,
@@ -515,7 +496,7 @@ void Refiner::load() {
   for (std::size_t u = 0; u < p.n_users; ++u) {
     for (std::size_t j = 0; j < kLayers; ++j)
       e.user_bytes[u][j] =
-          effective_bytes(*tb_, t, support_, u, j, binding_[u][j]);
+          effective_bytes(p, *tb_, t, support_, u, j, binding_[u][j]);
     fraction_[u] = fractions(*tb_, e.user_bytes[u]);
     const model::Features f = features_for(p, fraction_[u]);
     e.ssim[u] = q_->predict(f);
@@ -525,8 +506,6 @@ void Refiner::load() {
   e.objective = quality - p.lambda * traffic(*tb_, t, support_);
   grad_.resize(dims_);
   for (std::size_t g = 0; g < p.groups.size(); ++g) group_gradient(g);
-  seen_.resize(tb_->words);
-  changed_.resize(tb_->words);
 }
 
 /// t_i = value, keeping the support list in step.
@@ -550,25 +529,22 @@ double Refiner::rescan_moved(std::size_t ia, std::size_t ib) {
   Eval& e = *e_;
   cells_.clear();
   users_.clear();
-  touched_.clear();
-  std::fill(seen_.begin(), seen_.end(), 0);
+  GroupMask rescanned = 0;
   for (const std::size_t i : {ia, ib}) {
     if (i == dims_) continue;
     const std::size_t g = i / kLayers;
     const std::size_t j = i % kLayers;
-    for (std::size_t u : p_->groups[g].members) {
+    rescanned |= p_->groups[g].mask;
+    for (std::size_t u : SetBits{p_->groups[g].mask}) {
       double& bytes = e.user_bytes[u][j];
       std::size_t& binding = binding_[u][j];
       cells_.push_back({u, j, bytes, binding});
-      bytes = effective_bytes(*tb_, t, support_, u, j, binding);
-      const std::uint64_t bit = std::uint64_t{1} << (u % 64);
-      if ((seen_[u / 64] & bit) == 0) {
-        seen_[u / 64] |= bit;
-        touched_.push_back(u);
-      }
+      bytes = effective_bytes(*p_, *tb_, t, support_, u, j, binding);
     }
   }
-  for (std::size_t u : touched_) {
+  // Each user's prediction depends on that user alone, so the order the
+  // rescanned users are visited in changes nothing.
+  for (std::size_t u : SetBits{rescanned}) {
     const LayerArray f = fractions(*tb_, e.user_bytes[u]);
     if (same_bits(f, fraction_[u])) continue;
     users_.push_back({u, fraction_[u], e.ssim[u]});
@@ -596,30 +572,23 @@ void Refiner::revert() {
 void Refiner::accept() {
   for (const UserUndo& w : users_)
     gfrac_[w.u] = q_->fraction_gradient(features_for(*p_, fraction_[w.u]));
-  std::fill(changed_.begin(), changed_.end(), 0);
-  bool any = false;
+  GroupMask changed = 0;  // users whose bytes or binding group moved
   for (const CellUndo& c : cells_) {
     if (same_bits(c.bytes, e_->user_bytes[c.u][c.j]) &&
         c.binding == binding_[c.u][c.j])
       continue;
-    changed_[c.u / 64] |= std::uint64_t{1} << (c.u % 64);
-    any = true;
+    changed |= GroupMask{1} << c.u;
   }
-  if (!any) return;
-  const std::size_t words = tb_->words;
+  if (changed == 0) return;
   for (std::size_t g = 0; g < p_->groups.size(); ++g)
-    for (std::size_t w = 0; w < words; ++w)
-      if ((tb_->members[g * words + w] & changed_[w]) != 0) {
-        group_gradient(g);
-        break;
-      }
+    if ((p_->groups[g].mask & changed) != 0) group_gradient(g);
 }
 
 void Refiner::group_gradient(std::size_t g) {
   for (std::size_t j = 0; j < kLayers; ++j) {
     const double cap = tb_->cap[j];
     double dq = -p_->lambda;  // traffic penalty applies to every sent byte
-    for (std::size_t u : p_->groups[g].members) {
+    for (std::size_t u : SetBits{p_->groups[g].mask}) {
       // Saturated: extra bytes are waste.
       if (e_->user_bytes[u][j] >= cap) continue;
       // d_eff = (1-k) max + k sum: the binding group carries the full
@@ -674,7 +643,7 @@ void Refiner::rank_drains() {
     const double rate = tb_->rate[g];
     if (rate <= 0.0) continue;
     double excess = 1e300;
-    for (std::size_t u : p_->groups[g].members)
+    for (std::size_t u : SetBits{p_->groups[g].mask})
       excess = std::min(excess, e_->user_bytes[u][j] - tb_->cap[j]);
     if (excess <= 0.0) continue;
     const double drainable = std::min(t[i], excess / rate);
@@ -829,11 +798,9 @@ struct AllocScratch::Buffers {
   Refiner refiner;
   std::vector<std::size_t> support;  ///< evaluate_into
   std::vector<double> sorted;        ///< project_to_simplex
-  std::vector<bool> covered;         ///< the covering seeds
   RoundRobinScratch rr;              ///< round_robin_times_into
   // Warm path.
   RefineResult warm;
-  std::vector<std::uint8_t> grouped, served;
   /// The round-robin plan and its evaluation: the warm path's acceptance
   /// floor, and round_robin_allocation_into's result.
   std::vector<double> floor_t;
@@ -866,6 +833,7 @@ void optimize_allocation_into(const AllocProblem& p,
     throw std::invalid_argument("optimize_allocation: no usable groups");
   if (p.n_users == 0)
     throw std::invalid_argument("optimize_allocation: no users");
+  check_group_masks(p.groups, p.n_users, "optimize_allocation");
 
   static obs::Stage& st = obs::stage("sched.optimize");
   obs::StageSpan span(st);
@@ -931,21 +899,14 @@ void optimize_allocation_into(const AllocProblem& p,
       // re-entering after quarantine/blockage produces (their groups were
       // absent from the previous frame, so the remap left them at zero).
       // The multi-start's per-user and covering seeds exist for that case.
-      std::vector<std::uint8_t>& grouped = b.grouped;
-      std::vector<std::uint8_t>& served = b.served;
-      grouped.assign(p.n_users, 0);
-      served.assign(p.n_users, 0);
+      GroupMask grouped = 0, served = 0;
       for (std::size_t g = 0; g < p.groups.size(); ++g) {
         double tg = 0.0;
         for (std::size_t j = 0; j < kLayers; ++j) tg += warm.t[g * kLayers + j];
-        for (std::size_t u : p.groups[g].members) {
-          grouped[u] = 1;
-          if (tg > 0.0) served[u] = 1;
-        }
+        grouped |= p.groups[g].mask;
+        if (tg > 0.0) served |= p.groups[g].mask;
       }
-      bool serves_all = true;
-      for (std::size_t u = 0; u < p.n_users; ++u)
-        serves_all &= grouped[u] == 0 || served[u] != 0;
+      const bool serves_all = (grouped & ~served) == 0;
       if (!serves_all && obs::enabled()) {
         static obs::Counter& c_fb_unserved =
             obs::MetricsRegistry::global().counter(
@@ -999,7 +960,7 @@ void optimize_allocation_into(const AllocProblem& p,
       [](std::size_t f, double r, std::size_t bf, double br) {
         return f > bf || (f == bf && f > 0 && r > br);
       },
-      b.cover, b.covered);
+      b.cover);
   // Efficiency cover: the most rate x newly-covered members — airtime
   // efficiency, what makes a shared beam worth it. Seeds multicast
   // pairs/triples the exchange steps cannot reach from a singleton
@@ -1010,7 +971,7 @@ void optimize_allocation_into(const AllocProblem& p,
       [](std::size_t f, double r, std::size_t bf, double br) {
         return r * static_cast<double>(f) > br * static_cast<double>(bf);
       },
-      b.efficient, b.covered);
+      b.efficient);
   per_user_groups_into(p, b.dedicated);
   std::array<std::vector<double>, 4>& inits = b.inits;
   round_robin_times_into(p, 1e-3, &b.cover, b.rr, inits[0]);
@@ -1061,6 +1022,7 @@ void round_robin_allocation_into(const AllocProblem& p,
   if (!(slot > 0.0) || !std::isfinite(slot))
     throw std::invalid_argument("round_robin_allocation: slot must be a "
                                 "positive finite duration");
+  check_group_masks(p.groups, p.n_users, "round_robin_allocation");
   AllocScratch::Buffers& b = scratch.buffers();
   build_tables(p, b.tables);
   round_robin_times_into(p, slot, nullptr, b.rr, b.floor_t);

@@ -29,6 +29,10 @@ struct FrameContent {
   double blank_ssim = 0.0;
 };
 
+/// Eq. 1's traffic penalty lambda, per transmitted byte: small enough to
+/// act only as a tie-break between plans of equal predicted quality.
+inline constexpr double kTrafficPenalty = 1e-8;
+
 struct AllocProblem {
   /// Candidate groups. A view, not storage: typically the span a
   /// SchedWorkspace enumeration returned (a std::vector<GroupSpec>
@@ -38,7 +42,7 @@ struct AllocProblem {
   std::size_t n_users = 0;
   FrameContent content;
   Seconds time_budget = kFrameBudget;
-  double lambda = 1e-8;   ///< traffic penalty per byte (tie-break only)
+  double lambda = kTrafficPenalty;  ///< traffic penalty per byte
   /// Anytime cutoff of optimize_allocation_into: past it, refinement stops
   /// and later cold starts are skipped; the best plan so far is returned,
   /// coverage-repaired so every group-served user keeps positive airtime.
@@ -128,6 +132,8 @@ class AllocScratch {
 
 /// Projected-gradient optimizer for Eq. 1, writing into a caller-owned
 /// Allocation (its store and predicted_ssim reuse their capacity).
+/// Throws std::invalid_argument when there are no groups or users, more
+/// than 64 users, or a group mask names a user >= n_users.
 ///
 /// `warm_start` (optional) is a flattened time vector (g-major,
 /// layer-minor, matching problem.groups) — typically the previous frame's
@@ -150,7 +156,8 @@ void optimize_allocation_into(
 /// slot's bytes go to the lowest layer that group's members still miss.
 /// The final partial slot is sized to land exactly on the budget: the
 /// summed time plan never exceeds `problem.time_budget` and drops at most
-/// 1e-12 s of it. Throws std::invalid_argument for slot <= 0 or non-finite.
+/// 1e-12 s of it. Throws std::invalid_argument for slot <= 0 or non-finite,
+/// and on the group-mask contract of optimize_allocation_into.
 void round_robin_allocation_into(const AllocProblem& problem,
                                  model::QualityModel& quality,
                                  AllocScratch& scratch, Allocation& out,

@@ -22,14 +22,6 @@ void BeamCache::clear() {
   channels_.clear();
 }
 
-BeamCache::Entry* BeamCache::find(GroupMask mask) {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), mask,
-      [](const Entry& e, GroupMask m) { return e.mask < m; });
-  if (it == entries_.end() || it->mask != mask) return nullptr;
-  return &*it;
-}
-
 void BeamCache::enumerate_into(const std::vector<linalg::CVector>& channels,
                                const beamforming::Codebook& codebook,
                                const GroupEnumConfig& cfg,
@@ -63,7 +55,7 @@ void BeamCache::enumerate_into(const std::vector<linalg::CVector>& channels,
   std::size_t miss_mandatory = 0;
   for (std::size_t j = 0; j < plan.priority.size(); ++j) {
     const GroupMask mask = plan.masks[plan.priority[j]];
-    const Entry* e = find(mask);
+    const Entry* e = find_mask(entries_, mask);
     if (e != nullptr && e->valid) continue;
     ws.ordered.push_back(mask);
     if (j < plan.mandatory) ++miss_mandatory;
@@ -74,7 +66,7 @@ void BeamCache::enumerate_into(const std::vector<linalg::CVector>& channels,
   std::size_t computed = 0;
   for (std::size_t i = 0; i < ws.ordered.size(); ++i) {
     if (!ws.done[i]) continue;
-    Entry* e = find(ws.ordered[i]);
+    Entry* e = find_mask(entries_, ws.ordered[i]);
     if (e == nullptr) {
       // First sighting of this mask: grow the sorted store (warmup /
       // plan-change only). The moves behind insert never allocate.
@@ -103,7 +95,7 @@ void BeamCache::enumerate_into(const std::vector<linalg::CVector>& channels,
   // stays a cache miss and becomes a candidate again next frame.
   ws.by_index.resize(plan.masks.size());
   for (std::size_t i = 0; i < plan.masks.size(); ++i) {
-    const Entry* e = find(plan.masks[i]);
+    const Entry* e = find_mask(entries_, plan.masks[i]);
     ws.by_index[i] = e != nullptr && e->valid ? &e->beam : nullptr;
   }
   emit_groups(cfg.rate_threshold, ws, out);

@@ -64,9 +64,6 @@ class BeamCache {
     bool valid = false;
   };
 
-  /// Returns the entry for `mask` or nullptr (entries_ is mask-sorted).
-  Entry* find(GroupMask mask);
-
   beamforming::Scheme scheme_;
   std::uint64_t beam_seed_;
   std::vector<linalg::CVector> channels_;  ///< channels at last enumerate

@@ -1,6 +1,7 @@
 #include "sched/groups.h"
 
 #include "channel/mcs.h"
+#include "common/bits.h"
 #include "gf256/gf256.h"
 #include "linalg/decompose.h"
 #include "obs/metrics.h"
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <stdexcept>
 
 namespace w4k::sched {
@@ -50,32 +52,29 @@ struct MaskFilter {
 
   bool admits(GroupMask mask) const {
     if (mask & excluded_mask) return false;  // quarantined/departed member
-    const auto size = static_cast<std::size_t>(__builtin_popcountll(mask));
+    const auto size = static_cast<std::size_t>(std::popcount(mask));
     if (size > max_group_size) return false;
     if (!multicast && size != 1) return false;
     if (partitioned && mask) {
       // One beam, one array: every member must share the lowest member's
       // serving AP.
-      const unsigned lo = static_cast<unsigned>(__builtin_ctzll(mask));
-      if (mask & ~part_mask[part_id[lo]]) return false;
+      if (mask & ~part_mask[part_id[std::countr_zero(mask)]]) return false;
     }
     return true;
   }
 };
 
-std::size_t popcount(GroupMask mask) {
-  return static_cast<std::size_t>(__builtin_popcountll(mask));
+bool is_singleton(const ScoredCandidate& c) {
+  return std::popcount(c.mask) == 1;
 }
-
-bool is_singleton(const ScoredCandidate& c) { return popcount(c.mask) == 1; }
 
 /// Candidate priority: singletons first (the coverage floor the deadline
 /// must never cut), then merges by descending bound-rate x size (airtime
 /// efficiency), ties by ascending mask.
 bool ranks_before(const ScoredCandidate& a, const ScoredCandidate& b) {
   if (is_singleton(a) != is_singleton(b)) return is_singleton(a);
-  const double va = a.ub * static_cast<double>(popcount(a.mask));
-  const double vb = b.ub * static_cast<double>(popcount(b.mask));
+  const double va = a.ub * std::popcount(a.mask);
+  const double vb = b.ub * std::popcount(b.mask);
   if (va != vb) return va > vb;
   return a.mask < b.mask;
 }
@@ -101,27 +100,12 @@ void note_beamform(const linalg::SubsetBatchStats& stats) {
 /// candidate pruned here could only ever have been emitted-filtered.
 double rate_upper_bound(GroupMask mask, const std::vector<double>& cap_mw) {
   double cap = 1e300;
-  for (std::size_t u = 0; u < cap_mw.size(); ++u)
-    if (mask & (GroupMask{1} << u)) cap = std::min(cap, cap_mw[u]);
+  for (std::size_t u : SetBits{mask}) cap = std::min(cap, cap_mw[u]);
   if (cap <= 0.0) return 0.0;  // dead member: no MCS, avoid log(0)
   return channel::rate_for_rss(Dbm::from_milliwatts(cap)).value;
 }
 
-/// The mask's member indices, ascending, written into caller-owned stack
-/// storage (a mask has at most 64 members).
-std::span<const std::size_t> members_of(GroupMask mask,
-                                        std::array<std::size_t, 64>& idx) {
-  std::size_t m = 0;
-  for (; mask != 0; mask &= mask - 1)
-    idx[m++] = static_cast<std::size_t>(__builtin_ctzll(mask));
-  return {idx.data(), m};
-}
-
 }  // namespace
-
-bool GroupSpec::contains(std::size_t user) const {
-  return std::find(members.begin(), members.end(), user) != members.end();
-}
 
 std::uint64_t subset_seed(std::uint64_t beam_seed, GroupMask mask) {
   // splitmix64 finalizer over (beam_seed, mask): neighbouring masks land in
@@ -233,7 +217,7 @@ beamforming::GroupBeam subset_beam(
     const beamforming::Codebook& codebook, std::uint64_t beam_seed) {
   std::array<std::size_t, 64> idx;
   beamforming::GroupBeam out;
-  beamforming::group_beam_into(scheme, user_channels, members_of(mask, idx),
+  beamforming::group_beam_into(scheme, user_channels, bit_indices(mask, idx),
                                codebook, subset_seed(beam_seed, mask), out);
   return out;
 }
@@ -293,7 +277,7 @@ void beamform_prepared(beamforming::Scheme scheme,
   for (std::size_t i = 0; i < masks.size(); ++i) {
     ws.first_subset[i] = ws.subsets.size();
     const GroupMask mask = masks[i];
-    if (!lanes || popcount(mask) < 2 || (mask & ws.mixed) ||
+    if (!lanes || std::popcount(mask) < 2 || (mask & ws.mixed) ||
         !(mask & ws.usable))
       continue;
     ws.subsets.push_back({mask & ws.usable, subset_seed(beam_seed, mask)});
@@ -330,7 +314,7 @@ void beamform_prepared(beamforming::Scheme scheme,
     }
     std::array<std::size_t, 64> idx;
     for (std::size_t i = lo; i < hi; ++i) {
-      const auto members = members_of(masks[i], idx);
+      const auto members = bit_indices(masks[i], idx);
       if (ws.first_subset[i + 1] > ws.first_subset[i]) {
         beamforming::evaluate_beam_into(
             ws.svd[ws.first_subset[i]].right_singular, user_channels,
@@ -359,11 +343,6 @@ void beamform_priority_into(
     std::uint64_t beam_seed, ThreadPool* pool, SchedWorkspace& ws) {
   if (ws.beams.size() < masks.size())
     ws.beams.resize(masks.size());  // beam pool: never shrinks
-  // Slots are indexed by miss-list position, so a fault that reshuffles
-  // the miss order can land a large group in a slot that last held a
-  // singleton. Reserving every slot to the group-size bound (the user
-  // count) up front keeps that reshuffle off the heap.
-  for (auto& b : ws.beams) b.member_rss.reserve(user_channels.size());
   ws.done.assign(masks.size(), 0);
   ws.deferred = 0;
 
@@ -432,13 +411,11 @@ void emit_groups(Mbps rate_threshold, SchedWorkspace& ws,
     count += beam != nullptr ? 1 : 0;
   }
   resize_recycled(out, count, ws.spare_groups);
-  std::array<std::size_t, 64> idx;
   for (std::size_t i = 0, g = 0; i < ws.by_index.size(); ++i) {
     if (ws.by_index[i] == nullptr) continue;
-    GroupSpec& spec = out[g++];  // copy-assign: slot capacity reused
-    const auto members = members_of(ws.plan.masks[i], idx);
-    spec.members.assign(members.begin(), members.end());
-    spec.beam = *ws.by_index[i];
+    GroupSpec& spec = out[g++];
+    spec.mask = ws.plan.masks[i];
+    spec.beam = *ws.by_index[i];  // copy-assign: beam capacity reused
   }
 }
 

@@ -32,10 +32,13 @@
 #include "beamforming/multicast.h"
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace w4k::sched {
@@ -48,12 +51,40 @@ struct SchedWorkspace;  // sched/workspace.h — reusable enumeration buffers
 /// 32-bit masks produced, so cached-beam determinism survives the widening.
 using GroupMask = std::uint64_t;
 
+/// One candidate multicast group: who is in it and the beam that serves
+/// them. Every consumer walks the members as the mask's set bits
+/// (SetBits, common/bits.h), so in ascending user order.
 struct GroupSpec {
-  std::vector<std::size_t> members;   ///< user indices, ascending
-  beamforming::GroupBeam beam;        ///< precoder + per-member RSS + rate
+  GroupMask mask = 0;                 ///< bit u set = user u is a member
+  beamforming::GroupBeam beam;        ///< precoder + bottleneck RSS + rate
 
-  bool contains(std::size_t user) const;
+  bool contains(std::size_t user) const {
+    return user < 64 && ((mask >> user) & 1u) != 0;
+  }
 };
+
+/// Throws std::invalid_argument (prefixed by `who`) unless `n_users` fits
+/// a GroupMask and every group's mask names only users below it: the
+/// contract of every entry point that takes groups (any range of elements
+/// with a `mask` field: GroupSpec, emu::GroupTx).
+template <class Groups>
+void check_group_masks(const Groups& groups, std::size_t n_users,
+                       const char* who) {
+  bool ok = n_users <= 64;
+  for (const auto& g : groups) ok &= n_users >= 64 || g.mask >> n_users == 0;
+  if (!ok)
+    throw std::invalid_argument(std::string(who) +
+                                ": more than 64 users or a member >= n_users");
+}
+
+/// The element of a mask-sorted range with exactly `mask`, or nullptr.
+template <class Entries>
+auto* find_mask(Entries& entries, GroupMask mask) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), mask,
+      [](const auto& e, GroupMask m) { return e.mask < m; });
+  return it != entries.end() && it->mask == mask ? &*it : nullptr;
+}
 
 /// Wall-clock cutoff of an anytime stage. nullopt = no clock reads: the
 /// output is a pure function of the inputs (the determinism contract).
@@ -165,9 +196,9 @@ void plan_candidates_into(beamforming::Scheme scheme,
 
 /// The one emit step of every enumeration: copies, in ascending mask
 /// order, each ws.plan mask whose beam (ws.by_index[i]; nullptr =
-/// deferred) has a positive rate >= `rate_threshold` into `out`, members
-/// and beam once. `out` ends up exactly that size; its elements move to
-/// and from ws.spare_groups, so every slot keeps its buffers.
+/// deferred) has a positive rate >= `rate_threshold` into `out`, mask and
+/// beam once. `out` ends up exactly that size; its elements move to and
+/// from ws.spare_groups, so every slot keeps its beam buffer.
 void emit_groups(Mbps rate_threshold, SchedWorkspace& ws,
                  std::vector<GroupSpec>& out);
 

@@ -1,24 +1,20 @@
 #include "sched/hierarchy.h"
 
+#include "common/bits.h"
+
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace w4k::sched {
 namespace {
 
-/// Members are indices into the clusterable-user list, kept ascending.
 struct Cluster {
-  std::vector<std::size_t> members;
+  GroupMask members = 0;  ///< user ids
   bool alive = true;
 };
 
-std::vector<std::size_t> merge_sorted(const std::vector<std::size_t>& a,
-                                      const std::vector<std::size_t>& b) {
-  std::vector<std::size_t> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
+double size_of(const Cluster& c) { return std::popcount(c.members); }
 
 }  // namespace
 
@@ -65,8 +61,9 @@ std::vector<GroupMask> cluster_candidates(
   const std::size_t cap =
       std::max<std::size_t>(2, std::min(kMaxClusterSize, cfg.max_group_size));
   std::vector<Cluster> clusters(m);
-  for (std::size_t i = 0; i < m; ++i) clusters[i].members = {i};
-  std::vector<std::vector<std::size_t>> merges;  // every tree-internal set
+  for (std::size_t i = 0; i < m; ++i)
+    clusters[i].members = GroupMask{1} << user_of[i];
+  std::vector<GroupMask> merges;  // every tree-internal set
   for (;;) {
     double best = kClusterCorrelation;
     std::size_t bi = m, bj = m;
@@ -74,7 +71,8 @@ std::vector<GroupMask> cluster_candidates(
       if (!clusters[i].alive) continue;
       for (std::size_t j = i + 1; j < m; ++j) {
         if (!clusters[j].alive) continue;
-        if (clusters[i].members.size() + clusters[j].members.size() > cap)
+        if (size_of(clusters[i]) + size_of(clusters[j]) >
+            static_cast<double>(cap))
           continue;
         const double v = link[i * m + j];
         if (v > best) {
@@ -85,10 +83,9 @@ std::vector<GroupMask> cluster_candidates(
       }
     }
     if (bi == m) break;
-    const double si = static_cast<double>(clusters[bi].members.size());
-    const double sj = static_cast<double>(clusters[bj].members.size());
-    clusters[bi].members =
-        merge_sorted(clusters[bi].members, clusters[bj].members);
+    const double si = size_of(clusters[bi]);
+    const double sj = size_of(clusters[bj]);
+    clusters[bi].members |= clusters[bj].members;
     clusters[bj].alive = false;
     merges.push_back(clusters[bi].members);
     for (std::size_t k = 0; k < m; ++k) {
@@ -104,22 +101,22 @@ std::vector<GroupMask> cluster_candidates(
   // prefixes of a merge set in this order are its most defensible
   // sub-groups — dropping the weakest member is how a group's bottleneck
   // rate improves.
-  const auto gain_order = [&](std::vector<std::size_t> list) {
-    std::sort(list.begin(), list.end(),
-              [&](std::size_t a, std::size_t b) {
-                const double ga = channels[user_of[a]].norm_sq();
-                const double gb = channels[user_of[b]].norm_sq();
-                if (ga != gb) return ga > gb;
-                return user_of[a] < user_of[b];
-              });
+  const auto gain_order = [&](GroupMask set) {
+    std::vector<std::size_t> list;
+    for (std::size_t u : SetBits{set}) list.push_back(u);
+    std::sort(list.begin(), list.end(), [&](std::size_t a, std::size_t b) {
+      const double ga = channels[a].norm_sq();
+      const double gb = channels[b].norm_sq();
+      if (ga != gb) return ga > gb;
+      return a < b;
+    });
     return list;
   };
-  const auto emit_prefixes = [&](const std::vector<std::size_t>& set) {
-    const auto ordered = gain_order(set);
+  const auto emit_prefixes = [&](GroupMask set) {
     GroupMask mask = 0;
     std::size_t taken = 0;
-    for (std::size_t idx : ordered) {
-      mask |= GroupMask{1} << user_of[idx];
+    for (std::size_t u : gain_order(set)) {
+      mask |= GroupMask{1} << u;
       ++taken;
       if (taken > cfg.max_group_size) break;
       if (taken >= 2) out.push_back(mask);
@@ -127,19 +124,19 @@ std::vector<GroupMask> cluster_candidates(
   };
 
   // Intra-cluster candidates: every merge set at every tree level.
-  for (const auto& set : merges) emit_prefixes(set);
+  for (GroupMask set : merges) emit_prefixes(set);
 
   // Pairs among the strongest members of each final cluster — small
   // groups the prefix walk may have skipped over.
   constexpr std::size_t kTopPairs = 6;
   for (std::size_t i = 0; i < m; ++i) {
-    if (!clusters[i].alive || clusters[i].members.size() < 2) continue;
+    if (!clusters[i].alive || size_of(clusters[i]) < 2) continue;
     auto ordered = gain_order(clusters[i].members);
     if (ordered.size() > kTopPairs) ordered.resize(kTopPairs);
     for (std::size_t a = 0; a < ordered.size(); ++a)
       for (std::size_t b = a + 1; b < ordered.size(); ++b)
-        out.push_back((GroupMask{1} << user_of[ordered[a]]) |
-                      (GroupMask{1} << user_of[ordered[b]]));
+        out.push_back((GroupMask{1} << ordered[a]) |
+                      (GroupMask{1} << ordered[b]));
   }
 
   // Cross-cluster merges: each final cluster with its most-correlated
@@ -156,7 +153,7 @@ std::vector<GroupMask> cluster_candidates(
       }
     }
     if (bj == m || bj < i) continue;  // each unordered pair once
-    emit_prefixes(merge_sorted(clusters[i].members, clusters[bj].members));
+    emit_prefixes(clusters[i].members | clusters[bj].members);
   }
 
   std::sort(out.begin(), out.end());

@@ -1,35 +1,22 @@
 #include "sched/planner.h"
 
+#include "common/bits.h"
 #include "common/thread_pool.h"
 #include "obs/span.h"
 #include "verify/invariants.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 namespace w4k::sched {
 namespace {
 
-GroupMask group_mask(const GroupSpec& g) {
-  GroupMask mask = 0;
-  for (std::size_t u : g.members) mask |= GroupMask{1} << u;
-  return mask;
-}
-
-/// The entry of a mask-sorted vector with exactly `mask`, or nullptr.
-template <class Entry>
-const Entry* find_mask(const std::vector<Entry>& v, GroupMask mask) {
-  const auto it = std::lower_bound(
-      v.begin(), v.end(), mask,
-      [](const Entry& e, GroupMask m) { return e.mask < m; });
-  return it != v.end() && it->mask == mask ? &*it : nullptr;
-}
-
 /// The verify layer's checks on the emitted groups.
 void check_groups(const std::vector<GroupSpec>& groups, const Membership& who) {
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    const std::size_t lead = groups[g].members.front();
-    for (std::size_t u : groups[g].members) {
+    const int lead = std::countr_zero(groups[g].mask);
+    for (std::size_t u : SetBits{groups[g].mask}) {
       // One stale cache entry would leak traffic to a silent user.
       verify::check(u < who.exclude.size() && who.exclude[u] == 0,
                     "session.excluded-user-scheduled", [&] {
@@ -71,11 +58,11 @@ void Planner::note_measured(const std::vector<GroupSpec>& groups,
                             std::span<const Mbps> rates) {
   measured_.clear();
   for (std::size_t g = 0; g < groups.size() && g < rates.size(); ++g)
-    measured_.push_back({group_mask(groups[g]), rates[g]});
+    measured_.push_back({groups[g].mask, rates[g]});
 }
 
 Mbps Planner::measured_rate(const GroupSpec& g) const {
-  const MeasuredGroup* e = find_mask(measured_, group_mask(g));
+  const MeasuredGroup* e = find_mask(measured_, g.mask);
   return e ? e->rate : Mbps{0.0};
 }
 
@@ -125,7 +112,6 @@ void Planner::decide_into(const std::vector<linalg::CVector>& channels,
   problem.n_users = channels.size();
   problem.content = content;
   problem.time_budget = settings_.time_budget;
-  problem.lambda = settings_.lambda;
   {
     static obs::Stage& st = obs::stage("session.allocate");
     obs::StageSpan span(st);
@@ -135,7 +121,7 @@ void Planner::decide_into(const std::vector<linalg::CVector>& channels,
       forget_plan();  // this plan warm-starts the next frame
       prev_users_ = channels.size();
       for (std::size_t g = 0; g < d.groups.size(); ++g) {
-        prev_.push_back({group_mask(d.groups[g]), d.allocation.time(g)});
+        prev_.push_back({d.groups[g].mask, d.allocation.time(g)});
         for (double v : d.allocation.time(g)) prev_total_ += v;
       }
     } else {
@@ -158,7 +144,7 @@ const std::vector<double>* Planner::warm_start(
   warm_.assign(groups.size() * video::kNumLayers, 0.0);
   double covered = 0.0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    const PlannedGroup* e = find_mask(prev_, group_mask(groups[g]));
+    const PlannedGroup* e = find_mask(prev_, groups[g].mask);
     if (!e) continue;
     for (std::size_t j = 0; j < video::kNumLayers; ++j) {
       warm_[g * video::kNumLayers + j] = e->t[j];

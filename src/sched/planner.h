@@ -36,7 +36,6 @@ class Planner {
     bool optimized = true;        ///< Eq. 1 optimizer; false = round robin
     double rate_scale = 1.0;      ///< Table 2 rates -> frame resolution
     Seconds time_budget = kFrameBudget;  ///< airtime Eq. 1 may plan
-    double lambda = 1e-8;         ///< Eq. 1 traffic penalty (per byte)
     std::size_t symbol_size = fec::kDefaultSymbolSize;
     double deadline_ms = 0.0;     ///< anytime budget; 0 reads no clock
   };

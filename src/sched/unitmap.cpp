@@ -1,5 +1,6 @@
 #include "sched/unitmap.h"
 
+#include "common/bits.h"
 #include "verify/invariants.h"
 
 #include <algorithm>
@@ -43,6 +44,7 @@ void map_to_units_into(std::span<const GroupSpec> groups,
                        UnitMapScratch& scratch, UnitMapResult& res) {
   if (groups.size() != group_layer_bytes.size())
     throw std::invalid_argument("map_to_units: groups/bytes size mismatch");
+  check_group_masks(groups, n_users, "map_to_units");
 
   // Whole-symbol budgets per (group, layer).
   std::vector<LayerArray>& budget = scratch.budget;
@@ -101,7 +103,7 @@ void map_to_units_into(std::span<const GroupSpec> groups,
       // Symbols needed to complete this unit for *every* member: the
       // largest member deficit (a transmitted symbol reaches all members).
       std::size_t need = 0;
-      for (std::size_t u : groups[g].members) {
+      for (std::size_t u : SetBits{groups[g].mask}) {
         const std::size_t have = res.user_symbols[u][i];
         if (have < unit.k_symbols)
           need = std::max(need, unit.k_symbols - have);
@@ -109,7 +111,8 @@ void map_to_units_into(std::span<const GroupSpec> groups,
       if (need == 0) continue;
       const std::size_t send = std::min(need, remaining);
       budget[g][layer] -= static_cast<double>(send);
-      for (std::size_t u : groups[g].members) res.user_symbols[u][i] += send;
+      for (std::size_t u : SetBits{groups[g].mask})
+        res.user_symbols[u][i] += send;
       res.assignments.push_back(UnitAssignment{g, i, send});
     }
     for (std::size_t u = 0; u < n_users; ++u)
@@ -139,8 +142,8 @@ void map_to_units_into(std::span<const GroupSpec> groups,
                " unit " + std::to_string(a.unit_index);
       });
       if (a.group >= groups.size() || a.unit_index >= units.size()) continue;
-      for (std::size_t u : groups[a.group].members)
-        if (u < n_users) replay[u][a.unit_index] += a.symbols;
+      for (std::size_t u : SetBits{groups[a.group].mask})
+        replay[u][a.unit_index] += a.symbols;
     }
     for (std::size_t u = 0; u < n_users; ++u)
       for (std::size_t i = 0; i < units.size(); ++i) {
@@ -210,9 +213,11 @@ struct ExactSearch {
         std::min(budget[g][layer], units[i].k_symbols);
     for (std::size_t send = 0; send <= cap; ++send) {
       budget[g][layer] -= send;
-      for (std::size_t u : groups[g].members) user_symbols[u][i] += send;
+      for (std::size_t u : SetBits{groups[g].mask})
+        user_symbols[u][i] += send;
       run(cell + 1);
-      for (std::size_t u : groups[g].members) user_symbols[u][i] -= send;
+      for (std::size_t u : SetBits{groups[g].mask})
+        user_symbols[u][i] -= send;
       budget[g][layer] += send;
     }
   }

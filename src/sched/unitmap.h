@@ -71,6 +71,8 @@ struct UnitMapScratch {
 /// to whole symbols. Both spans accept a std::vector implicitly. Writes
 /// into a caller-owned result whose per-user rows, like `scratch`, reuse
 /// their capacity across frames (zero heap allocations in steady state).
+/// Throws std::invalid_argument when the spans differ in length, and on
+/// more than 64 users or a group mask naming a user >= n_users.
 void map_to_units_into(std::span<const GroupSpec> groups,
                        std::span<const LayerArray> group_layer_bytes,
                        const std::vector<UnitSpec>& units,

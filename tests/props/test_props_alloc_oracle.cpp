@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -71,15 +72,15 @@ struct OwnedProblem {
 };
 
 /// `size` distinct users out of `n_users`, ascending.
-std::vector<std::size_t> random_members(Rng& rng, std::size_t n_users,
-                                        std::size_t size) {
+sched::GroupMask random_mask(Rng& rng, std::size_t n_users,
+                             std::size_t size) {
   std::vector<std::size_t> pool(n_users);
   for (std::size_t u = 0; u < n_users; ++u) pool[u] = u;
   for (std::size_t k = 0; k < size; ++k)
     std::swap(pool[k], pool[k + rng.below(n_users - k)]);
-  pool.resize(size);
-  std::sort(pool.begin(), pool.end());
-  return pool;
+  sched::GroupMask mask = 0;
+  for (std::size_t k = 0; k < size; ++k) mask |= sched::GroupMask{1} << pool[k];
+  return mask;
 }
 
 std::unique_ptr<OwnedProblem> random_problem(
@@ -106,7 +107,7 @@ std::unique_ptr<OwnedProblem> random_problem(
     sched::GroupSpec spec;
     const std::size_t size =
         1 + rng.below(std::min<std::size_t>(8, n_users));
-    spec.members = random_members(rng, n_users, size);
+    spec.mask = random_mask(rng, n_users, size);
     spec.beam.rate =
         Mbps{rng.chance(0.08) ? 0.0 : fill_mbps * rng.uniform(0.05, 2.0)};
     spec.beam.min_rss = Dbm{-50.0};
@@ -201,7 +202,8 @@ TEST_F(PropsAllocOracle, WarmStartsMatchOracleBitForBit) {
     } else if (kind == 1) {
       // Every group of some grouped user at zero airtime.
       for (double& x : warm) x = rng.uniform(0.0, 1e-3);
-      const std::size_t u = p.groups[rng.below(p.groups.size())].members[0];
+      const auto u = static_cast<std::size_t>(
+          std::countr_zero(p.groups[rng.below(p.groups.size())].mask));
       for (std::size_t g = 0; g < p.groups.size(); ++g)
         if (p.groups[g].contains(u))
           for (std::size_t j = 0; j < video::kNumLayers; ++j)

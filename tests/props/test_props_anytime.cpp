@@ -54,7 +54,7 @@ void expect_same_groups(std::span<const sched::GroupSpec> a,
               what + ": group count " + std::to_string(a.size()) + " vs " +
                   std::to_string(b.size()));
   for (std::size_t i = 0; i < a.size(); ++i) {
-    prop_assert(a[i].members == b[i].members, what + ": member mismatch");
+    prop_assert(a[i].mask == b[i].mask, what + ": member mismatch");
     prop_assert(same_beam(a[i].beam, b[i].beam),
                 what + ": beam bits differ at group " + std::to_string(i));
   }

@@ -83,7 +83,7 @@ void expect_same_groups(std::span<const sched::GroupSpec> a,
               what + ": group count " + std::to_string(a.size()) + " vs " +
                   std::to_string(b.size()));
   for (std::size_t i = 0; i < a.size(); ++i) {
-    prop_assert(a[i].members == b[i].members, what + ": member mismatch");
+    prop_assert(a[i].mask == b[i].mask, what + ": member mismatch");
     prop_assert(same_beam(a[i].beam, b[i].beam),
                 what + ": beam bits differ at group " + std::to_string(i));
   }
@@ -108,7 +108,7 @@ TEST(PropsBeamCache, FilterKnobsNeverPerturbSurvivingBeams) {
     for (const auto& g : filtered) {
       const sched::GroupSpec* match = nullptr;
       for (const auto& f : full)
-        if (f.members == g.members) match = &f;
+        if (f.mask == g.mask) match = &f;
       prop_assert(match != nullptr, "filtered group missing from full set");
       prop_assert(same_beam(g.beam, match->beam),
                   "filter combination perturbed a surviving beam");

@@ -70,9 +70,9 @@ TEST(PropsSched, UnitMapRespectsBudgetsAndConservesSymbols) {
     std::vector<sched::LayerArray> bytes(n_groups);
     for (std::size_t g = 0; g < n_groups; ++g) {
       for (std::size_t u = 0; u < n_users; ++u)
-        if (rng.chance(0.6)) groups[g].members.push_back(u);
-      if (groups[g].members.empty())
-        groups[g].members.push_back(rng.below(n_users));
+        if (rng.chance(0.6)) groups[g].mask |= sched::GroupMask{1} << u;
+      if (groups[g].mask == 0)
+        groups[g].mask = sched::GroupMask{1} << rng.below(n_users);
       for (auto& b : bytes[g])
         b = rng.uniform(0.0, 40.0 * static_cast<double>(symbol_size));
     }
@@ -140,9 +140,9 @@ TEST(PropsSched, UnitMapActiveGroupsMatchFullScanOracle) {
     std::vector<sched::LayerArray> bytes(n_groups, sched::LayerArray{});
     for (std::size_t g = 0; g < n_groups; ++g) {
       for (std::size_t u = 0; u < n_users; ++u)
-        if (rng.chance(0.4)) groups[g].members.push_back(u);
-      if (groups[g].members.empty())
-        groups[g].members.push_back(rng.below(n_users));
+        if (rng.chance(0.4)) groups[g].mask |= sched::GroupMask{1} << u;
+      if (groups[g].mask == 0)
+        groups[g].mask = sched::GroupMask{1} << rng.below(n_users);
       if (!rng.chance(p_budget)) {
         // Zero budget, or bytes below one symbol (floors to zero).
         if (rng.chance(0.5))

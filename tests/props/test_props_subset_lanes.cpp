@@ -6,7 +6,9 @@
 // Gram; and the batched beamformer (sched::beamform_priority_into)
 // against subset_beam over a whole 12-user lattice. ctest also runs this
 // suite under W4K_THREADS=1/4 x W4K_FORCE_SCALAR=0/1 (tests/CMakeLists.txt).
+#include "channel/array.h"
 #include "channel/propagation.h"
+#include "common/bits.h"
 #include "common/thread_pool.h"
 #include "linalg/decompose.h"
 #include "sched/groups.h"
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -306,18 +309,26 @@ TEST(PropsSubsetLanes, RejectsRaggedRowsAndMissingRows) {
                std::invalid_argument);
 }
 
+/// Same beam, rate and bottleneck bits, and each member of `mask`
+/// receives the same RSS from both beams, the lowest of which is the
+/// bottleneck.
 bool same_beam(const beamforming::GroupBeam& a,
-               const beamforming::GroupBeam& b) {
+               const beamforming::GroupBeam& b, sched::GroupMask mask,
+               const std::vector<linalg::CVector>& users) {
   if (a.beam.size() != b.beam.size() ||
-      a.member_rss.size() != b.member_rss.size() ||
       !same_bits(a.rate.value, b.rate.value) ||
       !same_bits(a.min_rss.value, b.min_rss.value))
     return false;
   for (std::size_t i = 0; i < a.beam.size(); ++i)
     if (!same_bits(a.beam[i], b.beam[i])) return false;
-  for (std::size_t i = 0; i < a.member_rss.size(); ++i)
-    if (!same_bits(a.member_rss[i].value, b.member_rss[i].value)) return false;
-  return true;
+  double lowest = 1e300;
+  for (std::size_t u : SetBits{mask}) {
+    const Dbm ra = channel::beam_rss(users[u], a.beam);
+    const Dbm rb = channel::beam_rss(users[u], b.beam);
+    if (!same_bits(ra.value, rb.value)) return false;
+    lowest = std::min(lowest, ra.value);
+  }
+  return same_bits(lowest, a.min_rss.value);
 }
 
 TEST(PropsSubsetLanes, BeamformSubsetsMatchesSubsetBeamOnTwelveUsers) {
@@ -350,7 +361,7 @@ TEST(PropsSubsetLanes, BeamformSubsetsMatchesSubsetBeamOnTwelveUsers) {
       const auto direct =
           sched::subset_beam(beamforming::Scheme::kOptimizedMulticast, users,
                              masks[i], beamforming::Codebook{}, seed);
-      if (!same_beam(ws.beams[i], direct)) {
+      if (!same_beam(ws.beams[i], direct, masks[i], users)) {
         if (mismatches++ < 5)
           ADD_FAILURE() << "step " << step << ": mask 0x" << std::hex
                         << masks[i] << " differs from subset_beam";

@@ -10,10 +10,12 @@
 // coverage repair and records no counters.
 #pragma once
 
+#include "common/bits.h"
 #include "sched/allocate.h"
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -50,7 +52,7 @@ inline void user_bytes_for_into(const AllocProblem& p,
       const auto js = static_cast<std::size_t>(j);
       const double bytes = t[g * video::kNumLayers + js] * rate_bytes_per_s;
       if (bytes <= 0.0) continue;
-      for (std::size_t u : p.groups[g].members) {
+      for (std::size_t u : SetBits{p.groups[g].mask}) {
         sum_d[u][js] += bytes;
         if (bytes > max_d[u][js]) {
           max_d[u][js] = bytes;
@@ -116,7 +118,7 @@ inline void gradient_into(const AllocProblem& p, model::QualityModel& q,
       const auto js = static_cast<std::size_t>(j);
       const double cap = std::max(1.0, p.content.layer_bytes[js]);
       double dq = -p.lambda;
-      for (std::size_t u : p.groups[g].members) {
+      for (std::size_t u : SetBits{p.groups[g].mask}) {
         if (d[u][js] >= cap) continue;
         const double weight = binding[u][js] == g ? 1.0 : kOverlapValue;
         dq += weight * gfrac[u][js] / cap;
@@ -150,7 +152,7 @@ inline void round_robin_times_into(const AllocProblem& p, Seconds slot,
     for (int j = 0; j < video::kNumLayers; ++j) {
       const auto js = static_cast<std::size_t>(j);
       bool all_have = true;
-      for (std::size_t u : group.members)
+      for (std::size_t u : SetBits{group.mask})
         all_have &= delivered[u][js] >= p.content.layer_bytes[js];
       if (!all_have) {
         target = j;
@@ -159,7 +161,7 @@ inline void round_robin_times_into(const AllocProblem& p, Seconds slot,
     }
     const auto ts = static_cast<std::size_t>(target);
     t[g * video::kNumLayers + ts] += this_slot;
-    for (std::size_t u : group.members) delivered[u][ts] += bytes;
+    for (std::size_t u : SetBits{group.mask}) delivered[u][ts] += bytes;
     remaining -= this_slot;
     idx = (idx + 1) % order.size();
   }
@@ -176,7 +178,8 @@ inline void set_cover_groups_into(const AllocProblem& p,
     double best_rate = -1.0;
     for (std::size_t g = 0; g < p.groups.size(); ++g) {
       std::size_t fresh = 0;
-      for (std::size_t u : p.groups[g].members) fresh += covered[u] ? 0 : 1;
+      for (std::size_t u : SetBits{p.groups[g].mask})
+        fresh += covered[u] ? 0 : 1;
       if (fresh > best_new ||
           (fresh == best_new && fresh > 0 &&
            p.groups[g].beam.rate.value > best_rate)) {
@@ -187,7 +190,7 @@ inline void set_cover_groups_into(const AllocProblem& p,
     }
     if (best_g == p.groups.size() || best_new == 0) break;
     chosen.push_back(best_g);
-    for (std::size_t u : p.groups[best_g].members) {
+    for (std::size_t u : SetBits{p.groups[best_g].mask}) {
       if (!covered[u]) {
         covered[u] = true;
         ++n_covered;
@@ -206,7 +209,8 @@ inline void per_user_groups_into(const AllocProblem& p,
     double best_rate = -1.0;
     for (std::size_t g = 0; g < p.groups.size(); ++g) {
       if (!p.groups[g].contains(u)) continue;
-      const std::size_t size = p.groups[g].members.size();
+      const auto size =
+          static_cast<std::size_t>(std::popcount(p.groups[g].mask));
       const double rate = p.groups[g].beam.rate.value;
       if (size < best_size || (size == best_size && rate > best_rate)) {
         best_g = g;
@@ -229,7 +233,8 @@ inline void efficiency_cover_groups_into(const AllocProblem& p,
     double best_score = 0.0;
     for (std::size_t g = 0; g < p.groups.size(); ++g) {
       std::size_t fresh = 0;
-      for (std::size_t u : p.groups[g].members) fresh += covered[u] ? 0 : 1;
+      for (std::size_t u : SetBits{p.groups[g].mask})
+        fresh += covered[u] ? 0 : 1;
       const double score =
           p.groups[g].beam.rate.value * static_cast<double>(fresh);
       if (score > best_score) {
@@ -239,7 +244,7 @@ inline void efficiency_cover_groups_into(const AllocProblem& p,
     }
     if (best_g == p.groups.size()) break;
     chosen.push_back(best_g);
-    for (std::size_t u : p.groups[best_g].members) {
+    for (std::size_t u : SetBits{p.groups[best_g].mask}) {
       if (!covered[u]) {
         covered[u] = true;
         ++n_covered;
@@ -301,7 +306,7 @@ inline void refine_inplace(const AllocProblem& p, model::QualityModel& quality,
           if (t[i] <= 1e-12 || i == imax) continue;
           const double cap = std::max(1.0, p.content.layer_bytes[js]);
           double excess = 1e300;
-          for (std::size_t u : p.groups[g].members)
+          for (std::size_t u : SetBits{p.groups[g].mask})
             excess = std::min(excess, d[u][js] - cap);
           if (excess <= 0.0) continue;
           const double dr = std::min(t[i], excess / rate_bytes_per_s);
@@ -409,7 +414,7 @@ inline sched::Allocation optimize_allocation_full(
         double tg = 0.0;
         for (std::size_t j = 0; j < video::kNumLayers; ++j)
           tg += warm.t[g * video::kNumLayers + j];
-        for (std::size_t u : p.groups[g].members) {
+        for (std::size_t u : SetBits{p.groups[g].mask}) {
           grouped[u] = 1;
           if (tg > 0.0) served[u] = 1;
         }

@@ -95,7 +95,6 @@ inline core::SessionConfig session_config(Rng& rng) {
   cfg.optimized_schedule = rng.chance(0.7);
   cfg.adapt = rng.chance(0.8);
   cfg.mcs_margin_db = rng.uniform(0.0, 2.0);
-  cfg.lambda = rng.uniform(1e-9, 1e-7);
   cfg.makeup_margin = rng.uniform(0.02, 0.2);
   cfg.seed = rng.next();
   return cfg;

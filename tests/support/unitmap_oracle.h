@@ -4,6 +4,7 @@
 // the active-group list changes no output (tests/props/test_props_sched.cpp).
 #pragma once
 
+#include "common/bits.h"
 #include "sched/unitmap.h"
 
 #include <algorithm>
@@ -44,7 +45,7 @@ inline sched::UnitMapResult map_to_units_full_scan(
       auto remaining = static_cast<std::size_t>(budget[g][layer]);
       if (remaining == 0) continue;
       std::size_t need = 0;
-      for (std::size_t u : groups[g].members) {
+      for (std::size_t u : SetBits{groups[g].mask}) {
         const std::size_t have = res.user_symbols[u][i];
         if (have < unit.k_symbols)
           need = std::max(need, unit.k_symbols - have);
@@ -52,7 +53,8 @@ inline sched::UnitMapResult map_to_units_full_scan(
       if (need == 0) continue;
       const std::size_t send = std::min(need, remaining);
       budget[g][layer] -= static_cast<double>(send);
-      for (std::size_t u : groups[g].members) res.user_symbols[u][i] += send;
+      for (std::size_t u : SetBits{groups[g].mask})
+        res.user_symbols[u][i] += send;
       res.assignments.push_back(sched::UnitAssignment{g, i, send});
     }
     for (std::size_t u = 0; u < n_users; ++u)

@@ -3,6 +3,7 @@
 #include "channel/propagation.h"
 #include "core/frame_context.h"
 #include "core/pretrained.h"
+#include "support/masks.h"
 #include "verify/invariants.h"
 
 #include <gtest/gtest.h>
@@ -54,7 +55,7 @@ class AllocateTest : public ::testing::Test {
     TestProblem p;
     for (auto& [members, rate] : groups) {
       GroupSpec g;
-      g.members = members;
+      g.mask = test::mask_of(members);
       g.beam.rate = Mbps{rate};
       g.beam.min_rss = Dbm{-50.0};
       p.storage.push_back(std::move(g));
@@ -160,6 +161,25 @@ TEST_F(AllocateTest, EmptyProblemsThrow) {
   p2.n_users = 0;
   EXPECT_THROW(optimize_allocation_into(p2, *quality_, scratch_, a),
                std::invalid_argument);
+}
+
+TEST_F(AllocateTest, MaskLimitsThrow) {
+  // More users than a group mask can name.
+  auto wide = problem({{{0}, 40.0}}, 65);
+  Allocation a;
+  EXPECT_THROW(optimize_allocation_into(wide, *quality_, scratch_, a),
+               std::invalid_argument);
+  EXPECT_THROW(round_robin_allocation_into(wide, *quality_, scratch_, a),
+               std::invalid_argument);
+  // A member past n_users.
+  auto stray = problem({{{0, 2}, 40.0}}, 2);
+  EXPECT_THROW(optimize_allocation_into(stray, *quality_, scratch_, a),
+               std::invalid_argument);
+  EXPECT_THROW(round_robin_allocation_into(stray, *quality_, scratch_, a),
+               std::invalid_argument);
+  // All 64 users fit.
+  auto full = problem({{{0, 63}, 40.0}}, 64);
+  EXPECT_NO_THROW(round_robin_allocation_into(full, *quality_, scratch_, a));
 }
 
 TEST_F(AllocateTest, BytesConsistentWithTimeAndRate) {

@@ -1,5 +1,7 @@
 #include "emu/engine.h"
 
+#include "support/masks.h"
+
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -34,11 +36,11 @@ std::vector<sched::UnitAssignment> full_assignments(
 
 GroupTx perfect_group(std::vector<std::size_t> members, double mbps = 50.0) {
   GroupTx g;
-  g.members = std::move(members);
+  g.mask = test::mask_of(members);
   g.mcs = *channel::mcs_by_index(12);
   g.drain_rate = Mbps{mbps};
   g.bucket_rate = Mbps{mbps};
-  g.member_loss.assign(g.members.size(), 0.0);
+  g.member_loss.assign(members.size(), 0.0);
   return g;
 }
 
@@ -248,7 +250,7 @@ TEST(Engine, ZeroRateGroupDropsItsPackets) {
   const auto units = make_units(3, 20);
   TxEngine engine(fast_config());
   GroupTx dead;
-  dead.members = {0};
+  dead.mask = 0b1;
   dead.member_loss = {0.0};  // drain_rate stays 0
   Rng rng(12);
   FrameTxResult res;
@@ -268,6 +270,23 @@ TEST(Engine, UnknownGroupIndexThrows) {
   FrameTxResult res;
   EXPECT_THROW(engine.run_frame_into(units, a, {perfect_group({0})}, 1, rng,
                                      {}, {}, res),
+               std::invalid_argument);
+}
+
+TEST(Engine, MaskLimitsThrow) {
+  const auto units = make_units(1, 2);
+  TxEngine engine(fast_config());
+  Rng rng(14);
+  FrameTxResult res;
+  // User 1 is past n_users = 1.
+  EXPECT_THROW(engine.run_frame_into(units, full_assignments(units),
+                                     {perfect_group({0, 1})}, 1, rng, {}, {},
+                                     res),
+               std::invalid_argument);
+  // More users than a group mask can name.
+  EXPECT_THROW(engine.run_frame_into(units, full_assignments(units),
+                                     {perfect_group({0})}, 65, rng, {}, {},
+                                     res),
                std::invalid_argument);
 }
 

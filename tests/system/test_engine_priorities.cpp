@@ -27,7 +27,7 @@ std::vector<sched::UnitSpec> layered_units(std::size_t per_layer,
 
 GroupTx group(double mbps, double loss) {
   GroupTx g;
-  g.members = {0};
+  g.mask = 0b1;
   g.mcs = *channel::mcs_by_index(8);
   g.drain_rate = Mbps{mbps};
   g.bucket_rate = Mbps{mbps};

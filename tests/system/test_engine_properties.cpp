@@ -75,7 +75,7 @@ TEST_P(EngineProperty, InvariantsHold) {
   TxEngine engine(cfg);
 
   GroupTx g;
-  g.members = {0, 1, 2};
+  g.mask = 0b111;
   g.mcs = *channel::mcs_by_index(8);
   g.drain_rate = Mbps{c.mbps};
   g.bucket_rate = Mbps{c.mbps};
@@ -142,7 +142,7 @@ TEST(EngineProperty, LowerLossNeverWorseOnAverage) {
       cfg.header_bytes = 0;
       TxEngine engine(cfg);
       GroupTx g;
-      g.members = {0};
+      g.mask = 0b1;
       g.mcs = *channel::mcs_by_index(8);
       g.drain_rate = Mbps{10.0};
       g.bucket_rate = Mbps{10.0};
@@ -178,7 +178,7 @@ TEST(EngineProperty, MoreFeedbackRoundsNeverHurt) {
       cfg.header_bytes = 0;
       TxEngine engine(cfg);
       GroupTx g;
-      g.members = {0, 1};
+      g.mask = 0b11;
       g.mcs = *channel::mcs_by_index(8);
       g.drain_rate = Mbps{40.0};
       g.bucket_rate = Mbps{40.0};

@@ -32,7 +32,7 @@ class EngineFeedbackFaultTest : public ::testing::Test {
     cfg.header_bytes = 0;
     TxEngine engine(cfg);
     GroupTx g;
-    g.members = {0, 1};
+    g.mask = 0b11;
     g.mcs = channel::mcs_table().front();
     g.drain_rate = Mbps{500.0};
     g.bucket_rate = g.drain_rate;
@@ -103,7 +103,7 @@ TEST(EngineRoundStartReport, SharedUnitMakeupSizedFromRoundStart) {
   cfg.header_bytes = 0;
   TxEngine engine(cfg);
   GroupTx g;
-  g.members = {0};
+  g.mask = 0b1;
   g.mcs = channel::mcs_table().front();
   g.drain_rate = Mbps{500.0};
   g.bucket_rate = g.drain_rate;

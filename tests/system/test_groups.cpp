@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 
 namespace w4k::sched {
@@ -38,7 +39,7 @@ TEST(EnumerateGroups, UnicastOnlySingletons) {
       enumerate_groups(beamforming::Scheme::kOptimizedUnicast, make_users(4),
                        beamforming::Codebook{}, 2, {}, nullptr, ws);
   EXPECT_EQ(groups.size(), 4u);
-  for (const auto& g : groups) EXPECT_EQ(g.members.size(), 1u);
+  for (const auto& g : groups) EXPECT_EQ(std::popcount(g.mask), 1);
 }
 
 TEST(EnumerateGroups, MembersAscendingAndMaskOrdered) {
@@ -48,12 +49,9 @@ TEST(EnumerateGroups, MembersAscendingAndMaskOrdered) {
                        make_users(3), beamforming::Codebook{}, 3, {}, nullptr,
                        ws);
   // Bitmask order: {0}, {1}, {0,1}, {2}, {0,2}, {1,2}, {0,1,2}.
-  EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(groups[2].members, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(groups[6].members, (std::vector<std::size_t>{0, 1, 2}));
-  for (const auto& g : groups)
-    for (std::size_t i = 1; i < g.members.size(); ++i)
-      EXPECT_LT(g.members[i - 1], g.members[i]);
+  ASSERT_EQ(groups.size(), 7u);
+  for (std::size_t i = 0; i < groups.size(); ++i)
+    EXPECT_EQ(groups[i].mask, GroupMask{i + 1});
 }
 
 TEST(EnumerateGroups, RateThresholdPrunes) {
@@ -123,16 +121,11 @@ TEST(EnumerateGroups, SeventeenUsersUseTheClusterTree) {
   for (int u = 0; u < n; ++u) {
     bool singleton = false;
     for (const auto& g : groups)
-      singleton |= g.members == std::vector<std::size_t>{
-                                    static_cast<std::size_t>(u)};
+      singleton |= g.mask == GroupMask{1} << u;
     EXPECT_TRUE(singleton) << "no singleton for user " << u;
   }
-  for (std::size_t i = 1; i < groups.size(); ++i) {
-    GroupMask prev = 0, cur = 0;
-    for (std::size_t u : groups[i - 1].members) prev |= GroupMask{1} << u;
-    for (std::size_t u : groups[i].members) cur |= GroupMask{1} << u;
-    EXPECT_LT(prev, cur);
-  }
+  for (std::size_t i = 1; i < groups.size(); ++i)
+    EXPECT_LT(groups[i - 1].mask, groups[i].mask);
 }
 
 TEST(EnumerateGroups, GroupRatesReflectBottleneck) {
@@ -148,8 +141,8 @@ TEST(EnumerateGroups, GroupRatesReflectBottleneck) {
                        beamforming::Codebook{}, 9, {}, nullptr, ws);
   const GroupSpec *solo0 = nullptr, *pair = nullptr;
   for (const auto& g : groups) {
-    if (g.members == std::vector<std::size_t>{0}) solo0 = &g;
-    if (g.members.size() == 2) pair = &g;
+    if (g.mask == 0b1) solo0 = &g;
+    if (std::popcount(g.mask) == 2) pair = &g;
   }
   ASSERT_TRUE(solo0 && pair);
   EXPECT_GT(solo0->beam.rate.value, pair->beam.rate.value);
@@ -157,9 +150,12 @@ TEST(EnumerateGroups, GroupRatesReflectBottleneck) {
 
 TEST(GroupSpec, ContainsWorks) {
   GroupSpec g;
-  g.members = {1, 3, 5};
+  g.mask = 0b101010;  // users 1, 3, 5
   EXPECT_TRUE(g.contains(3));
   EXPECT_FALSE(g.contains(2));
+  EXPECT_FALSE(g.contains(64));  // past the mask: never a member
+  g.mask = GroupMask{1} << 63;
+  EXPECT_TRUE(g.contains(63));
 }
 
 TEST(EnumerateGroups, EightUsersEnumerationCompletes) {
@@ -185,12 +181,6 @@ bool same_beam(const beamforming::GroupBeam& a,
   return true;
 }
 
-std::uint32_t mask_of(const GroupSpec& g) {
-  std::uint32_t m = 0;
-  for (std::size_t u : g.members) m |= 1u << static_cast<unsigned>(u);
-  return m;
-}
-
 TEST(EnumerateGroups, SeedOverloadIsDeterministic) {
   const auto users = make_users(4);
   SchedWorkspace ws_a, ws_b;
@@ -202,7 +192,7 @@ TEST(EnumerateGroups, SeedOverloadIsDeterministic) {
                                   nullptr, ws_b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].members, b[i].members);
+    EXPECT_EQ(a[i].mask, b[i].mask);
     EXPECT_TRUE(same_beam(a[i].beam, b[i].beam));
   }
 }
@@ -235,10 +225,10 @@ TEST(EnumerateGroups, FilterKnobsDoNotPerturbSurvivingBeams) {
     for (const auto& g : filtered) {
       const GroupSpec* match = nullptr;
       for (const auto& f : full)
-        if (f.members == g.members) match = &f;
+        if (f.mask == g.mask) match = &f;
       ASSERT_NE(match, nullptr);
       EXPECT_TRUE(same_beam(g.beam, match->beam))
-          << "beam for mask " << mask_of(g) << " perturbed by filter";
+          << "beam for mask " << g.mask << " perturbed by filter";
     }
   }
 }
@@ -255,7 +245,7 @@ TEST(EnumerateGroups, ParallelEnumerationBitIdenticalToSerial) {
       beamforming::Codebook{}, 21, {}, &pool, ws_parallel);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].members, parallel[i].members);
+    EXPECT_EQ(serial[i].mask, parallel[i].mask);
     EXPECT_TRUE(same_beam(serial[i].beam, parallel[i].beam));
   }
 }

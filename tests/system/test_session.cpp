@@ -244,14 +244,14 @@ TEST_F(SessionTest, BucketRateFollowsGroupMembersWhenGroupsShift) {
   const auto chans = channels(3);
   FrameOutcome out;
   session.step_into(chans, chans, contexts_->front(), {}, out);
-  std::vector<std::vector<std::size_t>> members1;
-  std::map<std::vector<std::size_t>, Mbps> measured;
+  std::vector<sched::GroupMask> members1;
+  std::map<sched::GroupMask, Mbps> measured;
   const auto& groups1 = SessionTestAccess::decision(session).groups;
   const auto& rates1 = SessionTestAccess::tx_result(session).measured_rate;
   ASSERT_EQ(rates1.size(), groups1.size());
   for (std::size_t g = 0; g < groups1.size(); ++g) {
-    members1.push_back(groups1[g].members);
-    measured[groups1[g].members] = rates1[g];
+    members1.push_back(groups1[g].mask);
+    measured[groups1[g].mask] = rates1[g];
   }
 
   fault::FrameFaults faults;
@@ -262,9 +262,9 @@ TEST_F(SessionTest, BucketRateFollowsGroupMembersWhenGroupsShift) {
   ASSERT_EQ(tx2.size(), groups2.size());
   std::size_t shifted = 0, seeded = 0;
   for (std::size_t g = 0; g < groups2.size(); ++g) {
-    if (g >= members1.size() || members1[g] != groups2[g].members) ++shifted;
+    if (g >= members1.size() || members1[g] != groups2[g].mask) ++shifted;
     if (tx2[g].drain_rate.value <= 0.0) continue;
-    const auto it = measured.find(groups2[g].members);
+    const auto it = measured.find(groups2[g].mask);
     const bool noted = it != measured.end() && it->second.value > 0.0;
     if (noted) ++seeded;
     EXPECT_EQ(tx2[g].bucket_rate.value,

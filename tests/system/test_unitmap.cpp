@@ -1,5 +1,7 @@
 #include "sched/unitmap.h"
 
+#include "support/masks.h"
+
 #include <gtest/gtest.h>
 
 namespace w4k::sched {
@@ -7,7 +9,7 @@ namespace {
 
 GroupSpec make_group(std::vector<std::size_t> members, double mbps = 40.0) {
   GroupSpec g;
-  g.members = std::move(members);
+  g.mask = test::mask_of(members);
   g.beam.rate = Mbps{mbps};
   return g;
 }
@@ -175,6 +177,22 @@ TEST(MapToUnits, SizeMismatchThrows) {
   UnitMapResult res;
   EXPECT_THROW(map_to_units_into(groups, bytes, units, 1, 100, scratch, res),
                std::invalid_argument);
+}
+
+TEST(MapToUnits, MaskLimitsThrow) {
+  const auto units = frame_units(512, 288, 100, 20);
+  std::vector<GroupSpec> groups{make_group({0, 2})};
+  std::vector<LayerArray> bytes(1);
+  UnitMapScratch scratch;
+  UnitMapResult res;
+  // User 2 is past n_users = 2.
+  EXPECT_THROW(map_to_units_into(groups, bytes, units, 2, 100, scratch, res),
+               std::invalid_argument);
+  // More users than a group mask can name.
+  EXPECT_THROW(map_to_units_into(groups, bytes, units, 65, 100, scratch, res),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      map_to_units_into(groups, bytes, units, 3, 100, scratch, res));
 }
 
 TEST(MapToUnits, UserSymbolsMatchAssignments) {

@@ -2,6 +2,7 @@
 // randomized tiny instances: the greedy should be optimal or very close
 // (it is a heuristic; the paper uses it because the ILP is impractical).
 #include "sched/unitmap.h"
+#include "support/masks.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,7 @@ namespace {
 
 GroupSpec make_group(std::vector<std::size_t> members) {
   GroupSpec g;
-  g.members = std::move(members);
+  g.mask = test::mask_of(members);
   g.beam.rate = Mbps{40.0};
   return g;
 }

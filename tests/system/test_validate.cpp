@@ -68,13 +68,10 @@ TEST(SessionConfigValidate, RejectsZeroSymbolSizeAndQueue) {
             std::string::npos);
 }
 
-TEST(SessionConfigValidate, RejectsNegativeNoiseAndLambda) {
+TEST(SessionConfigValidate, RejectsNegativeNoise) {
   auto cfg = good_config();
   cfg.sls_noise_db = -0.5;
   EXPECT_NE(rejection(cfg).find("sls_noise_db"), std::string::npos);
-  cfg = good_config();
-  cfg.lambda = -1.0;
-  EXPECT_NE(rejection(cfg).find("lambda"), std::string::npos);
 }
 
 TEST(SessionConfigValidate, RejectsUndersizedCodebookOnlyWithEstimation) {
