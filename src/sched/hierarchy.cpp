@@ -14,8 +14,6 @@ struct Cluster {
   bool alive = true;
 };
 
-double size_of(const Cluster& c) { return std::popcount(c.members); }
-
 }  // namespace
 
 std::vector<GroupMask> cluster_candidates(
@@ -71,9 +69,9 @@ std::vector<GroupMask> cluster_candidates(
       if (!clusters[i].alive) continue;
       for (std::size_t j = i + 1; j < m; ++j) {
         if (!clusters[j].alive) continue;
-        if (size_of(clusters[i]) + size_of(clusters[j]) >
-            static_cast<double>(cap))
-          continue;
+        const int merged =
+            std::popcount(clusters[i].members | clusters[j].members);
+        if (static_cast<std::size_t>(merged) > cap) continue;
         const double v = link[i * m + j];
         if (v > best) {
           best = v;
@@ -83,8 +81,8 @@ std::vector<GroupMask> cluster_candidates(
       }
     }
     if (bi == m) break;
-    const double si = size_of(clusters[bi]);
-    const double sj = size_of(clusters[bj]);
+    const double si = std::popcount(clusters[bi].members);
+    const double sj = std::popcount(clusters[bj].members);
     clusters[bi].members |= clusters[bj].members;
     clusters[bj].alive = false;
     merges.push_back(clusters[bi].members);
@@ -130,7 +128,7 @@ std::vector<GroupMask> cluster_candidates(
   // groups the prefix walk may have skipped over.
   constexpr std::size_t kTopPairs = 6;
   for (std::size_t i = 0; i < m; ++i) {
-    if (!clusters[i].alive || size_of(clusters[i]) < 2) continue;
+    if (!clusters[i].alive || std::popcount(clusters[i].members) < 2) continue;
     auto ordered = gain_order(clusters[i].members);
     if (ordered.size() > kTopPairs) ordered.resize(kTopPairs);
     for (std::size_t a = 0; a < ordered.size(); ++a)

@@ -1,33 +1,18 @@
-// Test helpers that spell group masks as member lists.
+// Test helper that spells a group mask as a member list.
 #pragma once
 
-#include "common/bits.h"
 #include "sched/groups.h"
 
 #include <cstddef>
-#include <initializer_list>
 #include <vector>
 
 namespace w4k::test {
 
 /// The mask with exactly `users` set.
-inline sched::GroupMask mask_of(std::initializer_list<std::size_t> users) {
-  sched::GroupMask mask = 0;
-  for (std::size_t u : users) mask |= sched::GroupMask{1} << u;
-  return mask;
-}
-
 inline sched::GroupMask mask_of(const std::vector<std::size_t>& users) {
   sched::GroupMask mask = 0;
   for (std::size_t u : users) mask |= sched::GroupMask{1} << u;
   return mask;
-}
-
-/// The mask's members, ascending.
-inline std::vector<std::size_t> members_of(sched::GroupMask mask) {
-  std::vector<std::size_t> out;
-  for (std::size_t u : SetBits{mask}) out.push_back(u);
-  return out;
 }
 
 }  // namespace w4k::test
