@@ -18,14 +18,23 @@
 // outlive filter changes, so quarantining a user or tightening the
 // threshold never costs a recompute when the filter relaxes again.
 //
+// A call whose inputs equal the last pass's — no dirty user, the same
+// filter knobs and Membership, and no subset deferred by the last pass's
+// deadline — has the same candidate plan and an all-hit lookup, so it
+// reuses the plan and beam pointers the cache kept and only re-emits
+// (the two non-beacon frames of every beacon period). The cache owns its
+// SchedWorkspace, so that reuse rests on nothing a caller can swap out.
+//
 // Storage is a flat vector of entries sorted by mask. Invalidation flips a
 // valid flag instead of erasing, and recomputed beams are copy-assigned
-// into their old slots, so in steady state (stable user count and
-// candidate plan) the cache performs zero heap allocations per frame —
-// including the mobile scenario's every-3-frames beacon recompute.
+// into their old slots, so once the store holds every mask the plans ask
+// for, a frame (beacon or not) performs zero heap allocations. A mask
+// seen for the first time — frame 0, or a bound-pruned subset that clears
+// the bound as a walker moves — still allocates its entry and beam; first
+// sightings are appended and merged into the sorted store once per call.
 #pragma once
 
-#include "sched/groups.h"
+#include "sched/workspace.h"
 
 #include <cstdint>
 #include <vector>
@@ -41,15 +50,18 @@ class BeamCache {
   /// enumerate_groups(scheme, channels, codebook, beam_seed, cfg, pool, ws,
   /// who, deadline) — bit-identical output, asserted by the property suite
   /// — but reuses cached beams for every subset whose members' channels
-  /// are unchanged since the previous call. `pool` (optional) parallelizes
+  /// are unchanged since the previous call, and the whole last pass when
+  /// nothing it depends on changed. `codebook` must be the same on every
+  /// call (beams are cached across calls). `pool` (optional) parallelizes
   /// the misses, beamformed in the plan's priority order so a `deadline`
   /// defers only the least valuable merge subsets. Bumps the
-  /// sched.beam_cache.hit/miss and sched.anytime.* counters.
+  /// sched.beam_cache.hit/miss/reused and sched.anytime.* counters; hit,
+  /// miss and anytime read the same on a reused pass as on a full one.
   void enumerate_into(const std::vector<linalg::CVector>& channels,
                       const beamforming::Codebook& codebook,
                       const GroupEnumConfig& cfg, const Membership& who,
                       const Deadline& deadline, ThreadPool* pool,
-                      SchedWorkspace& ws, std::vector<GroupSpec>& out);
+                      std::vector<GroupSpec>& out);
 
   /// Drops every cached beam and the remembered channels (session reset).
   void clear();
@@ -64,10 +76,25 @@ class BeamCache {
     bool valid = false;
   };
 
+  /// True when `cfg` and `who` equal the filter inputs of the last pass.
+  bool same_filter(const GroupEnumConfig& cfg, const Membership& who) const;
+
   beamforming::Scheme scheme_;
   std::uint64_t beam_seed_;
   std::vector<linalg::CVector> channels_;  ///< channels at last enumerate
   std::vector<Entry> entries_;             ///< sorted by mask
+  /// Enumeration scratch; after a pass its plan and by_index describe
+  /// that pass (by_index points into entries_).
+  SchedWorkspace ws_;
+  /// Per ws_.ordered mask, its slot in entries_ before this pass's first
+  /// sightings are merged in (kNoSlot: first sighting).
+  std::vector<std::size_t> slots_;
+  /// The last pass's filter inputs, and whether ws_ may be re-emitted:
+  /// false before any pass, after clear(), after a pass that deferred a
+  /// subset, and while a pass is in flight (an exception leaves it false).
+  GroupEnumConfig cfg_;
+  std::vector<std::uint8_t> exclude_, partition_;
+  bool reusable_ = false;
 };
 
 }  // namespace w4k::sched

@@ -89,8 +89,7 @@ void Planner::decide_into(const std::vector<linalg::CVector>& channels,
     static obs::Stage& st = obs::stage("session.beamform");
     obs::StageSpan span(st);
     cache_.enumerate_into(channels, codebook, settings_.group_enum, who,
-                          beam_deadline, &ThreadPool::shared(), ws_,
-                          d.groups);
+                          beam_deadline, &ThreadPool::shared(), d.groups);
     // Scale Table 2 rates to the frame resolution before any byte math.
     for (auto& g : d.groups)
       g.beam.rate = Mbps{g.beam.rate.value * settings_.rate_scale};

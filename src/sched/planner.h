@@ -1,15 +1,14 @@
 // The per-frame scheduling decision (Fig. 3, Sec. 2.4): beamform every
 // candidate group, solve Eq. 1 for their airtime, map coding units onto it
 // with the Eq. 4 greedy. sched::Planner runs the three stages into a
-// caller-owned Decision over state it alone owns — the beam cache, the
-// enumeration workspace, the solvers' scratch and the previous plan that
-// warm-starts Eq. 1 — so two planners share nothing.
+// caller-owned Decision over state it alone owns — the beam cache (with
+// its enumeration workspace), the solvers' scratch and the previous plan
+// that warm-starts Eq. 1 — so two planners share nothing.
 #pragma once
 
 #include "sched/allocate.h"
 #include "sched/beam_cache.h"
 #include "sched/unitmap.h"
-#include "sched/workspace.h"
 
 #include <cstdint>
 #include <span>
@@ -78,7 +77,6 @@ class Planner {
 
   Settings settings_;
   BeamCache cache_;
-  SchedWorkspace ws_;
   AllocScratch alloc_scratch_;
   UnitMapScratch unit_scratch_;
   /// The previous plan's airtime per member mask, mask-sorted (groups are

@@ -80,9 +80,10 @@ TEST(PropsAnytime, HierarchicalEnumerationPureAcrossCacheAndPool) {
                                                   rng.uniform(-0.8, 0.8)));
         }
       const sched::GroupEnumConfig cfg;  // threshold 12 -> hierarchical
-      // Three separate workspaces: each span stays valid until the next
-      // enumeration on its own workspace, so all three can be compared.
-      sched::SchedWorkspace ws_serial, ws_pooled, ws_cached;
+      // Two separate workspaces: each span stays valid until the next
+      // enumeration on its own workspace, so both can be compared with the
+      // cache's output.
+      sched::SchedWorkspace ws_serial, ws_pooled;
       std::vector<sched::GroupSpec> cached;
       const auto serial =
           sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
@@ -91,8 +92,7 @@ TEST(PropsAnytime, HierarchicalEnumerationPureAcrossCacheAndPool) {
           sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
                                   seed, cfg, &pool, ws_pooled);
       cache.enumerate_into(channels, beamforming::Codebook{}, cfg, {}, {},
-                           rng.chance(0.5) ? &pool : nullptr, ws_cached,
-                           cached);
+                           rng.chance(0.5) ? &pool : nullptr, cached);
       expect_same_groups(serial, pooled,
                          "pooled, step " + std::to_string(step));
       expect_same_groups(serial, cached,

@@ -4,7 +4,8 @@
 //     bitmask), so surviving groups' beams are bit-identical under ANY
 //     rate_threshold / max_group_size / exclude / AP partition
 //     combination, and the BeamCache (with any dirty pattern, serial or
-//     pooled) reproduces the stateless enumeration exactly.
+//     pooled, and on the passes it reuses whole) reproduces the stateless
+//     enumeration exactly.
 // (b) At the session level, W4K_THREADS 1/4 produce byte-identical
 //     SessionReport JSON on a mobility trace (the session always runs
 //     through the cache; (a) pins the cache to the stateless enumeration).
@@ -19,6 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <chrono>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -132,8 +136,9 @@ TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
     const auto scheme = beamforming::Scheme::kOptimizedMulticast;
     sched::BeamCache cache(scheme, seed);
     ThreadPool pool(3);
-    // One workspace per side, reused across steps like a session's.
-    sched::SchedWorkspace ws_cached, ws_fresh;
+    // The stateless side reuses one workspace across steps like a
+    // session's; the cache owns its own.
+    sched::SchedWorkspace ws_fresh;
     std::vector<sched::GroupSpec> cached;
     auto channels = random_channels(rng, n);
     for (int step = 0; step < 4; ++step) {
@@ -148,7 +153,7 @@ TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
       const Filter f = random_filter(rng, n);
       ThreadPool* p = rng.chance(0.5) ? &pool : nullptr;
       cache.enumerate_into(channels, beamforming::Codebook{}, f.cfg, f.who(),
-                           {}, p, ws_cached, cached);
+                           {}, p, cached);
       const auto fresh =
           sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
                                   seed, f.cfg, nullptr, ws_fresh, f.who());
@@ -159,6 +164,179 @@ TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
                 "cache recorded no traffic");
   });
   obs::set_enabled(false);
+}
+
+// (a) The reuse path. A call whose inputs repeat the last pass's re-emits
+// that pass instead of rebuilding it. Repeats interleave with one change
+// each: one user's channel, exclude, partition, rate_threshold,
+// max_group_size, the user count, clear(), and a deadline that defers
+// (with one user's channel changed, so there are merges to defer). It runs
+// on the lattice (2-12 users) and the cluster tree (13-20), serial and
+// pooled. Every call must match the stateless enumeration bit for bit,
+// except that a deferring call may lack the merges it missed.
+// Every call must also move the counters as a full pass would: the plan's
+// anytime counts (a fresh cache's), hit + miss + deferred = plan size and
+// beamformed = miss. A repeat of a pass that deferred nothing must reuse
+// it (all hits, nothing beamformed); every other call must not.
+TEST(PropsBeamCache, ReusedPassesMatchStateless) {
+  obs::set_enabled(true);
+  auto& reg = obs::MetricsRegistry::global();
+  obs::Counter* counters[] = {
+      &reg.counter("sched.beam_cache.hit"),
+      &reg.counter("sched.beam_cache.miss"),
+      &reg.counter("sched.beam_cache.reused"),
+      &reg.counter("sched.anytime.candidates_generated"),
+      &reg.counter("sched.anytime.pruned_by_bound"),
+      &reg.counter("sched.anytime.capped_by_budget"),
+      &reg.counter("sched.anytime.beamformed"),
+      &reg.counter("sched.anytime.deferred"),
+      &reg.counter("sched.anytime.deadline_hits")};
+  enum { kHit, kMiss, kReused, kGenerated, kPruned, kCapped, kBeamformed,
+         kDeferred, kDeadlineHits, kCounters };
+  std::size_t reused_calls = 0, deferring_calls = 0;
+  W4K_PROP("sched.beam-cache-reuse", [&](Rng& rng) {
+    const bool tree = rng.chance(0.5);
+    const std::size_t lo = tree ? 13 : 2, hi = tree ? 20 : 12;
+    std::size_t n = lo + rng.below(hi - lo + 1);
+    const std::uint64_t seed = rng.next();
+    const auto scheme = beamforming::Scheme::kOptimizedMulticast;
+    const beamforming::Codebook codebook{};
+    sched::BeamCache cache(scheme, seed);
+    ThreadPool pool(3);
+    sched::SchedWorkspace ws_fresh, ws_plan;
+    std::vector<sched::GroupSpec> cached;
+    std::vector<sched::GroupMask> emitted;  // the last call's masks
+    auto channels = random_channels(rng, n);
+    Filter f;
+    bool last_deferred = true;  // nothing to reuse before the first pass
+    for (int step = 0; step < 9; ++step) {
+      // Odd steps make one change; even steps (but the first) repeat.
+      const bool repeat = step > 0 && step % 2 == 0;
+      const int change = step % 2 == 1 ? static_cast<int>(rng.below(8)) : -1;
+      std::size_t changed_user = n;  // n = none
+      sched::Deadline deadline;
+      switch (change) {
+        case 7:  // a deadline already past: every merge miss is deferred
+          deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+          [[fallthrough]];
+        case 0:
+          changed_user = rng.below(n);
+          channels[changed_user] = random_channels(rng, 1)[0];
+          break;
+        case 1: {
+          if (f.exclude.empty()) f.exclude.assign(n, 0);
+          auto& e = f.exclude[rng.below(n)];
+          e = e ? 0 : 1;
+          break;
+        }
+        case 2:
+          if (!f.partition.empty()) {
+            f.partition.clear();
+          } else {
+            f.partition.assign(n, 0);
+            for (auto& ap : f.partition)
+              ap = static_cast<std::uint8_t>(rng.below(2));
+            f.partition[0] = 0;
+            f.partition[1] = 1;  // at least one merge spans APs
+          }
+          break;
+        case 3:
+          f.cfg.rate_threshold = Mbps{f.cfg.rate_threshold.value > 0.0
+                                          ? 0.0
+                                          : rng.uniform(200.0, 1500.0)};
+          break;
+        case 4: {
+          // Below the current cap (some merges drop) or back to the default.
+          const std::size_t cap = std::min(f.cfg.max_group_size, n);
+          f.cfg.max_group_size = cap > 1 ? 1 + rng.below(cap - 1) : 8;
+          break;
+        }
+        case 5: {
+          // One user joins or leaves, staying on the same generator.
+          const bool grow = n == lo || (n < hi && rng.chance(0.5));
+          n = grow ? n + 1 : n - 1;
+          if (grow) {
+            channels.push_back(random_channels(rng, 1)[0]);
+          } else {
+            channels.pop_back();
+          }
+          if (!f.exclude.empty()) f.exclude.resize(n, 0);
+          if (!f.partition.empty()) f.partition.resize(n, 0);
+          break;
+        }
+        case 6:
+          cache.clear();
+          break;
+        default:
+          break;
+      }
+      const std::string what = "step " + std::to_string(step) + " (change " +
+                               std::to_string(change) + ", " +
+                               std::to_string(n) + " users)";
+
+      std::uint64_t before[kCounters];
+      for (int c = 0; c < kCounters; ++c) before[c] = counters[c]->value();
+      cache.enumerate_into(channels, codebook, f.cfg, f.who(), deadline,
+                           rng.chance(0.5) ? &pool : nullptr, cached);
+      std::uint64_t d[kCounters];
+      for (int c = 0; c < kCounters; ++c)
+        d[c] = counters[c]->value() - before[c];
+
+      // The stateless reference (it bumps the anytime counters itself, so
+      // it runs after the deltas are taken).
+      const auto fresh = sched::enumerate_groups(
+          scheme, channels, codebook, seed, f.cfg, nullptr, ws_fresh, f.who());
+      if (d[kDeferred] == 0) {
+        expect_same_groups(cached, fresh, what);
+      } else {
+        std::size_t c = 0;
+        for (const sched::GroupSpec& g : fresh) {
+          if (c < cached.size() && cached[c].mask == g.mask) {
+            prop_assert(same_beam(cached[c].beam, g.beam),
+                        what + ": beam bits differ");
+            ++c;
+            continue;
+          }
+          // Only merges miss the cache: those holding the changed user,
+          // and (on the cluster tree, whose plan follows the channels)
+          // ones the last call did not emit.
+          prop_assert(std::popcount(g.mask) > 1 &&
+                          (g.contains(changed_user) ||
+                           !std::ranges::binary_search(emitted, g.mask)),
+                      what + ": deferred a group the deadline cannot cut");
+        }
+        prop_assert(c == cached.size(), what + ": emitted an unknown group");
+      }
+
+      // What a full pass reads: the plan's counts, as a fresh cache's.
+      sched::plan_candidates_into(scheme, channels, f.cfg, f.who(), ws_plan);
+      const sched::CandidatePlan& plan = ws_plan.plan;
+      prop_assert(d[kGenerated] == plan.generated &&
+                      d[kPruned] == plan.pruned && d[kCapped] == plan.capped,
+                  what + ": plan counters differ from a fresh pass");
+      prop_assert(d[kHit] + d[kMiss] + d[kDeferred] == plan.masks.size(),
+                  what + ": hit + miss + deferred != plan size");
+      prop_assert(d[kBeamformed] == d[kMiss],
+                  what + ": beamformed != cache misses");
+      prop_assert(d[kDeadlineHits] == (d[kDeferred] > 0 ? 1u : 0u),
+                  what + ": deadline hit count");
+      const bool reuse = repeat && !last_deferred;
+      prop_assert(d[kReused] == (reuse ? 1u : 0u),
+                  what + (reuse ? ": a repeat was not reused"
+                                : ": a changed pass was reused"));
+      if (reuse)
+        prop_assert(d[kMiss] == 0 && d[kHit] == plan.masks.size(),
+                    what + ": a reused pass is not all hits");
+      emitted.clear();
+      for (const sched::GroupSpec& g : cached) emitted.push_back(g.mask);
+      reused_calls += reuse ? 1 : 0;
+      deferring_calls += d[kDeferred] > 0 ? 1 : 0;
+      last_deferred = d[kDeferred] > 0;
+    }
+  });
+  obs::set_enabled(false);
+  EXPECT_GT(reused_calls, 0u) << "no pass was reused; property is vacuous";
+  EXPECT_GT(deferring_calls, 0u) << "no pass deferred; property is vacuous";
 }
 
 // --- (b) Session-level bit-identity on a mobility trace ------------------

@@ -102,9 +102,11 @@ TEST_F(AllocGateTest, StaticFourUsersZeroAllocsPerFrameAfterWarmup) {
 }
 
 // Mobility scenario: two walkers, CSI changing every beacon — the
-// decide_into() path re-enumerates groups and re-optimizes each frame, and
-// the engine sees different loss patterns. Still zero heap traffic after
-// warmup.
+// decide_into() path re-beamforms on each beacon frame, re-emits the
+// cached pass on the two frames that share its CSI (the
+// sched.beam_cache.reused counter shows it), and re-optimizes each frame,
+// and the engine sees different loss patterns. Still zero heap traffic
+// after warmup. Telemetry is on (aggregation only) for that counter.
 TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
   if (!alloc_count::counting_available())
     GTEST_SKIP() << "W4K_COUNT_ALLOCS is off in this build";
@@ -116,11 +118,15 @@ TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
   const channel::CsiTrace trace = channel::moving_receiver_trace(mc);
   ASSERT_GT(trace.steps(), 1u);
 
+  obs::set_enabled(true);
+  obs::Counter& reused =
+      obs::MetricsRegistry::global().counter("sched.beam_cache.reused");
   MulticastSession session(SessionConfig::scaled(kW, kH), *quality_,
                            beamforming::Codebook{});
   const fault::FrameFaults no_faults;
   FrameOutcome outcome;
   int frame = 0;
+  std::uint64_t measured_reuses = 0;
   for (std::size_t t = 0; t < trace.steps(); ++t) {
     // One-beacon CSI staleness, exactly like run_trace.
     const auto& truth = trace.snapshots[t];
@@ -128,14 +134,19 @@ TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
     for (int k = 0; k < 3; ++k, ++frame) {
       const FrameContext& ctx =
           (*contexts_)[static_cast<std::size_t>(frame) % contexts_->size()];
+      const std::uint64_t reused_before = reused.value();
       const alloc_count::Scope scope;
       session.step_into(decision, truth, ctx, no_faults, outcome);
       if (frame >= kWarmupFrames) {
         EXPECT_EQ(scope.taken(), 0u)
             << "frame " << frame << " of the mobile scenario hit the heap";
+        measured_reuses += reused.value() - reused_before;
       }
     }
   }
+  obs::set_enabled(false);
+  EXPECT_GT(measured_reuses, 0u)
+      << "no measured frame reused the beam cache's pass; gate is vacuous";
 }
 
 // Crowd scenario: 12 users (the hierarchy threshold, so the exhaustive
@@ -146,9 +157,11 @@ TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
 // groups that clear the rate filter reaches new highs, and the group pool,
 // beam cache and allocator grow to each new high. So warmup here is one
 // pass over the walk, and the gate measures a second pass of the same
-// walk: every beacon again re-beamforms the walkers' subsets. Telemetry is
-// on (aggregation only) so the sched.beamform.lane_subsets counter can
-// show that the measured beacons really ran on lanes.
+// walk: every beacon again re-beamforms the walkers' subsets, and the two
+// frames after it re-emit the cached pass. Telemetry is on (aggregation
+// only) so the sched.beamform.lane_subsets counter can show that the
+// measured beacons really ran on lanes, and sched.beam_cache.reused that
+// the measured non-beacon frames really took the reuse path.
 TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
   if (!alloc_count::counting_available())
     GTEST_SKIP() << "W4K_COUNT_ALLOCS is off in this build";
@@ -167,12 +180,15 @@ TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
   obs::set_enabled(true);
   obs::Counter& lanes =
       obs::MetricsRegistry::global().counter("sched.beamform.lane_subsets");
+  obs::Counter& reused =
+      obs::MetricsRegistry::global().counter("sched.beam_cache.reused");
   MulticastSession session(SessionConfig::scaled(kW, kH), *quality_,
                            beamforming::Codebook{});
   const fault::FrameFaults no_faults;
   FrameOutcome outcome;
   int frame = 0;
   std::uint64_t measured_lanes = 0;
+  std::uint64_t measured_reuses = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t t = 0; t < trace.steps(); ++t) {
       const auto& truth = trace.snapshots[t];
@@ -181,12 +197,14 @@ TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
         const FrameContext& ctx =
             (*contexts_)[static_cast<std::size_t>(frame) % contexts_->size()];
         const std::uint64_t lanes_before = lanes.value();
+        const std::uint64_t reused_before = reused.value();
         const alloc_count::Scope scope;
         session.step_into(decision, truth, ctx, no_faults, outcome);
         if (pass == 1) {
           EXPECT_EQ(scope.taken(), 0u)
               << "frame " << frame << " of the crowd scenario hit the heap";
           measured_lanes += lanes.value() - lanes_before;
+          measured_reuses += reused.value() - reused_before;
         }
       }
     }
@@ -195,6 +213,8 @@ TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
   if (linalg::subset_lane_width(gf256::active_tier()) > 1)
     EXPECT_GT(measured_lanes, 0u)
         << "no measured beacon ran on the subset lanes; gate is vacuous";
+  EXPECT_GT(measured_reuses, 0u)
+      << "no measured frame reused the beam cache's pass; gate is vacuous";
 }
 
 // Fault-path scenario: one AP, four users, and a hand-built plan in which
