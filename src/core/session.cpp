@@ -431,40 +431,72 @@ void MulticastSession::set_air_parameters(const Frame& f) {
   // 1:1 with the decision's groups because the assignments reference them;
   // a group whose MCS lookup fails keeps a zero drain rate and the engine
   // drops its packets.
+  //
+  // A decision that still holds the pass groups_tx_ was built from, under
+  // the same MCS margin, has the same groups, beams and bottleneck RSS, so
+  // every group keeps its MCS and drain rate (the two non-beacon frames of
+  // a beacon period). Only the members whose in-flight channel moved need
+  // new losses. The firmware sector retrains every frame, so it never
+  // keeps anything.
+  const bool keep = !firmware_sector && f.plan->pass != 0 &&
+                    f.plan->pass == tx_pass_ &&
+                    f.mcs_margin_db == tx_margin_db_ &&
+                    tx_truth_.size() == f.n_users;
+  const sched::GroupMask moved =
+      keep ? sched::changed_rows(*f.truth, tx_truth_) : ~sched::GroupMask{0};
+  tx_pass_ = 0;  // groups_tx_ is in flux (a throw leaves nothing to keep)
   resize_recycled(groups_tx_, groups.size(), tx_pool_);
   static obs::Stage& st = obs::stage("session.mcs");
   obs::StageSpan span(st);
+  std::uint64_t kept = 0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const sched::GroupSpec& spec = groups[g];
-    // Per-entry reset of the reused slot: clear reuses the loss vector's
-    // capacity; the fields match a fresh GroupTx.
     emu::GroupTx& tx = groups_tx_[g];
-    tx.mask = spec.mask;
-    tx.mcs = channel::McsEntry{};
-    tx.drain_rate = Mbps{0.0};
-    tx.bucket_rate = Mbps{0.0};
-    tx.member_loss.clear();
     // Beam actually on the air, and the link RSS its MCS comes from: the
     // firmware's own sector and tracking in No-Update mode; otherwise the
     // decision's beam at beacon-time RSS. Either way minus the margin.
     const beamforming::GroupBeam& air =
         firmware_sector ? firmware_beams_[g] : spec.beam;
-    const auto mcs = channel::select_mcs(air.min_rss - f.mcs_margin_db);
-    if (!mcs) continue;
-    tx.mcs = *mcs;
-    tx.drain_rate = Mbps{mcs->udp_throughput.value * cfg_.rate_scale};
+    if (!keep) {
+      // Per-entry reset of the reused slot: clear reuses the loss vector's
+      // capacity; the fields match a fresh GroupTx.
+      tx.mask = spec.mask;
+      tx.mcs = channel::McsEntry{};
+      tx.drain_rate = Mbps{0.0};
+      tx.bucket_rate = Mbps{0.0};
+      tx.member_loss.clear();
+      const auto mcs = channel::select_mcs(air.min_rss - f.mcs_margin_db);
+      if (!mcs) continue;
+      tx.mcs = *mcs;
+      tx.drain_rate = Mbps{mcs->udp_throughput.value * cfg_.rate_scale};
+    } else if (tx.drain_rate.value <= 0.0) {
+      continue;  // still no MCS
+    }
     // The bucket fills at the rate measured for these very members last
     // frame; a new group starts at its drain rate.
     const Mbps measured =
-        cfg_.adapt ? planner_.measured_rate(spec) : Mbps{0.0};
+        cfg_.adapt ? planner_.measured_rate(*f.plan, g) : Mbps{0.0};
     tx.bucket_rate = measured.value > 0.0 ? measured : tx.drain_rate;
+    if ((spec.mask & moved) == 0) {
+      ++kept;
+      continue;
+    }
+    tx.member_loss.clear();
     for (std::size_t u : SetBits{spec.mask}) {
       const Dbm rss = channel::beam_rss((*f.truth)[u], air.beam);
       tx.member_loss.push_back(
           u == kAssociatedUser
-              ? emu::associated_loss(rss, *mcs)
-              : emu::monitor_loss(rss, *mcs));
+              ? emu::associated_loss(rss, tx.mcs)
+              : emu::monitor_loss(rss, tx.mcs));
     }
+  }
+  tx_truth_ = *f.truth;  // element-wise copy-assign: capacities reused
+  tx_margin_db_ = f.mcs_margin_db;
+  tx_pass_ = f.plan->pass;
+  if (obs::enabled()) {
+    static obs::Counter& c_kept =
+        obs::MetricsRegistry::global().counter("session.air.kept");
+    c_kept.add(kept);
   }
 }
 
@@ -549,7 +581,7 @@ void MulticastSession::transmit(const Frame& f, const FrameContext& ctx,
                            rng_, efs_, relays_, tx_result_);
   }
   if (cfg_.adapt)
-    planner_.note_measured(f.plan->groups, tx_result_.measured_rate);
+    planner_.note_measured(*f.plan, tx_result_.measured_rate);
   out.stats = tx_result_.stats;
   out.relayed_symbols = tx_result_.relayed_symbols;
 }

@@ -172,7 +172,8 @@ class MulticastSession {
   ///     a user from the optimizer, with periodic re-probe;
   ///  5. decision: decide_into, or in No-Update mode the first frame's
   ///     decision forever (the paper's baseline);
-  ///  6. air parameters: per-group MCS (No-Update: the firmware sector);
+  ///  6. air parameters: per-group MCS (No-Update: the firmware sector),
+  ///     kept from the last frame while its pass and margin hold;
   ///  7. shed: a collapsed budget sheds enhancement layers, never the base;
   ///  8. transmit: blind makeup with capped backoff for lost feedback,
   ///     peer relay to quarantined users, the engine;
@@ -284,7 +285,12 @@ class MulticastSession {
   /// Optional CSI estimation, then the adaptive or frozen decision.
   void decide(Frame& f, const FrameContext& ctx);
   /// Per-group MCS, drain/bucket rates and member losses (the No-Update
-  /// firmware sector included) into groups_tx_.
+  /// firmware sector included) into groups_tx_. When the decision holds
+  /// the beam-cache pass groups_tx_ was built from and the MCS margin is
+  /// unchanged, every group keeps its MCS and drain rate, only groups
+  /// holding a member whose in-flight channel changed recompute their
+  /// losses, and every group with an MCS refreshes its bucket rate (the
+  /// firmware sector recomputes everything).
   void set_air_parameters(const Frame& f);
   /// Sheds enhancement-layer assignments past a collapsed budget.
   void shed(Frame& f, const FrameContext& ctx,
@@ -339,6 +345,11 @@ class MulticastSession {
   /// No-Update firmware sector per group.
   std::vector<beamforming::GroupBeam> firmware_beams_;
   std::vector<emu::GroupTx> groups_tx_;   ///< per-group air parameters
+  /// What groups_tx_ was built from: the decision's pass (0: nothing to
+  /// keep), the MCS margin, and the in-flight channel rows of its losses.
+  std::uint64_t tx_pass_ = 0;
+  double tx_margin_db_ = 0.0;
+  std::vector<linalg::CVector> tx_truth_;
   /// Parked groups_tx_ elements (resize_recycled): a reprobe frame swings
   /// the group count, and plain resize would free their buffers.
   std::vector<emu::GroupTx> tx_pool_;

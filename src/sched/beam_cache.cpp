@@ -3,6 +3,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 namespace w4k::sched {
@@ -10,12 +11,8 @@ namespace {
 
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
 
-bool same_channel(const linalg::CVector& a, const linalg::CVector& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i] != b[i]) return false;
-  return true;
-}
+/// The last pass id handed out by any cache.
+std::atomic<std::uint64_t> last_pass{0};
 
 /// Bumps the sched.beam_cache.* counters for one pass (no-op with
 /// telemetry disabled).
@@ -46,11 +43,11 @@ bool BeamCache::same_filter(const GroupEnumConfig& cfg,
          std::ranges::equal(who.partition, partition_);
 }
 
-void BeamCache::enumerate_into(const std::vector<linalg::CVector>& channels,
-                               const beamforming::Codebook& codebook,
-                               const GroupEnumConfig& cfg,
-                               const Membership& who, const Deadline& deadline,
-                               ThreadPool* pool, std::vector<GroupSpec>& out) {
+std::uint64_t BeamCache::enumerate_into(
+    const std::vector<linalg::CVector>& channels,
+    const beamforming::Codebook& codebook, const GroupEnumConfig& cfg,
+    const Membership& who, const Deadline& deadline, ThreadPool* pool,
+    std::vector<GroupSpec>& out, std::uint64_t held) {
   const CandidatePlan& plan = ws_.plan;
 
   // --- Dirty tracking --------------------------------------------------
@@ -58,21 +55,19 @@ void BeamCache::enumerate_into(const std::vector<linalg::CVector>& channels,
   // accepted (1..64 users), so an equal count keeps the shifts in range.
   const std::size_t n = channels.size();
   const bool same_users = n > 0 && n == channels_.size();
-  GroupMask dirty = 0;
-  if (same_users)
-    for (std::size_t u = 0; u < n; ++u)
-      if (!same_channel(channels[u], channels_[u])) dirty |= GroupMask{1} << u;
+  const GroupMask dirty = same_users ? changed_rows(channels, channels_) : 0;
 
   // --- Reuse -------------------------------------------------------------
   // The plan is a pure function of (channels, cfg, who), and the last pass
   // left a valid beam for every plan mask, so ws_'s plan and beam pointers
   // are exactly what a full pass would rebuild. emit_groups' rate filter is
-  // idempotent on by_index.
+  // idempotent on by_index; an output that holds this pass already would
+  // get back what it has.
   if (reusable_ && same_users && dirty == 0 && same_filter(cfg, who)) {
     note_cache(plan.masks.size(), 0, true);
     note_anytime(plan, 0, 0);
-    emit_groups(cfg.rate_threshold, ws_, out);
-    return;
+    if (held != pass_) emit_groups(cfg.rate_threshold, rate_scale_, ws_, out);
+    return pass_;
   }
   reusable_ = false;
 
@@ -145,12 +140,14 @@ void BeamCache::enumerate_into(const std::vector<linalg::CVector>& channels,
     const Entry* e = find_mask(entries_, plan.masks[i]);
     ws_.by_index[i] = e != nullptr && e->valid ? &e->beam : nullptr;
   }
-  emit_groups(cfg.rate_threshold, ws_, out);
+  emit_groups(cfg.rate_threshold, rate_scale_, ws_, out);
 
   cfg_ = cfg;
   exclude_.assign(who.exclude.begin(), who.exclude.end());
   partition_.assign(who.partition.begin(), who.partition.end());
+  pass_ = last_pass.fetch_add(1, std::memory_order_relaxed) + 1;
   reusable_ = ws_.deferred == 0;
+  return pass_;
 }
 
 }  // namespace w4k::sched

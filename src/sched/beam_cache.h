@@ -21,9 +21,12 @@
 // A call whose inputs equal the last pass's — no dirty user, the same
 // filter knobs and Membership, and no subset deferred by the last pass's
 // deadline — has the same candidate plan and an all-hit lookup, so it
-// reuses the plan and beam pointers the cache kept and only re-emits
-// (the two non-beacon frames of every beacon period). The cache owns its
-// SchedWorkspace, so that reuse rests on nothing a caller can swap out.
+// reuses the plan and beam pointers the cache kept (the two non-beacon
+// frames of every beacon period). Every full pass takes a fresh pass id,
+// unique across caches, and a reused pass keeps it; a reused pass emits
+// nothing into an output that already holds that id's emission, and
+// re-emits into any other. The cache owns its SchedWorkspace, so that
+// reuse rests on nothing a caller can swap out.
 //
 // Storage is a flat vector of entries sorted by mask. Invalidation flips a
 // valid flag instead of erasing, and recomputed beams are copy-assigned
@@ -43,25 +46,34 @@ namespace w4k::sched {
 
 class BeamCache {
  public:
-  BeamCache(beamforming::Scheme scheme, std::uint64_t beam_seed)
-      : scheme_(scheme), beam_seed_(beam_seed) {}
+  /// `rate_scale` multiplies every emitted group's rate (emit_groups).
+  BeamCache(beamforming::Scheme scheme, std::uint64_t beam_seed,
+            double rate_scale = 1.0)
+      : scheme_(scheme), beam_seed_(beam_seed), rate_scale_(rate_scale) {}
 
   /// Enumerates candidate groups into `out` exactly like the stateless
   /// enumerate_groups(scheme, channels, codebook, beam_seed, cfg, pool, ws,
-  /// who, deadline) — bit-identical output, asserted by the property suite
-  /// — but reuses cached beams for every subset whose members' channels
-  /// are unchanged since the previous call, and the whole last pass when
-  /// nothing it depends on changed. `codebook` must be the same on every
-  /// call (beams are cached across calls). `pool` (optional) parallelizes
-  /// the misses, beamformed in the plan's priority order so a `deadline`
-  /// defers only the least valuable merge subsets. Bumps the
-  /// sched.beam_cache.hit/miss/reused and sched.anytime.* counters; hit,
-  /// miss and anytime read the same on a reused pass as on a full one.
-  void enumerate_into(const std::vector<linalg::CVector>& channels,
-                      const beamforming::Codebook& codebook,
-                      const GroupEnumConfig& cfg, const Membership& who,
-                      const Deadline& deadline, ThreadPool* pool,
-                      std::vector<GroupSpec>& out);
+  /// who, deadline) — bit-identical output up to the rate scale, asserted
+  /// by the property suite — but reuses cached beams for every subset
+  /// whose members' channels are unchanged since the previous call, and
+  /// the whole last pass when nothing it depends on changed. `codebook`
+  /// must be the same on every call (beams are cached across calls).
+  /// `pool` (optional) parallelizes the misses, beamformed in the plan's
+  /// priority order so a `deadline` defers only the least valuable merge
+  /// subsets. Bumps the sched.beam_cache.hit/miss/reused and
+  /// sched.anytime.* counters; hit, miss and anytime read the same on a
+  /// reused pass as on a full one.
+  ///
+  /// Returns the id of the pass whose emission `out` now holds: never 0,
+  /// fresh for every full pass and unique across caches, kept by a reused
+  /// pass. `held` is the id `out` already holds (0: none); a reused pass
+  /// with that id leaves `out` untouched.
+  std::uint64_t enumerate_into(const std::vector<linalg::CVector>& channels,
+                               const beamforming::Codebook& codebook,
+                               const GroupEnumConfig& cfg,
+                               const Membership& who, const Deadline& deadline,
+                               ThreadPool* pool, std::vector<GroupSpec>& out,
+                               std::uint64_t held = 0);
 
   /// Drops every cached beam and the remembered channels (session reset).
   void clear();
@@ -81,6 +93,7 @@ class BeamCache {
 
   beamforming::Scheme scheme_;
   std::uint64_t beam_seed_;
+  double rate_scale_;
   std::vector<linalg::CVector> channels_;  ///< channels at last enumerate
   std::vector<Entry> entries_;             ///< sorted by mask
   /// Enumeration scratch; after a pass its plan and by_index describe
@@ -95,6 +108,7 @@ class BeamCache {
   GroupEnumConfig cfg_;
   std::vector<std::uint8_t> exclude_, partition_;
   bool reusable_ = false;
+  std::uint64_t pass_ = 0;  ///< id of the last full pass (0: none yet)
 };
 
 }  // namespace w4k::sched

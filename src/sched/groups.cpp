@@ -399,7 +399,7 @@ void note_anytime(const CandidatePlan& plan, std::size_t beamformed,
   if (deferred > 0) c_deadline.add(1);
 }
 
-void emit_groups(Mbps rate_threshold, SchedWorkspace& ws,
+void emit_groups(Mbps rate_threshold, double rate_scale, SchedWorkspace& ws,
                  std::vector<GroupSpec>& out) {
   // Drop what cannot sustain any MCS or falls below the threshold; a
   // nullptr is a subset deferred past the deadline.
@@ -416,7 +416,21 @@ void emit_groups(Mbps rate_threshold, SchedWorkspace& ws,
     GroupSpec& spec = out[g++];
     spec.mask = ws.plan.masks[i];
     spec.beam = *ws.by_index[i];  // copy-assign: beam capacity reused
+    spec.beam.rate = Mbps{spec.beam.rate.value * rate_scale};
   }
+}
+
+GroupMask changed_rows(const std::vector<linalg::CVector>& now,
+                       const std::vector<linalg::CVector>& kept) {
+  GroupMask changed = 0;
+  for (std::size_t u = 0; u < now.size(); ++u) {
+    const linalg::CVector& a = now[u];
+    const linalg::CVector& b = kept[u];
+    bool same = a.size() == b.size();
+    for (std::size_t i = 0; same && i < a.size(); ++i) same = a[i] == b[i];
+    if (!same) changed |= GroupMask{1} << u;
+  }
+  return changed;
 }
 
 std::span<const GroupSpec> enumerate_groups(
@@ -439,7 +453,7 @@ std::span<const GroupSpec> enumerate_groups(
   for (std::size_t j = 0; j < plan.priority.size(); ++j)
     if (ws.done[j]) ws.by_index[plan.priority[j]] = &ws.beams[j];
   note_anytime(plan, ws.ordered.size() - ws.deferred, ws.deferred);
-  emit_groups(cfg.rate_threshold, ws, ws.groups);
+  emit_groups(cfg.rate_threshold, 1.0, ws, ws.groups);
   return ws.groups;
 }
 

@@ -197,10 +197,18 @@ void plan_candidates_into(beamforming::Scheme scheme,
 /// The one emit step of every enumeration: copies, in ascending mask
 /// order, each ws.plan mask whose beam (ws.by_index[i]; nullptr =
 /// deferred) has a positive rate >= `rate_threshold` into `out`, mask and
-/// beam once. `out` ends up exactly that size; its elements move to and
-/// from ws.spare_groups, so every slot keeps its beam buffer.
-void emit_groups(Mbps rate_threshold, SchedWorkspace& ws,
+/// beam once, the copy's rate multiplied by `rate_scale` (the filter reads
+/// the unscaled Table 2 rate). `out` ends up exactly that size; its
+/// elements move to and from ws.spare_groups, so every slot keeps its beam
+/// buffer.
+void emit_groups(Mbps rate_threshold, double rate_scale, SchedWorkspace& ws,
                  std::vector<GroupSpec>& out);
+
+/// Bit u set = row u of `now` differs from row u of `kept`, element by
+/// element (a NaN entry always differs). Both hold the same number of
+/// rows, at most 64.
+GroupMask changed_rows(const std::vector<linalg::CVector>& now,
+                       const std::vector<linalg::CVector>& kept);
 
 /// Bumps the sched.anytime.* counters for one enumeration pass (no-op with
 /// telemetry disabled). Shared by the stateless path and the BeamCache.

@@ -40,10 +40,12 @@ void check_groups(const std::vector<GroupSpec>& groups, const Membership& who) {
 }  // namespace
 
 Planner::Planner(const Settings& settings)
-    : settings_(settings), cache_(settings.scheme, settings.beam_seed) {}
+    : settings_(settings),
+      cache_(settings.scheme, settings.beam_seed, settings.rate_scale) {}
 
 void Planner::forget_plan() {
   prev_.clear();
+  prev_pass_ = 0;
   prev_total_ = 0.0;
   prev_users_ = 0;
 }
@@ -52,17 +54,21 @@ void Planner::clear() {
   cache_.clear();
   forget_plan();
   measured_.clear();
+  measured_pass_ = 0;
 }
 
-void Planner::note_measured(const std::vector<GroupSpec>& groups,
-                            std::span<const Mbps> rates) {
+void Planner::note_measured(const Decision& d, std::span<const Mbps> rates) {
   measured_.clear();
-  for (std::size_t g = 0; g < groups.size() && g < rates.size(); ++g)
-    measured_.push_back({groups[g].mask, rates[g]});
+  for (std::size_t g = 0; g < d.groups.size() && g < rates.size(); ++g)
+    measured_.push_back({d.groups[g].mask, rates[g]});
+  measured_pass_ = d.pass;
 }
 
-Mbps Planner::measured_rate(const GroupSpec& g) const {
-  const MeasuredGroup* e = find_mask(measured_, g.mask);
+Mbps Planner::measured_rate(const Decision& d, std::size_t g) const {
+  // The same pass is the same group list: entry g is group g's own.
+  if (d.pass != 0 && d.pass == measured_pass_)
+    return g < measured_.size() ? measured_[g].rate : Mbps{0.0};
+  const MeasuredGroup* e = find_mask(measured_, d.groups[g].mask);
   return e ? e->rate : Mbps{0.0};
 }
 
@@ -88,11 +94,10 @@ void Planner::decide_into(const std::vector<linalg::CVector>& channels,
     // parallel misses are bit-identical to sched::enumerate_groups.
     static obs::Stage& st = obs::stage("session.beamform");
     obs::StageSpan span(st);
-    cache_.enumerate_into(channels, codebook, settings_.group_enum, who,
-                          beam_deadline, &ThreadPool::shared(), d.groups);
-    // Scale Table 2 rates to the frame resolution before any byte math.
-    for (auto& g : d.groups)
-      g.beam.rate = Mbps{g.beam.rate.value * settings_.rate_scale};
+    // The cache scales Table 2 rates to the frame resolution as it emits.
+    d.pass = cache_.enumerate_into(channels, codebook, settings_.group_enum,
+                                   who, beam_deadline, &ThreadPool::shared(),
+                                   d.groups, d.pass);
   }
   if (verify::enabled()) check_groups(d.groups, who);
 
@@ -116,8 +121,9 @@ void Planner::decide_into(const std::vector<linalg::CVector>& channels,
     obs::StageSpan span(st);
     if (settings_.optimized) {
       optimize_allocation_into(problem, quality, alloc_scratch_, d.allocation,
-                               {}, warm_start(d.groups, channels.size()));
+                               {}, warm_start(d, channels.size()));
       forget_plan();  // this plan warm-starts the next frame
+      prev_pass_ = d.pass;
       prev_users_ = channels.size();
       for (std::size_t g = 0; g < d.groups.size(); ++g) {
         prev_.push_back({d.groups[g].mask, d.allocation.time(g)});
@@ -137,13 +143,18 @@ void Planner::decide_into(const std::vector<linalg::CVector>& channels,
   }
 }
 
-const std::vector<double>* Planner::warm_start(
-    const std::vector<GroupSpec>& groups, std::size_t n_users) {
+const std::vector<double>* Planner::warm_start(const Decision& d,
+                                               std::size_t n_users) {
   if (prev_total_ <= 0.0 || prev_users_ != n_users) return nullptr;
+  const std::vector<GroupSpec>& groups = d.groups;
   warm_.assign(groups.size() * video::kNumLayers, 0.0);
+  // The same pass is the same group list: entry g is group g's own plan.
+  const bool aligned = d.pass != 0 && d.pass == prev_pass_;
   double covered = 0.0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    const PlannedGroup* e = find_mask(prev_, groups[g].mask);
+    const PlannedGroup* e =
+        aligned ? (g < prev_.size() ? &prev_[g] : nullptr)
+                : find_mask(prev_, groups[g].mask);
     if (!e) continue;
     for (std::size_t j = 0; j < video::kNumLayers; ++j) {
       warm_[g * video::kNumLayers + j] = e->t[j];

@@ -19,9 +19,16 @@ namespace w4k::sched {
 /// One frame's schedule. A reused Decision is overwritten in place, so
 /// the decision reuses capacity in steady state.
 struct Decision {
-  std::vector<GroupSpec> groups;  ///< ascending member mask, rates scaled
+  /// Ascending member mask; rates scaled to the frame resolution where the
+  /// beam cache emits them.
+  std::vector<GroupSpec> groups;
   Allocation allocation;          ///< Eq. 1 airtime per group and layer
   UnitMapResult unit_map;         ///< Eq. 4 coding-unit assignments
+  /// The beam-cache pass whose emission `groups` holds (BeamCache::
+  /// enumerate_into; 0: none). Unique across planners: two decisions with
+  /// the same nonzero id hold the same groups in the same order. A pass
+  /// the cache reuses leaves `groups` of a decision that holds it as is.
+  std::uint64_t pass = 0;
 };
 
 class Planner {
@@ -42,7 +49,8 @@ class Planner {
   explicit Planner(const Settings& settings);
 
   /// One decision into `d`: the groups for `channels` under `who` (cached
-  /// beams, misses beamformed on the shared ThreadPool, rates scaled), the
+  /// beams, misses beamformed on the shared ThreadPool, rates scaled; a
+  /// reused cache pass leaves `d.groups` alone when `d` holds it), the
   /// Eq. 1 allocation warm-started from the previous plan when enough of
   /// it survives, and the Eq. 4 map of `units`. No schedulable group
   /// leaves `d` empty. This is the one place the deadline is split:
@@ -55,11 +63,11 @@ class Planner {
                    model::QualityModel& quality, Decision& d);
 
   /// Keeps rates[g], the receivers' measured rate of transmitted group
-  /// groups[g] (ascending masks), by member mask until the next call.
-  void note_measured(const std::vector<GroupSpec>& groups,
-                     std::span<const Mbps> rates);
-  /// The rate last noted for exactly `g`'s members; zero if none was.
-  Mbps measured_rate(const GroupSpec& g) const;
+  /// d.groups[g], by member mask until the next call.
+  void note_measured(const Decision& d, std::span<const Mbps> rates);
+  /// The rate last noted for exactly d.groups[g]'s members; zero if none
+  /// was. Read by index when `d` holds the pass the rates were noted on.
+  Mbps measured_rate(const Decision& d, std::size_t g) const;
 
   /// Drops the previous plan. Masks index users, so a user-count change
   /// must call this.
@@ -69,10 +77,11 @@ class Planner {
   void clear();
 
  private:
-  /// The previous plan remapped by member mask onto `groups` (g-major,
-  /// layer-minor); nullptr when the user count changed or under half of
-  /// the previous airtime maps onto a surviving group.
-  const std::vector<double>* warm_start(const std::vector<GroupSpec>& groups,
+  /// The previous plan remapped by member mask onto d.groups (g-major,
+  /// layer-minor; by index when `d` holds the previous plan's pass);
+  /// nullptr when the user count changed or under half of the previous
+  /// airtime maps onto a surviving group.
+  const std::vector<double>* warm_start(const Decision& d,
                                         std::size_t n_users);
 
   Settings settings_;
@@ -86,6 +95,7 @@ class Planner {
     LayerArray t{};
   };
   std::vector<PlannedGroup> prev_;
+  std::uint64_t prev_pass_ = 0; ///< pass prev_ was planned on
   double prev_total_ = 0.0;     ///< airtime of the previous plan
   std::size_t prev_users_ = 0;  ///< user count of the previous plan
   std::vector<double> warm_;    ///< the remapped warm-start vector
@@ -96,6 +106,7 @@ class Planner {
     Mbps rate{0.0};
   };
   std::vector<MeasuredGroup> measured_;
+  std::uint64_t measured_pass_ = 0;  ///< pass measured_ was noted on
 };
 
 }  // namespace w4k::sched

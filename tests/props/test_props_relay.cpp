@@ -155,9 +155,10 @@ TEST_F(RelayPropertyTest, RelayedSymbolsRespectAirtimeBudget) {
   // for relay slots), but across the sweep it must have happened — else
   // every bound above was checked against zeros. Skipped on single-seed
   // replay, where one budget-packed draw is expected.
-  if (!opts.has_replay_seed)
+  if (!opts.has_replay_seed) {
     EXPECT_GT(total_relayed, 0u)
         << "no iteration of the sweep ever relayed a symbol";
+  }
 }
 
 TEST_F(RelayPropertyTest, RelayChurnNeverCrashesAndStaysDeterministic) {

@@ -102,11 +102,12 @@ TEST_F(AllocGateTest, StaticFourUsersZeroAllocsPerFrameAfterWarmup) {
 }
 
 // Mobility scenario: two walkers, CSI changing every beacon — the
-// decide_into() path re-beamforms on each beacon frame, re-emits the
-// cached pass on the two frames that share its CSI (the
-// sched.beam_cache.reused counter shows it), and re-optimizes each frame,
-// and the engine sees different loss patterns. Still zero heap traffic
-// after warmup. Telemetry is on (aggregation only) for that counter.
+// decide_into() path re-beamforms on each beacon frame, reuses the cached
+// pass on the two frames that share its CSI (the sched.beam_cache.reused
+// counter shows it), where the session keeps each group's air parameters
+// (session.air.kept), and re-optimizes each frame, and the engine sees
+// different loss patterns. Still zero heap traffic after warmup.
+// Telemetry is on (aggregation only) for those counters.
 TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
   if (!alloc_count::counting_available())
     GTEST_SKIP() << "W4K_COUNT_ALLOCS is off in this build";
@@ -121,12 +122,15 @@ TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
   obs::set_enabled(true);
   obs::Counter& reused =
       obs::MetricsRegistry::global().counter("sched.beam_cache.reused");
+  obs::Counter& kept =
+      obs::MetricsRegistry::global().counter("session.air.kept");
   MulticastSession session(SessionConfig::scaled(kW, kH), *quality_,
                            beamforming::Codebook{});
   const fault::FrameFaults no_faults;
   FrameOutcome outcome;
   int frame = 0;
   std::uint64_t measured_reuses = 0;
+  std::uint64_t measured_kept = 0;
   for (std::size_t t = 0; t < trace.steps(); ++t) {
     // One-beacon CSI staleness, exactly like run_trace.
     const auto& truth = trace.snapshots[t];
@@ -135,18 +139,22 @@ TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
       const FrameContext& ctx =
           (*contexts_)[static_cast<std::size_t>(frame) % contexts_->size()];
       const std::uint64_t reused_before = reused.value();
+      const std::uint64_t kept_before = kept.value();
       const alloc_count::Scope scope;
       session.step_into(decision, truth, ctx, no_faults, outcome);
       if (frame >= kWarmupFrames) {
         EXPECT_EQ(scope.taken(), 0u)
             << "frame " << frame << " of the mobile scenario hit the heap";
         measured_reuses += reused.value() - reused_before;
+        measured_kept += kept.value() - kept_before;
       }
     }
   }
   obs::set_enabled(false);
   EXPECT_GT(measured_reuses, 0u)
       << "no measured frame reused the beam cache's pass; gate is vacuous";
+  EXPECT_GT(measured_kept, 0u)
+      << "no measured frame kept a group's air parameters; gate is vacuous";
 }
 
 // Crowd scenario: 12 users (the hierarchy threshold, so the exhaustive
@@ -160,8 +168,9 @@ TEST_F(AllocGateTest, MobileTraceZeroAllocsPerFrameAfterWarmup) {
 // walk: every beacon again re-beamforms the walkers' subsets, and the two
 // frames after it re-emit the cached pass. Telemetry is on (aggregation
 // only) so the sched.beamform.lane_subsets counter can show that the
-// measured beacons really ran on lanes, and sched.beam_cache.reused that
-// the measured non-beacon frames really took the reuse path.
+// measured beacons really ran on lanes, and sched.beam_cache.reused and
+// session.air.kept that the measured non-beacon frames really took the
+// reuse path and kept the groups' air parameters.
 TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
   if (!alloc_count::counting_available())
     GTEST_SKIP() << "W4K_COUNT_ALLOCS is off in this build";
@@ -182,6 +191,8 @@ TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
       obs::MetricsRegistry::global().counter("sched.beamform.lane_subsets");
   obs::Counter& reused =
       obs::MetricsRegistry::global().counter("sched.beam_cache.reused");
+  obs::Counter& kept =
+      obs::MetricsRegistry::global().counter("session.air.kept");
   MulticastSession session(SessionConfig::scaled(kW, kH), *quality_,
                            beamforming::Codebook{});
   const fault::FrameFaults no_faults;
@@ -189,6 +200,7 @@ TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
   int frame = 0;
   std::uint64_t measured_lanes = 0;
   std::uint64_t measured_reuses = 0;
+  std::uint64_t measured_kept = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t t = 0; t < trace.steps(); ++t) {
       const auto& truth = trace.snapshots[t];
@@ -198,6 +210,7 @@ TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
             (*contexts_)[static_cast<std::size_t>(frame) % contexts_->size()];
         const std::uint64_t lanes_before = lanes.value();
         const std::uint64_t reused_before = reused.value();
+        const std::uint64_t kept_before = kept.value();
         const alloc_count::Scope scope;
         session.step_into(decision, truth, ctx, no_faults, outcome);
         if (pass == 1) {
@@ -205,16 +218,20 @@ TEST_F(AllocGateTest, CrowdTwoWalkersZeroAllocsPerFrameAfterWarmup) {
               << "frame " << frame << " of the crowd scenario hit the heap";
           measured_lanes += lanes.value() - lanes_before;
           measured_reuses += reused.value() - reused_before;
+          measured_kept += kept.value() - kept_before;
         }
       }
     }
   }
   obs::set_enabled(false);
-  if (linalg::subset_lane_width(gf256::active_tier()) > 1)
+  if (linalg::subset_lane_width(gf256::active_tier()) > 1) {
     EXPECT_GT(measured_lanes, 0u)
         << "no measured beacon ran on the subset lanes; gate is vacuous";
+  }
   EXPECT_GT(measured_reuses, 0u)
       << "no measured frame reused the beam cache's pass; gate is vacuous";
+  EXPECT_GT(measured_kept, 0u)
+      << "no measured frame kept a group's air parameters; gate is vacuous";
 }
 
 // Fault-path scenario: one AP, four users, and a hand-built plan in which

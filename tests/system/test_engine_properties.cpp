@@ -95,18 +95,22 @@ TEST_P(EngineProperty, InvariantsHold) {
   // Airtime can never exceed the frame budget.
   EXPECT_LE(res.stats.airtime, kFrameBudget * faults.budget_scale + 1e-9);
   // Makeup packets only exist when feedback rounds exist.
-  if (c.feedback_rounds == 0) EXPECT_EQ(res.stats.makeup_packets, 0u);
+  if (c.feedback_rounds == 0) {
+    EXPECT_EQ(res.stats.makeup_packets, 0u);
+  }
 
   for (std::size_t u = 0; u < 3; ++u) {
     ASSERT_EQ(res.user_symbols[u].size(), units.size());
     for (std::size_t i = 0; i < units.size(); ++i) {
       // Decoding requires at least k symbols...
-      if (res.user_decoded[u][i])
+      if (res.user_decoded[u][i]) {
         EXPECT_GE(res.user_symbols[u][i], units[i].k_symbols);
+      }
       // ...and without source coding, exactly-k distinct always decodes.
       if (!c.source_coding &&
-          res.user_symbols[u][i] >= units[i].k_symbols)
+          res.user_symbols[u][i] >= units[i].k_symbols) {
         EXPECT_TRUE(res.user_decoded[u][i]);
+      }
       // A user can never hold more symbols than were transmitted.
       EXPECT_LE(res.user_symbols[u][i],
                 res.stats.packets_sent);

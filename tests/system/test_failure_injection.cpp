@@ -188,10 +188,11 @@ TEST_F(FailureInjectionTest, SingleApOutageSilencesTheOnlyAp) {
     const auto& decoded = run.frame(f).decoded_fraction;
     double total = 0.0;
     for (double d : decoded) total += d;
-    if (f > kStart && f < kStart + kLen)
+    if (f > kStart && f < kStart + kLen) {
       EXPECT_EQ(total, 0.0) << "frame " << f << " decoded through the outage";
-    else if (f < kStart || f > kStart + kLen)
+    } else if (f < kStart || f > kStart + kLen) {
       EXPECT_GT(total, 0.0) << "frame " << f;
+    }
   }
 }
 

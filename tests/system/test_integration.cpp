@@ -173,8 +173,9 @@ TEST(EndToEnd, SenderReceiverDisagreeOnSeedBreaksRepair) {
   // Feed only repair symbols.
   for (std::size_t i = 0; i < enc.k(); ++i)
     dec.add_symbol(enc.encode(static_cast<fec::Esi>(enc.k() + i)));
-  if (dec.can_decode())
+  if (dec.can_decode()) {
     EXPECT_NE(*dec.decode(), unit_payload(ctx.encoded, u));
+  }
 }
 
 }  // namespace

@@ -148,8 +148,9 @@ TEST(MapToUnits, AssignmentsInPriorityOrder) {
   std::size_t prev_group = 0;
   for (const auto& a : res.assignments) {
     EXPECT_GE(a.unit_index, prev_unit);
-    if (a.unit_index == prev_unit && &a != &res.assignments.front())
+    if (a.unit_index == prev_unit && &a != &res.assignments.front()) {
       EXPECT_GT(a.group, prev_group);
+    }
     prev_unit = a.unit_index;
     prev_group = a.group;
   }
