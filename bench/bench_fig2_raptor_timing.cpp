@@ -4,19 +4,21 @@
 // Reproduction note: the paper's RaptorQ shows a U-shape with a minimum
 // near 6000 B. Our simplified dense GF(256) fountain reproduces the left
 // branch faithfully (small symbols mean many symbols, and coefficient
-// handling dominates: 500 B costs ~12x more than 6000 B) but not the
-// right branch — RaptorQ's cost growth at large symbols comes from its
-// intermediate-block structure, which this code does not have, so beyond
-// 6000 B our times keep improving mildly (~2x from 6000 to 16000 B).
+// handling dominates: 500 B costs ~16-21x more than 6000 B on a 4-vCPU
+// AVX2 VM; the sweep prints the ratio) but not the right branch —
+// RaptorQ's cost growth at large symbols comes from its intermediate-block
+// structure, which this code does not have, so beyond 6000 B encode keeps
+// improving mildly (~2x from 6000 to 16000 B) and decode stays flat.
 // Operationally the paper's 6000 B remains a sound choice here: the
-// returns past it are flat relative to the factor-12 left branch.
+// returns past it are small next to the steep left branch.
 //
-// Implemented with google-benchmark so the timings are statistically
-// sound. In addition to the Fig. 2 sweep, this binary benchmarks the raw
-// GF(256) row kernels (MB/s per dispatch tier) and ends with a scalar-vs-
-// SIMD A/B of kernels, encode and decode, written to BENCH_kernels.json
-// so the perf trajectory is machine-trackable across PRs.
-#include "gbench_common.h"
+// One steady_clock loop (measure_mbps) times everything this binary
+// prints: the Fig. 2 sweep, the raw GF(256) row kernels (MB/s on the
+// active dispatch tier), and a closing scalar-vs-SIMD A/B of kernels,
+// encode and decode, written to BENCH_kernels.json so the perf trajectory
+// is machine-trackable across changes. Exits 1 if that file cannot be
+// written.
+#include "common.h"
 
 #include "fec/fountain.h"
 #include "gf256/gf256.h"
@@ -33,91 +35,28 @@ namespace {
 constexpr std::size_t kUnitBytes = 120'000;  // paper: 20 x 6000 B
 constexpr std::size_t kSymbolBytes = 6'000;  // the paper's operating point
 
-std::vector<std::uint8_t> unit_data() {
-  return w4k::bench::hashed_bytes(kUnitBytes);
+/// Keeps a timed result alive: the compiler must assume `p` is read.
+inline void sink(const void* p) { asm volatile("" : : "r"(p) : "memory"); }
+
+/// Deterministic affine byte fill for kernel input/output buffers. The
+/// (mul, add) pairs are arbitrary but fixed so timings are comparable
+/// across runs.
+std::vector<std::uint8_t> affine_bytes(std::size_t n, unsigned mul,
+                                       unsigned add) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<std::uint8_t>(i * mul + add);
+  return v;
 }
 
-void BM_Encode(benchmark::State& state) {
-  const std::size_t symbol = static_cast<std::size_t>(state.range(0));
-  const auto data = unit_data();
-  const w4k::fec::FountainEncoder enc(data, symbol, 42);
-  const std::size_t k = enc.k();
-  // Encode one full unit's worth of repair symbols per iteration (what the
-  // sender does when a receiver missed everything).
-  w4k::fec::Esi esi = static_cast<w4k::fec::Esi>(k);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < k; ++i)
-      benchmark::DoNotOptimize(enc.encode(esi + static_cast<w4k::fec::Esi>(i)));
-    esi += static_cast<w4k::fec::Esi>(k);
-  }
-  state.counters["k"] = static_cast<double>(k);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kUnitBytes));
+/// Deterministic pseudo-random fill (Knuth multiplicative hash) for coding
+/// unit payloads: incompressible enough that the GF(256) work is real.
+std::vector<std::uint8_t> hashed_bytes(std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<std::uint8_t>(i * 2654435761u >> 24);
+  return v;
 }
-
-void BM_Decode(benchmark::State& state) {
-  const std::size_t symbol = static_cast<std::size_t>(state.range(0));
-  const auto data = unit_data();
-  const w4k::fec::FountainEncoder enc(data, symbol, 42);
-  const std::size_t k = enc.k();
-  // Pre-encode k repair symbols (worst case: no systematic reception).
-  std::vector<w4k::fec::Symbol> symbols;
-  for (std::size_t i = 0; i < k + 2; ++i)
-    symbols.push_back(enc.encode(static_cast<w4k::fec::Esi>(k + i)));
-  for (auto _ : state) {
-    w4k::fec::FountainDecoder dec(k, symbol, data.size(), 42);
-    for (const auto& s : symbols) {
-      dec.add_symbol(s);
-      if (dec.can_decode()) break;
-    }
-    benchmark::DoNotOptimize(dec.decode());
-  }
-  state.counters["k"] = static_cast<double>(k);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kUnitBytes));
-}
-
-// --- Raw row-kernel bandwidth (bytes/second shows as MB/s) ------------------
-
-void BM_MulAddRow(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto dst = w4k::bench::affine_bytes(n, 7, 3);
-  const auto src = w4k::bench::affine_bytes(n, 13, 1);
-  for (auto _ : state) {
-    w4k::gf256::mul_add_row(dst, src, 0xA7);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetLabel(w4k::gf256::tier_name(w4k::gf256::active_tier()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
-void BM_ScaleRow(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto dst = w4k::bench::affine_bytes(n, 11, 5);
-  for (auto _ : state) {
-    w4k::gf256::scale_row(dst, 0x53);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetLabel(w4k::gf256::tier_name(w4k::gf256::active_tier()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
-}  // namespace
-
-BENCHMARK(BM_Encode)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000)->Arg(6000)
-    ->Arg(8000)->Arg(12000)->Arg(16000)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Decode)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000)->Arg(6000)
-    ->Arg(8000)->Arg(12000)->Arg(16000)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MulAddRow)->Arg(64)->Arg(500)->Arg(6000)->Arg(65536)
-    ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_ScaleRow)->Arg(64)->Arg(500)->Arg(6000)->Arg(65536)
-    ->Unit(benchmark::kNanosecond);
-
-namespace {
-
-// --- Scalar-vs-SIMD A/B written to BENCH_kernels.json -----------------------
 
 /// Calls fn(reps) in growing batches until ~0.25 s of wall time has
 /// accumulated, then returns processed MB per second. fn must process
@@ -143,6 +82,111 @@ double measure_mbps(std::size_t bytes_per_rep,
   }
 }
 
+/// One 120 kB unit coded at `symbol` bytes, with k + 2 repair symbols
+/// pre-encoded (worst case: no systematic reception). One rep of encode()
+/// produces a full unit's worth of repair symbols (what the sender does
+/// when a receiver missed everything); one rep of decode() recovers the
+/// unit from the repair symbols with a fresh decoder.
+class UnitCoding {
+ public:
+  explicit UnitCoding(std::size_t symbol)
+      : data_(hashed_bytes(kUnitBytes)), enc_(data_, symbol, 42) {
+    for (std::size_t i = 0; i < k() + 2; ++i)
+      repair_.push_back(enc_.encode(static_cast<w4k::fec::Esi>(k() + i)));
+  }
+
+  std::size_t k() const { return enc_.k(); }
+
+  void encode(std::size_t reps) const {
+    for (std::size_t r = 0; r < reps; ++r)
+      for (std::size_t i = 0; i < k(); ++i)
+        sink(enc_.encode(static_cast<w4k::fec::Esi>(k() + i)).data.data());
+  }
+
+  void decode(std::size_t reps) const {
+    for (std::size_t r = 0; r < reps; ++r) {
+      w4k::fec::FountainDecoder dec(k(), enc_.symbol_size(), data_.size(), 42);
+      for (const auto& s : repair_) {
+        dec.add_symbol(s);
+        if (dec.can_decode()) break;
+      }
+      const auto out = dec.decode();
+      sink(&out);
+    }
+  }
+
+ private:
+  std::vector<std::uint8_t> data_;
+  w4k::fec::FountainEncoder enc_;
+  std::vector<w4k::fec::Symbol> repair_;
+};
+
+/// The reps loops of the two row kernels over `n`-byte rows.
+struct RowKernels {
+  explicit RowKernels(std::size_t n)
+      : dst(affine_bytes(n, 7, 3)), src(affine_bytes(n, 13, 1)) {}
+  void mul_add(std::size_t reps) {
+    for (std::size_t r = 0; r < reps; ++r) {
+      w4k::gf256::mul_add_row(dst, src, 0xA7);
+      sink(dst.data());
+    }
+  }
+  void scale(std::size_t reps) {
+    for (std::size_t r = 0; r < reps; ++r) {
+      w4k::gf256::scale_row(dst, 0x53);
+      sink(dst.data());
+    }
+  }
+  std::vector<std::uint8_t> dst;
+  const std::vector<std::uint8_t> src;
+};
+
+/// Prints the Fig. 2 sweep: per-unit encode and decode time at each
+/// symbol size, and the 500 B vs 6000 B cost ratio the file comment cites.
+void print_sweep() {
+  std::printf("%8s %5s %12s %12s\n", "symbol_B", "k", "encode_us",
+              "decode_us");
+  double enc_500 = 0.0, dec_500 = 0.0, enc_6000 = 0.0, dec_6000 = 0.0;
+  for (const std::size_t symbol :
+       {500, 1000, 2000, 4000, 6000, 8000, 12000, 16000}) {
+    const UnitCoding unit(symbol);
+    // MB/s is bytes per microsecond, so a unit takes kUnitBytes / MBps us.
+    const double enc_us =
+        kUnitBytes / measure_mbps(kUnitBytes,
+                                  [&](std::size_t reps) { unit.encode(reps); });
+    const double dec_us =
+        kUnitBytes / measure_mbps(kUnitBytes,
+                                  [&](std::size_t reps) { unit.decode(reps); });
+    std::printf("%8zu %5zu %12.1f %12.1f\n", symbol, unit.k(), enc_us, dec_us);
+    if (symbol == 500) {
+      enc_500 = enc_us;
+      dec_500 = dec_us;
+    } else if (symbol == kSymbolBytes) {
+      enc_6000 = enc_us;
+      dec_6000 = dec_us;
+    }
+  }
+  std::printf("500 B vs 6000 B cost: encode %.1fx, decode %.1fx\n",
+              enc_500 / enc_6000, dec_500 / dec_6000);
+}
+
+/// Prints the raw row-kernel bandwidth on the active tier.
+void print_row_kernels() {
+  std::printf("\nGF(256) row kernels on tier \"%s\" (MB/s):\n",
+              w4k::gf256::tier_name(w4k::gf256::active_tier()));
+  std::printf("%8s %12s %12s\n", "bytes", "mul_add_row", "scale_row");
+  for (const std::size_t n : {64, 500, 6000, 65536}) {
+    RowKernels rows(n);
+    const double mul_add =
+        measure_mbps(n, [&](std::size_t reps) { rows.mul_add(reps); });
+    const double scale =
+        measure_mbps(n, [&](std::size_t reps) { rows.scale(reps); });
+    std::printf("%8zu %12.1f %12.1f\n", n, mul_add, scale);
+  }
+}
+
+// --- Scalar-vs-SIMD A/B written to BENCH_kernels.json -----------------------
+
 struct AbResult {
   double scalar_mbps = 0.0;
   double simd_mbps = 0.0;
@@ -164,53 +208,29 @@ AbResult ab_measure(std::size_t bytes_per_rep,
   return r;
 }
 
-void emit_kernel_json(const char* path) {
+/// Runs the A/B and writes it to `path`. Returns false if the file cannot
+/// be written.
+bool emit_kernel_json(const char* path) {
   using w4k::gf256::Tier;
   const Tier best = w4k::gf256::refresh_dispatch();
 
-  auto dst = w4k::bench::affine_bytes(kSymbolBytes, 7, 3);
-  const auto src = w4k::bench::affine_bytes(kSymbolBytes, 13, 1);
-  const AbResult mul_add = ab_measure(kSymbolBytes, [&](std::size_t reps) {
-    for (std::size_t r = 0; r < reps; ++r) {
-      w4k::gf256::mul_add_row(dst, src, 0xA7);
-      benchmark::DoNotOptimize(dst.data());
-    }
-  });
-  const AbResult scale = ab_measure(kSymbolBytes, [&](std::size_t reps) {
-    for (std::size_t r = 0; r < reps; ++r) {
-      w4k::gf256::scale_row(dst, 0x53);
-      benchmark::DoNotOptimize(dst.data());
-    }
-  });
+  RowKernels rows(kSymbolBytes);
+  const AbResult mul_add = ab_measure(
+      kSymbolBytes, [&](std::size_t reps) { rows.mul_add(reps); });
+  const AbResult scale =
+      ab_measure(kSymbolBytes, [&](std::size_t reps) { rows.scale(reps); });
 
-  const auto data = unit_data();
-  const w4k::fec::FountainEncoder enc(data, kSymbolBytes, 42);
-  const std::size_t k = enc.k();
-  const AbResult encode = ab_measure(kUnitBytes, [&](std::size_t reps) {
-    for (std::size_t r = 0; r < reps; ++r)
-      for (std::size_t i = 0; i < k; ++i)
-        benchmark::DoNotOptimize(
-            enc.encode(static_cast<w4k::fec::Esi>(k + i)));
-  });
-
-  std::vector<w4k::fec::Symbol> symbols;
-  for (std::size_t i = 0; i < k + 2; ++i)
-    symbols.push_back(enc.encode(static_cast<w4k::fec::Esi>(k + i)));
-  const AbResult decode = ab_measure(kUnitBytes, [&](std::size_t reps) {
-    for (std::size_t r = 0; r < reps; ++r) {
-      w4k::fec::FountainDecoder dec(k, kSymbolBytes, data.size(), 42);
-      for (const auto& s : symbols) {
-        dec.add_symbol(s);
-        if (dec.can_decode()) break;
-      }
-      benchmark::DoNotOptimize(dec.decode());
-    }
-  });
+  const UnitCoding unit(kSymbolBytes);
+  const std::size_t k = unit.k();
+  const AbResult encode =
+      ab_measure(kUnitBytes, [&](std::size_t reps) { unit.encode(reps); });
+  const AbResult decode =
+      ab_measure(kUnitBytes, [&](std::size_t reps) { unit.decode(reps); });
 
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path);
-    return;
+    return false;
   }
   const auto entry = [&](const char* name, const AbResult& r,
                          const char* trailing_comma) {
@@ -234,7 +254,10 @@ void emit_kernel_json(const char* path) {
   entry("decode", decode, "");
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
-  std::fclose(f);
+  if (std::fclose(f) != 0) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return false;
+  }
 
   std::printf("\nScalar vs %s A/B (MB/s, symbol %zu B, unit %zu B, k=%zu):\n",
               w4k::gf256::tier_name(best), kSymbolBytes, kUnitBytes, k);
@@ -247,11 +270,15 @@ void emit_kernel_json(const char* path) {
   std::printf("  decode       %8.1f -> %8.1f  (%.2fx)\n", decode.scalar_mbps,
               decode.simd_mbps, decode.speedup());
   std::printf("written: %s\n", path);
+  return true;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
+  // Telemetry off: the timings must run the disabled-path code the
+  // figures assume.
+  w4k::bench::BenchMain bm("bench_fig2_raptor_timing", /*telemetry=*/false);
   std::printf(
       "Fig 2: encode/decode time vs symbol size (120 kB unit).\n"
       "paper: U-shape, minimum near 6000 B. here: the expensive-small-"
@@ -260,7 +287,7 @@ int main(int argc, char** argv) {
       "row kernels dispatch on tier \"%s\" (W4K_FORCE_SCALAR=1 pins "
       "scalar).\n\n",
       w4k::gf256::tier_name(w4k::gf256::active_tier()));
-  return w4k::bench::run_gbench(
-      "bench_fig2_raptor_timing", argc, argv,
-      [] { emit_kernel_json("BENCH_kernels.json"); });
+  print_sweep();
+  print_row_kernels();
+  return emit_kernel_json("BENCH_kernels.json") ? 0 : 1;
 }

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace w4k::beamforming {
@@ -143,16 +142,6 @@ void group_beam_into(Scheme scheme, std::span<const linalg::CVector> users,
     }
   }
   throw std::logic_error("group_beam: unhandled scheme");
-}
-
-GroupBeam group_beam(Scheme scheme,
-                     const std::vector<linalg::CVector>& channels,
-                     const Codebook& codebook, std::uint64_t seed) {
-  std::vector<std::size_t> members(channels.size());
-  std::iota(members.begin(), members.end(), std::size_t{0});
-  GroupBeam out;
-  group_beam_into(scheme, channels, members, codebook, seed, out);
-  return out;
 }
 
 }  // namespace w4k::beamforming

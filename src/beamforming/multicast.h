@@ -73,10 +73,4 @@ void group_beam_into(Scheme scheme, std::span<const linalg::CVector> users,
                      const Codebook& codebook, std::uint64_t seed,
                      GroupBeam& out);
 
-/// group_beam_into for the group of every channel in `member_channels`,
-/// returning a fresh GroupBeam.
-GroupBeam group_beam(Scheme scheme,
-                     const std::vector<linalg::CVector>& member_channels,
-                     const Codebook& codebook, std::uint64_t seed);
-
 }  // namespace w4k::beamforming

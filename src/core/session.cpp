@@ -111,10 +111,13 @@ void MulticastSession::ensure_user_state(std::size_t n_users) {
   // Churn: resize in place so surviving user indices keep their quarantine
   // flag, silence/loss streaks and attachment — a user who was blocked
   // before a neighbor joined is still blocked after. Only index-keyed
-  // caches whose meaning depends on the user count are dropped.
+  // caches whose meaning depends on the user count are dropped. That
+  // includes No Update's frozen decision, whose masks name the old room:
+  // the new room gets one fresh decision, which then freezes in turn.
   users_.resize(n_users);
   held_csi_.clear();
   planner_.forget_plan();
+  frozen_ = false;
 }
 
 namespace {

@@ -326,7 +326,9 @@ class MulticastSession {
   beamforming::Codebook codebook_;
   emu::TxEngine engine_;
   Rng rng_;
-  bool frozen_ = false;  ///< No Update: decision_ is frame 0's, kept
+  /// No Update: decision_ is the first one made for this user count, kept
+  /// until the count changes.
+  bool frozen_ = false;
   /// The decision's owner: beam cache, enumeration and solver scratch, the
   /// previous plan that warm-starts Eq. 1 and the per-group measured-rate
   /// feedback, both keyed by member mask (see sched/planner.h).

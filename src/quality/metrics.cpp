@@ -417,10 +417,6 @@ double psnr(const video::Plane& reference, const video::Plane& distorted) {
   return scores(reference, distorted).psnr;
 }
 
-double psnr(const video::Frame& reference, const video::Frame& distorted) {
-  return psnr(reference.y, distorted.y);
-}
-
 ContentFeatures content_features(const video::Frame& original,
                                  const video::EncodedFrame& encoded) {
   return content_features(original.y, reference_sums(original.y), encoded);

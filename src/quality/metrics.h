@@ -33,7 +33,6 @@ double ssim(const video::Frame& reference, const video::Frame& distorted);
 /// PSNR in dB on luma; identical planes yield +inf capped at 100 dB
 /// (FFmpeg's convention for lossless frames).
 double psnr(const video::Plane& reference, const video::Plane& distorted);
-double psnr(const video::Frame& reference, const video::Frame& distorted);
 
 /// The reference side of every SSIM/PSNR against one plane: Σx and Σx²
 /// of each 8x8 stride-4 window (row-major over the window grid), plus

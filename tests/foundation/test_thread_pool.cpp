@@ -97,12 +97,12 @@ TEST(ThreadPoolDeterminism, SsimBitIdenticalAcrossPoolSizes) {
 
   ThreadPool::reset_shared(1);  // serial reference
   const double ssim_ref = quality::ssim(a, b);
-  const double psnr_ref = quality::psnr(a, b);
+  const double psnr_ref = quality::psnr(a.y, b.y);
 
   for (std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
     ThreadPool::reset_shared(threads);
     EXPECT_EQ(quality::ssim(a, b), ssim_ref) << "pool=" << threads;
-    EXPECT_EQ(quality::psnr(a, b), psnr_ref) << "pool=" << threads;
+    EXPECT_EQ(quality::psnr(a.y, b.y), psnr_ref) << "pool=" << threads;
   }
 }
 

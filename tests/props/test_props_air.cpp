@@ -178,8 +178,8 @@ void run_session(model::QualityModel& quality,
   const std::size_t blocked = rng.below(n);
   const int block_from = static_cast<int>(rng.below(6));
   const int block_to = block_from + 3 + static_cast<int>(rng.below(8));
-  // No Update keeps frame 0's groups forever, so its user count is fixed.
-  const int shrink_at = cfg.adapt && rng.chance(0.3)
+  // A user leaving unfreezes No Update: it decides once for the new room.
+  const int shrink_at = rng.chance(0.3)
                             ? 6 + static_cast<int>(rng.below(9))
                             : -1;
   const int frames = 21;

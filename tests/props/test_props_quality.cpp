@@ -49,11 +49,11 @@ TEST(PropsQuality, PsnrIsNonNegativeFiniteAndCapped) {
   W4K_PROP("quality.psnr-range", [](Rng& rng) {
     const auto a = testgen::frame(rng, 4);
     const auto b = rng.chance(0.3) ? a : testgen::perturbed(a, rng, 32);
-    const double p = quality::psnr(a, b);
+    const double p = quality::psnr(a.y, b.y);
     prop_assert(std::isfinite(p), "psnr not finite");
     prop_assert(p >= 0.0 && p <= 100.0,
                 "psnr out of [0, 100]: " + std::to_string(p));
-    prop_assert_near(p, quality::psnr(b, a), 1e-12, "psnr symmetry");
+    prop_assert_near(p, quality::psnr(b.y, a.y), 1e-12, "psnr symmetry");
   });
 }
 
@@ -63,7 +63,7 @@ TEST(PropsQuality, PerturbationNeverBeatsIdentity) {
     const auto b = testgen::perturbed(a, rng, 24);
     prop_assert(quality::ssim(a, b) <= quality::ssim(a, a) + 1e-12,
                 "perturbed ssim above identity");
-    prop_assert(quality::psnr(a, b) <= quality::psnr(a, a) + 1e-12,
+    prop_assert(quality::psnr(a.y, b.y) <= quality::psnr(a.y, a.y) + 1e-12,
                 "perturbed psnr above identity");
   });
 }

@@ -85,7 +85,7 @@ TEST(FrameContext, CachedScoresMatchExplicitFramesBitForBit) {
   const FrameContext ctx = make_frame_context(f1, &f0, 100);
   const video::Frame blank = video::Frame::blank(f1.width(), f1.height());
   EXPECT_EQ(ctx.content.blank_ssim, quality::ssim(f1, blank));
-  EXPECT_EQ(ctx.blank_psnr, quality::psnr(f1, blank));
+  EXPECT_EQ(ctx.blank_psnr, quality::psnr(f1.y, blank.y));
   EXPECT_EQ(ctx.prev_frame_ssim, quality::ssim(f1, f0));
   for (int l = 0; l < video::kNumLayers; ++l)
     EXPECT_EQ(ctx.content.up_to_layer_ssim[static_cast<std::size_t>(l)],

@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include "beamforming/codebook.h"
 #include "common/stats.h"
 
 #include "core/pretrained.h"
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 
 namespace w4k::core {
@@ -151,6 +153,49 @@ TEST_F(SessionTest, NoUpdateFreezesDecision) {
   FrameOutcome adapted;
   adaptive.step_into(bad, bad, contexts_->front(), {}, adapted);
   EXPECT_GT(adapted.ssim[0], degraded.ssim[0]);
+}
+
+TEST_F(SessionTest, NoUpdateRedecidesOnceWhenAUserLeaves) {
+  // No Update on firmware sectors (a non-empty codebook). The frozen
+  // decision names the users of the room it was made for, so when one
+  // leaves the session decides once for the smaller room and freezes that
+  // decision instead.
+  SessionConfig cfg = SessionConfig::scaled(kW, kH);
+  cfg.adapt = false;
+  MulticastSession session(
+      cfg, *quality_,
+      beamforming::make_sector_codebook(beamforming::CodebookConfig{32, 64}));
+  const auto three = channels(3);
+  FrameOutcome out;
+  session.step_into(three, three, contexts_->front(), {}, out);
+
+  const std::vector<linalg::CVector> two(three.begin(), three.begin() + 2);
+  session.step_into(two, two, contexts_->front(), {}, out);
+  ASSERT_EQ(out.ssim.size(), 2u);
+  const sched::Decision& d = SessionTestAccess::decision(session);
+  ASSERT_FALSE(d.groups.empty());
+  std::vector<sched::GroupMask> masks;
+  for (const auto& g : d.groups) {
+    EXPECT_EQ(g.mask & ~sched::GroupMask{0b11}, 0u) << "names a departed user";
+    masks.push_back(g.mask);
+  }
+  const auto& tx = SessionTestAccess::groups_tx(session);
+  ASSERT_EQ(tx.size(), d.groups.size());
+  for (const auto& g : tx) {
+    if (g.drain_rate.value > 0.0) {
+      EXPECT_EQ(g.member_loss.size(),
+                static_cast<std::size_t>(std::popcount(g.mask)));
+    }
+  }
+
+  // Frozen again: a later frame on other CSI keeps the two-user decision.
+  const std::uint64_t pass = d.pass;
+  const auto far = channels(2, 6.0);
+  session.step_into(far, far, contexts_->front(), {}, out);
+  EXPECT_EQ(d.pass, pass);
+  ASSERT_EQ(d.groups.size(), masks.size());
+  for (std::size_t g = 0; g < masks.size(); ++g)
+    EXPECT_EQ(d.groups[g].mask, masks[g]);
 }
 
 TEST_F(SessionTest, ResetRestoresDeterminism) {

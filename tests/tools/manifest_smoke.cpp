@@ -7,8 +7,7 @@
 // unreadable BENCH_* artifacts.
 //
 // Usage: manifest_smoke <path-to-bench-binary> <manifest-name> [bench-args...]
-// (any further arguments are passed to the bench, e.g. a google-benchmark
-// --benchmark_filter that keeps the run short).
+// (any further arguments are passed to the bench).
 #include "obs/jsonlite.h"
 
 #include <cstdio>

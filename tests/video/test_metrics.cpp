@@ -95,7 +95,7 @@ TEST(Ssim, TooSmallPlaneThrows) {
 
 TEST(Psnr, IdenticalIsCappedAt100) {
   const Frame f = noise_frame(64, 64, 10);
-  EXPECT_DOUBLE_EQ(psnr(f, f), 100.0);
+  EXPECT_DOUBLE_EQ(psnr(f.y, f.y), 100.0);
 }
 
 TEST(Psnr, KnownMse) {

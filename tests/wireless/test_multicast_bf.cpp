@@ -18,6 +18,16 @@ std::vector<linalg::CVector> channels_at(
   return out;
 }
 
+/// group_beam_into for the ascending `members` of `users`, into a fresh
+/// GroupBeam.
+GroupBeam beam_for(Scheme scheme, std::span<const linalg::CVector> users,
+                   const std::vector<std::size_t>& members,
+                   const Codebook& codebook, std::uint64_t seed) {
+  GroupBeam out;
+  group_beam_into(scheme, users, members, codebook, seed, out);
+  return out;
+}
+
 Codebook default_codebook() {
   CodebookConfig cfg;
   return make_sector_codebook(cfg);
@@ -37,29 +47,31 @@ TEST(SchemeTraits, Names) {
 
 TEST(GroupBeam, EmptyGroupThrows) {
   const std::uint64_t seed = 1;
-  EXPECT_THROW(group_beam(Scheme::kOptimizedUnicast, {}, Codebook{}, seed),
+  EXPECT_THROW(beam_for(Scheme::kOptimizedUnicast, {}, {}, Codebook{}, seed),
                std::invalid_argument);
 }
 
 TEST(GroupBeam, UnicastSchemeRejectsMultiMemberGroups) {
   const std::uint64_t seed = 2;
   const auto chans = channels_at({{3.0, 0.1}, {3.0, -0.1}});
-  EXPECT_THROW(group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed),
-               std::invalid_argument);
+  EXPECT_THROW(
+      beam_for(Scheme::kOptimizedUnicast, chans, {0, 1}, Codebook{}, seed),
+      std::invalid_argument);
 }
 
 TEST(GroupBeam, PredefinedSchemesNeedCodebook) {
   const std::uint64_t seed = 3;
   const auto chans = channels_at({{3.0, 0.1}});
-  EXPECT_THROW(group_beam(Scheme::kPredefinedUnicast, chans, Codebook{}, seed),
-               std::invalid_argument);
+  EXPECT_THROW(
+      beam_for(Scheme::kPredefinedUnicast, chans, {0}, Codebook{}, seed),
+      std::invalid_argument);
 }
 
 TEST(GroupBeam, OptimizedUnicastIsMrt) {
   const std::uint64_t seed = 4;
   const auto chans = channels_at({{3.0, 0.2}});
   const GroupBeam g =
-      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedUnicast, chans, {0}, Codebook{}, seed);
   // MRT achieves ||h||^2 exactly.
   EXPECT_NEAR(g.min_rss.value,
               Dbm::from_milliwatts(chans[0].norm_sq()).value, 1e-9);
@@ -72,8 +84,8 @@ TEST(GroupBeam, OptimizedBeatsPredefinedUnicast) {
   const auto cb = default_codebook();
   const auto chans = channels_at({{3.0, 0.23}});
   const auto opt =
-      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed);
-  const auto pre = group_beam(Scheme::kPredefinedUnicast, chans, cb, seed);
+      beam_for(Scheme::kOptimizedUnicast, chans, {0}, Codebook{}, seed);
+  const auto pre = beam_for(Scheme::kPredefinedUnicast, chans, {0}, cb, seed);
   EXPECT_GE(opt.min_rss.value, pre.min_rss.value);
 }
 
@@ -82,8 +94,9 @@ TEST(GroupBeam, OptimizedMulticastBeatsPredefinedMulticast) {
   const auto cb = default_codebook();
   const auto chans = channels_at({{3.0, 0.5}, {3.0, -0.5}});
   const auto opt =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
-  const auto pre = group_beam(Scheme::kPredefinedMulticast, chans, cb, seed);
+      beam_for(Scheme::kOptimizedMulticast, chans, {0, 1}, Codebook{}, seed);
+  const auto pre =
+      beam_for(Scheme::kPredefinedMulticast, chans, {0, 1}, cb, seed);
   EXPECT_GE(opt.min_rss.value, pre.min_rss.value - 0.5);
 }
 
@@ -93,7 +106,7 @@ TEST(GroupBeam, MulticastBeamReachesBothUsers) {
   const std::uint64_t seed = 7;
   const auto chans = channels_at({{3.0, 0.5}, {3.0, -0.5}});
   const auto multi =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedMulticast, chans, {0, 1}, Codebook{}, seed);
   ASSERT_EQ(multi.beam.size(), chans[0].size());
   // Unicast beam for user 0 evaluated at user 1:
   const auto f0 = chans[0].conj().normalized();
@@ -107,9 +120,9 @@ TEST(GroupBeam, MulticastSplitsPowerVersusUnicast) {
   const std::uint64_t seed = 8;
   const auto chans = channels_at({{3.0, 0.5}, {3.0, -0.5}});
   const auto multi =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedMulticast, chans, {0, 1}, Codebook{}, seed);
   const auto uni =
-      group_beam(Scheme::kOptimizedUnicast, {chans[0]}, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedUnicast, chans, {0}, Codebook{}, seed);
   const double split_loss = uni.min_rss.value - multi.min_rss.value;
   EXPECT_GT(split_loss, 1.0);
   EXPECT_LT(split_loss, 7.0);
@@ -119,9 +132,9 @@ TEST(GroupBeam, SingletonOptimizedMulticastEqualsMrt) {
   const std::uint64_t seed = 9;
   const auto chans = channels_at({{4.0, 0.3}});
   const auto multi =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedMulticast, chans, {0}, Codebook{}, seed);
   const auto uni =
-      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedUnicast, chans, {0}, Codebook{}, seed);
   EXPECT_NEAR(multi.min_rss.value, uni.min_rss.value, 1e-9);
 }
 
@@ -129,7 +142,7 @@ TEST(GroupBeam, MinRssIsBottleneckMember) {
   const std::uint64_t seed = 10;
   const auto chans = channels_at({{3.0, 0.2}, {10.0, -0.4}});
   const auto g =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedMulticast, chans, {0, 1}, Codebook{}, seed);
   double min = 1e9;
   for (const auto& h : chans)
     min = std::min(min, channel::beam_rss(h, g.beam).value);
@@ -145,9 +158,9 @@ TEST(GroupBeam, CloseUsersMulticastNearlyFree) {
   const std::uint64_t seed = 11;
   const auto chans = channels_at({{3.0, 0.00}, {3.0, 0.05}});
   const auto multi =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedMulticast, chans, {0, 1}, Codebook{}, seed);
   const auto uni =
-      group_beam(Scheme::kOptimizedUnicast, {chans[0]}, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedUnicast, chans, {0}, Codebook{}, seed);
   EXPECT_GT(multi.min_rss.value, uni.min_rss.value - 3.0);
 }
 
@@ -158,14 +171,16 @@ TEST(GroupBeam, CodebookSearchTakesTheFirstOfTiedSectors) {
   const auto cb = default_codebook();
   const auto chans = channels_at({{3.0, 0.3}, {3.0, 0.1}});
   const std::uint64_t seed = 14;
-  const auto best = group_beam(Scheme::kPredefinedMulticast, chans, cb, seed);
+  const auto best =
+      beam_for(Scheme::kPredefinedMulticast, chans, {0, 1}, cb, seed);
   linalg::CVector negated = best.beam;
   for (std::size_t i = 0; i < negated.size(); ++i) negated[i] = -negated[i];
   Codebook tied;
   tied.beams = {cb[0], negated, best.beam};
   ASSERT_NE(channel::beam_rss(chans[0], cb[0]).value,
             channel::beam_rss(chans[0], best.beam).value);
-  const auto g = group_beam(Scheme::kPredefinedMulticast, chans, tied, seed);
+  const auto g =
+      beam_for(Scheme::kPredefinedMulticast, chans, {0, 1}, tied, seed);
   ASSERT_EQ(g.beam.size(), negated.size());
   for (std::size_t i = 0; i < negated.size(); ++i)
     EXPECT_EQ(g.beam[i], negated[i]) << "element " << i;
@@ -180,7 +195,7 @@ TEST(GroupBeam, FarUserYieldsZeroRate) {
   const std::uint64_t seed = 12;
   const auto chans = channels_at({{200.0, 0.0}});
   const auto g =
-      group_beam(Scheme::kOptimizedUnicast, chans, Codebook{}, seed);
+      beam_for(Scheme::kOptimizedUnicast, chans, {0}, Codebook{}, seed);
   EXPECT_DOUBLE_EQ(g.rate.value, 0.0);
 }
 
@@ -191,8 +206,8 @@ TEST(GroupBeam, EightUserGroupStillServed) {
   for (int i = 0; i < 8; ++i)
     chans.push_back(channel::make_channel(
         prop, channel::Position::from_polar(6.0, -0.6 + 0.17 * i)));
-  const auto g =
-      group_beam(Scheme::kOptimizedMulticast, chans, Codebook{}, seed);
+  const auto g = beam_for(Scheme::kOptimizedMulticast, chans,
+                          {0, 1, 2, 3, 4, 5, 6, 7}, Codebook{}, seed);
   for (const auto& h : chans)
     EXPECT_GE(channel::beam_rss(h, g.beam).value, g.min_rss.value);
   EXPECT_GT(g.rate.value, 0.0);
